@@ -154,8 +154,10 @@ def cmd_events(args, out_dir: Path, created: List[Path]) -> int:
     )
     print(
         f"dropped non-scanning: {builder.dropped_non_scanning}, "
+        f"outside darknet: {builder.outside_darknet}, "
         f"out of order: {builder.out_of_order}"
     )
+    print(f"sketch_clamped: {builder.sketch_clamped}")
     print(f"events: {events_written} -> {out_path}")
     return 0 if events_written else 1
 

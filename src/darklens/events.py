@@ -21,54 +21,60 @@ from .hll import Hll
 from .model import DarknetConfig, DarknetEvent, EventKey, PacketMeta, US_PER_S
 from .pcap import classify_traffic_type
 
-# Darknets up to this many addresses track destinations exactly; above it the
-# per-event sets would dominate memory and a 1% sketch is fine.
+# Darknets up to this many addresses count destinations exactly for every
+# event; above it an event's exact set is promoted to a sketch once it grows
+# past SPARSE_MAX_DSTS, since a 1% estimate is fine for large events.
 EXACT_DST_THRESHOLD = 2 ** 20
+
+# 256 Python ints in a set take about 16.6 KB, the size of one Hll, so an
+# exact set of up to this many addresses never costs more than the sketch.
+SPARSE_MAX_DSTS = 256
 
 
 class _OpenEvent:
     __slots__ = (
         "key", "start_ts", "last_ts", "pkt_count",
-        "dst_exact", "dst_sketch", "zmap_pkts", "masscan_pkts", "other_pkts",
+        "dsts", "zmap_pkts", "masscan_pkts", "other_pkts",
     )
 
-    def __init__(self, key: EventKey, ts: int, exact: bool):
+    def __init__(self, key: EventKey, ts: int):
         self.key = key
         self.start_ts = ts
         self.last_ts = ts
         self.pkt_count = 0
-        self.dst_exact: Optional[set] = set() if exact else None
-        self.dst_sketch: Optional[Hll] = None if exact else Hll()
+        # exact set of destinations until promoted, then an Hll
+        self.dsts: set | Hll = set()
         self.zmap_pkts = 0
         self.masscan_pkts = 0
         self.other_pkts = 0
 
 
-def unique_dst_count(state: _OpenEvent, darknet_size: int) -> int:
-    """Distinct destinations of an open event, clamped to its hard bounds.
+def _promote(dsts: set) -> Hll:
+    """Fold an exact destination set into a sketch.
 
-    The sketch path may drift a little, so the result is clamped into
-    [1, min(pkt_count, darknet_size)] which always holds for the true value.
+    Registers keep a running max, so the result equals a sketch that saw the
+    same destinations in any order, one packet at a time.
     """
-    if state.dst_exact is not None:
-        n = len(state.dst_exact)
-    else:
-        n = state.dst_sketch.estimate()
-    return max(1, min(n, state.pkt_count, darknet_size))
+    sketch = Hll()
+    for ip in dsts:
+        sketch.add_int(ip)
+    return sketch
 
 
 class EventBuilder:
     """One streaming pass: feed packets in, collect closed DarknetEvents out.
 
-    Conservation holds at all times once flush() has run:
-    packets_in == dropped_non_scanning + out_of_order + sum of event pkt_count.
+    Scanning packets whose destination lies outside the darknet are counted
+    in outside_darknet and never touch any state. Conservation holds at all
+    times once flush() has run:
+    packets_in == dropped_non_scanning + outside_darknet + out_of_order
+    + sum of event pkt_count.
     """
 
     def __init__(
         self,
         cfg: DarknetConfig,
         reorder_slack_s: float = 0.0,
-        exact_threshold: int = EXACT_DST_THRESHOLD,
         rules: FingerprintRules = DEFAULT_RULES,
     ):
         if cfg.darknet_size <= 0:
@@ -77,16 +83,39 @@ class EventBuilder:
         self.timeout_us = round(cfg.event_timeout_s * US_PER_S)
         self.slack_us = round(reorder_slack_s * US_PER_S)
         self.sweep_interval_us = max(1, self.timeout_us // 2)
-        self.exact_mode = cfg.darknet_size <= exact_threshold
+        # An exact set holding more than this many destinations is promoted;
+        # on telescopes up to EXACT_DST_THRESHOLD it can never happen.
+        self.promote_above = (
+            cfg.darknet_size if cfg.darknet_size <= EXACT_DST_THRESHOLD else SPARSE_MAX_DSTS
+        )
         self.rules = rules
         self.open_events: dict[EventKey, _OpenEvent] = {}
         self.watermark: Optional[int] = None
         self._next_sweep: Optional[int] = None
         self.packets_in = 0
         self.dropped_non_scanning = 0
+        self.outside_darknet = 0
         self.out_of_order = 0
         self.events_emitted = 0
         self.pkts_emitted = 0
+        self.sketch_clamped = 0
+
+    def _unique_dsts(self, state: _OpenEvent) -> int:
+        """Distinct destinations of an open event.
+
+        An exact set holds only darknet addresses, so its size is the answer.
+        A sketch estimate may drift a little, so it is clamped into
+        [1, min(pkt_count, darknet_size)], which always holds for the true
+        value; each clamp is counted in sketch_clamped.
+        """
+        dsts = state.dsts
+        if type(dsts) is set:
+            return len(dsts)
+        est = dsts.estimate()
+        n = max(1, min(est, state.pkt_count, self.cfg.darknet_size))
+        if n != est:
+            self.sketch_clamped += 1
+        return n
 
     def _close(self, state: _OpenEvent) -> DarknetEvent:
         ev = DarknetEvent(
@@ -94,7 +123,7 @@ class EventBuilder:
             start_ts=state.start_ts,
             end_ts=state.last_ts,
             pkt_count=state.pkt_count,
-            unique_dst_count=unique_dst_count(state, self.cfg.darknet_size),
+            unique_dst_count=self._unique_dsts(state),
             zmap_pkts=state.zmap_pkts,
             masscan_pkts=state.masscan_pkts,
             other_pkts=state.other_pkts,
@@ -120,6 +149,9 @@ class EventBuilder:
         if ttype is None:
             self.dropped_non_scanning += 1
             return []
+        if not self.cfg.contains(p.dst_ip):
+            self.outside_darknet += 1
+            return []
         ts = p.ts_us
         wm = self.watermark
         if wm is None:
@@ -144,7 +176,7 @@ class EventBuilder:
             closed.append(self._close(state))
             state = None
         if state is None:
-            state = _OpenEvent(key, ts, self.exact_mode)
+            state = _OpenEvent(key, ts)
             self.open_events[key] = state
         state.pkt_count += 1
         if ts > state.last_ts:
@@ -152,10 +184,13 @@ class EventBuilder:
         elif ts < state.start_ts:
             # slack-admitted stragglers may predate the first packet seen
             state.start_ts = ts
-        if state.dst_exact is not None:
-            state.dst_exact.add(p.dst_ip)
+        dsts = state.dsts
+        if type(dsts) is set:
+            dsts.add(p.dst_ip)
+            if len(dsts) > self.promote_above:
+                state.dsts = _promote(dsts)
         else:
-            state.dst_sketch.add_int(p.dst_ip)
+            dsts.add_int(p.dst_ip)
         tool = fingerprint_packet(p, self.rules)
         if tool is ProbeTool.ZMAP:
             state.zmap_pkts += 1
@@ -170,11 +205,10 @@ class EventBuilder:
         for p in packets:
             yield from self.ingest_packet(p)
 
-    def flush(self, end_of_stream_ts: Optional[int] = None) -> List[DarknetEvent]:
+    def flush(self) -> List[DarknetEvent]:
         """Close every open event, ordered by ascending key.
 
-        end_of_stream_ts is accepted for callers that track capture bounds but
-        does not change any event: end_ts is always the last packet folded in.
+        end_ts is always the last packet folded in, never the end of capture.
         """
         remaining = sorted(self.open_events.values(), key=lambda st: st.key)
         self.open_events.clear()

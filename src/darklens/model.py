@@ -16,6 +16,7 @@ import ipaddress
 import json
 import socket
 import struct
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from datetime import date, timedelta
 from typing import Iterable, NamedTuple, Optional
@@ -355,16 +356,22 @@ class DarknetConfig:
     dispersion_fraction: float = 0.10
     alpha: float = 0.0001
     darknet_size: int = 0
+    # First and last address of each prefix in ascending order, as two
+    # parallel lists for bisect; derived by validate_config.
+    range_starts: list[int] = field(default_factory=list, init=False, repr=False)
+    range_ends: list[int] = field(default_factory=list, init=False, repr=False)
 
     def contains(self, ip: int) -> bool:
-        for net in self.darknet_prefixes:
-            if (ip & int(net.netmask)) == int(net.network_address):
-                return True
-        return False
+        """Whether ip lies in the darknet: one bisect over the intervals."""
+        i = bisect_right(self.range_starts, ip) - 1
+        return i >= 0 and ip <= self.range_ends[i]
 
 
 def validate_config(cfg: DarknetConfig) -> DarknetConfig:
-    """Check invariants and fill in darknet_size. Returns cfg for chaining."""
+    """Check invariants, fill in darknet_size and the address intervals.
+
+    Returns cfg for chaining.
+    """
     if not cfg.darknet_prefixes:
         raise EmptyPrefixListError("darknet_prefixes must not be empty")
     nets = sorted(cfg.darknet_prefixes, key=lambda n: (int(n.network_address), n.prefixlen))
@@ -383,6 +390,8 @@ def validate_config(cfg: DarknetConfig) -> DarknetConfig:
     if cfg.assumed_scan_rate_pps <= 0:
         raise ConfigError("assumed_scan_rate_pps must be positive")
     cfg.darknet_size = size
+    cfg.range_starts = [int(n.network_address) for n in nets]
+    cfg.range_ends = [int(n.broadcast_address) for n in nets]
     return cfg
 
 

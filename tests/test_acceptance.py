@@ -159,13 +159,16 @@ def test_criterion_02_packet_conservation(tmp_path):
     assert reader.packets_read == manifest["pcap_packets"]
     assert builder.packets_in == reader.packets_read
     assert builder.dropped_non_scanning == manifest["non_scanning_pkts"]
+    assert builder.outside_darknet == 0
     assert builder.out_of_order == 0
     assert (
         builder.packets_in
-        == builder.dropped_non_scanning + builder.out_of_order + pkts_in_events
+        == builder.dropped_non_scanning + builder.outside_darknet
+        + builder.out_of_order + pkts_in_events
     )
 
-    # Same identity on a deliberately shuffled capture with zero reorder slack.
+    # Same identity on a deliberately shuffled capture with zero reorder slack,
+    # with 60 of its probes aimed just past the /22 or far outside it.
     rng = random.Random(202)
     frames = []
     t0 = DAY0_S * US
@@ -174,6 +177,11 @@ def test_criterion_02_packet_conservation(tmp_path):
         dst = f"10.0.{rng.randrange(4)}.{rng.randrange(256)}"
         frame = eth_frame(oracle_ipv4("198.51.100.9", dst, 17, oracle_udp(40000, 53)))
         frames.append((ts, frame))
+    for i in range(60):
+        ts = t0 + rng.randrange(0, 120 * US)
+        dst = f"10.0.4.{i}" if i % 2 else f"192.168.{i}.1"
+        frame = eth_frame(oracle_ipv4("198.51.100.9", dst, 17, oracle_udp(40000, 53)))
+        frames.insert(rng.randrange(len(frames) + 1), (ts, frame))
     shuffled = tmp_path / "shuffled.pcap"
     shuffled.write_bytes(build_pcap(frames))
 
@@ -186,14 +194,17 @@ def test_criterion_02_packet_conservation(tmp_path):
     for ev in builder2.flush():
         pkts2 += ev.pkt_count
 
-    assert builder2.packets_in == reader2.packets_read == 300
+    assert builder2.packets_in == reader2.packets_read == 360
+    assert builder2.outside_darknet == 60
     assert builder2.out_of_order > 0
     assert (
         builder2.packets_in
-        == builder2.dropped_non_scanning + builder2.out_of_order + pkts2
+        == builder2.dropped_non_scanning + builder2.outside_darknet
+        + builder2.out_of_order + pkts2
     )
     _ok(2, f"conservation exact on {manifest['pcap_packets']} synth pkts and "
-           f"300 shuffled pkts ({builder2.out_of_order} out of order)")
+           f"360 shuffled pkts ({builder2.out_of_order} out of order, "
+           f"{builder2.outside_darknet} outside the darknet)")
 
 
 # ---------------------------------------------------------------------------

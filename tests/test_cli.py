@@ -7,6 +7,7 @@ import pytest
 from darklens.cli import main
 from darklens.detect import read_blocklist
 from darklens.model import ip_to_int
+from helpers import US, build_pcap, eth_frame, oracle_ipv4, oracle_udp
 
 CONF = """\
 darknet_prefixes = 10.0.0.0/22
@@ -224,6 +225,26 @@ class TestReportCommand:
             "report", str(pipeline["run"] / "events.jsonl"), str(empty),
         ])
         assert rc == 1
+
+
+def test_events_reports_outside_darknet_and_clamps(tmp_path, capsys):
+    conf = tmp_path / "telescope.conf"
+    conf.write_text(CONF)
+
+    def probe(dst):
+        return eth_frame(oracle_ipv4("198.51.100.9", dst, 17, oracle_udp(40000, 53)))
+
+    frames = [(i * US, probe(f"10.0.0.{i}")) for i in range(5)]
+    frames += [(10 * US + i, probe(f"192.168.0.{i}")) for i in range(3)]
+    pcap = tmp_path / "mixed.pcap"
+    pcap.write_bytes(build_pcap(frames))
+    rc = main(["--config", str(conf), "--out-dir", str(tmp_path), "events", str(pcap)])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert "dropped non-scanning: 0, outside darknet: 3, out of order: 0" in out
+    assert "sketch_clamped: 0" in out
+    (line,) = (tmp_path / "events.jsonl").read_text().splitlines()
+    assert json.loads(line)["unique_dst_count"] == 5
 
 
 class TestFailureModes:

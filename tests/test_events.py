@@ -1,9 +1,13 @@
+import ipaddress
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from darklens.detect import classify_dispersion
 from darklens.events import EXACT_DST_THRESHOLD, EventBuilder, read_event_log, write_event_log
+from darklens.hll import Hll
 from darklens.model import EventKey, TrafficType, ip_to_int
 from helpers import US, make_cfg, mk_pkt, offline_intervals
 
@@ -90,12 +94,18 @@ class TestCounters:
             mk_pkt(2 * US, SRC, DARK[2], proto="icmp", icmp_type=0),
             mk_pkt(3 * US, SRC, DARK[3], proto="icmp", icmp_type=8),
             mk_pkt(4 * US, SRC, DARK[4]),
+            mk_pkt(5 * US, SRC, "10.0.4.0"),                       # outside the /22
+            mk_pkt(6 * US, SRC, "10.0.4.0", proto="tcp", flags=0x12),  # outside, backscatter
         ]
         b, evs = run_stream(cfg_slash22, pkts)
-        assert b.packets_in == 5
-        assert b.dropped_non_scanning == 2
+        assert b.packets_in == 7
+        assert b.dropped_non_scanning == 3
+        assert b.outside_darknet == 1
         assert b.out_of_order == 0
-        assert b.dropped_non_scanning + b.out_of_order + sum(e.pkt_count for e in evs) == 5
+        assert (
+            b.dropped_non_scanning + b.outside_darknet + b.out_of_order
+            + sum(e.pkt_count for e in evs) == 7
+        )
 
     def test_out_of_order_dropped_with_zero_slack(self, cfg_slash22):
         pkts = [
@@ -157,6 +167,173 @@ class TestDstCounting:
         _, evs = run_stream(cfg_slash22, pkts)
         for e in evs:
             e.validate(cfg_slash22.darknet_size)
+
+
+class TestOutsideDarknet:
+    def test_probes_outside_darknet_form_no_event(self, cfg_slash22):
+        # 2,000 probes to 192.168.0.0/16 under a /22 config once came out as
+        # one event with unique_dst_count 1024, flagged D1 at dispersion 1.0.
+        rng = random.Random(2000)
+        pkts = [
+            mk_pkt(i * 1000, SRC, ip_to_int("192.168.0.0") + rng.randrange(1 << 16))
+            for i in range(2000)
+        ]
+        b, evs = run_stream(cfg_slash22, pkts)
+        assert b.outside_darknet == 2000
+        assert evs == []
+        assert b.packets_in == b.outside_darknet
+
+    def test_outside_probes_do_not_count_toward_dispersion(self, cfg_slash22):
+        # The same 2,000 probes plus ten into the darknet: one event of ten
+        # destinations, well under the 10% dispersion fraction.
+        pkts = [mk_pkt(i * 1000, SRC, ip_to_int("192.168.0.0") + i) for i in range(2000)]
+        pkts += [mk_pkt(2 * US + i, SRC, DARK[i]) for i in range(10)]
+        b, evs = run_stream(cfg_slash22, pkts)
+        (ev,) = evs
+        assert (ev.pkt_count, ev.unique_dst_count) == (10, 10)
+        assert not classify_dispersion(ev, cfg_slash22)
+        assert b.outside_darknet == 2000
+
+    def test_outside_packet_moves_no_state(self, cfg_slash22):
+        # A far-future packet outside the darknet must not advance the
+        # watermark (which would drop the next packets as out of order) nor
+        # sweep the open event.
+        b = EventBuilder(cfg_slash22)
+        assert b.ingest_packet(mk_pkt(0, SRC, DARK[0])) == []
+        assert b.ingest_packet(mk_pkt(10_000 * US, SRC, "10.0.4.1")) == []
+        assert b.ingest_packet(mk_pkt(1 * US, SRC, DARK[1])) == []
+        assert b.watermark == 1 * US
+        assert (b.outside_darknet, b.out_of_order) == (1, 0)
+        (ev,) = b.flush()
+        assert (ev.pkt_count, ev.unique_dst_count) == (2, 2)
+
+
+def _in_darknet_oracle(ip: int, nets) -> bool:
+    return any(ipaddress.IPv4Address(ip) in n for n in nets)
+
+
+# A 512-address telescope in two /24s with a dark-space gap between them, and
+# destinations drawn from both prefixes, the gap, the edges and far away.
+_MIXED_NETS = [ipaddress.IPv4Network("10.0.0.0/24"), ipaddress.IPv4Network("10.0.2.0/24")]
+_IN_POOL = [ip_to_int("10.0.0.0") + i for i in range(24)] + [ip_to_int("10.0.2.0") + i for i in range(24)]
+_OUT_POOL = [ip_to_int(a) for a in (
+    "9.255.255.255", "10.0.1.0", "10.0.1.255", "10.0.3.0", "192.168.0.1", "192.168.7.7",
+)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    dsts=st.lists(st.sampled_from(_IN_POOL + _OUT_POOL), max_size=120),
+    fraction=st.sampled_from([0.02, 0.05, 0.0625, 0.08]),
+)
+def test_property_d1_iff_true_in_darknet_count_reaches_fraction(dsts, fraction):
+    cfg = make_cfg(tuple(str(n) for n in _MIXED_NETS), dispersion_fraction=fraction)
+    pkts = [mk_pkt(i * US, SRC, d) for i, d in enumerate(dsts)]
+    b, evs = run_stream(cfg, pkts)
+    inside = {d for d in dsts if _in_darknet_oracle(d, _MIXED_NETS)}
+    n_out = sum(1 for d in dsts if not _in_darknet_oracle(d, _MIXED_NETS))
+    assert b.outside_darknet == n_out
+    assert b.packets_in == b.outside_darknet + sum(e.pkt_count for e in evs)
+    assert sum(e.unique_dst_count for e in evs) == len(inside)
+    # compared in integers: 0.0625 x 512 = 32 puts the boundary itself in play
+    fires = any(classify_dispersion(e, cfg) for e in evs)
+    assert fires == (len(inside) * 10_000 >= round(fraction * 10_000) * 512)
+
+
+class TestSparseToSketch:
+    def test_small_events_exact_on_sketch_telescope(self, cfg_sketch):
+        assert cfg_sketch.darknet_size > EXACT_DST_THRESHOLD
+        rng = random.Random(3)
+        base = ip_to_int("10.0.0.0")
+        for n in (1, 2, 17, 200, 255, 256):
+            dsts = rng.sample(range(base, base + cfg_sketch.darknet_size), n)
+            # every destination twice, so pkt_count cannot bound the count
+            pkts = [mk_pkt(i * 10, SRC, d) for i, d in enumerate(dsts + dsts)]
+            b, evs = run_stream(cfg_sketch, pkts)
+            (ev,) = evs
+            assert (ev.pkt_count, ev.unique_dst_count) == (2 * n, n)
+            assert b.sketch_clamped == 0
+
+    def test_promoted_sketch_equals_sketch_fed_every_packet(self, cfg_sketch):
+        rng = random.Random(9)
+        base = ip_to_int("10.0.0.0")
+        dsts = [base + rng.randrange(cfg_sketch.darknet_size) for _ in range(3000)]
+        dsts += dsts[:500]
+        b = EventBuilder(cfg_sketch)
+        reference = Hll()
+        for i, d in enumerate(dsts):
+            b.ingest_packet(mk_pkt(i * 10, SRC, d))
+            reference.add_int(d)
+        (state,) = b.open_events.values()
+        assert isinstance(state.dsts, Hll)
+        assert state.dsts.registers == reference.registers
+
+    def test_promotion_happens_past_256_destinations(self, cfg_sketch):
+        b = EventBuilder(cfg_sketch)
+        base = ip_to_int("10.0.0.0")
+        for i in range(256):
+            b.ingest_packet(mk_pkt(i, SRC, base + i))
+        (state,) = b.open_events.values()
+        assert len(state.dsts) == 256
+        b.ingest_packet(mk_pkt(256, SRC, base + 256))
+        assert isinstance(state.dsts, Hll)
+
+    def test_exact_telescope_never_promotes(self, cfg_slash22):
+        b = EventBuilder(cfg_slash22)
+        for i in range(1024):
+            b.ingest_packet(mk_pkt(i * 10, SRC, DARK[i]))
+        (state,) = b.open_events.values()
+        assert type(state.dsts) is set
+        (ev,) = b.flush()
+        assert ev.unique_dst_count == 1024
+        assert b.sketch_clamped == 0
+
+    def test_sketch_clamped_counts_clamped_estimates(self, cfg_sketch):
+        # Events of 257-400 distinct destinations, one packet each: a sketch
+        # estimate above pkt_count is clamped, and the count must match an
+        # independent recount with fresh sketches.
+        rng = random.Random(21)
+        base = ip_to_int("10.0.0.0")
+        pkts = []
+        want_clamped = 0
+        for k in range(40):
+            n = rng.randrange(257, 401)
+            dsts = rng.sample(range(base, base + cfg_sketch.darknet_size), n)
+            sketch = Hll()
+            for d in dsts:
+                sketch.add_int(d)
+            want_clamped += sketch.estimate() > n
+            pkts += [mk_pkt(i, SRC, d, dport=k) for i, d in enumerate(dsts)]
+        pkts.sort(key=lambda p: p.ts_us)
+        b, evs = run_stream(cfg_sketch, pkts)
+        assert len(evs) == 40
+        assert all(e.unique_dst_count <= e.pkt_count for e in evs)
+        assert want_clamped > 0
+        assert b.sketch_clamped == want_clamped
+
+
+def _one_packet_event_bytes(cfg) -> int:
+    pkt = mk_pkt(0, SRC, "10.0.0.1")
+    EventBuilder(cfg).ingest_packet(pkt)  # warm any one-time allocations
+    b = EventBuilder(cfg)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        b.ingest_packet(pkt)
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(b.open_events) == 1
+    return after - before
+
+
+def test_one_packet_event_costs_the_same_on_a_slash8_as_on_a_slash22():
+    small = _one_packet_event_bytes(make_cfg(("10.0.0.0/22",)))
+    large = _one_packet_event_bytes(make_cfg(("10.0.0.0/8",)))
+    # An Hll alone holds 16 KiB of registers; an open event here is well
+    # under 1 KB on either telescope.
+    assert small < 1024
+    assert large == small
 
 
 class TestFingerprintCounters:

@@ -2,7 +2,7 @@ import ipaddress
 from datetime import date
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from darklens.model import (
     ConfigError,
@@ -89,6 +89,27 @@ class TestValidateConfig:
         assert cfg.contains(ip_to_int("10.0.0.255"))
         assert cfg.contains(ip_to_int("10.0.2.1"))
         assert not cfg.contains(ip_to_int("10.0.1.0"))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        blocks=st.sets(st.integers(min_value=0, max_value=63), min_size=1, max_size=12),
+        lens=st.lists(st.integers(min_value=0, max_value=2), min_size=12, max_size=12),
+        probes=st.lists(st.integers(min_value=-4, max_value=(64 << 10) + 4), max_size=60),
+    )
+    def test_contains_matches_ipaddress_oracle(self, blocks, lens, probes):
+        # Disjoint prefixes of /22, /23 or /24 placed in distinct /22 blocks
+        # of 10.0.0.0/16, so some are adjacent and some are not.
+        base = ip_to_int("10.0.0.0")
+        nets = [
+            ipaddress.IPv4Network((base + (b << 10), 22 + lens[i]))
+            for i, b in enumerate(sorted(blocks))
+        ]
+        cfg = validate_config(_cfg([str(n) for n in nets]))
+        edges = [int(n.network_address) + d for n in nets for d in (-1, 0)]
+        edges += [int(n.broadcast_address) + d for n in nets for d in (0, 1)]
+        for ip in edges + [base + off for off in probes]:
+            want = any(ipaddress.IPv4Address(ip) in n for n in nets)
+            assert cfg.contains(ip) is want
 
 
 class TestParseConfigText:
