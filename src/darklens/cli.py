@@ -33,7 +33,6 @@ from .model import (
     utc_day,
 )
 from .pcap import BadMagicError, PcapReader, UnsupportedLinkTypeError
-from .synth import SynthScenario, generate
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -469,6 +468,10 @@ def cmd_report(args, out_dir: Path, created: List[Path]) -> int:
 
 
 def cmd_synth(args, out_dir: Path, created: List[Path]) -> int:
+    # numpy is imported here, not at module level, so the four pipeline
+    # subcommands start on the standard library alone.
+    from .synth import SynthScenario, generate
+
     scenario = SynthScenario.from_json_file(args.scenario)
     created.extend([out_dir / "synth.pcap", out_dir / "manifest.json", out_dir / "flows.csv"])
     manifest = generate(scenario, args.seed, out_dir)

@@ -32,6 +32,7 @@ from .model import (
     day_end_us,
     day_start_us,
     int_to_ip,
+    read_jsonl,
     utc_day,
 )
 
@@ -466,10 +467,4 @@ def write_verdicts(path, verdicts: Iterable[AhVerdict]) -> int:
 
 
 def read_verdicts(path) -> List[AhVerdict]:
-    out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(AhVerdict.from_json_line(line))
-    return out
+    return list(read_jsonl(path, AhVerdict.from_json_line))

@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, List, Optional
 
 from .fingerprint import DEFAULT_RULES, FingerprintRules, ProbeTool, fingerprint_packet
 from .hll import Hll
-from .model import DarknetConfig, DarknetEvent, EventKey, PacketMeta, US_PER_S
+from .model import DarknetConfig, DarknetEvent, EventKey, PacketMeta, US_PER_S, read_jsonl
 from .pcap import classify_traffic_type
 
 # Darknets up to this many addresses count destinations exactly for every
@@ -226,8 +226,4 @@ def write_event_log(path, events: Iterable[DarknetEvent]) -> int:
 
 
 def read_event_log(path) -> Iterator[DarknetEvent]:
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                yield DarknetEvent.from_json_line(line)
+    return read_jsonl(path, DarknetEvent.from_json_line)

@@ -19,7 +19,7 @@ import struct
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from datetime import date, timedelta
-from typing import Iterable, NamedTuple, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, TypeVar
 
 US_PER_S = 1_000_000
 US_PER_DAY = 86_400 * US_PER_S
@@ -62,11 +62,19 @@ def letters_to_flags(letters: str) -> int:
 
 
 def ip_to_int(text: str) -> int:
-    """Dotted-quad string to unsigned 32-bit integer. Raises ValueError."""
+    """Dotted-quad string to unsigned 32-bit integer. Raises ValueError.
+
+    Only the canonical form that int_to_ip writes is accepted. inet_aton alone
+    also takes "10.1", octal "010.0.0.1", hex octets and trailing junk, which
+    would attribute a rotten row to the wrong address.
+    """
     try:
-        return struct.unpack("!I", socket.inet_aton(text))[0]
+        packed = socket.inet_aton(text)
     except OSError as exc:
         raise ValueError(f"invalid IPv4 address {text!r}") from exc
+    if socket.inet_ntoa(packed) != text:
+        raise ValueError(f"invalid IPv4 address {text!r}")
+    return struct.unpack("!I", packed)[0]
 
 
 def int_to_ip(value: int) -> str:
@@ -289,6 +297,28 @@ class AhVerdict:
             acked=bool(obj["acked"]),
             acked_org=obj.get("acked_org"),
         )
+
+
+_T = TypeVar("_T")
+
+
+def read_jsonl(path, parse: Callable[[str], _T]) -> Iterator[_T]:
+    """Parse each non-blank line of a JSONL file.
+
+    A line that does not decode names its file and line number in the
+    ValueError, so the CLI exits 2 on a rotten log instead of a traceback.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                item = parse(line)
+            except (KeyError, TypeError, ValueError) as exc:
+                reason = f"{type(exc).__name__}: {exc}"
+                raise ValueError(f"{path}:{lineno}: malformed line ({reason})") from exc
+            yield item
 
 
 @dataclass(slots=True)

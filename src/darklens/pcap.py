@@ -30,6 +30,12 @@ ETHERTYPE_IPV4 = 0x0800
 
 ICMP_ECHO_REQUEST_TYPE = 8
 
+# One unpack per header. IPv4: version/IHL, ID, flags + fragment offset,
+# protocol, source, destination. TCP: ports, sequence number, flags byte.
+_IPV4_HDR = struct.Struct("!BxxxHHxBxxII")
+_TCP_HDR = struct.Struct("!HHI5xB")
+_PORTS_HDR = struct.Struct("!HH")
+
 
 class PcapReadError(ValueError):
     pass
@@ -84,8 +90,10 @@ class PcapReader:
     def __iter__(self) -> Iterator[PacketMeta]:
         buf = self._buf
         n = len(buf)
-        rec_hdr = struct.Struct(self._endian + "IIII")
-        ports_hdr = struct.Struct("!HH")
+        rec_unpack = struct.Struct(self._endian + "IIII").unpack_from
+        ipv4_unpack = _IPV4_HDR.unpack_from
+        tcp_unpack = _TCP_HDR.unpack_from
+        ports_unpack = _PORTS_HDR.unpack_from
         nanos = self._nanos
         l2_off = 14 if self.linktype == LINKTYPE_ETHERNET else 0
         is_ethernet = self.linktype == LINKTYPE_ETHERNET
@@ -95,7 +103,7 @@ class PcapReader:
 
         off = 24
         while off + 16 <= n:
-            ts_sec, ts_frac, caplen, origlen = rec_hdr.unpack_from(buf, off)
+            ts_sec, ts_frac, caplen, origlen = rec_unpack(buf, off)
             off += 16
             self.records_total += 1
             end = off + caplen
@@ -123,7 +131,7 @@ class PcapReader:
             if end - ip_off < 20:
                 self.skipped_truncated += 1
                 continue
-            vihl = buf[ip_off]
+            vihl, ip_id, frag, proto, src_ip, dst_ip = ipv4_unpack(buf, ip_off)
             if vihl >> 4 != 4:
                 self.skipped_non_ipv4 += 1
                 continue
@@ -131,33 +139,26 @@ class PcapReader:
             if ihl < 20 or ip_off + ihl > end:
                 self.skipped_truncated += 1
                 continue
-            frag = struct.unpack_from("!H", buf, ip_off + 6)[0]
             if frag & 0x1FFF:
                 # non-first fragment, transport header lives in another packet
                 self.skipped_transport += 1
                 continue
-            proto = buf[ip_off + 9]
-            ip_id = struct.unpack_from("!H", buf, ip_off + 4)[0]
-            src_ip = int.from_bytes(buf[ip_off + 12 : ip_off + 16], "big")
-            dst_ip = int.from_bytes(buf[ip_off + 16 : ip_off + 20], "big")
             l4 = ip_off + ihl
 
             if proto == 6:
                 if end - l4 < 20:
                     self.skipped_truncated += 1
                     continue
-                src_port, dst_port = ports_hdr.unpack_from(buf, l4)
-                tcp_seq = int.from_bytes(buf[l4 + 4 : l4 + 8], "big")
-                tcp_flags = buf[l4 + 13] & 0x3F
+                src_port, dst_port, tcp_seq, tcp_flags = tcp_unpack(buf, l4)
                 meta = PacketMeta(
                     ts_us, src_ip, dst_ip, tcp, src_port, dst_port,
-                    tcp_flags, ip_id, tcp_seq, None, origlen,
+                    tcp_flags & 0x3F, ip_id, tcp_seq, None, origlen,
                 )
             elif proto == 17:
                 if end - l4 < 8:
                     self.skipped_truncated += 1
                     continue
-                src_port, dst_port = ports_hdr.unpack_from(buf, l4)
+                src_port, dst_port = ports_unpack(buf, l4)
                 meta = PacketMeta(
                     ts_us, src_ip, dst_ip, udp, src_port, dst_port,
                     None, ip_id, None, None, origlen,

@@ -7,7 +7,8 @@ serve as a second opinion on the binary formats.
 from __future__ import annotations
 
 import ipaddress
-from typing import Iterable, List, Optional, Tuple
+import struct
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from darklens.model import (
     DarknetConfig,
@@ -187,3 +188,114 @@ def offline_intervals(ts_sorted: List[int], timeout_us: int) -> List[Tuple[int, 
             last = t
     intervals.append((start, last))
     return intervals
+
+
+PCAP_COUNTERS = (
+    "records_total", "packets_read", "skipped_non_ipv4", "skipped_truncated", "skipped_transport",
+)
+
+
+def oracle_decode_pcap(data: bytes) -> Tuple[List[PacketMeta], Dict[str, int]]:
+    """Field-by-field classic pcap decode, the reference for PcapReader.
+
+    This is the reader's former hot loop: each header field is read on its
+    own (single-field unpacks, int.from_bytes over slices). It applies the
+    same skip rules in the same order and returns the packets together with
+    the five counters named in PCAP_COUNTERS.
+    """
+    magic = int.from_bytes(data[:4], "big")
+    if magic in (0xA1B2C3D4, 0xA1B23C4D):
+        order, endian = "big", ">"
+    else:
+        assert magic in (0xD4C3B2A1, 0x4D3CB2A1), hex(magic)
+        order, endian = "little", "<"
+    nanos = magic in (0xA1B23C4D, 0x4D3CB2A1)
+    is_ethernet = int.from_bytes(data[20:24], order) == 1
+    l2_off = 14 if is_ethernet else 0
+    rec_hdr = struct.Struct(endian + "IIII")
+    ports_hdr = struct.Struct("!HH")
+    counts = dict.fromkeys(PCAP_COUNTERS, 0)
+    out: List[PacketMeta] = []
+    buf = data
+    n = len(buf)
+
+    off = 24
+    while off + 16 <= n:
+        ts_sec, ts_frac, caplen, origlen = rec_hdr.unpack_from(buf, off)
+        off += 16
+        counts["records_total"] += 1
+        end = off + caplen
+        if end > n:
+            counts["skipped_truncated"] += 1
+            break
+        data_off = off
+        off = end
+        if nanos:
+            ts_us = ts_sec * 1_000_000 + ts_frac // 1000
+        else:
+            ts_us = ts_sec * 1_000_000 + ts_frac
+
+        ip_off = data_off + l2_off
+        if is_ethernet:
+            if caplen < 14:
+                counts["skipped_truncated"] += 1
+                continue
+            if buf[data_off + 12] != 0x08 or buf[data_off + 13] != 0x00:
+                counts["skipped_non_ipv4"] += 1
+                continue
+        if end - ip_off < 20:
+            counts["skipped_truncated"] += 1
+            continue
+        vihl = buf[ip_off]
+        if vihl >> 4 != 4:
+            counts["skipped_non_ipv4"] += 1
+            continue
+        ihl = (vihl & 0x0F) * 4
+        if ihl < 20 or ip_off + ihl > end:
+            counts["skipped_truncated"] += 1
+            continue
+        frag = struct.unpack_from("!H", buf, ip_off + 6)[0]
+        if frag & 0x1FFF:
+            counts["skipped_transport"] += 1
+            continue
+        proto = buf[ip_off + 9]
+        ip_id = struct.unpack_from("!H", buf, ip_off + 4)[0]
+        src_ip = int.from_bytes(buf[ip_off + 12 : ip_off + 16], "big")
+        dst_ip = int.from_bytes(buf[ip_off + 16 : ip_off + 20], "big")
+        l4 = ip_off + ihl
+
+        if proto == 6:
+            if end - l4 < 20:
+                counts["skipped_truncated"] += 1
+                continue
+            src_port, dst_port = ports_hdr.unpack_from(buf, l4)
+            tcp_seq = int.from_bytes(buf[l4 + 4 : l4 + 8], "big")
+            tcp_flags = buf[l4 + 13] & 0x3F
+            meta = PacketMeta(
+                ts_us, src_ip, dst_ip, Protocol.TCP, src_port, dst_port,
+                tcp_flags, ip_id, tcp_seq, None, origlen,
+            )
+        elif proto == 17:
+            if end - l4 < 8:
+                counts["skipped_truncated"] += 1
+                continue
+            src_port, dst_port = ports_hdr.unpack_from(buf, l4)
+            meta = PacketMeta(
+                ts_us, src_ip, dst_ip, Protocol.UDP, src_port, dst_port,
+                None, ip_id, None, None, origlen,
+            )
+        elif proto == 1:
+            if end - l4 < 4:
+                counts["skipped_truncated"] += 1
+                continue
+            meta = PacketMeta(
+                ts_us, src_ip, dst_ip, Protocol.ICMP, None, None,
+                None, ip_id, None, buf[l4], origlen,
+            )
+        else:
+            counts["skipped_transport"] += 1
+            continue
+
+        counts["packets_read"] += 1
+        out.append(meta)
+    return out, counts

@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import darklens
 from darklens.cli import main
 from darklens.detect import read_blocklist
 from darklens.model import ip_to_int
@@ -308,6 +311,99 @@ class TestFailureModes:
         rc = main(["--out-dir", str(tmp_path), "synth", str(bad)])
         assert rc == 2
         assert "bogus_knob" in capsys.readouterr().err
+
+
+ROTTEN_EVENT = '{"key":{"src_ip":"1.2.3.4"}}'
+ROTTEN_VERDICT = '{"src_ip":"1.2.3.4","day":"2022-06-01"}'
+
+
+class TestRottenInputs:
+    """A malformed event or verdict line is a fatal input problem (exit 2)."""
+
+    def _rotten_log(self, pipeline, tmp_path, name, bad_line):
+        good = (pipeline["run"] / name).read_text().splitlines()
+        path = tmp_path / f"in_{name}"
+        path.write_text("\n".join(good[:2] + [bad_line] + good[2:]) + "\n")
+        return path
+
+    def test_detect_rotten_event_line_exits_2(self, pipeline, tmp_path, capsys):
+        log = self._rotten_log(pipeline, tmp_path, "events.jsonl", ROTTEN_EVENT)
+        out = tmp_path / "out"
+        rc = main(["--config", str(pipeline["conf"]), "--out-dir", str(out), "detect", str(log)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"error: {log}:3:" in err
+        assert "dst_port" in err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("which", ["events", "verdicts"])
+    def test_report_rotten_line_exits_2(self, pipeline, tmp_path, capsys, which):
+        events = pipeline["run"] / "events.jsonl"
+        verdicts = pipeline["run"] / "verdicts.jsonl"
+        if which == "events":
+            events = bad = self._rotten_log(pipeline, tmp_path, "events.jsonl", ROTTEN_EVENT)
+        else:
+            verdicts = bad = self._rotten_log(pipeline, tmp_path, "verdicts.jsonl", ROTTEN_VERDICT)
+        out = tmp_path / "out"
+        rc = main(["--out-dir", str(out), "report", str(events), str(verdicts)])
+        assert rc == 2
+        assert f"error: {bad}:3:" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("line", ["[1, 2]", "null", '"text"', '{"key": 5}', "{not json"])
+    def test_detect_non_object_lines_exit_2(self, pipeline, tmp_path, capsys, line):
+        log = tmp_path / "events.jsonl"
+        log.write_text(line + "\n")
+        out = tmp_path / "out"
+        rc = main(["--config", str(pipeline["conf"]), "--out-dir", str(out), "detect", str(log)])
+        assert rc == 2
+        assert f"error: {log}:1:" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+
+# Runs one subcommand in a fresh interpreter, then reports its exit code and
+# whether numpy was imported along the way.
+_FRESH_MAIN = """\
+import json, sys
+from darklens.cli import main
+rc = main(sys.argv[1:])
+print(json.dumps({"rc": rc, "numpy": "numpy" in sys.modules}))
+"""
+
+
+def _fresh_main(argv):
+    env = dict(os.environ)
+    src = str(Path(darklens.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-c", _FRESH_MAIN, *map(str, argv)],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+class TestStartupImports:
+    """The cron stages import only the standard library and darklens."""
+
+    @pytest.mark.parametrize("stage", ["events", "detect", "impact-flows", "impact-pcap", "report"])
+    def test_pipeline_stage_does_not_import_numpy(self, pipeline, tmp_path, stage):
+        synth, run = pipeline["synth"], pipeline["run"]
+        conf = ["--config", str(pipeline["conf"]), "--out-dir", str(tmp_path)]
+        blocklist = ["--blocklist", str(run / "blocklist_union.txt")]
+        argv = {
+            "events": conf + ["events", synth / "synth.pcap"],
+            "detect": conf + ["detect", run / "events.jsonl"],
+            "impact-flows": conf + ["impact", *blocklist, "--flows", synth / "flows.csv"],
+            "impact-pcap": conf + ["impact", *blocklist, "--pcap", synth / "synth.pcap"],
+            "report": conf + ["report", run / "events.jsonl", run / "verdicts.jsonl"],
+        }[stage]
+        assert _fresh_main(argv) == {"rc": 0, "numpy": False}
+
+    def test_synth_still_runs_from_the_cli(self, pipeline, tmp_path):
+        argv = ["--out-dir", tmp_path, "--seed", "42", "synth", pipeline["scenario"]]
+        assert _fresh_main(argv) == {"rc": 0, "numpy": True}
+        assert (tmp_path / "synth.pcap").read_bytes() == (pipeline["synth"] / "synth.pcap").read_bytes()
 
 
 class TestConsoleScript:

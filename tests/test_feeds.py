@@ -55,6 +55,15 @@ shodan.io,Shodan
         acked = load_acked(ips, kws)
         assert acked.keywords == ["zeta", "alpha", "mid"]
 
+    def test_non_canonical_ip_is_malformed(self, tmp_path):
+        # inet_aton would read "010.0.0.1" as octal 8.0.0.1 and "10.1" as
+        # 10.0.0.1; both are rotten lines, not acked addresses.
+        ips = _write(tmp_path, "ips.csv", "010.0.0.1,Octal\n10.1,Short\n10.0.0.2,Ok\n")
+        kws = _write(tmp_path, "kw.csv", "")
+        acked = load_acked(ips, kws)
+        assert acked.ips == {ip_to_int("10.0.0.2")}
+        assert acked.malformed_lines == 2
+
 
 class TestRdns:
     def test_load_and_lowercase(self, tmp_path):
@@ -67,6 +76,13 @@ bogus,name
         assert rdns.get(ip_to_int("162.142.125.1")) == "scanner-01.censys-scanner.com"
         assert rdns.get(ip_to_int("198.51.100.7")) == "host.example.net"
         assert rdns.get(ip_to_int("203.0.113.1")) is None
+        assert rdns.malformed_lines == 1
+
+    def test_non_canonical_ip_is_malformed(self, tmp_path):
+        p = _write(tmp_path, "rdns.csv", "010.0.0.1,octal.example.net\n10.0.0.1,ok.example.net\n")
+        rdns = load_rdns(p)
+        assert rdns.get(ip_to_int("8.0.0.1")) is None
+        assert rdns.get(ip_to_int("10.0.0.1")) == "ok.example.net"
         assert rdns.malformed_lines == 1
 
 

@@ -83,6 +83,8 @@ class TestCsv:
         [
             "router-1,notanum,I,198.51.100.9,192.0.2.10,tcp,51000,23,3,1000,S",
             "router-1,5,I,299.51.100.9,192.0.2.10,tcp,51000,23,3,1000,S",
+            "router-1,5,I,010.0.0.1,192.0.2.10,tcp,51000,23,3,1000,S",
+            "router-1,5,I,198.51.100.9,192.0.2.10 junk,tcp,51000,23,3,1000,S",
             "router-1,5,sideways,198.51.100.9,192.0.2.10,tcp,51000,23,3,1000,S",
             "router-1,5,I,198.51.100.9,192.0.2.10,gre,51000,23,3,1000,",
             "router-1,5,I,198.51.100.9,192.0.2.10,tcp,51000,23,0,1000,S",

@@ -219,6 +219,37 @@ class TestIpHelpers:
     def test_round_trip(self, value):
         assert ip_to_int(int_to_ip(value)) == value
 
+    @pytest.mark.parametrize(
+        "text", ["10.1", "010.0.0.1", "0x0a.0.0.1", "1.2.3.4 junk", "1.2.3.4\n", " 1.2.3.4", "4294967295"]
+    )
+    def test_non_canonical_forms_rejected(self, text):
+        with pytest.raises(ValueError):
+            ip_to_int(text)
+
+    @given(
+        st.one_of(
+            st.lists(
+                st.one_of(
+                    st.integers(min_value=0, max_value=300).map(str),
+                    st.sampled_from(["0", "00", "010", "0x0a", "0XFF", "08", "+1", " 1", "1 ", ""]),
+                ),
+                min_size=1, max_size=5,
+            ).map(".".join),
+            st.text(alphabet="0123456789.xX abc\n", max_size=20),
+            st.text(max_size=16),
+        )
+    )
+    def test_matches_ipaddress_oracle(self, text):
+        try:
+            expected = int(ipaddress.IPv4Address(text))
+        except ValueError:
+            expected = None
+        try:
+            got = ip_to_int(text)
+        except ValueError:
+            got = None
+        assert got == expected
+
     def test_slash24(self):
         assert slash24_of(ip_to_int("10.1.2.3")) == ip_to_int("10.1.2.0")
         assert count_slash24s([ip_to_int("10.1.2.3"), ip_to_int("10.1.2.99"),

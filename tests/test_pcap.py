@@ -1,6 +1,9 @@
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from darklens.model import PacketMeta, Protocol, TrafficType, ip_to_int
 from darklens.pcap import (
@@ -13,9 +16,11 @@ from darklens.pcap import (
     write_pcap,
 )
 from helpers import (
+    PCAP_COUNTERS,
     US,
     build_pcap,
     eth_frame,
+    oracle_decode_pcap,
     oracle_icmp,
     oracle_ipv4,
     oracle_tcp,
@@ -233,3 +238,122 @@ class TestWriter:
         ref = tmp_path / "ref.pcap"
         ref.write_bytes(build_pcap(frames))
         assert list(via_writer) == list(read_pcap(ref))
+
+
+# ---------------------------------------------------------------------------
+# PcapReader against the field-by-field oracle in helpers.py.
+
+
+def _raw_pcap(records, endian="<", nanos=False, linktype=1, tail=b""):
+    """Classic pcap from (ts_sec, ts_frac, caplen, origlen, data) records.
+
+    caplen is written as given, so a record may claim more bytes than it
+    carries; tail is appended after the last record.
+    """
+    order = "big" if endian == ">" else "little"
+    magic = 0xA1B23C4D if nanos else 0xA1B2C3D4
+    out = bytearray(magic.to_bytes(4, order))
+    out += (2).to_bytes(2, order) + (4).to_bytes(2, order) + bytes(8)
+    out += (65535).to_bytes(4, order) + linktype.to_bytes(4, order)
+    for ts_sec, ts_frac, caplen, origlen, data in records:
+        for field in (ts_sec, ts_frac, caplen, origlen):
+            out += field.to_bytes(4, order)
+        out += data
+    return bytes(out + tail)
+
+
+def _decode_both(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.pcap"
+        path.write_bytes(data)
+        reader = PcapReader(path)
+        got = list(reader)
+    expected, counts = oracle_decode_pcap(data)
+    return got, {name: getattr(reader, name) for name in PCAP_COUNTERS}, expected, counts
+
+
+@st.composite
+def _frame(draw, ethernet):
+    """One IPv4-ish frame with random header bytes and a few pinned fields.
+
+    Returns the frame and the offsets of its header boundaries.
+    """
+    version = draw(st.one_of(st.just(4), st.just(4), st.sampled_from([4, 6, 0, 5, 15])))
+    ihl = draw(st.one_of(st.just(5), st.integers(5, 15), st.integers(0, 4)))
+    hdr = bytearray(draw(st.binary(min_size=max(20, ihl * 4), max_size=max(20, ihl * 4))))
+    hdr[0] = version << 4 | ihl
+    frag = draw(st.one_of(st.sampled_from([0, 0x4000, 0x2000, 0x8000, 0x2001, 0x1FFF]),
+                          st.integers(0, 0xFFFF)))
+    hdr[6:8] = frag.to_bytes(2, "big")
+    hdr[9] = draw(st.sampled_from([6, 6, 17, 17, 1, 1, 0, 47, 58, 255]))
+    l4 = draw(st.one_of(st.binary(min_size=20, max_size=40), st.binary(max_size=19)))
+    l2 = b""
+    if ethernet:
+        ethertype = draw(st.one_of(
+            st.just(0x0800), st.just(0x0800), st.sampled_from([0x0800, 0x86DD, 0x0806, 0x0801, 0x0008])
+        ))
+        l2 = draw(st.binary(min_size=12, max_size=12)) + ethertype.to_bytes(2, "big")
+    frame = l2 + bytes(hdr) + l4
+    ip = len(l2)
+    l4_off = ip + ihl * 4
+    boundaries = [0, 1, 13, 14, ip + 19, ip + 20, l4_off - 1, l4_off, l4_off + 3, l4_off + 4,
+                  l4_off + 7, l4_off + 8, l4_off + 13, l4_off + 14, l4_off + 19, l4_off + 20]
+    return frame, [b for b in boundaries if 0 <= b <= len(frame)]
+
+
+@st.composite
+def _capture(draw):
+    linktype = draw(st.sampled_from([1, 101]))
+    records = []
+    for _ in range(draw(st.integers(0, 12))):
+        frame, boundaries = draw(_frame(linktype == 1))
+        cut = draw(st.one_of(st.none(), st.none(), st.sampled_from(boundaries),
+                             st.integers(0, len(frame))))
+        data = frame if cut is None else frame[:cut]
+        origlen = draw(st.one_of(st.just(len(frame)), st.integers(0, 2**32 - 1)))
+        ts_sec = draw(st.integers(0, 2**32 - 1))
+        ts_frac = draw(st.integers(0, 2**32 - 1))
+        records.append((ts_sec, ts_frac, len(data), origlen, data))
+    tail = b""
+    ending = draw(st.sampled_from(["clean", "short record header", "caplen overrun"]))
+    if ending == "short record header":
+        tail = draw(st.binary(min_size=1, max_size=15))
+    elif ending == "caplen overrun" and records:
+        ts_sec, ts_frac, caplen, origlen, data = records[-1]
+        records[-1] = (ts_sec, ts_frac, caplen + draw(st.integers(1, 64)), origlen, data)
+    return _raw_pcap(
+        records,
+        endian=draw(st.sampled_from(["<", ">"])),
+        nanos=draw(st.booleans()),
+        linktype=linktype,
+        tail=tail,
+    )
+
+
+class TestAgainstOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(_capture())
+    def test_property_same_packets_and_counters(self, data):
+        got, got_counts, expected, expected_counts = _decode_both(data)
+        assert got == expected
+        assert got_counts == expected_counts
+
+    @pytest.mark.parametrize("linktype", [1, 101], ids=["ethernet", "raw-ip"])
+    @pytest.mark.parametrize("proto,l4,needed", [
+        (6, oracle_tcp(51000, 23, 0xDEADBEEF, 0xC2), 20),
+        (17, oracle_udp(40000, 53), 8),
+        (1, oracle_icmp(8), 4),
+    ], ids=["tcp", "udp", "icmp"])
+    @pytest.mark.parametrize("options", [b"", bytes(range(1, 9))], ids=["ihl5", "ihl7"])
+    def test_every_cut_point(self, linktype, proto, l4, needed, options):
+        # The options are the IP payload's first bytes; raising IHL over them
+        # makes them header options.
+        ip = bytearray(oracle_ipv4("198.51.100.9", "10.0.0.5", proto, options + l4, ip_id=54321))
+        ip[0] = 0x40 | (5 + len(options) // 4)
+        frame = eth_frame(bytes(ip)) if linktype == 1 else bytes(ip)
+        records = [(7, 42, cut, len(frame), frame[:cut]) for cut in range(len(frame) + 1)]
+        got, got_counts, expected, expected_counts = _decode_both(_raw_pcap(records, linktype=linktype))
+        assert got == expected
+        assert got_counts == expected_counts
+        assert got_counts["records_total"] == len(frame) + 1
+        assert got_counts["packets_read"] == len(l4) - needed + 1
