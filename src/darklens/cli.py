@@ -13,11 +13,13 @@ command had created, so a cron job never leaves half-written files behind.
 from __future__ import annotations
 
 import argparse
+import csv
+import itertools
 import json
 import sys
 from datetime import date
 from pathlib import Path
-from typing import List, Optional
+from typing import Iterable, List, Optional, Sequence
 
 from . import detect as detect_mod
 from . import enrich, impact
@@ -25,13 +27,7 @@ from .events import EventBuilder, read_event_log, write_event_log
 from .feeds import AckedList, AsnMap, RdnsMap, load_acked, load_asn_map, load_rdns, load_tags
 from .fingerprint import port_fingerprint_table, write_port_table_csv
 from .flows import FlowFormat, FlowReader, SchemaMismatchError
-from .model import (
-    ConfigError,
-    Thresholds,
-    int_to_ip,
-    load_config,
-    utc_day,
-)
+from .model import ConfigError, Thresholds, load_config
 from .pcap import BadMagicError, PcapReader, UnsupportedLinkTypeError
 
 
@@ -245,16 +241,6 @@ def cmd_detect(args, out_dir: Path, created: List[Path]) -> int:
     return 0 if result.union_ips else 1
 
 
-def _read_all_flows(paths: List[Path], fmt: FlowFormat):
-    records = []
-    invalid = 0
-    for path in paths:
-        reader = FlowReader(path, fmt)
-        records.extend(reader)
-        invalid += reader.invalid_rows
-    return records, invalid
-
-
 def cmd_impact(args, out_dir: Path, created: List[Path]) -> int:
     if not args.flows and args.pcap is None:
         raise ConfigError("impact needs --flows and/or --pcap")
@@ -266,12 +252,14 @@ def cmd_impact(args, out_dir: Path, created: List[Path]) -> int:
     empty_result = False
 
     if args.flows:
-        fmt = FlowFormat(args.flow_format)
-        flows, invalid = _read_all_flows(args.flows, fmt)
+        acked = _load_acked_args(args)
+        acked_ips = {} if acked is None else enrich.acked_sources(ah, acked, _load_rdns_args(args))
+        readers = [FlowReader(path, FlowFormat(args.flow_format)) for path in args.flows]
+        tally = impact.tally_flows(itertools.chain.from_iterable(readers), ah, acked_ips)
         if args.date:
             day = date.fromisoformat(args.date)
-        elif flows:
-            day = min(utc_day(rec.ts_us) for rec in flows)
+        elif tally.cells:
+            day = min(cell_day for cell_day, _router in tally.cells)
         else:
             day = None
         if day is None:
@@ -279,7 +267,7 @@ def cmd_impact(args, out_dir: Path, created: List[Path]) -> int:
             empty_result = True
         else:
             try:
-                per_router = impact.flow_impact(flows, ah, day)
+                per_router = impact.flow_impact(tally, day)
             except impact.NoFlowsForDayError:
                 print(f"warning: no flow records on {day.isoformat()}")
                 per_router = {}
@@ -299,27 +287,26 @@ def cmd_impact(args, out_dir: Path, created: List[Path]) -> int:
                     )
                 presence_path = out_dir / "presence.csv"
                 created.append(presence_path)
-                presence = impact.ah_presence(flows, ah)
-                with open(presence_path, "w", encoding="utf-8", newline="") as fh:
-                    fh.write("router_id,presence_fraction\n")
-                    for router in sorted(presence):
-                        fh.write(f"{router},{presence[router]!r}\n")
-                mix = impact.protocol_breakdown_flows(flows, ah)
+                presence = impact.ah_presence(tally)
+                _write_csv(
+                    presence_path,
+                    ["router_id", "presence_fraction"],
+                    [(router, presence[router]) for router in sorted(presence)],
+                )
                 proto_path = out_dir / "protocols_flows.csv"
                 created.append(proto_path)
-                _write_protocol_csv(proto_path, mix)
-                acked = _load_acked_args(args)
+                _write_protocol_csv(proto_path, impact.protocol_breakdown_flows(tally))
                 if acked is not None:
-                    rdns = _load_rdns_args(args)
                     acked_path = out_dir / "acked_impact.csv"
                     created.append(acked_path)
-                    per_router_acked = impact.acked_impact(flows, ah, acked, rdns, day)
+                    per_router_acked = impact.acked_impact(tally, day)
                     impact.write_impact_csv(
                         acked_path,
                         [(router, day, per_router_acked[router]) for router in sorted(per_router_acked)],
                     )
-                if invalid:
-                    print(f"note: {invalid} invalid flow rows skipped")
+        invalid = sum(reader.invalid_rows for reader in readers)
+        if invalid:
+            print(f"note: {invalid} invalid flow rows skipped")
 
     if args.pcap is not None:
         reader = PcapReader(args.pcap)
@@ -344,33 +331,51 @@ def cmd_impact(args, out_dir: Path, created: List[Path]) -> int:
     return 1 if empty_result else 0
 
 
-def _write_protocol_csv(path, mix: impact.ProtocolMix) -> None:
+def _write_csv(path, header: List[str], rows: Iterable[Sequence]) -> None:
+    """LF-terminated CSV: None is an empty field, a float its repr."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("bucket,percent,estimated_pkts\n")
-        fh.write(f"tcp_syn,{mix.pct_tcp_syn!r},{mix.pkts_tcp_syn}\n")
-        fh.write(f"udp,{mix.pct_udp!r},{mix.pkts_udp}\n")
-        fh.write(f"icmp_echo,{mix.pct_icmp_echo!r},{mix.pkts_icmp_echo}\n")
-        fh.write(f"unclassifiable,,{mix.unclassifiable_pkts}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _write_protocol_csv(path, mix: impact.ProtocolMix) -> None:
+    _write_csv(
+        path,
+        ["bucket", "percent", "estimated_pkts"],
+        [
+            ("tcp_syn", mix.pct_tcp_syn, mix.pkts_tcp_syn),
+            ("udp", mix.pct_udp, mix.pkts_udp),
+            ("icmp_echo", mix.pct_icmp_echo, mix.pkts_icmp_echo),
+            ("unclassifiable", None, mix.unclassifiable_pkts),
+        ],
+    )
 
 
 def cmd_report(args, out_dir: Path, created: List[Path]) -> int:
-    events = list(read_event_log(args.event_log))
+    if args.exclude_acked and (args.acked_ips is None or args.acked_keywords is None):
+        raise ConfigError("--exclude-acked needs --acked-ips and --acked-keywords")
     verdicts = detect_mod.read_verdicts(args.verdicts)
+    ah = {v.src_ip for v in verdicts}
+    # One pass over the log, holding only the AH sources' events. It runs to
+    # the end even with no verdicts, so a rotten line is still fatal.
+    ah_events = []
+    pkts_by_ip: dict = {}
+    events_read = 0
+    for ev in read_event_log(args.event_log):
+        events_read += 1
+        ip = ev.key.src_ip
+        if ip in ah:
+            ah_events.append(ev)
+            pkts_by_ip[ip] = pkts_by_ip.get(ip, 0) + ev.pkt_count
     if not verdicts:
         print("warning: no verdicts, nothing to report")
         return 1
 
-    ah = {v.src_ip for v in verdicts}
     d_sets = {name: set() for name in (detect_mod.D1, detect_mod.D2, detect_mod.D3)}
     for v in verdicts:
         for name in v.matched_defs:
             d_sets[name].add(v.src_ip)
-
-    pkts_by_ip: dict = {}
-    for ev in events:
-        ip = ev.key.src_ip
-        if ip in ah:
-            pkts_by_ip[ip] = pkts_by_ip.get(ip, 0) + ev.pkt_count
 
     asn_map = load_asn_map(args.asn_map) if args.asn_map else AsnMap()
     acked = _load_acked_args(args)
@@ -383,7 +388,6 @@ def cmd_report(args, out_dir: Path, created: List[Path]) -> int:
 
     ports_path = out_dir / "ports.csv"
     created.append(ports_path)
-    ah_events = [ev for ev in events if ev.key.src_ip in ah]
     write_port_table_csv(ports_path, port_fingerprint_table(ah_events, top_n=args.top_ports))
 
     zipf_path = out_dir / "zipf.csv"
@@ -391,10 +395,7 @@ def cmd_report(args, out_dir: Path, created: List[Path]) -> int:
     if pkts_by_ip:
         created.append(zipf_path)
         curve = detect_mod.zipf_curve(pkts_by_ip)
-        with open(zipf_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("rank_fraction,cumulative_pkt_fraction\n")
-            for rank_frac, cum_frac in curve:
-                fh.write(f"{rank_frac!r},{cum_frac!r}\n")
+        _write_csv(zipf_path, ["rank_fraction", "cumulative_pkt_fraction"], curve)
         top_share = detect_mod.cumulative_share(curve, 0.01)
 
     inter_path = out_dir / "intersections.csv"
@@ -402,11 +403,11 @@ def cmd_report(args, out_dir: Path, created: List[Path]) -> int:
     table = detect_mod.definition_intersections(
         d_sets[detect_mod.D1], d_sets[detect_mod.D2], d_sets[detect_mod.D3], asn_map
     )
-    with open(inter_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("combo,ips,asns,orgs,countries\n")
-        for name in detect_mod.INTERSECTION_COMBOS:
-            row = table[name]
-            fh.write(f"{name},{row.ips},{row.asns},{row.orgs},{row.countries}\n")
+    _write_csv(
+        inter_path,
+        ["combo", "ips", "asns", "orgs", "countries"],
+        [(name, row.ips, row.asns, row.orgs, row.countries) for name, row in table.items()],
+    )
 
     ts_path = out_dir / "timeseries.csv"
     created.append(ts_path)
@@ -416,25 +417,23 @@ def cmd_report(args, out_dir: Path, created: List[Path]) -> int:
         cell[1] += 1
         if v.is_daily:
             cell[0] += 1
-    with open(ts_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("day,daily_ah,active_ah\n")
-        for day in sorted(per_day):
-            daily, active = per_day[day]
-            fh.write(f"{day.isoformat()},{daily},{active}\n")
+    _write_csv(
+        ts_path,
+        ["day", "daily_ah", "active_ah"],
+        [(day.isoformat(), *per_day[day]) for day in sorted(per_day)],
+    )
 
     protocols_path = out_dir / "protocols_darknet.csv"
     created.append(protocols_path)
-    _write_protocol_csv(protocols_path, impact.protocol_breakdown_darknet(events, ah))
+    _write_protocol_csv(protocols_path, impact.protocol_breakdown_darknet(ah_events, ah))
 
     if args.tags:
         tags = load_tags(args.tags)
         join_set = ah
-        if args.exclude_acked and acked is not None:
-            join_set = {
-                ip for ip in ah if not enrich.match_acked(ip, acked, rdns or RdnsMap()).acked
-            }
+        if args.exclude_acked:
+            join_set = ah - enrich.acked_sources(ah, acked, rdns).keys()
         if join_set:
-            result = enrich.tag_join(join_set, args.exclude_acked, tags, top_n=args.top_tags)
+            result = enrich.tag_join(join_set, tags, top_n=args.top_tags)
             classes_path = out_dir / "tag_classes.csv"
             tags_path = out_dir / "tags_top.csv"
             created.extend([classes_path, tags_path])
@@ -448,7 +447,7 @@ def cmd_report(args, out_dir: Path, created: List[Path]) -> int:
         json.dump(
             {
                 "sources": len(ah),
-                "events": len(events),
+                "events": events_read,
                 "top_1pct_share": top_share,
                 "notes": {
                     "port_space": "distinct (dst_port, protocol) pairs per source per UTC day",

@@ -21,7 +21,7 @@ from datetime import date
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .enrich import match_acked
+from .enrich import acked_sources
 from .feeds import AckedList, AsnMap, RdnsMap, origin_of
 from .model import (
     AhVerdict,
@@ -29,8 +29,6 @@ from .model import (
     DarknetEvent,
     Thresholds,
     TrafficType,
-    day_end_us,
-    day_start_us,
     int_to_ip,
     read_jsonl,
     utc_day,
@@ -192,32 +190,6 @@ def _days_spanned(ev: DarknetEvent) -> Iterable[date]:
         day = date.fromordinal(day.toordinal() + 1)
 
 
-def _intersects_day(ev: DarknetEvent, day: date) -> bool:
-    return ev.start_ts < day_end_us(day) and ev.end_ts >= day_start_us(day)
-
-
-def daily_active_sets(
-    tagged: Iterable[AggressiveEvent], day: date
-) -> Tuple[Set[int], Set[int]]:
-    """(daily, active) source sets for one UTC day.
-
-    active: sources with any aggressive event whose interval intersects the
-    day. daily: sources whose earliest aggressive event starts within the day,
-    so each source is daily exactly once and daily is a subset of active.
-    """
-    earliest: Dict[int, int] = {}
-    active: Set[int] = set()
-    for ae in tagged:
-        ip = ae.event.key.src_ip
-        start = ae.event.start_ts
-        if ip not in earliest or start < earliest[ip]:
-            earliest[ip] = start
-        if _intersects_day(ae.event, day):
-            active.add(ip)
-    daily = {ip for ip, start in earliest.items() if utc_day(start) == day}
-    return daily, active
-
-
 def jaccard(a: Set[int], b: Set[int]) -> float:
     if not a and not b:
         raise BothEmptyError("jaccard undefined for two empty sets")
@@ -361,12 +333,10 @@ def run_detection(
             if ev.pkt_count > bucket["max_pkts"]:
                 bucket["max_pkts"] = ev.pkt_count
 
+    matches = acked_sources(earliest, acked, rdns)
     verdicts: List[AhVerdict] = []
     for (ip, day), bucket in buckets.items():
-        acked_flag, acked_org = False, None
-        if acked is not None:
-            m = match_acked(ip, acked, rdns or RdnsMap())
-            acked_flag, acked_org = m.acked, m.org
+        m = matches.get(ip)
         verdicts.append(
             AhVerdict(
                 src_ip=ip,
@@ -376,9 +346,8 @@ def run_detection(
                 max_event_pkts=bucket["max_pkts"],
                 distinct_ports=port_profiles.get((ip, day), 0),
                 is_daily=utc_day(earliest[ip]) == day,
-                is_active=True,
-                acked=acked_flag,
-                acked_org=acked_org,
+                acked=m is not None,
+                acked_org=m.org if m is not None else None,
             )
         )
     verdicts.sort(key=lambda v: (v.day, v.src_ip))

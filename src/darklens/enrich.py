@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from .feeds import AckedList, AsnMap, RdnsMap, TagDb, origin_of
-from .model import slash24_of
+from .model import EmptyAhSetError, slash24_of
 
 
 class MatchVia(str, enum.Enum):
@@ -45,6 +45,21 @@ def match_acked(ip: int, acked: AckedList, rdns: RdnsMap) -> AckedMatch:
     return _NO_MATCH
 
 
+def acked_sources(
+    ips: Iterable[int], acked: Optional[AckedList], rdns: Optional[RdnsMap] = None
+) -> Dict[int, AckedMatch]:
+    """The ACKed matches among ips, by address; empty when no list is given."""
+    if acked is None:
+        return {}
+    rdns = rdns or RdnsMap()
+    matches = {}
+    for ip in ips:
+        m = match_acked(ip, acked, rdns)
+        if m.acked:
+            matches[ip] = m
+    return matches
+
+
 ORIGIN_FIELDS = [
     "asn", "org", "country", "unique_32s", "unique_24s", "pkts", "acked_32s", "acked_24s",
 ]
@@ -76,7 +91,7 @@ def origin_table(
     ACKed columns count the subset of each group that matches the ACKed list;
     they stay zero when no list is supplied.
     """
-    rdns = rdns or RdnsMap()
+    acked_ips = acked_sources(ah, acked, rdns)
     groups: Dict[Tuple[int, str, str], dict] = {}
     for ip in ah:
         entry = origin_of(ip, asn_map)
@@ -86,7 +101,7 @@ def origin_table(
         )
         group["ips"].add(ip)
         group["pkts"] += pkts_by_ip.get(ip, 0)
-        if acked is not None and match_acked(ip, acked, rdns).acked:
+        if ip in acked_ips:
             group["acked_ips"].add(ip)
     rows = [
         OriginRow(
@@ -115,31 +130,24 @@ def write_origin_csv(path, rows: Iterable[OriginRow]) -> None:
             )
 
 
-class EmptyAhSetError(ValueError):
-    pass
-
-
 @dataclass
 class TagJoinResult:
     """AH set joined against a third-party tag database.
 
     histogram buckets every AH source into benign/malicious/unknown or
     not_present when the database has never seen it. overlap_fraction is the
-    share of AH sources present at all. acked_filtered records whether the
-    caller had already removed ACKed scanners from the input set; it is
-    metadata only and does not change the computation.
+    share of AH sources present at all.
     """
 
     histogram: Dict[str, int]
     top_tags: List[Tuple[str, int]]
     overlap_fraction: float
-    acked_filtered: bool
 
 
 NOT_PRESENT = "not_present"
 
 
-def tag_join(ah: Set[int], acked_filtered: bool, tags: TagDb, top_n: int = 20) -> TagJoinResult:
+def tag_join(ah: Set[int], tags: TagDb, top_n: int = 20) -> TagJoinResult:
     if not ah:
         raise EmptyAhSetError("tag_join needs a nonempty AH set")
     histogram = {"benign": 0, "malicious": 0, "unknown": 0, NOT_PRESENT: 0}
@@ -157,12 +165,7 @@ def tag_join(ah: Set[int], acked_filtered: bool, tags: TagDb, top_n: int = 20) -
     top = sorted(tag_counts.items(), key=lambda kv: (-kv[1], kv[0]))
     if top_n > 0:
         top = top[:top_n]
-    return TagJoinResult(
-        histogram=histogram,
-        top_tags=top,
-        overlap_fraction=present / len(ah),
-        acked_filtered=acked_filtered,
-    )
+    return TagJoinResult(histogram=histogram, top_tags=top, overlap_fraction=present / len(ah))
 
 
 def write_tag_summary_csv(path, result: TagJoinResult) -> None:

@@ -11,11 +11,10 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from datetime import date
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Collection, Dict, Iterable, List, Set, Tuple
 
-from .enrich import match_acked
-from .feeds import AckedList, RdnsMap
 from .model import (
+    EmptyAhSetError,
     FlowRecord,
     PacketMeta,
     Protocol,
@@ -31,10 +30,6 @@ class NoFlowsForDayError(ValueError):
     pass
 
 
-class EmptyAhSetError(ValueError):
-    pass
-
-
 @dataclass(frozen=True, slots=True)
 class RouterImpact:
     ah_pkts_est: int
@@ -45,54 +40,85 @@ class RouterImpact:
         return self.ah_pkts_est / self.total_pkts_est if self.total_pkts_est else 0.0
 
 
-def _accumulate_day(
-    flows: Iterable[FlowRecord], members: Set[int], day: date
-) -> Dict[str, Tuple[int, int]]:
-    sums: Dict[str, List[int]] = {}
-    for rec in flows:
-        if utc_day(rec.ts_us) != day:
-            continue
-        cell = sums.setdefault(rec.router_id, [0, 0])
-        est = rec.sampled_pkts * rec.sampling_denominator
-        cell[1] += est
-        if rec.src_ip in members:
-            cell[0] += est
-    return {router: (ah, total) for router, (ah, total) in sums.items()}
+@dataclass(slots=True)
+class FlowTally:
+    """Everything the flow tables read, gathered in one pass over the flows.
+
+    cells maps (UTC day, router) to [ah_est, acked_est, total_est]. seen maps
+    each router to the AH sources it carried on any day. mix holds the AH
+    sources' estimated packets over every day as [tcp_syn, udp, icmp_echo,
+    unclassifiable]. Memory is O(routers x days + |AH|), whatever the row count.
+    """
+
+    ah_size: int
+    cells: Dict[Tuple[date, str], List[int]] = field(default_factory=dict)
+    seen: Dict[str, Set[int]] = field(default_factory=dict)
+    mix: List[int] = field(default_factory=lambda: [0, 0, 0, 0])
 
 
-def flow_impact(
-    flows: Iterable[FlowRecord], ah: Set[int], day: date
-) -> Dict[str, RouterImpact]:
-    """Estimated aggressive share of each router's traffic on one UTC day."""
+def tally_flows(
+    flows: Iterable[FlowRecord], ah: Set[int], acked_ips: Collection[int] = frozenset()
+) -> FlowTally:
+    """One pass over sampled flows against an AH set and its ACKed subset.
+
+    Every estimate inverts the sampling first. acked_ips counts only where it
+    meets the AH set. A TCP flow is the SYN class when its flag union has SYN
+    set and ACK clear; TCP flows without flags, or whose union says
+    established traffic, are unclassifiable.
+    """
     if not ah:
-        raise EmptyAhSetError("flow_impact needs a nonempty AH set")
-    sums = _accumulate_day(flows, ah, day)
-    if not sums:
+        raise EmptyAhSetError("tally_flows needs a nonempty AH set")
+    tally = FlowTally(len(ah))
+    cells, seen, mix = tally.cells, tally.seen, tally.mix
+    for rec in flows:
+        est = rec.sampled_pkts * rec.sampling_denominator
+        key = (utc_day(rec.ts_us), rec.router_id)
+        cell = cells.get(key)
+        if cell is None:
+            cell = cells[key] = [0, 0, 0]
+        cell[2] += est
+        src = rec.src_ip
+        if src not in ah:
+            continue
+        cell[0] += est
+        if src in acked_ips:
+            cell[1] += est
+        seen.setdefault(rec.router_id, set()).add(src)
+        if rec.protocol is Protocol.UDP:
+            mix[1] += est
+        elif rec.protocol is Protocol.ICMP:
+            mix[2] += est
+        elif rec.tcp_flags is not None and rec.tcp_flags & TCP_SYN and not rec.tcp_flags & TCP_ACK:
+            mix[0] += est
+        else:
+            mix[3] += est
+    return tally
+
+
+def _day_impact(tally: FlowTally, day: date, column: int) -> Dict[str, RouterImpact]:
+    per_router = {
+        router: RouterImpact(cell[column], cell[2])
+        for (cell_day, router), cell in tally.cells.items()
+        if cell_day == day
+    }
+    if not per_router:
         raise NoFlowsForDayError(f"no flow records fall on {day.isoformat()}")
-    return {router: RouterImpact(ah_est, total) for router, (ah_est, total) in sums.items()}
+    return per_router
 
 
-def acked_impact(
-    flows: Iterable[FlowRecord],
-    ah: Set[int],
-    acked: AckedList,
-    rdns: Optional[RdnsMap],
-    day: date,
-) -> Dict[str, RouterImpact]:
+def flow_impact(tally: FlowTally, day: date) -> Dict[str, RouterImpact]:
+    """Estimated aggressive share of each router's traffic on one UTC day."""
+    return _day_impact(tally, day, 0)
+
+
+def acked_impact(tally: FlowTally, day: date) -> Dict[str, RouterImpact]:
     """flow_impact restricted to the acknowledged subset of the AH set.
 
     An empty acknowledged subset is a legitimate outcome (nobody registered),
     reported as zero aggressive packets over the day's totals rather than an
     error.
     """
-    if not ah:
-        raise EmptyAhSetError("acked_impact needs a nonempty AH set")
-    rdns = rdns or RdnsMap()
-    subset = {ip for ip in ah if match_acked(ip, acked, rdns).acked}
-    sums = _accumulate_day(flows, subset, day)
-    if not sums:
-        raise NoFlowsForDayError(f"no flow records fall on {day.isoformat()}")
-    return {router: RouterImpact(ah_est, total) for router, (ah_est, total) in sums.items()}
+    return _day_impact(tally, day, 1)
 
 
 @dataclass(slots=True)
@@ -240,38 +266,14 @@ def protocol_breakdown_darknet(events, ah: Set[int]) -> ProtocolMix:
     )
 
 
-def protocol_breakdown_flows(flows: Iterable[FlowRecord], ah: Set[int]) -> ProtocolMix:
-    """Same split from sampled flows, inverted to pre-sampling estimates.
-
-    A TCP flow is the SYN class when its flag union has SYN set and ACK clear.
-    TCP flows without flags, or whose union says established traffic, cannot
-    be assigned to a scanning class and are tallied separately.
-    """
-    tcp_syn = udp = icmp = unclassifiable = 0
-    for rec in flows:
-        if rec.src_ip not in ah:
-            continue
-        est = rec.sampled_pkts * rec.sampling_denominator
-        if rec.protocol is Protocol.UDP:
-            udp += est
-        elif rec.protocol is Protocol.ICMP:
-            icmp += est
-        elif rec.tcp_flags is not None and rec.tcp_flags & TCP_SYN and not rec.tcp_flags & TCP_ACK:
-            tcp_syn += est
-        else:
-            unclassifiable += est
-    return _mix(tcp_syn, udp, icmp, unclassifiable)
+def protocol_breakdown_flows(tally: FlowTally) -> ProtocolMix:
+    """Same split from sampled flows over every day, as pre-sampling estimates."""
+    return _mix(*tally.mix)
 
 
-def ah_presence(flows: Iterable[FlowRecord], ah: Set[int]) -> Dict[str, float]:
-    """Share of the AH set each router observed as a source at all."""
-    if not ah:
-        raise EmptyAhSetError("ah_presence needs a nonempty AH set")
-    seen: Dict[str, Set[int]] = {}
-    for rec in flows:
-        if rec.src_ip in ah:
-            seen.setdefault(rec.router_id, set()).add(rec.src_ip)
-    return {router: len(ips) / len(ah) for router, ips in seen.items()}
+def ah_presence(tally: FlowTally) -> Dict[str, float]:
+    """Share of the AH set each router observed as a source on any day."""
+    return {router: len(ips) / tally.ah_size for router, ips in tally.seen.items()}
 
 
 IMPACT_CSV_FIELDS = ["vantage_id", "date", "ah_pkts_est", "total_pkts_est", "fraction"]

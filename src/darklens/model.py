@@ -244,7 +244,11 @@ class DarknetEvent:
 
 @dataclass(slots=True)
 class AhVerdict:
-    """Per-source, per-day classification result for an aggressive scanner."""
+    """Per-source, per-day classification result for an aggressive scanner.
+
+    A row exists only for a (source, UTC day) on which the source was
+    aggressive, so the source is active on that day by construction.
+    """
 
     src_ip: int
     day: date
@@ -253,7 +257,6 @@ class AhVerdict:
     max_event_pkts: int
     distinct_ports: int
     is_daily: bool
-    is_active: bool
     acked: bool = False
     acked_org: Optional[str] = None
 
@@ -262,8 +265,6 @@ class AhVerdict:
             raise ValueError("emitted verdicts must match at least one definition")
         if not self.matched_defs <= {"D1", "D2", "D3"}:
             raise ValueError("unknown definition tag")
-        if self.is_daily and not self.is_active:
-            raise ValueError("is_daily implies is_active")
 
     def to_json_line(self) -> str:
         return json.dumps(
@@ -275,7 +276,6 @@ class AhVerdict:
                 "max_event_pkts": self.max_event_pkts,
                 "distinct_ports": self.distinct_ports,
                 "is_daily": self.is_daily,
-                "is_active": self.is_active,
                 "acked": self.acked,
                 "acked_org": self.acked_org,
             },
@@ -293,7 +293,6 @@ class AhVerdict:
             max_event_pkts=int(obj["max_event_pkts"]),
             distinct_ports=int(obj["distinct_ports"]),
             is_daily=bool(obj["is_daily"]),
-            is_active=bool(obj["is_active"]),
             acked=bool(obj["acked"]),
             acked_org=obj.get("acked_org"),
         )
@@ -358,6 +357,10 @@ class Thresholds:
 
 class ConfigError(ValueError):
     pass
+
+
+class EmptyAhSetError(ValueError):
+    """A measurement or join over the AH set was handed an empty set."""
 
 
 class EmptyPrefixListError(ConfigError):

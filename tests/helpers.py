@@ -8,13 +8,18 @@ from __future__ import annotations
 
 import ipaddress
 import struct
-from typing import Dict, Iterable, List, Optional, Tuple
+from datetime import date
+from typing import Collection, Dict, Iterable, List, Optional, Set, Tuple
 
 from darklens.model import (
     DarknetConfig,
+    FlowRecord,
     PacketMeta,
     Protocol,
+    TCP_ACK,
+    TCP_SYN,
     ip_to_int,
+    utc_day,
     validate_config,
 )
 
@@ -299,3 +304,61 @@ def oracle_decode_pcap(data: bytes) -> Tuple[List[PacketMeta], Dict[str, int]]:
         counts["packets_read"] += 1
         out.append(meta)
     return out, counts
+
+
+def oracle_flow_measures(
+    flows: List[FlowRecord],
+    ah: Set[int],
+    acked_ips: Collection[int] = (),
+    day: Optional[date] = None,
+) -> dict:
+    """The flow tables as five separate passes, the reference for tally_flows.
+
+    These are the passes `impact` once made over a list of every flow row:
+    the earliest day (unless `day` is given), the AH and ACKed per-router sums
+    of that one day, the share of the AH set each router saw on any day, and
+    the AH protocol sums over every day. Per-router sums are (ah_est,
+    total_est) pairs; a day without flows gives an empty dict.
+    """
+
+    def accumulate_day(members: Set[int]) -> Dict[str, Tuple[int, int]]:
+        sums: Dict[str, List[int]] = {}
+        for rec in flows:
+            if utc_day(rec.ts_us) != day:
+                continue
+            cell = sums.setdefault(rec.router_id, [0, 0])
+            est = rec.sampled_pkts * rec.sampling_denominator
+            cell[1] += est
+            if rec.src_ip in members:
+                cell[0] += est
+        return {router: (ah_est, total) for router, (ah_est, total) in sums.items()}
+
+    if day is None and flows:
+        day = min(utc_day(rec.ts_us) for rec in flows)
+
+    seen: Dict[str, Set[int]] = {}
+    for rec in flows:
+        if rec.src_ip in ah:
+            seen.setdefault(rec.router_id, set()).add(rec.src_ip)
+
+    tcp_syn = udp = icmp = unclassifiable = 0
+    for rec in flows:
+        if rec.src_ip not in ah:
+            continue
+        est = rec.sampled_pkts * rec.sampling_denominator
+        if rec.protocol is Protocol.UDP:
+            udp += est
+        elif rec.protocol is Protocol.ICMP:
+            icmp += est
+        elif rec.tcp_flags is not None and rec.tcp_flags & TCP_SYN and not rec.tcp_flags & TCP_ACK:
+            tcp_syn += est
+        else:
+            unclassifiable += est
+
+    return {
+        "day": day,
+        "impact": accumulate_day(ah),
+        "acked": accumulate_day({ip for ip in ah if ip in acked_ips}),
+        "presence": {router: len(ips) / len(ah) for router, ips in seen.items()},
+        "mix": (tcp_syn, udp, icmp, unclassifiable),
+    }

@@ -42,7 +42,7 @@ from darklens.feeds import (
     TagEntry,
 )
 from darklens.fingerprint import ProbeTool, fingerprint_packet
-from darklens.impact import ImpactBin, ImpactSeries, flow_impact
+from darklens.impact import ImpactBin, ImpactSeries, flow_impact, tally_flows
 from darklens.model import (
     DarknetEvent,
     Direction,
@@ -371,7 +371,7 @@ def test_criterion_06_impact_under_sampling():
             flow(src, int(c), 1_000 + i)
             for i, (src, c) in enumerate(zip(benign_ips, benign_counts)) if c
         ]
-        impact = flow_impact(flows, ah_set, JUNE1)["router-1"]
+        impact = flow_impact(tally_flows(flows, ah_set), JUNE1)["router-1"]
         err = abs(impact.fraction - 0.10)
         worst = max(worst, err)
         if err <= band:
@@ -604,7 +604,7 @@ def test_criterion_09_set_analytics_match_brute_force():
                     rng.sample(tag_pool, rng.randint(0, 4)),
                 )
         top_n = rng.choice([0, 3, 20])
-        got = tag_join(ah, False, db, top_n=top_n)
+        got = tag_join(ah, db, top_n=top_n)
 
         hist = {"benign": 0, "malicious": 0, "unknown": 0, NOT_PRESENT: 0}
         counts = {}

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -9,7 +10,8 @@ import pytest
 import darklens
 from darklens.cli import main
 from darklens.detect import read_blocklist
-from darklens.model import ip_to_int
+from darklens.flows import FLOW_CSV_FIELDS, flow_to_csv_row
+from darklens.model import Direction, FlowRecord, Protocol, ip_to_int
 from helpers import US, build_pcap, eth_frame, oracle_ipv4, oracle_udp
 
 CONF = """\
@@ -167,6 +169,52 @@ class TestImpactCommand:
         ])
         assert rc == 1
 
+    @staticmethod
+    def _flows_csv(path, routers, extra_rows=()):
+        """One aggressive flow per router on 2022-06-01, then extra_rows as given."""
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(FLOW_CSV_FIELDS)
+            for router in routers:
+                writer.writerow(flow_to_csv_row(FlowRecord(
+                    router_id=router, ts_us=1654041600 * US, direction=Direction.INGRESS,
+                    src_ip=ip_to_int("198.18.0.1"), dst_ip=ip_to_int("192.0.2.1"),
+                    protocol=Protocol.TCP, src_port=40000, dst_port=23, sampled_pkts=1,
+                    sampling_denominator=100, tcp_flags=0x02,
+                )))
+            writer.writerows(extra_rows)
+
+    def test_invalid_rows_noted_when_day_has_no_flows(self, tmp_path, capsys):
+        blocklist = tmp_path / "blocklist.txt"
+        blocklist.write_text("198.18.0.1\n")
+        flows = tmp_path / "flows.csv"
+        self._flows_csv(flows, ["router-1"], [["router-1", "not-a-number"] + [""] * 9])
+        rc = main([
+            "--out-dir", str(tmp_path / "out"), "impact", "--blocklist", str(blocklist),
+            "--flows", str(flows), "--date", "1999-01-01",
+        ])
+        assert rc == 1
+        out = capsys.readouterr().out
+        assert "warning: no flow records on 1999-01-01" in out
+        assert "note: 1 invalid flow rows skipped" in out
+
+    def test_router_id_with_comma_stays_one_field(self, tmp_path):
+        blocklist = tmp_path / "blocklist.txt"
+        blocklist.write_text("198.18.0.1\n")
+        flows = tmp_path / "flows.csv"
+        self._flows_csv(flows, ["edge,1", "router-2"])
+        out = tmp_path / "out"
+        rc = main(["--out-dir", str(out), "impact", "--blocklist", str(blocklist), "--flows", str(flows)])
+        assert rc == 0
+        for name in ("presence.csv", "impact.csv"):
+            with open(out / name, encoding="utf-8", newline="") as fh:
+                rows = list(csv.reader(fh))
+            assert [row[0] for row in rows[1:]] == ["edge,1", "router-2"], name
+            assert {len(row) for row in rows} == {len(rows[0])}, name
+        assert (out / "presence.csv").read_bytes() == (
+            b'router_id,presence_fraction\n"edge,1",1.0\nrouter-2,1.0\n'
+        )
+
     def test_neither_input_is_fatal(self, pipeline, tmp_path, capsys):
         rc = main([
             "--out-dir", str(tmp_path),
@@ -219,6 +267,18 @@ class TestReportCommand:
         ts = (out / "timeseries.csv").read_text().splitlines()
         assert ts[0] == "day,daily_ah,active_ah"
         assert "report tables ->" in capsys.readouterr().out
+
+    def test_exclude_acked_without_lists_is_fatal(self, pipeline, feeds, tmp_path, capsys):
+        out = tmp_path / "report"
+        rc = main([
+            "--out-dir", str(out),
+            "report", str(pipeline["run"] / "events.jsonl"),
+            str(pipeline["run"] / "verdicts.jsonl"),
+            "--tags", str(feeds / "tags.csv"), "--exclude-acked",
+        ])
+        assert rc == 2
+        assert "--exclude-acked needs --acked-ips and --acked-keywords" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
     def test_empty_verdicts_exit_1(self, pipeline, tmp_path):
         empty = tmp_path / "none.jsonl"
@@ -348,6 +408,16 @@ class TestRottenInputs:
         rc = main(["--out-dir", str(out), "report", str(events), str(verdicts)])
         assert rc == 2
         assert f"error: {bad}:3:" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    def test_report_rotten_event_line_with_no_verdicts_exits_2(self, pipeline, tmp_path, capsys):
+        log = self._rotten_log(pipeline, tmp_path, "events.jsonl", ROTTEN_EVENT)
+        empty = tmp_path / "none.jsonl"
+        empty.write_text("")
+        out = tmp_path / "out"
+        rc = main(["--out-dir", str(out), "report", str(log), str(empty)])
+        assert rc == 2
+        assert f"error: {log}:3:" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("line", ["[1, 2]", "null", '"text"', '{"key": 5}', "{not json"])

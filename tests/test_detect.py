@@ -19,7 +19,6 @@ from darklens.detect import (
     classify_volume,
     compute_thresholds,
     cumulative_share,
-    daily_active_sets,
     definition_intersections,
     ecdf_threshold,
     jaccard,
@@ -34,11 +33,13 @@ from darklens.detect import (
 )
 from darklens.feeds import AsnEntry, AsnMap
 from darklens.model import (
+    AhVerdict,
     DarknetEvent,
     EventKey,
     Thresholds,
     TrafficType,
     ip_to_int,
+    utc_day,
 )
 from helpers import US, cfg_sized, make_cfg, oracle_ecdf
 
@@ -213,26 +214,26 @@ class TestTagging:
 
 
 class TestDailyActive:
+    """is_daily on verdict rows: each source is daily once, on its first day."""
+
     def test_spanning_event(self, cfg_slash22):
         ev = _ev(start_s=DAY0_S + 86_000, dur_s=90_000)  # crosses into June 2 and 3
         t = Thresholds(volume_threshold_pkts=1, ports_threshold=10**9)
-        tagged = tag_events([ev], cfg_slash22, t)
-        daily1, active1 = daily_active_sets(tagged, JUNE1)
-        daily2, active2 = daily_active_sets(tagged, JUNE2)
+        res = run_detection([ev], cfg_slash22, t)
         ip = ip_to_int("198.51.100.9")
-        assert daily1 == {ip} and active1 == {ip}
-        assert daily2 == set() and active2 == {ip}
+        june3 = date(2022, 6, 3)
+        assert [(v.src_ip, v.day, v.is_daily) for v in res.verdicts] == [
+            (ip, JUNE1, True), (ip, JUNE2, False), (ip, june3, False),
+        ]
 
     def test_daily_only_on_first_aggressive_day(self, cfg_slash22):
         evs = [_ev(), _ev(start_s=DAY0_S + 86_400 * 4)]
         t = Thresholds(volume_threshold_pkts=1, ports_threshold=10**9)
-        tagged = tag_events(evs, cfg_slash22, t)
+        res = run_detection(evs, cfg_slash22, t)
         day5 = date(2022, 6, 5)
-        daily, active = daily_active_sets(tagged, day5)
-        assert active == {ip_to_int("198.51.100.9")}
-        assert daily == set()
+        assert [(v.day, v.is_daily) for v in res.verdicts] == [(JUNE1, True), (day5, False)]
 
-    def test_daily_subset_of_active_randomized(self, cfg_slash22):
+    def test_one_daily_row_on_earliest_day_randomized(self, cfg_slash22):
         rng = random.Random(77)
         evs = [
             _ev(
@@ -245,11 +246,15 @@ class TestDailyActive:
             for _ in range(300)
         ]
         t = Thresholds(volume_threshold_pkts=1, ports_threshold=10**9)
-        tagged = tag_events(evs, cfg_slash22, t)
-        for off in range(8):
-            day = date.fromordinal(JUNE1.toordinal() + off)
-            daily, active = daily_active_sets(tagged, day)
-            assert daily <= active
+        res = run_detection(evs, cfg_slash22, t)
+        first_day = {}
+        for ev in evs:
+            ip, day = ev.key.src_ip, utc_day(ev.start_ts)
+            first_day[ip] = min(day, first_day.get(ip, day))
+        daily = [(v.src_ip, v.day) for v in res.verdicts if v.is_daily]
+        assert sorted(daily) == sorted(first_day.items())
+        for v in res.verdicts:
+            assert v.day >= first_day[v.src_ip]
 
 
 class TestJaccard:
@@ -365,9 +370,6 @@ class TestRunDetection:
         )
         for v in res.verdicts:
             assert v.matched_defs
-            assert v.is_active
-            if v.is_daily:
-                assert v.is_active
         # one daily verdict per aggressive source
         daily_counts = {}
         for v in res.verdicts:
@@ -383,6 +385,24 @@ class TestRunDetection:
         rows = [v for v in res.verdicts if v.src_ip == ip11]
         assert [v.day for v in rows] == [JUNE1, JUNE2]
         assert rows[0].is_daily and not rows[1].is_daily
+
+    def test_acked_matched_once_per_source(self, cfg_slash22, monkeypatch):
+        from darklens import enrich
+        from darklens.feeds import AckedList
+
+        calls = []
+        real = enrich.match_acked
+        monkeypatch.setattr(enrich, "match_acked", lambda ip, *a: calls.append(ip) or real(ip, *a))
+        ip11 = ip_to_int("198.51.100.11")
+        acked = AckedList()
+        acked.ips.add(ip11)
+        acked.org_by_ip[ip11] = "GoodScan"
+        t = Thresholds(volume_threshold_pkts=3, ports_threshold=10**9)
+        res = run_detection(self._events(), cfg_slash22, t, acked=acked)
+        assert sorted(calls) == sorted(res.union_ips)
+        rows = [(v.day, v.acked, v.acked_org) for v in res.verdicts if v.src_ip == ip11]
+        assert rows == [(JUNE1, True, "GoodScan"), (JUNE2, True, "GoodScan")]
+        assert not any(v.acked or v.acked_org for v in res.verdicts if v.src_ip != ip11)
 
     def test_two_pass_derives_thresholds(self, cfg_slash22):
         res = run_detection(self._events(), cfg_slash22)
@@ -405,6 +425,19 @@ class TestRunDetection:
         p = tmp_path / "verdicts.jsonl"
         write_verdicts(p, res.verdicts)
         assert read_verdicts(p) == res.verdicts
+
+    def test_verdict_line_with_is_active_still_parses(self):
+        # Verdict files written before the field was dropped carry it.
+        line = (
+            '{"src_ip":"198.51.100.9","day":"2022-06-01","matched_defs":["D2"],'
+            '"max_dispersion":0.25,"max_event_pkts":500,"distinct_ports":1,'
+            '"is_daily":true,"is_active":true,"acked":false,"acked_org":null}'
+        )
+        v = AhVerdict.from_json_line(line)
+        assert (v.src_ip, v.day, v.matched_defs, v.is_daily) == (
+            ip_to_int("198.51.100.9"), JUNE1, frozenset({D2}), True,
+        )
+        assert "is_active" not in v.to_json_line()
 
 
 class TestBlocklistIo:

@@ -8,6 +8,7 @@ from darklens.enrich import (
     MatchVia,
     NOT_PRESENT,
     ORIGIN_FIELDS,
+    acked_sources,
     match_acked,
     origin_table,
     tag_join,
@@ -88,6 +89,25 @@ def _map(entries):
     for cidr, asn, org, cc in entries:
         amap.add(ipaddress.IPv4Network(cidr), AsnEntry(asn, org, cc))
     return amap
+
+
+class TestAckedSources:
+    def test_only_matches_kept_with_their_org(self):
+        acked = _acked(ips=[(IP_A, "Censys")], keywords=[("goodscan", "GoodScan")])
+        ip_c = ip_to_int("203.0.113.7")
+        rdns = _rdns({ip_c: "probe.GoodScan.net"})
+        got = acked_sources({IP_A, IP_B, ip_c}, acked, rdns)
+        assert {ip: (m.org, m.via) for ip, m in got.items()} == {
+            IP_A: ("Censys", MatchVia.IP_MATCH),
+            ip_c: ("GoodScan", MatchVia.DOMAIN_MATCH),
+        }
+
+    def test_no_rdns_map_matches_by_ip_only(self):
+        acked = _acked(ips=[(IP_A, None)], keywords=[("censys", "Censys")])
+        assert set(acked_sources({IP_A, IP_B}, acked)) == {IP_A}
+
+    def test_no_list_matches_nothing(self):
+        assert acked_sources({IP_A, IP_B}, None) == {}
 
 
 class TestOriginTable:
@@ -175,35 +195,33 @@ class TestTagJoin:
             (2, "malicious", ["bruteforcer", "ssh"]),
             (3, "malicious", ["ssh"]),
         ])
-        res = tag_join({1, 2, 3, 4}, False, db)
+        res = tag_join({1, 2, 3, 4}, db)
         assert res.histogram == {"benign": 1, "malicious": 2, "unknown": 0, NOT_PRESENT: 1}
         assert res.overlap_fraction == 0.75
         assert res.top_tags == [("ssh", 2), ("bruteforcer", 1), ("research", 1)]
-        assert res.acked_filtered is False
 
     def test_top_n_truncates(self):
         db = _tags([(i, "unknown", [f"tag{i}"]) for i in range(30)])
-        res = tag_join(set(range(30)), True, db, top_n=5)
+        res = tag_join(set(range(30)), db, top_n=5)
         assert len(res.top_tags) == 5
-        assert res.acked_filtered is True
 
     def test_top_n_zero_keeps_all(self):
         db = _tags([(i, "unknown", [f"tag{i}"]) for i in range(30)])
-        res = tag_join(set(range(30)), False, db, top_n=0)
+        res = tag_join(set(range(30)), db, top_n=0)
         assert len(res.top_tags) == 30
 
     def test_empty_ah_raises(self):
         with pytest.raises(EmptyAhSetError):
-            tag_join(set(), False, TagDb())
+            tag_join(set(), TagDb())
 
     def test_no_overlap(self):
-        res = tag_join({1, 2}, False, TagDb())
+        res = tag_join({1, 2}, TagDb())
         assert res.overlap_fraction == 0.0
         assert res.histogram[NOT_PRESENT] == 2
 
     def test_csv_writers(self, tmp_path):
         db = _tags([(1, "malicious", ["ssh"])])
-        res = tag_join({1, 2}, False, db)
+        res = tag_join({1, 2}, db)
         summary = tmp_path / "tag_classes.csv"
         top = tmp_path / "tags_top.csv"
         write_tag_summary_csv(summary, res)

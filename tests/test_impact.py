@@ -1,8 +1,12 @@
 import random
+import tracemalloc
 from datetime import date
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from darklens import enrich, impact
+from darklens.enrich import acked_sources
 from darklens.feeds import AckedList, RdnsMap
 from darklens.impact import (
     EmptyAhSetError,
@@ -20,6 +24,7 @@ from darklens.impact import (
     protocol_breakdown_darknet,
     protocol_breakdown_flows,
     stream_impact,
+    tally_flows,
     write_impact_csv,
     write_series_csv,
 )
@@ -32,7 +37,7 @@ from darklens.model import (
     TrafficType,
     ip_to_int,
 )
-from helpers import US, mk_pkt
+from helpers import US, mk_pkt, oracle_flow_measures
 
 JUNE1 = date(2022, 6, 1)
 JUNE2 = date(2022, 6, 2)
@@ -65,7 +70,7 @@ class TestFlowImpact:
             _flow(sampled=2),                 # 2000 est, aggressive
             _flow(src=OTHER_IP, sampled=5),   # 5000 est, benign
         ]
-        res = flow_impact(flows, {AH_IP}, JUNE1)
+        res = flow_impact(tally_flows(flows, {AH_IP}), JUNE1)
         imp = res["router-1"]
         assert imp.ah_pkts_est == 5000
         assert imp.total_pkts_est == 10000
@@ -73,28 +78,28 @@ class TestFlowImpact:
 
     def test_routers_kept_separate(self):
         flows = [_flow(), _flow(router="router-2", src=OTHER_IP)]
-        res = flow_impact(flows, {AH_IP}, JUNE1)
+        res = flow_impact(tally_flows(flows, {AH_IP}), JUNE1)
         assert res["router-1"].fraction == 1.0
         assert res["router-2"].fraction == 0.0
 
     def test_mixed_denominators(self):
         flows = [_flow(sampled=1, denom=1000), _flow(src=OTHER_IP, sampled=10, denom=100)]
-        imp = flow_impact(flows, {AH_IP}, JUNE1)["router-1"]
+        imp = flow_impact(tally_flows(flows, {AH_IP}), JUNE1)["router-1"]
         assert (imp.ah_pkts_est, imp.total_pkts_est) == (1000, 2000)
 
     def test_only_requested_day_counted(self):
         flows = [_flow(), _flow(ts_us=DAY0_US + 86_400 * US, src=OTHER_IP)]
-        imp = flow_impact(flows, {AH_IP}, JUNE1)["router-1"]
+        imp = flow_impact(tally_flows(flows, {AH_IP}), JUNE1)["router-1"]
         assert imp.total_pkts_est == 1000
-        assert flow_impact(flows, {AH_IP}, JUNE2)["router-1"].fraction == 0.0
+        assert flow_impact(tally_flows(flows, {AH_IP}), JUNE2)["router-1"].fraction == 0.0
 
     def test_no_flows_for_day_raises(self):
         with pytest.raises(NoFlowsForDayError):
-            flow_impact([_flow()], {AH_IP}, JUNE2)
+            flow_impact(tally_flows([_flow()], {AH_IP}), JUNE2)
 
     def test_empty_ah_set_raises(self):
         with pytest.raises(EmptyAhSetError):
-            flow_impact([_flow()], set(), JUNE1)
+            flow_impact(tally_flows([_flow()], set()), JUNE1)
 
     def test_yearly_scale_fraction(self):
         # Magnitudes seen at a mid-size transit provider: ~5.85% of all
@@ -106,6 +111,10 @@ class TestFlowImpact:
         assert RouterImpact(0, 0).fraction == 0.0
 
 
+def _acked_tally(flows, ah, acked, rdns):
+    return tally_flows(flows, ah, acked_sources(ah, acked, rdns))
+
+
 class TestAckedImpact:
     def _acked(self, ips=()):
         acked = AckedList()
@@ -114,19 +123,19 @@ class TestAckedImpact:
         return acked
 
     def test_empty_acked_subset_is_zero_not_error(self):
-        res = acked_impact([_flow()], {AH_IP}, self._acked(), None, JUNE1)
+        res = acked_impact(_acked_tally([_flow()], {AH_IP}, self._acked(), None), JUNE1)
         imp = res["router-1"]
         assert imp.ah_pkts_est == 0
         assert imp.total_pkts_est == 1000
 
     def test_acked_member_counted(self):
-        res = acked_impact([_flow()], {AH_IP}, self._acked([AH_IP]), RdnsMap(), JUNE1)
+        res = acked_impact(_acked_tally([_flow()], {AH_IP}, self._acked([AH_IP]), RdnsMap()), JUNE1)
         assert res["router-1"].fraction == 1.0
 
     def test_acked_non_ah_source_not_counted(self):
         # Acked but not aggressive: outside the set under test.
         flows = [_flow(), _flow(src=OTHER_IP)]
-        res = acked_impact(flows, {AH_IP}, self._acked([OTHER_IP]), None, JUNE1)
+        res = acked_impact(_acked_tally(flows, {AH_IP}, self._acked([OTHER_IP]), None), JUNE1)
         assert res["router-1"].ah_pkts_est == 0
 
 
@@ -262,7 +271,7 @@ class TestProtocolMix:
             _flow(sampled=9, protocol=Protocol.TCP, flags=0x02),
             _flow(sampled=1, protocol=Protocol.UDP),
         ]
-        mix = protocol_breakdown_flows(flows, {AH_IP})
+        mix = protocol_breakdown_flows(tally_flows(flows, {AH_IP}))
         assert mix.pkts_tcp_syn == 9000
         assert mix.pkts_udp == 1000
         assert mix.pct_tcp_syn == 90.0
@@ -273,13 +282,13 @@ class TestProtocolMix:
             _flow(sampled=1, flags=None),   # exporter gave no flags
             _flow(sampled=2, flags=0x02),
         ]
-        mix = protocol_breakdown_flows(flows, {AH_IP})
+        mix = protocol_breakdown_flows(tally_flows(flows, {AH_IP}))
         assert mix.unclassifiable_pkts == 2000
         assert mix.classified_pkts == 2000
         assert mix.pct_tcp_syn == 100.0
 
     def test_all_unclassifiable(self):
-        mix = protocol_breakdown_flows([_flow(flags=None)], {AH_IP})
+        mix = protocol_breakdown_flows(tally_flows([_flow(flags=None)], {AH_IP}))
         assert mix.classified_pkts == 0
         assert mix.pct_tcp_syn == 0.0
 
@@ -292,12 +301,84 @@ class TestPresence:
             _flow(src=AH_IP, router="router-2"),
             _flow(src=OTHER_IP, router="router-2"),
         ]
-        pres = ah_presence(flows, ah)
+        pres = ah_presence(tally_flows(flows, ah))
         assert pres == {"router-1": 0.5, "router-2": 0.25}
 
     def test_empty_ah_raises(self):
         with pytest.raises(EmptyAhSetError):
-            ah_presence([], set())
+            ah_presence(tally_flows([], set()))
+
+
+_POOL = [AH_IP + i for i in range(6)] + [OTHER_IP, OTHER_IP + 1]
+
+
+@st.composite
+def _flow_rows(draw):
+    return _flow(
+        src=draw(st.sampled_from(_POOL)),
+        sampled=draw(st.integers(1, 9)),
+        denom=draw(st.integers(1, 2000)),
+        router=draw(st.sampled_from(["router-1", "router-2", "edge,1"])),
+        ts_us=DAY0_US + draw(st.integers(0, 3 * 86_400 * US)),
+        protocol=draw(st.sampled_from(list(Protocol))),
+        flags=draw(st.none() | st.integers(0, 0x3F)),
+    )
+
+
+class TestTallyAgainstOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        flows=st.lists(_flow_rows(), max_size=40),
+        ah=st.sets(st.sampled_from(_POOL), min_size=1),
+        acked_ips=st.sets(st.sampled_from(_POOL)),
+        day_offset=st.none() | st.integers(0, 3),
+    )
+    def test_property_readers_match_five_passes(self, flows, ah, acked_ips, day_offset):
+        day = None if day_offset is None else date.fromordinal(JUNE1.toordinal() + day_offset)
+        want = oracle_flow_measures(flows, ah, acked_ips, day)
+        tally = tally_flows(iter(flows), ah, acked_ips)
+        if day is None and flows:
+            assert min(cell_day for cell_day, _router in tally.cells) == want["day"]
+        if want["impact"]:
+            got = flow_impact(tally, want["day"])
+            assert {r: (i.ah_pkts_est, i.total_pkts_est) for r, i in got.items()} == want["impact"]
+            got = acked_impact(tally, want["day"])
+            assert {r: (i.ah_pkts_est, i.total_pkts_est) for r, i in got.items()} == want["acked"]
+        elif want["day"] is not None:
+            with pytest.raises(NoFlowsForDayError):
+                flow_impact(tally, want["day"])
+            with pytest.raises(NoFlowsForDayError):
+                acked_impact(tally, want["day"])
+        assert ah_presence(tally) == want["presence"]
+        mix = protocol_breakdown_flows(tally)
+        assert (mix.pkts_tcp_syn, mix.pkts_udp, mix.pkts_icmp_echo, mix.unclassifiable_pkts) == want["mix"]
+
+
+def _tally_peak_bytes(rows: int) -> int:
+    """Peak traced memory while tallying a generator of `rows` flows."""
+    ah = {AH_IP + i for i in range(20)}
+    flows = (
+        _flow(src=AH_IP + i % 40, router=f"router-{i % 2}", ts_us=DAY0_US + i)
+        for i in range(rows)
+    )
+    tracemalloc.start()
+    try:
+        tally_flows(flows, ah)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_tally_memory_does_not_grow_with_rows():
+    small = _tally_peak_bytes(10_000)
+    large = _tally_peak_bytes(100_000)
+    # One row is live at a time; ten times the rows may cost a few
+    # allocator blocks more, not a share of every row.
+    assert large <= small + 4096
+
+
+def test_one_empty_ah_set_error():
+    assert impact.EmptyAhSetError is enrich.EmptyAhSetError
 
 
 class TestCsvWriters:
