@@ -22,7 +22,7 @@ from .model import (
     validate_config,
 )
 from .events import EventBuilder, read_event_log, write_event_log
-from .pcap import PcapReader, classify_traffic_type, read_pcap, write_pcap
+from .pcap import PcapReader, classify_traffic_type, write_pcap
 from .detect import (
     DetectionResult,
     ecdf_threshold,
@@ -62,7 +62,6 @@ __all__ = [
     "origin_table",
     "port_fingerprint_table",
     "read_event_log",
-    "read_pcap",
     "run_detection",
     "stream_impact",
     "tag_join",

@@ -13,22 +13,20 @@ command had created, so a cron job never leaves half-written files behind.
 from __future__ import annotations
 
 import argparse
-import csv
 import itertools
-import json
 import sys
 from datetime import date
 from pathlib import Path
-from typing import Iterable, List, Optional, Sequence
+from typing import List, Optional
 
 from . import detect as detect_mod
 from . import enrich, impact
 from .events import EventBuilder, read_event_log, write_event_log
 from .feeds import AckedList, AsnMap, RdnsMap, load_acked, load_asn_map, load_rdns, load_tags
-from .fingerprint import port_fingerprint_table, write_port_table_csv
-from .flows import FlowFormat, FlowReader, SchemaMismatchError
-from .model import ConfigError, Thresholds, load_config
-from .pcap import BadMagicError, PcapReader, UnsupportedLinkTypeError
+from .fingerprint import PortFingerprintRow, port_fingerprint_table
+from .flows import FlowFormat, FlowReader
+from .model import ConfigError, Thresholds, load_config, write_csv, write_json, write_lines
+from .pcap import PcapReader
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -122,20 +120,16 @@ def cmd_events(args, out_dir: Path, created: List[Path]) -> int:
     out_path = out_dir / "events.jsonl"
     created.append(out_path)
     readers = []
-    events_written = 0
-    with open(out_path, "w", encoding="utf-8") as fh:
+
+    def closed_events():
         for pcap_path in args.pcaps:
             reader = PcapReader(pcap_path)
             readers.append(reader)
             for pkt in reader:
-                for ev in builder.ingest_packet(pkt):
-                    fh.write(ev.to_json_line())
-                    fh.write("\n")
-                    events_written += 1
-        for ev in builder.flush():
-            fh.write(ev.to_json_line())
-            fh.write("\n")
-            events_written += 1
+                yield from builder.ingest_packet(pkt)
+        yield from builder.flush()
+
+    events_written = write_event_log(out_path, closed_events())
 
     packets_read = sum(r.packets_read for r in readers)
     print(f"pcap files: {len(readers)}")
@@ -175,13 +169,9 @@ def cmd_detect(args, out_dir: Path, created: List[Path]) -> int:
     created.extend(paths.values())
 
     if not events:
-        for key in ("d1", "d2", "d3", "union"):
-            detect_mod.write_blocklist(paths[key], set())
-        open(paths["sidecar"], "w").close()
-        open(paths["verdicts"], "w").close()
-        with open(paths["meta"], "w", encoding="utf-8") as fh:
-            json.dump({"events": 0, "warning": "empty event log"}, fh, indent=2)
-            fh.write("\n")
+        for key in ("d1", "d2", "d3", "union", "sidecar", "verdicts"):
+            write_lines(paths[key], ())
+        write_json(paths["meta"], {"events": 0, "warning": "empty event log"})
         print("warning: empty event log, nothing to detect")
         return 1
 
@@ -200,31 +190,25 @@ def cmd_detect(args, out_dir: Path, created: List[Path]) -> int:
     detect_mod.write_blocklist(paths["union"], result.union_ips)
     detect_mod.write_blocklist_sidecar(paths["sidecar"], result)
     detect_mod.write_verdicts(paths["verdicts"], result.verdicts)
-    with open(paths["meta"], "w", encoding="utf-8") as fh:
-        json.dump(
-            {
-                "events": len(events),
-                "dataset_label": result.thresholds.dataset_label,
-                "thresholds": {
-                    "volume_threshold_pkts": result.thresholds.volume_threshold_pkts,
-                    "ports_threshold": result.thresholds.ports_threshold,
-                    "mode": "fixed" if args.fixed_thresholds else "two-pass",
-                },
-                "alpha": cfg.alpha,
-                "dispersion_fraction": cfg.dispersion_fraction,
-                "darknet_size": cfg.darknet_size,
-                "port_space": "distinct (dst_port, protocol) pairs per source per UTC day",
-                "counts": {
-                    "d1": len(result.d1_ips),
-                    "d2": len(result.d2_ips),
-                    "d3": len(result.d3_ips),
-                    "union": len(result.union_ips),
-                },
-            },
-            fh,
-            indent=2,
-        )
-        fh.write("\n")
+    write_json(paths["meta"], {
+        "events": len(events),
+        "dataset_label": result.thresholds.dataset_label,
+        "thresholds": {
+            "volume_threshold_pkts": result.thresholds.volume_threshold_pkts,
+            "ports_threshold": result.thresholds.ports_threshold,
+            "mode": "fixed" if args.fixed_thresholds else "two-pass",
+        },
+        "alpha": cfg.alpha,
+        "dispersion_fraction": cfg.dispersion_fraction,
+        "darknet_size": cfg.darknet_size,
+        "port_space": "distinct (dst_port, protocol) pairs per source per UTC day",
+        "counts": {
+            "d1": len(result.d1_ips),
+            "d2": len(result.d2_ips),
+            "d3": len(result.d3_ips),
+            "union": len(result.union_ips),
+        },
+    })
 
     print(
         f"thresholds: volume>={result.thresholds.volume_threshold_pkts} pkts, "
@@ -275,10 +259,7 @@ def cmd_impact(args, out_dir: Path, created: List[Path]) -> int:
             if per_router:
                 impact_path = out_dir / "impact.csv"
                 created.append(impact_path)
-                impact.write_impact_csv(
-                    impact_path,
-                    [(router, day, per_router[router]) for router in sorted(per_router)],
-                )
+                _write_impact_csv(impact_path, day, per_router)
                 for router in sorted(per_router):
                     imp = per_router[router]
                     print(
@@ -288,7 +269,7 @@ def cmd_impact(args, out_dir: Path, created: List[Path]) -> int:
                 presence_path = out_dir / "presence.csv"
                 created.append(presence_path)
                 presence = impact.ah_presence(tally)
-                _write_csv(
+                write_csv(
                     presence_path,
                     ["router_id", "presence_fraction"],
                     [(router, presence[router]) for router in sorted(presence)],
@@ -299,11 +280,7 @@ def cmd_impact(args, out_dir: Path, created: List[Path]) -> int:
                 if acked is not None:
                     acked_path = out_dir / "acked_impact.csv"
                     created.append(acked_path)
-                    per_router_acked = impact.acked_impact(tally, day)
-                    impact.write_impact_csv(
-                        acked_path,
-                        [(router, day, per_router_acked[router]) for router in sorted(per_router_acked)],
-                    )
+                    _write_impact_csv(acked_path, day, impact.acked_impact(tally, day))
         invalid = sum(reader.invalid_rows for reader in readers)
         if invalid:
             print(f"note: {invalid} invalid flow rows skipped")
@@ -315,7 +292,20 @@ def cmd_impact(args, out_dir: Path, created: List[Path]) -> int:
         )
         series_path = out_dir / "series.csv"
         created.append(series_path)
-        impact.write_series_csv(series_path, series, num_slash24=args.num_slash24)
+        write_csv(
+            series_path,
+            ["bin_start_ts", "ah_pkts", "total_pkts", "inst_fraction", "cum_fraction",
+             "per_slash24_rate"],
+            [
+                (b.bin_start_us, b.ah_pkts, b.total_pkts, inst, cum, rate)
+                for b, inst, cum, rate in zip(
+                    series.bins,
+                    series.instantaneous_fractions(),
+                    series.cumulative_fractions(),
+                    impact.normalize_per_slash24(series, args.num_slash24),
+                )
+            ],
+        )
         ah_total, total = series.totals()
         if total:
             hot = impact.flag_high_load_bins(series)
@@ -331,16 +321,19 @@ def cmd_impact(args, out_dir: Path, created: List[Path]) -> int:
     return 1 if empty_result else 0
 
 
-def _write_csv(path, header: List[str], rows: Iterable[Sequence]) -> None:
-    """LF-terminated CSV: None is an empty field, a float its repr."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+def _write_impact_csv(path, day: date, per_router) -> None:
+    write_csv(
+        path,
+        ["vantage_id", "date", "ah_pkts_est", "total_pkts_est", "fraction"],
+        [
+            (router, day.isoformat(), imp.ah_pkts_est, imp.total_pkts_est, imp.fraction)
+            for router, imp in sorted(per_router.items())
+        ],
+    )
 
 
 def _write_protocol_csv(path, mix: impact.ProtocolMix) -> None:
-    _write_csv(
+    write_csv(
         path,
         ["bucket", "percent", "estimated_pkts"],
         [
@@ -384,18 +377,19 @@ def cmd_report(args, out_dir: Path, created: List[Path]) -> int:
     origins_path = out_dir / "origins.csv"
     created.append(origins_path)
     rows = enrich.origin_table(ah, pkts_by_ip, asn_map, acked=acked, rdns=rdns)
-    enrich.write_origin_csv(origins_path, rows)
+    write_csv(origins_path, enrich.OriginRow._fields, rows)
 
     ports_path = out_dir / "ports.csv"
     created.append(ports_path)
-    write_port_table_csv(ports_path, port_fingerprint_table(ah_events, top_n=args.top_ports))
+    ports = port_fingerprint_table(ah_events, top_n=args.top_ports)
+    write_csv(ports_path, PortFingerprintRow._fields, ports)
 
     zipf_path = out_dir / "zipf.csv"
     top_share = None
     if pkts_by_ip:
         created.append(zipf_path)
         curve = detect_mod.zipf_curve(pkts_by_ip)
-        _write_csv(zipf_path, ["rank_fraction", "cumulative_pkt_fraction"], curve)
+        write_csv(zipf_path, ["rank_fraction", "cumulative_pkt_fraction"], curve)
         top_share = detect_mod.cumulative_share(curve, 0.01)
 
     inter_path = out_dir / "intersections.csv"
@@ -403,7 +397,7 @@ def cmd_report(args, out_dir: Path, created: List[Path]) -> int:
     table = detect_mod.definition_intersections(
         d_sets[detect_mod.D1], d_sets[detect_mod.D2], d_sets[detect_mod.D3], asn_map
     )
-    _write_csv(
+    write_csv(
         inter_path,
         ["combo", "ips", "asns", "orgs", "countries"],
         [(name, row.ips, row.asns, row.orgs, row.countries) for name, row in table.items()],
@@ -417,7 +411,7 @@ def cmd_report(args, out_dir: Path, created: List[Path]) -> int:
         cell[1] += 1
         if v.is_daily:
             cell[0] += 1
-    _write_csv(
+    write_csv(
         ts_path,
         ["day", "daily_ah", "active_ah"],
         [(day.isoformat(), *per_day[day]) for day in sorted(per_day)],
@@ -437,28 +431,26 @@ def cmd_report(args, out_dir: Path, created: List[Path]) -> int:
             classes_path = out_dir / "tag_classes.csv"
             tags_path = out_dir / "tags_top.csv"
             created.extend([classes_path, tags_path])
-            enrich.write_tag_summary_csv(classes_path, result)
-            enrich.write_top_tags_csv(tags_path, result)
+            write_csv(classes_path, ["classification", "ip_count"], result.histogram.items())
+            write_csv(
+                tags_path,
+                ["rank", "tag", "ip_count"],
+                [(rank, tag, count) for rank, (tag, count) in enumerate(result.top_tags, 1)],
+            )
             print(f"tag overlap: {result.overlap_fraction:.3f} of {len(join_set)} sources")
 
     meta_path = out_dir / "report_meta.json"
     created.append(meta_path)
-    with open(meta_path, "w", encoding="utf-8") as fh:
-        json.dump(
-            {
-                "sources": len(ah),
-                "events": events_read,
-                "top_1pct_share": top_share,
-                "notes": {
-                    "port_space": "distinct (dst_port, protocol) pairs per source per UTC day",
-                    "fingerprint": "the stateless-validation fingerprint exists only on TCP; "
-                    "non-constant-id UDP/ICMP probes are labeled other",
-                },
-            },
-            fh,
-            indent=2,
-        )
-        fh.write("\n")
+    write_json(meta_path, {
+        "sources": len(ah),
+        "events": events_read,
+        "top_1pct_share": top_share,
+        "notes": {
+            "port_space": "distinct (dst_port, protocol) pairs per source per UTC day",
+            "fingerprint": "the stateless-validation fingerprint exists only on TCP; "
+            "non-constant-id UDP/ICMP probes are labeled other",
+        },
+    })
 
     if top_share is not None:
         print(f"top 1% of sources carry {top_share:.1%} of aggressive packets")
@@ -490,17 +482,7 @@ def main(argv=None) -> int:
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         return args.func(args, out_dir, created)
-    except (
-        FileNotFoundError,
-        IsADirectoryError,
-        PermissionError,
-        BadMagicError,
-        UnsupportedLinkTypeError,
-        SchemaMismatchError,
-        ConfigError,
-        json.JSONDecodeError,
-        ValueError,
-    ) as exc:
+    except (OSError, ValueError) as exc:
         for path in created:
             try:
                 Path(path).unlink()

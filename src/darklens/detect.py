@@ -30,8 +30,10 @@ from .model import (
     Thresholds,
     TrafficType,
     int_to_ip,
+    ip_to_int,
     read_jsonl,
     utc_day,
+    write_lines,
 )
 
 D1 = "D1"
@@ -51,36 +53,20 @@ class BothEmptyError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class EcdfSummary:
-    """Sorted sample retained for percentile queries."""
-
-    sorted_values: tuple
-    n: int
-
-    @classmethod
-    def from_values(cls, values: Iterable[int]) -> "EcdfSummary":
-        ordered = tuple(sorted(values))
-        if not ordered:
-            raise EmptyInputError("cannot build an ECDF from no values")
-        return cls(ordered, len(ordered))
-
-    def threshold(self, alpha: float) -> int:
-        """Value at the (1 - alpha) percentile, 1-based index ceil((1-alpha)*n).
-
-        The index is computed in exact rational arithmetic: with float math,
-        ceil(0.9999 * 10000) evaluates to 10000 because 1 - 0.0001 rounds up,
-        off by one from the true order statistic.
-        """
-        if not 0.0 < alpha < 1.0:
-            raise ValueError(f"alpha {alpha} not in (0, 1)")
-        k = math.ceil((1 - Fraction(alpha)) * self.n)
-        k = min(max(k, 1), self.n)
-        return self.sorted_values[k - 1]
-
-
 def ecdf_threshold(values: Iterable[int], alpha: float) -> int:
-    return EcdfSummary.from_values(values).threshold(alpha)
+    """Value at the (1 - alpha) percentile, 1-based index ceil((1-alpha)*n).
+
+    The index is computed in exact rational arithmetic: with float math,
+    ceil(0.9999 * 10000) evaluates to 10000 because 1 - 0.0001 rounds up,
+    off by one from the true order statistic. For alpha in (0, 1) the index
+    always lies in [1, n].
+    """
+    ordered = sorted(values)
+    if not ordered:
+        raise EmptyInputError("cannot build an ECDF from no values")
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha {alpha} not in (0, 1)")
+    return ordered[math.ceil((1 - Fraction(alpha)) * len(ordered)) - 1]
 
 
 def classify_dispersion(ev: DarknetEvent, cfg: DarknetConfig) -> bool:
@@ -136,11 +122,7 @@ def compute_thresholds(
         ports = ecdf_threshold(port_profiles.values(), cfg.alpha)
     else:
         ports = UNREACHABLE_PORTS
-    return Thresholds(
-        volume_threshold_pkts=max(1, volume),
-        ports_threshold=max(1, ports),
-        dataset_label=dataset_label,
-    )
+    return Thresholds(volume, ports, dataset_label)
 
 
 @dataclass(frozen=True, slots=True)
@@ -364,17 +346,10 @@ def run_detection(
 
 def write_blocklist(path, ips: Set[int]) -> int:
     """Plaintext blocklist, one address per line, numerically ascending."""
-    ordered = sorted(ips)
-    with open(path, "w", encoding="utf-8") as fh:
-        for ip in ordered:
-            fh.write(int_to_ip(ip))
-            fh.write("\n")
-    return len(ordered)
+    return write_lines(path, map(int_to_ip, sorted(ips)))
 
 
 def read_blocklist(path) -> Set[int]:
-    from .model import ip_to_int
-
     ips = set()
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
@@ -405,34 +380,25 @@ def write_blocklist_sidecar(path, result: DetectionResult) -> None:
     for (ip, _day), ports in result.port_profiles.items():
         if ports > max_ports.get(ip, 0):
             max_ports[ip] = ports
-    with open(path, "w", encoding="utf-8") as fh:
-        for ip in sorted(per_ip):
-            entry = per_ip[ip]
-            fh.write(
-                json.dumps(
-                    {
-                        "ip": int_to_ip(ip),
-                        "matched_defs": sorted(entry["defs"]),
-                        "max_dispersion": entry["max_dispersion"],
-                        "max_event_pkts": entry["max_event_pkts"],
-                        "max_daily_ports": max_ports.get(ip, 0),
-                        "total_pkts": entry["total_pkts"],
-                        "events": entry["events"],
-                    },
-                    separators=(",", ":"),
-                )
-            )
-            fh.write("\n")
+    write_lines(path, (
+        json.dumps(
+            {
+                "ip": int_to_ip(ip),
+                "matched_defs": sorted(entry["defs"]),
+                "max_dispersion": entry["max_dispersion"],
+                "max_event_pkts": entry["max_event_pkts"],
+                "max_daily_ports": max_ports.get(ip, 0),
+                "total_pkts": entry["total_pkts"],
+                "events": entry["events"],
+            },
+            separators=(",", ":"),
+        )
+        for ip, entry in sorted(per_ip.items())
+    ))
 
 
 def write_verdicts(path, verdicts: Iterable[AhVerdict]) -> int:
-    count = 0
-    with open(path, "w", encoding="utf-8") as fh:
-        for v in verdicts:
-            fh.write(v.to_json_line())
-            fh.write("\n")
-            count += 1
-    return count
+    return write_lines(path, (v.to_json_line() for v in verdicts))
 
 
 def read_verdicts(path) -> List[AhVerdict]:

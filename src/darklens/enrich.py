@@ -1,10 +1,9 @@
 """Attribution of detected scanners: ACKed matching, origins, tag joins."""
 from __future__ import annotations
 
-import csv
 import enum
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Set, Tuple
 
 from .feeds import AckedList, AsnMap, RdnsMap, TagDb, origin_of
 from .model import EmptyAhSetError, slash24_of
@@ -60,13 +59,9 @@ def acked_sources(
     return matches
 
 
-ORIGIN_FIELDS = [
-    "asn", "org", "country", "unique_32s", "unique_24s", "pkts", "acked_32s", "acked_24s",
-]
+class OriginRow(NamedTuple):
+    """One origins.csv row; the field names are the CSV header."""
 
-
-@dataclass(frozen=True, slots=True)
-class OriginRow:
     asn: int
     org: str
     country: str
@@ -120,23 +115,13 @@ def origin_table(
     return rows
 
 
-def write_origin_csv(path, rows: Iterable[OriginRow]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(ORIGIN_FIELDS)
-        for r in rows:
-            writer.writerow(
-                [r.asn, r.org, r.country, r.unique_32s, r.unique_24s, r.pkts, r.acked_32s, r.acked_24s]
-            )
-
-
 @dataclass
 class TagJoinResult:
     """AH set joined against a third-party tag database.
 
     histogram buckets every AH source into benign/malicious/unknown or
-    not_present when the database has never seen it. overlap_fraction is the
-    share of AH sources present at all.
+    not_present when the database has never seen it, keyed in that order.
+    overlap_fraction is the share of AH sources present at all.
     """
 
     histogram: Dict[str, int]
@@ -167,18 +152,3 @@ def tag_join(ah: Set[int], tags: TagDb, top_n: int = 20) -> TagJoinResult:
         top = top[:top_n]
     return TagJoinResult(histogram=histogram, top_tags=top, overlap_fraction=present / len(ah))
 
-
-def write_tag_summary_csv(path, result: TagJoinResult) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["classification", "ip_count"])
-        for name in ("benign", "malicious", "unknown", NOT_PRESENT):
-            writer.writerow([name, result.histogram[name]])
-
-
-def write_top_tags_csv(path, result: TagJoinResult) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["rank", "tag", "ip_count"])
-        for rank, (tag, count) in enumerate(result.top_tags, start=1):
-            writer.writerow([rank, tag, count])

@@ -13,12 +13,13 @@ a garbled capture cannot corrupt event boundaries.
 """
 from __future__ import annotations
 
-import json
 from typing import Iterable, Iterator, List, Optional
 
-from .fingerprint import DEFAULT_RULES, FingerprintRules, ProbeTool, fingerprint_packet
+from .fingerprint import ProbeTool, fingerprint_packet
 from .hll import Hll
-from .model import DarknetConfig, DarknetEvent, EventKey, PacketMeta, US_PER_S, read_jsonl
+from .model import (
+    DarknetConfig, DarknetEvent, EventKey, PacketMeta, US_PER_S, read_jsonl, write_lines,
+)
 from .pcap import classify_traffic_type
 
 # Darknets up to this many addresses count destinations exactly for every
@@ -71,14 +72,11 @@ class EventBuilder:
     + sum of event pkt_count.
     """
 
-    def __init__(
-        self,
-        cfg: DarknetConfig,
-        reorder_slack_s: float = 0.0,
-        rules: FingerprintRules = DEFAULT_RULES,
-    ):
+    def __init__(self, cfg: DarknetConfig, reorder_slack_s: float = 0.0):
         if cfg.darknet_size <= 0:
             raise ValueError("config not validated: darknet_size unset")
+        if not 0 <= reorder_slack_s < float("inf"):
+            raise ValueError(f"reorder slack {reorder_slack_s} s must be finite and >= 0")
         self.cfg = cfg
         self.timeout_us = round(cfg.event_timeout_s * US_PER_S)
         self.slack_us = round(reorder_slack_s * US_PER_S)
@@ -88,7 +86,6 @@ class EventBuilder:
         self.promote_above = (
             cfg.darknet_size if cfg.darknet_size <= EXACT_DST_THRESHOLD else SPARSE_MAX_DSTS
         )
-        self.rules = rules
         self.open_events: dict[EventKey, _OpenEvent] = {}
         self.watermark: Optional[int] = None
         self._next_sweep: Optional[int] = None
@@ -191,7 +188,7 @@ class EventBuilder:
                 state.dsts = _promote(dsts)
         else:
             dsts.add_int(p.dst_ip)
-        tool = fingerprint_packet(p, self.rules)
+        tool = fingerprint_packet(p)
         if tool is ProbeTool.ZMAP:
             state.zmap_pkts += 1
         elif tool is ProbeTool.MASSCAN:
@@ -216,13 +213,7 @@ class EventBuilder:
 
 
 def write_event_log(path, events: Iterable[DarknetEvent]) -> int:
-    count = 0
-    with open(path, "w", encoding="utf-8") as fh:
-        for ev in events:
-            fh.write(ev.to_json_line())
-            fh.write("\n")
-            count += 1
-    return count
+    return write_lines(path, (ev.to_json_line() for ev in events))
 
 
 def read_event_log(path) -> Iterator[DarknetEvent]:

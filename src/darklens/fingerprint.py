@@ -2,16 +2,13 @@
 
 Two widely deployed scanners leave recognizable marks in the IPv4 ID field:
 one stamps a fixed constant, the other derives the ID from destination and
-sequence fields so it can validate responses statelessly. The rules live in a
-small config object rather than code so updated fingerprints can ship without
-touching logic. Rule order matters and the fixed-constant check wins ties.
+sequence fields so it can validate responses statelessly. The fixed-constant
+check runs first, so it wins ties.
 """
 from __future__ import annotations
 
-import csv
 import enum
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .model import DarknetEvent, PacketMeta, Protocol, TrafficType
 
@@ -22,12 +19,8 @@ class ProbeTool(str, enum.Enum):
     OTHER = "other"
 
 
-@dataclass(frozen=True)
-class FingerprintRules:
-    zmap_ip_id: int = 54321
-
-
-DEFAULT_RULES = FingerprintRules()
+# The IP ID the fixed-constant scanner stamps on every probe.
+ZMAP_IP_ID = 54321
 
 
 def masscan_ip_id(dst_ip: int, dst_port: int, tcp_seq: int) -> int:
@@ -39,8 +32,8 @@ def masscan_ip_id(dst_ip: int, dst_port: int, tcp_seq: int) -> int:
     return (dst_ip ^ dst_port ^ tcp_seq) & 0xFFFF
 
 
-def fingerprint_packet(p: PacketMeta, rules: FingerprintRules = DEFAULT_RULES) -> ProbeTool:
-    if p.ip_id == rules.zmap_ip_id:
+def fingerprint_packet(p: PacketMeta) -> ProbeTool:
+    if p.ip_id == ZMAP_IP_ID:
         return ProbeTool.ZMAP
     if p.protocol is Protocol.TCP and p.tcp_seq is not None:
         if p.ip_id == masscan_ip_id(p.dst_ip, p.dst_port, p.tcp_seq):
@@ -54,20 +47,15 @@ _TYPE_TO_PROTOCOL = {
     TrafficType.ICMP_ECHO_REQUEST: "icmp",
 }
 
-PORT_TABLE_FIELDS = ["port", "protocol", "zmap_pkts", "masscan_pkts", "other_pkts", "total_pkts"]
+class PortFingerprintRow(NamedTuple):
+    """One ports.csv row; the field names are the CSV header."""
 
-
-@dataclass(frozen=True, slots=True)
-class PortFingerprintRow:
     port: int
     protocol: str
     zmap_pkts: int
     masscan_pkts: int
     other_pkts: int
-
-    @property
-    def total_pkts(self) -> int:
-        return self.zmap_pkts + self.masscan_pkts + self.other_pkts
+    total_pkts: int
 
 
 def port_fingerprint_table(
@@ -89,7 +77,7 @@ def port_fingerprint_table(
         cell[1] += ev.masscan_pkts
         cell[2] += ev.other_pkts
     rows = [
-        PortFingerprintRow(port, proto, z, m, o)
+        PortFingerprintRow(port, proto, z, m, o, z + m + o)
         for (port, proto), (z, m, o) in counts.items()
     ]
     rows.sort(key=lambda r: (-r.total_pkts, r.port, r.protocol))
@@ -97,10 +85,3 @@ def port_fingerprint_table(
         rows = rows[:top_n]
     return rows
 
-
-def write_port_table_csv(path, rows: Iterable[PortFingerprintRow]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(PORT_TABLE_FIELDS)
-        for r in rows:
-            writer.writerow([r.port, r.protocol, r.zmap_pkts, r.masscan_pkts, r.other_pkts, r.total_pkts])

@@ -29,9 +29,6 @@ FLOW_CSV_FIELDS = [
     "tcp_flags",
 ]
 
-FLOW_CSV_HEADER = ",".join(FLOW_CSV_FIELDS)
-
-
 class FlowFormat(str, enum.Enum):
     CSV_V1 = "csv"
     JSONL_V1 = "jsonl"
@@ -169,24 +166,3 @@ class FlowReader:
                 except (ValueError, KeyError, TypeError):
                     self.invalid_rows += 1
 
-
-def read_flows(path, fmt: FlowFormat = FlowFormat.CSV_V1) -> FlowReader:
-    return FlowReader(path, fmt)
-
-
-def flow_to_csv_row(rec: FlowRecord) -> list[str]:
-    from .model import flags_to_letters, int_to_ip
-
-    return [
-        rec.router_id,
-        str(rec.ts_us),
-        rec.direction.value,
-        int_to_ip(rec.src_ip),
-        int_to_ip(rec.dst_ip),
-        rec.protocol.value,
-        "" if rec.src_port is None else str(rec.src_port),
-        "" if rec.dst_port is None else str(rec.dst_port),
-        str(rec.sampled_pkts),
-        str(rec.sampling_denominator),
-        "" if rec.tcp_flags is None else flags_to_letters(rec.tcp_flags),
-    ]

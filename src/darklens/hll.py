@@ -22,27 +22,28 @@ def _mix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
-class Hll:
-    __slots__ = ("p", "m", "registers")
+# The low PRECISION hash bits pick one of REGISTERS registers; the other
+# 64 - PRECISION bits give the item's rank.
+PRECISION = 14
+REGISTERS = 1 << PRECISION
 
-    def __init__(self, precision: int = 14):
-        if not 4 <= precision <= 16:
-            raise ValueError("precision must be in [4, 16]")
-        self.p = precision
-        self.m = 1 << precision
-        self.registers = bytearray(self.m)
+
+class Hll:
+    __slots__ = ("registers",)
+
+    def __init__(self):
+        self.registers = bytearray(REGISTERS)
 
     def add_int(self, value: int) -> None:
         h = _mix64(value)
-        j = h & (self.m - 1)
-        w = h >> self.p
-        # rank = position of the leftmost 1 bit in the remaining 64 - p bits
-        rank = (64 - self.p) - w.bit_length() + 1
+        j = h & (REGISTERS - 1)
+        # rank = position of the leftmost 1 bit in the remaining 64 - PRECISION bits
+        rank = (64 - PRECISION) - (h >> PRECISION).bit_length() + 1
         if rank > self.registers[j]:
             self.registers[j] = rank
 
     def estimate(self) -> int:
-        m = self.m
+        m = REGISTERS
         alpha = 0.7213 / (1.0 + 1.079 / m)
         total = 0.0
         zeros = 0

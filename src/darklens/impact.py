@@ -8,7 +8,7 @@ tracks both instantaneous and cumulative aggressive fractions.
 """
 from __future__ import annotations
 
-import csv
+import math
 from dataclasses import dataclass, field
 from datetime import date
 from typing import Collection, Dict, Iterable, List, Set, Tuple
@@ -172,9 +172,11 @@ def stream_impact(
     bin_width_s: float = 1.0,
     vantage_id: str = "stream",
 ) -> ImpactSeries:
-    if bin_width_s <= 0:
-        raise ValueError("bin_width_s must be positive")
-    width_us = round(bin_width_s * US_PER_S)
+    # Checked after rounding: a positive width under half a microsecond
+    # would otherwise make zero-width bins.
+    width_us = round(bin_width_s * US_PER_S) if 0 < bin_width_s < math.inf else 0
+    if width_us < 1:
+        raise ValueError(f"bin width {bin_width_s} s must be finite and round to at least 1 us")
     counts: Dict[int, List[int]] = {}
     for p in pkts:
         idx = p.ts_us // width_us
@@ -275,33 +277,3 @@ def ah_presence(tally: FlowTally) -> Dict[str, float]:
     """Share of the AH set each router observed as a source on any day."""
     return {router: len(ips) / tally.ah_size for router, ips in tally.seen.items()}
 
-
-IMPACT_CSV_FIELDS = ["vantage_id", "date", "ah_pkts_est", "total_pkts_est", "fraction"]
-
-SERIES_CSV_FIELDS = [
-    "bin_start_ts", "ah_pkts", "total_pkts", "inst_fraction", "cum_fraction", "per_slash24_rate",
-]
-
-
-def write_impact_csv(path, rows: Iterable[Tuple[str, date, RouterImpact]]) -> None:
-    """rows: (vantage_id, day, impact) triples, written in the order given."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(IMPACT_CSV_FIELDS)
-        for vantage_id, day, imp in rows:
-            writer.writerow(
-                [vantage_id, day.isoformat(), imp.ah_pkts_est, imp.total_pkts_est, repr(imp.fraction)]
-            )
-
-
-def write_series_csv(path, series: ImpactSeries, num_slash24: int = 1) -> None:
-    inst = series.instantaneous_fractions()
-    cum = series.cumulative_fractions()
-    rates = normalize_per_slash24(series, num_slash24)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SERIES_CSV_FIELDS)
-        for b, i_frac, c_frac, rate in zip(series.bins, inst, cum, rates):
-            writer.writerow(
-                [b.bin_start_us, b.ah_pkts, b.total_pkts, repr(i_frac), repr(c_frac), repr(rate)]
-            )

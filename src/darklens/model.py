@@ -11,15 +11,17 @@ terms of the types defined here. Conventions that matter:
 """
 from __future__ import annotations
 
+import csv
 import enum
 import ipaddress
 import json
+import math
 import socket
 import struct
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from datetime import date, timedelta
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, TypeVar
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, TypeVar
 
 US_PER_S = 1_000_000
 US_PER_DAY = 86_400 * US_PER_S
@@ -88,11 +90,6 @@ def utc_day(ts_us: int) -> date:
 
 def day_start_us(day: date) -> int:
     return (day - _EPOCH_DAY).days * US_PER_DAY
-
-
-def day_end_us(day: date) -> int:
-    """Exclusive upper bound of the day in microseconds."""
-    return day_start_us(day) + US_PER_DAY
 
 
 class TrafficType(str, enum.Enum):
@@ -197,32 +194,37 @@ class DarknetEvent:
             raise ValueError("unique_dst_count out of range")
         if self.zmap_pkts + self.masscan_pkts + self.other_pkts != self.pkt_count:
             raise ValueError("fingerprint counters must partition pkt_count")
-        if (self.key.traffic_type is TrafficType.ICMP_ECHO_REQUEST) != (self.key.dst_port == 0):
-            raise ValueError("dst_port 0 is reserved for ICMP echo events")
-
-    def to_json_obj(self) -> dict:
-        return {
-            "key": {
-                "src_ip": int_to_ip(self.key.src_ip),
-                "dst_port": self.key.dst_port,
-                "traffic_type": self.key.traffic_type.value,
-            },
-            "start_ts": self.start_ts,
-            "end_ts": self.end_ts,
-            "pkt_count": self.pkt_count,
-            "unique_dst_count": self.unique_dst_count,
-            "zmap_pkts": self.zmap_pkts,
-            "masscan_pkts": self.masscan_pkts,
-            "other_pkts": self.other_pkts,
-        }
+        if not 0 <= self.key.dst_port <= 0xFFFF:
+            raise ValueError("dst_port out of range")
+        if self.key.traffic_type is TrafficType.ICMP_ECHO_REQUEST and self.key.dst_port != 0:
+            raise ValueError("ICMP echo events carry dst_port 0")
 
     def to_json_line(self) -> str:
-        return json.dumps(self.to_json_obj(), separators=(",", ":"))
+        key = self.key
+        return json.dumps(
+            {
+                "key": {
+                    "src_ip": int_to_ip(key.src_ip),
+                    "dst_port": key.dst_port,
+                    "traffic_type": key.traffic_type.value,
+                },
+                "start_ts": self.start_ts,
+                "end_ts": self.end_ts,
+                "pkt_count": self.pkt_count,
+                "unique_dst_count": self.unique_dst_count,
+                "zmap_pkts": self.zmap_pkts,
+                "masscan_pkts": self.masscan_pkts,
+                "other_pkts": self.other_pkts,
+            },
+            separators=(",", ":"),
+        )
 
     @classmethod
-    def from_json_obj(cls, obj: dict) -> "DarknetEvent":
+    def from_json_line(cls, line: str) -> "DarknetEvent":
+        """Decode and validate one event-log line; raises ValueError."""
+        obj = json.loads(line)
         key = obj["key"]
-        return cls(
+        ev = cls(
             key=EventKey(
                 src_ip=ip_to_int(key["src_ip"]),
                 dst_port=int(key["dst_port"]),
@@ -236,10 +238,8 @@ class DarknetEvent:
             masscan_pkts=int(obj["masscan_pkts"]),
             other_pkts=int(obj["other_pkts"]),
         )
-
-    @classmethod
-    def from_json_line(cls, line: str) -> "DarknetEvent":
-        return cls.from_json_obj(json.loads(line))
+        ev.validate()
+        return ev
 
 
 @dataclass(slots=True)
@@ -284,8 +284,9 @@ class AhVerdict:
 
     @classmethod
     def from_json_line(cls, line: str) -> "AhVerdict":
+        """Decode and validate one verdict line; raises ValueError."""
         obj = json.loads(line)
-        return cls(
+        verdict = cls(
             src_ip=ip_to_int(obj["src_ip"]),
             day=date.fromisoformat(obj["day"]),
             matched_defs=frozenset(obj["matched_defs"]),
@@ -296,6 +297,8 @@ class AhVerdict:
             acked=bool(obj["acked"]),
             acked_org=obj.get("acked_org"),
         )
+        verdict.validate()
+        return verdict
 
 
 _T = TypeVar("_T")
@@ -318,6 +321,32 @@ def read_jsonl(path, parse: Callable[[str], _T]) -> Iterator[_T]:
                 reason = f"{type(exc).__name__}: {exc}"
                 raise ValueError(f"{path}:{lineno}: malformed line ({reason})") from exc
             yield item
+
+
+def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """LF-terminated CSV: None is an empty field, a float its repr."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_lines(path, lines: Iterable[str]) -> int:
+    """One LF-terminated line per item; returns the number written."""
+    count = 0
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        for line in lines:
+            fh.write(line)
+            fh.write("\n")
+            count += 1
+    return count
+
+
+def write_json(path, obj) -> None:
+    """An indented JSON document with a trailing newline."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        json.dump(obj, fh, indent=2)
+        fh.write("\n")
 
 
 @dataclass(slots=True)
@@ -418,10 +447,10 @@ def validate_config(cfg: DarknetConfig) -> DarknetConfig:
         raise InvalidFractionError(f"dispersion_fraction {cfg.dispersion_fraction} not in (0, 1]")
     if not 0.0 < cfg.alpha < 1.0:
         raise InvalidFractionError(f"alpha {cfg.alpha} not in (0, 1)")
-    if cfg.event_timeout_s <= 0:
-        raise ConfigError("event_timeout_s must be positive")
-    if cfg.assumed_scan_rate_pps <= 0:
-        raise ConfigError("assumed_scan_rate_pps must be positive")
+    if not 0 < cfg.event_timeout_s < math.inf:
+        raise ConfigError("event_timeout_s must be positive and finite")
+    if not 0 < cfg.assumed_scan_rate_pps < math.inf:
+        raise ConfigError("assumed_scan_rate_pps must be positive and finite")
     cfg.darknet_size = size
     cfg.range_starts = [int(n.network_address) for n in nets]
     cfg.range_ends = [int(n.broadcast_address) for n in nets]
@@ -497,6 +526,3 @@ def compute_timeout(
 def slash24_of(ip: int) -> int:
     return ip & 0xFFFFFF00
 
-
-def count_slash24s(ips: Iterable[int]) -> int:
-    return len({ip & 0xFFFFFF00 for ip in ips})

@@ -179,10 +179,6 @@ class PcapReader:
             yield meta
 
 
-def read_pcap(path) -> PcapReader:
-    return PcapReader(path)
-
-
 def classify_traffic_type(p: PacketMeta) -> Optional[TrafficType]:
     """Map a packet to its scanning traffic class, or None for non-scanning.
 

@@ -8,7 +8,6 @@ what makes the end-to-end acceptance checks meaningful.
 """
 from __future__ import annotations
 
-import csv
 import ipaddress
 import json
 import struct
@@ -19,9 +18,9 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .fingerprint import masscan_ip_id
+from .fingerprint import ZMAP_IP_ID, masscan_ip_id
 from .flows import FLOW_CSV_FIELDS
-from .model import US_PER_DAY, US_PER_S, int_to_ip
+from .model import US_PER_DAY, US_PER_S, int_to_ip, write_csv, write_json
 
 _EPOCH = date(1970, 1, 1)
 
@@ -209,11 +208,18 @@ def generate(scenario: SynthScenario, seed: int, out_dir) -> dict:
     def other_ip_id(is_tcp: bool, dst: int, port: int, seq: int) -> int:
         while True:
             candidate = int(rng.integers(0, 65536))
-            if candidate == 54321:
+            if candidate == ZMAP_IP_ID:
                 continue
             if is_tcp and candidate == masscan_ip_id(dst, port, seq):
                 continue
             return candidate
+
+    def tcp_ip_id(tool: str, dst: int, port: int, seq: int) -> int:
+        if tool == "zmap":
+            return ZMAP_IP_ID
+        if tool == "masscan":
+            return masscan_ip_id(dst, port, seq)
+        return other_ip_id(True, dst, port, seq)
 
     def emit_scan_packets(
         truth: _SourceTruth, dsts: np.ndarray, times: np.ndarray, port: int, tool: str, ttype: str
@@ -225,24 +231,19 @@ def generate(scenario: SynthScenario, seed: int, out_dir) -> dict:
             for ts, dst, seq in zip(times, dsts, seqs):
                 dst = int(dst)
                 seq = int(seq)
-                if tool == "zmap":
-                    ip_id = 54321
-                elif tool == "masscan":
-                    ip_id = masscan_ip_id(dst, port, seq)
-                else:
-                    ip_id = other_ip_id(True, dst, port, seq)
+                ip_id = tcp_ip_id(tool, dst, port, seq)
                 emit(ts, _tcp_frame(src, dst, sport, port, seq, 0x02, ip_id))
                 truth.note(int(ts), dst, port)
         elif ttype == "udp":
             for ts, dst in zip(times, dsts):
                 dst = int(dst)
-                ip_id = 54321 if tool == "zmap" else other_ip_id(False, dst, port, 0)
+                ip_id = ZMAP_IP_ID if tool == "zmap" else other_ip_id(False, dst, port, 0)
                 emit(ts, _udp_frame(src, dst, sport, port, ip_id))
                 truth.note(int(ts), dst, port)
         else:  # icmp echo request
             for ts, dst in zip(times, dsts):
                 dst = int(dst)
-                ip_id = 54321 if tool == "zmap" else other_ip_id(False, dst, 0, 0)
+                ip_id = ZMAP_IP_ID if tool == "zmap" else other_ip_id(False, dst, 0, 0)
                 emit(ts, _icmp_frame(src, dst, 8, src & 0xFFFF, ip_id))
                 truth.note(int(ts), dst, None)
 
@@ -296,12 +297,7 @@ def generate(scenario: SynthScenario, seed: int, out_dir) -> dict:
             dst = int(dst)
             seq = int(seq)
             port = 1000 + (j % scenario.sweep_ports)
-            if tool == "zmap":
-                ip_id = 54321
-            elif tool == "masscan":
-                ip_id = masscan_ip_id(dst, port, seq)
-            else:
-                ip_id = other_ip_id(True, dst, port, seq)
+            ip_id = tcp_ip_id(tool, dst, port, seq)
             emit(ts, _tcp_frame(src, dst, sport, port, seq, 0x02, ip_id))
             truth.note(int(ts), dst, port)
 
@@ -354,9 +350,7 @@ def generate(scenario: SynthScenario, seed: int, out_dir) -> dict:
     if scenario.flow_total_pkts > 0:
         manifest["flows"] = _generate_flows(scenario, rng, sources, out_dir)
 
-    with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=False)
-        fh.write("\n")
+    write_json(out_dir / "manifest.json", manifest)
     return manifest
 
 
@@ -416,11 +410,7 @@ def _generate_flows(
                      "443", str(30000 + (src & 0xFF)), str(sampled), str(denom), "SA"]
                 )
 
-    flows_path = out_dir / "flows.csv"
-    with open(flows_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(FLOW_CSV_FIELDS)
-        writer.writerows(rows)
+    write_csv(out_dir / "flows.csv", FLOW_CSV_FIELDS, rows)
 
     return {
         "routers": list(scenario.flow_routers),

@@ -11,6 +11,7 @@ import struct
 from datetime import date
 from typing import Collection, Dict, Iterable, List, Optional, Set, Tuple
 
+from darklens.flows import FLOW_CSV_FIELDS
 from darklens.model import (
     DarknetConfig,
     FlowRecord,
@@ -18,9 +19,12 @@ from darklens.model import (
     Protocol,
     TCP_ACK,
     TCP_SYN,
+    flags_to_letters,
+    int_to_ip,
     ip_to_int,
     utc_day,
     validate_config,
+    write_csv,
 )
 
 US = 1_000_000
@@ -166,6 +170,28 @@ def build_pcap(
 
 # ---------------------------------------------------------------------------
 # Independent oracles.
+
+
+def flow_csv_row(rec: FlowRecord) -> List[str]:
+    """One flow CSV row, in FLOW_CSV_FIELDS order, as an exporter writes it."""
+    return [
+        rec.router_id,
+        str(rec.ts_us),
+        rec.direction.value,
+        int_to_ip(rec.src_ip),
+        int_to_ip(rec.dst_ip),
+        rec.protocol.value,
+        "" if rec.src_port is None else str(rec.src_port),
+        "" if rec.dst_port is None else str(rec.dst_port),
+        str(rec.sampled_pkts),
+        str(rec.sampling_denominator),
+        "" if rec.tcp_flags is None else flags_to_letters(rec.tcp_flags),
+    ]
+
+
+def write_flows_csv(path, records: Iterable[FlowRecord], extra_rows=()) -> None:
+    """A flow CSV holding records, then extra_rows as given."""
+    write_csv(path, FLOW_CSV_FIELDS, [*map(flow_csv_row, records), *extra_rows])
 
 
 def oracle_ecdf(values, alpha) -> int:

@@ -10,9 +10,8 @@ import pytest
 import darklens
 from darklens.cli import main
 from darklens.detect import read_blocklist
-from darklens.flows import FLOW_CSV_FIELDS, flow_to_csv_row
 from darklens.model import Direction, FlowRecord, Protocol, ip_to_int
-from helpers import US, build_pcap, eth_frame, oracle_ipv4, oracle_udp
+from helpers import US, build_pcap, eth_frame, oracle_ipv4, oracle_udp, write_flows_csv
 
 CONF = """\
 darknet_prefixes = 10.0.0.0/22
@@ -61,6 +60,22 @@ def pipeline(tmp_path_factory):
         "root": root, "conf": conf, "scenario": scenario,
         "synth": synth_dir, "run": run_dir,
     }
+
+
+@pytest.fixture()
+def feeds(pipeline):
+    root = pipeline["root"]
+    if not (root / "asn.csv").exists():
+        (root / "asn.csv").write_text(
+            "198.18.0.0/16,64500,ScanCo,US\n198.19.0.0/16,64501,ProbeNet,DE\n"
+        )
+        (root / "tags.csv").write_text(
+            "198.18.0.1,malicious,bruteforcer|telnet\n198.18.0.2,benign,research\n"
+        )
+        (root / "acked_ips.csv").write_text("198.18.0.3,GoodScan\n")
+        (root / "acked_kw.csv").write_text("goodscan,GoodScan\n")
+        (root / "rdns.csv").write_text("198.18.0.4,probe-1.goodscan.net\n")
+    return root
 
 
 class TestPipeline:
@@ -172,17 +187,15 @@ class TestImpactCommand:
     @staticmethod
     def _flows_csv(path, routers, extra_rows=()):
         """One aggressive flow per router on 2022-06-01, then extra_rows as given."""
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(FLOW_CSV_FIELDS)
-            for router in routers:
-                writer.writerow(flow_to_csv_row(FlowRecord(
-                    router_id=router, ts_us=1654041600 * US, direction=Direction.INGRESS,
-                    src_ip=ip_to_int("198.18.0.1"), dst_ip=ip_to_int("192.0.2.1"),
-                    protocol=Protocol.TCP, src_port=40000, dst_port=23, sampled_pkts=1,
-                    sampling_denominator=100, tcp_flags=0x02,
-                )))
-            writer.writerows(extra_rows)
+        write_flows_csv(path, [
+            FlowRecord(
+                router_id=router, ts_us=1654041600 * US, direction=Direction.INGRESS,
+                src_ip=ip_to_int("198.18.0.1"), dst_ip=ip_to_int("192.0.2.1"),
+                protocol=Protocol.TCP, src_port=40000, dst_port=23, sampled_pkts=1,
+                sampling_denominator=100, tcp_flags=0x02,
+            )
+            for router in routers
+        ], extra_rows)
 
     def test_invalid_rows_noted_when_day_has_no_flows(self, tmp_path, capsys):
         blocklist = tmp_path / "blocklist.txt"
@@ -225,21 +238,6 @@ class TestImpactCommand:
 
 
 class TestReportCommand:
-    @pytest.fixture()
-    def feeds(self, pipeline):
-        root = pipeline["root"]
-        if not (root / "asn.csv").exists():
-            (root / "asn.csv").write_text(
-                "198.18.0.0/16,64500,ScanCo,US\n198.19.0.0/16,64501,ProbeNet,DE\n"
-            )
-            (root / "tags.csv").write_text(
-                "198.18.0.1,malicious,bruteforcer|telnet\n198.18.0.2,benign,research\n"
-            )
-            (root / "acked_ips.csv").write_text("198.18.0.3,GoodScan\n")
-            (root / "acked_kw.csv").write_text("goodscan,GoodScan\n")
-            (root / "rdns.csv").write_text("198.18.0.4,probe-1.goodscan.net\n")
-        return root
-
     def test_report_outputs(self, pipeline, feeds, tmp_path, capsys):
         out = tmp_path / "report"
         rc = main([
@@ -365,6 +363,39 @@ class TestFailureModes:
         assert rc == 1
         assert (tmp_path / "blocklist_union.txt").read_text() == ""
 
+    def test_negative_reorder_slack_is_fatal(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = main([
+            "--config", str(pipeline["conf"]), "--out-dir", str(out),
+            "events", str(pipeline["synth"] / "synth.pcap"), "--reorder-slack", "-5",
+        ])
+        assert rc == 2
+        assert "error: reorder slack -5.0 s must be finite and >= 0" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    def test_bin_width_rounding_to_zero_is_fatal(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = main([
+            "--out-dir", str(out), "impact",
+            "--blocklist", str(pipeline["run"] / "blocklist_union.txt"),
+            "--pcap", str(pipeline["synth"] / "synth.pcap"), "--bin-width", "1e-7",
+        ])
+        assert rc == 2
+        assert "error: bin width 1e-07 s" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    def test_out_dir_naming_a_file_is_fatal(self, pipeline, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory\n")
+        rc = main([
+            "--config", str(pipeline["conf"]), "--out-dir", str(taken),
+            "events", str(pipeline["synth"] / "synth.pcap"),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "File exists" in err and str(taken) in err
+        assert taken.read_text() == "not a directory\n"
+
     def test_unknown_scenario_key_is_fatal(self, tmp_path, capsys):
         bad = tmp_path / "scenario.json"
         bad.write_text('{"bogus_knob": 1}')
@@ -420,6 +451,34 @@ class TestRottenInputs:
         assert f"error: {log}:3:" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("defs", [["D4"], [], ["D1", "D4"], "D1"])
+    def test_report_verdict_with_bad_defs_exits_2(self, pipeline, tmp_path, capsys, defs):
+        good = json.loads((pipeline["run"] / "verdicts.jsonl").read_text().splitlines()[0])
+        bad_line = json.dumps(dict(good, matched_defs=defs))
+        verdicts = self._rotten_log(pipeline, tmp_path, "verdicts.jsonl", bad_line)
+        out = tmp_path / "out"
+        rc = main(["--out-dir", str(out), "report", str(pipeline["run"] / "events.jsonl"), str(verdicts)])
+        assert rc == 2
+        assert f"error: {verdicts}:3:" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("fields, reason", [
+        ({"pkt_count": 0, "zmap_pkts": 0, "masscan_pkts": 0, "other_pkts": 0}, "pkt_count"),
+        ({"unique_dst_count": 0}, "unique_dst_count"),
+        ({"other_pkts": 10 ** 6}, "partition"),
+        ({"start_ts": 10 ** 18}, "start_ts"),
+    ])
+    def test_detect_invalid_event_exits_2(self, pipeline, tmp_path, capsys, fields, reason):
+        good = json.loads((pipeline["run"] / "events.jsonl").read_text().splitlines()[0])
+        log = self._rotten_log(pipeline, tmp_path, "events.jsonl", json.dumps(dict(good, **fields)))
+        out = tmp_path / "out"
+        rc = main(["--config", str(pipeline["conf"]), "--out-dir", str(out), "detect", str(log)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"error: {log}:3:" in err
+        assert reason in err
+        assert list(out.iterdir()) == []
+
     @pytest.mark.parametrize("line", ["[1, 2]", "null", '"text"', '{"key": 5}', "{not json"])
     def test_detect_non_object_lines_exit_2(self, pipeline, tmp_path, capsys, line):
         log = tmp_path / "events.jsonl"
@@ -429,6 +488,31 @@ class TestRottenInputs:
         assert rc == 2
         assert f"error: {log}:1:" in capsys.readouterr().err
         assert list(out.iterdir()) == []
+
+
+def test_no_output_holds_a_carriage_return(pipeline, feeds, tmp_path):
+    """Every file events, detect, impact and report write ends lines with LF."""
+    run, synth = pipeline["run"], pipeline["synth"]
+    acked = ["--acked-ips", str(feeds / "acked_ips.csv"),
+             "--acked-keywords", str(feeds / "acked_kw.csv"), "--rdns", str(feeds / "rdns.csv")]
+    out = tmp_path / "out"
+    assert main([
+        "--out-dir", str(out), "impact", "--blocklist", str(run / "blocklist_union.txt"),
+        "--flows", str(synth / "flows.csv"), "--pcap", str(synth / "synth.pcap"), *acked,
+    ]) == 0
+    assert main([
+        "--out-dir", str(out), "report", str(run / "events.jsonl"), str(run / "verdicts.jsonl"),
+        "--asn-map", str(feeds / "asn.csv"), "--tags", str(feeds / "tags.csv"), *acked,
+    ]) == 0
+    written = sorted(run.iterdir()) + sorted(out.iterdir())
+    names = {path.name for path in written}
+    assert {"events.jsonl", "verdicts.jsonl", "detect_meta.json", "impact.csv",
+            "acked_impact.csv", "series.csv", "origins.csv", "ports.csv", "tag_classes.csv",
+            "tags_top.csv", "report_meta.json"} <= names
+    for path in written:
+        data = path.read_bytes()
+        assert b"\r" not in data, path.name
+        assert data == b"" or data.endswith(b"\n"), path.name
 
 
 # Runs one subcommand in a fresh interpreter, then reports its exit code and

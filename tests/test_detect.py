@@ -9,7 +9,6 @@ from darklens.detect import (
     D1,
     D2,
     D3,
-    EcdfSummary,
     EmptyInputError,
     INTERSECTION_COMBOS,
     UNREACHABLE_PORTS,
@@ -100,9 +99,9 @@ class TestEcdf:
 
     def test_alpha_bounds(self):
         with pytest.raises(ValueError):
-            EcdfSummary.from_values([1]).threshold(0.0)
+            ecdf_threshold([1], 0.0)
         with pytest.raises(ValueError):
-            EcdfSummary.from_values([1]).threshold(1.0)
+            ecdf_threshold([1], 1.0)
 
     def test_matches_oracle_on_random_multisets(self):
         rng = random.Random(314159)

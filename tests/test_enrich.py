@@ -1,20 +1,20 @@
 import ipaddress
 import random
+from datetime import date
 
 import pytest
 
+from darklens.cli import main
+from darklens.detect import write_verdicts
 from darklens.enrich import (
     EmptyAhSetError,
     MatchVia,
     NOT_PRESENT,
-    ORIGIN_FIELDS,
+    OriginRow,
     acked_sources,
     match_acked,
     origin_table,
     tag_join,
-    write_origin_csv,
-    write_tag_summary_csv,
-    write_top_tags_csv,
 )
 from darklens.feeds import (
     AckedList,
@@ -26,7 +26,10 @@ from darklens.feeds import (
     TagEntry,
     origin_of,
 )
-from darklens.model import ip_to_int, slash24_of
+from darklens.events import write_event_log
+from darklens.model import (
+    AhVerdict, DarknetEvent, EventKey, TrafficType, ip_to_int, slash24_of, write_csv,
+)
 
 IP_A = ip_to_int("162.142.125.1")
 IP_B = ip_to_int("198.51.100.9")
@@ -175,9 +178,9 @@ class TestOriginTable:
         amap = _map([("198.51.100.0/24", 64500, "BigScan", "US")])
         rows = origin_table({IP_B}, {IP_B: 5}, amap)
         p = tmp_path / "origins.csv"
-        write_origin_csv(p, rows)
+        write_csv(p, OriginRow._fields, rows)
         lines = p.read_text().splitlines()
-        assert lines[0] == ",".join(ORIGIN_FIELDS)
+        assert lines[0] == "asn,org,country,unique_32s,unique_24s,pkts,acked_32s,acked_24s"
         assert lines[1] == "64500,BigScan,US,1,1,5,0,0"
 
 
@@ -219,15 +222,23 @@ class TestTagJoin:
         assert res.overlap_fraction == 0.0
         assert res.histogram[NOT_PRESENT] == 2
 
-    def test_csv_writers(self, tmp_path):
-        db = _tags([(1, "malicious", ["ssh"])])
-        res = tag_join({1, 2}, db)
-        summary = tmp_path / "tag_classes.csv"
-        top = tmp_path / "tags_top.csv"
-        write_tag_summary_csv(summary, res)
-        write_top_tags_csv(top, res)
-        assert summary.read_text().splitlines() == [
+    def test_report_tag_tables(self, tmp_path):
+        ips = [ip_to_int("198.51.100.1"), ip_to_int("198.51.100.2")]
+        events = tmp_path / "events.jsonl"
+        write_event_log(events, [
+            DarknetEvent(EventKey(ip, 23, TrafficType.TCP_SYN), 0, 0, 1, 1, 0, 0, 1) for ip in ips
+        ])
+        verdicts = tmp_path / "verdicts.jsonl"
+        write_verdicts(verdicts, [
+            AhVerdict(ip, date(1970, 1, 1), frozenset({"D2"}), 0.0, 1, 1, True) for ip in ips
+        ])
+        tags = tmp_path / "tags.csv"
+        tags.write_text("198.51.100.1,malicious,ssh\n")
+        out = tmp_path / "out"
+        rc = main(["--out-dir", str(out), "report", str(events), str(verdicts), "--tags", str(tags)])
+        assert rc == 0
+        assert (out / "tag_classes.csv").read_text().splitlines() == [
             "classification,ip_count", "benign,0", "malicious,1", "unknown,0",
             "not_present,1",
         ]
-        assert top.read_text().splitlines() == ["rank,tag,ip_count", "1,ssh,1"]
+        assert (out / "tags_top.csv").read_text().splitlines() == ["rank,tag,ip_count", "1,ssh,1"]

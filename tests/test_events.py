@@ -128,6 +128,11 @@ class TestCounters:
         assert ev.end_ts == 100 * US
         assert ev.pkt_count == 2
 
+    @pytest.mark.parametrize("slack", [-5.0, -1e-9, float("inf"), float("nan")])
+    def test_bad_slack_rejected(self, cfg_slash22, slack):
+        with pytest.raises(ValueError, match="reorder slack"):
+            EventBuilder(cfg_slash22, reorder_slack_s=slack)
+
 
 class TestDstCounting:
     def test_exact_unique_count(self, cfg_slash22):
@@ -354,6 +359,17 @@ class TestEventLogIo:
         pkts = [mk_pkt(i * US, SRC, DARK[i], dport=53) for i in range(5)]
         pkts += [mk_pkt(i * US, SRC, DARK[i], proto="icmp") for i in range(5, 9)]
         _, evs = run_stream(cfg_slash22, pkts)
+        path = tmp_path / "events.jsonl"
+        write_event_log(path, evs)
+        assert list(read_event_log(path)) == evs
+
+    def test_port_zero_tcp_and_udp_events_read_back(self, cfg_slash22, tmp_path):
+        # Port 0 marks ICMP keys, but TCP and UDP probes to port 0 are real
+        # traffic; their events must pass the validation on read.
+        pkts = [mk_pkt(0, SRC, DARK[0], proto="tcp", dport=0), mk_pkt(1, SRC, DARK[1], dport=0)]
+        _, evs = run_stream(cfg_slash22, pkts)
+        assert sorted(ev.key.traffic_type.value for ev in evs) == ["tcp_syn", "udp"]
+        assert {ev.key.dst_port for ev in evs} == {0}
         path = tmp_path / "events.jsonl"
         write_event_log(path, evs)
         assert list(read_event_log(path)) == evs

@@ -1,16 +1,15 @@
 import random
 
 from darklens.fingerprint import (
-    DEFAULT_RULES,
-    FingerprintRules,
-    PORT_TABLE_FIELDS,
+    PortFingerprintRow,
     ProbeTool,
     fingerprint_packet,
     masscan_ip_id,
     port_fingerprint_table,
-    write_port_table_csv,
 )
-from darklens.model import DarknetEvent, EventKey, PacketMeta, Protocol, TrafficType, ip_to_int
+from darklens.model import (
+    DarknetEvent, EventKey, PacketMeta, Protocol, TrafficType, ip_to_int, write_csv,
+)
 
 
 def _tcp(dst="10.0.0.1", dport=80, seq=0, ip_id=0):
@@ -56,11 +55,6 @@ class TestFingerprint:
 
     def test_other(self):
         assert fingerprint_packet(_tcp(ip_id=1)) is ProbeTool.OTHER
-
-    def test_custom_rules(self):
-        rules = FingerprintRules(zmap_ip_id=11111)
-        assert fingerprint_packet(_tcp(ip_id=11111), rules) is ProbeTool.ZMAP
-        assert fingerprint_packet(_tcp(ip_id=54321), rules) is ProbeTool.OTHER
 
     def test_random_packets_match_independent_oracle(self):
         rng = random.Random(161803)
@@ -129,7 +123,8 @@ class TestPortTable:
 
     def test_csv_writer(self, tmp_path):
         p = tmp_path / "ports.csv"
-        write_port_table_csv(p, port_fingerprint_table([_ev(23, TrafficType.TCP_SYN, zmap=5)]))
+        rows = port_fingerprint_table([_ev(23, TrafficType.TCP_SYN, zmap=5)])
+        write_csv(p, PortFingerprintRow._fields, rows)
         lines = p.read_text().splitlines()
-        assert lines[0] == ",".join(PORT_TABLE_FIELDS)
+        assert lines[0] == "port,protocol,zmap_pkts,masscan_pkts,other_pkts,total_pkts"
         assert lines[1] == "23,tcp,5,0,0,5"

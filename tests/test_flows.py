@@ -8,10 +8,9 @@ from darklens.flows import (
     FlowFormat,
     FlowReader,
     SchemaMismatchError,
-    flow_to_csv_row,
-    read_flows,
 )
 from darklens.model import Direction, Protocol, ip_to_int
+from helpers import flow_csv_row
 
 HEADER = ",".join(FLOW_CSV_FIELDS)
 
@@ -102,7 +101,7 @@ class TestCsv:
 
     def test_row_writer_round_trips(self, tmp_path):
         _, rows = _read_csv(tmp_path, _csv([GOOD_ROW]))
-        again = _csv([",".join(flow_to_csv_row(rows[0]))])
+        again = _csv([",".join(flow_csv_row(rows[0]))])
         _, rows2 = _read_csv(tmp_path, again, name="again.csv")
         assert rows2 == rows
 
@@ -123,7 +122,7 @@ class TestJsonl:
         pc.write_text(_csv([GOOD_ROW]))
         pj = tmp_path / "f.jsonl"
         pj.write_text(self._jsonl_line() + "\n")
-        assert list(read_flows(pc, FlowFormat.CSV_V1)) == list(read_flows(pj, FlowFormat.JSONL_V1))
+        assert list(FlowReader(pc, FlowFormat.CSV_V1)) == list(FlowReader(pj, FlowFormat.JSONL_V1))
 
     def test_invalid_json_counted(self, tmp_path):
         pj = tmp_path / "f.jsonl"
@@ -138,7 +137,7 @@ class TestJsonl:
         pj.write_text(
             self._jsonl_line(protocol="icmp", src_port=None, dst_port=None, tcp_flags=None) + "\n"
         )
-        (r,) = list(read_flows(pj, FlowFormat.JSONL_V1))
+        (r,) = list(FlowReader(pj, FlowFormat.JSONL_V1))
         assert r.protocol is Protocol.ICMP
 
 

@@ -6,16 +6,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from darklens import enrich, impact
+from darklens.cli import main
 from darklens.enrich import acked_sources
 from darklens.feeds import AckedList, RdnsMap
 from darklens.impact import (
     EmptyAhSetError,
-    IMPACT_CSV_FIELDS,
     ImpactBin,
     ImpactSeries,
     NoFlowsForDayError,
     RouterImpact,
-    SERIES_CSV_FIELDS,
     acked_impact,
     ah_presence,
     flag_high_load_bins,
@@ -25,8 +24,6 @@ from darklens.impact import (
     protocol_breakdown_flows,
     stream_impact,
     tally_flows,
-    write_impact_csv,
-    write_series_csv,
 )
 from darklens.model import (
     DarknetEvent,
@@ -37,7 +34,10 @@ from darklens.model import (
     TrafficType,
     ip_to_int,
 )
-from helpers import US, mk_pkt, oracle_flow_measures
+from helpers import (
+    US, build_pcap, eth_frame, mk_pkt, oracle_flow_measures, oracle_ipv4, oracle_udp,
+    write_flows_csv,
+)
 
 JUNE1 = date(2022, 6, 1)
 JUNE2 = date(2022, 6, 2)
@@ -173,6 +173,17 @@ class TestStreamImpact:
     def test_bad_width_rejected(self):
         with pytest.raises(ValueError):
             stream_impact([], {AH_IP}, bin_width_s=0.0)
+
+    @pytest.mark.parametrize("width", [1e-7, 4e-7, -1.0, float("inf"), float("nan")])
+    def test_width_under_one_microsecond_rejected(self, width):
+        # 1e-7 s rounds to a zero-microsecond bin; it must fail up front,
+        # not divide by zero on the first packet.
+        with pytest.raises(ValueError, match="bin width"):
+            stream_impact([mk_pkt(0, "198.18.0.1", "10.0.0.1")], {AH_IP}, bin_width_s=width)
+
+    def test_width_of_one_microsecond_accepted(self):
+        series = stream_impact([mk_pkt(3, "198.18.0.1", "10.0.0.1")], {AH_IP}, bin_width_s=1e-6)
+        assert [b.bin_start_us for b in series.bins] == [3]
 
     def test_bins_contiguous_on_random_stream(self):
         rng = random.Random(5150)
@@ -382,18 +393,44 @@ def test_one_empty_ah_set_error():
 
 
 class TestCsvWriters:
+    """The impact tables as the CLI writes them."""
+
+    def _blocklist(self, tmp_path):
+        path = tmp_path / "blocklist.txt"
+        path.write_text("198.18.0.1\n")
+        return path
+
     def test_impact_csv(self, tmp_path):
-        p = tmp_path / "impact.csv"
-        write_impact_csv(p, [("router-1", JUNE1, RouterImpact(5000, 10000))])
-        lines = p.read_text().splitlines()
-        assert lines[0] == ",".join(IMPACT_CSV_FIELDS)
+        flows = tmp_path / "flows.csv"
+        write_flows_csv(flows, [_flow(sampled=5), _flow(src=OTHER_IP, sampled=5)])
+        out = tmp_path / "out"
+        rc = main([
+            "--out-dir", str(out), "impact", "--blocklist", str(self._blocklist(tmp_path)),
+            "--flows", str(flows),
+        ])
+        assert rc == 0
+        lines = (out / "impact.csv").read_text().splitlines()
+        assert lines[0] == "vantage_id,date,ah_pkts_est,total_pkts_est,fraction"
         assert lines[1] == "router-1,2022-06-01,5000,10000,0.5"
 
     def test_series_csv(self, tmp_path):
-        series = ImpactSeries("v", 1.0, [ImpactBin(0, 1, 2), ImpactBin(US, 0, 0)])
-        p = tmp_path / "series.csv"
-        write_series_csv(p, series, num_slash24=4)
-        lines = p.read_text().splitlines()
-        assert lines[0] == ",".join(SERIES_CSV_FIELDS)
+        def probe(src):
+            return eth_frame(oracle_ipv4(src, "10.0.0.1", 17, oracle_udp(40000, 53)))
+
+        pcap = tmp_path / "stream.pcap"
+        pcap.write_bytes(build_pcap([
+            (0, probe("198.18.0.1")), (1, probe("100.64.0.1")), (2 * US, probe("100.64.0.1")),
+        ]))
+        out = tmp_path / "out"
+        rc = main([
+            "--out-dir", str(out), "impact", "--blocklist", str(self._blocklist(tmp_path)),
+            "--pcap", str(pcap), "--num-slash24", "4",
+        ])
+        assert rc == 0
+        lines = (out / "series.csv").read_text().splitlines()
+        assert lines[0] == (
+            "bin_start_ts,ah_pkts,total_pkts,inst_fraction,cum_fraction,per_slash24_rate"
+        )
         assert lines[1] == "0,1,2,0.5,0.5,0.25"
         assert lines[2].startswith(f"{US},0,0,0.0,0.5,")
+        assert lines[3] == f"{2 * US},0,1,0.0,{1 / 3!r},0.0"

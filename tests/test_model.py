@@ -16,8 +16,6 @@ from darklens.model import (
     Protocol,
     TrafficType,
     compute_timeout,
-    count_slash24s,
-    day_end_us,
     day_start_us,
     flags_to_letters,
     int_to_ip,
@@ -79,6 +77,14 @@ class TestValidateConfig:
     def test_nonpositive_timeout_rejected(self):
         with pytest.raises(ConfigError):
             validate_config(_cfg(["10.0.0.0/22"], event_timeout_s=0.0))
+
+    @pytest.mark.parametrize("text", ["inf", "nan", "-inf"])
+    @pytest.mark.parametrize("key", ["event_timeout_s", "assumed_scan_rate_pps"])
+    def test_non_finite_timeout_and_rate_rejected(self, key, text):
+        # An infinite timeout passed a plain > 0 check, then the event
+        # builder died rounding it to microseconds.
+        with pytest.raises(ConfigError, match=f"{key} must be positive and finite"):
+            parse_config_text(f"darknet_prefixes = 10.0.0.0/22\n{key} = {text}\n")
 
     def test_undersized_darknet_rejected(self):
         with pytest.raises(ConfigError):
@@ -189,12 +195,12 @@ class TestTimeHelpers:
     def test_day_bounds_are_inclusive_exclusive(self):
         d = date(2022, 6, 1)
         assert day_start_us(d) == 1654041600 * US
-        assert day_end_us(d) == day_start_us(d) + 86_400 * US
+        assert day_start_us(date(2022, 6, 2)) == day_start_us(d) + 86_400 * US
 
     @given(st.integers(min_value=0, max_value=2**53))
     def test_us_within_its_own_day(self, ts):
         d = utc_day(ts)
-        assert day_start_us(d) <= ts < day_end_us(d)
+        assert day_start_us(d) <= ts < day_start_us(d) + 86_400 * US
 
 
 class TestFlags:
@@ -252,8 +258,8 @@ class TestIpHelpers:
 
     def test_slash24(self):
         assert slash24_of(ip_to_int("10.1.2.3")) == ip_to_int("10.1.2.0")
-        assert count_slash24s([ip_to_int("10.1.2.3"), ip_to_int("10.1.2.99"),
-                               ip_to_int("10.1.3.1")]) == 2
+        assert slash24_of(ip_to_int("10.1.2.99")) == ip_to_int("10.1.2.0")
+        assert slash24_of(ip_to_int("10.1.3.1")) == ip_to_int("10.1.3.0")
 
 
 def _event(**kw):

@@ -12,7 +12,6 @@ from darklens.pcap import (
     PcapReader,
     UnsupportedLinkTypeError,
     classify_traffic_type,
-    read_pcap,
     write_pcap,
 )
 from helpers import (
@@ -234,10 +233,10 @@ class TestWriter:
         ]
         out = tmp_path / "w.pcap"
         write_pcap(out, frames)
-        via_writer = read_pcap(out)
+        via_writer = PcapReader(out)
         ref = tmp_path / "ref.pcap"
         ref.write_bytes(build_pcap(frames))
-        assert list(via_writer) == list(read_pcap(ref))
+        assert list(via_writer) == list(PcapReader(ref))
 
 
 # ---------------------------------------------------------------------------
