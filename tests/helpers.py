@@ -8,17 +8,21 @@ from __future__ import annotations
 
 import ipaddress
 import struct
-from datetime import date
+from datetime import date, timedelta
 from typing import Collection, Dict, Iterable, List, Optional, Set, Tuple
 
 from darklens.flows import FLOW_CSV_FIELDS
 from darklens.model import (
+    AhVerdict,
     DarknetConfig,
+    DarknetEvent,
     FlowRecord,
     PacketMeta,
     Protocol,
     TCP_ACK,
     TCP_SYN,
+    Thresholds,
+    TrafficType,
     flags_to_letters,
     int_to_ip,
     ip_to_int,
@@ -204,6 +208,86 @@ def oracle_ecdf(values, alpha) -> int:
     k = -((-q.numerator) // q.denominator)  # ceil without math.ceil
     k = min(max(k, 1), n)
     return s[k - 1]
+
+
+def oracle_detection(
+    events: List[DarknetEvent], cfg: DarknetConfig, thresholds: Optional[Thresholds] = None
+) -> Tuple[Thresholds, List[AhVerdict], List[dict]]:
+    """Brute-force detection: thresholds, verdict rows and sidecar rows.
+
+    Every quantity is recomputed from the raw event list by a separate scan,
+    without shared accumulators: the daily port count of (source, day) looks
+    at every event again, and each verdict and sidecar row re-filters the
+    tagged events. Sidecar rows are the decoded JSON objects, by address.
+    """
+
+    def is_icmp(ev: DarknetEvent) -> bool:
+        return ev.key.traffic_type is TrafficType.ICMP_ECHO_REQUEST
+
+    def ports_on(ip: int, day: date) -> int:
+        return len({
+            (ev.key.dst_port, ev.key.traffic_type) for ev in events
+            if ev.key.src_ip == ip and utc_day(ev.start_ts) == day and not is_icmp(ev)
+        })
+
+    profile_keys = {(ev.key.src_ip, utc_day(ev.start_ts)) for ev in events if not is_icmp(ev)}
+    if thresholds is None:
+        profiles = [ports_on(ip, day) for ip, day in profile_keys]
+        thresholds = Thresholds(
+            oracle_ecdf([ev.pkt_count for ev in events], cfg.alpha),
+            oracle_ecdf(profiles, cfg.alpha) if profiles else 2 ** 63,
+        )
+
+    def defs_of(ev: DarknetEvent) -> Set[str]:
+        defs = set()
+        if ev.unique_dst_count / cfg.darknet_size >= cfg.dispersion_fraction:
+            defs.add("D1")
+        if ev.pkt_count >= thresholds.volume_threshold_pkts:
+            defs.add("D2")
+        if not is_icmp(ev) and ports_on(ev.key.src_ip, utc_day(ev.start_ts)) >= thresholds.ports_threshold:
+            defs.add("D3")
+        return defs
+
+    tagged = [(ev, defs_of(ev)) for ev in events]
+    tagged = [(ev, defs) for ev, defs in tagged if defs]
+    verdicts = []
+    sidecar = []
+    for ip in sorted({ev.key.src_ip for ev, _ in tagged}):
+        mine = [(ev, defs) for ev, defs in tagged if ev.key.src_ip == ip]
+        first_day = utc_day(min(ev.start_ts for ev, _ in mine))
+        days = set()
+        for ev, _ in mine:
+            day = utc_day(ev.start_ts)
+            while day <= utc_day(ev.end_ts):
+                days.add(day)
+                day += timedelta(days=1)
+        for day in days:
+            on_day = [
+                (ev, defs) for ev, defs in mine
+                if utc_day(ev.start_ts) <= day <= utc_day(ev.end_ts)
+            ]
+            verdicts.append(AhVerdict(
+                src_ip=ip,
+                day=day,
+                matched_defs=frozenset().union(*(defs for _, defs in on_day)),
+                max_dispersion=max(ev.unique_dst_count / cfg.darknet_size for ev, _ in on_day),
+                max_event_pkts=max(ev.pkt_count for ev, _ in on_day),
+                distinct_ports=ports_on(ip, day),
+                is_daily=day == first_day,
+            ))
+        sidecar.append({
+            "ip": int_to_ip(ip),
+            "matched_defs": sorted(set().union(*(defs for _, defs in mine))),
+            "max_dispersion": max(ev.unique_dst_count / cfg.darknet_size for ev, _ in mine),
+            "max_event_pkts": max(ev.pkt_count for ev, _ in mine),
+            "max_daily_ports": max(
+                [ports_on(ip, day) for src, day in profile_keys if src == ip], default=0
+            ),
+            "total_pkts": sum(ev.pkt_count for ev, _ in mine),
+            "events": len(mine),
+        })
+    verdicts.sort(key=lambda v: (v.day, v.src_ip))
+    return thresholds, verdicts, sidecar
 
 
 def offline_intervals(ts_sorted: List[int], timeout_us: int) -> List[Tuple[int, int]]:

@@ -1,8 +1,10 @@
 import ipaddress
+import json
 import random
 from datetime import date
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from darklens.detect import (
     BothEmptyError,
@@ -40,7 +42,7 @@ from darklens.model import (
     ip_to_int,
     utc_day,
 )
-from helpers import US, cfg_sized, make_cfg, oracle_ecdf
+from helpers import US, cfg_sized, make_cfg, oracle_detection, oracle_ecdf
 
 DAY0_S = 1654041600  # 2022-06-01 UTC
 JUNE1 = date(2022, 6, 1)
@@ -460,3 +462,74 @@ class TestBlocklistIo:
         for r in rows:
             assert set(r) >= {"ip", "matched_defs", "max_dispersion",
                               "max_event_pkts", "total_pkts", "events"}
+
+
+# One drawn event: (source index, port, traffic type, start offset s, duration
+# s, packets, distinct destinations as a share of the packets). Few sources
+# and ports so that sources repeat and daily profiles collect several ports;
+# durations up to two days so that events span midnight.
+_EVENT = st.tuples(
+    st.integers(0, 3),
+    st.integers(1, 4),
+    st.sampled_from(list(TrafficType)),
+    st.integers(0, 3 * 86_400),
+    st.integers(0, 2 * 86_400),
+    st.integers(1, 300),
+    st.floats(0.0, 1.0),
+)
+
+
+def _drawn_events(drawn):
+    events = []
+    for src, port, tt, start_s, dur_s, pkts, share in drawn:
+        icmp = tt is TrafficType.ICMP_ECHO_REQUEST
+        events.append(_ev(
+            src=ip_to_int("198.51.100.1") + src,
+            port=0 if icmp else port,
+            tt=tt,
+            start_s=DAY0_S + start_s,
+            dur_s=dur_s,
+            pkts=pkts,
+            uniq=max(1, round(share * pkts)),
+        ))
+    return events
+
+
+class TestDetectionOracle:
+    """run_detection and the sidecar against a brute-force recomputation."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        drawn=st.lists(_EVENT, min_size=1, max_size=25),
+        alpha=st.sampled_from([0.0001, 0.2, 0.5]),
+        fixed=st.none() | st.tuples(st.integers(1, 300), st.integers(1, 5)),
+    )
+    # A 200-packet event over three days with a 2-port first day and a 3-port
+    # quiet day: it counts once in the sidecar, and its max_daily_ports is 3
+    # although only the first day is aggressive (D2 only, ports threshold 4).
+    @example(
+        drawn=[
+            (0, 1, TrafficType.TCP_SYN, 0, 2 * 86_400, 200, 0.01),
+            (0, 2, TrafficType.TCP_SYN, 60, 60, 1, 1.0),
+            (0, 1, TrafficType.UDP, 86_400 * 3, 60, 1, 1.0),
+            (0, 2, TrafficType.UDP, 86_400 * 3, 60, 1, 1.0),
+            (0, 3, TrafficType.UDP, 86_400 * 3, 60, 1, 1.0),
+        ],
+        alpha=0.5,
+        fixed=(200, 4),
+    )
+    def test_verdicts_and_sidecar_match_oracle(self, drawn, alpha, fixed, tmp_path_factory):
+        cfg = make_cfg(alpha=alpha)
+        events = _drawn_events(drawn)
+        thresholds = None if fixed is None else Thresholds(*fixed)
+        want_t, want_verdicts, want_sidecar = oracle_detection(events, cfg, thresholds)
+        res = run_detection(events, cfg, thresholds)
+        assert res.thresholds == want_t
+        assert res.verdicts == want_verdicts
+        assert res.union_ips == {ip_to_int(row["ip"]) for row in want_sidecar}
+        for name, ips in ((D1, res.d1_ips), (D2, res.d2_ips), (D3, res.d3_ips)):
+            assert ips == {ip_to_int(r["ip"]) for r in want_sidecar if name in r["matched_defs"]}
+        path = tmp_path_factory.mktemp("sidecar") / "blocklist_union.stats.jsonl"
+        write_blocklist_sidecar(path, res)
+        got = [json.loads(line) for line in path.read_text().splitlines()]
+        assert got == want_sidecar
