@@ -17,7 +17,6 @@ from .model import (
     Protocol,
     Thresholds,
     TrafficType,
-    compute_timeout,
     load_config,
     validate_config,
 )
@@ -52,7 +51,6 @@ __all__ = [
     "Thresholds",
     "TrafficType",
     "classify_traffic_type",
-    "compute_timeout",
     "ecdf_threshold",
     "fingerprint_packet",
     "flow_impact",

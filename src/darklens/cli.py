@@ -25,7 +25,7 @@ from .events import EventBuilder, read_event_log, write_event_log
 from .feeds import AckedList, AsnMap, RdnsMap, load_acked, load_asn_map, load_rdns, load_tags
 from .fingerprint import PortFingerprintRow, port_fingerprint_table
 from .flows import FlowFormat, FlowReader
-from .model import ConfigError, Thresholds, load_config, write_csv, write_json, write_lines
+from .model import ConfigError, Thresholds, int_to_ip, load_config, write_csv, write_json, write_lines
 from .pcap import PcapReader
 
 
@@ -119,27 +119,28 @@ def cmd_events(args, out_dir: Path, created: List[Path]) -> int:
     builder = EventBuilder(cfg, reorder_slack_s=args.reorder_slack)
     out_path = out_dir / "events.jsonl"
     created.append(out_path)
-    readers = []
+    # Running sums of the finished readers' counters: each reader, and the
+    # capture it holds in memory, is dropped before the next file is opened.
+    totals = dict.fromkeys(
+        ("packets_read", "skipped_non_ipv4", "skipped_truncated", "skipped_transport"), 0
+    )
 
     def closed_events():
         for pcap_path in args.pcaps:
             reader = PcapReader(pcap_path)
-            readers.append(reader)
             for pkt in reader:
                 yield from builder.ingest_packet(pkt)
+            for name in totals:
+                totals[name] += getattr(reader, name)
+            del reader
         yield from builder.flush()
 
     events_written = write_event_log(out_path, closed_events())
 
-    packets_read = sum(r.packets_read for r in readers)
-    print(f"pcap files: {len(readers)}")
+    print(f"pcap files: {len(args.pcaps)}")
     print(
-        "packets read: {} (skipped: non-ipv4 {}, truncated {}, other transport {})".format(
-            packets_read,
-            sum(r.skipped_non_ipv4 for r in readers),
-            sum(r.skipped_truncated for r in readers),
-            sum(r.skipped_transport for r in readers),
-        )
+        "packets read: {packets_read} (skipped: non-ipv4 {skipped_non_ipv4}, "
+        "truncated {skipped_truncated}, other transport {skipped_transport})".format(**totals)
     )
     print(
         f"dropped non-scanning: {builder.dropped_non_scanning}, "
@@ -154,6 +155,13 @@ def cmd_events(args, out_dir: Path, created: List[Path]) -> int:
 def cmd_detect(args, out_dir: Path, created: List[Path]) -> int:
     cfg = _require_config(args)
     events = list(read_event_log(args.event_log))
+    wide = next((ev for ev in events if ev.unique_dst_count > cfg.darknet_size), None)
+    if wide is not None:
+        raise ValueError(
+            f"{args.event_log}: event from {int_to_ip(wide.key.src_ip)} port {wide.key.dst_port} "
+            f"at start_ts {wide.start_ts} has {wide.unique_dst_count} distinct destinations, "
+            f"more than the {cfg.darknet_size} addresses of the darknet"
+        )
     acked = _load_acked_args(args)
     rdns = _load_rdns_args(args)
 
@@ -371,12 +379,11 @@ def cmd_report(args, out_dir: Path, created: List[Path]) -> int:
             d_sets[name].add(v.src_ip)
 
     asn_map = load_asn_map(args.asn_map) if args.asn_map else AsnMap()
-    acked = _load_acked_args(args)
-    rdns = _load_rdns_args(args)
+    acked_ips = enrich.acked_sources(ah, _load_acked_args(args), _load_rdns_args(args))
 
     origins_path = out_dir / "origins.csv"
     created.append(origins_path)
-    rows = enrich.origin_table(ah, pkts_by_ip, asn_map, acked=acked, rdns=rdns)
+    rows = enrich.origin_table(ah, pkts_by_ip, asn_map, acked_ips)
     write_csv(origins_path, enrich.OriginRow._fields, rows)
 
     ports_path = out_dir / "ports.csv"
@@ -423,9 +430,7 @@ def cmd_report(args, out_dir: Path, created: List[Path]) -> int:
 
     if args.tags:
         tags = load_tags(args.tags)
-        join_set = ah
-        if args.exclude_acked:
-            join_set = ah - enrich.acked_sources(ah, acked, rdns).keys()
+        join_set = ah - acked_ips.keys() if args.exclude_acked else ah
         if join_set:
             result = enrich.tag_join(join_set, tags, top_n=args.top_tags)
             classes_path = out_dir / "tag_classes.csv"

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
@@ -109,15 +109,13 @@ def build_daily_port_profiles(
 def compute_thresholds(
     events: Sequence[DarknetEvent],
     cfg: DarknetConfig,
+    port_profiles: Dict[Tuple[int, date], int],
     dataset_label: str = "",
-    port_profiles: Optional[Dict[Tuple[int, date], int]] = None,
 ) -> Thresholds:
     """First pass: derive D2/D3 thresholds from the dataset's own ECDFs."""
     if not events:
         raise EmptyInputError("cannot derive thresholds from an empty event set")
     volume = ecdf_threshold((ev.pkt_count for ev in events), cfg.alpha)
-    if port_profiles is None:
-        port_profiles = build_daily_port_profiles(events)
     if port_profiles:
         ports = ecdf_threshold(port_profiles.values(), cfg.alpha)
     else:
@@ -137,7 +135,7 @@ def tag_events(
     events: Iterable[DarknetEvent],
     cfg: DarknetConfig,
     thresholds: Thresholds,
-    port_profiles: Optional[Dict[Tuple[int, date], int]] = None,
+    port_profiles: Dict[Tuple[int, date], int],
 ) -> List[AggressiveEvent]:
     """Second pass: keep events matching at least one definition, tagged.
 
@@ -145,9 +143,6 @@ def tag_events(
     on the event's start day, i.e. the event contributed to an aggressive
     daily port profile.
     """
-    events = list(events)
-    if port_profiles is None:
-        port_profiles = build_daily_port_profiles(events)
     tagged: List[AggressiveEvent] = []
     for ev in events:
         defs = set()
@@ -247,29 +242,43 @@ def cumulative_share(curve: Sequence[Tuple[float, float]], top_fraction: float) 
     return share
 
 
+@dataclass(slots=True)
+class SourceStats:
+    """A source's aggregate over its tagged events, as the sidecar writes it.
+
+    first_ts, the start of its earliest tagged event, is not written out.
+    max_daily_ports spans every day the source probed, aggressive or not.
+    """
+
+    defs: Set[str]
+    first_ts: int
+    max_dispersion: float
+    max_event_pkts: int
+    max_daily_ports: int
+    total_pkts: int
+    events: int
+
+
 @dataclass
 class DetectionResult:
     thresholds: Thresholds
     tagged: List[AggressiveEvent]
+    sources: Dict[int, SourceStats]
     d1_ips: Set[int]
     d2_ips: Set[int]
     d3_ips: Set[int]
-    port_profiles: Dict[Tuple[int, date], int]
-    verdicts: List[AhVerdict] = field(default_factory=list)
+    verdicts: List[AhVerdict]
 
     @property
     def union_ips(self) -> Set[int]:
-        return self.d1_ips | self.d2_ips | self.d3_ips
-
-    def ips_for(self, definition: str) -> Set[int]:
-        return {D1: self.d1_ips, D2: self.d2_ips, D3: self.d3_ips}[definition]
+        return set(self.sources)
 
     def jaccard_pairs(self) -> Dict[str, Optional[float]]:
-        pairs = {}
-        for a, b in ((D1, D2), (D1, D3), (D2, D3)):
-            sa, sb = self.ips_for(a), self.ips_for(b)
-            pairs[f"{a}|{b}"] = jaccard(sa, sb) if (sa or sb) else None
-        return pairs
+        named = {D1: self.d1_ips, D2: self.d2_ips, D3: self.d3_ips}
+        return {
+            f"{a}|{b}": jaccard(named[a], named[b]) if named[a] or named[b] else None
+            for a, b in ((D1, D2), (D1, D3), (D2, D3))
+        }
 
 
 def run_detection(
@@ -280,68 +289,67 @@ def run_detection(
     rdns: Optional[RdnsMap] = None,
     dataset_label: str = "",
 ) -> DetectionResult:
-    """Full detection pass: derive thresholds unless given, tag, build verdicts."""
+    """Full detection pass: derive thresholds unless given, tag, build verdicts.
+
+    One fold over the tagged events fills both the (source, UTC day) verdict
+    buckets and the per-source rows that the blocklists are read off.
+    """
     events = list(events)
     if not events:
         raise EmptyInputError("no events to detect over")
     port_profiles = build_daily_port_profiles(events)
     if thresholds is None:
-        thresholds = compute_thresholds(events, cfg, dataset_label, port_profiles)
+        thresholds = compute_thresholds(events, cfg, port_profiles, dataset_label)
     else:
         thresholds.validate()
     tagged = tag_events(events, cfg, thresholds, port_profiles)
 
-    d1_ips = {ae.event.key.src_ip for ae in tagged if D1 in ae.defs}
-    d2_ips = {ae.event.key.src_ip for ae in tagged if D2 in ae.defs}
-    d3_ips = {ae.event.key.src_ip for ae in tagged if D3 in ae.defs}
-
-    # Verdict assembly: one row per (source, UTC day) the source was active.
-    buckets: Dict[Tuple[int, date], dict] = {}
-    earliest: Dict[int, int] = {}
+    # bucket: [defs, max dispersion, max event packets] of one source-day.
+    buckets: Dict[Tuple[int, date], list] = {}
+    sources: Dict[int, SourceStats] = {}
     size = cfg.darknet_size
     for ae in tagged:
         ev = ae.event
         ip = ev.key.src_ip
-        if ip not in earliest or ev.start_ts < earliest[ip]:
-            earliest[ip] = ev.start_ts
+        pkts = ev.pkt_count
         dispersion = ev.unique_dst_count / size
+        src = sources.get(ip)
+        if src is None:
+            src = sources[ip] = SourceStats(set(), ev.start_ts, dispersion, pkts, 0, 0, 0)
+        src.defs |= ae.defs
+        src.first_ts = min(src.first_ts, ev.start_ts)
+        src.max_dispersion = max(src.max_dispersion, dispersion)
+        src.max_event_pkts = max(src.max_event_pkts, pkts)
+        src.total_pkts += pkts
+        src.events += 1
         for day in _days_spanned(ev):
-            bucket = buckets.setdefault(
-                (ip, day), {"defs": set(), "max_disp": 0.0, "max_pkts": 0}
-            )
-            bucket["defs"].update(ae.defs)
-            if dispersion > bucket["max_disp"]:
-                bucket["max_disp"] = dispersion
-            if ev.pkt_count > bucket["max_pkts"]:
-                bucket["max_pkts"] = ev.pkt_count
+            bucket = buckets.get((ip, day))
+            if bucket is None:
+                buckets[(ip, day)] = [set(ae.defs), dispersion, pkts]
+            else:
+                bucket[0] |= ae.defs
+                bucket[1] = max(bucket[1], dispersion)
+                bucket[2] = max(bucket[2], pkts)
+    for (ip, _day), ports in port_profiles.items():
+        src = sources.get(ip)
+        if src is not None and ports > src.max_daily_ports:
+            src.max_daily_ports = ports
 
-    matches = acked_sources(earliest, acked, rdns)
-    verdicts: List[AhVerdict] = []
-    for (ip, day), bucket in buckets.items():
-        m = matches.get(ip)
-        verdicts.append(
-            AhVerdict(
-                src_ip=ip,
-                day=day,
-                matched_defs=frozenset(bucket["defs"]),
-                max_dispersion=bucket["max_disp"],
-                max_event_pkts=bucket["max_pkts"],
-                distinct_ports=port_profiles.get((ip, day), 0),
-                is_daily=utc_day(earliest[ip]) == day,
-                acked=m is not None,
-                acked_org=m.org if m is not None else None,
-            )
+    matches = acked_sources(sources, acked, rdns)
+    verdicts = [
+        AhVerdict(
+            src_ip=ip, day=day, matched_defs=frozenset(defs), max_dispersion=max_disp,
+            max_event_pkts=max_pkts, distinct_ports=port_profiles.get((ip, day), 0),
+            is_daily=utc_day(sources[ip].first_ts) == day,
+            acked=ip in matches, acked_org=matches[ip].org if ip in matches else None,
         )
+        for (ip, day), (defs, max_disp, max_pkts) in buckets.items()
+    ]
     verdicts.sort(key=lambda v: (v.day, v.src_ip))
-    return DetectionResult(
-        thresholds=thresholds,
-        tagged=tagged,
-        d1_ips=d1_ips,
-        d2_ips=d2_ips,
-        d3_ips=d3_ips,
-        port_profiles=port_profiles,
-        verdicts=verdicts,
+    d1_ips, d2_ips, d3_ips = (
+        {ip for ip, src in sources.items() if name in src.defs} for name in (D1, D2, D3)
     )
+    return DetectionResult(thresholds, tagged, sources, d1_ips, d2_ips, d3_ips, verdicts)
 
 
 def write_blocklist(path, ips: Set[int]) -> int:
@@ -361,39 +369,20 @@ def read_blocklist(path) -> Set[int]:
 
 def write_blocklist_sidecar(path, result: DetectionResult) -> None:
     """Per-IP statistics next to the union blocklist, one JSON object a line."""
-    per_ip: Dict[int, dict] = {}
-    for ae in result.tagged:
-        ip = ae.event.key.src_ip
-        entry = per_ip.setdefault(
-            ip,
-            {"defs": set(), "max_dispersion": 0.0, "max_event_pkts": 0, "total_pkts": 0, "events": 0},
-        )
-        entry["defs"].update(ae.defs)
-        entry["max_event_pkts"] = max(entry["max_event_pkts"], ae.event.pkt_count)
-        entry["total_pkts"] += ae.event.pkt_count
-        entry["events"] += 1
-    for v in result.verdicts:
-        entry = per_ip.get(v.src_ip)
-        if entry is not None:
-            entry["max_dispersion"] = max(entry["max_dispersion"], v.max_dispersion)
-    max_ports: Dict[int, int] = {}
-    for (ip, _day), ports in result.port_profiles.items():
-        if ports > max_ports.get(ip, 0):
-            max_ports[ip] = ports
     write_lines(path, (
         json.dumps(
             {
                 "ip": int_to_ip(ip),
-                "matched_defs": sorted(entry["defs"]),
-                "max_dispersion": entry["max_dispersion"],
-                "max_event_pkts": entry["max_event_pkts"],
-                "max_daily_ports": max_ports.get(ip, 0),
-                "total_pkts": entry["total_pkts"],
-                "events": entry["events"],
+                "matched_defs": sorted(src.defs),
+                "max_dispersion": src.max_dispersion,
+                "max_event_pkts": src.max_event_pkts,
+                "max_daily_ports": src.max_daily_ports,
+                "total_pkts": src.total_pkts,
+                "events": src.events,
             },
             separators=(",", ":"),
         )
-        for ip, entry in sorted(per_ip.items())
+        for ip, src in sorted(result.sources.items())
     ))
 
 

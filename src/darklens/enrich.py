@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, NamedTuple, Optional, Set, Tuple
+from typing import Collection, Dict, Iterable, List, NamedTuple, Optional, Set, Tuple
 
 from .feeds import AckedList, AsnMap, RdnsMap, TagDb, origin_of
 from .model import EmptyAhSetError, slash24_of
@@ -73,20 +73,15 @@ class OriginRow(NamedTuple):
 
 
 def origin_table(
-    ah: Set[int],
-    pkts_by_ip: Dict[int, int],
-    asn_map: AsnMap,
-    acked: Optional[AckedList] = None,
-    rdns: Optional[RdnsMap] = None,
+    ah: Set[int], pkts_by_ip: Dict[int, int], asn_map: AsnMap, acked_ips: Collection[int]
 ) -> List[OriginRow]:
     """Group aggressive sources by routing origin, busiest origin first.
 
     Addresses the map cannot place land in the ASN-0 "unknown" group. Ranking
     is by unique /32 count, ties broken by ASN then org for stable output.
-    ACKed columns count the subset of each group that matches the ACKed list;
-    they stay zero when no list is supplied.
+    ACKed columns count the members of each group that are in acked_ips (the
+    ACKed matches among ah); they stay zero when it is empty.
     """
-    acked_ips = acked_sources(ah, acked, rdns)
     groups: Dict[Tuple[int, str, str], dict] = {}
     for ip in ah:
         entry = origin_of(ip, asn_map)

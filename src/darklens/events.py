@@ -197,11 +197,6 @@ class EventBuilder:
             state.other_pkts += 1
         return closed
 
-    def ingest(self, packets: Iterable[PacketMeta]) -> Iterator[DarknetEvent]:
-        """Stream packets through, yielding events as they close."""
-        for p in packets:
-            yield from self.ingest_packet(p)
-
     def flush(self) -> List[DarknetEvent]:
         """Close every open event, ordered by ascending key.
 

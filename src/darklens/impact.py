@@ -141,11 +141,8 @@ class ImpactSeries:
     bins: List[ImpactBin] = field(default_factory=list)
 
     def instantaneous_fractions(self) -> List[float]:
-        """Per-bin aggressive fraction; an empty bin reports 0 (see flags)."""
+        """Per-bin aggressive fraction; an empty bin (total_pkts 0) reports 0."""
         return [b.ah_pkts / b.total_pkts if b.total_pkts else 0.0 for b in self.bins]
-
-    def empty_bin_flags(self) -> List[bool]:
-        return [b.total_pkts == 0 for b in self.bins]
 
     def cumulative_fractions(self) -> List[float]:
         """Prefix-sum fraction up to and including each bin.

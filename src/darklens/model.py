@@ -25,7 +25,6 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence,
 
 US_PER_S = 1_000_000
 US_PER_DAY = 86_400 * US_PER_S
-TOTAL_IPV4 = 2 ** 32
 _EPOCH_DAY = date(1970, 1, 1)
 
 # TCP flag bits in wire order (low 6 bits of the flags byte).
@@ -37,20 +36,9 @@ TCP_ACK = 0x10
 TCP_URG = 0x20
 
 # Letter encoding used by the flow CSV format: any subset of "SAFRPU".
-_FLAG_LETTERS = (
-    ("S", TCP_SYN),
-    ("A", TCP_ACK),
-    ("F", TCP_FIN),
-    ("R", TCP_RST),
-    ("P", TCP_PSH),
-    ("U", TCP_URG),
-)
-_FLAG_BY_LETTER = {letter: bit for letter, bit in _FLAG_LETTERS}
-
-
-def flags_to_letters(flags: int) -> str:
-    """Render a TCP flag bitmask as its canonical letter string (S before A)."""
-    return "".join(letter for letter, bit in _FLAG_LETTERS if flags & bit)
+_FLAG_BY_LETTER = {
+    "S": TCP_SYN, "A": TCP_ACK, "F": TCP_FIN, "R": TCP_RST, "P": TCP_PSH, "U": TCP_URG,
+}
 
 
 def letters_to_flags(letters: str) -> int:
@@ -86,10 +74,6 @@ def int_to_ip(value: int) -> str:
 def utc_day(ts_us: int) -> date:
     """UTC calendar day containing the given microsecond timestamp."""
     return _EPOCH_DAY + timedelta(days=ts_us // US_PER_DAY)
-
-
-def day_start_us(day: date) -> int:
-    return (day - _EPOCH_DAY).days * US_PER_DAY
 
 
 class TrafficType(str, enum.Enum):
@@ -414,7 +398,6 @@ class DarknetConfig:
 
     darknet_prefixes: list[ipaddress.IPv4Network] = field(default_factory=list)
     event_timeout_s: float = 600.0
-    assumed_scan_rate_pps: float = 100.0
     dispersion_fraction: float = 0.10
     alpha: float = 0.0001
     darknet_size: int = 0
@@ -449,8 +432,6 @@ def validate_config(cfg: DarknetConfig) -> DarknetConfig:
         raise InvalidFractionError(f"alpha {cfg.alpha} not in (0, 1)")
     if not 0 < cfg.event_timeout_s < math.inf:
         raise ConfigError("event_timeout_s must be positive and finite")
-    if not 0 < cfg.assumed_scan_rate_pps < math.inf:
-        raise ConfigError("assumed_scan_rate_pps must be positive and finite")
     cfg.darknet_size = size
     cfg.range_starts = [int(n.network_address) for n in nets]
     cfg.range_ends = [int(n.broadcast_address) for n in nets]
@@ -462,7 +443,6 @@ def validate_config(cfg: DarknetConfig) -> DarknetConfig:
 _CONFIG_KEYS = {
     "darknet_prefixes",
     "event_timeout_s",
-    "assumed_scan_rate_pps",
     "dispersion_fraction",
     "alpha",
     "darknet_size",
@@ -502,25 +482,6 @@ def parse_config_text(text: str) -> DarknetConfig:
 def load_config(path) -> DarknetConfig:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_config_text(fh.read())
-
-
-def compute_timeout(
-    darknet_size: int,
-    total_ipv4: int = TOTAL_IPV4,
-    rate_pps: float = 100.0,
-    safety_factor: float = 1.0,
-) -> float:
-    """Seconds a full-IPv4 scan at rate_pps needs between hits on this darknet.
-
-    A scanner sweeping the whole v4 space at rate_pps lands on a block of
-    darknet_size addresses once every (total_ipv4 / darknet_size) / rate_pps
-    seconds on average; safety_factor widens that to absorb rate jitter.
-    """
-    if darknet_size <= 0 or total_ipv4 <= 0:
-        raise ValueError("address space sizes must be positive")
-    if rate_pps <= 0 or safety_factor <= 0:
-        raise ValueError("rate_pps and safety_factor must be positive")
-    return safety_factor * (total_ipv4 / darknet_size) / rate_pps
 
 
 def slash24_of(ip: int) -> int:

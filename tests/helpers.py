@@ -20,10 +20,13 @@ from darklens.model import (
     PacketMeta,
     Protocol,
     TCP_ACK,
+    TCP_FIN,
+    TCP_PSH,
+    TCP_RST,
     TCP_SYN,
+    TCP_URG,
     Thresholds,
     TrafficType,
-    flags_to_letters,
     int_to_ip,
     ip_to_int,
     utc_day,
@@ -94,6 +97,15 @@ def mk_pkt(
         ts_us, src_i, dst_i, protocol, None, None, None, ip_id, None,
         8 if icmp_type is None else icmp_type, pkt_len,
     )
+
+
+def run_builder(builder, packets: Iterable[PacketMeta]) -> List[DarknetEvent]:
+    """Every event the builder closes while ingesting packets, then its flush."""
+    events: List[DarknetEvent] = []
+    for p in packets:
+        events.extend(builder.ingest_packet(p))
+    events.extend(builder.flush())
+    return events
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +186,16 @@ def build_pcap(
 
 # ---------------------------------------------------------------------------
 # Independent oracles.
+
+
+_FLAG_LETTERS = (
+    ("S", TCP_SYN), ("A", TCP_ACK), ("F", TCP_FIN), ("R", TCP_RST), ("P", TCP_PSH), ("U", TCP_URG),
+)
+
+
+def flags_to_letters(flags: int) -> str:
+    """Render a TCP flag bitmask as its canonical letter string (S before A)."""
+    return "".join(letter for letter, bit in _FLAG_LETTERS if flags & bit)
 
 
 def flow_csv_row(rec: FlowRecord) -> List[str]:

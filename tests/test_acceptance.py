@@ -30,7 +30,7 @@ from darklens.detect import (
     BothEmptyError,
     IntersectionRow,
 )
-from darklens.enrich import NOT_PRESENT, OriginRow, origin_table, tag_join
+from darklens.enrich import NOT_PRESENT, OriginRow, acked_sources, origin_table, tag_join
 from darklens.events import EventBuilder
 from darklens.feeds import (
     AckedList,
@@ -558,7 +558,7 @@ def test_criterion_09_set_analytics_match_brute_force():
                 {ip: rng.choice(["probe.example.net", "host.example.net"])
                  for ip in ah if rng.random() < 0.3}
             )
-        got = origin_table(ah, pkts_by_ip, amap, acked, rdns)
+        got = origin_table(ah, pkts_by_ip, amap, acked_sources(ah, acked, rdns))
 
         def naive_acked(ip: int) -> bool:
             if acked is None:

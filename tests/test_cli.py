@@ -1,16 +1,23 @@
 import csv
+import gc
 import json
 import os
 import subprocess
 import sys
+import weakref
+from datetime import date
 from pathlib import Path
 
 import pytest
 
 import darklens
+from darklens import cli, enrich
 from darklens.cli import main
 from darklens.detect import read_blocklist
-from darklens.model import Direction, FlowRecord, Protocol, ip_to_int
+from darklens.model import (
+    AhVerdict, DarknetEvent, Direction, EventKey, FlowRecord, Protocol, TrafficType, ip_to_int,
+)
+from darklens.pcap import PcapReader
 from helpers import US, build_pcap, eth_frame, oracle_ipv4, oracle_udp, write_flows_csv
 
 CONF = """\
@@ -266,6 +273,58 @@ class TestReportCommand:
         assert ts[0] == "day,daily_ah,active_ah"
         assert "report tables ->" in capsys.readouterr().out
 
+    def test_acked_list_matched_once_per_source(self, pipeline, feeds, tmp_path, monkeypatch):
+        calls = []
+        real = enrich.match_acked
+        monkeypatch.setattr(enrich, "match_acked", lambda ip, *a: calls.append(ip) or real(ip, *a))
+        rc = main([
+            "--out-dir", str(tmp_path / "report"),
+            "report", str(pipeline["run"] / "events.jsonl"),
+            str(pipeline["run"] / "verdicts.jsonl"),
+            "--tags", str(feeds / "tags.csv"), "--exclude-acked",
+            "--acked-ips", str(feeds / "acked_ips.csv"),
+            "--acked-keywords", str(feeds / "acked_kw.csv"),
+            "--rdns", str(feeds / "rdns.csv"),
+        ])
+        assert rc == 0
+        verdict_ips = {
+            json.loads(line)["src_ip"]
+            for line in (pipeline["run"] / "verdicts.jsonl").read_text().splitlines()
+        }
+        assert sorted(calls) == sorted(ip_to_int(ip) for ip in verdict_ips)
+
+    def test_exclude_acked_drops_the_sources_origins_counts_as_acked(self, tmp_path, capsys):
+        # A matches nothing, B is ACKed by its rDNS name, C by its address.
+        ips = ["198.18.0.1", "198.18.0.2", "198.18.0.3"]
+        (tmp_path / "events.jsonl").write_text("".join(
+            DarknetEvent(EventKey(ip_to_int(ip), 23, TrafficType.TCP_SYN), 0, 0, 1, 1, 1, 0, 0)
+            .to_json_line() + "\n" for ip in ips
+        ))
+        (tmp_path / "verdicts.jsonl").write_text("".join(
+            AhVerdict(ip_to_int(ip), date(1970, 1, 1), frozenset({"D2"}), 0.001, 1, 1, True)
+            .to_json_line() + "\n" for ip in ips
+        ))
+        (tmp_path / "tags.csv").write_text("198.18.0.1,malicious,mirai\n198.18.0.3,benign,research\n")
+        (tmp_path / "acked_ips.csv").write_text("198.18.0.3,GoodScan\n")
+        (tmp_path / "acked_kw.csv").write_text("goodscan,GoodScan\n")
+        (tmp_path / "rdns.csv").write_text("198.18.0.2,probe-1.goodscan.net\n")
+        out = tmp_path / "report"
+        rc = main([
+            "--out-dir", str(out), "report",
+            str(tmp_path / "events.jsonl"), str(tmp_path / "verdicts.jsonl"),
+            "--tags", str(tmp_path / "tags.csv"), "--exclude-acked",
+            "--acked-ips", str(tmp_path / "acked_ips.csv"),
+            "--acked-keywords", str(tmp_path / "acked_kw.csv"),
+            "--rdns", str(tmp_path / "rdns.csv"),
+        ])
+        assert rc == 0
+        assert "tag overlap: 1.000 of 1 sources" in capsys.readouterr().out
+        assert (out / "tag_classes.csv").read_text().splitlines()[1:] == [
+            "benign,0", "malicious,1", "unknown,0", "not_present,0",
+        ]
+        origins = list(csv.DictReader((out / "origins.csv").open()))
+        assert [(r["unique_32s"], r["acked_32s"]) for r in origins] == [("3", "2")]
+
     def test_exclude_acked_without_lists_is_fatal(self, pipeline, feeds, tmp_path, capsys):
         out = tmp_path / "report"
         rc = main([
@@ -308,7 +367,74 @@ def test_events_reports_outside_darknet_and_clamps(tmp_path, capsys):
     assert json.loads(line)["unique_dst_count"] == 5
 
 
+def test_events_drops_each_capture_and_sums_its_counters(tmp_path, monkeypatch, capsys):
+    conf = tmp_path / "telescope.conf"
+    conf.write_text(CONF)
+
+    def probe(dst, proto=17):
+        return eth_frame(oracle_ipv4("198.51.100.9", dst, proto, oracle_udp(40000, 53)))
+
+    arp = bytes(6) + bytes(6) + b"\x08\x06" + bytes(28)
+    first = tmp_path / "a.pcap"
+    first.write_bytes(build_pcap(
+        [(i * US, probe(f"10.0.0.{i}")) for i in range(3)]
+        + [(4 * US, arp), (5 * US, eth_frame(bytes(10)))]
+    ))
+    second = tmp_path / "b.pcap"
+    second.write_bytes(build_pcap(
+        [(10 * US + i, probe(f"10.0.1.{i}")) for i in range(2)]
+        + [(11 * US, probe("10.0.2.1", proto=47)), (12 * US, probe("10.0.2.2", proto=47)),
+           (13 * US, arp)]
+    ))
+
+    refs = []
+    dead_at_open = []
+
+    class TrackedReader(PcapReader):
+        def __init__(self, path):
+            gc.collect()
+            dead_at_open.append([ref() is None for ref in refs])
+            super().__init__(path)
+            refs.append(weakref.ref(self))
+
+    monkeypatch.setattr(cli, "PcapReader", TrackedReader)
+    rc = main(["--config", str(conf), "--out-dir", str(tmp_path), "events", str(first), str(second)])
+    assert rc == 0
+    assert dead_at_open == [[], [True]]
+    out = capsys.readouterr().out
+    assert "pcap files: 2\n" in out
+    assert "packets read: 5 (skipped: non-ipv4 2, truncated 1, other transport 2)" in out
+
+
 class TestFailureModes:
+    def test_detect_rejects_event_wider_than_darknet(self, pipeline, tmp_path, capsys):
+        log = tmp_path / "events.jsonl"
+        log.write_text(
+            '{"key": {"src_ip": "203.0.113.5", "dst_port": 23, "traffic_type": "tcp_syn"}, '
+            '"start_ts": 1654041600000000, "end_ts": 1654041660000000, "pkt_count": 5000, '
+            '"unique_dst_count": 5000, "zmap_pkts": 5000, "masscan_pkts": 0, "other_pkts": 0}\n'
+        )
+        out = tmp_path / "out"
+        rc = main([
+            "--config", str(pipeline["conf"]), "--out-dir", str(out), "detect", str(log),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        for part in (str(log), "203.0.113.5", "port 23", "start_ts 1654041600000000", "1024"):
+            assert part in err
+        assert list(out.iterdir()) == []
+
+    def test_detect_accepts_event_covering_the_whole_darknet(self, pipeline, tmp_path):
+        log = tmp_path / "events.jsonl"
+        log.write_text(
+            '{"key": {"src_ip": "203.0.113.5", "dst_port": 23, "traffic_type": "tcp_syn"}, '
+            '"start_ts": 0, "end_ts": 1000000, "pkt_count": 1024, "unique_dst_count": 1024, '
+            '"zmap_pkts": 1024, "masscan_pkts": 0, "other_pkts": 0}\n'
+        )
+        rc = main(["--config", str(pipeline["conf"]), "--out-dir", str(tmp_path), "detect", str(log)])
+        assert rc == 0
+        assert (tmp_path / "blocklist_d1.txt").read_text() == "203.0.113.5\n"
+
     def test_missing_pcap_names_path(self, pipeline, tmp_path, capsys):
         rc = main([
             "--config", str(pipeline["conf"]), "--out-dir", str(tmp_path),

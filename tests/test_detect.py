@@ -176,20 +176,20 @@ class TestPortProfiles:
 class TestComputeThresholds:
     def test_uses_alpha_order_statistic(self, cfg_slash22):
         evs = [_ev(port=1000 + i, pkts=i + 1, start_s=DAY0_S + i) for i in range(100)]
-        t = compute_thresholds(evs, cfg_slash22)
+        profiles = build_daily_port_profiles(evs)
+        t = compute_thresholds(evs, cfg_slash22, profiles)
         assert t.volume_threshold_pkts == oracle_ecdf([e.pkt_count for e in evs], cfg_slash22.alpha)
-        profile_values = build_daily_port_profiles(evs).values()
-        assert t.ports_threshold == oracle_ecdf(profile_values, cfg_slash22.alpha)
+        assert t.ports_threshold == oracle_ecdf(profiles.values(), cfg_slash22.alpha)
 
     def test_icmp_only_dataset_gets_unreachable_ports_threshold(self, cfg_slash22):
         evs = [_ev(port=0, tt=TrafficType.ICMP_ECHO_REQUEST, pkts=5)]
-        t = compute_thresholds(evs, cfg_slash22)
+        t = compute_thresholds(evs, cfg_slash22, build_daily_port_profiles(evs))
         assert t.ports_threshold == UNREACHABLE_PORTS
         assert not classify_ports(10**9, t)
 
     def test_empty_raises(self, cfg_slash22):
         with pytest.raises(EmptyInputError):
-            compute_thresholds([], cfg_slash22)
+            compute_thresholds([], cfg_slash22, {})
 
 
 class TestTagging:
@@ -200,17 +200,19 @@ class TestTagging:
             _ev(port=0, tt=TrafficType.ICMP_ECHO_REQUEST, pkts=1, uniq=1),
         ]
         t = Thresholds(volume_threshold_pkts=10**9, ports_threshold=2)
-        tagged = tag_events(evs, cfg_slash22, t)
+        tagged = tag_events(evs, cfg_slash22, t, build_daily_port_profiles(evs))
         by_port = {ae.event.key.dst_port: ae.defs for ae in tagged}
         assert by_port == {22: frozenset({D3}), 23: frozenset({D3})}
 
     def test_non_matching_events_absent(self, cfg_slash22):
         t = Thresholds(volume_threshold_pkts=10**9, ports_threshold=10**9)
-        assert tag_events([_ev(uniq=1, pkts=1)], cfg_slash22, t) == []
+        evs = [_ev(uniq=1, pkts=1)]
+        assert tag_events(evs, cfg_slash22, t, build_daily_port_profiles(evs)) == []
 
     def test_multiple_definitions_combine(self, cfg_slash22):
         t = Thresholds(volume_threshold_pkts=10, ports_threshold=1)
-        (ae,) = tag_events([_ev(uniq=103, pkts=10)], cfg_slash22, t)
+        evs = [_ev(uniq=103, pkts=10)]
+        (ae,) = tag_events(evs, cfg_slash22, t, build_daily_port_profiles(evs))
         assert ae.defs == frozenset({D1, D2, D3})
 
 
@@ -502,7 +504,7 @@ class TestDetectionOracle:
     @given(
         drawn=st.lists(_EVENT, min_size=1, max_size=25),
         alpha=st.sampled_from([0.0001, 0.2, 0.5]),
-        fixed=st.none() | st.tuples(st.integers(1, 300), st.integers(1, 5)),
+        fixed=st.none() | st.tuples(st.integers(1, 300), st.integers(1, 10)),
     )
     # A 200-packet event over three days with a 2-port first day and a 3-port
     # quiet day: it counts once in the sidecar, and its max_daily_ports is 3

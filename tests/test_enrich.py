@@ -122,7 +122,7 @@ class TestOriginTable:
         ah = {ip_to_int("198.51.100.1"), ip_to_int("198.51.100.2"),
               ip_to_int("203.0.113.7")}
         pkts = {ip_to_int("198.51.100.1"): 10, ip_to_int("203.0.113.7"): 99}
-        rows = origin_table(ah, pkts, amap)
+        rows = origin_table(ah, pkts, amap, set())
         assert [r.asn for r in rows] == [64500, 64501]
         assert rows[0].unique_32s == 2
         assert rows[0].unique_24s == 1
@@ -130,22 +130,27 @@ class TestOriginTable:
         assert rows[1].pkts == 99
 
     def test_unmapped_sources_group_under_asn_zero(self):
-        rows = origin_table({IP_A}, {}, AsnMap())
+        rows = origin_table({IP_A}, {}, AsnMap(), set())
         (row,) = rows
         assert (row.asn, row.org) == (0, "unknown")
 
-    def test_acked_columns_zero_without_list(self):
+    def test_acked_columns_zero_without_matches(self):
         amap = _map([("162.142.125.0/24", 398324, "Censys", "US")])
-        (row,) = origin_table({IP_A}, {}, amap)
+        (row,) = origin_table({IP_A}, {}, amap, set())
         assert (row.acked_32s, row.acked_24s) == (0, 0)
 
     def test_acked_columns_count_subset(self):
         amap = _map([("162.142.125.0/24", 398324, "Censys", "US")])
         ah = {IP_A, IP_A + 1}
         acked = _acked(ips=[(IP_A, "Censys")])
-        (row,) = origin_table(ah, {}, amap, acked=acked)
+        (row,) = origin_table(ah, {}, amap, acked_sources(ah, acked))
         assert row.unique_32s == 2
         assert (row.acked_32s, row.acked_24s) == (1, 1)
+
+    def test_acked_ips_outside_ah_not_counted(self):
+        amap = _map([("162.142.125.0/24", 398324, "Censys", "US")])
+        (row,) = origin_table({IP_A}, {}, amap, {IP_A + 1, IP_B})
+        assert (row.unique_32s, row.acked_32s, row.acked_24s) == (1, 0, 0)
 
     def test_matches_brute_force(self):
         rng = random.Random(60601)
@@ -157,7 +162,7 @@ class TestOriginTable:
             ah = {ip_to_int(f"198.51.{rng.randrange(20)}.{rng.randrange(1, 255)}")
                   for _ in range(rng.randrange(1, 60))}
             pkts = {ip: rng.randrange(0, 100) for ip in ah if rng.random() < 0.7}
-            rows = origin_table(ah, pkts, amap)
+            rows = origin_table(ah, pkts, amap, set())
             # brute force: regroup with dict-of-lists
             groups = {}
             for ip in ah:
@@ -176,7 +181,7 @@ class TestOriginTable:
 
     def test_csv_writer(self, tmp_path):
         amap = _map([("198.51.100.0/24", 64500, "BigScan", "US")])
-        rows = origin_table({IP_B}, {IP_B: 5}, amap)
+        rows = origin_table({IP_B}, {IP_B: 5}, amap, set())
         p = tmp_path / "origins.csv"
         write_csv(p, OriginRow._fields, rows)
         lines = p.read_text().splitlines()

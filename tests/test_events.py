@@ -9,7 +9,7 @@ from darklens.detect import classify_dispersion
 from darklens.events import EXACT_DST_THRESHOLD, EventBuilder, read_event_log, write_event_log
 from darklens.hll import Hll
 from darklens.model import EventKey, TrafficType, ip_to_int
-from helpers import US, make_cfg, mk_pkt, offline_intervals
+from helpers import US, make_cfg, mk_pkt, offline_intervals, run_builder
 
 SRC = "198.51.100.9"
 DARK = [f"10.0.{i >> 8}.{i & 255}" for i in range(1024)]
@@ -17,9 +17,7 @@ DARK = [f"10.0.{i >> 8}.{i & 255}" for i in range(1024)]
 
 def run_stream(cfg, packets, slack_s=0.0):
     b = EventBuilder(cfg, reorder_slack_s=slack_s)
-    out = list(b.ingest(packets))
-    out.extend(b.flush())
-    return b, out
+    return b, run_builder(b, packets)
 
 
 class TestSplitting:
@@ -408,7 +406,7 @@ def test_property_split_matches_oracle(gaps):
         ts.append(ts[-1] + g)
     pkts = [mk_pkt(t, SRC, DARK[i % 1024], dport=53) for i, t in enumerate(ts)]
     b = EventBuilder(cfg)
-    evs = list(b.ingest(pkts)) + list(b.flush())
+    evs = run_builder(b, pkts)
     assert [(e.start_ts, e.end_ts) for e in evs] == offline_intervals(ts, 600 * US)
     assert b.packets_in == len(ts)
     assert sum(e.pkt_count for e in evs) == len(ts)

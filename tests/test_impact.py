@@ -149,7 +149,7 @@ class TestStreamImpact:
         series = stream_impact(pkts, {AH_IP}, bin_width_s=1.0)
         assert [b.bin_start_us for b in series.bins] == [0, US, 2 * US]
         assert [(b.ah_pkts, b.total_pkts) for b in series.bins] == [(1, 2), (0, 0), (1, 1)]
-        assert series.empty_bin_flags() == [False, True, False]
+        assert series.bins[1].total_pkts == 0
         assert series.instantaneous_fractions() == [0.5, 0.0, 1.0]
 
     def test_cumulative_final_equals_total_ratio(self):

@@ -15,9 +15,6 @@ from darklens.model import (
     PacketMeta,
     Protocol,
     TrafficType,
-    compute_timeout,
-    day_start_us,
-    flags_to_letters,
     int_to_ip,
     ip_to_int,
     letters_to_flags,
@@ -26,6 +23,7 @@ from darklens.model import (
     utc_day,
     validate_config,
 )
+from helpers import flags_to_letters
 
 US = 1_000_000
 
@@ -79,12 +77,11 @@ class TestValidateConfig:
             validate_config(_cfg(["10.0.0.0/22"], event_timeout_s=0.0))
 
     @pytest.mark.parametrize("text", ["inf", "nan", "-inf"])
-    @pytest.mark.parametrize("key", ["event_timeout_s", "assumed_scan_rate_pps"])
-    def test_non_finite_timeout_and_rate_rejected(self, key, text):
+    def test_non_finite_timeout_rejected(self, text):
         # An infinite timeout passed a plain > 0 check, then the event
         # builder died rounding it to microseconds.
-        with pytest.raises(ConfigError, match=f"{key} must be positive and finite"):
-            parse_config_text(f"darknet_prefixes = 10.0.0.0/22\n{key} = {text}\n")
+        with pytest.raises(ConfigError, match="event_timeout_s must be positive and finite"):
+            parse_config_text(f"darknet_prefixes = 10.0.0.0/22\nevent_timeout_s = {text}\n")
 
     def test_undersized_darknet_rejected(self):
         with pytest.raises(ConfigError):
@@ -124,14 +121,12 @@ class TestParseConfigText:
         # telescope definition
         darknet_prefixes = 10.0.0.0/24, 10.0.1.0/24
         event_timeout_s = 300
-        assumed_scan_rate_pps = 50
         dispersion_fraction = 0.2
         alpha = 0.001
         """
         cfg = parse_config_text(text)
         assert cfg.darknet_size == 512
         assert cfg.event_timeout_s == 300.0
-        assert cfg.assumed_scan_rate_pps == 50.0
         assert cfg.dispersion_fraction == 0.2
         assert cfg.alpha == 0.001
 
@@ -153,33 +148,14 @@ class TestParseConfigText:
         with pytest.raises(ConfigError):
             parse_config_text("darknet_prefixes = 10.0.0.0/22\nalpha = lots\n")
 
+    def test_scan_rate_key_rejected(self):
+        # Nothing read this key, so a config that sets it now fails loudly.
+        with pytest.raises(ConfigError, match="line 2: unknown key 'assumed_scan_rate_pps'"):
+            parse_config_text("darknet_prefixes = 10.0.0.0/22\nassumed_scan_rate_pps = 100\n")
+
     def test_missing_prefixes_rejected(self):
         with pytest.raises(ConfigError):
             parse_config_text("event_timeout_s = 600\n")
-
-
-class TestComputeTimeout:
-    def test_large_telescope_lands_near_600s(self):
-        t = compute_timeout(475000, rate_pps=100.0, safety_factor=6.64)
-        assert t == pytest.approx(600.4, abs=0.5)
-
-    def test_full_space_unit_rate(self):
-        assert compute_timeout(2**32, rate_pps=1.0, safety_factor=1.0) == pytest.approx(1.0)
-
-    def test_slash22_at_default_rate(self):
-        # One probe of a /22 every 2^32/1024 probes; at 100 pps that is
-        # 41943.04 s between expected hits.
-        assert compute_timeout(1024) == pytest.approx(41943.04)
-
-    def test_scales_linearly_with_safety_factor(self):
-        base = compute_timeout(4096, safety_factor=1.0)
-        assert compute_timeout(4096, safety_factor=3.0) == pytest.approx(3 * base)
-
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            compute_timeout(0)
-        with pytest.raises(ValueError):
-            compute_timeout(1024, rate_pps=0.0)
 
 
 class TestTimeHelpers:
@@ -193,14 +169,16 @@ class TestTimeHelpers:
         assert utc_day(1654041600 * US + 86_400 * US) == date(2022, 6, 2)
 
     def test_day_bounds_are_inclusive_exclusive(self):
-        d = date(2022, 6, 1)
-        assert day_start_us(d) == 1654041600 * US
-        assert day_start_us(date(2022, 6, 2)) == day_start_us(d) + 86_400 * US
+        start = 1654041600 * US  # 2022-06-01 00:00:00 UTC
+        assert utc_day(start - 1) == date(2022, 5, 31)
+        assert utc_day(start) == date(2022, 6, 1)
+        assert utc_day(start + 86_400 * US) == date(2022, 6, 2)
 
     @given(st.integers(min_value=0, max_value=2**53))
     def test_us_within_its_own_day(self, ts):
         d = utc_day(ts)
-        assert day_start_us(d) <= ts < day_start_us(d) + 86_400 * US
+        start = (d - date(1970, 1, 1)).days * 86_400 * US
+        assert start <= ts < start + 86_400 * US
 
 
 class TestFlags:

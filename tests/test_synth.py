@@ -6,7 +6,7 @@ from darklens.events import EventBuilder
 from darklens.model import TrafficType, ip_to_int, load_config, validate_config
 from darklens.pcap import PcapReader, classify_traffic_type
 from darklens.synth import SynthScenario, generate
-from helpers import make_cfg
+from helpers import make_cfg, run_builder
 
 
 def _small_scenario(**kw):
@@ -95,7 +95,7 @@ class TestGroundTruth:
         manifest = generate(sc, 13, tmp_path)
         cfg = make_cfg(tuple(sc.darknet_prefixes), event_timeout_s=sc.event_timeout_s)
         builder = EventBuilder(cfg)
-        events = list(builder.ingest(PcapReader(tmp_path / "synth.pcap"))) + list(builder.flush())
+        events = run_builder(builder, PcapReader(tmp_path / "synth.pcap"))
         per_key = {}
         for ev in events:
             per_key[ev.key] = per_key.get(ev.key, 0) + 1
