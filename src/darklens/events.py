@@ -13,7 +13,7 @@ a garbled capture cannot corrupt event boundaries.
 """
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional
+from typing import Dict, Iterable, Iterator, List, Optional
 
 from .fingerprint import ProbeTool, fingerprint_packet
 from .hll import Hll
@@ -115,16 +115,9 @@ class EventBuilder:
         return n
 
     def _close(self, state: _OpenEvent) -> DarknetEvent:
-        ev = DarknetEvent(
-            key=state.key,
-            start_ts=state.start_ts,
-            end_ts=state.last_ts,
-            pkt_count=state.pkt_count,
-            unique_dst_count=self._unique_dsts(state),
-            zmap_pkts=state.zmap_pkts,
-            masscan_pkts=state.masscan_pkts,
-            other_pkts=state.other_pkts,
-        )
+        ev = DarknetEvent(state.key, state.start_ts, state.last_ts, state.pkt_count,
+                          self._unique_dsts(state), state.zmap_pkts, state.masscan_pkts,
+                          state.other_pkts)
         self.events_emitted += 1
         self.pkts_emitted += ev.pkt_count
         return ev
@@ -212,4 +205,6 @@ def write_event_log(path, events: Iterable[DarknetEvent]) -> int:
 
 
 def read_event_log(path) -> Iterator[DarknetEvent]:
-    return read_jsonl(path, DarknetEvent.from_json_line)
+    """Decode an event log, with one ip_to_int memo for the whole file."""
+    ips: Dict[str, int] = {}
+    return read_jsonl(path, lambda line: DarknetEvent.from_json_line(line, ips))

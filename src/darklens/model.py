@@ -21,11 +21,15 @@ import struct
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from datetime import date, timedelta
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, TypeVar
+from functools import lru_cache
+from typing import Callable, Dict, Iterable, Iterator, NamedTuple, Optional, Sequence, TypeVar
 
 US_PER_S = 1_000_000
 US_PER_DAY = 86_400 * US_PER_S
 _EPOCH_DAY = date(1970, 1, 1)
+# The timestamps whose UTC day a datetime.date can hold.
+_MIN_TS_US = (date.min - _EPOCH_DAY).days * US_PER_DAY
+_MAX_TS_US = ((date.max - _EPOCH_DAY).days + 1) * US_PER_DAY - 1
 
 # TCP flag bits in wire order (low 6 bits of the flags byte).
 TCP_FIN = 0x01
@@ -73,7 +77,12 @@ def int_to_ip(value: int) -> str:
 
 def utc_day(ts_us: int) -> date:
     """UTC calendar day containing the given microsecond timestamp."""
-    return _EPOCH_DAY + timedelta(days=ts_us // US_PER_DAY)
+    return _day_date(ts_us // US_PER_DAY)
+
+
+@lru_cache(maxsize=4096)
+def _day_date(days: int) -> date:
+    return _EPOCH_DAY + timedelta(days=days)
 
 
 class TrafficType(str, enum.Enum):
@@ -86,6 +95,9 @@ class TrafficType(str, enum.Enum):
     TCP_SYN = "tcp_syn"
     UDP = "udp"
     ICMP_ECHO_REQUEST = "icmp_echo_request"
+
+
+_TRAFFIC_TYPES = {t.value: t for t in TrafficType}
 
 
 class Protocol(str, enum.Enum):
@@ -151,8 +163,7 @@ class EventKey(NamedTuple):
     traffic_type: TrafficType
 
 
-@dataclass(frozen=True, slots=True)
-class DarknetEvent:
+class DarknetEvent(NamedTuple):
     """A closed logical scan event.
 
     start_ts and end_ts are integer microseconds; end_ts is the timestamp of
@@ -169,8 +180,8 @@ class DarknetEvent:
     other_pkts: int
 
     def validate(self, darknet_size: Optional[int] = None) -> None:
-        if not self.start_ts <= self.end_ts:
-            raise ValueError("start_ts must be <= end_ts")
+        if not _MIN_TS_US <= self.start_ts <= self.end_ts <= _MAX_TS_US:
+            raise ValueError(f"need {_MIN_TS_US} <= start_ts <= end_ts <= {_MAX_TS_US}")
         if self.pkt_count < 1:
             raise ValueError("pkt_count must be >= 1")
         upper = self.pkt_count if darknet_size is None else min(self.pkt_count, darknet_size)
@@ -184,44 +195,45 @@ class DarknetEvent:
             raise ValueError("ICMP echo events carry dst_port 0")
 
     def to_json_line(self) -> str:
-        key = self.key
-        return json.dumps(
-            {
-                "key": {
-                    "src_ip": int_to_ip(key.src_ip),
-                    "dst_port": key.dst_port,
-                    "traffic_type": key.traffic_type.value,
-                },
-                "start_ts": self.start_ts,
-                "end_ts": self.end_ts,
-                "pkt_count": self.pkt_count,
-                "unique_dst_count": self.unique_dst_count,
-                "zmap_pkts": self.zmap_pkts,
-                "masscan_pkts": self.masscan_pkts,
-                "other_pkts": self.other_pkts,
-            },
-            separators=(",", ":"),
+        # A template is exact compact JSON: every field is an int, the address
+        # comes from inet_ntoa and the traffic type is a fixed identifier.
+        (src_ip, port, ttype), start, end, pkts, dsts, zmap, masscan, other = self
+        return (
+            f'{{"key":{{"src_ip":"{int_to_ip(src_ip)}","dst_port":{port},'
+            f'"traffic_type":"{ttype.value}"}},"start_ts":{start},"end_ts":{end},'
+            f'"pkt_count":{pkts},"unique_dst_count":{dsts},"zmap_pkts":{zmap},'
+            f'"masscan_pkts":{masscan},"other_pkts":{other}}}'
         )
 
     @classmethod
-    def from_json_line(cls, line: str) -> "DarknetEvent":
-        """Decode and validate one event-log line; raises ValueError."""
+    def from_json_line(cls, line: str, ips: Optional[Dict[str, int]] = None) -> "DarknetEvent":
+        """Decode and validate one event-log line; raises ValueError.
+
+        ips memoises ip_to_int per address string over the lines of one log.
+        """
+        if ips is None:
+            ips = {}
         obj = json.loads(line)
         key = obj["key"]
+        text = key["src_ip"]
+        src_ip = ips.get(text)
+        if src_ip is None:
+            src_ip = ips[text] = ip_to_int(text)
+        port = key["dst_port"]
+        ttype = _TRAFFIC_TYPES.get(key["traffic_type"])
+        if ttype is None:
+            raise ValueError(f"{key['traffic_type']!r} is not a valid TrafficType")
         ev = cls(
-            key=EventKey(
-                src_ip=ip_to_int(key["src_ip"]),
-                dst_port=int(key["dst_port"]),
-                traffic_type=TrafficType(key["traffic_type"]),
-            ),
-            start_ts=int(obj["start_ts"]),
-            end_ts=int(obj["end_ts"]),
-            pkt_count=int(obj["pkt_count"]),
-            unique_dst_count=int(obj["unique_dst_count"]),
-            zmap_pkts=int(obj["zmap_pkts"]),
-            masscan_pkts=int(obj["masscan_pkts"]),
-            other_pkts=int(obj["other_pkts"]),
+            EventKey(src_ip, port, ttype), obj["start_ts"], obj["end_ts"], obj["pkt_count"],
+            obj["unique_dst_count"], obj["zmap_pkts"], obj["masscan_pkts"], obj["other_pkts"],
         )
+        _, start, end, pkts, dsts, zmap, masscan, other = ev
+        # bool is a subclass of int, so compare the exact type.
+        if not (type(port) is type(start) is type(end) is type(pkts) is type(dsts)
+                is type(zmap) is type(masscan) is type(other) is int):
+            fields = zip(("dst_port",) + cls._fields[1:], (port, *ev[1:]))
+            name, value = next((n, v) for n, v in fields if type(v) is not int)
+            raise ValueError(f"{name} must be a JSON integer, not {value!r}")
         ev.validate()
         return ev
 
@@ -271,16 +283,16 @@ class AhVerdict:
         """Decode and validate one verdict line; raises ValueError."""
         obj = json.loads(line)
         verdict = cls(
-            src_ip=ip_to_int(obj["src_ip"]),
-            day=date.fromisoformat(obj["day"]),
-            matched_defs=frozenset(obj["matched_defs"]),
-            max_dispersion=float(obj["max_dispersion"]),
-            max_event_pkts=int(obj["max_event_pkts"]),
-            distinct_ports=int(obj["distinct_ports"]),
-            is_daily=bool(obj["is_daily"]),
-            acked=bool(obj["acked"]),
-            acked_org=obj.get("acked_org"),
+            ip_to_int(obj["src_ip"]), date.fromisoformat(obj["day"]), frozenset(obj["matched_defs"]),
+            float(obj["max_dispersion"]), obj["max_event_pkts"], obj["distinct_ports"],
+            obj["is_daily"], obj["acked"], obj.get("acked_org"),
         )
+        # Exact types: bool is a subclass of int, and bool("false") is true.
+        for name, kinds in (("max_dispersion", (int, float)), ("max_event_pkts", (int,)),
+                            ("distinct_ports", (int,)), ("is_daily", (bool,)), ("acked", (bool,))):
+            if type(obj[name]) not in kinds:
+                what = "boolean" if bool in kinds else "number" if float in kinds else "integer"
+                raise ValueError(f"{name} must be a JSON {what}, not {obj[name]!r}")
         verdict.validate()
         return verdict
 

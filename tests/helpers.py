@@ -7,6 +7,7 @@ serve as a second opinion on the binary formats.
 from __future__ import annotations
 
 import ipaddress
+import json
 import struct
 from datetime import date, timedelta
 from typing import Collection, Dict, Iterable, List, Optional, Set, Tuple
@@ -16,6 +17,7 @@ from darklens.model import (
     AhVerdict,
     DarknetConfig,
     DarknetEvent,
+    EventKey,
     FlowRecord,
     PacketMeta,
     Protocol,
@@ -106,6 +108,53 @@ def run_builder(builder, packets: Iterable[PacketMeta]) -> List[DarknetEvent]:
         events.extend(builder.ingest_packet(p))
     events.extend(builder.flush())
     return events
+
+
+# ---------------------------------------------------------------------------
+# Event-log codec oracles: the json.dumps encoder and the dict decoder that
+# the package's template encoder and lean decoder replaced.
+
+
+def oracle_event_json_line(ev: DarknetEvent) -> str:
+    key = ev.key
+    return json.dumps(
+        {
+            "key": {
+                "src_ip": int_to_ip(key.src_ip),
+                "dst_port": key.dst_port,
+                "traffic_type": key.traffic_type.value,
+            },
+            "start_ts": ev.start_ts,
+            "end_ts": ev.end_ts,
+            "pkt_count": ev.pkt_count,
+            "unique_dst_count": ev.unique_dst_count,
+            "zmap_pkts": ev.zmap_pkts,
+            "masscan_pkts": ev.masscan_pkts,
+            "other_pkts": ev.other_pkts,
+        },
+        separators=(",", ":"),
+    )
+
+
+def oracle_event_from_json_line(line: str) -> DarknetEvent:
+    obj = json.loads(line)
+    key = obj["key"]
+    ev = DarknetEvent(
+        key=EventKey(
+            src_ip=ip_to_int(key["src_ip"]),
+            dst_port=int(key["dst_port"]),
+            traffic_type=TrafficType(key["traffic_type"]),
+        ),
+        start_ts=int(obj["start_ts"]),
+        end_ts=int(obj["end_ts"]),
+        pkt_count=int(obj["pkt_count"]),
+        unique_dst_count=int(obj["unique_dst_count"]),
+        zmap_pkts=int(obj["zmap_pkts"]),
+        masscan_pkts=int(obj["masscan_pkts"]),
+        other_pkts=int(obj["other_pkts"]),
+    )
+    ev.validate()
+    return ev
 
 
 # ---------------------------------------------------------------------------

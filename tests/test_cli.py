@@ -593,6 +593,11 @@ class TestRottenInputs:
         ({"unique_dst_count": 0}, "unique_dst_count"),
         ({"other_pkts": 10 ** 6}, "partition"),
         ({"start_ts": 10 ** 18}, "start_ts"),
+        ({"start_ts": 10 ** 22, "end_ts": 10 ** 22}, "<= start_ts <= end_ts <="),
+        ({"start_ts": -(10 ** 22)}, "<= start_ts <= end_ts <="),
+        ({"pkt_count": 1.9}, "pkt_count must be a JSON integer"),
+        ({"pkt_count": True}, "pkt_count must be a JSON integer"),
+        ({"zmap_pkts": "5"}, "zmap_pkts must be a JSON integer"),
     ])
     def test_detect_invalid_event_exits_2(self, pipeline, tmp_path, capsys, fields, reason):
         good = json.loads((pipeline["run"] / "events.jsonl").read_text().splitlines()[0])
@@ -602,6 +607,40 @@ class TestRottenInputs:
         assert rc == 2
         err = capsys.readouterr().err
         assert f"error: {log}:3:" in err
+        assert reason in err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("spoil", [
+        lambda ev: dict(ev, start_ts=10 ** 22, end_ts=10 ** 22),
+        lambda ev: dict(ev, unique_dst_count=float(ev["unique_dst_count"])),
+        lambda ev: dict(ev, key=dict(ev["key"], dst_port=str(ev["key"]["dst_port"]))),
+    ], ids=["out_of_date_range", "float_count", "string_port"])
+    def test_report_invalid_event_exits_2(self, pipeline, tmp_path, capsys, spoil):
+        good = json.loads((pipeline["run"] / "events.jsonl").read_text().splitlines()[0])
+        log = self._rotten_log(pipeline, tmp_path, "events.jsonl", json.dumps(spoil(good)))
+        out = tmp_path / "out"
+        rc = main(["--out-dir", str(out), "report", str(log), str(pipeline["run"] / "verdicts.jsonl")])
+        assert rc == 2
+        assert f"error: {log}:3:" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("fields, reason", [
+        ({"is_daily": "false"}, "is_daily must be a JSON boolean"),
+        ({"acked": "false"}, "acked must be a JSON boolean"),
+        ({"is_daily": 0}, "is_daily must be a JSON boolean"),
+        ({"max_event_pkts": 1.5}, "max_event_pkts must be a JSON integer"),
+        ({"distinct_ports": "3"}, "distinct_ports must be a JSON integer"),
+        ({"distinct_ports": True}, "distinct_ports must be a JSON integer"),
+        ({"max_dispersion": "0.5"}, "max_dispersion must be a JSON number"),
+    ])
+    def test_report_verdict_with_bad_types_exits_2(self, pipeline, tmp_path, capsys, fields, reason):
+        good = json.loads((pipeline["run"] / "verdicts.jsonl").read_text().splitlines()[0])
+        verdicts = self._rotten_log(pipeline, tmp_path, "verdicts.jsonl", json.dumps(dict(good, **fields)))
+        out = tmp_path / "out"
+        rc = main(["--out-dir", str(out), "report", str(pipeline["run"] / "events.jsonl"), str(verdicts)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"error: {verdicts}:3:" in err
         assert reason in err
         assert list(out.iterdir()) == []
 

@@ -1,8 +1,9 @@
 import ipaddress
-from datetime import date
+import json
+from datetime import date, timedelta
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from darklens.model import (
     ConfigError,
@@ -23,9 +24,14 @@ from darklens.model import (
     utc_day,
     validate_config,
 )
-from helpers import flags_to_letters
+from helpers import flags_to_letters, oracle_event_from_json_line, oracle_event_json_line
 
 US = 1_000_000
+US_PER_DAY = 86_400 * US
+EPOCH = date(1970, 1, 1)
+# First and last microsecond whose UTC day a datetime.date can hold.
+MIN_TS = (date.min - EPOCH).days * US_PER_DAY
+MAX_TS = ((date.max - EPOCH).days + 1) * US_PER_DAY - 1
 
 
 def _cfg(prefixes, **kw):
@@ -180,6 +186,31 @@ class TestTimeHelpers:
         start = (d - date(1970, 1, 1)).days * 86_400 * US
         assert start <= ts < start + 86_400 * US
 
+    @given(
+        ts=st.one_of(
+            st.integers(min_value=MIN_TS, max_value=MAX_TS),
+            st.builds(
+                lambda day, off: day * US_PER_DAY + off,
+                st.integers(min_value=(date.min - EPOCH).days + 1, max_value=(date.max - EPOCH).days),
+                st.sampled_from([-1, 0, 1]),
+            ),
+        ),
+    )
+    @example(ts=MIN_TS)
+    @example(ts=MAX_TS)
+    @example(ts=-1)
+    def test_memoised_day_matches_direct_arithmetic(self, ts):
+        expected = EPOCH + timedelta(days=ts // US_PER_DAY)
+        assert utc_day(ts) == expected
+        # A second call is served from the memo and must not drift.
+        assert utc_day(ts) == expected
+        assert utc_day(ts - ts % US_PER_DAY) == expected
+
+    def test_range_ends(self):
+        assert utc_day(MIN_TS) == date.min
+        assert utc_day(MAX_TS) == date.max
+        assert utc_day(-1) == date(1969, 12, 31)
+
 
 class TestFlags:
     def test_letters(self):
@@ -300,6 +331,140 @@ class TestDarknetEvent:
             zmap_pkts=pkts,
         )
         assert DarknetEvent.from_json_line(ev.to_json_line()) == ev
+
+    @pytest.mark.parametrize("start, end, ok", [
+        (MIN_TS, MIN_TS, True),
+        (MAX_TS, MAX_TS, True),
+        (MIN_TS - 1, 0, False),
+        (0, MAX_TS + 1, False),
+        (10 ** 22, 10 ** 22, False),
+    ])
+    def test_timestamps_must_have_a_utc_day(self, start, end, ok):
+        ev = _event(start_ts=start, end_ts=end)
+        if ok:
+            ev.validate()
+            assert DarknetEvent.from_json_line(ev.to_json_line()) == ev
+        else:
+            with pytest.raises(ValueError, match="<= start_ts <= end_ts <="):
+                DarknetEvent.from_json_line(ev.to_json_line())
+
+    @pytest.mark.parametrize("field, value", [
+        ("pkt_count", 10.0), ("pkt_count", True), ("pkt_count", "10"),
+        ("start_ts", 1000.5), ("other_pkts", False), ("unique_dst_count", None),
+    ])
+    def test_integer_fields_must_be_json_integers(self, field, value):
+        obj = json.loads(_event().to_json_line())
+        obj[field] = value
+        with pytest.raises(ValueError, match=f"{field} must be a JSON integer"):
+            DarknetEvent.from_json_line(json.dumps(obj))
+
+    @pytest.mark.parametrize("value", [23.0, True, "23"])
+    def test_port_must_be_a_json_integer(self, value):
+        obj = json.loads(_event().to_json_line())
+        obj["key"]["dst_port"] = value
+        with pytest.raises(ValueError, match="dst_port must be a JSON integer"):
+            DarknetEvent.from_json_line(json.dumps(obj))
+
+    def test_unknown_traffic_type_rejected(self):
+        obj = json.loads(_event().to_json_line())
+        obj["key"]["traffic_type"] = "tcp_fin"
+        with pytest.raises(ValueError, match="'tcp_fin' is not a valid TrafficType"):
+            DarknetEvent.from_json_line(json.dumps(obj))
+
+    def test_is_an_immutable_hashable_tuple(self):
+        ev = _event()
+        with pytest.raises(AttributeError):
+            ev.pkt_count = 3
+        assert hash(ev) == hash(_event())
+        assert DarknetEvent._fields == (
+            "key", "start_ts", "end_ts", "pkt_count", "unique_dst_count",
+            "zmap_pkts", "masscan_pkts", "other_pkts",
+        )
+
+
+_U63 = st.integers(min_value=0, max_value=2 ** 63)
+_ADDRS = st.one_of(st.sampled_from([0, 2 ** 32 - 1]), st.integers(min_value=0, max_value=2 ** 32 - 1))
+
+# Any field values at all: the encoder formats, it does not validate.
+_raw_events = st.builds(
+    lambda ip, port, ttype, rest: DarknetEvent(EventKey(ip, port, ttype), *rest),
+    _ADDRS,
+    st.integers(min_value=0, max_value=0xFFFF),
+    st.sampled_from(TrafficType),
+    st.tuples(st.integers(min_value=MIN_TS, max_value=MAX_TS),
+              st.integers(min_value=MIN_TS, max_value=MAX_TS), *[_U63] * 5),
+)
+
+
+@st.composite
+def _valid_events(draw, addrs=_ADDRS):
+    ttype = draw(st.sampled_from(TrafficType))
+    port = 0 if ttype is TrafficType.ICMP_ECHO_REQUEST else draw(st.integers(0, 0xFFFF))
+    start = draw(st.integers(min_value=MIN_TS, max_value=MAX_TS))
+    end = draw(st.integers(min_value=start, max_value=MAX_TS))
+    pkts = draw(st.integers(min_value=1, max_value=2 ** 63))
+    zmap = draw(st.integers(min_value=0, max_value=pkts))
+    masscan = draw(st.integers(min_value=0, max_value=pkts - zmap))
+    dsts = draw(st.integers(min_value=1, max_value=pkts))
+    return DarknetEvent(EventKey(draw(addrs), port, ttype), start, end, pkts, dsts,
+                        zmap, masscan, pkts - zmap - masscan)
+
+
+@st.composite
+def _respelled(draw, ev):
+    """The event's line re-spelled: other key order, spacing and escapes."""
+    obj = json.loads(oracle_event_json_line(ev))
+    inner = {k: obj["key"][k] for k in draw(st.permutations(list(obj["key"])))}
+    outer = {k: inner if k == "key" else obj[k] for k in draw(st.permutations(list(obj)))}
+    sep = draw(st.sampled_from([(",", ":"), (", ", ": "), (" ,\t", " :  ")]))
+    text = json.dumps(outer, separators=sep)
+    addr = obj["key"]["src_ip"]
+    escaped = "".join(
+        f"\\u{ord(ch):04x}" if esc else ch
+        for ch, esc in zip(addr, draw(st.lists(st.booleans(), min_size=len(addr), max_size=len(addr))))
+    )
+    text = text.replace(f'"{addr}"', f'"{escaped}"')
+    return draw(st.sampled_from(["", " "])) + text + draw(st.sampled_from(["", " ", "\t"]))
+
+
+class TestEventCodec:
+    """The template encoder and lean decoder against the json.dumps/dict oracles."""
+
+    @given(_raw_events)
+    @example(DarknetEvent(EventKey(0, 0, TrafficType.TCP_SYN), MIN_TS, MIN_TS, 0, 0, 0, 0, 0))
+    @example(DarknetEvent(EventKey(2 ** 32 - 1, 0xFFFF, TrafficType.UDP), MAX_TS, MAX_TS,
+                          2 ** 63, 2 ** 63, 2 ** 63, 2 ** 63, 2 ** 63))
+    def test_encode_matches_oracle_bytes(self, ev):
+        assert ev.to_json_line().encode() == oracle_event_json_line(ev).encode()
+
+    @given(_valid_events())
+    def test_round_trip(self, ev):
+        assert DarknetEvent.from_json_line(ev.to_json_line()) == ev
+
+    @given(st.data())
+    def test_decoder_agrees_with_oracle_on_any_spelling(self, data):
+        ev = data.draw(_valid_events())
+        line = data.draw(_respelled(ev))
+        assert DarknetEvent.from_json_line(line, {}) == oracle_event_from_json_line(line) == ev
+
+    @given(st.lists(_valid_events(addrs=st.sampled_from([0, 1, 0x0A000001, 0xC6336409, 2 ** 32 - 1])),
+                    min_size=2, max_size=40))
+    def test_shared_memo_never_mixes_up_sources(self, events):
+        ips = {}
+        for ev in events:
+            line = ev.to_json_line()
+            assert DarknetEvent.from_json_line(line, ips) == oracle_event_from_json_line(line) == ev
+        assert ips == {int_to_ip(ev.key.src_ip): ev.key.src_ip for ev in events}
+
+    def test_memo_is_keyed_by_the_decoded_address(self):
+        ips = {}
+        plain = _event().to_json_line()
+        escaped = plain.replace('"198.51.100.9"', '"198.51.100.\\u0039"')
+        assert DarknetEvent.from_json_line(plain, ips) == DarknetEvent.from_json_line(escaped, ips)
+        assert ips == {"198.51.100.9": ip_to_int("198.51.100.9")}
+        with pytest.raises(ValueError, match="invalid IPv4 address"):
+            DarknetEvent.from_json_line(plain.replace("198.51.100.9", "198.51.100.09"), ips)
+        assert len(ips) == 1
 
 
 class TestPacketMeta:
