@@ -128,8 +128,7 @@ def cmd_events(args, out_dir: Path, created: List[Path]) -> int:
     def closed_events():
         for pcap_path in args.pcaps:
             reader = PcapReader(pcap_path)
-            for pkt in reader:
-                yield from builder.ingest_packet(pkt)
+            yield from builder.fold(reader)
             for name in totals:
                 totals[name] += getattr(reader, name)
             del reader

@@ -13,14 +13,20 @@ a garbled capture cannot corrupt event boundaries.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Dict, Iterable, Iterator, List, Optional
 
-from .fingerprint import ProbeTool, fingerprint_packet
+# EventBuilder.fold runs the rules of classify_traffic_type and
+# fingerprint_packet inline and calls neither. Both names stay importable from
+# here because the traced benchmark run (bench/layers.py) wraps them in this
+# namespace.
+from .fingerprint import ZMAP_IP_ID, fingerprint_packet  # noqa: F401
 from .hll import Hll
 from .model import (
-    DarknetConfig, DarknetEvent, EventKey, PacketMeta, US_PER_S, read_jsonl, write_lines,
+    TCP_ACK, TCP_SYN, DarknetConfig, DarknetEvent, EventKey, PacketMeta, Protocol, TrafficType,
+    US_PER_S, read_jsonl, write_lines,
 )
-from .pcap import classify_traffic_type
+from .pcap import ICMP_ECHO_REQUEST_TYPE, classify_traffic_type  # noqa: F401
 
 # Darknets up to this many addresses count destinations exactly for every
 # event; above it an event's exact set is promoted to a sketch once it grows
@@ -132,63 +138,111 @@ class EventBuilder:
             del self.open_events[st.key]
         return [self._close(st) for st in expired]
 
+    def fold(self, packets: Iterable[tuple]) -> Iterator[DarknetEvent]:
+        """Fold packets in, yielding each event as it closes.
+
+        A packet is a tuple in PacketMeta field order, as PcapReader yields
+        it, or a PacketMeta. Three rules run inline, with no call per packet:
+        the scanning classes of classify_traffic_type, the darknet test of
+        DarknetConfig.contains, and the tool marks of fingerprint_packet.
+        The watermark and the drop counters are written back when the
+        iteration ends.
+        """
+        starts = self.cfg.range_starts
+        ends = self.cfg.range_ends
+        open_events = self.open_events
+        timeout_us = self.timeout_us
+        slack_us = self.slack_us
+        sweep_interval_us = self.sweep_interval_us
+        promote_above = self.promote_above
+        tcp = Protocol.TCP
+        udp = Protocol.UDP
+        syn = TCP_SYN
+        syn_ack = TCP_SYN | TCP_ACK
+        tcp_syn = TrafficType.TCP_SYN
+        udp_type = TrafficType.UDP
+        echo = TrafficType.ICMP_ECHO_REQUEST
+        wm = self.watermark
+        next_sweep = self._next_sweep
+        packets_in = self.packets_in
+        non_scanning = self.dropped_non_scanning
+        outside = self.outside_darknet
+        out_of_order = self.out_of_order
+        try:
+            for ts, src, dst, proto, _sp, dport, flags, ip_id, seq, icmp_type, _len in packets:
+                packets_in += 1
+                # TCP counts only with SYN set and ACK clear, ICMP only for
+                # echo requests; ICMP events use port 0.
+                if proto is tcp:
+                    if flags & syn_ack != syn:
+                        non_scanning += 1
+                        continue
+                    ttype = tcp_syn
+                elif proto is udp:
+                    ttype = udp_type
+                elif icmp_type == ICMP_ECHO_REQUEST_TYPE:
+                    ttype = echo
+                    dport = 0
+                else:
+                    non_scanning += 1
+                    continue
+                i = bisect_right(starts, dst) - 1
+                if i < 0 or dst > ends[i]:
+                    outside += 1
+                    continue
+                if wm is None:
+                    wm = ts
+                    next_sweep = ts + sweep_interval_us
+                elif ts < wm - slack_us:
+                    out_of_order += 1
+                    continue
+                elif ts > wm:
+                    wm = ts
+
+                if ts >= next_sweep:
+                    yield from self._sweep(ts)
+                    next_sweep = ts + sweep_interval_us
+
+                key = EventKey(src, dport, ttype)
+                state = open_events.get(key)
+                if state is not None and state.last_ts < ts - timeout_us:
+                    # quiet period exceeded strictly: this arrival starts a new event
+                    del open_events[key]
+                    yield self._close(state)
+                    state = None
+                if state is None:
+                    state = open_events[key] = _OpenEvent(key, ts)
+                state.pkt_count += 1
+                if ts > state.last_ts:
+                    state.last_ts = ts
+                elif ts < state.start_ts:
+                    # slack-admitted stragglers may predate the first packet seen
+                    state.start_ts = ts
+                dsts = state.dsts
+                if type(dsts) is set:
+                    dsts.add(dst)
+                    if len(dsts) > promote_above:
+                        state.dsts = _promote(dsts)
+                else:
+                    dsts.add_int(dst)
+                # The fixed-ID mark wins over the XOR mark of a TCP probe.
+                if ip_id == ZMAP_IP_ID:
+                    state.zmap_pkts += 1
+                elif ttype is tcp_syn and ip_id == (dst ^ dport ^ seq) & 0xFFFF:
+                    state.masscan_pkts += 1
+                else:
+                    state.other_pkts += 1
+        finally:
+            self.watermark = wm
+            self._next_sweep = next_sweep
+            self.packets_in = packets_in
+            self.dropped_non_scanning = non_scanning
+            self.outside_darknet = outside
+            self.out_of_order = out_of_order
+
     def ingest_packet(self, p: PacketMeta) -> List[DarknetEvent]:
         """Fold one packet in; returns any events this arrival closed."""
-        self.packets_in += 1
-        ttype = classify_traffic_type(p)
-        if ttype is None:
-            self.dropped_non_scanning += 1
-            return []
-        if not self.cfg.contains(p.dst_ip):
-            self.outside_darknet += 1
-            return []
-        ts = p.ts_us
-        wm = self.watermark
-        if wm is None:
-            self.watermark = ts
-            self._next_sweep = ts + self.sweep_interval_us
-        elif ts < wm - self.slack_us:
-            self.out_of_order += 1
-            return []
-        elif ts > wm:
-            self.watermark = ts
-
-        closed: List[DarknetEvent] = []
-        if ts >= self._next_sweep:
-            closed = self._sweep(ts)
-            self._next_sweep = ts + self.sweep_interval_us
-
-        key = EventKey(p.src_ip, p.dst_port if p.dst_port is not None else 0, ttype)
-        state = self.open_events.get(key)
-        if state is not None and state.last_ts < ts - self.timeout_us:
-            # quiet period exceeded strictly: this arrival starts a new event
-            del self.open_events[key]
-            closed.append(self._close(state))
-            state = None
-        if state is None:
-            state = _OpenEvent(key, ts)
-            self.open_events[key] = state
-        state.pkt_count += 1
-        if ts > state.last_ts:
-            state.last_ts = ts
-        elif ts < state.start_ts:
-            # slack-admitted stragglers may predate the first packet seen
-            state.start_ts = ts
-        dsts = state.dsts
-        if type(dsts) is set:
-            dsts.add(p.dst_ip)
-            if len(dsts) > self.promote_above:
-                state.dsts = _promote(dsts)
-        else:
-            dsts.add_int(p.dst_ip)
-        tool = fingerprint_packet(p)
-        if tool is ProbeTool.ZMAP:
-            state.zmap_pkts += 1
-        elif tool is ProbeTool.MASSCAN:
-            state.masscan_pkts += 1
-        else:
-            state.other_pkts += 1
-        return closed
+        return list(self.fold((p,)))
 
     def flush(self) -> List[DarknetEvent]:
         """Close every open event, ordered by ascending key.

@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import csv
 import enum
-import ipaddress
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Tuple
 
 from .model import ip_to_int
 
@@ -79,9 +78,8 @@ class AsnMap:
     _by_prefixlen: dict[int, dict[int, AsnEntry]] = field(default_factory=dict)
     malformed_lines: int = 0
 
-    def add(self, network: ipaddress.IPv4Network, entry: AsnEntry) -> None:
-        bucket = self._by_prefixlen.setdefault(network.prefixlen, {})
-        bucket[int(network.network_address)] = entry
+    def add(self, network: int, prefixlen: int, entry: AsnEntry) -> None:
+        self._by_prefixlen.setdefault(prefixlen, {})[network] = entry
 
     def lookup(self, ip: int) -> Optional[AsnEntry]:
         for plen in range(32, -1, -1):
@@ -96,6 +94,27 @@ class AsnMap:
 
     def __len__(self) -> int:
         return sum(len(b) for b in self._by_prefixlen.values())
+
+
+# Canonical decimal prefix lengths: no sign, no leading zero, 0 to 32.
+_PREFIX_LENS = {str(n): n for n in range(33)}
+
+
+def parse_cidr(text: str) -> Tuple[int, int]:
+    """'a.b.c.d/len' to (network address, prefix length). Raises ValueError.
+
+    The address must be canonical dotted quad (ip_to_int) with no host bits
+    set past the prefix, and the length canonical decimal. Netmask spellings
+    and bare addresses are rejected.
+    """
+    addr_text, slash, len_text = text.partition("/")
+    prefixlen = _PREFIX_LENS.get(len_text)
+    if not slash or prefixlen is None:
+        raise ValueError(f"invalid IPv4 prefix {text!r}")
+    network = ip_to_int(addr_text)
+    if network & (0xFFFFFFFF >> prefixlen):
+        raise ValueError(f"{text!r} has host bits set")
+    return network, prefixlen
 
 
 def _csv_lines(path):
@@ -182,14 +201,14 @@ def load_tags(path) -> TagDb:
 
 
 def load_asn_map(path) -> AsnMap:
-    """'cidr,asn,org,country' per line."""
+    """'cidr,asn,org,country' per line; the cidr as parse_cidr reads it."""
     amap = AsnMap()
     for row in _csv_lines(path):
         if len(row) != 4:
             amap.malformed_lines += 1
             continue
         try:
-            network = ipaddress.IPv4Network(row[0].strip())
+            network, prefixlen = parse_cidr(row[0].strip())
             asn = int(row[1])
         except ValueError:
             amap.malformed_lines += 1
@@ -197,7 +216,7 @@ def load_asn_map(path) -> AsnMap:
         if asn < 0:
             amap.malformed_lines += 1
             continue
-        amap.add(network, AsnEntry(asn, row[2].strip(), row[3].strip()))
+        amap.add(network, prefixlen, AsnEntry(asn, row[2].strip(), row[3].strip()))
     return amap
 
 

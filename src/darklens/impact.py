@@ -16,7 +16,6 @@ from typing import Collection, Dict, Iterable, List, Set, Tuple
 from .model import (
     EmptyAhSetError,
     FlowRecord,
-    PacketMeta,
     Protocol,
     TCP_ACK,
     TCP_SYN,
@@ -164,24 +163,28 @@ class ImpactSeries:
 
 
 def stream_impact(
-    pkts: Iterable[PacketMeta],
+    pkts: Iterable[tuple],
     ah: Set[int],
     bin_width_s: float = 1.0,
     vantage_id: str = "stream",
 ) -> ImpactSeries:
+    """Per-bin aggressive and total packet counts of a packet stream.
+
+    pkts are tuples in PacketMeta field order, as PcapReader yields them.
+    """
     # Checked after rounding: a positive width under half a microsecond
     # would otherwise make zero-width bins.
     width_us = round(bin_width_s * US_PER_S) if 0 < bin_width_s < math.inf else 0
     if width_us < 1:
         raise ValueError(f"bin width {bin_width_s} s must be finite and round to at least 1 us")
     counts: Dict[int, List[int]] = {}
-    for p in pkts:
-        idx = p.ts_us // width_us
+    for ts, src, _dst, _proto, _sp, _dp, _flags, _id, _seq, _icmp, _len in pkts:
+        idx = ts // width_us
         cell = counts.get(idx)
         if cell is None:
             cell = counts[idx] = [0, 0]
         cell[1] += 1
-        if p.src_ip in ah:
+        if src in ah:
             cell[0] += 1
     series = ImpactSeries(vantage_id=vantage_id, bin_width_s=bin_width_s)
     if not counts:

@@ -111,12 +111,13 @@ class Direction(str, enum.Enum):
     EGRESS = "E"
 
 
-@dataclass(slots=True)
-class PacketMeta:
+class PacketMeta(NamedTuple):
     """Decoded header fields of one captured packet.
 
     Port, flag, seq and icmp fields are present exactly when the transport
-    protocol defines them; readers never emit a PacketMeta that violates this.
+    protocol defines them; readers never emit a packet that violates this.
+    PcapReader yields plain tuples in this field order, which PacketMeta._make
+    names; the two compare equal field by field.
     """
 
     ts_us: int
@@ -444,6 +445,10 @@ def validate_config(cfg: DarknetConfig) -> DarknetConfig:
         raise InvalidFractionError(f"alpha {cfg.alpha} not in (0, 1)")
     if not 0 < cfg.event_timeout_s < math.inf:
         raise ConfigError("event_timeout_s must be positive and finite")
+    if round(cfg.event_timeout_s * US_PER_S) < 1:
+        # EventBuilder holds the timeout in whole microseconds; one that rounds
+        # to 0 would end an event at every later packet.
+        raise ConfigError(f"event_timeout_s {cfg.event_timeout_s} must round to at least 1 us")
     cfg.darknet_size = size
     cfg.range_starts = [int(n.network_address) for n in nets]
     cfg.range_ends = [int(n.broadcast_address) for n in nets]

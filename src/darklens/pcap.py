@@ -50,7 +50,7 @@ class UnsupportedLinkTypeError(PcapReadError):
 
 
 class PcapReader:
-    """Iterate PacketMeta records out of one classic pcap file.
+    """Iterate the packets of one classic pcap file, as PacketMeta-ordered tuples.
 
     Per-packet problems never abort the run: frames that are not IPv4, records
     cut short of their declared headers, IP fragments past offset 0, and
@@ -87,7 +87,11 @@ class PcapReader:
     def total_skipped(self) -> int:
         return self.skipped_non_ipv4 + self.skipped_truncated + self.skipped_transport
 
-    def __iter__(self) -> Iterator[PacketMeta]:
+    def __iter__(self) -> Iterator[tuple]:
+        """Yield each decoded packet as a plain tuple in PacketMeta field order.
+
+        The counters are kept in locals and written back when iteration ends.
+        """
         buf = self._buf
         n = len(buf)
         rec_unpack = struct.Struct(self._endian + "IIII").unpack_from
@@ -100,83 +104,88 @@ class PcapReader:
         tcp = Protocol.TCP
         udp = Protocol.UDP
         icmp = Protocol.ICMP
+        records = self.records_total
+        read = self.packets_read
+        non_ipv4 = self.skipped_non_ipv4
+        truncated = self.skipped_truncated
+        transport = self.skipped_transport
 
         off = 24
-        while off + 16 <= n:
-            ts_sec, ts_frac, caplen, origlen = rec_unpack(buf, off)
-            off += 16
-            self.records_total += 1
-            end = off + caplen
-            if end > n:
-                # record header promises more bytes than the file holds
-                self.skipped_truncated += 1
-                break
-            data_off = off
-            off = end
+        try:
+            while off + 16 <= n:
+                ts_sec, ts_frac, caplen, origlen = rec_unpack(buf, off)
+                off += 16
+                records += 1
+                end = off + caplen
+                if end > n:
+                    # record header promises more bytes than the file holds
+                    truncated += 1
+                    break
+                data_off = off
+                off = end
 
-            if nanos:
-                ts_us = ts_sec * 1_000_000 + ts_frac // 1000
-            else:
-                ts_us = ts_sec * 1_000_000 + ts_frac
+                if nanos:
+                    ts_us = ts_sec * 1_000_000 + ts_frac // 1000
+                else:
+                    ts_us = ts_sec * 1_000_000 + ts_frac
 
-            ip_off = data_off + l2_off
-            if is_ethernet:
-                if caplen < 14:
-                    self.skipped_truncated += 1
-                    continue
-                if buf[data_off + 12] != 0x08 or buf[data_off + 13] != 0x00:
-                    self.skipped_non_ipv4 += 1
-                    continue
+                ip_off = data_off + l2_off
+                if is_ethernet:
+                    if caplen < 14:
+                        truncated += 1
+                        continue
+                    if buf[data_off + 12] != 0x08 or buf[data_off + 13] != 0x00:
+                        non_ipv4 += 1
+                        continue
 
-            if end - ip_off < 20:
-                self.skipped_truncated += 1
-                continue
-            vihl, ip_id, frag, proto, src_ip, dst_ip = ipv4_unpack(buf, ip_off)
-            if vihl >> 4 != 4:
-                self.skipped_non_ipv4 += 1
-                continue
-            ihl = (vihl & 0x0F) * 4
-            if ihl < 20 or ip_off + ihl > end:
-                self.skipped_truncated += 1
-                continue
-            if frag & 0x1FFF:
-                # non-first fragment, transport header lives in another packet
-                self.skipped_transport += 1
-                continue
-            l4 = ip_off + ihl
+                if end - ip_off < 20:
+                    truncated += 1
+                    continue
+                vihl, ip_id, frag, proto, src_ip, dst_ip = ipv4_unpack(buf, ip_off)
+                if vihl >> 4 != 4:
+                    non_ipv4 += 1
+                    continue
+                ihl = (vihl & 0x0F) * 4
+                if ihl < 20 or ip_off + ihl > end:
+                    truncated += 1
+                    continue
+                if frag & 0x1FFF:
+                    # non-first fragment, transport header lives in another packet
+                    transport += 1
+                    continue
+                l4 = ip_off + ihl
 
-            if proto == 6:
-                if end - l4 < 20:
-                    self.skipped_truncated += 1
-                    continue
-                src_port, dst_port, tcp_seq, tcp_flags = tcp_unpack(buf, l4)
-                meta = PacketMeta(
-                    ts_us, src_ip, dst_ip, tcp, src_port, dst_port,
-                    tcp_flags & 0x3F, ip_id, tcp_seq, None, origlen,
-                )
-            elif proto == 17:
-                if end - l4 < 8:
-                    self.skipped_truncated += 1
-                    continue
-                src_port, dst_port = ports_unpack(buf, l4)
-                meta = PacketMeta(
-                    ts_us, src_ip, dst_ip, udp, src_port, dst_port,
-                    None, ip_id, None, None, origlen,
-                )
-            elif proto == 1:
-                if end - l4 < 4:
-                    self.skipped_truncated += 1
-                    continue
-                meta = PacketMeta(
-                    ts_us, src_ip, dst_ip, icmp, None, None,
-                    None, ip_id, None, buf[l4], origlen,
-                )
-            else:
-                self.skipped_transport += 1
-                continue
-
-            self.packets_read += 1
-            yield meta
+                if proto == 6:
+                    if end - l4 < 20:
+                        truncated += 1
+                        continue
+                    src_port, dst_port, tcp_seq, tcp_flags = tcp_unpack(buf, l4)
+                    read += 1
+                    yield (ts_us, src_ip, dst_ip, tcp, src_port, dst_port,
+                           tcp_flags & 0x3F, ip_id, tcp_seq, None, origlen)
+                elif proto == 17:
+                    if end - l4 < 8:
+                        truncated += 1
+                        continue
+                    src_port, dst_port = ports_unpack(buf, l4)
+                    read += 1
+                    yield (ts_us, src_ip, dst_ip, udp, src_port, dst_port,
+                           None, ip_id, None, None, origlen)
+                elif proto == 1:
+                    if end - l4 < 4:
+                        truncated += 1
+                        continue
+                    read += 1
+                    yield (ts_us, src_ip, dst_ip, icmp, None, None,
+                           None, ip_id, None, buf[l4], origlen)
+                else:
+                    transport += 1
+        finally:
+            self.records_total = records
+            self.packets_read = read
+            self.skipped_non_ipv4 = non_ipv4
+            self.skipped_truncated = truncated
+            self.skipped_transport = transport
 
 
 def classify_traffic_type(p: PacketMeta) -> Optional[TrafficType]:

@@ -12,6 +12,8 @@ import struct
 from datetime import date, timedelta
 from typing import Collection, Dict, Iterable, List, Optional, Set, Tuple
 
+from darklens.events import EventBuilder, _OpenEvent, _promote
+from darklens.fingerprint import ProbeTool, fingerprint_packet
 from darklens.flows import FLOW_CSV_FIELDS
 from darklens.model import (
     AhVerdict,
@@ -35,6 +37,7 @@ from darklens.model import (
     validate_config,
     write_csv,
 )
+from darklens.pcap import classify_traffic_type
 
 US = 1_000_000
 
@@ -108,6 +111,70 @@ def run_builder(builder, packets: Iterable[PacketMeta]) -> List[DarknetEvent]:
         events.extend(builder.ingest_packet(p))
     events.extend(builder.flush())
     return events
+
+
+class OracleEventBuilder(EventBuilder):
+    """The per-packet fold that EventBuilder.fold replaced: the reference for it.
+
+    Each packet goes through classify_traffic_type, DarknetConfig.contains and
+    fingerprint_packet, one call each, and the counters and watermark are
+    updated in place. Closing, sweeping and flushing are EventBuilder's own.
+    """
+
+    def ingest_packet(self, p: PacketMeta) -> List[DarknetEvent]:
+        self.packets_in += 1
+        ttype = classify_traffic_type(p)
+        if ttype is None:
+            self.dropped_non_scanning += 1
+            return []
+        if not self.cfg.contains(p.dst_ip):
+            self.outside_darknet += 1
+            return []
+        ts = p.ts_us
+        wm = self.watermark
+        if wm is None:
+            self.watermark = ts
+            self._next_sweep = ts + self.sweep_interval_us
+        elif ts < wm - self.slack_us:
+            self.out_of_order += 1
+            return []
+        elif ts > wm:
+            self.watermark = ts
+
+        closed: List[DarknetEvent] = []
+        if ts >= self._next_sweep:
+            closed = self._sweep(ts)
+            self._next_sweep = ts + self.sweep_interval_us
+
+        key = EventKey(p.src_ip, p.dst_port if p.dst_port is not None else 0, ttype)
+        state = self.open_events.get(key)
+        if state is not None and state.last_ts < ts - self.timeout_us:
+            del self.open_events[key]
+            closed.append(self._close(state))
+            state = None
+        if state is None:
+            state = _OpenEvent(key, ts)
+            self.open_events[key] = state
+        state.pkt_count += 1
+        if ts > state.last_ts:
+            state.last_ts = ts
+        elif ts < state.start_ts:
+            state.start_ts = ts
+        dsts = state.dsts
+        if type(dsts) is set:
+            dsts.add(p.dst_ip)
+            if len(dsts) > self.promote_above:
+                state.dsts = _promote(dsts)
+        else:
+            dsts.add_int(p.dst_ip)
+        tool = fingerprint_packet(p)
+        if tool is ProbeTool.ZMAP:
+            state.zmap_pkts += 1
+        elif tool is ProbeTool.MASSCAN:
+            state.masscan_pkts += 1
+        else:
+            state.other_pkts += 1
+        return closed
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,6 @@ except criterion 6, whose tolerance is the binomial 3-sigma band stated
 inline. Criteria with a runtime budget time the work they claim and assert
 on the measured wall clock.
 """
-import ipaddress
 import json
 import math
 import random
@@ -473,7 +472,7 @@ def _random_asn_map(rng: random.Random):
         )
         nets[(base, plen)] = entry
     for (base, plen), entry in nets.items():
-        amap.add(ipaddress.IPv4Network((base, plen)), entry)
+        amap.add(base, plen, entry)
     return amap, [(base, plen, entry) for (base, plen), entry in nets.items()]
 
 

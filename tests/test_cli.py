@@ -499,6 +499,18 @@ class TestFailureModes:
         assert "error: reorder slack -5.0 s must be finite and >= 0" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
+    def test_timeout_rounding_to_zero_is_fatal(self, pipeline, tmp_path, capsys):
+        conf = tmp_path / "tiny_timeout.conf"
+        conf.write_text("darknet_prefixes = 10.0.0.0/22\nevent_timeout_s = 0.0000001\n")
+        out = tmp_path / "out"
+        rc = main([
+            "--config", str(conf), "--out-dir", str(out),
+            "events", str(pipeline["synth"] / "synth.pcap"),
+        ])
+        assert rc == 2
+        assert "error: event_timeout_s 1e-07 must round to at least 1 us" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     def test_bin_width_rounding_to_zero_is_fatal(self, pipeline, tmp_path, capsys):
         out = tmp_path / "out"
         rc = main([

@@ -1,4 +1,3 @@
-import ipaddress
 import json
 import random
 from datetime import date
@@ -283,7 +282,7 @@ def _random_asn_map(rng):
     amap = AsnMap()
     for i in range(10):
         amap.add(
-            ipaddress.IPv4Network((ip_to_int(f"198.51.{i}.0"), 24)),
+            ip_to_int(f"198.51.{i}.0"), 24,
             AsnEntry(64500 + i % 4, f"org{i % 3}", ["US", "DE", "JP"][i % 3]),
         )
     return amap

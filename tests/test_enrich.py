@@ -1,4 +1,3 @@
-import ipaddress
 import random
 from datetime import date
 
@@ -25,6 +24,7 @@ from darklens.feeds import (
     TagDb,
     TagEntry,
     origin_of,
+    parse_cidr,
 )
 from darklens.events import write_event_log
 from darklens.model import (
@@ -90,7 +90,7 @@ class TestMatchAcked:
 def _map(entries):
     amap = AsnMap()
     for cidr, asn, org, cc in entries:
-        amap.add(ipaddress.IPv4Network(cidr), AsnEntry(asn, org, cc))
+        amap.add(*parse_cidr(cidr), AsnEntry(asn, org, cc))
     return amap
 
 

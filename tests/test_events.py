@@ -9,7 +9,7 @@ from darklens.detect import classify_dispersion
 from darklens.events import EXACT_DST_THRESHOLD, EventBuilder, read_event_log, write_event_log
 from darklens.hll import Hll
 from darklens.model import EventKey, TrafficType, ip_to_int
-from helpers import US, make_cfg, mk_pkt, offline_intervals, run_builder
+from helpers import US, OracleEventBuilder, make_cfg, mk_pkt, offline_intervals, run_builder
 
 SRC = "198.51.100.9"
 DARK = [f"10.0.{i >> 8}.{i & 255}" for i in range(1024)]
@@ -410,3 +410,88 @@ def test_property_split_matches_oracle(gaps):
     assert [(e.start_ts, e.end_ts) for e in evs] == offline_intervals(ts, 600 * US)
     assert b.packets_in == len(ts)
     assert sum(e.pkt_count for e in evs) == len(ts)
+
+
+# ---------------------------------------------------------------------------
+# EventBuilder.fold against the per-packet oracle in helpers.py.
+
+_FOLD_SRCS = [ip_to_int(f"198.51.100.{i}") for i in (1, 2, 3)]
+_FOLD_COUNTERS = (
+    "packets_in", "dropped_non_scanning", "outside_darknet", "out_of_order",
+    "sketch_clamped", "events_emitted", "pkts_emitted",
+)
+
+
+def _fold_packet(draw, ts, dst_pool):
+    """One packet of a kind a telescope sees, probe or not, at time ts."""
+    kind = draw(st.sampled_from(["syn", "syn", "synack", "rst", "udp", "udp", "echo", "icmp"]))
+    src = draw(st.sampled_from(_FOLD_SRCS))
+    dst = draw(dst_pool)
+    dport = draw(st.sampled_from([0, 22, 53, 80]))
+    seq = draw(st.integers(0, 2**32 - 1))
+    ip_id = draw(st.one_of(st.just(54321), st.just((dst ^ dport ^ seq) & 0xFFFF),
+                           st.integers(0, 0xFFFF)))
+    if kind in ("syn", "synack", "rst"):
+        flags = {"syn": draw(st.sampled_from([0x02, 0x22])), "synack": 0x12, "rst": 0x04}[kind]
+        return mk_pkt(ts, src, dst, proto="tcp", dport=dport, flags=flags, seq=seq, ip_id=ip_id)
+    if kind == "udp":
+        return mk_pkt(ts, src, dst, dport=dport, ip_id=ip_id)
+    icmp_type = 8 if kind == "echo" else draw(st.sampled_from([0, 3, 11]))
+    return mk_pkt(ts, src, dst, proto="icmp", icmp_type=icmp_type, ip_id=ip_id)
+
+
+@st.composite
+def _fold_case(draw):
+    """A config, a reorder slack and a packet stream for it.
+
+    Mixes every packet kind, destinations inside, between and outside the
+    telescope's prefixes, gaps around the 5 s timeout and stragglers. On the
+    /11 a full sweep of more than 256 addresses is promoted to a sketch.
+    """
+    wide = draw(st.booleans())
+    prefixes = ("10.0.0.0/11",) if wide else ("10.0.0.0/24", "10.0.2.0/24")
+    cfg = make_cfg(prefixes, event_timeout_s=5.0)
+    base = ip_to_int("10.0.0.0")
+    dst_pool = st.one_of(
+        st.integers(base, base + 767),
+        st.sampled_from([base - 1, base + 2**21, ip_to_int("192.168.0.1")]),
+    )
+    arrivals = []
+    t = 0
+    for _ in range(draw(st.integers(0, 60))):
+        t += draw(st.sampled_from([0, 1, US, 2 * US + 500_000, 5 * US, 5 * US + 1, 12 * US]))
+        straggle = draw(st.sampled_from([0, 0, 0, -1, -US, -3 * US]))
+        arrivals.append((t, _fold_packet(draw, max(0, t + straggle), dst_pool)))
+    if wide and draw(st.booleans()):
+        src = draw(st.sampled_from(_FOLD_SRCS))
+        n = draw(st.integers(250, 320))
+        start = draw(st.integers(0, max(0, t)))
+        for i in range(n):
+            dst = base + (i * 7919) % cfg.darknet_size
+            arrivals.append((start + i * 10_000, mk_pkt(start + i * 10_000, src, dst, dport=53)))
+    arrivals.sort(key=lambda a: a[0])
+    slack_s = draw(st.sampled_from([0.0, 2.0, 10.0]))
+    return cfg, slack_s, [p for _, p in arrivals]
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_fold_case(), data=st.data())
+def test_property_fold_matches_per_packet_oracle(case, data):
+    cfg, slack_s, pkts = case
+    oracle = OracleEventBuilder(cfg, reorder_slack_s=slack_s)
+    want = run_builder(oracle, pkts)
+
+    one = EventBuilder(cfg, reorder_slack_s=slack_s)
+    got = list(one.fold(pkts)) + one.flush()
+    assert got == want
+    # Plain tuples, as PcapReader yields them, cut into several fold calls as
+    # when one run reads several capture files.
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(pkts)), max_size=3)))
+    split = EventBuilder(cfg, reorder_slack_s=slack_s)
+    got_split = []
+    for lo, hi in zip([0, *cuts], [*cuts, len(pkts)]):
+        got_split += split.fold(tuple(p) for p in pkts[lo:hi])
+    got_split += split.flush()
+    assert got_split == want
+    for name in _FOLD_COUNTERS:
+        assert getattr(one, name) == getattr(split, name) == getattr(oracle, name), name

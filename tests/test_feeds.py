@@ -1,5 +1,8 @@
 import ipaddress
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from darklens.feeds import (
     AsnEntry,
     AsnMap,
@@ -10,6 +13,7 @@ from darklens.feeds import (
     load_rdns,
     load_tags,
     origin_of,
+    parse_cidr,
 )
 from darklens.model import ip_to_int
 
@@ -136,10 +140,49 @@ short,row
 
     def test_host_route(self):
         amap = AsnMap()
-        amap.add(ipaddress.IPv4Network("192.0.2.1/32"), AsnEntry(1, "One", "US"))
-        amap.add(ipaddress.IPv4Network("192.0.2.0/24"), AsnEntry(2, "Two", "US"))
+        amap.add(*parse_cidr("192.0.2.1/32"), AsnEntry(1, "One", "US"))
+        amap.add(*parse_cidr("192.0.2.0/24"), AsnEntry(2, "Two", "US"))
         assert amap.lookup(ip_to_int("192.0.2.1")).asn == 1
         assert amap.lookup(ip_to_int("192.0.2.2")).asn == 2
+
+    @pytest.mark.parametrize("cidr", [
+        "10.0.0.0/255.0.0.0",      # netmask
+        "10.0.0.0/0.255.255.255",  # hostmask
+        "10.0.0.0",                # bare address
+        "10.0.0.0/08",             # leading zero
+        "10.0.0.0/008",
+    ])
+    def test_spellings_ipaddress_took_are_malformed(self, tmp_path, cidr):
+        ipaddress.IPv4Network(cidr)  # accepted by the standard library
+        with pytest.raises(ValueError):
+            parse_cidr(cidr)
+        amap = load_asn_map(_write(tmp_path, "asn.csv", f"{cidr},64500,BigNet,US\n"))
+        assert (len(amap), amap.malformed_lines) == (0, 1)
+
+    @pytest.mark.parametrize("cidr", [
+        "10.0.0.1/8", "10.0.0.0/33", "10.0.0.0/-1", "10.0.0.0/+8", "10.0.0.0/ 8", "10.0.0.0/",
+        "/8", "10.0.0/8", "010.0.0.0/8", "10.0.0.0/8/8", "10.0.0.0//8", "10.0.0.0/\u0668",
+    ])
+    def test_rejected_like_ipaddress(self, cidr):
+        with pytest.raises(ValueError):
+            ipaddress.IPv4Network(cidr)
+        with pytest.raises(ValueError):
+            parse_cidr(cidr)
+
+    @settings(max_examples=500, deadline=None)
+    @given(addr=st.one_of(st.integers(0, 2**32 - 1),
+                          st.integers(0, 2**24 - 1).map(lambda a: a << 8),
+                          st.integers(0, 255).map(lambda a: a << 24)),
+           prefixlen=st.integers(0, 32))
+    def test_parse_cidr_agrees_with_ipaddress(self, addr, prefixlen):
+        text = f"{ipaddress.IPv4Address(addr)}/{prefixlen}"
+        try:
+            net = ipaddress.IPv4Network(text, strict=True)
+        except ValueError:
+            with pytest.raises(ValueError):
+                parse_cidr(text)
+        else:
+            assert parse_cidr(text) == (int(net.network_address), net.prefixlen)
 
     def test_origin_of_falls_back_to_unknown(self):
         amap = AsnMap()

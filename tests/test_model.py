@@ -82,6 +82,16 @@ class TestValidateConfig:
         with pytest.raises(ConfigError):
             validate_config(_cfg(["10.0.0.0/22"], event_timeout_s=0.0))
 
+    @pytest.mark.parametrize("timeout_s,ok", [(1e-7, False), (4.99e-7, False), (5e-7, False),
+                                              (5.01e-7, True), (1e-6, True)])
+    def test_timeout_must_round_to_a_microsecond(self, timeout_s, ok):
+        cfg = _cfg(["10.0.0.0/22"], event_timeout_s=timeout_s)
+        if ok:
+            assert validate_config(cfg).event_timeout_s == timeout_s
+        else:
+            with pytest.raises(ConfigError, match="must round to at least 1 us"):
+                validate_config(cfg)
+
     @pytest.mark.parametrize("text", ["inf", "nan", "-inf"])
     def test_non_finite_timeout_rejected(self, text):
         # An infinite timeout passed a plain > 0 check, then the event

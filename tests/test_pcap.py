@@ -33,10 +33,11 @@ def _syn_frame(src="198.51.100.9", dst="10.0.0.5", sport=51000, dport=23,
 
 
 def _read_all(data, tmp_path, name="t.pcap"):
+    """The reader and its packets, each tuple named as a PacketMeta."""
     p = tmp_path / name
     p.write_bytes(data)
     reader = PcapReader(p)
-    pkts = list(reader)
+    pkts = [PacketMeta._make(t) for t in reader]
     return reader, pkts
 
 
@@ -71,6 +72,14 @@ class TestDecode:
         assert p.protocol is Protocol.ICMP
         assert p.icmp_type == 8
         assert p.src_port is None and p.dst_port is None
+
+    def test_packets_are_plain_tuples_in_field_order(self, tmp_path):
+        p = tmp_path / "t.pcap"
+        p.write_bytes(build_pcap([(1 * US, _syn_frame())]))
+        (t,) = PcapReader(p)
+        assert type(t) is tuple
+        assert t == PacketMeta(1 * US, ip_to_int("198.51.100.9"), ip_to_int("10.0.0.5"),
+                               Protocol.TCP, 51000, 23, 0x02, 54321, 0xDEADBEEF, None, 54)
 
     def test_big_endian_equivalent(self, tmp_path):
         recs = [(7 * US + 42, _syn_frame())]

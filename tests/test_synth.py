@@ -3,7 +3,7 @@ import json
 import pytest
 
 from darklens.events import EventBuilder
-from darklens.model import TrafficType, ip_to_int, load_config, validate_config
+from darklens.model import PacketMeta, TrafficType, ip_to_int, load_config, validate_config
 from darklens.pcap import PcapReader, classify_traffic_type
 from darklens.synth import SynthScenario, generate
 from helpers import make_cfg, run_builder
@@ -45,7 +45,7 @@ class TestGroundTruth:
         sc = _small_scenario()
         manifest = generate(sc, 42, tmp_path)
         reader = PcapReader(tmp_path / "synth.pcap")
-        pkts = list(reader)
+        pkts = [PacketMeta._make(t) for t in reader]
         assert manifest["pcap_packets"] == len(pkts)
         scanning = sum(1 for p in pkts if classify_traffic_type(p) is not None)
         assert manifest["scanning_pkts"] == scanning
@@ -56,7 +56,7 @@ class TestGroundTruth:
         sc = _small_scenario()
         manifest = generate(sc, 42, tmp_path)
         by_src = {}
-        for p in PcapReader(tmp_path / "synth.pcap"):
+        for p in map(PacketMeta._make, PcapReader(tmp_path / "synth.pcap")):
             if classify_traffic_type(p) is None:
                 continue
             cell = by_src.setdefault(p.src_ip, {"pkts": 0, "dsts": set()})
@@ -111,7 +111,7 @@ class TestGroundTruth:
         generate(sc, 99, tmp_path)
         lo = sc.start_ts_s * 1_000_000
         hi = (sc.start_ts_s + sc.duration_s) * 1_000_000
-        ts = [p.ts_us for p in PcapReader(tmp_path / "synth.pcap")]
+        ts = [p.ts_us for p in map(PacketMeta._make, PcapReader(tmp_path / "synth.pcap"))]
         assert ts == sorted(ts)
         assert all(lo <= t <= hi for t in ts)
 
