@@ -143,8 +143,8 @@ class EventBuilder:
 
         A packet is a tuple in PacketMeta field order, as PcapReader yields
         it, or a PacketMeta. Three rules run inline, with no call per packet:
-        the scanning classes of classify_traffic_type, the darknet test of
-        DarknetConfig.contains, and the tool marks of fingerprint_packet.
+        the scanning classes of classify_traffic_type, a bisect over the
+        config's darknet intervals, and the tool marks of fingerprint_packet.
         The watermark and the drop counters are written back when the
         iteration ends.
         """

@@ -1,19 +1,21 @@
 """Readers for sampled flow exports from vantage routers.
 
 Two wire formats carry the same logical record: a CSV with a fixed header and
-a JSON-lines file with identical field names. A row that cannot be parsed or
-that violates a field constraint is skipped and counted; a CSV whose header
-does not match the schema is fatal because every following row would be
-garbage.
+a JSON-lines file with identical field names, where each field must carry its
+exact JSON type. Both go through one row validator. A row that cannot be
+parsed or that violates a field constraint is skipped and counted; a CSV whose
+header does not match the schema is fatal because every following row would
+be garbage.
 """
 from __future__ import annotations
 
 import csv
 import enum
+import itertools
 import json
-from typing import Iterator, Optional
+from typing import Iterator
 
-from .model import Direction, FlowRecord, Protocol, ip_to_int, letters_to_flags
+from .model import _MAX_TS_US, Direction, Protocol, ip_to_int, letters_to_flags
 
 FLOW_CSV_FIELDS = [
     "router_id",
@@ -38,34 +40,38 @@ class SchemaMismatchError(ValueError):
     pass
 
 
-def _build_record(
-    router_id: str,
-    ts_us: int,
-    direction: str,
-    src_ip: str,
-    dst_ip: str,
-    protocol: str,
-    src_port: Optional[int],
-    dst_port: Optional[int],
-    sampled_pkts: int,
-    sampling_denominator: int,
-    tcp_flags: Optional[str],
-) -> FlowRecord:
-    """Validate one logical row. Raises ValueError on any constraint breach."""
+_PROTOCOLS = {member.value: member for member in Protocol}
+_DIRECTIONS = {member.value: member for member in Direction}
+
+
+def _flow_row(
+    router_id, ts_us, direction, src_ip, dst_ip, protocol,
+    src_port, dst_port, sampled_pkts, sampling_denominator, tcp_flags,
+) -> tuple:
+    """Validate one logical row into a tuple in FlowRecord field order.
+
+    Both formats call this with the same positional fields, so CSV and JSONL
+    share one set of row rules. Raises ValueError on any constraint breach.
+    """
+    proto = _PROTOCOLS.get(protocol)
+    if proto is None:
+        raise ValueError(f"unknown protocol {protocol!r}")
+    dirn = _DIRECTIONS.get(direction)
+    if dirn is None:
+        raise ValueError(f"unknown direction {direction!r}")
     if not router_id:
         raise ValueError("empty router_id")
-    if ts_us < 0:
-        raise ValueError("negative ts_us")
-    proto = Protocol(protocol)
-    has_ports = proto is not Protocol.ICMP
-    if has_ports:
-        if src_port is None or dst_port is None:
-            raise ValueError("tcp/udp rows need both ports")
-        if not (0 <= src_port <= 65535 and 0 <= dst_port <= 65535):
-            raise ValueError("port out of range")
-    else:
+    # The upper bound is the last microsecond of 9999-12-31, the last UTC
+    # day the tally can name.
+    if not 0 <= ts_us <= _MAX_TS_US:
+        raise ValueError("ts_us outside 0 to 9999-12-31")
+    if proto is Protocol.ICMP:
         if src_port is not None or dst_port is not None:
             raise ValueError("icmp rows must not carry ports")
+    elif src_port is None or dst_port is None:
+        raise ValueError("tcp/udp rows need both ports")
+    elif not (0 <= src_port <= 65535 and 0 <= dst_port <= 65535):
+        raise ValueError("port out of range")
     if sampled_pkts < 1:
         raise ValueError("sampled_pkts must be >= 1")
     if sampling_denominator < 1:
@@ -75,40 +81,52 @@ def _build_record(
         if proto is not Protocol.TCP:
             raise ValueError("tcp_flags on a non-tcp row")
         flags = letters_to_flags(tcp_flags)
-    return FlowRecord(
-        router_id=router_id,
-        ts_us=ts_us,
-        direction=Direction(direction),
-        src_ip=ip_to_int(src_ip),
-        dst_ip=ip_to_int(dst_ip),
-        protocol=proto,
-        src_port=src_port,
-        dst_port=dst_port,
-        sampled_pkts=sampled_pkts,
-        sampling_denominator=sampling_denominator,
-        tcp_flags=flags,
+    return (
+        router_id, ts_us, dirn, ip_to_int(src_ip), ip_to_int(dst_ip), proto,
+        src_port, dst_port, sampled_pkts, sampling_denominator, flags,
     )
 
 
-def _opt_int(text: str) -> Optional[int]:
-    return int(text) if text != "" else None
+# Each field's JSON types, compared exactly: bool is a subclass of int, so a
+# true must not pass as 1, nor a float or string as a count.
+_JSON_TYPES = frozenset(itertools.product(
+    (str,), (int,), (str,), (str,), (str,), (str,),
+    (int, type(None)), (int, type(None)), (int,), (int,), (str, type(None)),
+))
+
+
+def _json_row(obj) -> tuple:
+    """One JSONL object as _flow_row's tuple; a field of another type is a ValueError."""
+    if type(obj) is not dict:
+        raise ValueError("row is not an object")
+    fields = (
+        obj["router_id"], obj["ts_us"], obj["direction"], obj["src_ip"], obj["dst_ip"],
+        obj["protocol"], obj.get("src_port"), obj.get("dst_port"), obj["sampled_pkts"],
+        obj["sampling_denominator"], obj.get("tcp_flags"),
+    )
+    if tuple(map(type, fields)) not in _JSON_TYPES:
+        raise ValueError("field of the wrong JSON type")
+    return _flow_row(*fields)
 
 
 class FlowReader:
-    """Single-pass iterator over one flow file; invalid_rows valid afterwards."""
+    """Single-pass iterator over one flow file; invalid_rows valid afterwards.
+
+    Each valid row comes out as a plain tuple in FlowRecord field order, with
+    no object per row; FlowRecord._make names the fields.
+    """
 
     def __init__(self, path, fmt: FlowFormat = FlowFormat.CSV_V1):
         self.path = path
         self.fmt = FlowFormat(fmt)
         self.invalid_rows = 0
 
-    def __iter__(self) -> Iterator[FlowRecord]:
+    def __iter__(self) -> Iterator[tuple]:
         if self.fmt is FlowFormat.CSV_V1:
-            yield from self._iter_csv()
-        else:
-            yield from self._iter_jsonl()
+            return self._iter_csv()
+        return self._iter_jsonl()
 
-    def _iter_csv(self) -> Iterator[FlowRecord]:
+    def _iter_csv(self) -> Iterator[tuple]:
         with open(self.path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
             try:
@@ -119,50 +137,36 @@ class FlowReader:
                 raise SchemaMismatchError(
                     f"{self.path}: header {','.join(header)!r} does not match CsvV1"
                 )
-            for row in reader:
-                if len(row) != len(FLOW_CSV_FIELDS):
-                    self.invalid_rows += 1
-                    continue
-                try:
-                    yield _build_record(
-                        router_id=row[0],
-                        ts_us=int(row[1]),
-                        direction=row[2],
-                        src_ip=row[3],
-                        dst_ip=row[4],
-                        protocol=row[5],
-                        src_port=_opt_int(row[6]),
-                        dst_port=_opt_int(row[7]),
-                        sampled_pkts=int(row[8]),
-                        sampling_denominator=int(row[9]),
-                        tcp_flags=row[10] or None,
-                    )
-                except ValueError:
-                    self.invalid_rows += 1
+            width = len(FLOW_CSV_FIELDS)
+            invalid = self.invalid_rows
+            try:
+                for row in reader:
+                    if len(row) != width:
+                        invalid += 1
+                        continue
+                    router, ts, dirn, src, dst, proto, sport, dport, sampled, denom, flags = row
+                    try:
+                        yield _flow_row(
+                            router, int(ts), dirn, src, dst, proto,
+                            int(sport) if sport else None, int(dport) if dport else None,
+                            int(sampled), int(denom), flags or None,
+                        )
+                    except ValueError:
+                        invalid += 1
+            finally:
+                self.invalid_rows = invalid
 
-    def _iter_jsonl(self) -> Iterator[FlowRecord]:
+    def _iter_jsonl(self) -> Iterator[tuple]:
         with open(self.path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    obj = json.loads(line)
-                    if not isinstance(obj, dict):
-                        raise ValueError("row is not an object")
-                    yield _build_record(
-                        router_id=str(obj["router_id"]),
-                        ts_us=int(obj["ts_us"]),
-                        direction=obj["direction"],
-                        src_ip=obj["src_ip"],
-                        dst_ip=obj["dst_ip"],
-                        protocol=obj["protocol"],
-                        src_port=obj.get("src_port"),
-                        dst_port=obj.get("dst_port"),
-                        sampled_pkts=int(obj["sampled_pkts"]),
-                        sampling_denominator=int(obj["sampling_denominator"]),
-                        tcp_flags=obj.get("tcp_flags"),
-                    )
-                except (ValueError, KeyError, TypeError):
-                    self.invalid_rows += 1
-
+            invalid = self.invalid_rows
+            try:
+                for line in fh:
+                    line = line.strip()
+                    if not line:
+                        continue
+                    try:
+                        yield _json_row(json.loads(line))
+                    except (ValueError, KeyError):
+                        invalid += 1
+            finally:
+                self.invalid_rows = invalid

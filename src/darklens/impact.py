@@ -15,7 +15,6 @@ from typing import Collection, Dict, Iterable, List, Set, Tuple
 
 from .model import (
     EmptyAhSetError,
-    FlowRecord,
     Protocol,
     TCP_ACK,
     TCP_SYN,
@@ -56,9 +55,11 @@ class FlowTally:
 
 
 def tally_flows(
-    flows: Iterable[FlowRecord], ah: Set[int], acked_ips: Collection[int] = frozenset()
+    flows: Iterable[tuple], ah: Set[int], acked_ips: Collection[int] = frozenset()
 ) -> FlowTally:
     """One pass over sampled flows against an AH set and its ACKed subset.
+
+    flows are tuples in FlowRecord field order, as FlowReader yields them.
 
     Every estimate inverts the sampling first. acked_ips counts only where it
     meets the AH set. A TCP flow is the SYN class when its flag union has SYN
@@ -69,25 +70,25 @@ def tally_flows(
         raise EmptyAhSetError("tally_flows needs a nonempty AH set")
     tally = FlowTally(len(ah))
     cells, seen, mix = tally.cells, tally.seen, tally.mix
-    for rec in flows:
-        est = rec.sampled_pkts * rec.sampling_denominator
-        key = (utc_day(rec.ts_us), rec.router_id)
+    udp, icmp = Protocol.UDP, Protocol.ICMP
+    for router, ts, _dir, src, _dst, proto, _sp, _dp, sampled, denom, flags in flows:
+        est = sampled * denom
+        key = (utc_day(ts), router)
         cell = cells.get(key)
         if cell is None:
             cell = cells[key] = [0, 0, 0]
         cell[2] += est
-        src = rec.src_ip
         if src not in ah:
             continue
         cell[0] += est
         if src in acked_ips:
             cell[1] += est
-        seen.setdefault(rec.router_id, set()).add(src)
-        if rec.protocol is Protocol.UDP:
+        seen.setdefault(router, set()).add(src)
+        if proto is udp:
             mix[1] += est
-        elif rec.protocol is Protocol.ICMP:
+        elif proto is icmp:
             mix[2] += est
-        elif rec.tcp_flags is not None and rec.tcp_flags & TCP_SYN and not rec.tcp_flags & TCP_ACK:
+        elif flags is not None and flags & TCP_SYN and not flags & TCP_ACK:
             mix[0] += est
         else:
             mix[3] += est

@@ -18,7 +18,6 @@ import json
 import math
 import socket
 import struct
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from datetime import date, timedelta
 from functools import lru_cache
@@ -346,9 +345,12 @@ def write_json(path, obj) -> None:
         fh.write("\n")
 
 
-@dataclass(slots=True)
-class FlowRecord:
-    """One sampled flow export row from a vantage router."""
+class FlowRecord(NamedTuple):
+    """One sampled flow export row from a vantage router.
+
+    FlowReader yields plain tuples in this field order, which FlowRecord._make
+    names; the two compare equal field by field.
+    """
 
     router_id: str
     ts_us: int
@@ -361,11 +363,6 @@ class FlowRecord:
     sampled_pkts: int
     sampling_denominator: int
     tcp_flags: Optional[int]
-
-    @property
-    def estimated_pkts(self) -> int:
-        """Horvitz-Thompson inversion of the sampling process."""
-        return self.sampled_pkts * self.sampling_denominator
 
 
 @dataclass(frozen=True, slots=True)
@@ -418,11 +415,6 @@ class DarknetConfig:
     # parallel lists for bisect; derived by validate_config.
     range_starts: list[int] = field(default_factory=list, init=False, repr=False)
     range_ends: list[int] = field(default_factory=list, init=False, repr=False)
-
-    def contains(self, ip: int) -> bool:
-        """Whether ip lies in the darknet: one bisect over the intervals."""
-        i = bisect_right(self.range_starts, ip) - 1
-        return i >= 0 and ip <= self.range_ends[i]
 
 
 def validate_config(cfg: DarknetConfig) -> DarknetConfig:

@@ -6,6 +6,8 @@ serve as a second opinion on the binary formats.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
+import csv
 import ipaddress
 import json
 import struct
@@ -14,11 +16,12 @@ from typing import Collection, Dict, Iterable, List, Optional, Set, Tuple
 
 from darklens.events import EventBuilder, _OpenEvent, _promote
 from darklens.fingerprint import ProbeTool, fingerprint_packet
-from darklens.flows import FLOW_CSV_FIELDS
+from darklens.flows import FLOW_CSV_FIELDS, FlowFormat
 from darklens.model import (
     AhVerdict,
     DarknetConfig,
     DarknetEvent,
+    Direction,
     EventKey,
     FlowRecord,
     PacketMeta,
@@ -33,6 +36,7 @@ from darklens.model import (
     TrafficType,
     int_to_ip,
     ip_to_int,
+    letters_to_flags,
     utc_day,
     validate_config,
     write_csv,
@@ -104,6 +108,12 @@ def mk_pkt(
     )
 
 
+def darknet_contains(cfg: DarknetConfig, ip: int) -> bool:
+    """Whether ip lies in the darknet: one bisect over cfg's intervals."""
+    i = bisect_right(cfg.range_starts, ip) - 1
+    return i >= 0 and ip <= cfg.range_ends[i]
+
+
 def run_builder(builder, packets: Iterable[PacketMeta]) -> List[DarknetEvent]:
     """Every event the builder closes while ingesting packets, then its flush."""
     events: List[DarknetEvent] = []
@@ -116,7 +126,7 @@ def run_builder(builder, packets: Iterable[PacketMeta]) -> List[DarknetEvent]:
 class OracleEventBuilder(EventBuilder):
     """The per-packet fold that EventBuilder.fold replaced: the reference for it.
 
-    Each packet goes through classify_traffic_type, DarknetConfig.contains and
+    Each packet goes through classify_traffic_type, darknet_contains and
     fingerprint_packet, one call each, and the counters and watermark are
     updated in place. Closing, sweeping and flushing are EventBuilder's own.
     """
@@ -127,7 +137,7 @@ class OracleEventBuilder(EventBuilder):
         if ttype is None:
             self.dropped_non_scanning += 1
             return []
-        if not self.cfg.contains(p.dst_ip):
+        if not darknet_contains(self.cfg, p.dst_ip):
             self.outside_darknet += 1
             return []
         ts = p.ts_us
@@ -334,6 +344,142 @@ def flow_csv_row(rec: FlowRecord) -> List[str]:
 def write_flows_csv(path, records: Iterable[FlowRecord], extra_rows=()) -> None:
     """A flow CSV holding records, then extra_rows as given."""
     write_csv(path, FLOW_CSV_FIELDS, [*map(flow_csv_row, records), *extra_rows])
+
+
+def _build_record(
+    router_id: str,
+    ts_us: int,
+    direction: str,
+    src_ip: str,
+    dst_ip: str,
+    protocol: str,
+    src_port: Optional[int],
+    dst_port: Optional[int],
+    sampled_pkts: int,
+    sampling_denominator: int,
+    tcp_flags: Optional[str],
+) -> FlowRecord:
+    """Validate one logical row. Raises ValueError on any constraint breach."""
+    if not router_id:
+        raise ValueError("empty router_id")
+    if ts_us < 0:
+        raise ValueError("negative ts_us")
+    if ts_us // (86_400 * US) > (date.max - date(1970, 1, 1)).days:
+        raise ValueError("ts_us past 9999-12-31")
+    proto = Protocol(protocol)
+    has_ports = proto is not Protocol.ICMP
+    if has_ports:
+        if src_port is None or dst_port is None:
+            raise ValueError("tcp/udp rows need both ports")
+        if not (0 <= src_port <= 65535 and 0 <= dst_port <= 65535):
+            raise ValueError("port out of range")
+    else:
+        if src_port is not None or dst_port is not None:
+            raise ValueError("icmp rows must not carry ports")
+    if sampled_pkts < 1:
+        raise ValueError("sampled_pkts must be >= 1")
+    if sampling_denominator < 1:
+        raise ValueError("sampling_denominator must be >= 1")
+    flags = None
+    if tcp_flags:
+        if proto is not Protocol.TCP:
+            raise ValueError("tcp_flags on a non-tcp row")
+        flags = letters_to_flags(tcp_flags)
+    return FlowRecord(
+        router_id=router_id,
+        ts_us=ts_us,
+        direction=Direction(direction),
+        src_ip=ip_to_int(src_ip),
+        dst_ip=ip_to_int(dst_ip),
+        protocol=proto,
+        src_port=src_port,
+        dst_port=dst_port,
+        sampled_pkts=sampled_pkts,
+        sampling_denominator=sampling_denominator,
+        tcp_flags=flags,
+    )
+
+
+def _opt_int(text: str) -> Optional[int]:
+    return int(text) if text != "" else None
+
+
+def _json_int(value, optional: bool = False) -> Optional[int]:
+    """A JSON integer as such; a float, bool or string is a ValueError."""
+    if optional and value is None:
+        return None
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{value!r} is not a JSON integer")
+    return value
+
+
+def _json_str(value, optional: bool = False) -> Optional[str]:
+    if optional and value is None:
+        return None
+    if not isinstance(value, str):
+        raise ValueError(f"{value!r} is not a JSON string")
+    return value
+
+
+def oracle_flow_rows(path, fmt: FlowFormat) -> Tuple[List[FlowRecord], int]:
+    """The keyword-built, record-per-row flow reader FlowReader replaced.
+
+    Returns (records, invalid_rows). A CSV with a bad header raises
+    ValueError. JSONL rows must carry exact JSON types.
+    """
+    records: List[FlowRecord] = []
+    invalid = 0
+    if FlowFormat(fmt) is FlowFormat.CSV_V1:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            if next(reader, None) != FLOW_CSV_FIELDS:
+                raise ValueError(f"{path}: not a flow CSV")
+            for row in reader:
+                if len(row) != len(FLOW_CSV_FIELDS):
+                    invalid += 1
+                    continue
+                try:
+                    records.append(_build_record(
+                        router_id=row[0],
+                        ts_us=int(row[1]),
+                        direction=row[2],
+                        src_ip=row[3],
+                        dst_ip=row[4],
+                        protocol=row[5],
+                        src_port=_opt_int(row[6]),
+                        dst_port=_opt_int(row[7]),
+                        sampled_pkts=int(row[8]),
+                        sampling_denominator=int(row[9]),
+                        tcp_flags=row[10] or None,
+                    ))
+                except ValueError:
+                    invalid += 1
+        return records, invalid
+    with open(path, "r", encoding="utf-8") as fh:
+        for line in fh:
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                obj = json.loads(line)
+                if not isinstance(obj, dict):
+                    raise ValueError("row is not an object")
+                records.append(_build_record(
+                    router_id=_json_str(obj["router_id"]),
+                    ts_us=_json_int(obj["ts_us"]),
+                    direction=_json_str(obj["direction"]),
+                    src_ip=_json_str(obj["src_ip"]),
+                    dst_ip=_json_str(obj["dst_ip"]),
+                    protocol=_json_str(obj["protocol"]),
+                    src_port=_json_int(obj.get("src_port"), optional=True),
+                    dst_port=_json_int(obj.get("dst_port"), optional=True),
+                    sampled_pkts=_json_int(obj["sampled_pkts"]),
+                    sampling_denominator=_json_int(obj["sampling_denominator"]),
+                    tcp_flags=_json_str(obj.get("tcp_flags"), optional=True),
+                ))
+            except (ValueError, KeyError):
+                invalid += 1
+    return records, invalid
 
 
 def oracle_ecdf(values, alpha) -> int:

@@ -1,7 +1,10 @@
+import csv
+import io
 import json
+from datetime import date
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from darklens.flows import (
     FLOW_CSV_FIELDS,
@@ -9,10 +12,13 @@ from darklens.flows import (
     FlowReader,
     SchemaMismatchError,
 )
-from darklens.model import Direction, Protocol, ip_to_int
-from helpers import flow_csv_row
+from darklens.impact import tally_flows
+from darklens.model import Direction, FlowRecord, Protocol, int_to_ip, ip_to_int
+from helpers import flags_to_letters, flow_csv_row, oracle_flow_rows
 
 HEADER = ",".join(FLOW_CSV_FIELDS)
+
+LAST_TS_US = 253402300799999999  # the last microsecond of 9999-12-31
 
 GOOD_ROW = "router-1,1654041600000000,I,198.51.100.9,192.0.2.10,tcp,51000,23,3,1000,S"
 
@@ -25,7 +31,7 @@ def _read_csv(tmp_path, text, name="f.csv"):
     p = tmp_path / name
     p.write_text(text)
     reader = FlowReader(p, FlowFormat.CSV_V1)
-    return reader, list(reader)
+    return reader, [FlowRecord._make(row) for row in reader]
 
 
 class TestCsv:
@@ -49,7 +55,7 @@ class TestCsv:
         assert r.sampled_pkts == 3
         assert r.sampling_denominator == 1000
         assert r.tcp_flags == 0x02
-        assert r.estimated_pkts == 3000
+        assert r.sampled_pkts * r.sampling_denominator == 3000
 
     def test_icmp_row_has_no_ports(self, tmp_path):
         row = "router-1,5,E,198.51.100.9,192.0.2.10,icmp,,,1,512,"
@@ -58,7 +64,17 @@ class TestCsv:
         assert r.protocol is Protocol.ICMP
         assert r.src_port is None and r.dst_port is None
         assert r.tcp_flags is None
-        assert r.estimated_pkts == 512
+        assert r.sampled_pkts * r.sampling_denominator == 512
+
+    def test_rows_are_plain_tuples_in_field_order(self, tmp_path):
+        p = tmp_path / "f.csv"
+        p.write_text(_csv([GOOD_ROW]))
+        (row,) = FlowReader(p, FlowFormat.CSV_V1)
+        assert type(row) is tuple
+        assert row == FlowRecord(
+            "router-1", 1654041600000000, Direction.INGRESS, ip_to_int("198.51.100.9"),
+            ip_to_int("192.0.2.10"), Protocol.TCP, 51000, 23, 3, 1000, 0x02,
+        )
 
     def test_header_mismatch_is_fatal(self, tmp_path):
         p = tmp_path / "bad.csv"
@@ -99,6 +115,16 @@ class TestCsv:
         assert len(rows) == 1
         assert reader.invalid_rows == 1
 
+    def test_timestamps_run_to_the_last_utc_day(self, tmp_path):
+        # A later timestamp has no UTC date, so the tally could not name
+        # its day; it is an invalid row, not a crash.
+        last = f"router-1,{LAST_TS_US},I,198.51.100.9,192.0.2.10,udp,1,2,1,1,"
+        past = f"router-1,{LAST_TS_US + 1},I,198.51.100.9,192.0.2.10,udp,1,2,1,1,"
+        reader, rows = _read_csv(tmp_path, _csv([last, past]))
+        assert [r.ts_us for r in rows] == [LAST_TS_US]
+        assert reader.invalid_rows == 1
+        assert list(tally_flows(rows, {1}).cells) == [(date(9999, 12, 31), "router-1")]
+
     def test_row_writer_round_trips(self, tmp_path):
         _, rows = _read_csv(tmp_path, _csv([GOOD_ROW]))
         again = _csv([",".join(flow_csv_row(rows[0]))])
@@ -137,8 +163,34 @@ class TestJsonl:
         pj.write_text(
             self._jsonl_line(protocol="icmp", src_port=None, dst_port=None, tcp_flags=None) + "\n"
         )
-        (r,) = list(FlowReader(pj, FlowFormat.JSONL_V1))
+        (r,) = map(FlowRecord._make, FlowReader(pj, FlowFormat.JSONL_V1))
         assert r.protocol is Protocol.ICMP
+        assert r.src_port is None and r.dst_port is None
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("sampled_pkts", 2.7),
+            ("sampling_denominator", 99.9),
+            ("src_port", True),
+            ("dst_port", 22.5),
+            ("tcp_flags", ["S"]),
+            ("ts_us", "5"),
+            ("ts_us", True),
+            ("router_id", 7),
+            ("router_id", None),
+        ],
+    )
+    def test_fields_need_exact_json_types(self, tmp_path, field, value):
+        # A float count would bias the 1:k inversion once truncated, and
+        # str(None) would make a router called "None".
+        pj = tmp_path / "f.jsonl"
+        pj.write_text(self._jsonl_line() + "\n" + self._jsonl_line(**{field: value}) + "\n")
+        reader = FlowReader(pj, FlowFormat.JSONL_V1)
+        rows = list(reader)
+        assert len(rows) == 1
+        assert reader.invalid_rows == 1
+        assert (rows, reader.invalid_rows) == oracle_flow_rows(pj, FlowFormat.JSONL_V1)
 
 
 @given(
@@ -146,11 +198,112 @@ class TestJsonl:
     denom=st.integers(min_value=1, max_value=10**6),
 )
 def test_estimated_pkts_is_product(sampled, denom):
-    from darklens.model import FlowRecord
-
     r = FlowRecord(
         router_id="r", ts_us=0, direction=Direction.INGRESS, src_ip=1, dst_ip=2,
         protocol=Protocol.UDP, src_port=1, dst_port=2, sampled_pkts=sampled,
         sampling_denominator=denom, tcp_flags=None,
     )
-    assert r.estimated_pkts == sampled * denom
+    (cell,) = tally_flows([r], {1}).cells.values()
+    assert cell == [sampled * denom, 0, sampled * denom]
+
+
+# ---------------------------------------------------------------------------
+# FlowReader against the keyword-built, record-per-row reader it replaced.
+
+
+@st.composite
+def _records(draw):
+    protocol = draw(st.sampled_from(list(Protocol)))
+    ports = (None, None) if protocol is Protocol.ICMP else (
+        draw(st.integers(0, 65535)), draw(st.integers(0, 65535)))
+    flags = draw(st.none() | st.integers(1, 0x3F)) if protocol is Protocol.TCP else None
+    return FlowRecord(
+        router_id=draw(st.sampled_from(["router-1", "r2", "edge,1", 'say "hi"'])),
+        ts_us=draw(st.integers(0, LAST_TS_US)),
+        direction=draw(st.sampled_from(list(Direction))),
+        src_ip=draw(st.integers(0, 2**32 - 1)),
+        dst_ip=draw(st.integers(0, 2**32 - 1)),
+        protocol=protocol,
+        src_port=ports[0],
+        dst_port=ports[1],
+        sampled_pkts=draw(st.integers(1, 10**6)),
+        sampling_denominator=draw(st.integers(1, 10**6)),
+        tcp_flags=flags,
+    )
+
+
+def _csv_line(fields) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(fields)
+    return buf.getvalue()
+
+
+def _replace(row, **fields):
+    out = list(row)
+    for name, value in fields.items():
+        out[FLOW_CSV_FIELDS.index(name)] = value
+    return out
+
+
+# Each spoiler turns a valid row into a CSV line that no reader may accept.
+_NOT_NUMBERS = ("x1", "1.5", "0x10", "1e3")
+_SPOILERS = [
+    lambda row, i: _csv_line(_replace(row, **{
+        FLOW_CSV_FIELDS[(0, 1, 2, 3, 4, 5, 8, 9)[i % 8]]: ""})),
+    lambda row, i: _csv_line(_replace(row, **{
+        ("ts_us", "sampled_pkts", "sampling_denominator")[i % 3]: _NOT_NUMBERS[i % 4]})),
+    lambda row, i: _csv_line(_replace(row, ts_us=str((-1, LAST_TS_US + 1, 2**63)[i % 3]))),
+    lambda row, i: _csv_line(_replace(
+        row, protocol="udp", src_port="53", dst_port=("65536", "-1")[i % 2], tcp_flags="")),
+    lambda row, i: _csv_line(
+        _replace(row, protocol="icmp", src_port="1", dst_port="", tcp_flags="")),
+    lambda row, i: _csv_line(
+        _replace(row, protocol="udp", src_port="1", dst_port="2", tcp_flags="S")),
+    lambda row, i: _csv_line(
+        _replace(row, protocol="tcp", src_port="1", dst_port="2", tcp_flags="SX")),
+    lambda row, i: _csv_line(_replace(row, **{("src_ip", "dst_ip")[i % 2]: "010.0.0.1"})),
+    lambda row, i: _csv_line(row[:-1] if i % 2 else row + ["x"]),
+    # Unquoted, the router's comma splits it into two fields.
+    lambda row, i: ",".join(_replace(row, router_id="edge,1")) + "\n",
+]
+
+
+def _json_line(rec: FlowRecord) -> str:
+    return json.dumps({
+        "router_id": rec.router_id, "ts_us": rec.ts_us, "direction": rec.direction.value,
+        "src_ip": int_to_ip(rec.src_ip), "dst_ip": int_to_ip(rec.dst_ip),
+        "protocol": rec.protocol.value, "src_port": rec.src_port, "dst_port": rec.dst_port,
+        "sampled_pkts": rec.sampled_pkts, "sampling_denominator": rec.sampling_denominator,
+        "tcp_flags": None if rec.tcp_flags is None else flags_to_letters(rec.tcp_flags),
+    }) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(_records(), st.none() | st.integers(0, len(_SPOILERS) * 8 - 1)), max_size=30,
+    ),
+)
+def test_property_reader_matches_record_oracle(tmp_path_factory, rows):
+    path = tmp_path_factory.mktemp("flows") / "f.csv"
+    text = _csv_line(FLOW_CSV_FIELDS)
+    valid = []
+    for rec, spoil in rows:
+        fields = flow_csv_row(rec)
+        if spoil is None:
+            valid.append(rec)
+            text += _csv_line(fields)
+        else:
+            text += _SPOILERS[spoil % len(_SPOILERS)](fields, spoil // len(_SPOILERS))
+    path.write_text(text, newline="")
+    reader = FlowReader(path, FlowFormat.CSV_V1)
+    got = list(reader)
+    assert (got, reader.invalid_rows) == oracle_flow_rows(path, FlowFormat.CSV_V1)
+    assert got == valid
+    assert reader.invalid_rows == len(rows) - len(valid)
+
+    jsonl = path.with_suffix(".jsonl")
+    jsonl.write_text("".join(map(_json_line, valid)))
+    reader = FlowReader(jsonl, FlowFormat.JSONL_V1)
+    assert list(reader) == got
+    assert reader.invalid_rows == 0

@@ -9,6 +9,7 @@ from darklens import enrich, impact
 from darklens.cli import main
 from darklens.enrich import acked_sources
 from darklens.feeds import AckedList, RdnsMap
+from darklens.flows import FLOW_CSV_FIELDS, FlowFormat, FlowReader
 from darklens.impact import (
     EmptyAhSetError,
     ImpactBin,
@@ -32,6 +33,7 @@ from darklens.model import (
     FlowRecord,
     Protocol,
     TrafficType,
+    int_to_ip,
     ip_to_int,
 )
 from helpers import (
@@ -385,6 +387,34 @@ def test_tally_memory_does_not_grow_with_rows():
     large = _tally_peak_bytes(100_000)
     # One row is live at a time; ten times the rows may cost a few
     # allocator blocks more, not a share of every row.
+    assert large <= small + 4096
+
+
+def _reader_tally_peak_bytes(tmp_path, rows: int) -> int:
+    """Peak traced memory while tallying a flow CSV of `rows` distinct sources."""
+    path = tmp_path / f"flows_{rows}.csv"
+    base = ip_to_int("100.0.0.0")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(FLOW_CSV_FIELDS) + "\n")
+        for i in range(rows):
+            fh.write(
+                f"router-{i % 2},{DAY0_US + i},I,{int_to_ip(base + i)},192.0.2.10,"
+                f"tcp,51000,23,1,1000,S\n"
+            )
+    ah = {base + i for i in range(20)}
+    tracemalloc.start()
+    try:
+        tally_flows(FlowReader(path, FlowFormat.CSV_V1), ah)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_reader_tally_memory_does_not_grow_with_distinct_sources(tmp_path):
+    # Every source is new, so a per-reader memo of parsed addresses would
+    # grow with the row count; the read and the tally keep one row live.
+    small = _reader_tally_peak_bytes(tmp_path, 10_000)
+    large = _reader_tally_peak_bytes(tmp_path, 100_000)
     assert large <= small + 4096
 
 
