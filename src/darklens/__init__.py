@@ -18,7 +18,6 @@ from .model import (
     Thresholds,
     TrafficType,
     load_config,
-    validate_config,
 )
 from .events import EventBuilder, read_event_log, write_event_log
 from .pcap import PcapReader, classify_traffic_type, write_pcap
@@ -63,7 +62,6 @@ __all__ = [
     "run_detection",
     "stream_impact",
     "tag_join",
-    "validate_config",
     "write_event_log",
     "write_pcap",
     "zipf_curve",

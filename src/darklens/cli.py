@@ -69,7 +69,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_impact.add_argument("--pcap", type=Path, help="packet stream for the binned series")
     p_impact.add_argument("--bin-width", type=float, default=1.0, metavar="SECONDS")
     p_impact.add_argument("--num-slash24", type=int, default=1, help="monitored /24 count for rate normalization")
-    p_impact.add_argument("--vantage-id", default="stream")
     p_impact.add_argument("--acked-ips", type=Path)
     p_impact.add_argument("--acked-keywords", type=Path)
     p_impact.add_argument("--rdns", type=Path)
@@ -294,9 +293,7 @@ def cmd_impact(args, out_dir: Path, created: List[Path]) -> int:
 
     if args.pcap is not None:
         reader = PcapReader(args.pcap)
-        series = impact.stream_impact(
-            reader, ah, bin_width_s=args.bin_width, vantage_id=args.vantage_id
-        )
+        series = impact.stream_impact(reader, ah, bin_width_s=args.bin_width)
         series_path = out_dir / "series.csv"
         created.append(series_path)
         write_csv(
@@ -317,7 +314,7 @@ def cmd_impact(args, out_dir: Path, created: List[Path]) -> int:
         if total:
             hot = impact.flag_high_load_bins(series)
             print(
-                f"series {args.vantage_id}: {len(series.bins)} bins, "
+                f"series: {len(series.bins)} bins, "
                 f"cumulative fraction {ah_total / total:.6f}, "
                 f"{len(hot)} bins hot on both load and share"
             )

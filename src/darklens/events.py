@@ -79,8 +79,6 @@ class EventBuilder:
     """
 
     def __init__(self, cfg: DarknetConfig, reorder_slack_s: float = 0.0):
-        if cfg.darknet_size <= 0:
-            raise ValueError("config not validated: darknet_size unset")
         if not 0 <= reorder_slack_s < float("inf"):
             raise ValueError(f"reorder slack {reorder_slack_s} s must be finite and >= 0")
         self.cfg = cfg

@@ -11,9 +11,9 @@ from __future__ import annotations
 import csv
 import enum
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Tuple
+from typing import NamedTuple, Optional
 
-from .model import ip_to_int
+from .model import ip_to_int, parse_cidr, parse_uint
 
 
 class TagClass(str, enum.Enum):
@@ -94,27 +94,6 @@ class AsnMap:
 
     def __len__(self) -> int:
         return sum(len(b) for b in self._by_prefixlen.values())
-
-
-# Canonical decimal prefix lengths: no sign, no leading zero, 0 to 32.
-_PREFIX_LENS = {str(n): n for n in range(33)}
-
-
-def parse_cidr(text: str) -> Tuple[int, int]:
-    """'a.b.c.d/len' to (network address, prefix length). Raises ValueError.
-
-    The address must be canonical dotted quad (ip_to_int) with no host bits
-    set past the prefix, and the length canonical decimal. Netmask spellings
-    and bare addresses are rejected.
-    """
-    addr_text, slash, len_text = text.partition("/")
-    prefixlen = _PREFIX_LENS.get(len_text)
-    if not slash or prefixlen is None:
-        raise ValueError(f"invalid IPv4 prefix {text!r}")
-    network = ip_to_int(addr_text)
-    if network & (0xFFFFFFFF >> prefixlen):
-        raise ValueError(f"{text!r} has host bits set")
-    return network, prefixlen
 
 
 def _csv_lines(path):
@@ -201,7 +180,7 @@ def load_tags(path) -> TagDb:
 
 
 def load_asn_map(path) -> AsnMap:
-    """'cidr,asn,org,country' per line; the cidr as parse_cidr reads it."""
+    """'cidr,asn,org,country' per line; cidr as parse_cidr reads it, asn as parse_uint."""
     amap = AsnMap()
     for row in _csv_lines(path):
         if len(row) != 4:
@@ -209,11 +188,8 @@ def load_asn_map(path) -> AsnMap:
             continue
         try:
             network, prefixlen = parse_cidr(row[0].strip())
-            asn = int(row[1])
+            asn = parse_uint(row[1])
         except ValueError:
-            amap.malformed_lines += 1
-            continue
-        if asn < 0:
             amap.malformed_lines += 1
             continue
         amap.add(network, prefixlen, AsnEntry(asn, row[2].strip(), row[3].strip()))

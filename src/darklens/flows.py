@@ -1,11 +1,11 @@
 """Readers for sampled flow exports from vantage routers.
 
-Two wire formats carry the same logical record: a CSV with a fixed header and
-a JSON-lines file with identical field names, where each field must carry its
-exact JSON type. Both go through one row validator. A row that cannot be
-parsed or that violates a field constraint is skipped and counted; a CSV whose
-header does not match the schema is fatal because every following row would
-be garbage.
+Two wire formats carry the same logical record: a CSV with a fixed header,
+whose integers must be canonical decimal (parse_uint), and a JSON-lines file
+with identical field names, where each field must carry its exact JSON type.
+Both go through one row validator. A row that cannot be parsed or that
+violates a field constraint is skipped and counted; a CSV whose header does
+not match the schema is fatal because every following row would be garbage.
 """
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ import itertools
 import json
 from typing import Iterator
 
-from .model import _MAX_TS_US, Direction, Protocol, ip_to_int, letters_to_flags
+from .model import _MAX_TS_US, Direction, Protocol, ip_to_int, letters_to_flags, parse_uint
 
 FLOW_CSV_FIELDS = [
     "router_id",
@@ -147,9 +147,10 @@ class FlowReader:
                     router, ts, dirn, src, dst, proto, sport, dport, sampled, denom, flags = row
                     try:
                         yield _flow_row(
-                            router, int(ts), dirn, src, dst, proto,
-                            int(sport) if sport else None, int(dport) if dport else None,
-                            int(sampled), int(denom), flags or None,
+                            router, parse_uint(ts), dirn, src, dst, proto,
+                            parse_uint(sport) if sport else None,
+                            parse_uint(dport) if dport else None,
+                            parse_uint(sampled), parse_uint(denom), flags or None,
                         )
                     except ValueError:
                         invalid += 1

@@ -136,7 +136,6 @@ class ImpactSeries:
     no traffic are materialized as zero bins so gaps stay visible.
     """
 
-    vantage_id: str
     bin_width_s: float
     bins: List[ImpactBin] = field(default_factory=list)
 
@@ -167,7 +166,6 @@ def stream_impact(
     pkts: Iterable[tuple],
     ah: Set[int],
     bin_width_s: float = 1.0,
-    vantage_id: str = "stream",
 ) -> ImpactSeries:
     """Per-bin aggressive and total packet counts of a packet stream.
 
@@ -187,7 +185,7 @@ def stream_impact(
         cell[1] += 1
         if src in ah:
             cell[0] += 1
-    series = ImpactSeries(vantage_id=vantage_id, bin_width_s=bin_width_s)
+    series = ImpactSeries(bin_width_s=bin_width_s)
     if not counts:
         return series
     for idx in range(min(counts), max(counts) + 1):

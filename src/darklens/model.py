@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import enum
-import ipaddress
 import json
 import math
 import socket
@@ -21,7 +20,7 @@ import struct
 from dataclasses import dataclass, field
 from datetime import date, timedelta
 from functools import lru_cache
-from typing import Callable, Dict, Iterable, Iterator, NamedTuple, Optional, Sequence, TypeVar
+from typing import Callable, Dict, Iterable, Iterator, NamedTuple, Optional, Sequence, Tuple, TypeVar
 
 US_PER_S = 1_000_000
 US_PER_DAY = 86_400 * US_PER_S
@@ -72,6 +71,39 @@ def ip_to_int(text: str) -> int:
 
 def int_to_ip(value: int) -> str:
     return socket.inet_ntoa(struct.pack("!I", value & 0xFFFFFFFF))
+
+
+def parse_uint(text: str) -> int:
+    """Canonical decimal text to a non-negative int. Raises ValueError.
+
+    Only ASCII digits, with no sign, padding or leading zero other than "0"
+    itself. int() alone also takes "+1", " 53", "1_0" and non-ASCII digits
+    such as "\u0665", which would read a rotten row as a valid count.
+    """
+    if text.isdigit() and text.isascii() and (text[0] != "0" or text == "0"):
+        return int(text)
+    raise ValueError(f"invalid decimal {text!r}")
+
+
+# Canonical decimal prefix lengths: no sign, no leading zero, 0 to 32.
+_PREFIX_LENS = {str(n): n for n in range(33)}
+
+
+def parse_cidr(text: str) -> Tuple[int, int]:
+    """'a.b.c.d/len' to (network address, prefix length). Raises ValueError.
+
+    The address must be canonical dotted quad (ip_to_int) with no host bits
+    set past the prefix, and the length canonical decimal. Netmask spellings
+    and bare addresses are rejected.
+    """
+    addr_text, slash, len_text = text.partition("/")
+    prefixlen = _PREFIX_LENS.get(len_text)
+    if not slash or prefixlen is None:
+        raise ValueError(f"invalid IPv4 prefix {text!r}")
+    network = ip_to_int(addr_text)
+    if network & (0xFFFFFFFF >> prefixlen):
+        raise ValueError(f"{text!r} has host bits set")
+    return network, prefixlen
 
 
 def utc_day(ts_us: int) -> date:
@@ -179,13 +211,12 @@ class DarknetEvent(NamedTuple):
     masscan_pkts: int
     other_pkts: int
 
-    def validate(self, darknet_size: Optional[int] = None) -> None:
+    def validate(self) -> None:
         if not _MIN_TS_US <= self.start_ts <= self.end_ts <= _MAX_TS_US:
             raise ValueError(f"need {_MIN_TS_US} <= start_ts <= end_ts <= {_MAX_TS_US}")
         if self.pkt_count < 1:
             raise ValueError("pkt_count must be >= 1")
-        upper = self.pkt_count if darknet_size is None else min(self.pkt_count, darknet_size)
-        if not 1 <= self.unique_dst_count <= upper:
+        if not 1 <= self.unique_dst_count <= self.pkt_count:
             raise ValueError("unique_dst_count out of range")
         if self.zmap_pkts + self.masscan_pkts + self.other_pkts != self.pkt_count:
             raise ValueError("fingerprint counters must partition pkt_count")
@@ -386,80 +417,61 @@ class EmptyAhSetError(ValueError):
     """A measurement or join over the AH set was handed an empty set."""
 
 
-class EmptyPrefixListError(ConfigError):
-    pass
-
-
-class OverlappingPrefixesError(ConfigError):
-    pass
-
-
-class InvalidFractionError(ConfigError):
-    pass
-
-
-@dataclass
+@dataclass(frozen=True)
 class DarknetConfig:
-    """Operator configuration for one telescope deployment.
+    """Operator configuration for one telescope deployment, checked when built.
 
-    darknet_size is always derived from the prefixes by validate_config and
-    never trusted from input.
+    darknet_prefixes are 'a.b.c.d/len' texts as parse_cidr reads them.
+    darknet_size and the address intervals are derived from them and never
+    taken from input. Raises ConfigError.
     """
 
-    darknet_prefixes: list[ipaddress.IPv4Network] = field(default_factory=list)
+    darknet_prefixes: Sequence[str] = ()
     event_timeout_s: float = 600.0
     dispersion_fraction: float = 0.10
     alpha: float = 0.0001
-    darknet_size: int = 0
+    darknet_size: int = field(init=False)
     # First and last address of each prefix in ascending order, as two
-    # parallel lists for bisect; derived by validate_config.
-    range_starts: list[int] = field(default_factory=list, init=False, repr=False)
-    range_ends: list[int] = field(default_factory=list, init=False, repr=False)
+    # parallel tuples for bisect.
+    range_starts: Tuple[int, ...] = field(init=False, repr=False)
+    range_ends: Tuple[int, ...] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if not self.darknet_prefixes:
+            raise ConfigError("darknet_prefixes must not be empty")
+        try:
+            nets = sorted(map(parse_cidr, self.darknet_prefixes))
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        starts = tuple(net for net, _ in nets)
+        ends = tuple(net | (0xFFFFFFFF >> plen) for net, plen in nets)
+        for (a, alen), (b, blen), a_end in zip(nets, nets[1:], ends):
+            if b <= a_end:
+                raise ConfigError(f"prefixes {int_to_ip(a)}/{alen} and {int_to_ip(b)}/{blen} overlap")
+        size = sum(1 << (32 - plen) for _, plen in nets)
+        if size < 256:
+            raise ConfigError(f"darknet too small ({size} addresses, need >= 256)")
+        if not 0.0 < self.dispersion_fraction <= 1.0:
+            raise ConfigError(f"dispersion_fraction {self.dispersion_fraction} not in (0, 1]")
+        if not 0.0 < self.alpha < 1.0:
+            raise ConfigError(f"alpha {self.alpha} not in (0, 1)")
+        if not 0 < self.event_timeout_s < math.inf:
+            raise ConfigError("event_timeout_s must be positive and finite")
+        if round(self.event_timeout_s * US_PER_S) < 1:
+            # EventBuilder holds the timeout in whole microseconds; one that
+            # rounds to 0 would end an event at every later packet.
+            raise ConfigError(f"event_timeout_s {self.event_timeout_s} must round to at least 1 us")
+        object.__setattr__(self, "darknet_size", size)
+        object.__setattr__(self, "range_starts", starts)
+        object.__setattr__(self, "range_ends", ends)
 
 
-def validate_config(cfg: DarknetConfig) -> DarknetConfig:
-    """Check invariants, fill in darknet_size and the address intervals.
-
-    Returns cfg for chaining.
-    """
-    if not cfg.darknet_prefixes:
-        raise EmptyPrefixListError("darknet_prefixes must not be empty")
-    nets = sorted(cfg.darknet_prefixes, key=lambda n: (int(n.network_address), n.prefixlen))
-    for a, b in zip(nets, nets[1:]):
-        if a.overlaps(b):
-            raise OverlappingPrefixesError(f"prefixes {a} and {b} overlap")
-    size = sum(n.num_addresses for n in cfg.darknet_prefixes)
-    if size < 256:
-        raise ConfigError(f"darknet too small ({size} addresses, need >= 256)")
-    if not 0.0 < cfg.dispersion_fraction <= 1.0:
-        raise InvalidFractionError(f"dispersion_fraction {cfg.dispersion_fraction} not in (0, 1]")
-    if not 0.0 < cfg.alpha < 1.0:
-        raise InvalidFractionError(f"alpha {cfg.alpha} not in (0, 1)")
-    if not 0 < cfg.event_timeout_s < math.inf:
-        raise ConfigError("event_timeout_s must be positive and finite")
-    if round(cfg.event_timeout_s * US_PER_S) < 1:
-        # EventBuilder holds the timeout in whole microseconds; one that rounds
-        # to 0 would end an event at every later packet.
-        raise ConfigError(f"event_timeout_s {cfg.event_timeout_s} must round to at least 1 us")
-    cfg.darknet_size = size
-    cfg.range_starts = [int(n.network_address) for n in nets]
-    cfg.range_ends = [int(n.broadcast_address) for n in nets]
-    return cfg
-
-
-# Keys accepted by the flat key-value config file. darknet_size is tolerated
-# on input but always recomputed.
-_CONFIG_KEYS = {
-    "darknet_prefixes",
-    "event_timeout_s",
-    "dispersion_fraction",
-    "alpha",
-    "darknet_size",
-}
+# Keys accepted by the flat key-value config file.
+_CONFIG_KEYS = {"darknet_prefixes", "event_timeout_s", "dispersion_fraction", "alpha"}
 
 
 def parse_config_text(text: str) -> DarknetConfig:
-    cfg = DarknetConfig()
+    values: Dict[str, object] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -472,20 +484,18 @@ def parse_config_text(text: str) -> DarknetConfig:
         if key not in _CONFIG_KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key == "darknet_prefixes":
+            values[key] = [part.strip() for part in value.split(",") if part.strip()]
             try:
-                cfg.darknet_prefixes = [
-                    ipaddress.IPv4Network(part.strip()) for part in value.split(",") if part.strip()
-                ]
+                for prefix in values[key]:
+                    parse_cidr(prefix)
             except ValueError as exc:
                 raise ConfigError(f"line {lineno}: {exc}") from exc
-        elif key == "darknet_size":
-            continue
         else:
             try:
-                setattr(cfg, key, float(value))
+                values[key] = float(value)
             except ValueError as exc:
                 raise ConfigError(f"line {lineno}: {key} must be numeric") from exc
-    return validate_config(cfg)
+    return DarknetConfig(**values)
 
 
 def load_config(path) -> DarknetConfig:

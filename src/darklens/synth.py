@@ -8,7 +8,6 @@ what makes the end-to-end acceptance checks meaningful.
 """
 from __future__ import annotations
 
-import ipaddress
 import json
 import struct
 from dataclasses import dataclass, field, fields
@@ -20,7 +19,7 @@ import numpy as np
 
 from .fingerprint import ZMAP_IP_ID, masscan_ip_id
 from .flows import FLOW_CSV_FIELDS
-from .model import US_PER_DAY, US_PER_S, int_to_ip, write_csv, write_json
+from .model import US_PER_DAY, US_PER_S, int_to_ip, parse_cidr, write_csv, write_json
 
 _EPOCH = date(1970, 1, 1)
 
@@ -168,11 +167,9 @@ def generate(scenario: SynthScenario, seed: int, out_dir) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)
 
-    networks = [ipaddress.IPv4Network(p) for p in scenario.darknet_prefixes]
     dark_ips: List[int] = []
-    for net in networks:
-        base = int(net.network_address)
-        dark_ips.extend(range(base, base + net.num_addresses))
+    for base, prefixlen in map(parse_cidr, scenario.darknet_prefixes):
+        dark_ips.extend(range(base, base + (1 << (32 - prefixlen))))
     dark = np.array(dark_ips, dtype=np.int64)
     size = len(dark)
     if size == 0:

@@ -8,8 +8,8 @@ from __future__ import annotations
 
 from bisect import bisect_right
 import csv
-import ipaddress
 import json
+import re
 import struct
 from datetime import date, timedelta
 from typing import Collection, Dict, Iterable, List, Optional, Set, Tuple
@@ -38,7 +38,6 @@ from darklens.model import (
     ip_to_int,
     letters_to_flags,
     utc_day,
-    validate_config,
     write_csv,
 )
 from darklens.pcap import classify_traffic_type
@@ -52,13 +51,12 @@ def make_cfg(
     dispersion_fraction: float = 0.10,
     alpha: float = 0.0001,
 ) -> DarknetConfig:
-    cfg = DarknetConfig(
-        darknet_prefixes=[ipaddress.IPv4Network(p) for p in prefixes],
+    return DarknetConfig(
+        darknet_prefixes=list(prefixes),
         event_timeout_s=event_timeout_s,
         dispersion_fraction=dispersion_fraction,
         alpha=alpha,
     )
-    return validate_config(cfg)
 
 
 def cfg_sized(total: int, fraction: float = 0.10) -> DarknetConfig:
@@ -69,12 +67,22 @@ def cfg_sized(total: int, fraction: float = 0.10) -> DarknetConfig:
     for bit in range(31, -1, -1):
         size = 1 << bit
         if remaining >= size:
-            nets.append(ipaddress.IPv4Network((addr, 32 - bit)))
+            nets.append(f"{int_to_ip(addr)}/{32 - bit}")
             addr += size
             remaining -= size
-    return validate_config(
-        DarknetConfig(darknet_prefixes=nets, dispersion_fraction=fraction)
-    )
+    return DarknetConfig(darknet_prefixes=nets, dispersion_fraction=fraction)
+
+
+# Prefix spellings Python's ipaddress.IPv4Network takes but parse_cidr does
+# not: netmask, hostmask, bare address and zero-padded lengths. The ASN map
+# and the telescope config must both refuse them.
+NONCANONICAL_PREFIXES = [
+    "10.0.0.0/255.0.0.0",
+    "10.0.0.0/0.255.255.255",
+    "10.0.0.0",
+    "10.0.0.0/08",
+    "10.0.0.0/008",
+]
 
 
 def mk_pkt(
@@ -400,8 +408,15 @@ def _build_record(
     )
 
 
+def _dec(text: str) -> int:
+    """Canonical decimal only: int() alone also takes "+1", " 53" and "1_0"."""
+    if not re.fullmatch(r"0|[1-9][0-9]*", text, re.ASCII):
+        raise ValueError(f"{text!r} is not canonical decimal")
+    return int(text)
+
+
 def _opt_int(text: str) -> Optional[int]:
-    return int(text) if text != "" else None
+    return _dec(text) if text != "" else None
 
 
 def _json_int(value, optional: bool = False) -> Optional[int]:
@@ -441,15 +456,15 @@ def oracle_flow_rows(path, fmt: FlowFormat) -> Tuple[List[FlowRecord], int]:
                 try:
                     records.append(_build_record(
                         router_id=row[0],
-                        ts_us=int(row[1]),
+                        ts_us=_dec(row[1]),
                         direction=row[2],
                         src_ip=row[3],
                         dst_ip=row[4],
                         protocol=row[5],
                         src_port=_opt_int(row[6]),
                         dst_port=_opt_int(row[7]),
-                        sampled_pkts=int(row[8]),
-                        sampling_denominator=int(row[9]),
+                        sampled_pkts=_dec(row[8]),
+                        sampling_denominator=_dec(row[9]),
                         tcp_flags=row[10] or None,
                     ))
                 except ValueError:

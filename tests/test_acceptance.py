@@ -401,7 +401,7 @@ def test_criterion_07_cumulative_equals_total_ratio():
             bins.append(ImpactBin(i * US, ah, total))
         if not any(b.total_pkts for b in bins):
             bins[0] = ImpactBin(0, 1, 3)
-        series = ImpactSeries(vantage_id="v", bin_width_s=1.0, bins=bins)
+        series = ImpactSeries(bin_width_s=1.0, bins=bins)
 
         sum_ah, sum_total = series.totals()
         final = series.cumulative_fractions()[-1]

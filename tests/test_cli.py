@@ -18,7 +18,9 @@ from darklens.model import (
     AhVerdict, DarknetEvent, Direction, EventKey, FlowRecord, Protocol, TrafficType, ip_to_int,
 )
 from darklens.pcap import PcapReader
-from helpers import US, build_pcap, eth_frame, oracle_ipv4, oracle_udp, write_flows_csv
+from helpers import (
+    NONCANONICAL_PREFIXES, US, build_pcap, eth_frame, oracle_ipv4, oracle_udp, write_flows_csv,
+)
 
 CONF = """\
 darknet_prefixes = 10.0.0.0/22
@@ -509,6 +511,22 @@ class TestFailureModes:
         ])
         assert rc == 2
         assert "error: event_timeout_s 1e-07 must round to at least 1 us" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("line", [f"darknet_prefixes = {p}" for p in NONCANONICAL_PREFIXES]
+                             + ["darknet_size = 1024"])
+    def test_config_line_rejected_is_fatal(self, pipeline, tmp_path, capsys, line):
+        conf = tmp_path / "bad.conf"
+        conf.write_text(CONF + line + "\n")
+        out = tmp_path / "out"
+        rc = main([
+            "--config", str(conf), "--out-dir", str(out),
+            "events", str(pipeline["synth"] / "synth.pcap"),
+        ])
+        assert rc == 2
+        key, _, value = line.partition(" = ")
+        reason = f"unknown key '{key}'" if key == "darknet_size" else f"invalid IPv4 prefix '{value}'"
+        assert f"error: line 5: {reason}" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
     def test_bin_width_rounding_to_zero_is_fatal(self, pipeline, tmp_path, capsys):

@@ -24,11 +24,10 @@ from darklens.feeds import (
     TagDb,
     TagEntry,
     origin_of,
-    parse_cidr,
 )
 from darklens.events import write_event_log
 from darklens.model import (
-    AhVerdict, DarknetEvent, EventKey, TrafficType, ip_to_int, slash24_of, write_csv,
+    AhVerdict, DarknetEvent, EventKey, TrafficType, ip_to_int, parse_cidr, slash24_of, write_csv,
 )
 
 IP_A = ip_to_int("162.142.125.1")

@@ -13,9 +13,9 @@ from darklens.feeds import (
     load_rdns,
     load_tags,
     origin_of,
-    parse_cidr,
 )
-from darklens.model import ip_to_int
+from darklens.model import ip_to_int, parse_cidr
+from helpers import NONCANONICAL_PREFIXES
 
 
 def _write(tmp_path, name, text):
@@ -138,6 +138,18 @@ short,row
         assert len(amap) == 1
         assert amap.malformed_lines == 3
 
+    @pytest.mark.parametrize("asn", ["+5", " 5", "5 ", "05", "1_0", "\u0665", "-5", "5.0", ""])
+    def test_asn_must_be_canonical_decimal(self, tmp_path, asn):
+        # int() takes all but the last three; each would have named an AS.
+        p = _write(tmp_path, "asn.csv", f"10.0.0.0/8,64500,BigNet,US\n10.1.0.0/16,{asn},o,US\n")
+        amap = load_asn_map(p)
+        assert (len(amap), amap.malformed_lines) == (1, 1)
+        assert amap.lookup(ip_to_int("10.1.0.1")).asn == 64500
+
+    def test_asn_zero_is_canonical(self, tmp_path):
+        amap = load_asn_map(_write(tmp_path, "asn.csv", "10.0.0.0/8,0,Reserved,ZZ\n"))
+        assert (amap.lookup(ip_to_int("10.0.0.1")).asn, amap.malformed_lines) == (0, 0)
+
     def test_host_route(self):
         amap = AsnMap()
         amap.add(*parse_cidr("192.0.2.1/32"), AsnEntry(1, "One", "US"))
@@ -145,13 +157,7 @@ short,row
         assert amap.lookup(ip_to_int("192.0.2.1")).asn == 1
         assert amap.lookup(ip_to_int("192.0.2.2")).asn == 2
 
-    @pytest.mark.parametrize("cidr", [
-        "10.0.0.0/255.0.0.0",      # netmask
-        "10.0.0.0/0.255.255.255",  # hostmask
-        "10.0.0.0",                # bare address
-        "10.0.0.0/08",             # leading zero
-        "10.0.0.0/008",
-    ])
+    @pytest.mark.parametrize("cidr", NONCANONICAL_PREFIXES)
     def test_spellings_ipaddress_took_are_malformed(self, tmp_path, cidr):
         ipaddress.IPv4Network(cidr)  # accepted by the standard library
         with pytest.raises(ValueError):

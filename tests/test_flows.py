@@ -108,12 +108,30 @@ class TestCsv:
             "router-1,5,I,198.51.100.9,192.0.2.10,udp,51000,53,3,1000,S",
             "router-1,5,I,198.51.100.9,192.0.2.10,tcp,,23,3,1000,S",
             "router-1,5,I,198.51.100.9,192.0.2.10,tcp,51000,23,3,1000",
+            # int() reads ts 1654041600000000, dst_port 53, sampled_pkts 10
+            # and sampling_denominator 5 from this row.
+            "r1,1_654_041_600_000_000,I,198.18.0.1,10.0.0.1,udp, 53,+1,1_0,\u0665,",
         ],
     )
     def test_invalid_rows_counted_and_skipped(self, tmp_path, row):
         reader, rows = _read_csv(tmp_path, _csv([GOOD_ROW, row]))
         assert len(rows) == 1
         assert reader.invalid_rows == 1
+
+    @pytest.mark.parametrize("field", ["ts_us", "src_port", "dst_port", "sampled_pkts",
+                                       "sampling_denominator"])
+    @pytest.mark.parametrize("text", ["+1", " 1", "1 ", "01", "1_0", "\u0665", "\uff11"])
+    def test_each_integer_field_rejects_non_canonical_text(self, tmp_path, field, text):
+        row = GOOD_ROW.split(",")
+        row[FLOW_CSV_FIELDS.index(field)] = text
+        reader, rows = _read_csv(tmp_path, _csv([GOOD_ROW, ",".join(row)]))
+        assert len(rows) == 1
+        assert reader.invalid_rows == 1
+
+    def test_zero_is_canonical(self, tmp_path):
+        row = "router-1,0,I,198.51.100.9,192.0.2.10,udp,0,0,1,1,"
+        _, rows = _read_csv(tmp_path, _csv([row]))
+        assert [(r.ts_us, r.src_port, r.dst_port) for r in rows] == [(0, 0, 0)]
 
     def test_timestamps_run_to_the_last_utc_day(self, tmp_path):
         # A later timestamp has no UTC date, so the tally could not name
@@ -247,12 +265,16 @@ def _replace(row, **fields):
 
 # Each spoiler turns a valid row into a CSV line that no reader may accept.
 _NOT_NUMBERS = ("x1", "1.5", "0x10", "1e3")
+# Text int() reads as a number that is not canonical decimal.
+_NOT_CANONICAL = ("+1", " 53", "1_0", "\u0665", "007")
 _SPOILERS = [
     lambda row, i: _csv_line(_replace(row, **{
         FLOW_CSV_FIELDS[(0, 1, 2, 3, 4, 5, 8, 9)[i % 8]]: ""})),
     lambda row, i: _csv_line(_replace(row, **{
         ("ts_us", "sampled_pkts", "sampling_denominator")[i % 3]: _NOT_NUMBERS[i % 4]})),
     lambda row, i: _csv_line(_replace(row, ts_us=str((-1, LAST_TS_US + 1, 2**63)[i % 3]))),
+    lambda row, i: _csv_line(_replace(row, **{
+        ("ts_us", "sampled_pkts", "sampling_denominator")[i % 3]: _NOT_CANONICAL[i % 5]})),
     lambda row, i: _csv_line(_replace(
         row, protocol="udp", src_port="53", dst_port=("65536", "-1")[i % 2], tcp_flags="")),
     lambda row, i: _csv_line(

@@ -199,21 +199,21 @@ class TestStreamImpact:
 
 class TestNormalization:
     def test_rate_per_slash24(self):
-        series = ImpactSeries("v", 10.0, [ImpactBin(0, ah_pkts=1000, total_pkts=5000)])
+        series = ImpactSeries(10.0, [ImpactBin(0, ah_pkts=1000, total_pkts=5000)])
         assert normalize_per_slash24(series, 50) == [2.0]
 
     def test_one_slash24(self):
-        series = ImpactSeries("v", 1.0, [ImpactBin(0, ah_pkts=7, total_pkts=7)])
+        series = ImpactSeries(1.0, [ImpactBin(0, ah_pkts=7, total_pkts=7)])
         assert normalize_per_slash24(series, 1) == [7.0]
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
-            normalize_per_slash24(ImpactSeries("v", 1.0), 0)
+            normalize_per_slash24(ImpactSeries(1.0), 0)
 
 
 class TestHighLoadBins:
     def _series(self, cells):
-        return ImpactSeries("v", 1.0, [ImpactBin(i * US, a, t) for i, (a, t) in enumerate(cells)])
+        return ImpactSeries(1.0, [ImpactBin(i * US, a, t) for i, (a, t) in enumerate(cells)])
 
     def test_requires_both_top_deciles(self):
         cells = [(0, 100)] * 8 + [(90, 100)] + [(5, 1000)]
@@ -241,7 +241,7 @@ class TestHighLoadBins:
         assert flag_high_load_bins(self._series(cells)) == list(range(10))
 
     def test_empty(self):
-        assert flag_high_load_bins(ImpactSeries("v", 1.0)) == []
+        assert flag_high_load_bins(ImpactSeries(1.0)) == []
 
     def test_matches_oracle_randomized(self):
         rng = random.Random(90210)

@@ -1,3 +1,4 @@
+import dataclasses
 import ipaddress
 import json
 from datetime import date, timedelta
@@ -9,10 +10,7 @@ from darklens.model import (
     ConfigError,
     DarknetConfig,
     DarknetEvent,
-    EmptyPrefixListError,
     EventKey,
-    InvalidFractionError,
-    OverlappingPrefixesError,
     PacketMeta,
     Protocol,
     TrafficType,
@@ -22,10 +20,10 @@ from darklens.model import (
     parse_config_text,
     slash24_of,
     utc_day,
-    validate_config,
 )
 from helpers import (
-    darknet_contains, flags_to_letters, oracle_event_from_json_line, oracle_event_json_line,
+    NONCANONICAL_PREFIXES, darknet_contains, flags_to_letters, oracle_event_from_json_line,
+    oracle_event_json_line,
 )
 
 US = 1_000_000
@@ -37,62 +35,59 @@ MAX_TS = ((date.max - EPOCH).days + 1) * US_PER_DAY - 1
 
 
 def _cfg(prefixes, **kw):
-    return DarknetConfig(
-        darknet_prefixes=[ipaddress.IPv4Network(p) for p in prefixes], **kw
-    )
+    return DarknetConfig(darknet_prefixes=list(prefixes), **kw)
 
 
 class TestValidateConfig:
     def test_size_is_sum_of_prefix_sizes(self):
-        cfg = validate_config(_cfg(["10.0.0.0/24", "10.0.1.0/24"]))
+        cfg = _cfg(["10.0.0.0/24", "10.0.1.0/24"])
         assert cfg.darknet_size == 512
 
     def test_single_slash22(self):
-        assert validate_config(_cfg(["192.0.2.0/24"])).darknet_size == 256
+        assert _cfg(["192.0.2.0/24"]).darknet_size == 256
 
     def test_empty_prefix_list_rejected(self):
-        with pytest.raises(EmptyPrefixListError):
-            validate_config(DarknetConfig(darknet_prefixes=[]))
+        with pytest.raises(ConfigError, match="darknet_prefixes must not be empty"):
+            DarknetConfig(darknet_prefixes=[])
 
     def test_overlapping_prefixes_rejected(self):
-        with pytest.raises(OverlappingPrefixesError):
-            validate_config(_cfg(["10.0.0.0/23", "10.0.1.0/24"]))
+        with pytest.raises(ConfigError, match="prefixes 10.0.0.0/23 and 10.0.1.0/24 overlap"):
+            _cfg(["10.0.0.0/23", "10.0.1.0/24"])
 
     def test_duplicate_prefix_rejected(self):
-        with pytest.raises(OverlappingPrefixesError):
-            validate_config(_cfg(["10.0.0.0/24", "10.0.0.0/24"]))
+        with pytest.raises(ConfigError, match="prefixes 10.0.0.0/24 and 10.0.0.0/24 overlap"):
+            _cfg(["10.0.0.0/24", "10.0.0.0/24"])
 
     def test_fraction_zero_rejected(self):
-        with pytest.raises(InvalidFractionError):
-            validate_config(_cfg(["10.0.0.0/22"], dispersion_fraction=0.0))
+        with pytest.raises(ConfigError, match=r"dispersion_fraction 0.0 not in \(0, 1\]"):
+            _cfg(["10.0.0.0/22"], dispersion_fraction=0.0)
 
     def test_fraction_above_one_rejected(self):
-        with pytest.raises(InvalidFractionError):
-            validate_config(_cfg(["10.0.0.0/22"], dispersion_fraction=1.5))
+        with pytest.raises(ConfigError, match=r"dispersion_fraction 1.5 not in \(0, 1\]"):
+            _cfg(["10.0.0.0/22"], dispersion_fraction=1.5)
 
     def test_fraction_of_exactly_one_allowed(self):
-        cfg = validate_config(_cfg(["10.0.0.0/22"], dispersion_fraction=1.0))
+        cfg = _cfg(["10.0.0.0/22"], dispersion_fraction=1.0)
         assert cfg.dispersion_fraction == 1.0
 
     def test_alpha_bounds(self):
-        with pytest.raises(InvalidFractionError):
-            validate_config(_cfg(["10.0.0.0/22"], alpha=0.0))
-        with pytest.raises(InvalidFractionError):
-            validate_config(_cfg(["10.0.0.0/22"], alpha=1.0))
+        with pytest.raises(ConfigError, match=r"alpha 0.0 not in \(0, 1\)"):
+            _cfg(["10.0.0.0/22"], alpha=0.0)
+        with pytest.raises(ConfigError, match=r"alpha 1.0 not in \(0, 1\)"):
+            _cfg(["10.0.0.0/22"], alpha=1.0)
 
     def test_nonpositive_timeout_rejected(self):
         with pytest.raises(ConfigError):
-            validate_config(_cfg(["10.0.0.0/22"], event_timeout_s=0.0))
+            _cfg(["10.0.0.0/22"], event_timeout_s=0.0)
 
     @pytest.mark.parametrize("timeout_s,ok", [(1e-7, False), (4.99e-7, False), (5e-7, False),
                                               (5.01e-7, True), (1e-6, True)])
     def test_timeout_must_round_to_a_microsecond(self, timeout_s, ok):
-        cfg = _cfg(["10.0.0.0/22"], event_timeout_s=timeout_s)
         if ok:
-            assert validate_config(cfg).event_timeout_s == timeout_s
+            assert _cfg(["10.0.0.0/22"], event_timeout_s=timeout_s).event_timeout_s == timeout_s
         else:
             with pytest.raises(ConfigError, match="must round to at least 1 us"):
-                validate_config(cfg)
+                _cfg(["10.0.0.0/22"], event_timeout_s=timeout_s)
 
     @pytest.mark.parametrize("text", ["inf", "nan", "-inf"])
     def test_non_finite_timeout_rejected(self, text):
@@ -102,11 +97,27 @@ class TestValidateConfig:
             parse_config_text(f"darknet_prefixes = 10.0.0.0/22\nevent_timeout_s = {text}\n")
 
     def test_undersized_darknet_rejected(self):
-        with pytest.raises(ConfigError):
-            validate_config(_cfg(["10.0.0.0/25"]))
+        with pytest.raises(ConfigError, match=r"darknet too small \(128 addresses, need >= 256\)"):
+            _cfg(["10.0.0.0/25"])
+
+    @pytest.mark.parametrize("prefix", NONCANONICAL_PREFIXES + ["10.0.0.1/22"])
+    def test_noncanonical_prefix_rejected_when_built(self, prefix):
+        with pytest.raises(ConfigError, match=f"{prefix!r}"):
+            _cfg(["192.0.2.0/24", prefix])
+
+    def test_checked_when_built_and_frozen(self):
+        cfg = _cfg(["10.0.0.0/24", "10.0.2.0/24"])
+        assert (cfg.range_starts, cfg.range_ends) == (
+            (ip_to_int("10.0.0.0"), ip_to_int("10.0.2.0")),
+            (ip_to_int("10.0.0.255"), ip_to_int("10.0.2.255")),
+        )
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.darknet_size = 1 << 20
+        with pytest.raises(TypeError):
+            DarknetConfig(darknet_prefixes=["10.0.0.0/22"], darknet_size=1024)
 
     def test_contains(self):
-        cfg = validate_config(_cfg(["10.0.0.0/24", "10.0.2.0/24"]))
+        cfg = _cfg(["10.0.0.0/24", "10.0.2.0/24"])
         assert darknet_contains(cfg, ip_to_int("10.0.0.255"))
         assert darknet_contains(cfg, ip_to_int("10.0.2.1"))
         assert not darknet_contains(cfg, ip_to_int("10.0.1.0"))
@@ -125,7 +136,8 @@ class TestValidateConfig:
             ipaddress.IPv4Network((base + (b << 10), 22 + lens[i]))
             for i, b in enumerate(sorted(blocks))
         ]
-        cfg = validate_config(_cfg([str(n) for n in nets]))
+        cfg = _cfg([str(n) for n in nets])
+        assert cfg.darknet_size == sum(n.num_addresses for n in nets)
         edges = [int(n.network_address) + d for n in nets for d in (-1, 0)]
         edges += [int(n.broadcast_address) + d for n in nets for d in (0, 1)]
         for ip in edges + [base + off for off in probes]:
@@ -170,6 +182,18 @@ class TestParseConfigText:
         # Nothing read this key, so a config that sets it now fails loudly.
         with pytest.raises(ConfigError, match="line 2: unknown key 'assumed_scan_rate_pps'"):
             parse_config_text("darknet_prefixes = 10.0.0.0/22\nassumed_scan_rate_pps = 100\n")
+
+    @pytest.mark.parametrize("prefix", NONCANONICAL_PREFIXES)
+    def test_noncanonical_prefix_names_its_line(self, prefix):
+        text = f"# telescope\ndarknet_prefixes = 192.0.2.0/24, {prefix}\n"
+        with pytest.raises(ConfigError, match=f"^line 2: invalid IPv4 prefix {prefix!r}$"):
+            parse_config_text(text)
+
+    def test_darknet_size_key_rejected(self):
+        # The size is derived from the prefixes; a stated one was once
+        # ignored in silence.
+        with pytest.raises(ConfigError, match="line 2: unknown key 'darknet_size'"):
+            parse_config_text("darknet_prefixes = 10.0.0.0/22\ndarknet_size = 1024\n")
 
     def test_missing_prefixes_rejected(self):
         with pytest.raises(ConfigError):
@@ -306,25 +330,25 @@ class TestDarknetEvent:
 
     def test_validate_rejects_reversed_times(self):
         with pytest.raises(ValueError):
-            _event(start_ts=2000 * US, end_ts=1000 * US).validate(1024)
+            _event(start_ts=2000 * US, end_ts=1000 * US).validate()
 
     def test_validate_rejects_dst_count_above_size(self):
         with pytest.raises(ValueError):
-            _event(unique_dst_count=2000).validate(1024)
+            _event(unique_dst_count=2000).validate()
 
     def test_validate_rejects_bad_fingerprint_partition(self):
         with pytest.raises(ValueError):
-            _event(zmap_pkts=3, masscan_pkts=3, other_pkts=3).validate(1024)
+            _event(zmap_pkts=3, masscan_pkts=3, other_pkts=3).validate()
 
     def test_icmp_key_uses_port_zero(self):
         ev = _event(
             key=EventKey(ip_to_int("198.51.100.9"), 0, TrafficType.ICMP_ECHO_REQUEST)
         )
-        ev.validate(1024)
+        ev.validate()
         with pytest.raises(ValueError):
             _event(
                 key=EventKey(ip_to_int("198.51.100.9"), 23, TrafficType.ICMP_ECHO_REQUEST)
-            ).validate(1024)
+            ).validate()
 
     @given(
         start=st.integers(min_value=0, max_value=10**12),

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from darklens.events import EventBuilder
-from darklens.model import PacketMeta, TrafficType, ip_to_int, load_config, validate_config
+from darklens.model import PacketMeta, TrafficType, ip_to_int, load_config
 from darklens.pcap import PcapReader, classify_traffic_type
 from darklens.synth import SynthScenario, generate
 from helpers import make_cfg, run_builder
