@@ -15,11 +15,8 @@ up front for streaming use. All boundary comparisons are inclusive (>=).
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass
 from datetime import date
-from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .enrich import acked_sources
 from .feeds import AckedList, AsnMap, RdnsMap, origin_of
@@ -56,17 +53,19 @@ class BothEmptyError(ValueError):
 def ecdf_threshold(values: Iterable[int], alpha: float) -> int:
     """Value at the (1 - alpha) percentile, 1-based index ceil((1-alpha)*n).
 
-    The index is computed in exact rational arithmetic: with float math,
-    ceil(0.9999 * 10000) evaluates to 10000 because 1 - 0.0001 rounds up,
-    off by one from the true order statistic. For alpha in (0, 1) the index
-    always lies in [1, n].
+    The index is exact, in integers on the float's ratio alpha = num/den.
+    Float math can round (1 - alpha) * n onto the wrong side of an integer:
+    for alpha 0.3 and n 10 it gives 7.0, but the float 0.3 lies just below
+    3/10, so the product is just above 7 and the index is 8. For alpha in
+    (0, 1) the index always lies in [1, n].
     """
     ordered = sorted(values)
     if not ordered:
         raise EmptyInputError("cannot build an ECDF from no values")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha {alpha} not in (0, 1)")
-    return ordered[math.ceil((1 - Fraction(alpha)) * len(ordered)) - 1]
+    num, den = alpha.as_integer_ratio()
+    return ordered[-(-(den - num) * len(ordered) // den) - 1]
 
 
 def classify_dispersion(ev: DarknetEvent, cfg: DarknetConfig) -> bool:
@@ -123,8 +122,7 @@ def compute_thresholds(
     return Thresholds(volume, ports, dataset_label)
 
 
-@dataclass(frozen=True, slots=True)
-class AggressiveEvent:
+class AggressiveEvent(NamedTuple):
     """A darknet event together with the definitions it satisfied."""
 
     event: DarknetEvent
@@ -173,8 +171,7 @@ def jaccard(a: Set[int], b: Set[int]) -> float:
     return len(a & b) / len(a | b)
 
 
-@dataclass(frozen=True, slots=True)
-class IntersectionRow:
+class IntersectionRow(NamedTuple):
     ips: int
     asns: int
     orgs: int
@@ -242,7 +239,6 @@ def cumulative_share(curve: Sequence[Tuple[float, float]], top_fraction: float) 
     return share
 
 
-@dataclass(slots=True)
 class SourceStats:
     """A source's aggregate over its tagged events, as the sidecar writes it.
 
@@ -250,17 +246,23 @@ class SourceStats:
     max_daily_ports spans every day the source probed, aggressive or not.
     """
 
-    defs: Set[str]
-    first_ts: int
-    max_dispersion: float
-    max_event_pkts: int
-    max_daily_ports: int
-    total_pkts: int
-    events: int
+    __slots__ = (
+        "defs", "first_ts", "max_dispersion", "max_event_pkts", "max_daily_ports",
+        "total_pkts", "events",
+    )
+
+    def __init__(self, defs: Set[str], first_ts: int, max_dispersion: float,
+                 max_event_pkts: int, max_daily_ports: int, total_pkts: int, events: int):
+        self.defs = defs
+        self.first_ts = first_ts
+        self.max_dispersion = max_dispersion
+        self.max_event_pkts = max_event_pkts
+        self.max_daily_ports = max_daily_ports
+        self.total_pkts = total_pkts
+        self.events = events
 
 
-@dataclass
-class DetectionResult:
+class DetectionResult(NamedTuple):
     thresholds: Thresholds
     tagged: List[AggressiveEvent]
     sources: Dict[int, SourceStats]

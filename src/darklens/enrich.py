@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Collection, Dict, Iterable, List, NamedTuple, Optional, Set, Tuple
 
 from .feeds import AckedList, AsnMap, RdnsMap, TagDb, origin_of
@@ -15,8 +14,7 @@ class MatchVia(str, enum.Enum):
     NONE = "none"
 
 
-@dataclass(frozen=True, slots=True)
-class AckedMatch:
+class AckedMatch(NamedTuple):
     acked: bool
     org: Optional[str]
     via: MatchVia
@@ -110,8 +108,7 @@ def origin_table(
     return rows
 
 
-@dataclass
-class TagJoinResult:
+class TagJoinResult(NamedTuple):
     """AH set joined against a third-party tag database.
 
     histogram buckets every AH source into benign/malicious/unknown or

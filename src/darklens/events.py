@@ -14,7 +14,7 @@ a garbled capture cannot corrupt event boundaries.
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Dict, Iterable, Iterator, List, Optional
+from typing import Iterable, Iterator, List, Optional
 
 # EventBuilder.fold runs the rules of classify_traffic_type and
 # fingerprint_packet inline and calls neither. Both names stay importable from
@@ -24,7 +24,7 @@ from .fingerprint import ZMAP_IP_ID, fingerprint_packet  # noqa: F401
 from .hll import Hll
 from .model import (
     TCP_ACK, TCP_SYN, DarknetConfig, DarknetEvent, EventKey, PacketMeta, Protocol, TrafficType,
-    US_PER_S, read_jsonl, write_lines,
+    US_PER_S, write_lines,
 )
 from .pcap import ICMP_ECHO_REQUEST_TYPE, classify_traffic_type  # noqa: F401
 
@@ -254,9 +254,3 @@ class EventBuilder:
 
 def write_event_log(path, events: Iterable[DarknetEvent]) -> int:
     return write_lines(path, (ev.to_json_line() for ev in events))
-
-
-def read_event_log(path) -> Iterator[DarknetEvent]:
-    """Decode an event log, with one ip_to_int memo for the whole file."""
-    ips: Dict[str, int] = {}
-    return read_jsonl(path, lambda line: DarknetEvent.from_json_line(line, ips))

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import enum
-from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 from .model import ip_to_int, parse_cidr, parse_uint
@@ -28,7 +27,6 @@ class AsnEntry(NamedTuple):
     country: str
 
 
-@dataclass
 class AckedList:
     """Acknowledged-scanner roster: exact IPs and rDNS keywords.
 
@@ -36,17 +34,22 @@ class AckedList:
     during rDNS matching.
     """
 
-    ips: set[int] = field(default_factory=set)
-    keywords: list[str] = field(default_factory=list)
-    org_by_ip: dict[int, str] = field(default_factory=dict)
-    org_by_keyword: dict[str, str] = field(default_factory=dict)
-    malformed_lines: int = 0
+    __slots__ = ("ips", "keywords", "org_by_ip", "org_by_keyword", "malformed_lines")
+
+    def __init__(self):
+        self.ips: set[int] = set()
+        self.keywords: list[str] = []
+        self.org_by_ip: dict[int, str] = {}
+        self.org_by_keyword: dict[str, str] = {}
+        self.malformed_lines = 0
 
 
-@dataclass
 class RdnsMap:
-    entries: dict[int, str] = field(default_factory=dict)
-    malformed_lines: int = 0
+    __slots__ = ("entries", "malformed_lines")
+
+    def __init__(self):
+        self.entries: dict[int, str] = {}
+        self.malformed_lines = 0
 
     def get(self, ip: int) -> Optional[str]:
         return self.entries.get(ip)
@@ -57,16 +60,17 @@ class TagEntry(NamedTuple):
     tags: tuple[str, ...]
 
 
-@dataclass
 class TagDb:
-    entries: dict[int, TagEntry] = field(default_factory=dict)
-    malformed_lines: int = 0
+    __slots__ = ("entries", "malformed_lines")
+
+    def __init__(self):
+        self.entries: dict[int, TagEntry] = {}
+        self.malformed_lines = 0
 
     def get(self, ip: int) -> Optional[TagEntry]:
         return self.entries.get(ip)
 
 
-@dataclass
 class AsnMap:
     """Longest-prefix IP-to-ASN map.
 
@@ -75,8 +79,11 @@ class AsnMap:
     the longest matching prefix.
     """
 
-    _by_prefixlen: dict[int, dict[int, AsnEntry]] = field(default_factory=dict)
-    malformed_lines: int = 0
+    __slots__ = ("_by_prefixlen", "malformed_lines")
+
+    def __init__(self):
+        self._by_prefixlen: dict[int, dict[int, AsnEntry]] = {}
+        self.malformed_lines = 0
 
     def add(self, network: int, prefixlen: int, entry: AsnEntry) -> None:
         self._by_prefixlen.setdefault(prefixlen, {})[network] = entry

@@ -9,9 +9,8 @@ tracks both instantaneous and cumulative aggressive fractions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from datetime import date
-from typing import Collection, Dict, Iterable, List, Set, Tuple
+from typing import Collection, Dict, Iterable, List, NamedTuple, Sequence, Set, Tuple
 
 from .model import (
     EmptyAhSetError,
@@ -28,8 +27,7 @@ class NoFlowsForDayError(ValueError):
     pass
 
 
-@dataclass(frozen=True, slots=True)
-class RouterImpact:
+class RouterImpact(NamedTuple):
     ah_pkts_est: int
     total_pkts_est: int
 
@@ -38,8 +36,7 @@ class RouterImpact:
         return self.ah_pkts_est / self.total_pkts_est if self.total_pkts_est else 0.0
 
 
-@dataclass(slots=True)
-class FlowTally:
+class FlowTally(NamedTuple):
     """Everything the flow tables read, gathered in one pass over the flows.
 
     cells maps (UTC day, router) to [ah_est, acked_est, total_est]. seen maps
@@ -49,9 +46,9 @@ class FlowTally:
     """
 
     ah_size: int
-    cells: Dict[Tuple[date, str], List[int]] = field(default_factory=dict)
-    seen: Dict[str, Set[int]] = field(default_factory=dict)
-    mix: List[int] = field(default_factory=lambda: [0, 0, 0, 0])
+    cells: Dict[Tuple[date, str], List[int]]
+    seen: Dict[str, Set[int]]
+    mix: List[int]
 
 
 def tally_flows(
@@ -68,8 +65,9 @@ def tally_flows(
     """
     if not ah:
         raise EmptyAhSetError("tally_flows needs a nonempty AH set")
-    tally = FlowTally(len(ah))
-    cells, seen, mix = tally.cells, tally.seen, tally.mix
+    cells: Dict[Tuple[date, str], List[int]] = {}
+    seen: Dict[str, Set[int]] = {}
+    mix = [0, 0, 0, 0]
     udp, icmp = Protocol.UDP, Protocol.ICMP
     for router, ts, _dir, src, _dst, proto, _sp, _dp, sampled, denom, flags in flows:
         est = sampled * denom
@@ -92,7 +90,7 @@ def tally_flows(
             mix[0] += est
         else:
             mix[3] += est
-    return tally
+    return FlowTally(len(ah), cells, seen, mix)
 
 
 def _day_impact(tally: FlowTally, day: date, column: int) -> Dict[str, RouterImpact]:
@@ -121,15 +119,13 @@ def acked_impact(tally: FlowTally, day: date) -> Dict[str, RouterImpact]:
     return _day_impact(tally, day, 1)
 
 
-@dataclass(slots=True)
-class ImpactBin:
+class ImpactBin(NamedTuple):
     bin_start_us: int
     ah_pkts: int = 0
     total_pkts: int = 0
 
 
-@dataclass
-class ImpactSeries:
+class ImpactSeries(NamedTuple):
     """Binned view of one vantage's packet stream against an AH set.
 
     Bins are contiguous, non-overlapping and ascending; interior windows with
@@ -137,7 +133,7 @@ class ImpactSeries:
     """
 
     bin_width_s: float
-    bins: List[ImpactBin] = field(default_factory=list)
+    bins: Sequence[ImpactBin] = ()
 
     def instantaneous_fractions(self) -> List[float]:
         """Per-bin aggressive fraction; an empty bin (total_pkts 0) reports 0."""
@@ -185,13 +181,10 @@ def stream_impact(
         cell[1] += 1
         if src in ah:
             cell[0] += 1
-    series = ImpactSeries(bin_width_s=bin_width_s)
-    if not counts:
-        return series
-    for idx in range(min(counts), max(counts) + 1):
-        ah_pkts, total = counts.get(idx, (0, 0))
-        series.bins.append(ImpactBin(idx * width_us, ah_pkts, total))
-    return series
+    span = range(min(counts), max(counts) + 1) if counts else ()
+    return ImpactSeries(
+        bin_width_s, [ImpactBin(idx * width_us, *counts.get(idx, (0, 0))) for idx in span]
+    )
 
 
 def normalize_per_slash24(series: ImpactSeries, num_slash24: int) -> List[float]:
@@ -223,8 +216,7 @@ def flag_high_load_bins(series: ImpactSeries) -> List[int]:
     ]
 
 
-@dataclass(frozen=True, slots=True)
-class ProtocolMix:
+class ProtocolMix(NamedTuple):
     """Scanning-traffic split in percent, plus what could not be classified."""
 
     pct_tcp_syn: float

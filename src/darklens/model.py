@@ -15,9 +15,10 @@ import csv
 import enum
 import json
 import math
-import socket
 import struct
-from dataclasses import dataclass, field
+# socket re-exports these from its C module; importing socket itself would
+# also build its IntEnums and load selectors, which nothing here needs.
+from _socket import inet_aton, inet_ntoa
 from datetime import date, timedelta
 from functools import lru_cache
 from typing import Callable, Dict, Iterable, Iterator, NamedTuple, Optional, Sequence, Tuple, TypeVar
@@ -61,16 +62,16 @@ def ip_to_int(text: str) -> int:
     would attribute a rotten row to the wrong address.
     """
     try:
-        packed = socket.inet_aton(text)
+        packed = inet_aton(text)
     except OSError as exc:
         raise ValueError(f"invalid IPv4 address {text!r}") from exc
-    if socket.inet_ntoa(packed) != text:
+    if inet_ntoa(packed) != text:
         raise ValueError(f"invalid IPv4 address {text!r}")
     return struct.unpack("!I", packed)[0]
 
 
 def int_to_ip(value: int) -> str:
-    return socket.inet_ntoa(struct.pack("!I", value & 0xFFFFFFFF))
+    return inet_ntoa(struct.pack("!I", value & 0xFFFFFFFF))
 
 
 def parse_uint(text: str) -> int:
@@ -269,8 +270,7 @@ class DarknetEvent(NamedTuple):
         return ev
 
 
-@dataclass(slots=True)
-class AhVerdict:
+class AhVerdict(NamedTuple):
     """Per-source, per-day classification result for an aggressive scanner.
 
     A row exists only for a (source, UTC day) on which the source was
@@ -350,6 +350,12 @@ def read_jsonl(path, parse: Callable[[str], _T]) -> Iterator[_T]:
             yield item
 
 
+def read_event_log(path) -> Iterator[DarknetEvent]:
+    """Decode an event log, with one ip_to_int memo for the whole file."""
+    ips: Dict[str, int] = {}
+    return read_jsonl(path, lambda line: DarknetEvent.from_json_line(line, ips))
+
+
 def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     """LF-terminated CSV: None is an empty field, a float its repr."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -396,8 +402,7 @@ class FlowRecord(NamedTuple):
     tcp_flags: Optional[int]
 
 
-@dataclass(frozen=True, slots=True)
-class Thresholds:
+class Thresholds(NamedTuple):
     """Detection thresholds for one observation dataset."""
 
     volume_threshold_pkts: int
@@ -417,30 +422,40 @@ class EmptyAhSetError(ValueError):
     """A measurement or join over the AH set was handed an empty set."""
 
 
-@dataclass(frozen=True)
-class DarknetConfig:
+class _ConfigFields(NamedTuple):
+    darknet_prefixes: Sequence[str]
+    event_timeout_s: float
+    dispersion_fraction: float
+    alpha: float
+    darknet_size: int
+    # First and last address of each prefix in ascending order, as two
+    # parallel tuples for bisect.
+    range_starts: Tuple[int, ...]
+    range_ends: Tuple[int, ...]
+
+
+class DarknetConfig(_ConfigFields):
     """Operator configuration for one telescope deployment, checked when built.
 
     darknet_prefixes are 'a.b.c.d/len' texts as parse_cidr reads them.
     darknet_size and the address intervals are derived from them and never
-    taken from input. Raises ConfigError.
+    taken from input. Raises ConfigError. Build it only by calling the class:
+    the tuple's _make and _replace would skip the checks.
     """
 
-    darknet_prefixes: Sequence[str] = ()
-    event_timeout_s: float = 600.0
-    dispersion_fraction: float = 0.10
-    alpha: float = 0.0001
-    darknet_size: int = field(init=False)
-    # First and last address of each prefix in ascending order, as two
-    # parallel tuples for bisect.
-    range_starts: Tuple[int, ...] = field(init=False, repr=False)
-    range_ends: Tuple[int, ...] = field(init=False, repr=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.darknet_prefixes:
+    def __new__(
+        cls,
+        darknet_prefixes: Sequence[str] = (),
+        event_timeout_s: float = 600.0,
+        dispersion_fraction: float = 0.10,
+        alpha: float = 0.0001,
+    ) -> "DarknetConfig":
+        if not darknet_prefixes:
             raise ConfigError("darknet_prefixes must not be empty")
         try:
-            nets = sorted(map(parse_cidr, self.darknet_prefixes))
+            nets = sorted(map(parse_cidr, darknet_prefixes))
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         starts = tuple(net for net, _ in nets)
@@ -451,19 +466,19 @@ class DarknetConfig:
         size = sum(1 << (32 - plen) for _, plen in nets)
         if size < 256:
             raise ConfigError(f"darknet too small ({size} addresses, need >= 256)")
-        if not 0.0 < self.dispersion_fraction <= 1.0:
-            raise ConfigError(f"dispersion_fraction {self.dispersion_fraction} not in (0, 1]")
-        if not 0.0 < self.alpha < 1.0:
-            raise ConfigError(f"alpha {self.alpha} not in (0, 1)")
-        if not 0 < self.event_timeout_s < math.inf:
+        if not 0.0 < dispersion_fraction <= 1.0:
+            raise ConfigError(f"dispersion_fraction {dispersion_fraction} not in (0, 1]")
+        if not 0.0 < alpha < 1.0:
+            raise ConfigError(f"alpha {alpha} not in (0, 1)")
+        if not 0 < event_timeout_s < math.inf:
             raise ConfigError("event_timeout_s must be positive and finite")
-        if round(self.event_timeout_s * US_PER_S) < 1:
+        if round(event_timeout_s * US_PER_S) < 1:
             # EventBuilder holds the timeout in whole microseconds; one that
             # rounds to 0 would end an event at every later packet.
-            raise ConfigError(f"event_timeout_s {self.event_timeout_s} must round to at least 1 us")
-        object.__setattr__(self, "darknet_size", size)
-        object.__setattr__(self, "range_starts", starts)
-        object.__setattr__(self, "range_ends", ends)
+            raise ConfigError(f"event_timeout_s {event_timeout_s} must round to at least 1 us")
+        return super().__new__(
+            cls, darknet_prefixes, event_timeout_s, dispersion_fraction, alpha, size, starts, ends
+        )
 
 
 # Keys accepted by the flat key-value config file.

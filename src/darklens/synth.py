@@ -19,7 +19,7 @@ import numpy as np
 
 from .fingerprint import ZMAP_IP_ID, masscan_ip_id
 from .flows import FLOW_CSV_FIELDS
-from .model import US_PER_DAY, US_PER_S, int_to_ip, parse_cidr, write_csv, write_json
+from .model import US_PER_DAY, US_PER_S, DarknetConfig, int_to_ip, write_csv, write_json
 
 _EPOCH = date(1970, 1, 1)
 
@@ -163,21 +163,26 @@ def generate(scenario: SynthScenario, seed: int, out_dir) -> dict:
     """
     from .pcap import write_pcap
 
+    # The telescope is checked the way a config file is: overlapping or too
+    # small prefixes and a timeout under 1 us raise ConfigError.
+    cfg = DarknetConfig(
+        darknet_prefixes=scenario.darknet_prefixes, event_timeout_s=scenario.event_timeout_s
+    )
+    dark = np.concatenate([
+        np.arange(first, last + 1, dtype=np.int64)
+        for first, last in zip(cfg.range_starts, cfg.range_ends)
+    ])
+    size = cfg.darknet_size
+
+    start_us = scenario.start_ts_s * US_PER_S
+    duration_us = scenario.duration_s * US_PER_S
+    if not duration_us >= 1:
+        raise ValueError(f"duration_s {scenario.duration_s} must be at least 1 us")
+    timeout_us = round(cfg.event_timeout_s * US_PER_S)
+
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)
-
-    dark_ips: List[int] = []
-    for base, prefixlen in map(parse_cidr, scenario.darknet_prefixes):
-        dark_ips.extend(range(base, base + (1 << (32 - prefixlen))))
-    dark = np.array(dark_ips, dtype=np.int64)
-    size = len(dark)
-    if size == 0:
-        raise ValueError("scenario darknet is empty")
-
-    start_us = scenario.start_ts_s * US_PER_S
-    duration_us = max(1, scenario.duration_s * US_PER_S)
-    timeout_us = max(1, round(scenario.event_timeout_s * US_PER_S))
 
     records: List[Tuple[int, int, bytes]] = []
     sources: List[_SourceTruth] = []
@@ -368,7 +373,7 @@ def _generate_flows(
     benign_counts = _split_evenly(benign_total, len(benign_sources))
 
     day_start_us_v = scenario.start_ts_s * US_PER_S
-    duration_us = max(1, scenario.duration_s * US_PER_S)
+    duration_us = scenario.duration_s * US_PER_S  # checked by generate
     denom = scenario.flow_sampling_denominator
     rows: List[List[str]] = []
     per_router: Dict[str, dict] = {}

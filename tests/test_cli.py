@@ -1,3 +1,4 @@
+import argparse
 import csv
 import gc
 import json
@@ -11,9 +12,11 @@ from pathlib import Path
 import pytest
 
 import darklens
-from darklens import cli, enrich
-from darklens.cli import main
+from darklens import enrich
+from darklens import pcap as pcap_mod
+from darklens.cli import build_parser, main
 from darklens.detect import read_blocklist
+from darklens.flows import FlowFormat
 from darklens.model import (
     AhVerdict, DarknetEvent, Direction, EventKey, FlowRecord, Protocol, TrafficType, ip_to_int,
 )
@@ -399,7 +402,8 @@ def test_events_drops_each_capture_and_sums_its_counters(tmp_path, monkeypatch, 
             super().__init__(path)
             refs.append(weakref.ref(self))
 
-    monkeypatch.setattr(cli, "PcapReader", TrackedReader)
+    # cmd_events imports PcapReader from darklens.pcap when it runs.
+    monkeypatch.setattr(pcap_mod, "PcapReader", TrackedReader)
     rc = main(["--config", str(conf), "--out-dir", str(tmp_path), "events", str(first), str(second)])
     assert rc == 0
     assert dead_at_open == [[], [True]]
@@ -710,13 +714,21 @@ def test_no_output_holds_a_carriage_return(pipeline, feeds, tmp_path):
         assert data == b"" or data.endswith(b"\n"), path.name
 
 
-# Runs one subcommand in a fresh interpreter, then reports its exit code and
-# whether numpy was imported along the way.
+# Runs one subcommand in a fresh interpreter, then reports its exit code, the
+# darklens modules it loaded and which of the heavier imports it pulled in.
 _FRESH_MAIN = """\
 import json, sys
 from darklens.cli import main
-rc = main(sys.argv[1:])
-print(json.dumps({"rc": rc, "numpy": "numpy" in sys.modules}))
+try:
+    rc = main(sys.argv[1:])
+except SystemExit as exc:  # --help
+    rc = exc.code
+print(json.dumps({
+    "rc": rc,
+    "darklens": sorted(name for name in sys.modules if name.partition(".")[0] == "darklens"),
+    "heavy": [name for name in ("numpy", "dataclasses", "inspect", "fractions", "socket")
+              if name in sys.modules],
+}))
 """
 
 
@@ -732,8 +744,18 @@ def _fresh_main(argv):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
+# What every subcommand loads: the parser and the names bench/layers.py
+# patches on darklens.cli.
+_CLI_MODULES = {"cli", "model", "feeds", "fingerprint"}
+
+
+def _darklens(*names):
+    return ["darklens"] + sorted(f"darklens.{name}" for name in _CLI_MODULES.union(names))
+
+
 class TestStartupImports:
-    """The cron stages import only the standard library and darklens."""
+    """Each cron stage imports only the darklens modules it runs, and neither
+    numpy nor dataclasses, inspect, fractions or socket."""
 
     @pytest.mark.parametrize("stage", ["events", "detect", "impact-flows", "impact-pcap", "report"])
     def test_pipeline_stage_does_not_import_numpy(self, pipeline, tmp_path, stage):
@@ -747,12 +769,30 @@ class TestStartupImports:
             "impact-pcap": conf + ["impact", *blocklist, "--pcap", synth / "synth.pcap"],
             "report": conf + ["report", run / "events.jsonl", run / "verdicts.jsonl"],
         }[stage]
-        assert _fresh_main(argv) == {"rc": 0, "numpy": False}
+        modules = {
+            "events": {"events", "hll", "pcap"},
+            "detect": {"detect", "enrich"},
+            "impact-flows": {"detect", "enrich", "impact", "flows"},
+            "impact-pcap": {"detect", "enrich", "impact", "pcap"},
+            "report": {"detect", "enrich", "impact"},
+        }[stage]
+        assert _fresh_main(argv) == {"rc": 0, "darklens": _darklens(*modules), "heavy": []}
+
+    def test_help_loads_only_the_parser_modules(self):
+        assert _fresh_main(["--help"]) == {"rc": 0, "darklens": _darklens(), "heavy": []}
 
     def test_synth_still_runs_from_the_cli(self, pipeline, tmp_path):
         argv = ["--out-dir", tmp_path, "--seed", "42", "synth", pipeline["scenario"]]
-        assert _fresh_main(argv) == {"rc": 0, "numpy": True}
+        got = _fresh_main(argv)
+        assert got["rc"] == 0 and "numpy" in got["heavy"]
         assert (tmp_path / "synth.pcap").read_bytes() == (pipeline["synth"] / "synth.pcap").read_bytes()
+
+
+def test_flow_format_choices_are_the_flow_formats():
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    (flow_format,) = [a for a in commands.choices["impact"]._actions if a.dest == "flow_format"]
+    assert flow_format.choices == [f.value for f in FlowFormat]
 
 
 class TestConsoleScript:

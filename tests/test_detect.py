@@ -98,6 +98,28 @@ class TestEcdf:
         with pytest.raises(EmptyInputError):
             ecdf_threshold([], 0.5)
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=10**5),
+        st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+    )
+    @example(10**5, 5e-324)
+    @example(10**5, 2.0**-53)
+    @example(10**5, 1 - 2.0**-53)
+    @example(1, 1 - 2.0**-53)
+    @example(10**4, 0.0001)
+    @example(10**5, 0.0001)
+    # Float arithmetic rounds (1 - alpha) * n or n - alpha * n onto the wrong
+    # side of an integer for these.
+    @example(10, 0.3)
+    @example(5, 0.6)
+    @example(10, 0.7)
+    @example(20, 0.15)
+    def test_integer_index_matches_rational_oracle(self, n, alpha):
+        # On 1..n the order statistic is its own index, so this pins the
+        # ceiling itself against the Fraction arithmetic of the oracle.
+        assert ecdf_threshold(range(1, n + 1), alpha) == oracle_ecdf(range(1, n + 1), alpha)
+
     def test_alpha_bounds(self):
         with pytest.raises(ValueError):
             ecdf_threshold([1], 0.0)

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from darklens.detect import classify_dispersion
-from darklens.events import EXACT_DST_THRESHOLD, EventBuilder, read_event_log, write_event_log
+from darklens.events import EXACT_DST_THRESHOLD, EventBuilder, write_event_log
 from darklens.hll import Hll
-from darklens.model import EventKey, TrafficType, ip_to_int
+from darklens.model import EventKey, TrafficType, ip_to_int, read_event_log
 from helpers import US, OracleEventBuilder, make_cfg, mk_pkt, offline_intervals, run_builder
 
 SRC = "198.51.100.9"

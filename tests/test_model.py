@@ -1,4 +1,3 @@
-import dataclasses
 import ipaddress
 import json
 from datetime import date, timedelta
@@ -111,7 +110,7 @@ class TestValidateConfig:
             (ip_to_int("10.0.0.0"), ip_to_int("10.0.2.0")),
             (ip_to_int("10.0.0.255"), ip_to_int("10.0.2.255")),
         )
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             cfg.darknet_size = 1 << 20
         with pytest.raises(TypeError):
             DarknetConfig(darknet_prefixes=["10.0.0.0/22"], darknet_size=1024)

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from darklens.events import EventBuilder
-from darklens.model import PacketMeta, TrafficType, ip_to_int, load_config
+from darklens.model import ConfigError, PacketMeta, TrafficType, ip_to_int, load_config
 from darklens.pcap import PcapReader, classify_traffic_type
 from darklens.synth import SynthScenario, generate
 from helpers import make_cfg, run_builder
@@ -114,6 +114,38 @@ class TestGroundTruth:
         ts = [p.ts_us for p in map(PacketMeta._make, PcapReader(tmp_path / "synth.pcap"))]
         assert ts == sorted(ts)
         assert all(lo <= t <= hi for t in ts)
+
+
+class TestScenarioChecks:
+    """generate checks its telescope as DarknetConfig does and never clamps."""
+
+    def test_overlapping_prefixes_rejected(self, tmp_path):
+        # A /24 inside the /23: counted twice it would read as 768 addresses.
+        sc = _small_scenario(darknet_prefixes=["10.0.0.0/23", "10.0.1.0/24"])
+        with pytest.raises(ConfigError, match="prefixes 10.0.0.0/23 and 10.0.1.0/24 overlap"):
+            generate(sc, 7, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
+    def test_disjoint_prefixes_make_one_telescope(self, tmp_path):
+        sc = _small_scenario(darknet_prefixes=["10.0.2.0/24", "10.0.0.0/24"])
+        manifest = generate(sc, 7, tmp_path)
+        assert manifest["darknet_size"] == 512
+        full = [e for e in manifest["sources"] if e["kind"] == "full"]
+        assert full and all(e["unique_dsts"] == 512 for e in full)
+        dsts = {p.dst_ip >> 8 for p in map(PacketMeta._make, PcapReader(tmp_path / "synth.pcap"))}
+        assert dsts == {ip_to_int("10.0.0.0") >> 8, ip_to_int("10.0.2.0") >> 8}
+
+    @pytest.mark.parametrize("duration_s", [0, -1, -600])
+    def test_duration_must_be_positive(self, tmp_path, duration_s):
+        with pytest.raises(ValueError, match=f"duration_s {duration_s} must be at least 1 us"):
+            generate(_small_scenario(duration_s=duration_s), 7, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("timeout_s", [0.0000004, 0.0, -1.0])
+    def test_timeout_must_round_to_a_microsecond(self, tmp_path, timeout_s):
+        with pytest.raises(ConfigError, match="event_timeout_s"):
+            generate(_small_scenario(event_timeout_s=timeout_s), 7, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
 
 
 class TestFlows:
