@@ -7,8 +7,9 @@ into an event log, `detect` turns an event log into blocklists and verdicts,
 test inputs with ground truth.
 
 Exit codes: 0 success, 1 completed but the primary result is empty, 2 fatal
-input problem. A fatal error removes whatever partial outputs the failed
-command had created, so a cron job never leaves half-written files behind.
+input problem. A command writes its files into `<out-dir>/.<command>.partial/`
+and `main` renames them into `--out-dir` once it returns 0 or 1, so a failed or
+killed run never leaves a partial file under an output name.
 
 Each subcommand imports the modules it runs when it runs, so a cron stage
 pays start-up only for its own code. The module-level imports below are the
@@ -21,7 +22,7 @@ import itertools
 import sys
 from datetime import date
 from pathlib import Path
-from typing import List, Optional
+from typing import Optional
 
 from .feeds import AckedList, AsnMap, RdnsMap, load_acked, load_asn_map, load_rdns, load_tags
 from .fingerprint import PortFingerprintRow, port_fingerprint_table
@@ -114,14 +115,12 @@ def _load_rdns_args(args) -> Optional[RdnsMap]:
     return load_rdns(args.rdns) if args.rdns is not None else None
 
 
-def cmd_events(args, out_dir: Path, created: List[Path]) -> int:
+def cmd_events(args, staging: Path) -> int:
     from .events import EventBuilder, write_event_log
     from .pcap import PcapReader
 
     cfg = _require_config(args)
     builder = EventBuilder(cfg, reorder_slack_s=args.reorder_slack)
-    out_path = out_dir / "events.jsonl"
-    created.append(out_path)
     # Running sums of the finished readers' counters: each reader, and the
     # capture it holds in memory, is dropped before the next file is opened.
     totals = dict.fromkeys(
@@ -137,7 +136,7 @@ def cmd_events(args, out_dir: Path, created: List[Path]) -> int:
             del reader
         yield from builder.flush()
 
-    events_written = write_event_log(out_path, closed_events())
+    events_written = write_event_log(staging / "events.jsonl", closed_events())
 
     print(f"pcap files: {len(args.pcaps)}")
     print(
@@ -150,11 +149,11 @@ def cmd_events(args, out_dir: Path, created: List[Path]) -> int:
         f"out of order: {builder.out_of_order}"
     )
     print(f"sketch_clamped: {builder.sketch_clamped}")
-    print(f"events: {events_written} -> {out_path}")
+    print(f"events: {events_written} -> {args.out_dir / 'events.jsonl'}")
     return 0 if events_written else 1
 
 
-def cmd_detect(args, out_dir: Path, created: List[Path]) -> int:
+def cmd_detect(args, staging: Path) -> int:
     from . import detect as detect_mod
 
     cfg = _require_config(args)
@@ -169,21 +168,13 @@ def cmd_detect(args, out_dir: Path, created: List[Path]) -> int:
     acked = _load_acked_args(args)
     rdns = _load_rdns_args(args)
 
-    paths = {
-        "d1": out_dir / "blocklist_d1.txt",
-        "d2": out_dir / "blocklist_d2.txt",
-        "d3": out_dir / "blocklist_d3.txt",
-        "union": out_dir / "blocklist_union.txt",
-        "sidecar": out_dir / "blocklist_union.stats.jsonl",
-        "verdicts": out_dir / "verdicts.jsonl",
-        "meta": out_dir / "detect_meta.json",
-    }
-    created.extend(paths.values())
-
     if not events:
-        for key in ("d1", "d2", "d3", "union", "sidecar", "verdicts"):
-            write_lines(paths[key], ())
-        write_json(paths["meta"], {"events": 0, "warning": "empty event log"})
+        for name in (
+            "blocklist_d1.txt", "blocklist_d2.txt", "blocklist_d3.txt", "blocklist_union.txt",
+            "blocklist_union.stats.jsonl", "verdicts.jsonl",
+        ):
+            write_lines(staging / name, ())
+        write_json(staging / "detect_meta.json", {"events": 0, "warning": "empty event log"})
         print("warning: empty event log, nothing to detect")
         return 1
 
@@ -196,13 +187,13 @@ def cmd_detect(args, out_dir: Path, created: List[Path]) -> int:
         dataset_label=args.dataset_label,
     )
 
-    detect_mod.write_blocklist(paths["d1"], result.d1_ips)
-    detect_mod.write_blocklist(paths["d2"], result.d2_ips)
-    detect_mod.write_blocklist(paths["d3"], result.d3_ips)
-    detect_mod.write_blocklist(paths["union"], result.union_ips)
-    detect_mod.write_blocklist_sidecar(paths["sidecar"], result)
-    detect_mod.write_verdicts(paths["verdicts"], result.verdicts)
-    write_json(paths["meta"], {
+    detect_mod.write_blocklist(staging / "blocklist_d1.txt", result.d1_ips)
+    detect_mod.write_blocklist(staging / "blocklist_d2.txt", result.d2_ips)
+    detect_mod.write_blocklist(staging / "blocklist_d3.txt", result.d3_ips)
+    detect_mod.write_blocklist(staging / "blocklist_union.txt", result.union_ips)
+    detect_mod.write_blocklist_sidecar(staging / "blocklist_union.stats.jsonl", result)
+    detect_mod.write_verdicts(staging / "verdicts.jsonl", result.verdicts)
+    write_json(staging / "detect_meta.json", {
         "events": len(events),
         "dataset_label": result.thresholds.dataset_label,
         "thresholds": {
@@ -233,11 +224,11 @@ def cmd_detect(args, out_dir: Path, created: List[Path]) -> int:
     )
     for pair, score in result.jaccard_pairs().items():
         print(f"jaccard {pair}: " + (f"{score:.3f}" if score is not None else "n/a"))
-    print(f"blocklists and verdicts -> {out_dir}")
+    print(f"blocklists and verdicts -> {args.out_dir}")
     return 0 if result.union_ips else 1
 
 
-def cmd_impact(args, out_dir: Path, created: List[Path]) -> int:
+def cmd_impact(args, staging: Path) -> int:
     from . import detect as detect_mod
     from . import enrich, impact
 
@@ -274,30 +265,26 @@ def cmd_impact(args, out_dir: Path, created: List[Path]) -> int:
                 per_router = {}
                 empty_result = True
             if per_router:
-                impact_path = out_dir / "impact.csv"
-                created.append(impact_path)
-                _write_impact_csv(impact_path, day, per_router)
+                _write_impact_csv(staging / "impact.csv", day, per_router)
                 for router in sorted(per_router):
                     imp = per_router[router]
                     print(
                         f"{router} {day.isoformat()}: fraction={imp.fraction:.6f} "
                         f"({imp.ah_pkts_est}/{imp.total_pkts_est} est pkts)"
                     )
-                presence_path = out_dir / "presence.csv"
-                created.append(presence_path)
                 presence = impact.ah_presence(tally)
                 write_csv(
-                    presence_path,
+                    staging / "presence.csv",
                     ["router_id", "presence_fraction"],
                     [(router, presence[router]) for router in sorted(presence)],
                 )
-                proto_path = out_dir / "protocols_flows.csv"
-                created.append(proto_path)
-                _write_protocol_csv(proto_path, impact.protocol_breakdown_flows(tally))
+                _write_protocol_csv(
+                    staging / "protocols_flows.csv", impact.protocol_breakdown_flows(tally)
+                )
                 if acked is not None:
-                    acked_path = out_dir / "acked_impact.csv"
-                    created.append(acked_path)
-                    _write_impact_csv(acked_path, day, impact.acked_impact(tally, day))
+                    _write_impact_csv(
+                        staging / "acked_impact.csv", day, impact.acked_impact(tally, day)
+                    )
         invalid = sum(reader.invalid_rows for reader in readers)
         if invalid:
             print(f"note: {invalid} invalid flow rows skipped")
@@ -307,10 +294,8 @@ def cmd_impact(args, out_dir: Path, created: List[Path]) -> int:
 
         reader = PcapReader(args.pcap)
         series = impact.stream_impact(reader, ah, bin_width_s=args.bin_width)
-        series_path = out_dir / "series.csv"
-        created.append(series_path)
         write_csv(
-            series_path,
+            staging / "series.csv",
             ["bin_start_ts", "ah_pkts", "total_pkts", "inst_fraction", "cum_fraction",
              "per_slash24_rate"],
             [
@@ -363,7 +348,7 @@ def _write_protocol_csv(path, mix) -> None:
     )
 
 
-def cmd_report(args, out_dir: Path, created: List[Path]) -> int:
+def cmd_report(args, staging: Path) -> int:
     from . import detect as detect_mod
     from . import enrich, impact
 
@@ -394,37 +379,27 @@ def cmd_report(args, out_dir: Path, created: List[Path]) -> int:
     asn_map = load_asn_map(args.asn_map) if args.asn_map else AsnMap()
     acked_ips = enrich.acked_sources(ah, _load_acked_args(args), _load_rdns_args(args))
 
-    origins_path = out_dir / "origins.csv"
-    created.append(origins_path)
     rows = enrich.origin_table(ah, pkts_by_ip, asn_map, acked_ips)
-    write_csv(origins_path, enrich.OriginRow._fields, rows)
+    write_csv(staging / "origins.csv", enrich.OriginRow._fields, rows)
 
-    ports_path = out_dir / "ports.csv"
-    created.append(ports_path)
     ports = port_fingerprint_table(ah_events, top_n=args.top_ports)
-    write_csv(ports_path, PortFingerprintRow._fields, ports)
+    write_csv(staging / "ports.csv", PortFingerprintRow._fields, ports)
 
-    zipf_path = out_dir / "zipf.csv"
     top_share = None
     if pkts_by_ip:
-        created.append(zipf_path)
         curve = detect_mod.zipf_curve(pkts_by_ip)
-        write_csv(zipf_path, ["rank_fraction", "cumulative_pkt_fraction"], curve)
+        write_csv(staging / "zipf.csv", ["rank_fraction", "cumulative_pkt_fraction"], curve)
         top_share = detect_mod.cumulative_share(curve, 0.01)
 
-    inter_path = out_dir / "intersections.csv"
-    created.append(inter_path)
     table = detect_mod.definition_intersections(
         d_sets[detect_mod.D1], d_sets[detect_mod.D2], d_sets[detect_mod.D3], asn_map
     )
     write_csv(
-        inter_path,
+        staging / "intersections.csv",
         ["combo", "ips", "asns", "orgs", "countries"],
         [(name, row.ips, row.asns, row.orgs, row.countries) for name, row in table.items()],
     )
 
-    ts_path = out_dir / "timeseries.csv"
-    created.append(ts_path)
     per_day: dict = {}
     for v in verdicts:
         cell = per_day.setdefault(v.day, [0, 0])
@@ -432,34 +407,32 @@ def cmd_report(args, out_dir: Path, created: List[Path]) -> int:
         if v.is_daily:
             cell[0] += 1
     write_csv(
-        ts_path,
+        staging / "timeseries.csv",
         ["day", "daily_ah", "active_ah"],
         [(day.isoformat(), *per_day[day]) for day in sorted(per_day)],
     )
 
-    protocols_path = out_dir / "protocols_darknet.csv"
-    created.append(protocols_path)
-    _write_protocol_csv(protocols_path, impact.protocol_breakdown_darknet(ah_events, ah))
+    _write_protocol_csv(
+        staging / "protocols_darknet.csv", impact.protocol_breakdown_darknet(ah_events, ah)
+    )
 
     if args.tags:
         tags = load_tags(args.tags)
         join_set = ah - acked_ips.keys() if args.exclude_acked else ah
         if join_set:
             result = enrich.tag_join(join_set, tags, top_n=args.top_tags)
-            classes_path = out_dir / "tag_classes.csv"
-            tags_path = out_dir / "tags_top.csv"
-            created.extend([classes_path, tags_path])
-            write_csv(classes_path, ["classification", "ip_count"], result.histogram.items())
             write_csv(
-                tags_path,
+                staging / "tag_classes.csv", ["classification", "ip_count"],
+                result.histogram.items(),
+            )
+            write_csv(
+                staging / "tags_top.csv",
                 ["rank", "tag", "ip_count"],
                 [(rank, tag, count) for rank, (tag, count) in enumerate(result.top_tags, 1)],
             )
             print(f"tag overlap: {result.overlap_fraction:.3f} of {len(join_set)} sources")
 
-    meta_path = out_dir / "report_meta.json"
-    created.append(meta_path)
-    write_json(meta_path, {
+    write_json(staging / "report_meta.json", {
         "sources": len(ah),
         "events": events_read,
         "top_1pct_share": top_share,
@@ -472,40 +445,51 @@ def cmd_report(args, out_dir: Path, created: List[Path]) -> int:
 
     if top_share is not None:
         print(f"top 1% of sources carry {top_share:.1%} of aggressive packets")
-    print(f"report tables -> {out_dir}")
+    print(f"report tables -> {args.out_dir}")
     return 0
 
 
-def cmd_synth(args, out_dir: Path, created: List[Path]) -> int:
+def cmd_synth(args, staging: Path) -> int:
     # numpy is imported here, not at module level, so the four pipeline
     # subcommands start on the standard library alone.
     from .synth import SynthScenario, generate
 
     scenario = SynthScenario.from_json_file(args.scenario)
-    created.extend([out_dir / "synth.pcap", out_dir / "manifest.json", out_dir / "flows.csv"])
-    manifest = generate(scenario, args.seed, out_dir)
-    print(f"packets: {manifest['pcap_packets']} -> {out_dir / 'synth.pcap'}")
+    manifest = generate(scenario, args.seed, staging)
+    print(f"packets: {manifest['pcap_packets']} -> {args.out_dir / 'synth.pcap'}")
     print(f"sources: {len(manifest['sources'])} (d1 ground truth: {len(manifest['d1_expected'])})")
     if "flows" in manifest:
-        print(f"flow rows: {manifest['flows']['rows']} -> {out_dir / 'flows.csv'}")
-    print(f"manifest -> {out_dir / 'manifest.json'}")
+        print(f"flow rows: {manifest['flows']['rows']} -> {args.out_dir / 'flows.csv'}")
+    print(f"manifest -> {args.out_dir / 'manifest.json'}")
     return 0 if manifest["pcap_packets"] else 1
+
+
+def _remove_staging(staging: Path) -> None:
+    """Delete a staging directory and the files in it, if it exists."""
+    if staging.is_dir():
+        for path in list(staging.iterdir()):
+            path.unlink()
+        staging.rmdir()
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     out_dir: Path = args.out_dir
-    created: List[Path] = []
+    staging = out_dir / f".{args.command}.partial"
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        return args.func(args, out_dir, created)
+        _remove_staging(staging)  # left behind by a killed run
+        staging.mkdir()
+        try:
+            rc = args.func(args, staging)
+            # Atomic within one filesystem: each output appears whole or not at all.
+            for path in list(staging.iterdir()):
+                path.replace(out_dir / path.name)
+            return rc
+        finally:
+            _remove_staging(staging)
     except (OSError, ValueError) as exc:
-        for path in created:
-            try:
-                Path(path).unlink()
-            except OSError:
-                pass
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

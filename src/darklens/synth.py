@@ -178,6 +178,15 @@ def generate(scenario: SynthScenario, seed: int, out_dir) -> dict:
     duration_us = scenario.duration_s * US_PER_S
     if not duration_us >= 1:
         raise ValueError(f"duration_s {scenario.duration_s} must be at least 1 us")
+    # Each population that is present must send something.
+    if scenario.noise_sources > 0 and scenario.noise_pkts_per_source < 1:
+        raise ValueError(f"noise_pkts_per_source {scenario.noise_pkts_per_source} is below 1")
+    subset_size = round(scenario.partial_coverage_fraction * size)
+    if scenario.partial_scanners > 0 and subset_size < 1:
+        raise ValueError(f"partial_coverage_fraction {scenario.partial_coverage_fraction} "
+                         f"covers no address of the {size}-address darknet")
+    if scenario.flow_total_pkts > 0 and scenario.flow_benign_sources < 1:
+        raise ValueError(f"flow_benign_sources {scenario.flow_benign_sources} is below 1")
     timeout_us = round(cfg.event_timeout_s * US_PER_S)
 
     out_dir = Path(out_dir)
@@ -270,7 +279,6 @@ def generate(scenario: SynthScenario, seed: int, out_dir) -> dict:
         emit_scan_packets(truth, dsts, times, port, tool, ttype)
 
     # Partial scanners: a fixed random slice of the space.
-    subset_size = max(1, round(scenario.partial_coverage_fraction * size))
     for i in range(scenario.partial_scanners):
         ttype = scenario.partial_scanner_types[i % len(scenario.partial_scanner_types)]
         tool = pick_tool(i + scenario.full_coverage_scanners, ttype)
@@ -309,7 +317,7 @@ def generate(scenario: SynthScenario, seed: int, out_dir) -> dict:
         ttype = noise_types[i % 3]
         truth = _SourceTruth(noise_base + 1 + i, "noise", ttype, "other")
         sources.append(truth)
-        n = max(1, scenario.noise_pkts_per_source)
+        n = scenario.noise_pkts_per_source
         times = _spread_times(rng, start_us, duration_us, n, timeout_us)
         dsts = rng.choice(dark, size=n, replace=True)
         port = 0 if ttype == "icmp_echo_request" else int(rng.integers(1, 65536))
@@ -364,8 +372,9 @@ def _generate_flows(
     ah_sources = [t.ip for t in sources if t.kind in ("full", "partial", "sweep")]
     if not ah_sources:
         raise ValueError("flow generation needs at least one scanner source")
-    n_benign = max(1, scenario.flow_benign_sources)
-    benign_sources = [(100 << 24) | (64 << 16) | (i + 1) for i in range(n_benign)]
+    benign_sources = [
+        (100 << 24) | (64 << 16) | (i + 1) for i in range(scenario.flow_benign_sources)
+    ]
 
     ah_total = round(total * scenario.flow_ah_share)
     benign_total = total - ah_total

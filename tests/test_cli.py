@@ -3,6 +3,7 @@ import csv
 import gc
 import json
 import os
+import re
 import subprocess
 import sys
 import weakref
@@ -16,6 +17,7 @@ from darklens import enrich
 from darklens import pcap as pcap_mod
 from darklens.cli import build_parser, main
 from darklens.detect import read_blocklist
+from darklens.events import EventBuilder
 from darklens.flows import FlowFormat
 from darklens.model import (
     AhVerdict, DarknetEvent, Direction, EventKey, FlowRecord, Protocol, TrafficType, ip_to_int,
@@ -562,6 +564,88 @@ class TestFailureModes:
         rc = main(["--out-dir", str(tmp_path), "synth", str(bad)])
         assert rc == 2
         assert "bogus_knob" in capsys.readouterr().err
+
+
+class TestPublish:
+    """Outputs are staged in <out-dir>/.<command>.partial and renamed in on success."""
+
+    def test_interrupted_events_publishes_nothing(self, pipeline, tmp_path, monkeypatch):
+        # A 1 s timeout closes events inside the fold, so some are written
+        # before the interrupt.
+        conf = tmp_path / "short.conf"
+        conf.write_text(CONF.replace("event_timeout_s = 600", "event_timeout_s = 1"))
+        fold = EventBuilder.fold
+        yielded = []
+
+        def fold_then_interrupt(self, reader):
+            for ev in fold(self, reader):
+                yield ev
+                yielded.append(ev)
+                if len(yielded) == 3:
+                    raise KeyboardInterrupt
+
+        monkeypatch.setattr(EventBuilder, "fold", fold_then_interrupt)
+        out = tmp_path / "out"
+        with pytest.raises(KeyboardInterrupt):
+            main([
+                "--config", str(conf), "--out-dir", str(out),
+                "events", str(pipeline["synth"] / "synth.pcap"),
+            ])
+        assert len(yielded) == 3
+        assert os.listdir(out) == []
+
+    def test_leftover_staging_is_discarded(self, pipeline, tmp_path):
+        # A killed run with ACKed feeds left this; the next run has none.
+        leftover = tmp_path / ".impact.partial"
+        leftover.mkdir()
+        (leftover / "acked_impact.csv").write_text("stale\n")
+        rc = main([
+            "--out-dir", str(tmp_path), "impact",
+            "--blocklist", str(pipeline["run"] / "blocklist_union.txt"),
+            "--flows", str(pipeline["synth"] / "flows.csv"),
+        ])
+        assert rc == 0
+        assert sorted(os.listdir(tmp_path)) == ["impact.csv", "presence.csv", "protocols_flows.csv"]
+
+    def test_bad_magic_keeps_the_previous_log(self, pipeline, tmp_path):
+        before = (pipeline["run"] / "events.jsonl").read_bytes()
+        (tmp_path / "events.jsonl").write_bytes(before)
+        bad = tmp_path / "bad.pcap"
+        bad.write_bytes(b"\x0a\x0d\x0d\x0a" + bytes(20))
+        rc = main([
+            "--config", str(pipeline["conf"]), "--out-dir", str(tmp_path),
+            "events", str(bad),
+        ])
+        assert rc == 2
+        assert (tmp_path / "events.jsonl").read_bytes() == before
+        assert sorted(os.listdir(tmp_path)) == ["bad.pcap", "events.jsonl"]
+
+    def test_chain_writes_exactly_the_readme_outputs(self, pipeline, feeds, tmp_path):
+        """The README's quick-start chain leaves exactly the files its `# ->` lines name."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        documented = set()
+        for line in re.findall(r"^# ->.*(?:\n#    .*)*", readme, re.MULTILINE):
+            line = re.sub(  # blocklist_{d1,d2}.txt -> blocklist_d1.txt, blocklist_d2.txt
+                r"(\w*)\{([\w,]+)\}([\w.]*)",
+                lambda m: " ".join(m[1] + part + m[3] for part in m[2].split(",")),
+                line,
+            )
+            documented.update(re.findall(r"[\w.]+\.(?:pcap|jsonl|json|csv|txt)\b", line))
+
+        out = tmp_path / "demo"
+        conf = ["--config", str(pipeline["conf"]), "--out-dir", str(out)]
+        for argv in (
+            ["--out-dir", str(out), "--seed", "42", "synth", str(pipeline["scenario"])],
+            conf + ["events", str(out / "synth.pcap")],
+            conf + ["detect", str(out / "events.jsonl")],
+            ["--out-dir", str(out), "impact", "--blocklist", str(out / "blocklist_union.txt"),
+             "--flows", str(out / "flows.csv"), "--pcap", str(out / "synth.pcap")],
+            ["--out-dir", str(out), "report", str(out / "events.jsonl"),
+             str(out / "verdicts.jsonl"), "--asn-map", str(feeds / "asn.csv"),
+             "--tags", str(feeds / "tags.csv")],
+        ):
+            assert main(argv) == 0, argv
+        assert sorted(os.listdir(out)) == sorted(documented)
 
 
 ROTTEN_EVENT = '{"key":{"src_ip":"1.2.3.4"}}'

@@ -77,9 +77,10 @@ def _ev(
 
 class TestEcdf:
     def test_near_one_percentile_avoids_float_ceil_trap(self):
-        # With float math ceil((1 - 0.0001) * 10000) lands on 10000; the true
-        # order statistic index is 9999.
-        assert ecdf_threshold(range(1, 10001), 0.0001) == 9999
+        # The float 0.3 lies just below 3/10, so (1 - alpha) * 10 is just above
+        # 7 and the index is 8; float math rounds the product to 7.0, whose
+        # ceil picks the 7th value.
+        assert ecdf_threshold(range(1, 11), 0.3) == 8
 
     def test_median(self):
         assert ecdf_threshold(range(1, 11), 0.5) == 5

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from darklens.cli import main
 from darklens.events import EventBuilder
 from darklens.model import ConfigError, PacketMeta, TrafficType, ip_to_int, load_config
 from darklens.pcap import PcapReader, classify_traffic_type
@@ -146,6 +147,30 @@ class TestScenarioChecks:
         with pytest.raises(ConfigError, match="event_timeout_s"):
             generate(_small_scenario(event_timeout_s=timeout_s), 7, tmp_path / "out")
         assert not (tmp_path / "out").exists()
+
+    # (value that sends nothing, the override that leaves its population out)
+    @pytest.mark.parametrize("bad, absent, match", [
+        ({"noise_pkts_per_source": 0}, {"noise_sources": 0},
+         "noise_pkts_per_source 0 is below 1"),
+        # 0.0001 of a /22 rounds to 0 addresses.
+        ({"partial_coverage_fraction": 0.0001}, {"partial_scanners": 0},
+         "partial_coverage_fraction 0.0001 covers no address of the 1024-address darknet"),
+        ({"flow_benign_sources": 0}, {"flow_total_pkts": 0},
+         "flow_benign_sources 0 is below 1"),
+    ], ids=["noise", "partial", "flow_benign"])
+    def test_present_population_must_send_something(self, tmp_path, capsys, bad, absent, match):
+        sc = _small_scenario(flow_total_pkts=100_000, **bad)
+        with pytest.raises(ValueError, match=match):
+            generate(sc, 7, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(sc.to_dict()))
+        assert main(["--out-dir", str(tmp_path / "cli"), "synth", str(scenario)]) == 2
+        assert match in capsys.readouterr().err
+        assert list((tmp_path / "cli").iterdir()) == []
+
+        generate(_small_scenario(**{"flow_total_pkts": 100_000, **bad, **absent}), 7, tmp_path / "ok")
 
 
 class TestFlows:
