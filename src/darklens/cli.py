@@ -9,7 +9,9 @@ test inputs with ground truth.
 Exit codes: 0 success, 1 completed but the primary result is empty, 2 fatal
 input problem. A command writes its files into `<out-dir>/.<command>.partial/`
 and `main` renames them into `--out-dir` once it returns 0 or 1, so a failed or
-killed run never leaves a partial file under an output name.
+killed run never leaves a partial file under an output name. Publishing also
+deletes each file of the command's output set that this run did not write, so
+no earlier run's file stands beside this run's.
 
 Each subcommand imports the modules it runs when it runs, so a cron stage
 pays start-up only for its own code. The module-level imports below are the
@@ -24,11 +26,17 @@ from datetime import date
 from pathlib import Path
 from typing import Optional
 
-from .feeds import AckedList, AsnMap, RdnsMap, load_acked, load_asn_map, load_rdns, load_tags
+from .feeds import AckedList, AsnMap, Feed, load_acked, load_asn_map, load_rdns, load_tags
 from .fingerprint import PortFingerprintRow, port_fingerprint_table
 from .model import (
     ConfigError, Thresholds, int_to_ip, load_config, read_event_log, write_csv, write_json,
     write_lines,
+)
+
+
+DETECT_LISTS = (
+    "blocklist_d1.txt", "blocklist_d2.txt", "blocklist_d3.txt", "blocklist_union.txt",
+    "blocklist_union.stats.jsonl", "verdicts.jsonl",
 )
 
 
@@ -41,6 +49,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out-dir", type=Path, default=Path("."), help="directory for outputs")
     parser.add_argument("--seed", type=int, default=0, help="RNG seed for synth")
     sub = parser.add_subparsers(dest="command", required=True)
+    feeds = argparse.ArgumentParser(add_help=False)
+    feeds.add_argument("--acked-ips", type=Path, help="ACKed scanner IP list (ip[,org])")
+    feeds.add_argument("--acked-keywords", type=Path, help="ACKed rDNS keywords (keyword,org)")
+    feeds.add_argument("--rdns", type=Path, help="reverse DNS map (ip,fqdn)")
 
     p_events = sub.add_parser("events", help="build an event log from pcap files")
     p_events.add_argument("pcaps", nargs="+", type=Path, help="classic pcap files, in time order")
@@ -48,21 +60,22 @@ def build_parser() -> argparse.ArgumentParser:
         "--reorder-slack", type=float, default=0.0, metavar="SECONDS",
         help="tolerate arrivals up to this far behind the watermark",
     )
-    p_events.set_defaults(func=cmd_events)
+    p_events.set_defaults(func=cmd_events, outputs=("events.jsonl",))
 
-    p_detect = sub.add_parser("detect", help="classify aggressive scanners from an event log")
+    p_detect = sub.add_parser(
+        "detect", parents=[feeds], help="classify aggressive scanners from an event log"
+    )
     p_detect.add_argument("event_log", type=Path)
     p_detect.add_argument(
         "--fixed-thresholds", nargs=2, type=int, metavar=("VOLUME_PKTS", "PORTS"),
         help="skip the first pass and use these D2/D3 thresholds (streaming mode)",
     )
     p_detect.add_argument("--dataset-label", default="", help="label stored with the thresholds")
-    p_detect.add_argument("--acked-ips", type=Path, help="ACKed scanner IP list (ip[,org])")
-    p_detect.add_argument("--acked-keywords", type=Path, help="ACKed rDNS keywords (keyword,org)")
-    p_detect.add_argument("--rdns", type=Path, help="reverse DNS map (ip,fqdn)")
-    p_detect.set_defaults(func=cmd_detect)
+    p_detect.set_defaults(func=cmd_detect, outputs=(*DETECT_LISTS, "detect_meta.json"))
 
-    p_impact = sub.add_parser("impact", help="measure a blocklist against flows or a packet stream")
+    p_impact = sub.add_parser(
+        "impact", parents=[feeds], help="measure a blocklist against flows or a packet stream"
+    )
     p_impact.add_argument("--blocklist", type=Path, required=True)
     p_impact.add_argument("--flows", nargs="*", type=Path, default=[], help="sampled flow files")
     # The values of flows.FlowFormat, spelled out so --help need not import flows.
@@ -71,28 +84,29 @@ def build_parser() -> argparse.ArgumentParser:
     p_impact.add_argument("--pcap", type=Path, help="packet stream for the binned series")
     p_impact.add_argument("--bin-width", type=float, default=1.0, metavar="SECONDS")
     p_impact.add_argument("--num-slash24", type=int, default=1, help="monitored /24 count for rate normalization")
-    p_impact.add_argument("--acked-ips", type=Path)
-    p_impact.add_argument("--acked-keywords", type=Path)
-    p_impact.add_argument("--rdns", type=Path)
-    p_impact.set_defaults(func=cmd_impact)
+    p_impact.set_defaults(func=cmd_impact, outputs=(
+        "impact.csv", "presence.csv", "protocols_flows.csv", "acked_impact.csv", "series.csv",
+    ))
 
-    p_report = sub.add_parser("report", help="characterization tables for detected scanners")
+    p_report = sub.add_parser(
+        "report", parents=[feeds], help="characterization tables for detected scanners"
+    )
     p_report.add_argument("event_log", type=Path)
     p_report.add_argument("verdicts", type=Path)
     p_report.add_argument("--asn-map", type=Path, help="routing map (cidr,asn,org,country)")
     p_report.add_argument("--tags", type=Path, help="tag database (ip,classification,tag1|tag2)")
-    p_report.add_argument("--acked-ips", type=Path)
-    p_report.add_argument("--acked-keywords", type=Path)
-    p_report.add_argument("--rdns", type=Path)
     p_report.add_argument("--exclude-acked", action="store_true",
                           help="drop ACKed scanners before the tag join")
     p_report.add_argument("--top-ports", type=int, default=0, help="truncate the port table (0 = all)")
     p_report.add_argument("--top-tags", type=int, default=20)
-    p_report.set_defaults(func=cmd_report)
+    p_report.set_defaults(func=cmd_report, outputs=(
+        "origins.csv", "ports.csv", "zipf.csv", "intersections.csv", "timeseries.csv",
+        "protocols_darknet.csv", "tag_classes.csv", "tags_top.csv", "report_meta.json",
+    ))
 
     p_synth = sub.add_parser("synth", help="generate a seeded synthetic capture with ground truth")
     p_synth.add_argument("scenario", type=Path, help="scenario JSON")
-    p_synth.set_defaults(func=cmd_synth)
+    p_synth.set_defaults(func=cmd_synth, outputs=("synth.pcap", "manifest.json", "flows.csv"))
 
     return parser
 
@@ -111,7 +125,7 @@ def _load_acked_args(args) -> Optional[AckedList]:
     return load_acked(args.acked_ips, args.acked_keywords)
 
 
-def _load_rdns_args(args) -> Optional[RdnsMap]:
+def _load_rdns_args(args) -> Optional[Feed]:
     return load_rdns(args.rdns) if args.rdns is not None else None
 
 
@@ -169,10 +183,7 @@ def cmd_detect(args, staging: Path) -> int:
     rdns = _load_rdns_args(args)
 
     if not events:
-        for name in (
-            "blocklist_d1.txt", "blocklist_d2.txt", "blocklist_d3.txt", "blocklist_union.txt",
-            "blocklist_union.stats.jsonl", "verdicts.jsonl",
-        ):
+        for name in DETECT_LISTS:
             write_lines(staging / name, ())
         write_json(staging / "detect_meta.json", {"events": 0, "warning": "empty event log"})
         print("warning: empty event log, nothing to detect")
@@ -258,13 +269,11 @@ def cmd_impact(args, staging: Path) -> int:
             print("warning: no valid flow rows")
             empty_result = True
         else:
-            try:
-                per_router = impact.flow_impact(tally, day)
-            except impact.NoFlowsForDayError:
+            per_router = impact.flow_impact(tally, day)
+            if not per_router:
                 print(f"warning: no flow records on {day.isoformat()}")
-                per_router = {}
                 empty_result = True
-            if per_router:
+            else:
                 _write_impact_csv(staging / "impact.csv", day, per_router)
                 for router in sorted(per_router):
                     imp = per_router[router]
@@ -483,8 +492,12 @@ def main(argv=None) -> int:
         staging.mkdir()
         try:
             rc = args.func(args, staging)
+            written = list(staging.iterdir())
+            # An output this run did not write must not survive from an earlier run.
+            for name in set(args.outputs).difference(path.name for path in written):
+                (out_dir / name).unlink(missing_ok=True)
             # Atomic within one filesystem: each output appears whole or not at all.
-            for path in list(staging.iterdir()):
+            for path in written:
                 path.replace(out_dir / path.name)
             return rc
         finally:

@@ -19,7 +19,7 @@ from datetime import date
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .enrich import acked_sources
-from .feeds import AckedList, AsnMap, RdnsMap, origin_of
+from .feeds import AckedList, AsnMap, origin_of
 from .model import (
     AhVerdict,
     DarknetConfig,
@@ -288,7 +288,7 @@ def run_detection(
     cfg: DarknetConfig,
     thresholds: Optional[Thresholds] = None,
     acked: Optional[AckedList] = None,
-    rdns: Optional[RdnsMap] = None,
+    rdns: Optional[Dict[int, str]] = None,
     dataset_label: str = "",
 ) -> DetectionResult:
     """Full detection pass: derive thresholds unless given, tag, build verdicts.
@@ -343,7 +343,7 @@ def run_detection(
             src_ip=ip, day=day, matched_defs=frozenset(defs), max_dispersion=max_disp,
             max_event_pkts=max_pkts, distinct_ports=port_profiles.get((ip, day), 0),
             is_daily=utc_day(sources[ip].first_ts) == day,
-            acked=ip in matches, acked_org=matches[ip].org if ip in matches else None,
+            acked=ip in matches, acked_org=matches.get(ip),
         )
         for (ip, day), (defs, max_disp, max_pkts) in buckets.items()
     ]

@@ -1,59 +1,37 @@
 """Attribution of detected scanners: ACKed matching, origins, tag joins."""
 from __future__ import annotations
 
-import enum
 from typing import Collection, Dict, Iterable, List, NamedTuple, Optional, Set, Tuple
 
-from .feeds import AckedList, AsnMap, RdnsMap, TagDb, origin_of
+from .feeds import AckedList, AsnMap, TagEntry, origin_of
 from .model import EmptyAhSetError, slash24_of
 
 
-class MatchVia(str, enum.Enum):
-    IP_MATCH = "ip"
-    DOMAIN_MATCH = "domain"
-    NONE = "none"
-
-
-class AckedMatch(NamedTuple):
-    acked: bool
-    org: Optional[str]
-    via: MatchVia
-
-
-_NO_MATCH = AckedMatch(False, None, MatchVia.NONE)
-
-
-def match_acked(ip: int, acked: AckedList, rdns: RdnsMap) -> AckedMatch:
-    """Is this source an acknowledged scanner, and whose?
-
-    An exact IP entry always wins over a reverse-DNS keyword hit. Keyword
-    matching is case-insensitive substring over the FQDN and the first
-    keyword in list order takes the credit, so overlapping keywords stay
-    deterministic.
-    """
-    if ip in acked.ips:
-        return AckedMatch(True, acked.org_by_ip.get(ip), MatchVia.IP_MATCH)
-    fqdn = rdns.get(ip)
-    if fqdn:
-        fqdn = fqdn.lower()
-        for keyword in acked.keywords:
-            if keyword in fqdn:
-                return AckedMatch(True, acked.org_by_keyword.get(keyword), MatchVia.DOMAIN_MATCH)
-    return _NO_MATCH
-
-
 def acked_sources(
-    ips: Iterable[int], acked: Optional[AckedList], rdns: Optional[RdnsMap] = None
-) -> Dict[int, AckedMatch]:
-    """The ACKed matches among ips, by address; empty when no list is given."""
+    ips: Iterable[int], acked: Optional[AckedList], rdns: Optional[Dict[int, str]] = None
+) -> Dict[int, Optional[str]]:
+    """The acknowledged scanners among ips, each mapped to its org.
+
+    An exact IP entry always wins over a reverse-DNS keyword hit; its org is
+    None when the entry names none. Keyword matching is substring over the
+    FQDN, which load_rdns lowercases, and the first keyword in file order
+    takes the credit, so overlapping keywords stay deterministic. Empty when
+    no list is given.
+    """
     if acked is None:
         return {}
-    rdns = rdns or RdnsMap()
+    rdns = rdns or {}
     matches = {}
     for ip in ips:
-        m = match_acked(ip, acked, rdns)
-        if m.acked:
-            matches[ip] = m
+        if ip in acked.ips:
+            matches[ip] = acked.ips[ip]
+            continue
+        fqdn = rdns.get(ip)
+        if fqdn:
+            for keyword, org in acked.keywords.items():
+                if keyword in fqdn:
+                    matches[ip] = org
+                    break
     return matches
 
 
@@ -124,7 +102,7 @@ class TagJoinResult(NamedTuple):
 NOT_PRESENT = "not_present"
 
 
-def tag_join(ah: Set[int], tags: TagDb, top_n: int = 20) -> TagJoinResult:
+def tag_join(ah: Set[int], tags: Dict[int, TagEntry], top_n: int = 20) -> TagJoinResult:
     if not ah:
         raise EmptyAhSetError("tag_join needs a nonempty AH set")
     histogram = {"benign": 0, "malicious": 0, "unknown": 0, NOT_PRESENT: 0}

@@ -1,10 +1,14 @@
 """Loaders for the side-channel intelligence feeds.
 
-Four small tabular inputs enrich detection output: the operator-acknowledged
+Four small CSV inputs enrich detection output: the operator-acknowledged
 scanner list (IPs plus rDNS keywords), a reverse-DNS snapshot, a third-party
-tag database, and an IP-to-ASN routing map. All are CSV-ish text; malformed
-lines are skipped and counted on the returned object so a partially rotten
-feed still loads.
+tag database, and an IP-to-ASN routing map. One loop reads them all. It skips
+blank lines and lines whose first field starts with `#`. A line is malformed
+when it has the wrong number of fields or a field fails its check (an address
+that is not a canonical dotted quad, an unknown tag class, an empty name);
+malformed lines are skipped and counted in `malformed_lines`, so a partially
+rotten feed still loads. In the ACKed, rDNS and tag feeds the first line for
+an address or keyword wins; in the ASN map the last line for a prefix does.
 """
 from __future__ import annotations
 
@@ -27,48 +31,29 @@ class AsnEntry(NamedTuple):
     country: str
 
 
-class AckedList:
-    """Acknowledged-scanner roster: exact IPs and rDNS keywords.
-
-    keywords preserves file order because the first matching keyword wins
-    during rDNS matching.
-    """
-
-    __slots__ = ("ips", "keywords", "org_by_ip", "org_by_keyword", "malformed_lines")
-
-    def __init__(self):
-        self.ips: set[int] = set()
-        self.keywords: list[str] = []
-        self.org_by_ip: dict[int, str] = {}
-        self.org_by_keyword: dict[str, str] = {}
-        self.malformed_lines = 0
-
-
-class RdnsMap:
-    __slots__ = ("entries", "malformed_lines")
-
-    def __init__(self):
-        self.entries: dict[int, str] = {}
-        self.malformed_lines = 0
-
-    def get(self, ip: int) -> Optional[str]:
-        return self.entries.get(ip)
-
-
 class TagEntry(NamedTuple):
     classification: TagClass
     tags: tuple[str, ...]
 
 
-class TagDb:
-    __slots__ = ("entries", "malformed_lines")
+class Feed(dict):
+    """A feed's entries by key, plus its malformed-line count."""
 
-    def __init__(self):
-        self.entries: dict[int, TagEntry] = {}
-        self.malformed_lines = 0
+    malformed_lines = 0
+    add = dict.setdefault  # the first line for a key wins
 
-    def get(self, ip: int) -> Optional[TagEntry]:
-        return self.entries.get(ip)
+
+class AckedList(NamedTuple):
+    """Acknowledged-scanner roster.
+
+    ips maps each address to its org, or None when its line names none.
+    keywords maps each rDNS keyword to its org in file order, because the
+    first matching keyword wins during rDNS matching.
+    """
+
+    ips: dict
+    keywords: dict
+    malformed_lines: int = 0
 
 
 class AsnMap:
@@ -103,104 +88,84 @@ class AsnMap:
         return sum(len(b) for b in self._by_prefixlen.values())
 
 
-def _csv_lines(path):
+def _load(path, parse_row, feed):
+    """Pass each data line of a CSV feed through parse_row into feed.add.
+
+    A line on which parse_row raises ValueError counts in feed.malformed_lines.
+    """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         for row in csv.reader(fh):
-            if not row or (len(row) == 1 and not row[0].strip()):
+            if not row or (len(row) == 1 and not row[0].strip()) or row[0].lstrip().startswith("#"):
                 continue
-            if row[0].lstrip().startswith("#"):
-                continue
-            yield row
+            try:
+                entry = parse_row(row)
+            except ValueError:
+                feed.malformed_lines += 1
+            else:
+                feed.add(*entry)
+    return feed
+
+
+def _acked_ip_row(row):
+    if len(row) > 2:
+        raise ValueError("more than two fields")
+    org = row[1].strip() if len(row) == 2 else ""
+    return ip_to_int(row[0].strip()), org or None
+
+
+def _keyword_row(row):
+    keyword, org = (field.strip() for field in row)
+    keyword = keyword.lower()
+    if not keyword or any(ch.isspace() for ch in keyword) or not org:
+        raise ValueError("empty field or keyword with whitespace")
+    return keyword, org
+
+
+def _rdns_row(row):
+    ip, fqdn = row
+    fqdn = fqdn.strip().lower()
+    if not fqdn:
+        raise ValueError("empty name")
+    return ip_to_int(ip.strip()), fqdn
+
+
+def _tag_row(row):
+    ip, classification, tags = row
+    return ip_to_int(ip.strip()), TagEntry(
+        TagClass(classification.strip().lower()),
+        tuple(t.strip() for t in tags.split("|") if t.strip()),
+    )
+
+
+def _asn_row(row):
+    cidr, asn, org, country = row
+    return (*parse_cidr(cidr.strip()), AsnEntry(parse_uint(asn), org.strip(), country.strip()))
 
 
 def load_acked(ips_path, keywords_path) -> AckedList:
     """ips file: 'ip[,org]' per line; keywords file: 'keyword,org' per line.
 
     Keywords are lowercased on load; a keyword containing whitespace is
-    malformed. Duplicate IPs keep the first org seen.
+    malformed.
     """
-    acked = AckedList()
-    for row in _csv_lines(ips_path):
-        try:
-            ip = ip_to_int(row[0].strip())
-        except ValueError:
-            acked.malformed_lines += 1
-            continue
-        if len(row) > 2:
-            acked.malformed_lines += 1
-            continue
-        if ip not in acked.ips:
-            acked.ips.add(ip)
-            if len(row) == 2 and row[1].strip():
-                acked.org_by_ip[ip] = row[1].strip()
-    for row in _csv_lines(keywords_path):
-        if len(row) != 2:
-            acked.malformed_lines += 1
-            continue
-        keyword = row[0].strip().lower()
-        org = row[1].strip()
-        if not keyword or any(ch.isspace() for ch in keyword) or not org:
-            acked.malformed_lines += 1
-            continue
-        if keyword not in acked.org_by_keyword:
-            acked.keywords.append(keyword)
-            acked.org_by_keyword[keyword] = org
-    return acked
+    ips = _load(ips_path, _acked_ip_row, Feed())
+    keywords = _load(keywords_path, _keyword_row, Feed())
+    return AckedList(ips, keywords, ips.malformed_lines + keywords.malformed_lines)
 
 
-def load_rdns(path) -> RdnsMap:
+def load_rdns(path) -> Feed:
     """'ip,fqdn' per line; FQDNs lowercased for case-insensitive matching."""
-    rdns = RdnsMap()
-    for row in _csv_lines(path):
-        if len(row) != 2:
-            rdns.malformed_lines += 1
-            continue
-        try:
-            ip = ip_to_int(row[0].strip())
-        except ValueError:
-            rdns.malformed_lines += 1
-            continue
-        fqdn = row[1].strip().lower()
-        if not fqdn:
-            rdns.malformed_lines += 1
-            continue
-        rdns.entries.setdefault(ip, fqdn)
-    return rdns
+    return _load(path, _rdns_row, Feed())
 
 
-def load_tags(path) -> TagDb:
-    """'ip,classification,tag1|tag2|...' per line; tag list may be empty."""
-    db = TagDb()
-    for row in _csv_lines(path):
-        if len(row) != 3:
-            db.malformed_lines += 1
-            continue
-        try:
-            ip = ip_to_int(row[0].strip())
-            classification = TagClass(row[1].strip().lower())
-        except ValueError:
-            db.malformed_lines += 1
-            continue
-        tags = tuple(t.strip() for t in row[2].split("|") if t.strip())
-        db.entries.setdefault(ip, TagEntry(classification, tags))
-    return db
+def load_tags(path) -> Feed:
+    """'ip,classification,tag1|tag2|...' per line, to TagEntry; tag list may be empty."""
+    return _load(path, _tag_row, Feed())
 
 
 def load_asn_map(path) -> AsnMap:
     """'cidr,asn,org,country' per line; cidr as parse_cidr reads it, asn as parse_uint."""
-    amap = AsnMap()
-    for row in _csv_lines(path):
-        if len(row) != 4:
-            amap.malformed_lines += 1
-            continue
-        try:
-            network, prefixlen = parse_cidr(row[0].strip())
-            asn = parse_uint(row[1])
-        except ValueError:
-            amap.malformed_lines += 1
-            continue
-        amap.add(network, prefixlen, AsnEntry(asn, row[2].strip(), row[3].strip()))
-    return amap
+    return _load(path, _asn_row, AsnMap())
 
 
 # Group used for addresses the routing map cannot place.

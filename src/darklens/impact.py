@@ -23,10 +23,6 @@ from .model import (
 )
 
 
-class NoFlowsForDayError(ValueError):
-    pass
-
-
 class RouterImpact(NamedTuple):
     ah_pkts_est: int
     total_pkts_est: int
@@ -94,18 +90,18 @@ def tally_flows(
 
 
 def _day_impact(tally: FlowTally, day: date, column: int) -> Dict[str, RouterImpact]:
-    per_router = {
+    return {
         router: RouterImpact(cell[column], cell[2])
         for (cell_day, router), cell in tally.cells.items()
         if cell_day == day
     }
-    if not per_router:
-        raise NoFlowsForDayError(f"no flow records fall on {day.isoformat()}")
-    return per_router
 
 
 def flow_impact(tally: FlowTally, day: date) -> Dict[str, RouterImpact]:
-    """Estimated aggressive share of each router's traffic on one UTC day."""
+    """Estimated aggressive share of each router's traffic on one UTC day.
+
+    Empty when no flow row falls on the day.
+    """
     return _day_impact(tally, day, 0)
 
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 import csv
+import ipaddress
 import json
 import re
 import struct
@@ -771,3 +772,42 @@ def oracle_flow_measures(
         "presence": {router: len(ips) / len(ah) for router, ips in seen.items()},
         "mix": (tcp_syn, udp, icmp, unclassifiable),
     }
+
+
+def oracle_acked_sources(
+    sources: Iterable[int], ip_lines: List[str], keyword_lines: List[str], rdns_lines: List[str]
+) -> Dict[int, Optional[str]]:
+    """The ACKed matches among sources, read by hand from well-formed feed lines.
+
+    The reference for acked_sources over load_acked and load_rdns. An address
+    line is `ip[,org]`, and a blank or missing org names None. The first line
+    for a repeated address or keyword (compared lowercased) wins. An address
+    entry beats any keyword; otherwise the first keyword, in file order, found
+    in the source's lowercased name credits its org.
+    """
+    org_of_ip: Dict[int, Optional[str]] = {}
+    for line in ip_lines:
+        ip, _, org = line.partition(",")
+        addr = int(ipaddress.IPv4Address(ip))
+        if addr not in org_of_ip:
+            org_of_ip[addr] = org.strip() or None
+    keywords: List[Tuple[str, str]] = []
+    for line in keyword_lines:
+        keyword, org = line.split(",")
+        if keyword.lower() not in [seen for seen, _org in keywords]:
+            keywords.append((keyword.lower(), org))
+    names: Dict[int, str] = {}
+    for line in rdns_lines:
+        ip, name = line.split(",")
+        addr = int(ipaddress.IPv4Address(ip))
+        if addr not in names:
+            names[addr] = name.lower()
+    matches: Dict[int, Optional[str]] = {}
+    for ip in sources:
+        if ip in org_of_ip:
+            matches[ip] = org_of_ip[ip]
+            continue
+        hits = [org for keyword, org in keywords if keyword in names.get(ip, "")]
+        if hits:
+            matches[ip] = hits[0]
+    return matches

@@ -35,9 +35,7 @@ from darklens.feeds import (
     AckedList,
     AsnEntry,
     AsnMap,
-    RdnsMap,
     TagClass,
-    TagDb,
     TagEntry,
 )
 from darklens.fingerprint import ProbeTool, fingerprint_packet
@@ -549,14 +547,9 @@ def test_criterion_09_set_analytics_match_brute_force():
         acked = None
         rdns = None
         if rng.random() < 0.5:
-            acked = AckedList()
-            acked.ips.update(ip for ip in ah if rng.random() < 0.3)
-            acked.keywords.append("probe")
-            rdns = RdnsMap()
-            rdns.entries.update(
-                {ip: rng.choice(["probe.example.net", "host.example.net"])
-                 for ip in ah if rng.random() < 0.3}
-            )
+            acked = AckedList({ip: None for ip in ah if rng.random() < 0.3}, {"probe": "Probe"})
+            rdns = {ip: rng.choice(["probe.example.net", "host.example.net"])
+                    for ip in ah if rng.random() < 0.3}
         got = origin_table(ah, pkts_by_ip, amap, acked_sources(ah, acked, rdns))
 
         def naive_acked(ip: int) -> bool:
@@ -564,7 +557,7 @@ def test_criterion_09_set_analytics_match_brute_force():
                 return False
             if ip in acked.ips:
                 return True
-            fqdn = rdns.entries.get(ip) if rdns is not None else None
+            fqdn = rdns.get(ip) if rdns is not None else None
             return bool(fqdn) and any(kw in fqdn.lower() for kw in acked.keywords)
 
         groups = {}
@@ -595,10 +588,10 @@ def test_criterion_09_set_analytics_match_brute_force():
     tag_pool = [f"tag{i}" for i in range(12)]
     for _ in range(1_000):
         ah = _ips_near(rng, rng.randint(1, 25))
-        db = TagDb()
+        db = {}
         for ip in ah:
             if rng.random() < 0.6:
-                db.entries[ip] = TagEntry(
+                db[ip] = TagEntry(
                     rng.choice(list(TagClass)),
                     rng.sample(tag_pool, rng.randint(0, 4)),
                 )
@@ -609,7 +602,7 @@ def test_criterion_09_set_analytics_match_brute_force():
         counts = {}
         present = 0
         for ip in ah:
-            e = db.entries.get(ip)
+            e = db.get(ip)
             if e is None:
                 hist[NOT_PRESENT] += 1
                 continue

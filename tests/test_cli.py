@@ -282,8 +282,10 @@ class TestReportCommand:
 
     def test_acked_list_matched_once_per_source(self, pipeline, feeds, tmp_path, monkeypatch):
         calls = []
-        real = enrich.match_acked
-        monkeypatch.setattr(enrich, "match_acked", lambda ip, *a: calls.append(ip) or real(ip, *a))
+        real = enrich.acked_sources
+        monkeypatch.setattr(
+            enrich, "acked_sources", lambda ips, *a: real(calls.append(list(ips)) or ips, *a)
+        )
         rc = main([
             "--out-dir", str(tmp_path / "report"),
             "report", str(pipeline["run"] / "events.jsonl"),
@@ -298,7 +300,8 @@ class TestReportCommand:
             json.loads(line)["src_ip"]
             for line in (pipeline["run"] / "verdicts.jsonl").read_text().splitlines()
         }
-        assert sorted(calls) == sorted(ip_to_int(ip) for ip in verdict_ips)
+        (sources,) = calls
+        assert sorted(sources) == sorted(ip_to_int(ip) for ip in verdict_ips)
 
     def test_exclude_acked_drops_the_sources_origins_counts_as_acked(self, tmp_path, capsys):
         # A matches nothing, B is ACKed by its rDNS name, C by its address.
@@ -620,6 +623,47 @@ class TestPublish:
         assert (tmp_path / "events.jsonl").read_bytes() == before
         assert sorted(os.listdir(tmp_path)) == ["bad.pcap", "events.jsonl"]
 
+    def test_impact_removes_outputs_an_earlier_run_left(self, pipeline, feeds, tmp_path):
+        blocklist = tmp_path / "blocklist.txt"
+        blocklist.write_text("198.18.0.1\n")
+        flows = tmp_path / "flows.csv"
+        write_flows_csv(flows, [
+            FlowRecord(
+                router_id="router-1", ts_us=(1654041600 + day * 86_400) * US,
+                direction=Direction.INGRESS, src_ip=ip_to_int("198.18.0.1"),
+                dst_ip=ip_to_int("192.0.2.1"), protocol=Protocol.TCP, src_port=40000,
+                dst_port=23, sampled_pkts=1, sampling_denominator=100, tcp_flags=0x02,
+            )
+            for day in (0, 1)
+        ])
+        out = tmp_path / "out"
+        impact = ["--out-dir", str(out), "impact", "--blocklist", str(blocklist),
+                  "--flows", str(flows)]
+        assert main(impact + [
+            "--pcap", str(pipeline["synth"] / "synth.pcap"),
+            "--acked-ips", str(feeds / "acked_ips.csv"),
+            "--acked-keywords", str(feeds / "acked_kw.csv"),
+        ]) == 0
+        assert sorted(os.listdir(out)) == [
+            "acked_impact.csv", "impact.csv", "presence.csv", "protocols_flows.csv", "series.csv",
+        ]
+        assert main(impact + ["--date", "2022-06-02"]) == 0
+        assert sorted(os.listdir(out)) == ["impact.csv", "presence.csv", "protocols_flows.csv"]
+        assert (out / "impact.csv").read_text().splitlines()[1].split(",")[1] == "2022-06-02"
+        # An empty result publishes too: it leaves none of the command's files.
+        assert main(impact + ["--date", "1999-01-01"]) == 1
+        assert os.listdir(out) == []
+
+    def test_report_removes_tag_tables_an_earlier_run_left(self, pipeline, feeds, tmp_path):
+        report = ["--out-dir", str(tmp_path), "report", str(pipeline["run"] / "events.jsonl"),
+                  str(pipeline["run"] / "verdicts.jsonl")]
+        (tmp_path / "unrelated.csv").write_text("kept\n")
+        assert main(report + ["--tags", str(feeds / "tags.csv")]) == 0
+        assert {"tag_classes.csv", "tags_top.csv"} <= set(os.listdir(tmp_path))
+        assert main(report) == 0
+        assert not {"tag_classes.csv", "tags_top.csv"} & set(os.listdir(tmp_path))
+        assert (tmp_path / "unrelated.csv").read_text() == "kept\n"
+
     def test_chain_writes_exactly_the_readme_outputs(self, pipeline, feeds, tmp_path):
         """The README's quick-start chain leaves exactly the files its `# ->` lines name."""
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -870,6 +914,21 @@ class TestStartupImports:
         got = _fresh_main(argv)
         assert got["rc"] == 0 and "numpy" in got["heavy"]
         assert (tmp_path / "synth.pcap").read_bytes() == (pipeline["synth"] / "synth.pcap").read_bytes()
+
+
+def test_feed_options_have_one_help_text(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "200")
+    blocks = {}
+    for command in ("detect", "impact", "report"):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        text = capsys.readouterr().out
+        blocks[command] = [
+            re.search(rf"^  {option} \S+\s+(\S.*)$", text, re.MULTILINE)[1]
+            for option in ("--acked-ips", "--acked-keywords", "--rdns")
+        ]
+    assert blocks["detect"] == blocks["impact"] == blocks["report"]
+    assert [help_text.split()[0] for help_text in blocks["detect"]] == ["ACKed", "ACKed", "reverse"]
 
 
 def test_flow_format_choices_are_the_flow_formats():

@@ -412,19 +412,20 @@ class TestRunDetection:
         assert rows[0].is_daily and not rows[1].is_daily
 
     def test_acked_matched_once_per_source(self, cfg_slash22, monkeypatch):
-        from darklens import enrich
+        from darklens import detect
         from darklens.feeds import AckedList
 
         calls = []
-        real = enrich.match_acked
-        monkeypatch.setattr(enrich, "match_acked", lambda ip, *a: calls.append(ip) or real(ip, *a))
+        real = detect.acked_sources
+        monkeypatch.setattr(
+            detect, "acked_sources", lambda ips, *a: real(calls.append(list(ips)) or ips, *a)
+        )
         ip11 = ip_to_int("198.51.100.11")
-        acked = AckedList()
-        acked.ips.add(ip11)
-        acked.org_by_ip[ip11] = "GoodScan"
+        acked = AckedList({ip11: "GoodScan"}, {})
         t = Thresholds(volume_threshold_pkts=3, ports_threshold=10**9)
         res = run_detection(self._events(), cfg_slash22, t, acked=acked)
-        assert sorted(calls) == sorted(res.union_ips)
+        (sources,) = calls
+        assert sorted(sources) == sorted(res.union_ips)
         rows = [(v.day, v.acked, v.acked_org) for v in res.verdicts if v.src_ip == ip11]
         assert rows == [(JUNE1, True, "GoodScan"), (JUNE2, True, "GoodScan")]
         assert not any(v.acked or v.acked_org for v in res.verdicts if v.src_ip != ip11)

@@ -2,16 +2,15 @@ import random
 from datetime import date
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from darklens.cli import main
 from darklens.detect import write_verdicts
 from darklens.enrich import (
     EmptyAhSetError,
-    MatchVia,
     NOT_PRESENT,
     OriginRow,
     acked_sources,
-    match_acked,
     origin_table,
     tag_join,
 )
@@ -19,71 +18,99 @@ from darklens.feeds import (
     AckedList,
     AsnEntry,
     AsnMap,
-    RdnsMap,
     TagClass,
-    TagDb,
     TagEntry,
+    load_acked,
+    load_rdns,
     origin_of,
 )
 from darklens.events import write_event_log
 from darklens.model import (
-    AhVerdict, DarknetEvent, EventKey, TrafficType, ip_to_int, parse_cidr, slash24_of, write_csv,
+    AhVerdict, DarknetEvent, EventKey, TrafficType, int_to_ip, ip_to_int, parse_cidr, slash24_of,
+    write_csv,
 )
+from helpers import oracle_acked_sources
 
 IP_A = ip_to_int("162.142.125.1")
 IP_B = ip_to_int("198.51.100.9")
 
 
-def _acked(ips=(), keywords=()):
-    acked = AckedList()
-    for ip, org in ips:
-        acked.ips.add(ip)
-        if org:
-            acked.org_by_ip[ip] = org
-    for kw, org in keywords:
-        acked.keywords.append(kw)
-        acked.org_by_keyword[kw] = org
-    return acked
-
-
-def _rdns(entries):
-    rdns = RdnsMap()
-    rdns.entries.update(entries)
-    return rdns
-
-
 class TestMatchAcked:
+    """One source against the IP list and the keywords."""
+
     def test_ip_entry(self):
-        acked = _acked(ips=[(IP_A, "Censys")])
-        m = match_acked(IP_A, acked, RdnsMap())
-        assert (m.acked, m.org, m.via) == (True, "Censys", MatchVia.IP_MATCH)
+        assert acked_sources({IP_A}, AckedList({IP_A: "Censys"}, {})) == {IP_A: "Censys"}
 
     def test_domain_keyword(self):
-        acked = _acked(keywords=[("censys", "Censys")])
-        rdns = _rdns({IP_A: "scanner-01.censys-scanner.com"})
-        m = match_acked(IP_A, acked, rdns)
-        assert (m.acked, m.org, m.via) == (True, "Censys", MatchVia.DOMAIN_MATCH)
+        acked = AckedList({}, {"censys": "Censys"})
+        rdns = {IP_A: "scanner-01.censys-scanner.com"}
+        assert acked_sources({IP_A}, acked, rdns) == {IP_A: "Censys"}
 
     def test_ip_beats_domain(self):
-        acked = _acked(ips=[(IP_A, "ViaIp")], keywords=[("censys", "ViaDomain")])
-        rdns = _rdns({IP_A: "x.censys.io"})
-        m = match_acked(IP_A, acked, rdns)
-        assert (m.org, m.via) == ("ViaIp", MatchVia.IP_MATCH)
+        acked = AckedList({IP_A: "ViaIp"}, {"censys": "ViaDomain"})
+        assert acked_sources({IP_A}, acked, {IP_A: "x.censys.io"}) == {IP_A: "ViaIp"}
+
+    def test_ip_without_org_beats_domain(self):
+        acked = AckedList({IP_A: None}, {"censys": "ViaDomain"})
+        assert acked_sources({IP_A}, acked, {IP_A: "x.censys.io"}) == {IP_A: None}
 
     def test_first_keyword_wins(self):
-        acked = _acked(keywords=[("scanner", "Generic"), ("censys", "Censys")])
-        rdns = _rdns({IP_A: "scanner-01.censys.io"})
-        assert match_acked(IP_A, acked, rdns).org == "Generic"
+        acked = AckedList({}, {"scanner": "Generic", "censys": "Censys"})
+        assert acked_sources({IP_A}, acked, {IP_A: "scanner-01.censys.io"}) == {IP_A: "Generic"}
 
-    def test_case_insensitive_fqdn(self):
-        acked = _acked(keywords=[("shodan", "Shodan")])
-        rdns = RdnsMap()
-        rdns.entries[IP_A] = "Census.SHODAN.io"
-        assert match_acked(IP_A, acked, rdns).acked is True
+    def test_case_insensitive_fqdn(self, tmp_path):
+        (tmp_path / "ips.csv").write_text("")
+        (tmp_path / "kw.csv").write_text("Shodan,Shodan\n")
+        (tmp_path / "rdns.csv").write_text(f"{int_to_ip(IP_A)},Census.SHODAN.io\n")
+        acked = load_acked(tmp_path / "ips.csv", tmp_path / "kw.csv")
+        rdns = load_rdns(tmp_path / "rdns.csv")
+        assert acked_sources({IP_A}, acked, rdns) == {IP_A: "Shodan"}
 
     def test_no_match(self):
-        m = match_acked(IP_A, _acked(), RdnsMap())
-        assert (m.acked, m.org, m.via) == (False, None, MatchVia.NONE)
+        assert acked_sources({IP_A}, AckedList({}, {}), {IP_A: "host.example.net"}) == {}
+
+
+class TestAckedSources:
+    def test_only_matches_kept_with_their_org(self):
+        acked = AckedList({IP_A: "Censys"}, {"goodscan": "GoodScan"})
+        ip_c = ip_to_int("203.0.113.7")
+        got = acked_sources({IP_A, IP_B, ip_c}, acked, {ip_c: "probe.goodscan.net"})
+        assert got == {IP_A: "Censys", ip_c: "GoodScan"}
+
+    def test_no_rdns_map_matches_by_ip_only(self):
+        acked = AckedList({IP_A: None}, {"censys": "Censys"})
+        assert acked_sources({IP_A, IP_B}, acked) == {IP_A: None}
+
+    def test_no_list_matches_nothing(self):
+        assert acked_sources({IP_A, IP_B}, None) == {}
+
+    # A small address pool and a few keywords that are substrings of one
+    # another, so duplicates, overlaps and IP-over-keyword cases are common.
+    _ips = st.integers(0, 7).map(lambda i: f"192.0.2.{i}")
+    _keywords = st.sampled_from(["scan", "scanner", "census", "probe", "Scan", "PROBE"])
+    _orgs = st.sampled_from(["OrgA", "OrgB", "OrgC"])
+    _labels = st.sampled_from(["x", "Scanner-1", "census", "probe", "host", "SCAN"])
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        # An empty org writes a bare address, a blank one `ip, `: both name None.
+        ip_rows=st.lists(st.tuples(_ips, st.one_of(_orgs, st.sampled_from(["", " "]))), max_size=6),
+        kw_rows=st.lists(st.tuples(_keywords, _orgs), max_size=6),
+        rdns_rows=st.lists(st.tuples(_ips, st.lists(_labels, min_size=1, max_size=3)), max_size=8),
+    )
+    def test_matches_oracle_over_loaded_files(self, tmp_path_factory, ip_rows, kw_rows, rdns_rows):
+        d = tmp_path_factory.mktemp("acked")
+        ip_lines = [f"{ip},{org}" if org else ip for ip, org in ip_rows]
+        kw_lines = [f"{kw},{org}" for kw, org in kw_rows]
+        rdns_lines = [f"{ip},{'.'.join(labels)}.example.NET" for ip, labels in rdns_rows]
+        for name, lines in (("ips", ip_lines), ("kw", kw_lines), ("rdns", rdns_lines)):
+            (d / f"{name}.csv").write_text("".join(line + "\n" for line in lines))
+        acked = load_acked(d / "ips.csv", d / "kw.csv")
+        rdns = load_rdns(d / "rdns.csv")
+        sources = {ip_to_int(f"192.0.2.{i}") for i in range(8)}
+        want = oracle_acked_sources(sources, ip_lines, kw_lines, rdns_lines)
+        assert acked_sources(sources, acked, rdns) == want
+        assert acked.malformed_lines == rdns.malformed_lines == 0
 
 
 def _map(entries):
@@ -91,25 +118,6 @@ def _map(entries):
     for cidr, asn, org, cc in entries:
         amap.add(*parse_cidr(cidr), AsnEntry(asn, org, cc))
     return amap
-
-
-class TestAckedSources:
-    def test_only_matches_kept_with_their_org(self):
-        acked = _acked(ips=[(IP_A, "Censys")], keywords=[("goodscan", "GoodScan")])
-        ip_c = ip_to_int("203.0.113.7")
-        rdns = _rdns({ip_c: "probe.GoodScan.net"})
-        got = acked_sources({IP_A, IP_B, ip_c}, acked, rdns)
-        assert {ip: (m.org, m.via) for ip, m in got.items()} == {
-            IP_A: ("Censys", MatchVia.IP_MATCH),
-            ip_c: ("GoodScan", MatchVia.DOMAIN_MATCH),
-        }
-
-    def test_no_rdns_map_matches_by_ip_only(self):
-        acked = _acked(ips=[(IP_A, None)], keywords=[("censys", "Censys")])
-        assert set(acked_sources({IP_A, IP_B}, acked)) == {IP_A}
-
-    def test_no_list_matches_nothing(self):
-        assert acked_sources({IP_A, IP_B}, None) == {}
 
 
 class TestOriginTable:
@@ -141,7 +149,7 @@ class TestOriginTable:
     def test_acked_columns_count_subset(self):
         amap = _map([("162.142.125.0/24", 398324, "Censys", "US")])
         ah = {IP_A, IP_A + 1}
-        acked = _acked(ips=[(IP_A, "Censys")])
+        acked = AckedList({IP_A: "Censys"}, {})
         (row,) = origin_table(ah, {}, amap, acked_sources(ah, acked))
         assert row.unique_32s == 2
         assert (row.acked_32s, row.acked_24s) == (1, 1)
@@ -189,10 +197,7 @@ class TestOriginTable:
 
 
 def _tags(entries):
-    db = TagDb()
-    for ip, cls, tags in entries:
-        db.entries[ip] = TagEntry(TagClass(cls), tuple(tags))
-    return db
+    return {ip: TagEntry(TagClass(cls), tuple(tags)) for ip, cls, tags in entries}
 
 
 class TestTagJoin:
@@ -219,10 +224,10 @@ class TestTagJoin:
 
     def test_empty_ah_raises(self):
         with pytest.raises(EmptyAhSetError):
-            tag_join(set(), TagDb())
+            tag_join(set(), {})
 
     def test_no_overlap(self):
-        res = tag_join({1, 2}, TagDb())
+        res = tag_join({1, 2}, {})
         assert res.overlap_fraction == 0.0
         assert res.histogram[NOT_PRESENT] == 2
 

@@ -24,6 +24,44 @@ def _write(tmp_path, name, text):
     return p
 
 
+class TestLoadLoop:
+    """The rules every feed loader shares."""
+
+    @pytest.mark.parametrize("load, good, wrong_widths", [
+        (load_rdns, "10.0.0.1,a.example.net", ["10.0.0.2", "10.0.0.3,b,c"]),
+        (load_tags, "10.0.0.1,benign,x", ["10.0.0.2,benign", "10.0.0.3,benign,x,y"]),
+        (load_asn_map, "10.0.0.0/8,1,Org,US", ["10.0.0.0/8,1,Org", "10.0.0.0/8,1,Org,US,x"]),
+        (lambda path: load_acked(path, path.with_name("none.csv")).ips,
+         "10.0.0.1,Org", ["10.0.0.2,Org,x"]),
+        (lambda path: load_acked(path.with_name("none.csv"), path).keywords,
+         "kw,Org", ["kw2", "kw3,Org,x"]),
+    ], ids=["rdns", "tags", "asn", "acked_ips", "acked_keywords"])
+    def test_comments_and_blanks_skipped_wrong_widths_malformed(self, tmp_path, load, good,
+                                                               wrong_widths):
+        _write(tmp_path, "none.csv", "")
+        text = "# a comment\n\n   \n  #indented,comment\n" + good + "\n"
+        feed = load(_write(tmp_path, "feed.csv", text + "".join(w + "\n" for w in wrong_widths)))
+        assert (len(feed), feed.malformed_lines) == (1, len(wrong_widths))
+
+    def test_first_line_wins_for_rdns_and_tags(self, tmp_path):
+        rdns = load_rdns(_write(tmp_path, "rdns.csv", "10.0.0.1,first.net\n10.0.0.1,second.net\n"))
+        assert rdns == {ip_to_int("10.0.0.1"): "first.net"}
+        tags = load_tags(_write(tmp_path, "tags.csv", "10.0.0.1,benign,a\n10.0.0.1,malicious,b\n"))
+        assert tags == {ip_to_int("10.0.0.1"): (TagClass.BENIGN, ("a",))}
+
+    def test_last_line_wins_for_an_asn_prefix(self, tmp_path):
+        amap = load_asn_map(
+            _write(tmp_path, "asn.csv", "10.0.0.0/8,1,First,US\n10.0.0.0/8,2,Second,DE\n")
+        )
+        assert (len(amap), amap.lookup(ip_to_int("10.0.0.1")).org) == (1, "Second")
+
+    def test_bad_encoding_is_fatal(self, tmp_path):
+        path = tmp_path / "rdns.csv"
+        path.write_bytes(b"10.0.0.1,\xff.example.net\n")
+        with pytest.raises(UnicodeDecodeError):
+            load_rdns(path)
+
+
 class TestAcked:
     def test_ips_and_orgs(self, tmp_path):
         ips = _write(tmp_path, "acked_ips.csv", """\
@@ -37,27 +75,24 @@ censys,Censys
 shodan.io,Shodan
 """)
         acked = load_acked(ips, kws)
-        assert acked.ips == {ip_to_int("162.142.125.1"), ip_to_int("167.94.138.2")}
-        # first org wins on duplicate IP
-        assert acked.org_by_ip[ip_to_int("162.142.125.1")] == "Censys"
-        assert acked.org_by_ip.get(ip_to_int("167.94.138.2"), "") == ""
-        assert acked.keywords == ["censys", "shodan.io"]
-        assert acked.org_by_keyword["shodan.io"] == "Shodan"
+        # first org wins on duplicate IP; an IP without an org maps to None
+        assert acked.ips == {ip_to_int("162.142.125.1"): "Censys", ip_to_int("167.94.138.2"): None}
+        assert list(acked.keywords.items()) == [("censys", "Censys"), ("shodan.io", "Shodan")]
         assert acked.malformed_lines == 0
 
     def test_malformed_counted(self, tmp_path):
         ips = _write(tmp_path, "ips.csv", "not-an-ip,X\n10.0.0.1,Ok\n")
         kws = _write(tmp_path, "kw.csv", "has space,Org\nGOOD,Org\n,Empty\n")
         acked = load_acked(ips, kws)
-        assert ip_to_int("10.0.0.1") in acked.ips
-        assert acked.keywords == ["good"]          # lowercased
+        assert acked.ips == {ip_to_int("10.0.0.1"): "Ok"}
+        assert acked.keywords == {"good": "Org"}   # lowercased
         assert acked.malformed_lines == 3
 
     def test_keyword_order_preserved(self, tmp_path):
         ips = _write(tmp_path, "ips.csv", "")
         kws = _write(tmp_path, "kw.csv", "zeta,Z\nalpha,A\nmid,M\n")
         acked = load_acked(ips, kws)
-        assert acked.keywords == ["zeta", "alpha", "mid"]
+        assert list(acked.keywords) == ["zeta", "alpha", "mid"]
 
     def test_non_canonical_ip_is_malformed(self, tmp_path):
         # inet_aton would read "010.0.0.1" as octal 8.0.0.1 and "10.1" as
@@ -65,7 +100,7 @@ shodan.io,Shodan
         ips = _write(tmp_path, "ips.csv", "010.0.0.1,Octal\n10.1,Short\n10.0.0.2,Ok\n")
         kws = _write(tmp_path, "kw.csv", "")
         acked = load_acked(ips, kws)
-        assert acked.ips == {ip_to_int("10.0.0.2")}
+        assert acked.ips == {ip_to_int("10.0.0.2"): "Ok"}
         assert acked.malformed_lines == 2
 
 

@@ -8,13 +8,12 @@ from hypothesis import given, settings, strategies as st
 from darklens import enrich, impact
 from darklens.cli import main
 from darklens.enrich import acked_sources
-from darklens.feeds import AckedList, RdnsMap
+from darklens.feeds import AckedList
 from darklens.flows import FLOW_CSV_FIELDS, FlowFormat, FlowReader
 from darklens.impact import (
     EmptyAhSetError,
     ImpactBin,
     ImpactSeries,
-    NoFlowsForDayError,
     RouterImpact,
     acked_impact,
     ah_presence,
@@ -95,9 +94,9 @@ class TestFlowImpact:
         assert imp.total_pkts_est == 1000
         assert flow_impact(tally_flows(flows, {AH_IP}), JUNE2)["router-1"].fraction == 0.0
 
-    def test_no_flows_for_day_raises(self):
-        with pytest.raises(NoFlowsForDayError):
-            flow_impact(tally_flows([_flow()], {AH_IP}), JUNE2)
+    def test_no_flows_for_day_is_empty(self):
+        tally = tally_flows([_flow()], {AH_IP})
+        assert flow_impact(tally, JUNE2) == acked_impact(tally, JUNE2) == {}
 
     def test_empty_ah_set_raises(self):
         with pytest.raises(EmptyAhSetError):
@@ -119,10 +118,7 @@ def _acked_tally(flows, ah, acked, rdns):
 
 class TestAckedImpact:
     def _acked(self, ips=()):
-        acked = AckedList()
-        for ip in ips:
-            acked.ips.add(ip)
-        return acked
+        return AckedList(dict.fromkeys(ips), {})
 
     def test_empty_acked_subset_is_zero_not_error(self):
         res = acked_impact(_acked_tally([_flow()], {AH_IP}, self._acked(), None), JUNE1)
@@ -131,7 +127,7 @@ class TestAckedImpact:
         assert imp.total_pkts_est == 1000
 
     def test_acked_member_counted(self):
-        res = acked_impact(_acked_tally([_flow()], {AH_IP}, self._acked([AH_IP]), RdnsMap()), JUNE1)
+        res = acked_impact(_acked_tally([_flow()], {AH_IP}, self._acked([AH_IP]), {}), JUNE1)
         assert res["router-1"].fraction == 1.0
 
     def test_acked_non_ah_source_not_counted(self):
@@ -352,16 +348,11 @@ class TestTallyAgainstOracle:
         tally = tally_flows(iter(flows), ah, acked_ips)
         if day is None and flows:
             assert min(cell_day for cell_day, _router in tally.cells) == want["day"]
-        if want["impact"]:
+        if want["day"] is not None:
             got = flow_impact(tally, want["day"])
             assert {r: (i.ah_pkts_est, i.total_pkts_est) for r, i in got.items()} == want["impact"]
             got = acked_impact(tally, want["day"])
             assert {r: (i.ah_pkts_est, i.total_pkts_est) for r, i in got.items()} == want["acked"]
-        elif want["day"] is not None:
-            with pytest.raises(NoFlowsForDayError):
-                flow_impact(tally, want["day"])
-            with pytest.raises(NoFlowsForDayError):
-                acked_impact(tally, want["day"])
         assert ah_presence(tally) == want["presence"]
         mix = protocol_breakdown_flows(tally)
         assert (mix.pkts_tcp_syn, mix.pkts_udp, mix.pkts_icmp_echo, mix.unclassifiable_pkts) == want["mix"]
