@@ -24,7 +24,7 @@ import itertools
 import sys
 from datetime import date
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Tuple
 
 from .feeds import AckedList, AsnMap, Feed, load_acked, load_asn_map, load_rdns, load_tags
 from .fingerprint import PortFingerprintRow, port_fingerprint_table
@@ -117,16 +117,25 @@ def _require_config(args):
     return load_config(args.config)
 
 
-def _load_acked_args(args) -> Optional[AckedList]:
+def _load_acked_args(args) -> Tuple[Optional[AckedList], Optional[Feed]]:
+    """The ACKed list and the rDNS map it is matched through, each None when not given."""
     if args.acked_ips is None and args.acked_keywords is None:
-        return None
+        if args.rdns is not None:
+            raise ConfigError("--rdns needs --acked-ips and --acked-keywords")
+        return None, None
     if args.acked_ips is None or args.acked_keywords is None:
         raise ConfigError("--acked-ips and --acked-keywords must be given together")
-    return load_acked(args.acked_ips, args.acked_keywords)
+    acked = load_acked(args.acked_ips, args.acked_keywords)
+    return acked, load_rdns(args.rdns) if args.rdns is not None else None
 
 
-def _load_rdns_args(args) -> Optional[Feed]:
-    return load_rdns(args.rdns) if args.rdns is not None else None
+def _feed_counts(**feeds) -> dict:
+    """The line counts of each feed the run loaded, for a meta file; None is not loaded."""
+    return {
+        name: {count: getattr(feed, count) for count in ("malformed_lines", "duplicate_lines")
+               if hasattr(feed, count)}
+        for name, feed in feeds.items() if feed is not None
+    }
 
 
 def cmd_events(args, staging: Path) -> int:
@@ -179,13 +188,14 @@ def cmd_detect(args, staging: Path) -> int:
             f"at start_ts {wide.start_ts} has {wide.unique_dst_count} distinct destinations, "
             f"more than the {cfg.darknet_size} addresses of the darknet"
         )
-    acked = _load_acked_args(args)
-    rdns = _load_rdns_args(args)
+    acked, rdns = _load_acked_args(args)
+    feeds = _feed_counts(acked=acked, rdns=rdns)
 
     if not events:
         for name in DETECT_LISTS:
             write_lines(staging / name, ())
-        write_json(staging / "detect_meta.json", {"events": 0, "warning": "empty event log"})
+        write_json(staging / "detect_meta.json",
+                   {"events": 0, "warning": "empty event log", "feeds": feeds})
         print("warning: empty event log, nothing to detect")
         return 1
 
@@ -222,6 +232,7 @@ def cmd_detect(args, staging: Path) -> int:
             "d3": len(result.d3_ips),
             "union": len(result.union_ips),
         },
+        "feeds": feeds,
     })
 
     print(
@@ -245,6 +256,7 @@ def cmd_impact(args, staging: Path) -> int:
 
     if not args.flows and args.pcap is None:
         raise ConfigError("impact needs --flows and/or --pcap")
+    acked, rdns = _load_acked_args(args)
     ah = detect_mod.read_blocklist(args.blocklist)
     if not ah:
         print("warning: blocklist is empty, nothing to measure")
@@ -255,8 +267,7 @@ def cmd_impact(args, staging: Path) -> int:
     if args.flows:
         from .flows import FlowFormat, FlowReader
 
-        acked = _load_acked_args(args)
-        acked_ips = {} if acked is None else enrich.acked_sources(ah, acked, _load_rdns_args(args))
+        acked_ips = enrich.acked_sources(ah, acked, rdns)
         readers = [FlowReader(path, FlowFormat(args.flow_format)) for path in args.flows]
         tally = impact.tally_flows(itertools.chain.from_iterable(readers), ah, acked_ips)
         if args.date:
@@ -386,7 +397,8 @@ def cmd_report(args, staging: Path) -> int:
             d_sets[name].add(v.src_ip)
 
     asn_map = load_asn_map(args.asn_map) if args.asn_map else AsnMap()
-    acked_ips = enrich.acked_sources(ah, _load_acked_args(args), _load_rdns_args(args))
+    acked, rdns = _load_acked_args(args)
+    acked_ips = enrich.acked_sources(ah, acked, rdns)
 
     rows = enrich.origin_table(ah, pkts_by_ip, asn_map, acked_ips)
     write_csv(staging / "origins.csv", enrich.OriginRow._fields, rows)
@@ -425,8 +437,8 @@ def cmd_report(args, staging: Path) -> int:
         staging / "protocols_darknet.csv", impact.protocol_breakdown_darknet(ah_events, ah)
     )
 
-    if args.tags:
-        tags = load_tags(args.tags)
+    tags = load_tags(args.tags) if args.tags else None
+    if tags is not None:
         join_set = ah - acked_ips.keys() if args.exclude_acked else ah
         if join_set:
             result = enrich.tag_join(join_set, tags, top_n=args.top_tags)
@@ -441,10 +453,13 @@ def cmd_report(args, staging: Path) -> int:
             )
             print(f"tag overlap: {result.overlap_fraction:.3f} of {len(join_set)} sources")
 
+    feeds = _feed_counts(acked=acked, rdns=rdns, asn_map=asn_map if args.asn_map else None,
+                         tags=tags)
     write_json(staging / "report_meta.json", {
         "sources": len(ah),
         "events": events_read,
         "top_1pct_share": top_share,
+        "feeds": feeds,
         "notes": {
             "port_space": "distinct (dst_port, protocol) pairs per source per UTC day",
             "fingerprint": "the stateless-validation fingerprint exists only on TCP; "
@@ -452,6 +467,10 @@ def cmd_report(args, staging: Path) -> int:
         },
     })
 
+    for name, counts in feeds.items():
+        if any(counts.values()):
+            print(f"note: feed {name}: " + ", ".join(
+                f"{count} {kind.replace('_', ' ')}" for kind, count in counts.items()))
     if top_share is not None:
         print(f"top 1% of sources carry {top_share:.1%} of aggressive packets")
     print(f"report tables -> {args.out_dir}")

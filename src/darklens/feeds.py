@@ -8,7 +8,8 @@ when it has the wrong number of fields or a field fails its check (an address
 that is not a canonical dotted quad, an unknown tag class, an empty name);
 malformed lines are skipped and counted in `malformed_lines`, so a partially
 rotten feed still loads. In the ACKed, rDNS and tag feeds the first line for
-an address or keyword wins; in the ASN map the last line for a prefix does.
+an address or keyword wins; in the ASN map the last line for a prefix does,
+and each line that repeats a prefix counts in `duplicate_lines`.
 """
 from __future__ import annotations
 
@@ -64,14 +65,17 @@ class AsnMap:
     the longest matching prefix.
     """
 
-    __slots__ = ("_by_prefixlen", "malformed_lines")
+    __slots__ = ("_by_prefixlen", "malformed_lines", "duplicate_lines")
 
     def __init__(self):
         self._by_prefixlen: dict[int, dict[int, AsnEntry]] = {}
         self.malformed_lines = 0
+        self.duplicate_lines = 0  # lines for a prefix an earlier line already set
 
     def add(self, network: int, prefixlen: int, entry: AsnEntry) -> None:
-        self._by_prefixlen.setdefault(prefixlen, {})[network] = entry
+        bucket = self._by_prefixlen.setdefault(prefixlen, {})
+        self.duplicate_lines += network in bucket
+        bucket[network] = entry  # the last line for a prefix wins
 
     def lookup(self, ip: int) -> Optional[AsnEntry]:
         for plen in range(32, -1, -1):

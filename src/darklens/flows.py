@@ -162,7 +162,7 @@ class FlowReader:
             invalid = self.invalid_rows
             try:
                 for line in fh:
-                    line = line.strip()
+                    line = line.strip(" \t\r\n")  # JSON whitespace only; json.loads rejects the rest
                     if not line:
                         continue
                     try:

@@ -13,8 +13,10 @@ from __future__ import annotations
 
 import csv
 import enum
+import itertools
 import json
 import math
+import operator
 import struct
 # socket re-exports these from its C module; importing socket itself would
 # also build its IntEnums and load selectors, which nothing here needs.
@@ -164,26 +166,6 @@ class PacketMeta(NamedTuple):
     icmp_type: Optional[int]
     pkt_len: int
 
-    def validate(self) -> None:
-        """Assert the structural invariants. Used by tests, not hot paths."""
-        if self.ts_us < 0:
-            raise ValueError("negative timestamp")
-        is_tcp = self.protocol is Protocol.TCP
-        is_udp = self.protocol is Protocol.UDP
-        is_icmp = self.protocol is Protocol.ICMP
-        if (self.src_port is not None) != (is_tcp or is_udp):
-            raise ValueError("src_port present iff TCP or UDP")
-        if (self.dst_port is not None) != (is_tcp or is_udp):
-            raise ValueError("dst_port present iff TCP or UDP")
-        if (self.tcp_flags is not None) != is_tcp:
-            raise ValueError("tcp_flags present iff TCP")
-        if (self.tcp_seq is not None) != is_tcp:
-            raise ValueError("tcp_seq present iff TCP")
-        if (self.icmp_type is not None) != is_icmp:
-            raise ValueError("icmp_type present iff ICMP")
-        if not 0 <= self.ip_id <= 0xFFFF:
-            raise ValueError("ip_id out of range")
-
 
 class EventKey(NamedTuple):
     """Identity of a logical scan: one source hitting one service.
@@ -239,13 +221,37 @@ class DarknetEvent(NamedTuple):
 
     @classmethod
     def from_json_line(cls, line: str, ips: Optional[Dict[str, int]] = None) -> "DarknetEvent":
-        """Decode and validate one event-log line; raises ValueError.
+        """Decode and validate one event-log line; raises ValueError, also on a blank line.
 
         ips memoises ip_to_int per address string over the lines of one log.
         """
-        if ips is None:
-            ips = {}
-        obj = json.loads(line)
+        (ev,) = _decode_events((line,), {} if ips is None else ips)
+        return ev
+
+
+_scan_json = json.JSONDecoder().scan_once
+_event_counts = operator.itemgetter(*DarknetEvent._fields[1:])
+# Only JSON whitespace: str.strip() would also drop characters such as U+3000
+# that json.loads rejects.
+_strip_json_ws = operator.methodcaller("strip", " \t\r\n")
+
+
+def _decode_events(lines: Iterable[str], ips: Dict[str, int]) -> Iterator[DarknetEvent]:
+    """Decode and validate each non-blank event-log line; raises ValueError.
+
+    Each line costs one C scan, one getter for the seven counts and one
+    boolean gate that holds every validate() rule. Only a line that fails the
+    gate is checked field by field, to name its first bad field. ips memoises
+    ip_to_int per address string.
+    """
+    new, icmp = tuple.__new__, TrafficType.ICMP_ECHO_REQUEST
+    for line in filter(None, map(_strip_json_ws, lines)):
+        try:
+            obj, stop = _scan_json(line, 0)
+        except StopIteration:
+            stop = -1
+        if stop != len(line):
+            obj = json.loads(line)  # raises json.loads' own error for this line
         key = obj["key"]
         text = key["src_ip"]
         src_ip = ips.get(text)
@@ -255,19 +261,20 @@ class DarknetEvent(NamedTuple):
         ttype = _TRAFFIC_TYPES.get(key["traffic_type"])
         if ttype is None:
             raise ValueError(f"{key['traffic_type']!r} is not a valid TrafficType")
-        ev = cls(
-            EventKey(src_ip, port, ttype), obj["start_ts"], obj["end_ts"], obj["pkt_count"],
-            obj["unique_dst_count"], obj["zmap_pkts"], obj["masscan_pkts"], obj["other_pkts"],
-        )
-        _, start, end, pkts, dsts, zmap, masscan, other = ev
-        # bool is a subclass of int, so compare the exact type.
+        counts = start, end, pkts, dsts, zmap, masscan, other = _event_counts(obj)
+        ev = new(DarknetEvent, (new(EventKey, (src_ip, port, ttype)), *counts))
+        # bool is a subclass of int, so compare the exact type first; the
+        # comparisons after it would raise TypeError on a string.
         if not (type(port) is type(start) is type(end) is type(pkts) is type(dsts)
-                is type(zmap) is type(masscan) is type(other) is int):
-            fields = zip(("dst_port",) + cls._fields[1:], (port, *ev[1:]))
-            name, value = next((n, v) for n, v in fields if type(v) is not int)
-            raise ValueError(f"{name} must be a JSON integer, not {value!r}")
-        ev.validate()
-        return ev
+                is type(zmap) is type(masscan) is type(other) is int
+                and _MIN_TS_US <= start <= end <= _MAX_TS_US and 1 <= dsts <= pkts
+                and zmap + masscan + other == pkts and 0 <= port <= 0xFFFF
+                and (port == 0 or ttype is not icmp)):
+            for name, value in zip(("dst_port",) + DarknetEvent._fields[1:], (port, *counts)):
+                if type(value) is not int:
+                    raise ValueError(f"{name} must be a JSON integer, not {value!r}")
+            ev.validate()
+        yield ev
 
 
 class AhVerdict(NamedTuple):
@@ -331,29 +338,33 @@ class AhVerdict(NamedTuple):
 _T = TypeVar("_T")
 
 
-def read_jsonl(path, parse: Callable[[str], _T]) -> Iterator[_T]:
-    """Parse each non-blank line of a JSONL file.
+def _read_lines(path, decode: Callable[[Iterator[str]], Iterator[_T]]) -> Iterator[_T]:
+    """Stream a JSONL file's lines through decode.
 
-    A line that does not decode names its file and line number in the
-    ValueError, so the CLI exits 2 on a rotten log instead of a traceback.
+    An error from decode names the file and the line number, so the CLI exits
+    2 on a rotten file instead of a traceback.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                item = parse(line)
-            except (KeyError, TypeError, ValueError) as exc:
-                reason = f"{type(exc).__name__}: {exc}"
-                raise ValueError(f"{path}:{lineno}: malformed line ({reason})") from exc
-            yield item
+        # zip draws from taken before each line, so while line n is being
+        # decoded, next(taken) is n.
+        taken = itertools.count()
+        try:
+            yield from decode(map(operator.itemgetter(1), zip(taken, fh)))
+        except UnicodeDecodeError:
+            raise  # the file's decoder reads ahead, so there is no line to name
+        except (KeyError, TypeError, ValueError) as exc:
+            reason = f"{type(exc).__name__}: {exc}"
+            raise ValueError(f"{path}:{next(taken)}: malformed line ({reason})") from exc
+
+
+def read_jsonl(path, parse: Callable[[str], _T]) -> Iterator[_T]:
+    """Parse each non-blank line of a JSONL file."""
+    return _read_lines(path, lambda lines: map(parse, filter(None, map(_strip_json_ws, lines))))
 
 
 def read_event_log(path) -> Iterator[DarknetEvent]:
-    """Decode an event log, with one ip_to_int memo for the whole file."""
-    ips: Dict[str, int] = {}
-    return read_jsonl(path, lambda line: DarknetEvent.from_json_line(line, ips))
+    """Decode an event log as it streams in, with one ip_to_int memo for the file."""
+    return _read_lines(path, lambda lines: _decode_events(lines, {}))
 
 
 def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:

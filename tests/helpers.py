@@ -197,6 +197,27 @@ class OracleEventBuilder(EventBuilder):
 
 
 # ---------------------------------------------------------------------------
+def check_packet_meta(p: PacketMeta) -> None:
+    """Raise ValueError unless a decoded packet has the fields its protocol defines."""
+    if p.ts_us < 0:
+        raise ValueError("negative timestamp")
+    is_tcp = p.protocol is Protocol.TCP
+    is_udp = p.protocol is Protocol.UDP
+    is_icmp = p.protocol is Protocol.ICMP
+    if (p.src_port is not None) != (is_tcp or is_udp):
+        raise ValueError("src_port present iff TCP or UDP")
+    if (p.dst_port is not None) != (is_tcp or is_udp):
+        raise ValueError("dst_port present iff TCP or UDP")
+    if (p.tcp_flags is not None) != is_tcp:
+        raise ValueError("tcp_flags present iff TCP")
+    if (p.tcp_seq is not None) != is_tcp:
+        raise ValueError("tcp_seq present iff TCP")
+    if (p.icmp_type is not None) != is_icmp:
+        raise ValueError("icmp_type present iff ICMP")
+    if not 0 <= p.ip_id <= 0xFFFF:
+        raise ValueError("ip_id out of range")
+
+
 # Event-log codec oracles: the json.dumps encoder and the dict decoder that
 # the package's template encoder and lean decoder replaced.
 
@@ -473,7 +494,7 @@ def oracle_flow_rows(path, fmt: FlowFormat) -> Tuple[List[FlowRecord], int]:
         return records, invalid
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
-            line = line.strip()
+            line = line.strip(" \t\r\n")
             if not line:
                 continue
             try:

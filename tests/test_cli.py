@@ -347,6 +347,40 @@ class TestReportCommand:
         assert "--exclude-acked needs --acked-ips and --acked-keywords" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
+    def test_meta_counts_feed_lines_and_notes_them(self, pipeline, feeds, tmp_path, capsys):
+        (tmp_path / "asn.csv").write_text(
+            "198.18.0.0/16,1,A,US\n198.18.0.0/16,2,B,US\n198.18.0.0/16,3,C,US\nrotten\n"
+        )
+        (tmp_path / "rdns.csv").write_text("198.18.0.4,probe.net\n010.0.0.1,bad.net\n")
+        out = tmp_path / "report"
+        rc = main([
+            "--out-dir", str(out), "report",
+            str(pipeline["run"] / "events.jsonl"), str(pipeline["run"] / "verdicts.jsonl"),
+            "--asn-map", str(tmp_path / "asn.csv"), "--tags", str(feeds / "tags.csv"),
+            "--acked-ips", str(feeds / "acked_ips.csv"),
+            "--acked-keywords", str(feeds / "acked_kw.csv"), "--rdns", str(tmp_path / "rdns.csv"),
+        ])
+        assert rc == 0
+        assert json.loads((out / "report_meta.json").read_text())["feeds"] == {
+            "acked": {"malformed_lines": 0},
+            "rdns": {"malformed_lines": 1},
+            "asn_map": {"malformed_lines": 1, "duplicate_lines": 2},
+            "tags": {"malformed_lines": 0},
+        }
+        notes = [line for line in capsys.readouterr().out.splitlines() if line.startswith("note:")]
+        assert notes == [
+            "note: feed rdns: 1 malformed lines",
+            "note: feed asn_map: 1 malformed lines, 2 duplicate lines",
+        ]
+
+    def test_meta_lists_no_feed_when_none_is_given(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "report"
+        rc = main(["--out-dir", str(out), "report",
+                   str(pipeline["run"] / "events.jsonl"), str(pipeline["run"] / "verdicts.jsonl")])
+        assert rc == 0
+        assert json.loads((out / "report_meta.json").read_text())["feeds"] == {}
+        assert "note:" not in capsys.readouterr().out
+
     def test_empty_verdicts_exit_1(self, pipeline, tmp_path):
         empty = tmp_path / "none.jsonl"
         empty.write_text("")
@@ -355,6 +389,38 @@ class TestReportCommand:
             "report", str(pipeline["run"] / "events.jsonl"), str(empty),
         ])
         assert rc == 1
+
+
+def test_detect_meta_counts_feed_lines(pipeline, feeds, tmp_path):
+    (tmp_path / "acked_kw.csv").write_text("goodscan,GoodScan\nno org\n")
+    out = tmp_path / "run"
+    rc = main([
+        "--config", str(pipeline["conf"]), "--out-dir", str(out),
+        "detect", str(pipeline["run"] / "events.jsonl"),
+        "--acked-ips", str(feeds / "acked_ips.csv"),
+        "--acked-keywords", str(tmp_path / "acked_kw.csv"),
+    ])
+    assert rc == 0
+    assert json.loads((out / "detect_meta.json").read_text())["feeds"] == {
+        "acked": {"malformed_lines": 1},
+    }
+    assert json.loads((pipeline["run"] / "detect_meta.json").read_text())["feeds"] == {}
+
+
+@pytest.mark.parametrize("command", ["detect", "impact", "report"])
+def test_rdns_without_the_acked_lists_is_fatal(pipeline, feeds, tmp_path, capsys, command):
+    run = pipeline["run"]
+    argv = {
+        "detect": ["--config", str(pipeline["conf"]), "detect", str(run / "events.jsonl")],
+        "impact": ["impact", "--blocklist", str(run / "blocklist_union.txt"),
+                   "--flows", str(pipeline["synth"] / "flows.csv")],
+        "report": ["report", str(run / "events.jsonl"), str(run / "verdicts.jsonl")],
+    }[command]
+    out = tmp_path / "out"
+    rc = main(["--out-dir", str(out), *argv, "--rdns", str(feeds / "rdns.csv")])
+    assert rc == 2
+    assert "error: --rdns needs --acked-ips and --acked-keywords" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 def test_events_reports_outside_darknet_and_clamps(tmp_path, capsys):
@@ -804,6 +870,22 @@ class TestRottenInputs:
         err = capsys.readouterr().err
         assert f"error: {verdicts}:3:" in err
         assert reason in err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("name", ["events.jsonl", "verdicts.jsonl"])
+    def test_non_json_whitespace_around_a_line_exits_2(self, pipeline, tmp_path, capsys, name):
+        # str.strip() would drop U+001C and U+3000; json.loads rejects them.
+        good = (pipeline["run"] / name).read_text().splitlines()[0]
+        bad = self._rotten_log(pipeline, tmp_path, name, f"\x1c {good}\u3000")
+        events, verdicts = pipeline["run"] / "events.jsonl", pipeline["run"] / "verdicts.jsonl"
+        if name == "events.jsonl":
+            events = bad
+        else:
+            verdicts = bad
+        out = tmp_path / "out"
+        rc = main(["--out-dir", str(out), "report", str(events), str(verdicts)])
+        assert rc == 2
+        assert f"error: {bad}:3: malformed line (JSONDecodeError: " in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("line", ["[1, 2]", "null", '"text"', '{"key": 5}', "{not json"])

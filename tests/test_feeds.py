@@ -55,6 +55,14 @@ class TestLoadLoop:
         )
         assert (len(amap), amap.lookup(ip_to_int("10.0.0.1")).org) == (1, "Second")
 
+    def test_repeated_asn_prefix_lines_are_counted(self, tmp_path):
+        amap = load_asn_map(_write(tmp_path, "asn.csv", (
+            "10.0.0.0/8,1,First,US\n10.0.0.0/16,2,Other,US\n10.0.0.0/8,3,Second,DE\n"
+            "bad\n10.0.0.0/8,4,Third,FR\n"
+        )))
+        assert (amap.duplicate_lines, amap.malformed_lines, len(amap)) == (2, 1, 2)
+        assert amap.lookup(ip_to_int("10.1.0.1")).org == "Third"
+
     def test_bad_encoding_is_fatal(self, tmp_path):
         path = tmp_path / "rdns.csv"
         path.write_bytes(b"10.0.0.1,\xff.example.net\n")

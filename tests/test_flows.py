@@ -176,6 +176,14 @@ class TestJsonl:
         assert len(rows) == 1
         assert reader.invalid_rows == 2
 
+    def test_non_json_whitespace_makes_a_row_invalid(self, tmp_path):
+        # str.strip() would drop U+001C and U+3000; json.loads rejects them.
+        pj = tmp_path / "f.jsonl"
+        pj.write_text(f"{self._jsonl_line()}\n \t\n\x1c {self._jsonl_line()}\u3000\n", encoding="utf-8")
+        reader = FlowReader(pj, FlowFormat.JSONL_V1)
+        assert len(list(reader)) == 1
+        assert reader.invalid_rows == 1
+
     def test_null_ports_for_icmp(self, tmp_path):
         pj = tmp_path / "f.jsonl"
         pj.write_text(

@@ -1,5 +1,7 @@
 import ipaddress
 import json
+import re
+import tracemalloc
 from datetime import date, timedelta
 
 import pytest
@@ -17,12 +19,13 @@ from darklens.model import (
     ip_to_int,
     letters_to_flags,
     parse_config_text,
+    read_event_log,
     slash24_of,
     utc_day,
 )
 from helpers import (
-    NONCANONICAL_PREFIXES, darknet_contains, flags_to_letters, oracle_event_from_json_line,
-    oracle_event_json_line,
+    NONCANONICAL_PREFIXES, check_packet_meta, darknet_contains, flags_to_letters,
+    oracle_event_from_json_line, oracle_event_json_line,
 )
 
 US = 1_000_000
@@ -502,17 +505,100 @@ class TestEventCodec:
         assert len(ips) == 1
 
 
+# The spoilt fields of tests/test_cli.py::TestRottenInputs::test_detect_invalid_event_exits_2
+# that make any event invalid, whatever its other fields hold.
+_SPOILS = [
+    {"pkt_count": 0, "zmap_pkts": 0, "masscan_pkts": 0, "other_pkts": 0},
+    {"unique_dst_count": 0},
+    {"start_ts": 10 ** 18},
+    {"start_ts": 10 ** 22, "end_ts": 10 ** 22},
+    {"start_ts": -(10 ** 22)},
+    {"pkt_count": 1.9},
+    {"pkt_count": True},
+    {"zmap_pkts": "5"},
+]
+
+
+@pytest.fixture(scope="module")
+def log_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("event_log") / "events.jsonl"
+
+
+class TestEventLogReader:
+    """read_event_log over whole files, against the oracle applied line by line."""
+
+    @given(st.data())
+    @settings(max_examples=150)
+    def test_file_decodes_like_the_oracle_and_names_the_first_bad_line(self, log_path, data):
+        events = _valid_events(addrs=st.sampled_from([0, 0x0A000001, 0xC6336409]))
+        lines = []
+        for kind in data.draw(st.lists(st.sampled_from(["canonical", "respelled", "blank"]),
+                                       max_size=25)):
+            if kind == "blank":
+                lines.append(data.draw(st.sampled_from(["", " ", "\t", " \t "])))
+            elif kind == "canonical":
+                lines.append(data.draw(events).to_json_line())
+            else:
+                lines.append(data.draw(events.flatmap(_respelled)))
+        expected = [oracle_event_from_json_line(line) for line in lines if line.strip()]
+        # None, or where a spoiled line goes, and optionally a second one after it.
+        first = data.draw(st.none() | st.integers(0, len(lines)))
+        if first is not None:
+            spoils = data.draw(st.lists(st.sampled_from(_SPOILS), min_size=1, max_size=2))
+            at = [first] + data.draw(st.lists(st.integers(first + 1, len(lines) + 1), max_size=1))
+            for pos, spoil in zip(at, spoils):
+                obj = json.loads(data.draw(events).to_json_line())
+                lines.insert(pos, json.dumps(dict(obj, **spoil)))
+        log_path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        if first is None:
+            assert list(read_event_log(log_path)) == expected
+        else:
+            with pytest.raises(ValueError, match=rf"^{re.escape(str(log_path))}:{first + 1}: "
+                                                 r"malformed line \(ValueError: "):
+                list(read_event_log(log_path))
+
+    def test_decoder_streams(self, tmp_path):
+        path = tmp_path / "big.jsonl"
+        path.write_text((_event().to_json_line() + "\n") * 50_000, encoding="utf-8")
+        tracemalloc.start()
+        try:
+            for _ in read_event_log(path):
+                pass
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert path.stat().st_size > 9 * 10 ** 6
+        assert peak < 10 ** 6
+
+    @pytest.mark.parametrize("wrapped", [
+        "\x1c {line}\u3000", "\u00a0{line}", "{line}\u2028", "\ufeff{line}",
+    ])
+    def test_only_json_whitespace_is_stripped(self, tmp_path, wrapped):
+        line = wrapped.format(line=_event().to_json_line())
+        path = tmp_path / "events.jsonl"
+        path.write_text(f"\n{line}\n", encoding="utf-8")
+        with pytest.raises(ValueError) as err:
+            list(read_event_log(path))
+        with pytest.raises(json.JSONDecodeError) as loads_err:
+            json.loads(line.strip(" \t\r\n"))
+        assert str(err.value) == f"{path}:2: malformed line (JSONDecodeError: {loads_err.value})"
+
+    def test_a_blank_line_is_not_an_event(self):
+        with pytest.raises(ValueError):
+            DarknetEvent.from_json_line(" \t")
+
+
 class TestPacketMeta:
     def test_valid_tcp(self):
         p = PacketMeta(0, 1, 2, Protocol.TCP, 1024, 80, 0x02, 0, 0, None, 60)
-        p.validate()
+        check_packet_meta(p)
 
     def test_udp_must_not_carry_flags(self):
         p = PacketMeta(0, 1, 2, Protocol.UDP, 1024, 53, 0x02, 0, None, None, 60)
         with pytest.raises(ValueError):
-            p.validate()
+            check_packet_meta(p)
 
     def test_icmp_must_not_carry_ports(self):
         p = PacketMeta(0, 1, 2, Protocol.ICMP, 1024, None, None, 0, None, 8, 60)
         with pytest.raises(ValueError):
-            p.validate()
+            check_packet_meta(p)

@@ -16,6 +16,7 @@ from darklens.pcap import (
 )
 from helpers import (
     PCAP_COUNTERS,
+    check_packet_meta,
     US,
     build_pcap,
     eth_frame,
@@ -196,7 +197,7 @@ class TestRejects:
         assert reader.packets_read == len(pkts)
         assert reader.packets_read + reader.total_skipped == 500
         for p in pkts:
-            p.validate()
+            check_packet_meta(p)
 
 
 class TestClassify:
