@@ -29,8 +29,7 @@ from typing import Optional, Tuple
 from .feeds import AckedList, AsnMap, Feed, load_acked, load_asn_map, load_rdns, load_tags
 from .fingerprint import PortFingerprintRow, port_fingerprint_table
 from .model import (
-    ConfigError, Thresholds, int_to_ip, load_config, read_event_log, write_csv, write_json,
-    write_lines,
+    ConfigError, Thresholds, load_config, read_event_log, write_csv, write_json, write_lines,
 )
 
 
@@ -180,33 +179,24 @@ def cmd_detect(args, staging: Path) -> int:
     from . import detect as detect_mod
 
     cfg = _require_config(args)
-    events = list(read_event_log(args.event_log))
-    wide = next((ev for ev in events if ev.unique_dst_count > cfg.darknet_size), None)
-    if wide is not None:
-        raise ValueError(
-            f"{args.event_log}: event from {int_to_ip(wide.key.src_ip)} port {wide.key.dst_port} "
-            f"at start_ts {wide.start_ts} has {wide.unique_dst_count} distinct destinations, "
-            f"more than the {cfg.darknet_size} addresses of the darknet"
-        )
     acked, rdns = _load_acked_args(args)
     feeds = _feed_counts(acked=acked, rdns=rdns)
-
-    if not events:
+    thresholds = None
+    if args.fixed_thresholds:
+        volume, ports = args.fixed_thresholds
+        thresholds = Thresholds(volume, ports, args.dataset_label or "fixed")
+    try:
+        result = detect_mod.run_detection(
+            read_event_log(args.event_log), cfg, thresholds=thresholds, acked=acked, rdns=rdns,
+            dataset_label=args.dataset_label,
+        )
+    except detect_mod.EmptyInputError:
         for name in DETECT_LISTS:
             write_lines(staging / name, ())
         write_json(staging / "detect_meta.json",
                    {"events": 0, "warning": "empty event log", "feeds": feeds})
         print("warning: empty event log, nothing to detect")
         return 1
-
-    thresholds = None
-    if args.fixed_thresholds:
-        volume, ports = args.fixed_thresholds
-        thresholds = Thresholds(volume, ports, args.dataset_label or "fixed")
-    result = detect_mod.run_detection(
-        events, cfg, thresholds=thresholds, acked=acked, rdns=rdns,
-        dataset_label=args.dataset_label,
-    )
 
     detect_mod.write_blocklist(staging / "blocklist_d1.txt", result.d1_ips)
     detect_mod.write_blocklist(staging / "blocklist_d2.txt", result.d2_ips)
@@ -215,7 +205,7 @@ def cmd_detect(args, staging: Path) -> int:
     detect_mod.write_blocklist_sidecar(staging / "blocklist_union.stats.jsonl", result)
     detect_mod.write_verdicts(staging / "verdicts.jsonl", result.verdicts)
     write_json(staging / "detect_meta.json", {
-        "events": len(events),
+        "events": result.events,
         "dataset_label": result.thresholds.dataset_label,
         "thresholds": {
             "volume_threshold_pkts": result.thresholds.volume_threshold_pkts,

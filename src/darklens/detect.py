@@ -9,21 +9,26 @@ Three independent definitions flag a source as aggressive:
 * D3, port breadth: one source contacts enough distinct (port, protocol)
   entries in one UTC day, threshold again from the dataset ECDF.
 
-Thresholds are derived in a first pass and applied in a second, or supplied
-up front for streaming use. All boundary comparisons are inclusive (>=).
+The event stream is read once into compact columns; thresholds are derived
+from them, or supplied up front, and applied in a second pass over the
+columns. All boundary comparisons are inclusive (>=).
 """
 from __future__ import annotations
 
+import heapq
 import json
-from datetime import date
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
+from array import array
+from collections import defaultdict
+from typing import Collection, Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .enrich import acked_sources
 from .feeds import AckedList, AsnMap, origin_of
 from .model import (
+    US_PER_DAY,
     AhVerdict,
     DarknetConfig,
     DarknetEvent,
+    EventKey,
     Thresholds,
     TrafficType,
     int_to_ip,
@@ -36,10 +41,18 @@ from .model import (
 D1 = "D1"
 D2 = "D2"
 D3 = "D3"
+# The definitions an event matched, by bit mask: D1 is 1, D2 2 and D3 4.
+_DEFS = [frozenset(name for bit, name in enumerate((D1, D2, D3)) if mask >> bit & 1)
+         for mask in range(8)]
 
 # Ports threshold when a dataset has no TCP/UDP events at all: nothing can
 # match D3, but D1/D2 detection must still run.
 UNREACHABLE_PORTS = 2 ** 63
+
+# EventColumns.traffic_type holds an index into TRAFFIC_TYPES.
+TRAFFIC_TYPES = tuple(TrafficType)
+_TYPE_INDEX = {ttype: i for i, ttype in enumerate(TRAFFIC_TYPES)}
+_ICMP = _TYPE_INDEX[TrafficType.ICMP_ECHO_REQUEST]
 
 
 class EmptyInputError(ValueError):
@@ -50,71 +63,118 @@ class BothEmptyError(ValueError):
     pass
 
 
-def ecdf_threshold(values: Iterable[int], alpha: float) -> int:
+def ecdf_threshold(values: Collection[int], alpha: float) -> int:
     """Value at the (1 - alpha) percentile, 1-based index ceil((1-alpha)*n).
 
     The index is exact, in integers on the float's ratio alpha = num/den.
     Float math can round (1 - alpha) * n onto the wrong side of an integer:
     for alpha 0.3 and n 10 it gives 7.0, but the float 0.3 lies just below
     3/10, so the product is just above 7 and the index is 8. For alpha in
-    (0, 1) the index always lies in [1, n].
+    (0, 1) the index always lies in [1, n]. For a tail alpha, only the values
+    from the index up are held, not a sorted copy of all n.
     """
-    ordered = sorted(values)
-    if not ordered:
+    n = len(values)
+    if not n:
         raise EmptyInputError("cannot build an ECDF from no values")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha {alpha} not in (0, 1)")
     num, den = alpha.as_integer_ratio()
-    return ordered[-(-(den - num) * len(ordered) // den) - 1]
+    index = -(-(den - num) * n // den)
+    if n - index > n // 100:  # a wider tail sorts as fast as a heap and holds less
+        return sorted(values)[index - 1]
+    return heapq.nlargest(n + 1 - index, values)[-1]
 
 
-def classify_dispersion(ev: DarknetEvent, cfg: DarknetConfig) -> bool:
-    """D1: event touched >= dispersion_fraction of the darknet.
+def classify_dispersion(unique_dsts: int, cfg: DarknetConfig) -> bool:
+    """D1: an event's unique_dsts destinations cover >= dispersion_fraction of the darknet.
 
     Compared as a ratio so that an event at exactly the configured fraction
     classifies true; multiplying the fraction by the size instead picks up a
     half-ulp of float error and fails the exact boundary.
     """
-    return ev.unique_dst_count / cfg.darknet_size >= cfg.dispersion_fraction
+    return unique_dsts / cfg.darknet_size >= cfg.dispersion_fraction
 
 
-def classify_volume(ev: DarknetEvent, thresholds: Thresholds) -> bool:
-    return ev.pkt_count >= thresholds.volume_threshold_pkts
+def classify_volume(pkts: int, thresholds: Thresholds) -> bool:
+    return pkts >= thresholds.volume_threshold_pkts
 
 
 def classify_ports(distinct_ports: int, thresholds: Thresholds) -> bool:
     return distinct_ports >= thresholds.ports_threshold
 
 
-def build_daily_port_profiles(
-    events: Iterable[DarknetEvent],
-) -> Dict[Tuple[int, date], int]:
-    """Distinct (dst_port, protocol) entries per source per UTC day.
+class EventColumns(NamedTuple):
+    """The events of a stream, one field a typed array, one slot an event.
 
-    An event counts toward the day its start_ts falls in. ICMP events carry no
-    ports and are excluded. The same port number probed over both TCP and UDP
-    counts twice: entries are (port, protocol) pairs.
+    An event takes 63 bytes here: the address as 'I', the port as 'H', the
+    traffic type as its index into TRAFFIC_TYPES in 'B', and the timestamps
+    and counts as 'q' (DarknetEvent.validate bounds them to fit).
     """
-    seen: Dict[Tuple[int, date], Set[Tuple[int, TrafficType]]] = {}
-    for ev in events:
-        ttype = ev.key.traffic_type
-        if ttype is TrafficType.ICMP_ECHO_REQUEST:
-            continue
-        day = utc_day(ev.start_ts)
-        seen.setdefault((ev.key.src_ip, day), set()).add((ev.key.dst_port, ttype))
-    return {k: len(ports) for k, ports in seen.items()}
+
+    src_ip: array
+    dst_port: array
+    traffic_type: array
+    start_ts: array
+    end_ts: array
+    pkt_count: array
+    unique_dst_count: array
+    zmap_pkts: array
+    masscan_pkts: array
+    other_pkts: array
+
+
+def build_daily_port_profiles(
+    events: Iterable[DarknetEvent], cfg: DarknetConfig,
+) -> Tuple[EventColumns, Dict[Tuple[int, int], int]]:
+    """The one pass over an event stream: its columns and daily port profiles.
+
+    A profile counts a source's distinct (dst_port, protocol) entries on the
+    UTC day its events start, keyed by (source, days since the epoch); ICMP
+    events carry no ports and are left out. An event wider than the darknet
+    is a ValueError, thrown into a generator stream first so that an
+    event-log reader names its file and line.
+    """
+    columns = EventColumns(array("I"), array("H"), array("B"), *(array("q") for _ in range(7)))
+    (add_ip, add_port, add_type, add_start, add_end, add_pkts, add_dsts, add_zmap,
+     add_masscan, add_other) = (column.append for column in columns)
+    seen: Dict[Tuple[int, int], Set[int]] = defaultdict(set)
+    size = cfg.darknet_size
+    stream = iter(events)
+    for (ip, port, ttype), start, end, pkts, dsts, zmap, masscan, other in stream:
+        if dsts > size:
+            wide = ValueError(
+                f"event from {int_to_ip(ip)} port {port} at start_ts {start} has {dsts} "
+                f"distinct destinations, more than the {size} addresses of the darknet"
+            )
+            if hasattr(stream, "throw"):
+                stream.throw(wide)
+            raise wide
+        t = _TYPE_INDEX[ttype]
+        add_ip(ip)
+        add_port(port)
+        add_type(t)
+        add_start(start)
+        add_end(end)
+        add_pkts(pkts)
+        add_dsts(dsts)
+        add_zmap(zmap)
+        add_masscan(masscan)
+        add_other(other)
+        if t != _ICMP:
+            seen[(ip, start // US_PER_DAY)].add(port << 2 | t)
+    return columns, {key: len(ports) for key, ports in seen.items()}
 
 
 def compute_thresholds(
-    events: Sequence[DarknetEvent],
+    pkt_counts: Collection[int],
     cfg: DarknetConfig,
-    port_profiles: Dict[Tuple[int, date], int],
+    port_profiles: Dict[Tuple[int, int], int],
     dataset_label: str = "",
 ) -> Thresholds:
-    """First pass: derive D2/D3 thresholds from the dataset's own ECDFs."""
-    if not events:
+    """D2/D3 thresholds from the ECDFs of the dataset's own event sizes and daily profiles."""
+    if not pkt_counts:
         raise EmptyInputError("cannot derive thresholds from an empty event set")
-    volume = ecdf_threshold((ev.pkt_count for ev in events), cfg.alpha)
+    volume = ecdf_threshold(pkt_counts, cfg.alpha)
     if port_profiles:
         ports = ecdf_threshold(port_profiles.values(), cfg.alpha)
     else:
@@ -130,39 +190,27 @@ class AggressiveEvent(NamedTuple):
 
 
 def tag_events(
-    events: Iterable[DarknetEvent],
+    columns: EventColumns,
     cfg: DarknetConfig,
     thresholds: Thresholds,
-    port_profiles: Dict[Tuple[int, date], int],
+    port_profiles: Dict[Tuple[int, int], int],
 ) -> List[AggressiveEvent]:
     """Second pass: keep events matching at least one definition, tagged.
 
     A TCP/UDP event is D3-tagged when its source crossed the ports threshold
     on the event's start day, i.e. the event contributed to an aggressive
-    daily port profile.
+    daily port profile. A DarknetEvent is rebuilt only for a tagged event.
     """
     tagged: List[AggressiveEvent] = []
-    for ev in events:
-        defs = set()
-        if classify_dispersion(ev, cfg):
-            defs.add(D1)
-        if classify_volume(ev, thresholds):
-            defs.add(D2)
-        if ev.key.traffic_type is not TrafficType.ICMP_ECHO_REQUEST:
-            ports = port_profiles.get((ev.key.src_ip, utc_day(ev.start_ts)), 0)
-            if classify_ports(ports, thresholds):
-                defs.add(D3)
+    for ip, port, t, start, end, pkts, dsts, zmap, masscan, other in zip(*columns):
+        defs = classify_dispersion(dsts, cfg) | classify_volume(pkts, thresholds) << 1
+        if t != _ICMP:
+            defs |= classify_ports(port_profiles.get((ip, start // US_PER_DAY), 0), thresholds) << 2
         if defs:
-            tagged.append(AggressiveEvent(ev, frozenset(defs)))
+            ev = DarknetEvent(EventKey(ip, port, TRAFFIC_TYPES[t]), start, end, pkts, dsts,
+                              zmap, masscan, other)
+            tagged.append(AggressiveEvent(ev, _DEFS[defs]))
     return tagged
-
-
-def _days_spanned(ev: DarknetEvent) -> Iterable[date]:
-    day = utc_day(ev.start_ts)
-    last = utc_day(ev.end_ts)
-    while day <= last:
-        yield day
-        day = date.fromordinal(day.toordinal() + 1)
 
 
 def jaccard(a: Set[int], b: Set[int]) -> float:
@@ -270,6 +318,7 @@ class DetectionResult(NamedTuple):
     d2_ips: Set[int]
     d3_ips: Set[int]
     verdicts: List[AhVerdict]
+    events: int
 
     @property
     def union_ips(self) -> Set[int]:
@@ -291,23 +340,25 @@ def run_detection(
     rdns: Optional[Dict[int, str]] = None,
     dataset_label: str = "",
 ) -> DetectionResult:
-    """Full detection pass: derive thresholds unless given, tag, build verdicts.
+    """Full detection over one read of an event stream, which may be one-shot.
 
-    One fold over the tagged events fills both the (source, UTC day) verdict
-    buckets and the per-source rows that the blocklists are read off.
+    The stream is folded into columns and daily port profiles; thresholds
+    are derived from them unless given, and the columns are tagged. One fold
+    over the tagged events fills both the (source, UTC day) verdict buckets
+    and the per-source rows that the blocklists are read off.
     """
-    events = list(events)
-    if not events:
-        raise EmptyInputError("no events to detect over")
-    port_profiles = build_daily_port_profiles(events)
-    if thresholds is None:
-        thresholds = compute_thresholds(events, cfg, port_profiles, dataset_label)
-    else:
+    if thresholds is not None:
         thresholds.validate()
-    tagged = tag_events(events, cfg, thresholds, port_profiles)
+    columns, port_profiles = build_daily_port_profiles(events, cfg)
+    if not columns.pkt_count:
+        raise EmptyInputError("no events to detect over")
+    if thresholds is None:
+        thresholds = compute_thresholds(columns.pkt_count, cfg, port_profiles, dataset_label)
+    tagged = tag_events(columns, cfg, thresholds, port_profiles)
 
-    # bucket: [defs, max dispersion, max event packets] of one source-day.
-    buckets: Dict[Tuple[int, date], list] = {}
+    # bucket: [defs, max dispersion, max event packets] of one source-day,
+    # keyed by (source, days since the epoch).
+    buckets: Dict[Tuple[int, int], list] = {}
     sources: Dict[int, SourceStats] = {}
     size = cfg.darknet_size
     for ae in tagged:
@@ -324,7 +375,7 @@ def run_detection(
         src.max_event_pkts = max(src.max_event_pkts, pkts)
         src.total_pkts += pkts
         src.events += 1
-        for day in _days_spanned(ev):
+        for day in range(ev.start_ts // US_PER_DAY, ev.end_ts // US_PER_DAY + 1):
             bucket = buckets.get((ip, day))
             if bucket is None:
                 buckets[(ip, day)] = [set(ae.defs), dispersion, pkts]
@@ -340,9 +391,10 @@ def run_detection(
     matches = acked_sources(sources, acked, rdns)
     verdicts = [
         AhVerdict(
-            src_ip=ip, day=day, matched_defs=frozenset(defs), max_dispersion=max_disp,
-            max_event_pkts=max_pkts, distinct_ports=port_profiles.get((ip, day), 0),
-            is_daily=utc_day(sources[ip].first_ts) == day,
+            src_ip=ip, day=utc_day(day * US_PER_DAY), matched_defs=frozenset(defs),
+            max_dispersion=max_disp, max_event_pkts=max_pkts,
+            distinct_ports=port_profiles.get((ip, day), 0),
+            is_daily=sources[ip].first_ts // US_PER_DAY == day,
             acked=ip in matches, acked_org=matches.get(ip),
         )
         for (ip, day), (defs, max_disp, max_pkts) in buckets.items()
@@ -351,7 +403,8 @@ def run_detection(
     d1_ips, d2_ips, d3_ips = (
         {ip for ip, src in sources.items() if name in src.defs} for name in (D1, D2, D3)
     )
-    return DetectionResult(thresholds, tagged, sources, d1_ips, d2_ips, d3_ips, verdicts)
+    return DetectionResult(thresholds, tagged, sources, d1_ips, d2_ips, d3_ips, verdicts,
+                           len(columns.pkt_count))
 
 
 def write_blocklist(path, ips: Set[int]) -> int:

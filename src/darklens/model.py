@@ -31,6 +31,8 @@ _EPOCH_DAY = date(1970, 1, 1)
 # The timestamps whose UTC day a datetime.date can hold.
 _MIN_TS_US = (date.min - _EPOCH_DAY).days * US_PER_DAY
 _MAX_TS_US = ((date.max - _EPOCH_DAY).days + 1) * US_PER_DAY - 1
+# The largest count an event holds: detect stores counts as array('q').
+MAX_COUNT = 2 ** 63 - 1
 
 # TCP flag bits in wire order (low 6 bits of the flags byte).
 TCP_FIN = 0x01
@@ -197,10 +199,12 @@ class DarknetEvent(NamedTuple):
     def validate(self) -> None:
         if not _MIN_TS_US <= self.start_ts <= self.end_ts <= _MAX_TS_US:
             raise ValueError(f"need {_MIN_TS_US} <= start_ts <= end_ts <= {_MAX_TS_US}")
-        if self.pkt_count < 1:
-            raise ValueError("pkt_count must be >= 1")
+        if not 1 <= self.pkt_count <= MAX_COUNT:
+            raise ValueError(f"pkt_count must be in [1, {MAX_COUNT}]")
         if not 1 <= self.unique_dst_count <= self.pkt_count:
             raise ValueError("unique_dst_count out of range")
+        if min(self.zmap_pkts, self.masscan_pkts, self.other_pkts) < 0:
+            raise ValueError("fingerprint counters must be >= 0")
         if self.zmap_pkts + self.masscan_pkts + self.other_pkts != self.pkt_count:
             raise ValueError("fingerprint counters must partition pkt_count")
         if not 0 <= self.key.dst_port <= 0xFFFF:
@@ -264,11 +268,13 @@ def _decode_events(lines: Iterable[str], ips: Dict[str, int]) -> Iterator[Darkne
         counts = start, end, pkts, dsts, zmap, masscan, other = _event_counts(obj)
         ev = new(DarknetEvent, (new(EventKey, (src_ip, port, ttype)), *counts))
         # bool is a subclass of int, so compare the exact type first; the
-        # comparisons after it would raise TypeError on a string.
+        # comparisons after it would raise TypeError on a string. An OR of
+        # ints is negative exactly when one of them is.
         if not (type(port) is type(start) is type(end) is type(pkts) is type(dsts)
                 is type(zmap) is type(masscan) is type(other) is int
-                and _MIN_TS_US <= start <= end <= _MAX_TS_US and 1 <= dsts <= pkts
-                and zmap + masscan + other == pkts and 0 <= port <= 0xFFFF
+                and _MIN_TS_US <= start <= end <= _MAX_TS_US and 1 <= dsts <= pkts <= MAX_COUNT
+                and zmap | masscan | other >= 0 and zmap + masscan + other == pkts
+                and 0 <= port <= 0xFFFF
                 and (port == 0 or ttype is not icmp)):
             for name, value in zip(("dst_port",) + DarknetEvent._fields[1:], (port, *counts)):
                 if type(value) is not int:
@@ -339,19 +345,18 @@ _T = TypeVar("_T")
 
 
 def _read_lines(path, decode: Callable[[Iterator[str]], Iterator[_T]]) -> Iterator[_T]:
-    """Stream a JSONL file's lines through decode.
+    """Stream a JSONL file's lines, each decoded from UTF-8 on its own, through decode.
 
-    An error from decode names the file and the line number, so the CLI exits
-    2 on a rotten file instead of a traceback.
+    Lines end at LF, as JSON Lines defines them. A byte that is not UTF-8, an
+    error from decode or one thrown into the generator names the file and
+    the line, so the CLI exits 2 on a rotten file instead of a traceback.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         # zip draws from taken before each line, so while line n is being
         # decoded, next(taken) is n.
         taken = itertools.count()
         try:
-            yield from decode(map(operator.itemgetter(1), zip(taken, fh)))
-        except UnicodeDecodeError:
-            raise  # the file's decoder reads ahead, so there is no line to name
+            yield from decode(map(operator.itemgetter(1), zip(taken, map(bytes.decode, fh))))
         except (KeyError, TypeError, ValueError) as exc:
             reason = f"{type(exc).__name__}: {exc}"
             raise ValueError(f"{path}:{next(taken)}: malformed line ({reason})") from exc

@@ -10,10 +10,11 @@ from bisect import bisect_right
 import csv
 import ipaddress
 import json
+import random
 import re
 import struct
 from datetime import date, timedelta
-from typing import Collection, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Collection, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from darklens.events import EventBuilder, _OpenEvent, _promote
 from darklens.fingerprint import ProbeTool, fingerprint_packet
@@ -260,8 +261,44 @@ def oracle_event_from_json_line(line: str) -> DarknetEvent:
         masscan_pkts=int(obj["masscan_pkts"]),
         other_pkts=int(obj["other_pkts"]),
     )
+    counters = (ev.zmap_pkts, ev.masscan_pkts, ev.other_pkts)
+    if any(count < 0 for count in counters):
+        raise ValueError("a negative tool counter")
+    if any(count >= 2 ** 63 for count in (ev.pkt_count, ev.unique_dst_count, *counters)):
+        raise ValueError("a count that a signed 64-bit integer cannot hold")
     ev.validate()
     return ev
+
+
+def synthetic_events(
+    n: int, sources: int, ports: int, days: int, seed: int
+) -> Iterator[DarknetEvent]:
+    """n valid events from a fixed population, built directly with no JSON.
+
+    Source i (of `sources`, from 198.18.0.0 up) probes only the first
+    (i + 1) * ports // sources of `ports` TCP ports, so daily port breadth
+    grows with the source index; one event in 16 is UDP and one in 16 ICMP
+    echo. Start times spread over `days` UTC days from 2022-06-01, and each
+    event lasts under 10 minutes and holds 1 to 99 packets.
+    """
+    rand = random.Random(seed).random  # int(rand() * k) is cheaper than randrange(k)
+    base = ip_to_int("198.18.0.0")
+    day0 = 1654041600 * US
+    span = days * 86_400 * US
+    for _ in range(n):
+        src = int(rand() * sources)
+        kind = int(rand() * 16)
+        if kind == 0:
+            ttype, port = TrafficType.ICMP_ECHO_REQUEST, 0
+        else:
+            ttype = TrafficType.UDP if kind == 1 else TrafficType.TCP_SYN
+            port = 1 + int(rand() * max(1, (src + 1) * ports // sources))
+        start = day0 + int(rand() * span)
+        pkts = 1 + int(rand() * 99)
+        zmap = int(rand() * (pkts + 1))
+        masscan = int(rand() * (pkts - zmap + 1))
+        yield DarknetEvent(EventKey(base + src, port, ttype), start, start + int(rand() * 600 * US),
+                           pkts, 1 + int(rand() * pkts), zmap, masscan, pkts - zmap - masscan)
 
 
 # ---------------------------------------------------------------------------

@@ -41,14 +41,11 @@ from darklens.feeds import (
 from darklens.fingerprint import ProbeTool, fingerprint_packet
 from darklens.impact import ImpactBin, ImpactSeries, flow_impact, tally_flows
 from darklens.model import (
-    DarknetEvent,
     Direction,
-    EventKey,
     FlowRecord,
     PacketMeta,
     Protocol,
     Thresholds,
-    TrafficType,
     ip_to_int,
 )
 from darklens.pcap import PcapReader
@@ -208,34 +205,21 @@ def test_criterion_02_packet_conservation(tmp_path):
 # 3. Frozen threshold constants classify their boundary inputs.
 
 
-def _event(unique: int, pkt_count: int, size_hint: int) -> DarknetEvent:
-    return DarknetEvent(
-        key=EventKey(ip_to_int("198.51.100.9"), 23, TrafficType.TCP_SYN),
-        start_ts=DAY0_S * US,
-        end_ts=DAY0_S * US + 60 * US,
-        pkt_count=pkt_count,
-        unique_dst_count=unique,
-        zmap_pkts=pkt_count,
-        masscan_pkts=0,
-        other_pkts=0,
-    )
-
-
 def test_criterion_03_threshold_boundary_constants():
     # Dispersion: exactly 10% of a 475,000-address telescope.
     cfg = cfg_sized(475_000)
     assert cfg.darknet_size == 475_000
-    assert classify_dispersion(_event(47_500, 47_500, 475_000), cfg) is True
-    assert classify_dispersion(_event(47_499, 47_499, 475_000), cfg) is False
+    assert classify_dispersion(47_500, cfg) is True
+    assert classify_dispersion(47_499, cfg) is False
 
     # Dispersion on the /22 test telescope: first count at or over 10%.
     small = make_cfg()
-    assert classify_dispersion(_event(103, 103, 1024), small) is True
-    assert classify_dispersion(_event(102, 102, 1024), small) is False
+    assert classify_dispersion(103, small) is True
+    assert classify_dispersion(102, small) is False
 
     # Volume: count equal to the 2022 threshold is aggressive.
-    assert classify_volume(_event(100, 23_491, 1024), T_2022) is True
-    assert classify_volume(_event(100, 23_490, 1024), T_2022) is False
+    assert classify_volume(23_491, T_2022) is True
+    assert classify_volume(23_490, T_2022) is False
 
     # Ports per day: count equal to the 2021 threshold is aggressive.
     assert classify_ports(6_542, T_2021) is True

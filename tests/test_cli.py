@@ -501,6 +501,24 @@ class TestFailureModes:
             assert part in err
         assert list(out.iterdir()) == []
 
+    def test_wide_event_names_its_line_past_a_blank_one(self, pipeline, tmp_path, capsys):
+        event = (
+            '{{"key": {{"src_ip": "203.0.113.5", "dst_port": 23, "traffic_type": "tcp_syn"}}, '
+            '"start_ts": 1654041600000000, "end_ts": 1654041660000000, "pkt_count": {n}, '
+            '"unique_dst_count": {n}, "zmap_pkts": {n}, "masscan_pkts": 0, "other_pkts": 0}}\n'
+        )
+        log = tmp_path / "events.jsonl"
+        log.write_text(event.format(n=5) + "\n" + event.format(n=1025) + event.format(n=5))
+        out = tmp_path / "out"
+        rc = main(["--config", str(pipeline["conf"]), "--out-dir", str(out), "detect", str(log)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {log}:3: malformed line (ValueError: event from 203.0.113.5 port 23 at "
+            "start_ts 1654041600000000 has 1025 distinct destinations, more than the 1024 "
+            "addresses of the darknet)\n"
+        )
+        assert list(out.iterdir()) == []
+
     def test_detect_accepts_event_covering_the_whole_darknet(self, pipeline, tmp_path):
         log = tmp_path / "events.jsonl"
         log.write_text(
@@ -550,6 +568,26 @@ class TestFailureModes:
         ])
         assert rc == 1
         assert (tmp_path / "blocklist_union.txt").read_text() == ""
+
+    def test_detect_blank_log_exits_1_with_the_empty_meta(self, pipeline, feeds, tmp_path, capsys):
+        blank = tmp_path / "events.jsonl"
+        blank.write_text("\n \t\n")
+        (tmp_path / "acked_ips.csv").write_text("198.18.0.3,GoodScan\nnot an address,X\n")
+        rc = main([
+            "--config", str(pipeline["conf"]), "--out-dir", str(tmp_path), "detect", str(blank),
+            "--acked-ips", str(tmp_path / "acked_ips.csv"),
+            "--acked-keywords", str(feeds / "acked_kw.csv"), "--rdns", str(feeds / "rdns.csv"),
+        ])
+        assert rc == 1
+        assert "warning: empty event log" in capsys.readouterr().out
+        for name in ("blocklist_d1.txt", "blocklist_d2.txt", "blocklist_d3.txt",
+                     "blocklist_union.txt", "blocklist_union.stats.jsonl", "verdicts.jsonl"):
+            assert (tmp_path / name).read_text() == ""
+        assert json.loads((tmp_path / "detect_meta.json").read_text()) == {
+            "events": 0,
+            "warning": "empty event log",
+            "feeds": {"acked": {"malformed_lines": 1}, "rdns": {"malformed_lines": 0}},
+        }
 
     def test_detect_union_empty_exits_1(self, pipeline, tmp_path):
         # Fixed thresholds nothing can reach, over a log whose events are tiny.
@@ -795,6 +833,31 @@ class TestRottenInputs:
         assert f"error: {bad}:3:" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n"], ids=["lf", "crlf"])
+    @pytest.mark.parametrize("command, name", [
+        ("detect", "events.jsonl"), ("report", "events.jsonl"), ("report", "verdicts.jsonl"),
+    ])
+    def test_non_utf8_byte_names_file_and_line(self, pipeline, tmp_path, capsys, command, name,
+                                               newline):
+        good = (pipeline["run"] / name).read_bytes().splitlines()
+        bad = tmp_path / f"in_{name}"
+        bad.write_bytes(newline.join(good[:2] + [b'{"src_ip":"\xff"}'] + good[2:]) + newline)
+        inputs = {"events.jsonl": pipeline["run"] / "events.jsonl",
+                  "verdicts.jsonl": pipeline["run"] / "verdicts.jsonl", name: bad}
+        out = tmp_path / "out"
+        if command == "detect":
+            argv = ["--config", str(pipeline["conf"]), "--out-dir", str(out), "detect",
+                    str(inputs["events.jsonl"])]
+        else:
+            argv = ["--out-dir", str(out), "report", str(inputs["events.jsonl"]),
+                    str(inputs["verdicts.jsonl"])]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: {bad}:3: malformed line (UnicodeDecodeError: 'utf-8' codec can't decode "
+            "byte 0xff in position 11: invalid start byte)\n"
+        )
+        assert list(out.iterdir()) == []
+
     def test_report_rotten_event_line_with_no_verdicts_exits_2(self, pipeline, tmp_path, capsys):
         log = self._rotten_log(pipeline, tmp_path, "events.jsonl", ROTTEN_EVENT)
         empty = tmp_path / "none.jsonl"
@@ -826,6 +889,10 @@ class TestRottenInputs:
         ({"pkt_count": 1.9}, "pkt_count must be a JSON integer"),
         ({"pkt_count": True}, "pkt_count must be a JSON integer"),
         ({"zmap_pkts": "5"}, "zmap_pkts must be a JSON integer"),
+        ({"pkt_count": 2, "unique_dst_count": 1, "zmap_pkts": -5, "masscan_pkts": 7, "other_pkts": 0},
+         "fingerprint counters must be >= 0"),
+        ({"pkt_count": 2 ** 70, "zmap_pkts": 2 ** 70, "masscan_pkts": 0, "other_pkts": 0},
+         "pkt_count must be in [1, 9223372036854775807]"),
     ])
     def test_detect_invalid_event_exits_2(self, pipeline, tmp_path, capsys, fields, reason):
         good = json.loads((pipeline["run"] / "events.jsonl").read_text().splitlines()[0])
@@ -842,7 +909,10 @@ class TestRottenInputs:
         lambda ev: dict(ev, start_ts=10 ** 22, end_ts=10 ** 22),
         lambda ev: dict(ev, unique_dst_count=float(ev["unique_dst_count"])),
         lambda ev: dict(ev, key=dict(ev["key"], dst_port=str(ev["key"]["dst_port"]))),
-    ], ids=["out_of_date_range", "float_count", "string_port"])
+        lambda ev: dict(ev, pkt_count=2, unique_dst_count=1, zmap_pkts=-5, masscan_pkts=7,
+                        other_pkts=0),
+        lambda ev: dict(ev, pkt_count=2 ** 70, zmap_pkts=2 ** 70, masscan_pkts=0, other_pkts=0),
+    ], ids=["out_of_date_range", "float_count", "string_port", "negative_counter", "2^70_pkts"])
     def test_report_invalid_event_exits_2(self, pipeline, tmp_path, capsys, spoil):
         good = json.loads((pipeline["run"] / "events.jsonl").read_text().splitlines()[0])
         log = self._rotten_log(pipeline, tmp_path, "events.jsonl", json.dumps(spoil(good)))

@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 from datetime import date
 
 import pytest
@@ -12,6 +13,7 @@ from darklens.detect import (
     D3,
     EmptyInputError,
     INTERSECTION_COMBOS,
+    TRAFFIC_TYPES,
     UNREACHABLE_PORTS,
     build_daily_port_profiles,
     classify_dispersion,
@@ -41,11 +43,12 @@ from darklens.model import (
     ip_to_int,
     utc_day,
 )
-from helpers import US, cfg_sized, make_cfg, oracle_detection, oracle_ecdf
+from helpers import US, cfg_sized, make_cfg, oracle_detection, oracle_ecdf, synthetic_events
 
 DAY0_S = 1654041600  # 2022-06-01 UTC
 JUNE1 = date(2022, 6, 1)
 JUNE2 = date(2022, 6, 2)
+JUNE1_N = (JUNE1 - date(1970, 1, 1)).days  # a profile's day: days since the epoch
 
 # Reference thresholds from two year-long darknet observation windows; used
 # as fixed inputs to pin down the inclusive >= boundary behavior.
@@ -140,24 +143,24 @@ class TestBoundaries:
     def test_dispersion_exact_ten_percent_of_475000(self):
         cfg = cfg_sized(475000)
         assert cfg.darknet_size == 475000
-        assert classify_dispersion(_ev(uniq=47500), cfg) is True
-        assert classify_dispersion(_ev(uniq=47499), cfg) is False
+        assert classify_dispersion(47500, cfg) is True
+        assert classify_dispersion(47499, cfg) is False
 
     def test_dispersion_small_telescope(self, cfg_slash22):
         # 10% of 1024 is 102.4, so 103 is the smallest qualifying count.
-        assert classify_dispersion(_ev(uniq=103), cfg_slash22) is True
-        assert classify_dispersion(_ev(uniq=102), cfg_slash22) is False
+        assert classify_dispersion(103, cfg_slash22) is True
+        assert classify_dispersion(102, cfg_slash22) is False
 
     def test_dispersion_fraction_one_requires_full_coverage(self):
         cfg = cfg_sized(4096, fraction=1.0)
-        assert classify_dispersion(_ev(uniq=4096), cfg) is True
-        assert classify_dispersion(_ev(uniq=4095), cfg) is False
+        assert classify_dispersion(4096, cfg) is True
+        assert classify_dispersion(4095, cfg) is False
 
     def test_volume_threshold_is_inclusive(self):
-        assert classify_volume(_ev(pkts=23491), T_2022) is True
-        assert classify_volume(_ev(pkts=23490), T_2022) is False
-        assert classify_volume(_ev(pkts=64810), T_2021) is True
-        assert classify_volume(_ev(pkts=64809), T_2021) is False
+        assert classify_volume(23491, T_2022) is True
+        assert classify_volume(23490, T_2022) is False
+        assert classify_volume(64810, T_2021) is True
+        assert classify_volume(64809, T_2021) is False
 
     def test_ports_threshold_is_inclusive(self):
         assert classify_ports(6542, T_2021) is True
@@ -166,52 +169,75 @@ class TestBoundaries:
         assert classify_ports(57409, T_2022) is False
 
 
+def _profiles(evs, cfg):
+    return build_daily_port_profiles(evs, cfg)[1]
+
+
 class TestPortProfiles:
-    def test_port_protocol_pairs_counted(self):
+    def test_port_protocol_pairs_counted(self, cfg_slash22):
         evs = [
             _ev(port=22, tt=TrafficType.TCP_SYN),
             _ev(port=23, tt=TrafficType.TCP_SYN, start_s=DAY0_S + 100),
             _ev(port=22, tt=TrafficType.TCP_SYN, start_s=DAY0_S + 2000),
             _ev(port=22, tt=TrafficType.UDP),
         ]
-        profiles = build_daily_port_profiles(evs)
-        assert profiles == {(ip_to_int("198.51.100.9"), JUNE1): 3}
+        profiles = _profiles(evs, cfg_slash22)
+        assert profiles == {(ip_to_int("198.51.100.9"), JUNE1_N): 3}
 
-    def test_icmp_excluded(self):
+    def test_icmp_excluded(self, cfg_slash22):
         evs = [_ev(port=0, tt=TrafficType.ICMP_ECHO_REQUEST)]
-        assert build_daily_port_profiles(evs) == {}
+        assert _profiles(evs, cfg_slash22) == {}
 
-    def test_event_counts_toward_start_day_only(self):
+    def test_event_counts_toward_start_day_only(self, cfg_slash22):
         ev = _ev(port=443, start_s=DAY0_S + 86_400 - 30, dur_s=120)
-        profiles = build_daily_port_profiles([ev])
-        assert set(profiles) == {(ip_to_int("198.51.100.9"), JUNE1)}
+        profiles = _profiles([ev], cfg_slash22)
+        assert set(profiles) == {(ip_to_int("198.51.100.9"), JUNE1_N)}
 
-    def test_days_kept_separate(self):
+    def test_days_kept_separate(self, cfg_slash22):
         evs = [_ev(port=23), _ev(port=24, start_s=DAY0_S + 86_400)]
-        profiles = build_daily_port_profiles(evs)
+        profiles = _profiles(evs, cfg_slash22)
         assert profiles == {
-            (ip_to_int("198.51.100.9"), JUNE1): 1,
-            (ip_to_int("198.51.100.9"), JUNE2): 1,
+            (ip_to_int("198.51.100.9"), JUNE1_N): 1,
+            (ip_to_int("198.51.100.9"), JUNE1_N + 1): 1,
         }
+
+    def test_columns_hold_every_event_of_a_one_shot_stream(self, cfg_slash22):
+        evs = [
+            _ev(port=22, pkts=7, uniq=3),
+            _ev(src="203.0.113.5", port=0, tt=TrafficType.ICMP_ECHO_REQUEST, pkts=1, uniq=1),
+            _ev(port=53, tt=TrafficType.UDP, start_s=DAY0_S + 86_400),
+        ]
+        columns, _ = build_daily_port_profiles(iter(evs), cfg_slash22)
+        rebuilt = [
+            DarknetEvent(EventKey(ip, port, TRAFFIC_TYPES[t]), *rest)
+            for ip, port, t, *rest in zip(*columns)
+        ]
+        assert rebuilt == evs
 
 
 class TestComputeThresholds:
     def test_uses_alpha_order_statistic(self, cfg_slash22):
         evs = [_ev(port=1000 + i, pkts=i + 1, start_s=DAY0_S + i) for i in range(100)]
-        profiles = build_daily_port_profiles(evs)
-        t = compute_thresholds(evs, cfg_slash22, profiles)
+        columns, profiles = build_daily_port_profiles(evs, cfg_slash22)
+        t = compute_thresholds(columns.pkt_count, cfg_slash22, profiles)
         assert t.volume_threshold_pkts == oracle_ecdf([e.pkt_count for e in evs], cfg_slash22.alpha)
         assert t.ports_threshold == oracle_ecdf(profiles.values(), cfg_slash22.alpha)
 
     def test_icmp_only_dataset_gets_unreachable_ports_threshold(self, cfg_slash22):
         evs = [_ev(port=0, tt=TrafficType.ICMP_ECHO_REQUEST, pkts=5)]
-        t = compute_thresholds(evs, cfg_slash22, build_daily_port_profiles(evs))
+        columns, profiles = build_daily_port_profiles(evs, cfg_slash22)
+        t = compute_thresholds(columns.pkt_count, cfg_slash22, profiles)
         assert t.ports_threshold == UNREACHABLE_PORTS
         assert not classify_ports(10**9, t)
 
     def test_empty_raises(self, cfg_slash22):
         with pytest.raises(EmptyInputError):
             compute_thresholds([], cfg_slash22, {})
+
+
+def _tag(evs, cfg, thresholds):
+    columns, profiles = build_daily_port_profiles(evs, cfg)
+    return tag_events(columns, cfg, thresholds, profiles)
 
 
 class TestTagging:
@@ -222,20 +248,21 @@ class TestTagging:
             _ev(port=0, tt=TrafficType.ICMP_ECHO_REQUEST, pkts=1, uniq=1),
         ]
         t = Thresholds(volume_threshold_pkts=10**9, ports_threshold=2)
-        tagged = tag_events(evs, cfg_slash22, t, build_daily_port_profiles(evs))
+        tagged = _tag(evs, cfg_slash22, t)
         by_port = {ae.event.key.dst_port: ae.defs for ae in tagged}
         assert by_port == {22: frozenset({D3}), 23: frozenset({D3})}
 
     def test_non_matching_events_absent(self, cfg_slash22):
         t = Thresholds(volume_threshold_pkts=10**9, ports_threshold=10**9)
         evs = [_ev(uniq=1, pkts=1)]
-        assert tag_events(evs, cfg_slash22, t, build_daily_port_profiles(evs)) == []
+        assert _tag(evs, cfg_slash22, t) == []
 
     def test_multiple_definitions_combine(self, cfg_slash22):
         t = Thresholds(volume_threshold_pkts=10, ports_threshold=1)
         evs = [_ev(uniq=103, pkts=10)]
-        (ae,) = tag_events(evs, cfg_slash22, t, build_daily_port_profiles(evs))
+        (ae,) = _tag(evs, cfg_slash22, t)
         assert ae.defs == frozenset({D1, D2, D3})
+        assert ae.event == evs[0]
 
 
 class TestDailyActive:
@@ -521,7 +548,7 @@ def _drawn_events(drawn):
 
 
 class TestDetectionOracle:
-    """run_detection and the sidecar against a brute-force recomputation."""
+    """run_detection over a one-shot stream, and the sidecar, against a brute-force recomputation."""
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -548,7 +575,8 @@ class TestDetectionOracle:
         events = _drawn_events(drawn)
         thresholds = None if fixed is None else Thresholds(*fixed)
         want_t, want_verdicts, want_sidecar = oracle_detection(events, cfg, thresholds)
-        res = run_detection(events, cfg, thresholds)
+        res = run_detection((ev for ev in events), cfg, thresholds)
+        assert res.events == len(events)
         assert res.thresholds == want_t
         assert res.verdicts == want_verdicts
         assert res.union_ips == {ip_to_int(row["ip"]) for row in want_sidecar}
@@ -558,3 +586,21 @@ class TestDetectionOracle:
         write_blocklist_sidecar(path, res)
         got = [json.loads(line) for line in path.read_text().splitlines()]
         assert got == want_sidecar
+
+
+class TestDetectionMemory:
+    def test_one_pass_holds_under_100_bytes_an_event(self, cfg_slash22):
+        # A list of decoded events costs some 300 B an event; the columns
+        # cost 63 B, and the port profiles of this fixed population stay
+        # small however many events it sends.
+        n = 10 ** 5
+        events = synthetic_events(n, sources=200, ports=50, days=2, seed=7)
+        tracemalloc.start()
+        try:
+            res = run_detection(events, cfg_slash22)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert res.events == n
+        assert len(res.tagged) < n // 50
+        assert peak < 100 * n

@@ -195,7 +195,7 @@ class TestOutsideDarknet:
         b, evs = run_stream(cfg_slash22, pkts)
         (ev,) = evs
         assert (ev.pkt_count, ev.unique_dst_count) == (10, 10)
-        assert not classify_dispersion(ev, cfg_slash22)
+        assert not classify_dispersion(ev.unique_dst_count, cfg_slash22)
         assert b.outside_darknet == 2000
 
     def test_outside_packet_moves_no_state(self, cfg_slash22):
@@ -240,7 +240,7 @@ def test_property_d1_iff_true_in_darknet_count_reaches_fraction(dsts, fraction):
     assert b.packets_in == b.outside_darknet + sum(e.pkt_count for e in evs)
     assert sum(e.unique_dst_count for e in evs) == len(inside)
     # compared in integers: 0.0625 x 512 = 32 puts the boundary itself in play
-    fires = any(classify_dispersion(e, cfg) for e in evs)
+    fires = any(classify_dispersion(e.unique_dst_count, cfg) for e in evs)
     assert fires == (len(inside) * 10_000 >= round(fraction * 10_000) * 512)
 
 

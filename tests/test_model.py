@@ -342,6 +342,28 @@ class TestDarknetEvent:
         with pytest.raises(ValueError):
             _event(zmap_pkts=3, masscan_pkts=3, other_pkts=3).validate()
 
+    @pytest.mark.parametrize("fields, reason", [
+        ({"pkt_count": 2, "unique_dst_count": 1, "zmap_pkts": -5, "masscan_pkts": 7},
+         "fingerprint counters must be >= 0"),
+        ({"zmap_pkts": 10 ** 6, "other_pkts": 5 - 10 ** 6}, "fingerprint counters must be >= 0"),
+        ({"pkt_count": 2 ** 70, "zmap_pkts": 2 ** 70}, "pkt_count must be in"),
+        ({"pkt_count": 2 ** 63, "zmap_pkts": 2 ** 63}, "pkt_count must be in"),
+    ], ids=["negative_zmap", "negative_other", "2^70_pkts", "2^63_pkts"])
+    def test_counts_must_be_non_negative_and_fit_64_bits(self, fields, reason):
+        line = _event(**fields).to_json_line()
+        with pytest.raises(ValueError, match=reason):
+            _event(**fields).validate()
+        with pytest.raises(ValueError, match=reason):
+            DarknetEvent.from_json_line(line)
+        with pytest.raises(ValueError):
+            oracle_event_from_json_line(line)
+
+    def test_largest_count_is_2_63_minus_1(self):
+        ev = _event(pkt_count=2 ** 63 - 1, unique_dst_count=2 ** 63 - 1, zmap_pkts=0,
+                    other_pkts=2 ** 63 - 1)
+        line = ev.to_json_line()
+        assert DarknetEvent.from_json_line(line) == oracle_event_from_json_line(line) == ev
+
     def test_icmp_key_uses_port_zero(self):
         ev = _event(
             key=EventKey(ip_to_int("198.51.100.9"), 0, TrafficType.ICMP_ECHO_REQUEST)
@@ -440,7 +462,7 @@ def _valid_events(draw, addrs=_ADDRS):
     port = 0 if ttype is TrafficType.ICMP_ECHO_REQUEST else draw(st.integers(0, 0xFFFF))
     start = draw(st.integers(min_value=MIN_TS, max_value=MAX_TS))
     end = draw(st.integers(min_value=start, max_value=MAX_TS))
-    pkts = draw(st.integers(min_value=1, max_value=2 ** 63))
+    pkts = draw(st.integers(min_value=1, max_value=2 ** 63 - 1))
     zmap = draw(st.integers(min_value=0, max_value=pkts))
     masscan = draw(st.integers(min_value=0, max_value=pkts - zmap))
     dsts = draw(st.integers(min_value=1, max_value=pkts))
@@ -516,6 +538,8 @@ _SPOILS = [
     {"pkt_count": 1.9},
     {"pkt_count": True},
     {"zmap_pkts": "5"},
+    {"pkt_count": 2, "unique_dst_count": 1, "zmap_pkts": -5, "masscan_pkts": 7, "other_pkts": 0},
+    {"pkt_count": 2 ** 70, "zmap_pkts": 2 ** 70, "masscan_pkts": 0, "other_pkts": 0},
 ]
 
 
