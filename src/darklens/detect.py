@@ -70,7 +70,7 @@ def ecdf_threshold(values: Collection[int], alpha: float) -> int:
     Float math can round (1 - alpha) * n onto the wrong side of an integer:
     for alpha 0.3 and n 10 it gives 7.0, but the float 0.3 lies just below
     3/10, so the product is just above 7 and the index is 8. For alpha in
-    (0, 1) the index always lies in [1, n]. For a tail alpha, only the values
+    (0, 1) the index always lies in [1, n]. Only the n + 1 - index values
     from the index up are held, not a sorted copy of all n.
     """
     n = len(values)
@@ -80,8 +80,6 @@ def ecdf_threshold(values: Collection[int], alpha: float) -> int:
         raise ValueError(f"alpha {alpha} not in (0, 1)")
     num, den = alpha.as_integer_ratio()
     index = -(-(den - num) * n // den)
-    if n - index > n // 100:  # a wider tail sorts as fast as a heap and holds less
-        return sorted(values)[index - 1]
     return heapq.nlargest(n + 1 - index, values)[-1]
 
 
