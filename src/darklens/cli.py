@@ -29,7 +29,8 @@ from typing import Optional, Tuple
 from .feeds import AckedList, AsnMap, Feed, load_acked, load_asn_map, load_rdns, load_tags
 from .fingerprint import PortFingerprintRow, port_fingerprint_table
 from .model import (
-    ConfigError, Thresholds, load_config, read_event_log, write_csv, write_json, write_lines,
+    D1, D2, D3, ConfigError, Thresholds, load_config, read_blocklist, read_event_log,
+    read_verdicts, write_csv, write_json, write_lines,
 )
 
 
@@ -241,13 +242,12 @@ def cmd_detect(args, staging: Path) -> int:
 
 
 def cmd_impact(args, staging: Path) -> int:
-    from . import detect as detect_mod
-    from . import enrich, impact
+    from . import impact
 
     if not args.flows and args.pcap is None:
         raise ConfigError("impact needs --flows and/or --pcap")
     acked, rdns = _load_acked_args(args)
-    ah = detect_mod.read_blocklist(args.blocklist)
+    ah = read_blocklist(args.blocklist)
     if not ah:
         print("warning: blocklist is empty, nothing to measure")
         return 1
@@ -255,6 +255,7 @@ def cmd_impact(args, staging: Path) -> int:
     empty_result = False
 
     if args.flows:
+        from . import enrich
         from .flows import FlowFormat, FlowReader
 
         acked_ips = enrich.acked_sources(ah, acked, rdns)
@@ -359,32 +360,40 @@ def _write_protocol_csv(path, mix) -> None:
 
 
 def cmd_report(args, staging: Path) -> int:
-    from . import detect as detect_mod
     from . import enrich, impact
 
     if args.exclude_acked and (args.acked_ips is None or args.acked_keywords is None):
         raise ConfigError("--exclude-acked needs --acked-ips and --acked-keywords")
-    verdicts = detect_mod.read_verdicts(args.verdicts)
-    ah = {v.src_ip for v in verdicts}
-    # One pass over the log, holding only the AH sources' events. It runs to
-    # the end even with no verdicts, so a rotten line is still fatal.
-    ah_events = []
-    pkts_by_ip: dict = {}
-    events_read = 0
-    for ev in read_event_log(args.event_log):
-        events_read += 1
-        ip = ev.key.src_ip
-        if ip in ah:
-            ah_events.append(ev)
-            pkts_by_ip[ip] = pkts_by_ip.get(ip, 0) + ev.pkt_count
-    if not verdicts:
-        print("warning: no verdicts, nothing to report")
-        return 1
-
-    d_sets = {name: set() for name in (detect_mod.D1, detect_mod.D2, detect_mod.D3)}
-    for v in verdicts:
+    ah = set()
+    d_sets = {D1: set(), D2: set(), D3: set()}
+    per_day: dict = {}  # UTC day -> [daily AH, active AH]
+    for v in read_verdicts(args.verdicts):
+        ah.add(v.src_ip)
         for name in v.matched_defs:
             d_sets[name].add(v.src_ip)
+        cell = per_day.setdefault(v.day, [0, 0])
+        cell[0] += v.is_daily
+        cell[1] += 1
+    # One pass over the log folds each AH event into its source's packets and
+    # the (dst_port, traffic type) -> [zmap, masscan, other] tool tally. It
+    # runs to the end even with no verdicts, so a rotten line is still fatal.
+    pkts_by_ip: dict = {}
+    tally: dict = {}
+    events_read = 0
+    events = read_event_log(args.event_log)
+    for (ip, port, ttype), _start, _end, pkts, _dsts, zmap, masscan, other in events:
+        events_read += 1
+        if ip in ah:
+            pkts_by_ip[ip] = pkts_by_ip.get(ip, 0) + pkts
+            tools = tally.get((port, ttype))
+            if tools is None:
+                tools = tally[(port, ttype)] = [0, 0, 0]
+            tools[0] += zmap
+            tools[1] += masscan
+            tools[2] += other
+    if not ah:
+        print("warning: no verdicts, nothing to report")
+        return 1
 
     asn_map = load_asn_map(args.asn_map) if args.asn_map else AsnMap()
     acked, rdns = _load_acked_args(args)
@@ -393,39 +402,29 @@ def cmd_report(args, staging: Path) -> int:
     rows = enrich.origin_table(ah, pkts_by_ip, asn_map, acked_ips)
     write_csv(staging / "origins.csv", enrich.OriginRow._fields, rows)
 
-    ports = port_fingerprint_table(ah_events, top_n=args.top_ports)
+    ports = port_fingerprint_table(tally, top_n=args.top_ports)
     write_csv(staging / "ports.csv", PortFingerprintRow._fields, ports)
 
     top_share = None
     if pkts_by_ip:
-        curve = detect_mod.zipf_curve(pkts_by_ip)
+        curve = enrich.zipf_curve(pkts_by_ip)
         write_csv(staging / "zipf.csv", ["rank_fraction", "cumulative_pkt_fraction"], curve)
-        top_share = detect_mod.cumulative_share(curve, 0.01)
+        top_share = enrich.cumulative_share(curve, 0.01)
 
-    table = detect_mod.definition_intersections(
-        d_sets[detect_mod.D1], d_sets[detect_mod.D2], d_sets[detect_mod.D3], asn_map
-    )
+    table = enrich.definition_intersections(d_sets[D1], d_sets[D2], d_sets[D3], asn_map)
     write_csv(
         staging / "intersections.csv",
         ["combo", "ips", "asns", "orgs", "countries"],
         [(name, row.ips, row.asns, row.orgs, row.countries) for name, row in table.items()],
     )
 
-    per_day: dict = {}
-    for v in verdicts:
-        cell = per_day.setdefault(v.day, [0, 0])
-        cell[1] += 1
-        if v.is_daily:
-            cell[0] += 1
     write_csv(
         staging / "timeseries.csv",
         ["day", "daily_ah", "active_ah"],
         [(day.isoformat(), *per_day[day]) for day in sorted(per_day)],
     )
 
-    _write_protocol_csv(
-        staging / "protocols_darknet.csv", impact.protocol_breakdown_darknet(ah_events, ah)
-    )
+    _write_protocol_csv(staging / "protocols_darknet.csv", impact.protocol_breakdown_darknet(tally))
 
     tags = load_tags(args.tags) if args.tags else None
     if tags is not None:

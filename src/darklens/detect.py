@@ -11,7 +11,8 @@ Three independent definitions flag a source as aggressive:
 
 The event stream is read once into compact columns; thresholds are derived
 from them, or supplied up front, and applied in a second pass over the
-columns. All boundary comparisons are inclusive (>=).
+columns. All boundary comparisons are inclusive (>=). The results are written
+as blocklists, a per-source sidecar and per-source-per-day verdicts.
 """
 from __future__ import annotations
 
@@ -19,28 +20,27 @@ import heapq
 import json
 from array import array
 from collections import defaultdict
-from typing import Collection, Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Collection, Dict, Iterable, List, NamedTuple, Optional, Set, Tuple
 
 from .enrich import acked_sources
-from .feeds import AckedList, AsnMap, origin_of
+from .feeds import AckedList
 from .model import (
+    D1,
+    D2,
+    D3,
     US_PER_DAY,
     AhVerdict,
     DarknetConfig,
     DarknetEvent,
+    EmptyInputError,
     EventKey,
     Thresholds,
     TrafficType,
     int_to_ip,
-    ip_to_int,
-    read_jsonl,
     utc_day,
     write_lines,
 )
 
-D1 = "D1"
-D2 = "D2"
-D3 = "D3"
 # The definitions an event matched, by bit mask: D1 is 1, D2 2 and D3 4.
 _DEFS = [frozenset(name for bit, name in enumerate((D1, D2, D3)) if mask >> bit & 1)
          for mask in range(8)]
@@ -53,10 +53,6 @@ UNREACHABLE_PORTS = 2 ** 63
 TRAFFIC_TYPES = tuple(TrafficType)
 _TYPE_INDEX = {ttype: i for i, ttype in enumerate(TRAFFIC_TYPES)}
 _ICMP = _TYPE_INDEX[TrafficType.ICMP_ECHO_REQUEST]
-
-
-class EmptyInputError(ValueError):
-    pass
 
 
 class BothEmptyError(ValueError):
@@ -217,74 +213,6 @@ def jaccard(a: Set[int], b: Set[int]) -> float:
     return len(a & b) / len(a | b)
 
 
-class IntersectionRow(NamedTuple):
-    ips: int
-    asns: int
-    orgs: int
-    countries: int
-
-
-INTERSECTION_COMBOS = ["D1", "D2", "D3", "D1&D2", "D2&D3", "D1&D3", "D1&D2&D3"]
-
-
-def definition_intersections(
-    d1: Set[int], d2: Set[int], d3: Set[int], asn_map: AsnMap
-) -> Dict[str, IntersectionRow]:
-    """Unique IP/ASN/org/country counts for every definition combination."""
-    combos = {
-        "D1": d1,
-        "D2": d2,
-        "D3": d3,
-        "D1&D2": d1 & d2,
-        "D2&D3": d2 & d3,
-        "D1&D3": d1 & d3,
-        "D1&D2&D3": d1 & d2 & d3,
-    }
-    out: Dict[str, IntersectionRow] = {}
-    for name in INTERSECTION_COMBOS:
-        ips = combos[name]
-        origins = [origin_of(ip, asn_map) for ip in ips]
-        out[name] = IntersectionRow(
-            ips=len(ips),
-            asns=len({o.asn for o in origins}),
-            orgs=len({o.org for o in origins}),
-            countries=len({o.country for o in origins}),
-        )
-    return out
-
-
-def zipf_curve(pkts_by_ip: Dict[int, int]) -> List[Tuple[float, float]]:
-    """Heavy-tail view: (rank fraction, cumulative packet fraction) per source.
-
-    Sources are ordered by descending packet count, ties broken by address so
-    the curve is reproducible.
-    """
-    if not pkts_by_ip:
-        raise EmptyInputError("zipf_curve needs at least one source")
-    ordered = sorted(pkts_by_ip.items(), key=lambda kv: (-kv[1], kv[0]))
-    total = sum(pkts_by_ip.values())
-    if total <= 0:
-        raise EmptyInputError("zipf_curve needs positive packet counts")
-    n = len(ordered)
-    curve: List[Tuple[float, float]] = []
-    cum = 0
-    for i, (_ip, pkts) in enumerate(ordered, start=1):
-        cum += pkts
-        curve.append((i / n, cum / total))
-    return curve
-
-
-def cumulative_share(curve: Sequence[Tuple[float, float]], top_fraction: float) -> float:
-    """Traffic share of the top `top_fraction` of sources (0 if none qualify)."""
-    share = 0.0
-    for rank_frac, cum_frac in curve:
-        if rank_frac <= top_fraction:
-            share = cum_frac
-        else:
-            break
-    return share
-
-
 class SourceStats:
     """A source's aggregate over its tagged events, as the sidecar writes it.
 
@@ -410,16 +338,6 @@ def write_blocklist(path, ips: Set[int]) -> int:
     return write_lines(path, map(int_to_ip, sorted(ips)))
 
 
-def read_blocklist(path) -> Set[int]:
-    ips = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                ips.add(ip_to_int(line))
-    return ips
-
-
 def write_blocklist_sidecar(path, result: DetectionResult) -> None:
     """Per-IP statistics next to the union blocklist, one JSON object a line."""
     write_lines(path, (
@@ -441,7 +359,3 @@ def write_blocklist_sidecar(path, result: DetectionResult) -> None:
 
 def write_verdicts(path, verdicts: Iterable[AhVerdict]) -> int:
     return write_lines(path, (v.to_json_line() for v in verdicts))
-
-
-def read_verdicts(path) -> List[AhVerdict]:
-    return list(read_jsonl(path, AhVerdict.from_json_line))

@@ -1,10 +1,11 @@
-"""Attribution of detected scanners: ACKed matching, origins, tag joins."""
+"""Attribution and characterization of detected scanners: ACKed matching,
+origins, tag joins, definition intersections and heavy-tail curves."""
 from __future__ import annotations
 
-from typing import Collection, Dict, Iterable, List, NamedTuple, Optional, Set, Tuple
+from typing import Collection, Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .feeds import AckedList, AsnMap, TagEntry, origin_of
-from .model import EmptyAhSetError, slash24_of
+from .model import D1, D2, D3, EmptyAhSetError, EmptyInputError, slash24_of
 
 
 def acked_sources(
@@ -122,3 +123,66 @@ def tag_join(ah: Set[int], tags: Dict[int, TagEntry], top_n: int = 20) -> TagJoi
         top = top[:top_n]
     return TagJoinResult(histogram=histogram, top_tags=top, overlap_fraction=present / len(ah))
 
+
+class IntersectionRow(NamedTuple):
+    ips: int
+    asns: int
+    orgs: int
+    countries: int
+
+
+INTERSECTION_COMBOS = ["D1", "D2", "D3", "D1&D2", "D2&D3", "D1&D3", "D1&D2&D3"]
+
+
+def definition_intersections(
+    d1: Set[int], d2: Set[int], d3: Set[int], asn_map: AsnMap
+) -> Dict[str, IntersectionRow]:
+    """Unique IP/ASN/org/country counts for every definition combination.
+
+    A combination's name spells its members: "D1&D3" is d1 & d3.
+    """
+    named = {D1: d1, D2: d2, D3: d3}
+    out: Dict[str, IntersectionRow] = {}
+    for name in INTERSECTION_COMBOS:
+        first, *rest = (named[part] for part in name.split("&"))
+        ips = first.intersection(*rest)
+        origins = [origin_of(ip, asn_map) for ip in ips]
+        out[name] = IntersectionRow(
+            ips=len(ips),
+            asns=len({o.asn for o in origins}),
+            orgs=len({o.org for o in origins}),
+            countries=len({o.country for o in origins}),
+        )
+    return out
+
+
+def zipf_curve(pkts_by_ip: Dict[int, int]) -> List[Tuple[float, float]]:
+    """Heavy-tail view: (rank fraction, cumulative packet fraction) per source.
+
+    Sources are ordered by descending packet count, ties broken by address so
+    the curve is reproducible.
+    """
+    if not pkts_by_ip:
+        raise EmptyInputError("zipf_curve needs at least one source")
+    ordered = sorted(pkts_by_ip.items(), key=lambda kv: (-kv[1], kv[0]))
+    total = sum(pkts_by_ip.values())
+    if total <= 0:
+        raise EmptyInputError("zipf_curve needs positive packet counts")
+    n = len(ordered)
+    curve: List[Tuple[float, float]] = []
+    cum = 0
+    for i, (_ip, pkts) in enumerate(ordered, start=1):
+        cum += pkts
+        curve.append((i / n, cum / total))
+    return curve
+
+
+def cumulative_share(curve: Sequence[Tuple[float, float]], top_fraction: float) -> float:
+    """Traffic share of the top `top_fraction` of sources (0 if none qualify)."""
+    share = 0.0
+    for rank_frac, cum_frac in curve:
+        if rank_frac <= top_fraction:
+            share = cum_frac
+        else:
+            break
+    return share

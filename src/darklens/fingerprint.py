@@ -8,9 +8,9 @@ check runs first, so it wins ties.
 from __future__ import annotations
 
 import enum
-from typing import Iterable, NamedTuple
+from typing import Mapping, NamedTuple, Sequence, Tuple
 
-from .model import DarknetEvent, PacketMeta, Protocol, TrafficType
+from .model import PacketMeta, Protocol, TrafficType
 
 
 class ProbeTool(str, enum.Enum):
@@ -59,26 +59,18 @@ class PortFingerprintRow(NamedTuple):
 
 
 def port_fingerprint_table(
-    events: Iterable[DarknetEvent], top_n: int = 0
+    tally: Mapping[Tuple[int, TrafficType], Sequence[int]], top_n: int = 0
 ) -> list[PortFingerprintRow]:
-    """Aggregate per-packet tool counts by (port, protocol), busiest first.
+    """One row per (port, protocol) of a tool tally, busiest first.
 
-    Ties on total packets break toward the lower port number, then protocol
-    name, so the ranking is deterministic. top_n of 0 means no truncation.
-    ICMP rows appear under port 0.
+    tally maps (dst_port, traffic type) to the [zmap, masscan, other] packet
+    counts of the events on it. Ties on total packets break toward the lower
+    port number, then protocol name, so the ranking is deterministic. top_n
+    of 0 means no truncation. ICMP rows appear under port 0.
     """
-    counts: dict[tuple[int, str], list[int]] = {}
-    for ev in events:
-        key = (ev.key.dst_port, _TYPE_TO_PROTOCOL[ev.key.traffic_type])
-        cell = counts.get(key)
-        if cell is None:
-            cell = counts[key] = [0, 0, 0]
-        cell[0] += ev.zmap_pkts
-        cell[1] += ev.masscan_pkts
-        cell[2] += ev.other_pkts
     rows = [
-        PortFingerprintRow(port, proto, z, m, o, z + m + o)
-        for (port, proto), (z, m, o) in counts.items()
+        PortFingerprintRow(port, _TYPE_TO_PROTOCOL[ttype], z, m, o, z + m + o)
+        for (port, ttype), (z, m, o) in tally.items()
     ]
     rows.sort(key=lambda r: (-r.total_pkts, r.port, r.protocol))
     if top_n > 0:

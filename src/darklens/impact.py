@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from datetime import date
-from typing import Collection, Dict, Iterable, List, NamedTuple, Sequence, Set, Tuple
+from typing import Collection, Dict, Iterable, List, Mapping, NamedTuple, Sequence, Set, Tuple
 
 from .model import (
     EmptyAhSetError,
@@ -241,12 +241,17 @@ def _mix(tcp_syn: int, udp: int, icmp: int, unclassifiable: int) -> ProtocolMix:
     )
 
 
-def protocol_breakdown_darknet(events, ah: Set[int]) -> ProtocolMix:
-    """Packet split over the three scanning classes for AH darknet events."""
+def protocol_breakdown_darknet(
+    tally: Mapping[Tuple[int, TrafficType], Sequence[int]]
+) -> ProtocolMix:
+    """Packet split over the three scanning classes for AH darknet events.
+
+    tally is the tool tally that fingerprint.port_fingerprint_table reads; an
+    event's tool counts sum to its packets.
+    """
     counts = {TrafficType.TCP_SYN: 0, TrafficType.UDP: 0, TrafficType.ICMP_ECHO_REQUEST: 0}
-    for ev in events:
-        if ev.key.src_ip in ah:
-            counts[ev.key.traffic_type] += ev.pkt_count
+    for (_port, ttype), tools in tally.items():
+        counts[ttype] += sum(tools)
     return _mix(
         counts[TrafficType.TCP_SYN],
         counts[TrafficType.UDP],

@@ -23,7 +23,9 @@ import struct
 from _socket import inet_aton, inet_ntoa
 from datetime import date, timedelta
 from functools import lru_cache
-from typing import Callable, Dict, Iterable, Iterator, NamedTuple, Optional, Sequence, Tuple, TypeVar
+from typing import (
+    Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple, TypeVar,
+)
 
 US_PER_S = 1_000_000
 US_PER_DAY = 86_400 * US_PER_S
@@ -283,6 +285,10 @@ def _decode_events(lines: Iterable[str], ips: Dict[str, int]) -> Iterator[Darkne
         yield ev
 
 
+# The three aggressive-scanner definitions, as verdicts and reports name them.
+D1, D2, D3 = "D1", "D2", "D3"
+
+
 class AhVerdict(NamedTuple):
     """Per-source, per-day classification result for an aggressive scanner.
 
@@ -303,7 +309,7 @@ class AhVerdict(NamedTuple):
     def validate(self) -> None:
         if not self.matched_defs:
             raise ValueError("emitted verdicts must match at least one definition")
-        if not self.matched_defs <= {"D1", "D2", "D3"}:
+        if not self.matched_defs <= {D1, D2, D3}:
             raise ValueError("unknown definition tag")
 
     def to_json_line(self) -> str:
@@ -362,9 +368,18 @@ def _read_lines(path, decode: Callable[[Iterator[str]], Iterator[_T]]) -> Iterat
             raise ValueError(f"{path}:{next(taken)}: malformed line ({reason})") from exc
 
 
-def read_jsonl(path, parse: Callable[[str], _T]) -> Iterator[_T]:
-    """Parse each non-blank line of a JSONL file."""
+def parse_lines(path, parse: Callable[[str], _T]) -> Iterator[_T]:
+    """Parse each line of a file that is not blank, with JSON whitespace stripped."""
     return _read_lines(path, lambda lines: map(parse, filter(None, map(_strip_json_ws, lines))))
+
+
+def read_verdicts(path) -> List[AhVerdict]:
+    return list(parse_lines(path, AhVerdict.from_json_line))
+
+
+def read_blocklist(path) -> Set[int]:
+    """A blocklist's addresses, one canonical dotted quad a line."""
+    return set(parse_lines(path, ip_to_int))
 
 
 def read_event_log(path) -> Iterator[DarknetEvent]:
@@ -432,6 +447,10 @@ class Thresholds(NamedTuple):
 
 class ConfigError(ValueError):
     pass
+
+
+class EmptyInputError(ValueError):
+    """A derivation (a threshold, a curve) was handed no values."""
 
 
 class EmptyAhSetError(ValueError):

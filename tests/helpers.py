@@ -17,8 +17,9 @@ from datetime import date, timedelta
 from typing import Collection, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from darklens.events import EventBuilder, _OpenEvent, _promote
-from darklens.fingerprint import ProbeTool, fingerprint_packet
+from darklens.fingerprint import PortFingerprintRow, ProbeTool, fingerprint_packet
 from darklens.flows import FLOW_CSV_FIELDS, FlowFormat
+from darklens.impact import ProtocolMix
 from darklens.model import (
     AhVerdict,
     DarknetConfig,
@@ -646,6 +647,60 @@ def oracle_detection(
         })
     verdicts.sort(key=lambda v: (v.day, v.src_ip))
     return thresholds, verdicts, sidecar
+
+
+def port_tally(
+    events: Iterable[DarknetEvent], ah: Optional[Collection[int]] = None
+) -> Dict[Tuple[int, TrafficType], List[int]]:
+    """The (dst_port, traffic type) -> [zmap, masscan, other] tool tally that
+    `report` folds, over the events of the sources in ah (all when None)."""
+    tally: Dict[Tuple[int, TrafficType], List[int]] = {}
+    for ev in events:
+        if ah is None or ev.key.src_ip in ah:
+            tools = tally.setdefault((ev.key.dst_port, ev.key.traffic_type), [0, 0, 0])
+            for i, count in enumerate((ev.zmap_pkts, ev.masscan_pkts, ev.other_pkts)):
+                tools[i] += count
+    return tally
+
+
+_PROTOCOL_NAME = {"tcp_syn": "tcp", "udp": "udp", "icmp_echo_request": "icmp"}
+
+
+def oracle_port_table(
+    events: Iterable[DarknetEvent], ah: Collection[int], top_n: int = 0
+) -> List[PortFingerprintRow]:
+    """ports.csv rows, summed event by event over the AH sources' events."""
+    counts: Dict[Tuple[int, str], List[int]] = {}
+    for ev in events:
+        if ev.key.src_ip not in ah:
+            continue
+        cell = counts.setdefault(
+            (ev.key.dst_port, _PROTOCOL_NAME[ev.key.traffic_type.value]), [0, 0, 0]
+        )
+        cell[0] += ev.zmap_pkts
+        cell[1] += ev.masscan_pkts
+        cell[2] += ev.other_pkts
+    rows = sorted(
+        (PortFingerprintRow(port, proto, z, m, o, z + m + o)
+         for (port, proto), (z, m, o) in counts.items()),
+        key=lambda r: (-r.total_pkts, r.port, r.protocol),
+    )
+    return rows[:top_n] if top_n > 0 else rows
+
+
+def oracle_protocol_mix(events: Iterable[DarknetEvent], ah: Collection[int]) -> ProtocolMix:
+    """protocols_darknet.csv's split, from each AH event's packet count."""
+    pkts = {ttype: 0 for ttype in TrafficType}
+    for ev in events:
+        if ev.key.src_ip in ah:
+            pkts[ev.key.traffic_type] += ev.pkt_count
+    syn, udp, icmp = (pkts[t] for t in (
+        TrafficType.TCP_SYN, TrafficType.UDP, TrafficType.ICMP_ECHO_REQUEST))
+    total = syn + udp + icmp
+    if not total:
+        return ProtocolMix(0.0, 0.0, 0.0, 0, 0, 0, 0, 0)
+    return ProtocolMix(100.0 * syn / total, 100.0 * udp / total, 100.0 * icmp / total,
+                       syn, udp, icmp, total, 0)
 
 
 def offline_intervals(ts_sorted: List[int], timeout_us: int) -> List[Tuple[int, int]]:

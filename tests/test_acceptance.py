@@ -21,15 +21,21 @@ from darklens.detect import (
     classify_dispersion,
     classify_ports,
     classify_volume,
-    cumulative_share,
-    definition_intersections,
     ecdf_threshold,
     jaccard,
-    zipf_curve,
     BothEmptyError,
-    IntersectionRow,
 )
-from darklens.enrich import NOT_PRESENT, OriginRow, acked_sources, origin_table, tag_join
+from darklens.enrich import (
+    NOT_PRESENT,
+    IntersectionRow,
+    OriginRow,
+    acked_sources,
+    cumulative_share,
+    definition_intersections,
+    origin_table,
+    tag_join,
+    zipf_curve,
+)
 from darklens.events import EventBuilder
 from darklens.feeds import (
     AckedList,

@@ -6,25 +6,30 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
+import tracemalloc
 import weakref
 from datetime import date
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import darklens
 from darklens import enrich
 from darklens import pcap as pcap_mod
-from darklens.cli import build_parser, main
-from darklens.detect import read_blocklist
+from darklens.cli import _write_protocol_csv, build_parser, main
 from darklens.events import EventBuilder
+from darklens.fingerprint import PortFingerprintRow
 from darklens.flows import FlowFormat
 from darklens.model import (
     AhVerdict, DarknetEvent, Direction, EventKey, FlowRecord, Protocol, TrafficType, ip_to_int,
+    read_blocklist, write_csv, write_lines,
 )
 from darklens.pcap import PcapReader
 from helpers import (
-    NONCANONICAL_PREFIXES, US, build_pcap, eth_frame, oracle_ipv4, oracle_udp, write_flows_csv,
+    NONCANONICAL_PREFIXES, US, build_pcap, eth_frame, oracle_ipv4, oracle_port_table,
+    oracle_protocol_mix, oracle_udp, synthetic_events, write_flows_csv,
 )
 
 CONF = """\
@@ -389,6 +394,70 @@ class TestReportCommand:
             "report", str(pipeline["run"] / "events.jsonl"), str(empty),
         ])
         assert rc == 1
+
+
+def _write_report_inputs(root: Path, events, ah) -> list:
+    """An event log and one verdict per AH source; returns report's argv."""
+    log, verdicts = root / "events.jsonl", root / "verdicts.jsonl"
+    write_lines(log, (ev.to_json_line() for ev in events))
+    write_lines(verdicts, (
+        AhVerdict(ip, date(2022, 6, 1), frozenset({"D2"}), 0.0, 1, 0, True).to_json_line()
+        for ip in sorted(ah)
+    ))
+    return ["--out-dir", str(root / "out"), "report", str(log), str(verdicts)]
+
+
+_SOURCES = [ip_to_int(f"198.51.100.{i}") for i in range(1, 7)]
+_EVENT = st.builds(
+    lambda src, ttype, port, tools: DarknetEvent(
+        EventKey(src, 0 if ttype is TrafficType.ICMP_ECHO_REQUEST else port, ttype),
+        1654041600 * US, 1654041600 * US, sum(tools), 1, *tools,
+    ),
+    st.sampled_from(_SOURCES), st.sampled_from(TrafficType), st.sampled_from((22, 23, 53, 80)),
+    st.tuples(*[st.integers(0, 9)] * 3).filter(any),
+)
+
+
+class TestReportFold:
+    """report folds each AH event into per-source and per-(port, type) sums."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(events=st.lists(_EVENT, max_size=30), ah=st.sets(st.sampled_from(_SOURCES), min_size=1),
+           top_n=st.integers(0, 5))
+    def test_tally_matches_the_per_event_oracles(self, events, ah, top_n):
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            argv = _write_report_inputs(root, events, ah) + ["--top-ports", str(top_n)]
+            assert main(argv) == 0
+            write_csv(root / "ports.csv", PortFingerprintRow._fields,
+                      oracle_port_table(events, ah, top_n))
+            # Truncating the port table leaves the protocol split whole.
+            _write_protocol_csv(root / "protocols.csv", oracle_protocol_mix(events, ah))
+            out = root / "out"
+            assert (out / "ports.csv").read_bytes() == (root / "ports.csv").read_bytes()
+            assert ((out / "protocols_darknet.csv").read_bytes()
+                    == (root / "protocols.csv").read_bytes())
+
+    def test_peak_does_not_grow_with_the_ah_event_count(self, tmp_path):
+        # Every event is an AH event of a fixed population: 200 sources on
+        # at most 50 ports a type. A list of the decoded AH events would add
+        # about 2.3 MB between the two logs, against a peak near 0.3 MB.
+        # Larger logs show the same, but tracemalloc slows report tenfold.
+        ah = {ip_to_int("198.18.0.0") + i for i in range(200)}
+        peaks = []
+        for n in (10 ** 3, 10 ** 4):
+            root = tmp_path / str(n)
+            root.mkdir()
+            argv = _write_report_inputs(
+                root, synthetic_events(n, sources=200, ports=50, days=2, seed=7), ah)
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert json.loads((root / "out" / "report_meta.json").read_text())["events"] == n
+        assert peaks[1] < peaks[0] + 2 ** 18, peaks
 
 
 def test_detect_meta_counts_feed_lines(pipeline, feeds, tmp_path):
@@ -836,6 +905,7 @@ class TestRottenInputs:
     @pytest.mark.parametrize("newline", [b"\n", b"\r\n"], ids=["lf", "crlf"])
     @pytest.mark.parametrize("command, name", [
         ("detect", "events.jsonl"), ("report", "events.jsonl"), ("report", "verdicts.jsonl"),
+        ("impact", "blocklist_union.txt"),
     ])
     def test_non_utf8_byte_names_file_and_line(self, pipeline, tmp_path, capsys, command, name,
                                                newline):
@@ -848,6 +918,9 @@ class TestRottenInputs:
         if command == "detect":
             argv = ["--config", str(pipeline["conf"]), "--out-dir", str(out), "detect",
                     str(inputs["events.jsonl"])]
+        elif command == "impact":
+            argv = ["--out-dir", str(out), "impact", "--blocklist", str(bad),
+                    "--flows", str(pipeline["synth"] / "flows.csv")]
         else:
             argv = ["--out-dir", str(out), "report", str(inputs["events.jsonl"]),
                     str(inputs["verdicts.jsonl"])]
@@ -855,6 +928,22 @@ class TestRottenInputs:
         assert capsys.readouterr().err == (
             f"error: {bad}:3: malformed line (UnicodeDecodeError: 'utf-8' codec can't decode "
             "byte 0xff in position 11: invalid start byte)\n"
+        )
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+    def test_impact_noncanonical_blocklist_address_names_file_and_line(
+        self, pipeline, tmp_path, capsys, newline
+    ):
+        good = (pipeline["run"] / "blocklist_union.txt").read_text().splitlines()
+        bad = tmp_path / "blocklist.txt"
+        bad.write_bytes(newline.join(good[:2] + ["10.1"] + good[2:]).encode() + b"\n")
+        out = tmp_path / "out"
+        argv = ["--out-dir", str(out), "impact", "--blocklist", str(bad),
+                "--flows", str(pipeline["synth"] / "flows.csv")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: {bad}:3: malformed line (ValueError: invalid IPv4 address '10.1')\n"
         )
         assert list(out.iterdir()) == []
 
@@ -1052,9 +1141,9 @@ class TestStartupImports:
         modules = {
             "events": {"events", "hll", "pcap"},
             "detect": {"detect", "enrich"},
-            "impact-flows": {"detect", "enrich", "impact", "flows"},
-            "impact-pcap": {"detect", "enrich", "impact", "pcap"},
-            "report": {"detect", "enrich", "impact"},
+            "impact-flows": {"enrich", "impact", "flows"},
+            "impact-pcap": {"impact", "pcap"},
+            "report": {"enrich", "impact"},
         }[stage]
         assert _fresh_main(argv) == {"rc": 0, "darklens": _darklens(*modules), "heavy": []}
 

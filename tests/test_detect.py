@@ -8,11 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from darklens.detect import (
     BothEmptyError,
-    D1,
-    D2,
-    D3,
     EmptyInputError,
-    INTERSECTION_COMBOS,
     TRAFFIC_TYPES,
     UNREACHABLE_PORTS,
     build_daily_port_profiles,
@@ -20,27 +16,30 @@ from darklens.detect import (
     classify_ports,
     classify_volume,
     compute_thresholds,
-    cumulative_share,
-    definition_intersections,
     ecdf_threshold,
     jaccard,
-    read_blocklist,
-    read_verdicts,
     run_detection,
     tag_events,
     write_blocklist,
     write_blocklist_sidecar,
     write_verdicts,
-    zipf_curve,
+)
+from darklens.enrich import (
+    INTERSECTION_COMBOS, cumulative_share, definition_intersections, zipf_curve,
 )
 from darklens.feeds import AsnEntry, AsnMap
 from darklens.model import (
+    D1,
+    D2,
+    D3,
     AhVerdict,
     DarknetEvent,
     EventKey,
     Thresholds,
     TrafficType,
     ip_to_int,
+    read_blocklist,
+    read_verdicts,
     utc_day,
 )
 from helpers import US, cfg_sized, make_cfg, oracle_detection, oracle_ecdf, synthetic_events

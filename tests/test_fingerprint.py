@@ -10,6 +10,7 @@ from darklens.fingerprint import (
 from darklens.model import (
     DarknetEvent, EventKey, PacketMeta, Protocol, TrafficType, ip_to_int, write_csv,
 )
+from helpers import port_tally
 
 
 def _tcp(dst="10.0.0.1", dport=80, seq=0, ip_id=0):
@@ -97,7 +98,7 @@ class TestPortTable:
             _ev(53, TrafficType.UDP, other=30),
             _ev(0, TrafficType.ICMP_ECHO_REQUEST, other=1),
         ]
-        rows = port_fingerprint_table(evs)
+        rows = port_fingerprint_table(port_tally(evs))
         assert [(r.port, r.protocol, r.total_pkts) for r in rows] == [
             (53, "udp", 30),
             (23, "tcp", 12),
@@ -113,17 +114,17 @@ class TestPortTable:
             _ev(22, TrafficType.TCP_SYN, zmap=5),
             _ev(22, TrafficType.UDP, zmap=5),
         ]
-        rows = port_fingerprint_table(evs)
+        rows = port_fingerprint_table(port_tally(evs))
         assert [(r.port, r.protocol) for r in rows] == [(22, "tcp"), (22, "udp"), (80, "tcp")]
 
     def test_top_n(self):
         evs = [_ev(p, TrafficType.TCP_SYN, zmap=p) for p in (1, 2, 3, 4)]
-        rows = port_fingerprint_table(evs, top_n=2)
+        rows = port_fingerprint_table(port_tally(evs), top_n=2)
         assert [r.port for r in rows] == [4, 3]
 
     def test_csv_writer(self, tmp_path):
         p = tmp_path / "ports.csv"
-        rows = port_fingerprint_table([_ev(23, TrafficType.TCP_SYN, zmap=5)])
+        rows = port_fingerprint_table(port_tally([_ev(23, TrafficType.TCP_SYN, zmap=5)]))
         write_csv(p, PortFingerprintRow._fields, rows)
         lines = p.read_text().splitlines()
         assert lines[0] == "port,protocol,zmap_pkts,masscan_pkts,other_pkts,total_pkts"

@@ -36,7 +36,7 @@ from darklens.model import (
     ip_to_int,
 )
 from helpers import (
-    US, build_pcap, eth_frame, mk_pkt, oracle_flow_measures, oracle_ipv4, oracle_udp,
+    US, build_pcap, eth_frame, mk_pkt, oracle_flow_measures, oracle_ipv4, oracle_udp, port_tally,
     write_flows_csv,
 )
 
@@ -268,7 +268,7 @@ class TestProtocolMix:
             _ev(AH_IP, TrafficType.ICMP_ECHO_REQUEST, 2),
             _ev(OTHER_IP, TrafficType.UDP, 10_000),  # not in AH set
         ]
-        mix = protocol_breakdown_darknet(evs, {AH_IP})
+        mix = protocol_breakdown_darknet(port_tally(evs, {AH_IP}))
         assert mix.pct_tcp_syn == pytest.approx(90.4)
         assert mix.pct_udp == pytest.approx(9.4)
         assert mix.pct_icmp_echo == pytest.approx(0.2)
