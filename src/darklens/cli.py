@@ -309,7 +309,7 @@ def cmd_impact(args, staging: Path) -> int:
             staging / "series.csv",
             ["bin_start_ts", "ah_pkts", "total_pkts", "inst_fraction", "cum_fraction",
              "per_slash24_rate"],
-            [
+            (
                 (b.bin_start_us, b.ah_pkts, b.total_pkts, inst, cum, rate)
                 for b, inst, cum, rate in zip(
                     series.bins,
@@ -317,7 +317,7 @@ def cmd_impact(args, staging: Path) -> int:
                     series.cumulative_fractions(),
                     impact.normalize_per_slash24(series, args.num_slash24),
                 )
-            ],
+            ),
         )
         ah_total, total = series.totals()
         if total:

@@ -9,10 +9,13 @@ Three independent definitions flag a source as aggressive:
 * D3, port breadth: one source contacts enough distinct (port, protocol)
   entries in one UTC day, threshold again from the dataset ECDF.
 
-The event stream is read once into compact columns; thresholds are derived
-from them, or supplied up front, and applied in a second pass over the
-columns. All boundary comparisons are inclusive (>=). The results are written
-as blocklists, a per-source sidecar and per-source-per-day verdicts.
+The event stream is read once into six compact columns, the only fields the
+definitions read; thresholds are derived from them, or supplied up front, and
+applied in a second pass over the columns. A tagged event is a plain tuple
+whose last field is the bit mask of its definitions (D1 1, D2 2, D3 4); masks
+become names only in the outputs. All boundary comparisons are inclusive
+(>=). The results are written as blocklists, a per-source sidecar and
+per-source-per-day verdicts.
 """
 from __future__ import annotations
 
@@ -33,7 +36,6 @@ from .model import (
     DarknetConfig,
     DarknetEvent,
     EmptyInputError,
-    EventKey,
     Thresholds,
     TrafficType,
     int_to_ip,
@@ -49,10 +51,10 @@ _DEFS = [frozenset(name for bit, name in enumerate((D1, D2, D3)) if mask >> bit 
 # match D3, but D1/D2 detection must still run.
 UNREACHABLE_PORTS = 2 ** 63
 
-# EventColumns.traffic_type holds an index into TRAFFIC_TYPES.
-TRAFFIC_TYPES = tuple(TrafficType)
-_TYPE_INDEX = {ttype: i for i, ttype in enumerate(TRAFFIC_TYPES)}
-_ICMP = _TYPE_INDEX[TrafficType.ICMP_ECHO_REQUEST]
+_ICMP, _UDP = TrafficType.ICMP_ECHO_REQUEST, TrafficType.UDP
+
+# A tagged event: (src_ip, start_ts, end_ts, pkt_count, unique_dst_count, mask).
+Tagged = Tuple[int, int, int, int, int, int]
 
 
 class BothEmptyError(ValueError):
@@ -100,21 +102,18 @@ def classify_ports(distinct_ports: int, thresholds: Thresholds) -> bool:
 class EventColumns(NamedTuple):
     """The events of a stream, one field a typed array, one slot an event.
 
-    An event takes 63 bytes here: the address as 'I', the port as 'H', the
-    traffic type as its index into TRAFFIC_TYPES in 'B', and the timestamps
-    and counts as 'q' (DarknetEvent.validate bounds them to fit).
+    An event takes 37 bytes here: the address as 'I', whether it is ICMP
+    echo as 'B', and the timestamps and counts as 'q' (DarknetEvent.validate
+    bounds them to fit). Port and type feed only the daily port profiles,
+    which the same pass builds, and no definition reads the tool counts.
     """
 
     src_ip: array
-    dst_port: array
-    traffic_type: array
+    icmp: array
     start_ts: array
     end_ts: array
     pkt_count: array
     unique_dst_count: array
-    zmap_pkts: array
-    masscan_pkts: array
-    other_pkts: array
 
 
 def build_daily_port_profiles(
@@ -128,13 +127,12 @@ def build_daily_port_profiles(
     is a ValueError, thrown into a generator stream first so that an
     event-log reader names its file and line.
     """
-    columns = EventColumns(array("I"), array("H"), array("B"), *(array("q") for _ in range(7)))
-    (add_ip, add_port, add_type, add_start, add_end, add_pkts, add_dsts, add_zmap,
-     add_masscan, add_other) = (column.append for column in columns)
+    columns = EventColumns(array("I"), array("B"), *(array("q") for _ in range(4)))
+    add_ip, add_icmp, add_start, add_end, add_pkts, add_dsts = (c.append for c in columns)
     seen: Dict[Tuple[int, int], Set[int]] = defaultdict(set)
     size = cfg.darknet_size
     stream = iter(events)
-    for (ip, port, ttype), start, end, pkts, dsts, zmap, masscan, other in stream:
+    for (ip, port, ttype), start, end, pkts, dsts, _zmap, _masscan, _other in stream:
         if dsts > size:
             wide = ValueError(
                 f"event from {int_to_ip(ip)} port {port} at start_ts {start} has {dsts} "
@@ -143,19 +141,15 @@ def build_daily_port_profiles(
             if hasattr(stream, "throw"):
                 stream.throw(wide)
             raise wide
-        t = _TYPE_INDEX[ttype]
+        icmp = ttype is _ICMP
         add_ip(ip)
-        add_port(port)
-        add_type(t)
+        add_icmp(icmp)
         add_start(start)
         add_end(end)
         add_pkts(pkts)
         add_dsts(dsts)
-        add_zmap(zmap)
-        add_masscan(masscan)
-        add_other(other)
-        if t != _ICMP:
-            seen[(ip, start // US_PER_DAY)].add(port << 2 | t)
+        if not icmp:
+            seen[(ip, start // US_PER_DAY)].add(port << 1 | (ttype is _UDP))
     return columns, {key: len(ports) for key, ports in seen.items()}
 
 
@@ -176,34 +170,25 @@ def compute_thresholds(
     return Thresholds(volume, ports, dataset_label)
 
 
-class AggressiveEvent(NamedTuple):
-    """A darknet event together with the definitions it satisfied."""
-
-    event: DarknetEvent
-    defs: frozenset
-
-
 def tag_events(
     columns: EventColumns,
     cfg: DarknetConfig,
     thresholds: Thresholds,
     port_profiles: Dict[Tuple[int, int], int],
-) -> List[AggressiveEvent]:
-    """Second pass: keep events matching at least one definition, tagged.
+) -> List[Tagged]:
+    """Second pass: keep events matching at least one definition, with its mask.
 
     A TCP/UDP event is D3-tagged when its source crossed the ports threshold
     on the event's start day, i.e. the event contributed to an aggressive
-    daily port profile. A DarknetEvent is rebuilt only for a tagged event.
+    daily port profile.
     """
-    tagged: List[AggressiveEvent] = []
-    for ip, port, t, start, end, pkts, dsts, zmap, masscan, other in zip(*columns):
-        defs = classify_dispersion(dsts, cfg) | classify_volume(pkts, thresholds) << 1
-        if t != _ICMP:
-            defs |= classify_ports(port_profiles.get((ip, start // US_PER_DAY), 0), thresholds) << 2
-        if defs:
-            ev = DarknetEvent(EventKey(ip, port, TRAFFIC_TYPES[t]), start, end, pkts, dsts,
-                              zmap, masscan, other)
-            tagged.append(AggressiveEvent(ev, _DEFS[defs]))
+    tagged: List[Tagged] = []
+    for ip, icmp, start, end, pkts, dsts in zip(*columns):
+        mask = classify_dispersion(dsts, cfg) | classify_volume(pkts, thresholds) << 1
+        if not icmp:
+            mask |= classify_ports(port_profiles.get((ip, start // US_PER_DAY), 0), thresholds) << 2
+        if mask:
+            tagged.append((ip, start, end, pkts, dsts, mask))
     return tagged
 
 
@@ -216,8 +201,9 @@ def jaccard(a: Set[int], b: Set[int]) -> float:
 class SourceStats:
     """A source's aggregate over its tagged events, as the sidecar writes it.
 
-    first_ts, the start of its earliest tagged event, is not written out.
-    max_daily_ports spans every day the source probed, aggressive or not.
+    defs is the bit mask of the definitions it matched. first_ts, the start
+    of its earliest tagged event, is not written out. max_daily_ports spans
+    every day the source probed, aggressive or not.
     """
 
     __slots__ = (
@@ -225,7 +211,7 @@ class SourceStats:
         "total_pkts", "events",
     )
 
-    def __init__(self, defs: Set[str], first_ts: int, max_dispersion: float,
+    def __init__(self, defs: int, first_ts: int, max_dispersion: float,
                  max_event_pkts: int, max_daily_ports: int, total_pkts: int, events: int):
         self.defs = defs
         self.first_ts = first_ts
@@ -238,7 +224,7 @@ class SourceStats:
 
 class DetectionResult(NamedTuple):
     thresholds: Thresholds
-    tagged: List[AggressiveEvent]
+    tagged: List[Tagged]  # read only to count the tagged events
     sources: Dict[int, SourceStats]
     d1_ips: Set[int]
     d2_ips: Set[int]
@@ -282,31 +268,28 @@ def run_detection(
         thresholds = compute_thresholds(columns.pkt_count, cfg, port_profiles, dataset_label)
     tagged = tag_events(columns, cfg, thresholds, port_profiles)
 
-    # bucket: [defs, max dispersion, max event packets] of one source-day,
+    # bucket: [definitions mask, max dispersion, max event packets] of one source-day,
     # keyed by (source, days since the epoch).
     buckets: Dict[Tuple[int, int], list] = {}
     sources: Dict[int, SourceStats] = {}
     size = cfg.darknet_size
-    for ae in tagged:
-        ev = ae.event
-        ip = ev.key.src_ip
-        pkts = ev.pkt_count
-        dispersion = ev.unique_dst_count / size
+    for ip, start, end, pkts, dsts, mask in tagged:
+        dispersion = dsts / size
         src = sources.get(ip)
         if src is None:
-            src = sources[ip] = SourceStats(set(), ev.start_ts, dispersion, pkts, 0, 0, 0)
-        src.defs |= ae.defs
-        src.first_ts = min(src.first_ts, ev.start_ts)
+            src = sources[ip] = SourceStats(0, start, dispersion, pkts, 0, 0, 0)
+        src.defs |= mask
+        src.first_ts = min(src.first_ts, start)
         src.max_dispersion = max(src.max_dispersion, dispersion)
         src.max_event_pkts = max(src.max_event_pkts, pkts)
         src.total_pkts += pkts
         src.events += 1
-        for day in range(ev.start_ts // US_PER_DAY, ev.end_ts // US_PER_DAY + 1):
+        for day in range(start // US_PER_DAY, end // US_PER_DAY + 1):
             bucket = buckets.get((ip, day))
             if bucket is None:
-                buckets[(ip, day)] = [set(ae.defs), dispersion, pkts]
+                buckets[(ip, day)] = [mask, dispersion, pkts]
             else:
-                bucket[0] |= ae.defs
+                bucket[0] |= mask
                 bucket[1] = max(bucket[1], dispersion)
                 bucket[2] = max(bucket[2], pkts)
     for (ip, _day), ports in port_profiles.items():
@@ -317,17 +300,17 @@ def run_detection(
     matches = acked_sources(sources, acked, rdns)
     verdicts = [
         AhVerdict(
-            src_ip=ip, day=utc_day(day * US_PER_DAY), matched_defs=frozenset(defs),
+            src_ip=ip, day=utc_day(day * US_PER_DAY), matched_defs=_DEFS[mask],
             max_dispersion=max_disp, max_event_pkts=max_pkts,
             distinct_ports=port_profiles.get((ip, day), 0),
             is_daily=sources[ip].first_ts // US_PER_DAY == day,
             acked=ip in matches, acked_org=matches.get(ip),
         )
-        for (ip, day), (defs, max_disp, max_pkts) in buckets.items()
+        for (ip, day), (mask, max_disp, max_pkts) in buckets.items()
     ]
     verdicts.sort(key=lambda v: (v.day, v.src_ip))
     d1_ips, d2_ips, d3_ips = (
-        {ip for ip, src in sources.items() if name in src.defs} for name in (D1, D2, D3)
+        {ip for ip, src in sources.items() if src.defs & bit} for bit in (1, 2, 4)
     )
     return DetectionResult(thresholds, tagged, sources, d1_ips, d2_ips, d3_ips, verdicts,
                            len(columns.pkt_count))
@@ -344,7 +327,7 @@ def write_blocklist_sidecar(path, result: DetectionResult) -> None:
         json.dumps(
             {
                 "ip": int_to_ip(ip),
-                "matched_defs": sorted(src.defs),
+                "matched_defs": sorted(_DEFS[src.defs]),
                 "max_dispersion": src.max_dispersion,
                 "max_event_pkts": src.max_event_pkts,
                 "max_daily_ports": src.max_daily_ports,

@@ -96,17 +96,23 @@ def _load(path, parse_row, feed):
     """Pass each data line of a CSV feed through parse_row into feed.add.
 
     A line on which parse_row raises ValueError counts in feed.malformed_lines.
+    A line the CSV tokeniser refuses, such as one with a field over
+    csv.field_size_limit(), is a ValueError that names path:line.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        for row in csv.reader(fh):
-            if not row or (len(row) == 1 and not row[0].strip()) or row[0].lstrip().startswith("#"):
-                continue
-            try:
-                entry = parse_row(row)
-            except ValueError:
-                feed.malformed_lines += 1
-            else:
-                feed.add(*entry)
+        reader = csv.reader(fh)
+        try:
+            for row in reader:
+                if not row or (len(row) == 1 and not row[0].strip()) or row[0].lstrip().startswith("#"):
+                    continue
+                try:
+                    entry = parse_row(row)
+                except ValueError:
+                    feed.malformed_lines += 1
+                else:
+                    feed.add(*entry)
+        except csv.Error as exc:
+            raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
     return feed
 
 

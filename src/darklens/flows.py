@@ -129,17 +129,16 @@ class FlowReader:
     def _iter_csv(self) -> Iterator[tuple]:
         with open(self.path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise SchemaMismatchError(f"{self.path}: empty flow CSV") from None
-            if header != FLOW_CSV_FIELDS:
-                raise SchemaMismatchError(
-                    f"{self.path}: header {','.join(header)!r} does not match CsvV1"
-                )
-            width = len(FLOW_CSV_FIELDS)
             invalid = self.invalid_rows
             try:
+                header = next(reader, None)
+                if header is None:
+                    raise SchemaMismatchError(f"{self.path}: empty flow CSV")
+                if header != FLOW_CSV_FIELDS:
+                    raise SchemaMismatchError(
+                        f"{self.path}: header {','.join(header)!r} does not match CsvV1"
+                    )
+                width = len(FLOW_CSV_FIELDS)
                 for row in reader:
                     if len(row) != width:
                         invalid += 1
@@ -154,6 +153,8 @@ class FlowReader:
                         )
                     except ValueError:
                         invalid += 1
+            except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+                raise ValueError(f"{self.path}:{reader.line_num}: {exc}") from None
             finally:
                 self.invalid_rows = invalid
 

@@ -13,6 +13,7 @@ import json
 import random
 import re
 import struct
+import tracemalloc
 from datetime import date, timedelta
 from typing import Collection, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
@@ -74,6 +75,16 @@ def cfg_sized(total: int, fraction: float = 0.10) -> DarknetConfig:
             addr += size
             remaining -= size
     return DarknetConfig(darknet_prefixes=nets, dispersion_fraction=fraction)
+
+
+def traced_peak(fn, *args):
+    """fn(*args) under tracemalloc: (its result, the peak bytes traced meanwhile)."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 # Prefix spellings Python's ipaddress.IPv4Network takes but parse_cidr does

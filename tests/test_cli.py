@@ -7,7 +7,6 @@ import re
 import subprocess
 import sys
 import tempfile
-import tracemalloc
 import weakref
 from datetime import date
 from pathlib import Path
@@ -29,7 +28,7 @@ from darklens.model import (
 from darklens.pcap import PcapReader
 from helpers import (
     NONCANONICAL_PREFIXES, US, build_pcap, eth_frame, oracle_ipv4, oracle_port_table,
-    oracle_protocol_mix, oracle_udp, synthetic_events, write_flows_csv,
+    oracle_protocol_mix, oracle_udp, synthetic_events, traced_peak, write_flows_csv,
 )
 
 CONF = """\
@@ -450,12 +449,9 @@ class TestReportFold:
             root.mkdir()
             argv = _write_report_inputs(
                 root, synthetic_events(n, sources=200, ports=50, days=2, seed=7), ah)
-            tracemalloc.start()
-            try:
-                assert main(argv) == 0
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+            code, peak = traced_peak(main, argv)
+            assert code == 0
+            peaks.append(peak)
             assert json.loads((root / "out" / "report_meta.json").read_text())["events"] == n
         assert peaks[1] < peaks[0] + 2 ** 18, peaks
 
@@ -944,6 +940,28 @@ class TestRottenInputs:
         assert main(argv) == 2
         assert capsys.readouterr().err == (
             f"error: {bad}:3: malformed line (ValueError: invalid IPv4 address '10.1')\n"
+        )
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["impact", "report"])
+    def test_oversized_csv_field_names_file_and_line(self, pipeline, feeds, tmp_path, capsys,
+                                                     command):
+        # The CSV tokeniser refuses a field over csv.field_size_limit().
+        run = pipeline["run"]
+        good = feeds / "asn.csv" if command == "report" else pipeline["synth"] / "flows.csv"
+        lines = good.read_text().splitlines()
+        bad = tmp_path / good.name
+        bad.write_text("\n".join(lines[:2] + ["x" * (csv.field_size_limit() + 1)] + lines[2:]))
+        out = tmp_path / "out"
+        if command == "impact":
+            argv = ["--out-dir", str(out), "impact",
+                    "--blocklist", str(run / "blocklist_union.txt"), "--flows", str(bad)]
+        else:
+            argv = ["--out-dir", str(out), "report", str(run / "events.jsonl"),
+                    str(run / "verdicts.jsonl"), "--asn-map", str(bad)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: {bad}:3: field larger than field limit ({csv.field_size_limit()})\n"
         )
         assert list(out.iterdir()) == []
 

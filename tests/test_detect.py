@@ -1,6 +1,5 @@
 import json
 import random
-import tracemalloc
 from datetime import date
 
 import pytest
@@ -9,7 +8,6 @@ from hypothesis import example, given, settings, strategies as st
 from darklens.detect import (
     BothEmptyError,
     EmptyInputError,
-    TRAFFIC_TYPES,
     UNREACHABLE_PORTS,
     build_daily_port_profiles,
     classify_dispersion,
@@ -42,7 +40,9 @@ from darklens.model import (
     read_verdicts,
     utc_day,
 )
-from helpers import US, cfg_sized, make_cfg, oracle_detection, oracle_ecdf, synthetic_events
+from helpers import (
+    US, cfg_sized, make_cfg, oracle_detection, oracle_ecdf, synthetic_events, traced_peak,
+)
 
 DAY0_S = 1654041600  # 2022-06-01 UTC
 JUNE1 = date(2022, 6, 1)
@@ -207,11 +207,16 @@ class TestPortProfiles:
             _ev(port=53, tt=TrafficType.UDP, start_s=DAY0_S + 86_400),
         ]
         columns, _ = build_daily_port_profiles(iter(evs), cfg_slash22)
-        rebuilt = [
-            DarknetEvent(EventKey(ip, port, TRAFFIC_TYPES[t]), *rest)
-            for ip, port, t, *rest in zip(*columns)
+        assert list(zip(*columns)) == [
+            (ev.key.src_ip, ev.key.traffic_type is TrafficType.ICMP_ECHO_REQUEST, ev.start_ts,
+             ev.end_ts, ev.pkt_count, ev.unique_dst_count)
+            for ev in evs
         ]
-        assert rebuilt == evs
+
+    def test_columns_take_37_bytes_an_event(self, cfg_slash22):
+        columns, _ = build_daily_port_profiles([_ev()], cfg_slash22)
+        assert len(columns) == 6
+        assert sum(column.itemsize for column in columns) == 37
 
 
 class TestComputeThresholds:
@@ -248,8 +253,11 @@ class TestTagging:
         ]
         t = Thresholds(volume_threshold_pkts=10**9, ports_threshold=2)
         tagged = _tag(evs, cfg_slash22, t)
-        by_port = {ae.event.key.dst_port: ae.defs for ae in tagged}
-        assert by_port == {22: frozenset({D3}), 23: frozenset({D3})}
+        # All three share source and start; only the ICMP event holds 1 packet.
+        ip, start = evs[0].key.src_ip, evs[0].start_ts
+        assert [(row[0], row[1], row[3], row[5]) for row in tagged] == [
+            (ip, start, 10, 4), (ip, start, 10, 4),
+        ]
 
     def test_non_matching_events_absent(self, cfg_slash22):
         t = Thresholds(volume_threshold_pkts=10**9, ports_threshold=10**9)
@@ -259,9 +267,9 @@ class TestTagging:
     def test_multiple_definitions_combine(self, cfg_slash22):
         t = Thresholds(volume_threshold_pkts=10, ports_threshold=1)
         evs = [_ev(uniq=103, pkts=10)]
-        (ae,) = _tag(evs, cfg_slash22, t)
-        assert ae.defs == frozenset({D1, D2, D3})
-        assert ae.event == evs[0]
+        (row,) = _tag(evs, cfg_slash22, t)
+        ev = evs[0]
+        assert row == (ev.key.src_ip, ev.start_ts, ev.end_ts, ev.pkt_count, ev.unique_dst_count, 7)
 
 
 class TestDailyActive:
@@ -590,16 +598,20 @@ class TestDetectionOracle:
 class TestDetectionMemory:
     def test_one_pass_holds_under_100_bytes_an_event(self, cfg_slash22):
         # A list of decoded events costs some 300 B an event; the columns
-        # cost 63 B, and the port profiles of this fixed population stay
+        # cost 37 B, and the port profiles of this fixed population stay
         # small however many events it sends.
         n = 10 ** 5
         events = synthetic_events(n, sources=200, ports=50, days=2, seed=7)
-        tracemalloc.start()
-        try:
-            res = run_detection(events, cfg_slash22)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        res, peak = traced_peak(run_detection, events, cfg_slash22)
         assert res.events == n
         assert len(res.tagged) < n // 50
         assert peak < 100 * n
+
+    def test_every_event_tagged_holds_under_300_bytes_an_event(self, cfg_slash22):
+        # A tagged event is one plain tuple of ints, some 230 B with the
+        # columns; rebuilding it as an event object cost over 400 B.
+        n = 10 ** 5
+        events = synthetic_events(n, sources=200, ports=50, days=2, seed=7)
+        res, peak = traced_peak(run_detection, events, cfg_slash22, Thresholds(1, 1))
+        assert len(res.tagged) == n
+        assert peak < 300 * n

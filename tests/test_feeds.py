@@ -1,4 +1,6 @@
+import csv
 import ipaddress
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -62,6 +64,13 @@ class TestLoadLoop:
         )))
         assert (amap.duplicate_lines, amap.malformed_lines, len(amap)) == (2, 1, 2)
         assert amap.lookup(ip_to_int("10.1.0.1")).org == "Third"
+
+    @pytest.mark.parametrize("load", [load_rdns, load_tags, load_asn_map])
+    def test_oversized_field_is_fatal(self, tmp_path, load):
+        huge = "x" * (csv.field_size_limit() + 1)
+        path = _write(tmp_path, "feed.csv", f"# a comment\n10.0.0.1,{huge}\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:2: field larger than"):
+            load(path)
 
     def test_bad_encoding_is_fatal(self, tmp_path):
         path = tmp_path / "rdns.csv"

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import re
 from datetime import date
 
 import pytest
@@ -86,6 +87,13 @@ class TestCsv:
         p = tmp_path / "empty.csv"
         p.write_text("")
         with pytest.raises(SchemaMismatchError):
+            list(FlowReader(p, FlowFormat.CSV_V1))
+
+    def test_oversized_field_is_fatal(self, tmp_path):
+        p = tmp_path / "big.csv"
+        huge = "r" * (csv.field_size_limit() + 1)
+        p.write_text(_csv([GOOD_ROW, GOOD_ROW.replace("router-1", huge)]))
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(p))}:3: field larger than"):
             list(FlowReader(p, FlowFormat.CSV_V1))
 
     def test_header_only_yields_nothing(self, tmp_path):

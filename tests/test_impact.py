@@ -1,5 +1,4 @@
 import random
-import tracemalloc
 from datetime import date
 
 import pytest
@@ -37,7 +36,7 @@ from darklens.model import (
 )
 from helpers import (
     US, build_pcap, eth_frame, mk_pkt, oracle_flow_measures, oracle_ipv4, oracle_udp, port_tally,
-    write_flows_csv,
+    traced_peak, write_flows_csv,
 )
 
 JUNE1 = date(2022, 6, 1)
@@ -365,12 +364,7 @@ def _tally_peak_bytes(rows: int) -> int:
         _flow(src=AH_IP + i % 40, router=f"router-{i % 2}", ts_us=DAY0_US + i)
         for i in range(rows)
     )
-    tracemalloc.start()
-    try:
-        tally_flows(flows, ah)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    return traced_peak(tally_flows, flows, ah)[1]
 
 
 def test_tally_memory_does_not_grow_with_rows():
@@ -393,12 +387,7 @@ def _reader_tally_peak_bytes(tmp_path, rows: int) -> int:
                 f"tcp,51000,23,1,1000,S\n"
             )
     ah = {base + i for i in range(20)}
-    tracemalloc.start()
-    try:
-        tally_flows(FlowReader(path, FlowFormat.CSV_V1), ah)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    return traced_peak(tally_flows, FlowReader(path, FlowFormat.CSV_V1), ah)[1]
 
 
 def test_reader_tally_memory_does_not_grow_with_distinct_sources(tmp_path):

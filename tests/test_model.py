@@ -1,7 +1,7 @@
 import ipaddress
 import json
 import re
-import tracemalloc
+from collections import deque
 from datetime import date, timedelta
 
 import pytest
@@ -25,7 +25,7 @@ from darklens.model import (
 )
 from helpers import (
     NONCANONICAL_PREFIXES, check_packet_meta, darknet_contains, flags_to_letters,
-    oracle_event_from_json_line, oracle_event_json_line,
+    oracle_event_from_json_line, oracle_event_json_line, traced_peak,
 )
 
 US = 1_000_000
@@ -584,13 +584,7 @@ class TestEventLogReader:
     def test_decoder_streams(self, tmp_path):
         path = tmp_path / "big.jsonl"
         path.write_text((_event().to_json_line() + "\n") * 50_000, encoding="utf-8")
-        tracemalloc.start()
-        try:
-            for _ in read_event_log(path):
-                pass
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(deque, read_event_log(path), 0)  # maxlen 0: drain, keep nothing
         assert path.stat().st_size > 9 * 10 ** 6
         assert peak < 10 ** 6
 
