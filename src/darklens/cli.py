@@ -80,7 +80,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_impact.add_argument("--flows", nargs="*", type=Path, default=[], help="sampled flow files")
     # The values of flows.FlowFormat, spelled out so --help need not import flows.
     p_impact.add_argument("--flow-format", choices=["csv", "jsonl"], default="csv")
-    p_impact.add_argument("--date", help="UTC day (YYYY-MM-DD); default: earliest day in the flows")
+    p_impact.add_argument("--date", type=date.fromisoformat,
+                          help="UTC day (YYYY-MM-DD); default: earliest day in the flows")
     p_impact.add_argument("--pcap", type=Path, help="packet stream for the binned series")
     p_impact.add_argument("--bin-width", type=float, default=1.0, metavar="SECONDS")
     p_impact.add_argument("--num-slash24", type=int, default=1, help="monitored /24 count for rate normalization")
@@ -261,12 +262,9 @@ def cmd_impact(args, staging: Path) -> int:
         acked_ips = enrich.acked_sources(ah, acked, rdns)
         readers = [FlowReader(path, FlowFormat(args.flow_format)) for path in args.flows]
         tally = impact.tally_flows(itertools.chain.from_iterable(readers), ah, acked_ips)
-        if args.date:
-            day = date.fromisoformat(args.date)
-        elif tally.cells:
+        day = args.date
+        if day is None and tally.cells:
             day = min(cell_day for cell_day, _router in tally.cells)
-        else:
-            day = None
         if day is None:
             print("warning: no valid flow rows")
             empty_result = True
@@ -309,15 +307,7 @@ def cmd_impact(args, staging: Path) -> int:
             staging / "series.csv",
             ["bin_start_ts", "ah_pkts", "total_pkts", "inst_fraction", "cum_fraction",
              "per_slash24_rate"],
-            (
-                (b.bin_start_us, b.ah_pkts, b.total_pkts, inst, cum, rate)
-                for b, inst, cum, rate in zip(
-                    series.bins,
-                    series.instantaneous_fractions(),
-                    series.cumulative_fractions(),
-                    impact.normalize_per_slash24(series, args.num_slash24),
-                )
-            ),
+            impact.series_rows(series, args.num_slash24),
         )
         ah_total, total = series.totals()
         if total:

@@ -19,7 +19,6 @@ per-source-per-day verdicts.
 """
 from __future__ import annotations
 
-import heapq
 import json
 from array import array
 from collections import defaultdict
@@ -39,6 +38,7 @@ from .model import (
     Thresholds,
     TrafficType,
     int_to_ip,
+    order_statistic,
     utc_day,
     write_lines,
 )
@@ -68,8 +68,7 @@ def ecdf_threshold(values: Collection[int], alpha: float) -> int:
     Float math can round (1 - alpha) * n onto the wrong side of an integer:
     for alpha 0.3 and n 10 it gives 7.0, but the float 0.3 lies just below
     3/10, so the product is just above 7 and the index is 8. For alpha in
-    (0, 1) the index always lies in [1, n]. Only the n + 1 - index values
-    from the index up are held, not a sorted copy of all n.
+    (0, 1) the index always lies in [1, n].
     """
     n = len(values)
     if not n:
@@ -78,7 +77,7 @@ def ecdf_threshold(values: Collection[int], alpha: float) -> int:
         raise ValueError(f"alpha {alpha} not in (0, 1)")
     num, den = alpha.as_integer_ratio()
     index = -(-(den - num) * n // den)
-    return heapq.nlargest(n + 1 - index, values)[-1]
+    return order_statistic(values, index)
 
 
 def classify_dispersion(unique_dsts: int, cfg: DarknetConfig) -> bool:

@@ -17,7 +17,7 @@ import csv
 import enum
 from typing import NamedTuple, Optional
 
-from .model import ip_to_int, parse_cidr, parse_uint
+from .model import ip_to_int, parse_cidr, parse_uint, read_lines
 
 
 class TagClass(str, enum.Enum):
@@ -96,23 +96,19 @@ def _load(path, parse_row, feed):
     """Pass each data line of a CSV feed through parse_row into feed.add.
 
     A line on which parse_row raises ValueError counts in feed.malformed_lines.
-    A line the CSV tokeniser refuses, such as one with a field over
-    csv.field_size_limit(), is a ValueError that names path:line.
+    A line that is not UTF-8, or that the CSV tokeniser refuses (such as one
+    with a field over csv.field_size_limit()), is a ValueError that names
+    path:line.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+    for row in read_lines(path, csv.reader):
+        if not row or (len(row) == 1 and not row[0].strip()) or row[0].lstrip().startswith("#"):
+            continue
         try:
-            for row in reader:
-                if not row or (len(row) == 1 and not row[0].strip()) or row[0].lstrip().startswith("#"):
-                    continue
-                try:
-                    entry = parse_row(row)
-                except ValueError:
-                    feed.malformed_lines += 1
-                else:
-                    feed.add(*entry)
-        except csv.Error as exc:
-            raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+            entry = parse_row(row)
+        except ValueError:
+            feed.malformed_lines += 1
+        else:
+            feed.add(*entry)
     return feed
 
 

@@ -6,6 +6,8 @@ with identical field names, where each field must carry its exact JSON type.
 Both go through one row validator. A row that cannot be parsed or that
 violates a field constraint is skipped and counted; a CSV whose header does
 not match the schema is fatal because every following row would be garbage.
+Each line is decoded from UTF-8 on its own, so a byte that is not UTF-8 is
+fatal too, and the error names the file and the line.
 """
 from __future__ import annotations
 
@@ -15,7 +17,9 @@ import itertools
 import json
 from typing import Iterator
 
-from .model import _MAX_TS_US, Direction, Protocol, ip_to_int, letters_to_flags, parse_uint
+from .model import (
+    _MAX_TS_US, Direction, Protocol, ip_to_int, letters_to_flags, parse_uint, read_lines,
+)
 
 FLOW_CSV_FIELDS = [
     "router_id",
@@ -124,51 +128,48 @@ class FlowReader:
     def __iter__(self) -> Iterator[tuple]:
         if self.fmt is FlowFormat.CSV_V1:
             return self._iter_csv()
-        return self._iter_jsonl()
+        return read_lines(self.path, self._iter_jsonl)
 
     def _iter_csv(self) -> Iterator[tuple]:
-        with open(self.path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            invalid = self.invalid_rows
-            try:
-                header = next(reader, None)
-                if header is None:
-                    raise SchemaMismatchError(f"{self.path}: empty flow CSV")
-                if header != FLOW_CSV_FIELDS:
-                    raise SchemaMismatchError(
-                        f"{self.path}: header {','.join(header)!r} does not match CsvV1"
+        rows = read_lines(self.path, csv.reader)
+        invalid = self.invalid_rows
+        try:
+            header = next(rows, None)
+            if header is None:
+                raise SchemaMismatchError(f"{self.path}: empty flow CSV")
+            if header != FLOW_CSV_FIELDS:
+                raise SchemaMismatchError(
+                    f"{self.path}: header {','.join(header)!r} does not match CsvV1"
+                )
+            width = len(FLOW_CSV_FIELDS)
+            for row in rows:
+                if len(row) != width:
+                    invalid += 1
+                    continue
+                router, ts, dirn, src, dst, proto, sport, dport, sampled, denom, flags = row
+                try:
+                    yield _flow_row(
+                        router, parse_uint(ts), dirn, src, dst, proto,
+                        parse_uint(sport) if sport else None,
+                        parse_uint(dport) if dport else None,
+                        parse_uint(sampled), parse_uint(denom), flags or None,
                     )
-                width = len(FLOW_CSV_FIELDS)
-                for row in reader:
-                    if len(row) != width:
-                        invalid += 1
-                        continue
-                    router, ts, dirn, src, dst, proto, sport, dport, sampled, denom, flags = row
-                    try:
-                        yield _flow_row(
-                            router, parse_uint(ts), dirn, src, dst, proto,
-                            parse_uint(sport) if sport else None,
-                            parse_uint(dport) if dport else None,
-                            parse_uint(sampled), parse_uint(denom), flags or None,
-                        )
-                    except ValueError:
-                        invalid += 1
-            except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
-                raise ValueError(f"{self.path}:{reader.line_num}: {exc}") from None
-            finally:
-                self.invalid_rows = invalid
+                except ValueError:
+                    invalid += 1
+        finally:
+            rows.close()
+            self.invalid_rows = invalid
 
-    def _iter_jsonl(self) -> Iterator[tuple]:
-        with open(self.path, "r", encoding="utf-8") as fh:
-            invalid = self.invalid_rows
-            try:
-                for line in fh:
-                    line = line.strip(" \t\r\n")  # JSON whitespace only; json.loads rejects the rest
-                    if not line:
-                        continue
-                    try:
-                        yield _json_row(json.loads(line))
-                    except (ValueError, KeyError):
-                        invalid += 1
-            finally:
-                self.invalid_rows = invalid
+    def _iter_jsonl(self, lines: Iterator[str]) -> Iterator[tuple]:
+        invalid = self.invalid_rows
+        try:
+            for line in lines:
+                line = line.strip(" \t\r\n")  # JSON whitespace only; json.loads rejects the rest
+                if not line:
+                    continue
+                try:
+                    yield _json_row(json.loads(line))
+                except (ValueError, KeyError):
+                    invalid += 1
+        finally:
+            self.invalid_rows = invalid

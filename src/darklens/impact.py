@@ -4,12 +4,13 @@ Flow exports are 1:k packet-sampled, so every estimate here inverts the
 sampling first (sampled_pkts * sampling_denominator) and only then forms
 ratios. Attribution is by exact source address match against the blocklist
 under test. The packet-stream path bins a capture into fixed windows and
-tracks both instantaneous and cumulative aggressive fractions.
+writes each bin's and the cumulative aggressive fraction in one walk.
 """
 from __future__ import annotations
 
 import math
 from datetime import date
+from operator import itemgetter
 from typing import Collection, Dict, Iterable, List, Mapping, NamedTuple, Sequence, Set, Tuple
 
 from .model import (
@@ -19,6 +20,7 @@ from .model import (
     TCP_SYN,
     TrafficType,
     US_PER_S,
+    order_statistic,
     utc_day,
 )
 
@@ -131,25 +133,6 @@ class ImpactSeries(NamedTuple):
     bin_width_s: float
     bins: Sequence[ImpactBin] = ()
 
-    def instantaneous_fractions(self) -> List[float]:
-        """Per-bin aggressive fraction; an empty bin (total_pkts 0) reports 0."""
-        return [b.ah_pkts / b.total_pkts if b.total_pkts else 0.0 for b in self.bins]
-
-    def cumulative_fractions(self) -> List[float]:
-        """Prefix-sum fraction up to and including each bin.
-
-        Integer prefix sums with one division per bin, so the last value is
-        exactly total_ah / total_pkts.
-        """
-        out: List[float] = []
-        ah_sum = 0
-        total_sum = 0
-        for b in self.bins:
-            ah_sum += b.ah_pkts
-            total_sum += b.total_pkts
-            out.append(ah_sum / total_sum if total_sum else 0.0)
-        return out
-
     def totals(self) -> Tuple[int, int]:
         return sum(b.ah_pkts for b in self.bins), sum(b.total_pkts for b in self.bins)
 
@@ -161,7 +144,8 @@ def stream_impact(
 ) -> ImpactSeries:
     """Per-bin aggressive and total packet counts of a packet stream.
 
-    pkts are tuples in PacketMeta field order, as PcapReader yields them.
+    pkts are tuples in PacketMeta field order, as PcapReader yields them. The
+    series carries the width rounded to whole microseconds, the one its bins have.
     """
     # Checked after rounding: a positive width under half a microsecond
     # would otherwise make zero-width bins.
@@ -179,37 +163,47 @@ def stream_impact(
             cell[0] += 1
     span = range(min(counts), max(counts) + 1) if counts else ()
     return ImpactSeries(
-        bin_width_s, [ImpactBin(idx * width_us, *counts.get(idx, (0, 0))) for idx in span]
+        width_us / US_PER_S, [ImpactBin(idx * width_us, *counts.get(idx, (0, 0))) for idx in span]
     )
 
 
-def normalize_per_slash24(series: ImpactSeries, num_slash24: int) -> List[float]:
-    """Aggressive packets per second per /24 of monitored space, per bin."""
+def series_rows(series: ImpactSeries, num_slash24: int) -> Iterable[tuple]:
+    """Each series.csv row, in one walk over the bins.
+
+    A row is the bin start (us), ah_pkts, total_pkts, the bin's aggressive
+    fraction (0 when empty), the cumulative fraction and the aggressive
+    packets per second per /24. The cumulative fraction divides integer
+    prefix sums, so the last row's is exactly total_ah / total_pkts.
+    """
     if num_slash24 <= 0:
         raise ValueError("num_slash24 must be positive")
-    return [b.ah_pkts / series.bin_width_s / num_slash24 for b in series.bins]
+    ah_sum = total_sum = 0
+    for start, ah, total in series.bins:
+        ah_sum += ah
+        total_sum += total
+        yield (
+            start, ah, total, ah / total if total else 0.0,
+            ah_sum / total_sum if total_sum else 0.0, ah / series.bin_width_s / num_slash24,
+        )
 
 
 def flag_high_load_bins(series: ImpactSeries) -> List[int]:
-    """Indexes of bins in the top decile of both load and aggressive share.
+    """Indexes of the bins with packets in the top decile of both load and share.
 
     Top decile means value >= the 90th-percentile order statistic (1-based
-    index ceil(0.9 * n) of the ascending sort), so ties at the cut are
-    included.
+    index ceil(0.9 * n) over all n bins), so ties at the cut are included.
+    Empty bins sort first in both orders, so only the bins with packets are
+    held, and an index that falls among the empty bins makes the cut 0.
     """
     n = len(series.bins)
-    if n == 0:
-        return []
-    totals = [b.total_pkts for b in series.bins]
-    fractions = series.instantaneous_fractions()
-    k = -(-9 * n // 10)  # ceil(0.9n) in exact integer arithmetic
-    total_cut = sorted(totals)[k - 1]
-    frac_cut = sorted(fractions)[k - 1]
-    return [
-        i
-        for i in range(n)
-        if totals[i] >= total_cut and fractions[i] >= frac_cut
-    ]
+    busy = [(i, total, ah / total) for i, (_start, ah, total) in enumerate(series.bins) if total]
+    # ceil(0.9n) in exact integer arithmetic, less the empty bins that sort below.
+    k = -(-9 * n // 10) - (n - len(busy))
+    if k < 1:
+        return [i for i, _total, _share in busy]
+    total_cut = order_statistic(busy, k, itemgetter(1))[1]
+    share_cut = order_statistic(busy, k, itemgetter(2))[2]
+    return [i for i, total, share in busy if total >= total_cut and share >= share_cut]
 
 
 class ProtocolMix(NamedTuple):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import enum
+import heapq
 import itertools
 import json
 import math
@@ -24,7 +25,8 @@ from _socket import inet_aton, inet_ntoa
 from datetime import date, timedelta
 from functools import lru_cache
 from typing import (
-    Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple, TypeVar,
+    Callable, Collection, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Set,
+    Tuple, TypeVar,
 )
 
 US_PER_S = 1_000_000
@@ -350,12 +352,22 @@ class AhVerdict(NamedTuple):
 _T = TypeVar("_T")
 
 
-def _read_lines(path, decode: Callable[[Iterator[str]], Iterator[_T]]) -> Iterator[_T]:
-    """Stream a JSONL file's lines, each decoded from UTF-8 on its own, through decode.
+def order_statistic(values: Collection[_T], k: int, key: Optional[Callable] = None) -> _T:
+    """The k-th smallest of values (1-based), by key when one is given.
 
-    Lines end at LF, as JSON Lines defines them. A byte that is not UTF-8, an
-    error from decode or one thrown into the generator names the file and
-    the line, so the CLI exits 2 on a rotten file instead of a traceback.
+    Ties count once each, as in sorted(values)[k - 1]. Only the n + 1 - k
+    largest values are held, not a sorted copy of all n.
+    """
+    return heapq.nlargest(len(values) + 1 - k, values, key)[-1]
+
+
+def read_lines(path, decode: Callable[[Iterator[str]], Iterator[_T]]) -> Iterator[_T]:
+    """Stream a text file's lines, each decoded from UTF-8 on its own, through decode.
+
+    Lines end at LF, as JSON Lines defines them; a CSV file is read with
+    decode=csv.reader. A byte that is not UTF-8, an error from decode or one
+    thrown into the generator names the file and the line, so the CLI exits
+    2 on a rotten file instead of a traceback.
     """
     with open(path, "rb") as fh:
         # zip draws from taken before each line, so while line n is being
@@ -363,6 +375,8 @@ def _read_lines(path, decode: Callable[[Iterator[str]], Iterator[_T]]) -> Iterat
         taken = itertools.count()
         try:
             yield from decode(map(operator.itemgetter(1), zip(taken, map(bytes.decode, fh))))
+        except csv.Error as exc:  # such as a field over csv.field_size_limit()
+            raise ValueError(f"{path}:{next(taken)}: {exc}") from None
         except (KeyError, TypeError, ValueError) as exc:
             reason = f"{type(exc).__name__}: {exc}"
             raise ValueError(f"{path}:{next(taken)}: malformed line ({reason})") from exc
@@ -370,7 +384,7 @@ def _read_lines(path, decode: Callable[[Iterator[str]], Iterator[_T]]) -> Iterat
 
 def parse_lines(path, parse: Callable[[str], _T]) -> Iterator[_T]:
     """Parse each line of a file that is not blank, with JSON whitespace stripped."""
-    return _read_lines(path, lambda lines: map(parse, filter(None, map(_strip_json_ws, lines))))
+    return read_lines(path, lambda lines: map(parse, filter(None, map(_strip_json_ws, lines))))
 
 
 def read_verdicts(path) -> List[AhVerdict]:
@@ -384,7 +398,7 @@ def read_blocklist(path) -> Set[int]:
 
 def read_event_log(path) -> Iterator[DarknetEvent]:
     """Decode an event log as it streams in, with one ip_to_int memo for the file."""
-    return _read_lines(path, lambda lines: _decode_events(lines, {}))
+    return read_lines(path, lambda lines: _decode_events(lines, {}))
 
 
 def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:

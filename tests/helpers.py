@@ -714,6 +714,28 @@ def oracle_protocol_mix(events: Iterable[DarknetEvent], ah: Collection[int]) -> 
                        syn, udp, icmp, total, 0)
 
 
+def oracle_series_rows(series, num_slash24: int) -> List[tuple]:
+    """series.csv's rows from three whole-series lists, zipped with the bins.
+
+    The per-bin fractions, the cumulative fractions over integer prefix sums
+    and the per-/24 rates are each built in full first, as separate passes.
+    """
+    if num_slash24 <= 0:
+        raise ValueError("num_slash24 must be positive")
+    fractions = [b.ah_pkts / b.total_pkts if b.total_pkts else 0.0 for b in series.bins]
+    cumulative = []
+    ah_sum = total_sum = 0
+    for b in series.bins:
+        ah_sum += b.ah_pkts
+        total_sum += b.total_pkts
+        cumulative.append(ah_sum / total_sum if total_sum else 0.0)
+    rates = [b.ah_pkts / series.bin_width_s / num_slash24 for b in series.bins]
+    return [
+        (b.bin_start_us, b.ah_pkts, b.total_pkts, inst, cum, rate)
+        for b, inst, cum, rate in zip(series.bins, fractions, cumulative, rates)
+    ]
+
+
 def offline_intervals(ts_sorted: List[int], timeout_us: int) -> List[Tuple[int, int]]:
     """Split one key's ascending timestamps at gaps strictly above the timeout."""
     assert ts_sorted

@@ -192,6 +192,20 @@ class TestImpactCommand:
         assert rc == 1
         assert "empty" in capsys.readouterr().out
 
+    def test_bad_date_is_refused_before_any_file_is_read(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "--out-dir", str(out), "impact",
+                "--blocklist", str(pipeline["run"] / "blocklist_union.txt"),
+                "--flows", str(pipeline["synth"] / "flows.csv"), "--date", "2022-13-01",
+            ])
+        assert exc.value.code == 2
+        assert "argument --date: invalid fromisoformat value: '2022-13-01'" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
+
     def test_wrong_day_exits_1(self, pipeline, tmp_path):
         rc = main([
             "--out-dir", str(tmp_path),
@@ -898,28 +912,50 @@ class TestRottenInputs:
         assert f"error: {bad}:3:" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
+    @staticmethod
+    def _flows_jsonl_lines(csv_path):
+        """flows.csv's rows as JSONL flow lines, each field of its JSON type."""
+        counts = {"ts_us", "src_port", "dst_port", "sampled_pkts", "sampling_denominator"}
+        with open(csv_path, encoding="utf-8", newline="") as fh:
+            return [
+                json.dumps({k: (int(v) if k in counts else v) if v else None
+                            for k, v in row.items()}).encode()
+                for row in csv.DictReader(fh)
+            ]
+
     @pytest.mark.parametrize("newline", [b"\n", b"\r\n"], ids=["lf", "crlf"])
     @pytest.mark.parametrize("command, name", [
         ("detect", "events.jsonl"), ("report", "events.jsonl"), ("report", "verdicts.jsonl"),
-        ("impact", "blocklist_union.txt"),
+        ("impact", "blocklist_union.txt"), ("impact", "flows.csv"), ("impact", "flows.jsonl"),
+        ("report", "asn.csv"),
     ])
-    def test_non_utf8_byte_names_file_and_line(self, pipeline, tmp_path, capsys, command, name,
-                                               newline):
-        good = (pipeline["run"] / name).read_bytes().splitlines()
+    def test_non_utf8_byte_names_file_and_line(self, pipeline, feeds, tmp_path, capsys, command,
+                                               name, newline):
+        run, synth = pipeline["run"], pipeline["synth"]
+        if name == "flows.jsonl":
+            good = self._flows_jsonl_lines(synth / "flows.csv")
+        else:
+            where = {"flows.csv": synth, "asn.csv": feeds}.get(name, run)
+            good = (where / name).read_bytes().splitlines()
         bad = tmp_path / f"in_{name}"
         bad.write_bytes(newline.join(good[:2] + [b'{"src_ip":"\xff"}'] + good[2:]) + newline)
-        inputs = {"events.jsonl": pipeline["run"] / "events.jsonl",
-                  "verdicts.jsonl": pipeline["run"] / "verdicts.jsonl", name: bad}
+        inputs = {"events.jsonl": run / "events.jsonl", "verdicts.jsonl": run / "verdicts.jsonl",
+                  "blocklist_union.txt": run / "blocklist_union.txt",
+                  "flows.csv": synth / "flows.csv", name: bad}
         out = tmp_path / "out"
         if command == "detect":
             argv = ["--config", str(pipeline["conf"]), "--out-dir", str(out), "detect",
                     str(inputs["events.jsonl"])]
         elif command == "impact":
-            argv = ["--out-dir", str(out), "impact", "--blocklist", str(bad),
-                    "--flows", str(pipeline["synth"] / "flows.csv")]
+            flows = inputs.get("flows.jsonl", inputs["flows.csv"])
+            argv = ["--out-dir", str(out), "impact",
+                    "--blocklist", str(inputs["blocklist_union.txt"]), "--flows", str(flows),
+                    "--flow-format", "jsonl" if name == "flows.jsonl" else "csv"]
         else:
             argv = ["--out-dir", str(out), "report", str(inputs["events.jsonl"]),
                     str(inputs["verdicts.jsonl"])]
+            if name == "asn.csv":
+                argv += ["--asn-map", str(bad)]
         assert main(argv) == 2
         assert capsys.readouterr().err == (
             f"error: {bad}:3: malformed line (UnicodeDecodeError: 'utf-8' codec can't decode "

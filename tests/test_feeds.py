@@ -75,7 +75,8 @@ class TestLoadLoop:
     def test_bad_encoding_is_fatal(self, tmp_path):
         path = tmp_path / "rdns.csv"
         path.write_bytes(b"10.0.0.1,\xff.example.net\n")
-        with pytest.raises(UnicodeDecodeError):
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:1: malformed line "
+                                             r"\(UnicodeDecodeError: "):
             load_rdns(path)
 
 

@@ -18,9 +18,9 @@ from darklens.impact import (
     ah_presence,
     flag_high_load_bins,
     flow_impact,
-    normalize_per_slash24,
     protocol_breakdown_darknet,
     protocol_breakdown_flows,
+    series_rows,
     stream_impact,
     tally_flows,
 )
@@ -33,10 +33,11 @@ from darklens.model import (
     TrafficType,
     int_to_ip,
     ip_to_int,
+    write_csv,
 )
 from helpers import (
-    US, build_pcap, eth_frame, mk_pkt, oracle_flow_measures, oracle_ipv4, oracle_udp, port_tally,
-    traced_peak, write_flows_csv,
+    US, build_pcap, eth_frame, mk_pkt, oracle_flow_measures, oracle_ipv4, oracle_series_rows,
+    oracle_udp, port_tally, traced_peak, write_flows_csv,
 )
 
 JUNE1 = date(2022, 6, 1)
@@ -147,7 +148,7 @@ class TestStreamImpact:
         assert [b.bin_start_us for b in series.bins] == [0, US, 2 * US]
         assert [(b.ah_pkts, b.total_pkts) for b in series.bins] == [(1, 2), (0, 0), (1, 1)]
         assert series.bins[1].total_pkts == 0
-        assert series.instantaneous_fractions() == [0.5, 0.0, 1.0]
+        assert [row[3] for row in series_rows(series, 1)] == [0.5, 0.0, 1.0]
 
     def test_cumulative_final_equals_total_ratio(self):
         rng = random.Random(31337)
@@ -160,12 +161,12 @@ class TestStreamImpact:
         series = stream_impact(pkts, {AH_IP}, bin_width_s=7.0)
         ah_total, total = series.totals()
         assert total == 5000
-        assert series.cumulative_fractions()[-1] == ah_total / total
+        assert list(series_rows(series, 1))[-1][4] == ah_total / total
 
     def test_empty_stream_has_no_bins(self):
         series = stream_impact([], {AH_IP})
         assert series.bins == []
-        assert series.cumulative_fractions() == []
+        assert list(series_rows(series, 1)) == []
 
     def test_bad_width_rejected(self):
         with pytest.raises(ValueError):
@@ -182,6 +183,16 @@ class TestStreamImpact:
         series = stream_impact([mk_pkt(3, "198.18.0.1", "10.0.0.1")], {AH_IP}, bin_width_s=1e-6)
         assert [b.bin_start_us for b in series.bins] == [3]
 
+    def test_series_carries_the_rounded_width(self):
+        # 1.4 us rounds to 1 us bins, so one AH packet in a bin is 10^6 packets/s.
+        series = stream_impact([mk_pkt(3, "198.18.0.1", "10.0.0.1")], {AH_IP}, bin_width_s=1.4e-6)
+        assert series.bin_width_s == 1e-6
+        assert [row[5] for row in series_rows(series, 1)] == [1000000.0]
+
+    @pytest.mark.parametrize("width", [1.0, 7.0, 60.0, 0.25])
+    def test_whole_microsecond_width_is_carried_unchanged(self, width):
+        assert stream_impact([mk_pkt(0, AH_IP, "10.0.0.1")], {AH_IP}, width).bin_width_s == width
+
     def test_bins_contiguous_on_random_stream(self):
         rng = random.Random(5150)
         pkts = [mk_pkt(rng.randrange(0, 1000 * US), AH_IP, "10.0.0.1") for _ in range(200)]
@@ -195,15 +206,51 @@ class TestStreamImpact:
 class TestNormalization:
     def test_rate_per_slash24(self):
         series = ImpactSeries(10.0, [ImpactBin(0, ah_pkts=1000, total_pkts=5000)])
-        assert normalize_per_slash24(series, 50) == [2.0]
+        assert [row[5] for row in series_rows(series, 50)] == [2.0]
 
     def test_one_slash24(self):
         series = ImpactSeries(1.0, [ImpactBin(0, ah_pkts=7, total_pkts=7)])
-        assert normalize_per_slash24(series, 1) == [7.0]
+        assert [row[5] for row in series_rows(series, 1)] == [7.0]
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
-            normalize_per_slash24(ImpactSeries(1.0), 0)
+            list(series_rows(ImpactSeries(1.0), 0))
+
+
+_BIN_CELLS = st.integers(0, 10**6).flatmap(
+    lambda total: st.tuples(st.integers(0, total), st.just(total))
+)
+
+
+class TestSeriesRows:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        cells=st.lists(st.one_of(st.just((0, 0)), _BIN_CELLS), max_size=40),
+        width_us=st.integers(1, 10**9),
+        num_slash24=st.integers(1, 2**16),
+    )
+    def test_property_matches_three_list_oracle(self, cells, width_us, num_slash24):
+        series = ImpactSeries(
+            width_us / US, [ImpactBin(i * width_us, a, t) for i, (a, t) in enumerate(cells)]
+        )
+        rows = list(series_rows(series, num_slash24))
+        assert rows == oracle_series_rows(series, num_slash24)
+        ah_total, total = series.totals()
+        if total:
+            assert rows[-1][4] == ah_total / total
+
+    def test_writing_the_csv_holds_one_row_at_a_time(self, tmp_path):
+        header = ["bin_start_ts", "ah_pkts", "total_pkts", "inst_fraction", "cum_fraction",
+                  "per_slash24_rate"]
+
+        def peak(n):
+            series = ImpactSeries(1.0, [ImpactBin(i * US, i % 3, i % 5) for i in range(n)])
+            return traced_peak(write_csv, tmp_path / f"{n}.csv", header, series_rows(series, 1))[1]
+
+        # One bin's peak is the CSV writer's own fixed record buffer (128 KiB
+        # on CPython); 10^5 bins may add no more than 64 KiB to it.
+        assert peak(10**5) - peak(1) < 64 * 1024
+        assert len((tmp_path / f"{10**5}.csv").read_text().splitlines()) == 10**5 + 1
 
 
 class TestHighLoadBins:
@@ -229,7 +276,7 @@ class TestHighLoadBins:
         k = (9 * n + 9) // 10
         tcut = sorted(totals)[k - 1]
         fcut = sorted(fr)[k - 1]
-        return [i for i in range(n) if totals[i] >= tcut and fr[i] >= fcut]
+        return [i for i in range(n) if totals[i] > 0 and totals[i] >= tcut and fr[i] >= fcut]
 
     def test_ties_at_cut_included(self):
         cells = [(1, 10)] * 10
@@ -237,6 +284,15 @@ class TestHighLoadBins:
 
     def test_empty(self):
         assert flag_high_load_bins(ImpactSeries(1.0)) == []
+
+    def test_mostly_empty_series_flags_only_bins_with_packets(self):
+        # 18 of 20 bins are empty, so k = 18 falls among them and both cuts
+        # are 0; only the two bins that carry packets are hot.
+        cells = [(1, 1)] + [(0, 0)] * 18 + [(0, 5)]
+        assert flag_high_load_bins(self._series(cells)) == [0, 19]
+
+    def test_all_empty_series_has_no_hot_bin(self):
+        assert flag_high_load_bins(self._series([(0, 0)] * 5)) == []
 
     def test_matches_oracle_randomized(self):
         rng = random.Random(90210)
@@ -423,19 +479,29 @@ class TestCsvWriters:
         assert lines[0] == "vantage_id,date,ah_pkts_est,total_pkts_est,fraction"
         assert lines[1] == "router-1,2022-06-01,5000,10000,0.5"
 
-    def test_series_csv(self, tmp_path):
-        def probe(src):
-            return eth_frame(oracle_ipv4(src, "10.0.0.1", 17, oracle_udp(40000, 53)))
-
+    @staticmethod
+    def _pcap(tmp_path, packets):
+        """A capture of one UDP probe per (ts_us, src) pair."""
         pcap = tmp_path / "stream.pcap"
         pcap.write_bytes(build_pcap([
-            (0, probe("198.18.0.1")), (1, probe("100.64.0.1")), (2 * US, probe("100.64.0.1")),
+            (ts, eth_frame(oracle_ipv4(src, "10.0.0.1", 17, oracle_udp(40000, 53))))
+            for ts, src in packets
         ]))
+        return pcap
+
+    def _series(self, tmp_path, packets, *options):
         out = tmp_path / "out"
         rc = main([
             "--out-dir", str(out), "impact", "--blocklist", str(self._blocklist(tmp_path)),
-            "--pcap", str(pcap), "--num-slash24", "4",
+            "--pcap", str(self._pcap(tmp_path, packets)), *options,
         ])
+        return rc, out
+
+    def test_series_csv(self, tmp_path):
+        rc, out = self._series(
+            tmp_path, [(0, "198.18.0.1"), (1, "100.64.0.1"), (2 * US, "100.64.0.1")],
+            "--num-slash24", "4",
+        )
         assert rc == 0
         lines = (out / "series.csv").read_text().splitlines()
         assert lines[0] == (
@@ -444,3 +510,23 @@ class TestCsvWriters:
         assert lines[1] == "0,1,2,0.5,0.5,0.25"
         assert lines[2].startswith(f"{US},0,0,0.0,0.5,")
         assert lines[3] == f"{2 * US},0,1,0.0,{1 / 3!r},0.0"
+
+    def test_rate_divides_by_the_width_the_bins_have(self, tmp_path):
+        # 1.4 us rounds to 1 us bins: one AH packet in a bin is 10^6 packets/s.
+        rc, out = self._series(
+            tmp_path, [(0, "198.18.0.1"), (3, "198.18.0.1")], "--bin-width", "0.0000014",
+        )
+        assert rc == 0
+        lines = (out / "series.csv").read_text().splitlines()
+        assert lines[1:] == [
+            "0,1,1,1.0,1.0,1000000.0", "1,0,0,0.0,1.0,0.0", "2,0,0,0.0,1.0,0.0",
+            "3,1,1,1.0,1.0,1000000.0",
+        ]
+
+    def test_empty_bins_are_never_hot(self, tmp_path, capsys):
+        # 19 of 21 bins are empty, so both 90th-percentile cuts are 0.
+        rc, _ = self._series(tmp_path, [(0, "198.18.0.1"), (20 * US, "100.64.0.1")])
+        assert rc == 0
+        assert capsys.readouterr().out == (
+            "series: 21 bins, cumulative fraction 0.500000, 2 bins hot on both load and share\n"
+        )

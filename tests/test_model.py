@@ -18,6 +18,7 @@ from darklens.model import (
     int_to_ip,
     ip_to_int,
     letters_to_flags,
+    order_statistic,
     parse_config_text,
     read_event_log,
     slash24_of,
@@ -248,6 +249,23 @@ class TestTimeHelpers:
         assert utc_day(MIN_TS) == date.min
         assert utc_day(MAX_TS) == date.max
         assert utc_day(-1) == date(1969, 12, 31)
+
+
+class TestOrderStatistic:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(-5, 5), min_size=1, max_size=60).flatmap(
+        lambda values: st.tuples(st.just(values), st.integers(1, len(values)))))
+    @example(([7], 1))
+    @example(([3, 1, 3, 3, 2], 1))
+    @example(([3, 1, 3, 3, 2], 5))
+    def test_equals_full_sort(self, case):
+        values, k = case
+        assert order_statistic(values, k) == sorted(values)[k - 1]
+
+    def test_key_orders_the_elements(self):
+        rows = [("a", 3), ("b", 1), ("c", 2), ("d", 1)]
+        assert order_statistic(rows, 2, key=lambda row: row[1])[1] == 1
+        assert order_statistic(rows, 3, key=lambda row: row[1])[1] == 2
 
 
 class TestFlags:
