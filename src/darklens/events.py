@@ -247,9 +247,7 @@ class EventBuilder:
 
         end_ts is always the last packet folded in, never the end of capture.
         """
-        remaining = sorted(self.open_events.values(), key=lambda st: st.key)
-        self.open_events.clear()
-        return [self._close(st) for st in remaining]
+        return self._sweep(float("inf"))
 
 
 def write_event_log(path, events: Iterable[DarknetEvent]) -> int:

@@ -227,15 +227,6 @@ class DarknetEvent(NamedTuple):
             f'"masscan_pkts":{masscan},"other_pkts":{other}}}'
         )
 
-    @classmethod
-    def from_json_line(cls, line: str, ips: Optional[Dict[str, int]] = None) -> "DarknetEvent":
-        """Decode and validate one event-log line; raises ValueError, also on a blank line.
-
-        ips memoises ip_to_int per address string over the lines of one log.
-        """
-        (ev,) = _decode_events((line,), {} if ips is None else ips)
-        return ev
-
 
 _scan_json = json.JSONDecoder().scan_once
 _event_counts = operator.itemgetter(*DarknetEvent._fields[1:])

@@ -26,8 +26,6 @@ MAGIC_NS_LE = 0x4D3CB2A1
 LINKTYPE_ETHERNET = 1
 LINKTYPE_RAW_IP = 101
 
-ETHERTYPE_IPV4 = 0x0800
-
 ICMP_ECHO_REQUEST_TYPE = 8
 
 # One unpack per header. IPv4: version/IHL, ID, flags + fragment offset,

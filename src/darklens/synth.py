@@ -8,18 +8,22 @@ what makes the end-to-end acceptance checks meaningful.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import struct
+from collections import Counter
 from dataclasses import dataclass, field, fields
 from datetime import date, timedelta
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from .fingerprint import ZMAP_IP_ID, masscan_ip_id
 from .flows import FLOW_CSV_FIELDS
-from .model import US_PER_DAY, US_PER_S, DarknetConfig, int_to_ip, write_csv, write_json
+from .model import (
+    US_PER_DAY, US_PER_S, DarknetConfig, TrafficType, int_to_ip, ip_to_int, write_csv, write_json,
+)
 
 _EPOCH = date(1970, 1, 1)
 
@@ -46,9 +50,10 @@ def _udp_frame(src: int, dst: int, sport: int, dport: int, ip_id: int) -> bytes:
     return _ETH_HDR + ip + udp
 
 
-def _icmp_frame(src: int, dst: int, icmp_type: int, ident: int, ip_id: int) -> bytes:
+def _icmp_frame(src: int, dst: int, sport: int, dport: int, ip_id: int) -> bytes:
+    """An echo request; it has no ports, and its identifier is the source's low 16 bits."""
     ip = _IP_HDR.pack(0x45, 0, 28, ip_id, 0, 64, 1, 0, src, dst)
-    icmp = _ICMP_HDR.pack(icmp_type, 0, 0, ident, 1)
+    icmp = _ICMP_HDR.pack(8, 0, 0, src & 0xFFFF, 1)
     return _ETH_HDR + ip + icmp
 
 
@@ -84,6 +89,8 @@ class SynthScenario:
     def from_json_file(cls, path) -> "SynthScenario":
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
+        if not isinstance(obj, dict):
+            raise ValueError(f"{path}: a scenario is a JSON object, not {type(obj).__name__}")
         known = {f.name for f in fields(cls)}
         unknown = set(obj) - known
         if unknown:
@@ -94,50 +101,29 @@ class SynthScenario:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-class _SourceTruth:
-    """Running ground truth for one synthetic source."""
-
-    __slots__ = ("ip", "kind", "traffic_type", "ports", "tool", "pkts", "dsts", "day_ports")
-
-    def __init__(self, ip: int, kind: str, traffic_type: str, tool: Optional[str]):
-        self.ip = ip
-        self.kind = kind
-        self.traffic_type = traffic_type
-        self.ports: set = set()
-        self.tool = tool
-        self.pkts = 0
-        self.dsts: set = set()
-        self.day_ports: Dict[int, set] = {}
-
-    def note(self, ts_us: int, dst: int, port: Optional[int]) -> None:
-        self.pkts += 1
-        self.dsts.add(dst)
-        if port is not None:
-            self.ports.add(port)
-            day = ts_us // US_PER_DAY
-            self.day_ports.setdefault(day, set()).add(port)
-
-    def to_manifest(self, darknet_size: int) -> dict:
-        return {
-            "ip": int_to_ip(self.ip),
-            "kind": self.kind,
-            "traffic_type": self.traffic_type,
-            "ports": sorted(self.ports),
-            "tool": self.tool,
-            "pkts": self.pkts,
-            "unique_dsts": len(self.dsts),
-            "coverage": len(self.dsts) / darknet_size,
-            "day_ports": {
-                (_EPOCH + timedelta(days=day)).isoformat(): len(ports)
-                for day, ports in sorted(self.day_ports.items())
-            },
-        }
+_COUNTS = (
+    "full_coverage_scanners", "full_scanner_repeats", "partial_scanners", "port_sweep_scanners",
+    "sweep_ports", "sweep_pkts_per_port", "noise_sources", "noise_pkts_per_source",
+    "backscatter_pkts", "flow_sampling_denominator", "flow_total_pkts", "flow_benign_sources",
+)
+# (count, population): a present population sends at least one probe or row
+# per source, and the flow sampler divides by its denominator.
+_AT_LEAST_ONE = (
+    ("full_scanner_repeats", "full_coverage_scanners"), ("sweep_ports", "port_sweep_scanners"),
+    ("sweep_pkts_per_port", "port_sweep_scanners"), ("noise_pkts_per_source", "noise_sources"),
+    ("flow_sampling_denominator", "flow_total_pkts"), ("flow_benign_sources", "flow_total_pkts"),
+)
+_NUMBERS = ("start_ts_s", "duration_s", "event_timeout_s", "dispersion_fraction",
+            "partial_coverage_fraction", "flow_ah_share")
+_TYPES = [t.value for t in TrafficType]
+_CHOICES = (("full_scanner_types", _TYPES), ("partial_scanner_types", _TYPES),
+            ("tools_cycle", ["zmap", "masscan", "other"]))
 
 
 def _spread_times(
     rng: np.random.Generator, start_us: int, duration_us: int, n: int, timeout_us: int
 ) -> np.ndarray:
-    """n ascending timestamps whose gaps stay well under the event timeout."""
+    """n ascending integer timestamps whose gaps stay well under the event timeout."""
     if n == 1:
         return np.array([start_us + int(rng.integers(0, duration_us))], dtype=np.int64)
     window = min(duration_us, (n - 1) * timeout_us // 4)
@@ -147,7 +133,8 @@ def _spread_times(
     gap = window / (n - 1)
     jitter = rng.uniform(-gap / 4, gap / 4, n)
     times = np.sort(base + jitter).astype(np.int64) + start_us + offset
-    return np.clip(times, start_us, start_us + duration_us - 1)
+    # A fractional start_ts_s makes the sum float: truncate to whole microseconds.
+    return np.clip(times, start_us, start_us + duration_us - 1).astype(np.int64, copy=False)
 
 
 def _split_evenly(total: int, parts: int) -> List[int]:
@@ -155,281 +142,253 @@ def _split_evenly(total: int, parts: int) -> List[int]:
     return [base + (1 if i < rem else 0) for i in range(parts)]
 
 
+def _pool_port(ttype: str, index: int) -> int:
+    """The index-th port of the traffic type's pool; an echo request has none."""
+    if ttype == "icmp_echo_request":
+        return 0
+    pool = TCP_PORT_POOL if ttype == "tcp_syn" else UDP_PORT_POOL
+    return pool[index % len(pool)]
+
+
 def generate(scenario: SynthScenario, seed: int, out_dir) -> dict:
     """Write synth.pcap, manifest.json and (if configured) flows.csv.
 
     Returns the manifest as a dict. All randomness flows from one seeded
-    generator so reruns are byte-identical.
+    generator so reruns are byte-identical. A scenario that would send other
+    traffic than it names, or none, raises ValueError naming its key before
+    the first draw.
     """
     from .pcap import write_pcap
 
+    sc = scenario
+    for name in _COUNTS:
+        value = getattr(sc, name)
+        if type(value) is not int:  # bool is a subclass of int
+            raise ValueError(f"{name} must be an integer, not {value!r}")
+        if value < 0:
+            raise ValueError(f"{name} {value} is below 0")
+    for name, population in _AT_LEAST_ONE:
+        if getattr(sc, population) > 0 and getattr(sc, name) < 1:
+            raise ValueError(f"{name} {getattr(sc, name)} is below 1")
+    for name in _NUMBERS:
+        if type(getattr(sc, name)) not in (int, float):
+            raise ValueError(f"{name} must be a number, not {getattr(sc, name)!r}")
+    for name, allowed in _CHOICES:
+        value = getattr(sc, name)
+        if not (isinstance(value, (list, tuple)) and value and all(v in allowed for v in value)):
+            raise ValueError(f"{name} must be a non-empty list drawn from {allowed}, not {value!r}")
+    for name in ("partial_coverage_fraction", "flow_ah_share"):
+        if not 0 <= getattr(sc, name) <= 1:
+            raise ValueError(f"{name} {getattr(sc, name)} not in [0, 1]")
+    if not sc.duration_s * US_PER_S >= 1:
+        raise ValueError(f"duration_s {sc.duration_s} must be at least 1 us")
+    # Every probe is stamped before start + duration, in classic pcap's u32 seconds.
+    if not (0 <= sc.start_ts_s and sc.start_ts_s + sc.duration_s <= 1 << 32):
+        raise ValueError(f"start_ts_s {sc.start_ts_s} + duration_s {sc.duration_s} "
+                         "must lie within classic pcap's u32 seconds")
+    if sc.flow_total_pkts > 0 and not (
+            sc.full_coverage_scanners or sc.partial_scanners or sc.port_sweep_scanners):
+        raise ValueError(f"flow_total_pkts {sc.flow_total_pkts} needs at least one scanner source")
     # The telescope is checked the way a config file is: overlapping or too
-    # small prefixes and a timeout under 1 us raise ConfigError.
-    cfg = DarknetConfig(
-        darknet_prefixes=scenario.darknet_prefixes, event_timeout_s=scenario.event_timeout_s
-    )
-    dark = np.concatenate([
-        np.arange(first, last + 1, dtype=np.int64)
-        for first, last in zip(cfg.range_starts, cfg.range_ends)
-    ])
+    # small prefixes, a timeout under 1 us and a dispersion fraction outside
+    # (0, 1] raise ConfigError.
+    cfg = DarknetConfig(darknet_prefixes=sc.darknet_prefixes, event_timeout_s=sc.event_timeout_s,
+                        dispersion_fraction=sc.dispersion_fraction)
     size = cfg.darknet_size
-
-    start_us = scenario.start_ts_s * US_PER_S
-    duration_us = scenario.duration_s * US_PER_S
-    if not duration_us >= 1:
-        raise ValueError(f"duration_s {scenario.duration_s} must be at least 1 us")
-    # Each population that is present must send something.
-    if scenario.noise_sources > 0 and scenario.noise_pkts_per_source < 1:
-        raise ValueError(f"noise_pkts_per_source {scenario.noise_pkts_per_source} is below 1")
-    subset_size = round(scenario.partial_coverage_fraction * size)
-    if scenario.partial_scanners > 0 and subset_size < 1:
-        raise ValueError(f"partial_coverage_fraction {scenario.partial_coverage_fraction} "
+    subset_size = round(sc.partial_coverage_fraction * size)
+    if sc.partial_scanners > 0 and subset_size < 1:
+        raise ValueError(f"partial_coverage_fraction {sc.partial_coverage_fraction} "
                          f"covers no address of the {size}-address darknet")
-    if scenario.flow_total_pkts > 0 and scenario.flow_benign_sources < 1:
-        raise ValueError(f"flow_benign_sources {scenario.flow_benign_sources} is below 1")
+
+    dark = np.concatenate([np.arange(first, last + 1, dtype=np.int64)
+                           for first, last in zip(cfg.range_starts, cfg.range_ends)])
+    start_us = sc.start_ts_s * US_PER_S
+    duration_us = sc.duration_s * US_PER_S
     timeout_us = round(cfg.event_timeout_s * US_PER_S)
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)
 
-    records: List[Tuple[int, int, bytes]] = []
-    sources: List[_SourceTruth] = []
-    seq_counter = 0
-
-    def emit(ts_us: int, frame: bytes) -> None:
-        nonlocal seq_counter
-        records.append((int(ts_us), seq_counter, frame))
-        seq_counter += 1
+    # (stamp, frame) in emission order, which the stable sort keeps among equal stamps.
+    records: List[Tuple[int, bytes]] = []
+    sources: List[dict] = []
 
     # Source address plan: scanners 198.18.0.0/15, noise 203.0.113.0/24,
     # backscatter victims 192.0.2.0/24, benign flow talkers 100.64.0.0/16.
-    scanner_base = (198 << 24) | (18 << 16)
+    scanner_ips = itertools.count((198 << 24) | (18 << 16) | 1)
     noise_base = (203 << 24) | (0 << 16) | (113 << 8)
     victim_base = (192 << 24) | (0 << 16) | (2 << 8)
-    benign_base = (100 << 24) | (64 << 16)
-    next_scanner = 1
 
-    def next_scanner_ip() -> int:
-        nonlocal next_scanner
-        ip = scanner_base + next_scanner
-        next_scanner += 1
-        return ip
-
-    def other_ip_id(is_tcp: bool, dst: int, port: int, seq: int) -> int:
+    def other_ip_id(*marks: int) -> int:
+        """A random IP ID that is neither zmap's mark nor one of marks."""
         while True:
             candidate = int(rng.integers(0, 65536))
-            if candidate == ZMAP_IP_ID:
-                continue
-            if is_tcp and candidate == masscan_ip_id(dst, port, seq):
-                continue
-            return candidate
+            if candidate != ZMAP_IP_ID and candidate not in marks:
+                return candidate
 
-    def tcp_ip_id(tool: str, dst: int, port: int, seq: int) -> int:
-        if tool == "zmap":
-            return ZMAP_IP_ID
-        if tool == "masscan":
-            return masscan_ip_id(dst, port, seq)
-        return other_ip_id(True, dst, port, seq)
+    def scan(ip: int, kind: str, ttype: str, tool: str, dsts: np.ndarray, times: np.ndarray,
+             ports) -> None:
+        """Write one source's probes, then its manifest entry from the same arrays.
 
-    def emit_scan_packets(
-        truth: _SourceTruth, dsts: np.ndarray, times: np.ndarray, port: int, tool: str, ttype: str
-    ) -> None:
-        src = truth.ip
-        sport = 40000 + (src & 0x3FF)
-        if ttype == "tcp_syn":
-            seqs = rng.integers(0, 2 ** 32, len(dsts), dtype=np.uint32)
-            for ts, dst, seq in zip(times, dsts, seqs):
-                dst = int(dst)
-                seq = int(seq)
-                ip_id = tcp_ip_id(tool, dst, port, seq)
-                emit(ts, _tcp_frame(src, dst, sport, port, seq, 0x02, ip_id))
-                truth.note(int(ts), dst, port)
-        elif ttype == "udp":
-            for ts, dst in zip(times, dsts):
-                dst = int(dst)
-                ip_id = ZMAP_IP_ID if tool == "zmap" else other_ip_id(False, dst, port, 0)
-                emit(ts, _udp_frame(src, dst, sport, port, ip_id))
-                truth.note(int(ts), dst, port)
-        else:  # icmp echo request
-            for ts, dst in zip(times, dsts):
-                dst = int(dst)
-                ip_id = ZMAP_IP_ID if tool == "zmap" else other_ip_id(False, dst, 0, 0)
-                emit(ts, _icmp_frame(src, dst, 8, src & 0xFFFF, ip_id))
-                truth.note(int(ts), dst, None)
-
-    def pick_tool(index: int, ttype: str) -> str:
-        tool = scenario.tools_cycle[index % len(scenario.tools_cycle)]
+        ports is one port, or an array with one port per probe.
+        """
         if tool == "masscan" and ttype != "tcp_syn":
-            return "other"  # the XOR fingerprint only exists on TCP probes
-        return tool
+            tool = "other"  # the XOR fingerprint only exists on TCP probes
+        n = len(dsts)
+        dst_list, time_list = dsts.tolist(), times.tolist()
+        port_list = np.broadcast_to(ports, n).tolist()
+        sport = 40000 + (ip & 0x3FF)
+        if ttype == "tcp_syn":
+            seqs = rng.integers(0, 2 ** 32, n, dtype=np.uint32).tolist()
+            for ts, dst, port, seq in zip(time_list, dst_list, port_list, seqs):
+                ip_id = (ZMAP_IP_ID if tool == "zmap"
+                         else masscan_ip_id(dst, port, seq) if tool == "masscan"
+                         else other_ip_id(masscan_ip_id(dst, port, seq)))
+                records.append((ts, _tcp_frame(ip, dst, sport, port, seq, 0x02, ip_id)))
+        else:
+            frame = _udp_frame if ttype == "udp" else _icmp_frame
+            for ts, dst, port in zip(time_list, dst_list, port_list):
+                ip_id = ZMAP_IP_ID if tool == "zmap" else other_ip_id()
+                records.append((ts, frame(ip, dst, sport, port, ip_id)))
 
+        day_ports = set() if ttype == "icmp_echo_request" else set(
+            zip((times // US_PER_DAY).tolist(), port_list))
+        per_day = Counter(day for day, _port in day_ports)
+        unique_dsts = len(set(dst_list))
+        sources.append({
+            "ip": int_to_ip(ip),
+            "kind": kind,
+            "traffic_type": ttype,
+            "ports": sorted({port for _day, port in day_ports}),
+            "tool": tool,
+            "pkts": n,
+            "unique_dsts": unique_dsts,
+            "coverage": unique_dsts / size,
+            "day_ports": {
+                (_EPOCH + timedelta(days=day)).isoformat(): count
+                for day, count in sorted(per_day.items())
+            },
+        })
+
+    tools = sc.tools_cycle
     # Full-coverage scanners: every darknet address, `repeats` passes.
-    for i in range(scenario.full_coverage_scanners):
-        ttype = scenario.full_scanner_types[i % len(scenario.full_scanner_types)]
-        tool = pick_tool(i, ttype)
-        port = 0 if ttype == "icmp_echo_request" else (
-            TCP_PORT_POOL[i % len(TCP_PORT_POOL)] if ttype == "tcp_syn"
-            else UDP_PORT_POOL[i % len(UDP_PORT_POOL)]
-        )
-        truth = _SourceTruth(next_scanner_ip(), "full", ttype, tool)
-        sources.append(truth)
-        dsts = np.concatenate([rng.permutation(dark) for _ in range(scenario.full_scanner_repeats)])
+    for i in range(sc.full_coverage_scanners):
+        ttype = sc.full_scanner_types[i % len(sc.full_scanner_types)]
+        dsts = np.concatenate([rng.permutation(dark) for _ in range(sc.full_scanner_repeats)])
         times = _spread_times(rng, start_us, duration_us, len(dsts), timeout_us)
-        emit_scan_packets(truth, dsts, times, port, tool, ttype)
+        scan(next(scanner_ips), "full", ttype, tools[i % len(tools)], dsts, times,
+             _pool_port(ttype, i))
 
     # Partial scanners: a fixed random slice of the space.
-    for i in range(scenario.partial_scanners):
-        ttype = scenario.partial_scanner_types[i % len(scenario.partial_scanner_types)]
-        tool = pick_tool(i + scenario.full_coverage_scanners, ttype)
-        port = 0 if ttype == "icmp_echo_request" else (
-            TCP_PORT_POOL[(i + 3) % len(TCP_PORT_POOL)] if ttype == "tcp_syn"
-            else UDP_PORT_POOL[(i + 3) % len(UDP_PORT_POOL)]
-        )
-        truth = _SourceTruth(next_scanner_ip(), "partial", ttype, tool)
-        sources.append(truth)
+    for i in range(sc.partial_scanners):
+        ttype = sc.partial_scanner_types[i % len(sc.partial_scanner_types)]
         dsts = rng.choice(dark, size=subset_size, replace=False)
         times = _spread_times(rng, start_us, duration_us, len(dsts), timeout_us)
-        emit_scan_packets(truth, dsts, times, port, tool, ttype)
+        tool = tools[(i + sc.full_coverage_scanners) % len(tools)]
+        scan(next(scanner_ips), "partial", ttype, tool, dsts, times, _pool_port(ttype, i + 3))
 
     # Port sweepers: many TCP ports, few addresses each.
-    for i in range(scenario.port_sweep_scanners):
-        tool = pick_tool(i + 1, "tcp_syn")
-        truth = _SourceTruth(next_scanner_ip(), "sweep", "tcp_syn", tool)
-        sources.append(truth)
-        n = scenario.sweep_ports * scenario.sweep_pkts_per_port
+    for i in range(sc.port_sweep_scanners):
+        n = sc.sweep_ports * sc.sweep_pkts_per_port
         times = _spread_times(rng, start_us, duration_us, n, timeout_us)
         dsts = rng.choice(dark, size=n, replace=True)
-        seqs = rng.integers(0, 2 ** 32, n, dtype=np.uint32)
-        src = truth.ip
-        sport = 40000 + (src & 0x3FF)
-        for j, (ts, dst, seq) in enumerate(zip(times, dsts, seqs)):
-            dst = int(dst)
-            seq = int(seq)
-            port = 1000 + (j % scenario.sweep_ports)
-            ip_id = tcp_ip_id(tool, dst, port, seq)
-            emit(ts, _tcp_frame(src, dst, sport, port, seq, 0x02, ip_id))
-            truth.note(int(ts), dst, port)
+        scan(next(scanner_ips), "sweep", "tcp_syn", tools[(i + 1) % len(tools)], dsts, times,
+             1000 + np.arange(n) % sc.sweep_ports)
 
     # Low-rate noise: scanning traffic too small to matter.
-    noise_types = ["udp", "tcp_syn", "icmp_echo_request"]
-    for i in range(scenario.noise_sources):
-        ttype = noise_types[i % 3]
-        truth = _SourceTruth(noise_base + 1 + i, "noise", ttype, "other")
-        sources.append(truth)
-        n = scenario.noise_pkts_per_source
+    for i in range(sc.noise_sources):
+        ttype = ("udp", "tcp_syn", "icmp_echo_request")[i % 3]
+        n = sc.noise_pkts_per_source
         times = _spread_times(rng, start_us, duration_us, n, timeout_us)
         dsts = rng.choice(dark, size=n, replace=True)
         port = 0 if ttype == "icmp_echo_request" else int(rng.integers(1, 65536))
-        emit_scan_packets(truth, dsts, times, port, "other", ttype)
+        scan(noise_base + 1 + i, "noise", ttype, "other", dsts, times, port)
 
     # Backscatter: SYN-ACKs from victims of spoofed floods; never an event.
-    backscatter = scenario.backscatter_pkts
+    backscatter = sc.backscatter_pkts
     if backscatter:
         times = _spread_times(rng, start_us, duration_us, backscatter, timeout_us)
         dsts = rng.choice(dark, size=backscatter, replace=True)
-        for j, (ts, dst) in enumerate(zip(times, dsts)):
-            dst = int(dst)
+        for j, (ts, dst) in enumerate(zip(times.tolist(), dsts.tolist())):
             victim = victim_base + 1 + (j % 250)
             seq = int(rng.integers(0, 2 ** 32))
-            ip_id = other_ip_id(False, dst, 80, seq)
-            emit(ts, _tcp_frame(victim, dst, 80, 40000 + (j % 1000), seq, 0x12, ip_id))
+            ip_id = other_ip_id()
+            records.append((ts, _tcp_frame(victim, dst, 80, 40000 + (j % 1000), seq, 0x12, ip_id)))
 
-    records.sort(key=lambda r: (r[0], r[1]))
-    pcap_path = out_dir / "synth.pcap"
-    write_pcap(pcap_path, ((ts, frame) for ts, _i, frame in records))
+    records.sort(key=lambda r: r[0])
+    write_pcap(out_dir / "synth.pcap", records)
 
     # Ground-truth D1 set: same ratio comparison the detector applies.
     d1_expected = sorted(
-        truth.ip
-        for truth in sources
-        if truth.kind != "noise" and len(truth.dsts) / size >= scenario.dispersion_fraction
+        (e["ip"] for e in sources
+         if e["kind"] != "noise" and e["coverage"] >= sc.dispersion_fraction),
+        key=ip_to_int,
     )
 
     manifest: dict = {
         "seed": seed,
-        "scenario": scenario.to_dict(),
+        "scenario": sc.to_dict(),
         "darknet_size": size,
         "pcap_packets": len(records),
         "scanning_pkts": len(records) - backscatter,
         "non_scanning_pkts": backscatter,
-        "sources": [truth.to_manifest(size) for truth in sources],
-        "d1_expected": [int_to_ip(ip) for ip in d1_expected],
+        "sources": sources,
+        "d1_expected": d1_expected,
     }
 
-    if scenario.flow_total_pkts > 0:
-        manifest["flows"] = _generate_flows(scenario, rng, sources, out_dir)
+    if sc.flow_total_pkts > 0:
+        manifest["flows"] = _generate_flows(sc, rng, sources, out_dir)
 
     write_json(out_dir / "manifest.json", manifest)
     return manifest
 
 
-def _generate_flows(
-    scenario: SynthScenario, rng: np.random.Generator, sources: List[_SourceTruth], out_dir: Path
-) -> dict:
+def _generate_flows(sc: SynthScenario, rng: np.random.Generator, sources: List[dict],
+                    out_dir: Path) -> dict:
     """1:k-thinned flow CSV where scanner sources hold an exact traffic share."""
-    total = scenario.flow_total_pkts
-    ah_sources = [t.ip for t in sources if t.kind in ("full", "partial", "sweep")]
-    if not ah_sources:
-        raise ValueError("flow generation needs at least one scanner source")
-    benign_sources = [
-        (100 << 24) | (64 << 16) | (i + 1) for i in range(scenario.flow_benign_sources)
+    total = sc.flow_total_pkts
+    ah_total = round(total * sc.flow_ah_share)
+    ah_ips = [e["ip"] for e in sources if e["kind"] != "noise"]
+    # (source, pre-sampling packets, protocol, sport, dport, flags): scanners
+    # send telnet SYNs; benign talkers 100.64.0.0/16 answer DNS or HTTPS.
+    talkers = [
+        (ip, count, "tcp", 40000 + (ip_to_int(ip) & 0xFF), 23, "S")
+        for ip, count in zip(ah_ips, _split_evenly(ah_total, len(ah_ips)))
     ]
+    for i, count in enumerate(_split_evenly(total - ah_total, sc.flow_benign_sources)):
+        src = (100 << 24) | (64 << 16) | (i + 1)
+        talkers.append((int_to_ip(src), count, "udp", 53, 53, "") if src % 2 == 0
+                       else (int_to_ip(src), count, "tcp", 443, 30000 + (src & 0xFF), "SA"))
 
-    ah_total = round(total * scenario.flow_ah_share)
-    benign_total = total - ah_total
-    ah_counts = _split_evenly(ah_total, len(ah_sources))
-    benign_counts = _split_evenly(benign_total, len(benign_sources))
-
-    day_start_us_v = scenario.start_ts_s * US_PER_S
-    duration_us = scenario.duration_s * US_PER_S  # checked by generate
-    denom = scenario.flow_sampling_denominator
-    rows: List[List[str]] = []
-    per_router: Dict[str, dict] = {}
-
-    for router in scenario.flow_routers:
-        per_router[router] = {"ah_presampled": ah_total, "total_presampled": total}
-        for src, count in zip(ah_sources, ah_counts):
+    start_us = int(sc.start_ts_s * US_PER_S)  # whole microseconds, as in the pcap
+    duration_us = sc.duration_s * US_PER_S
+    denom = sc.flow_sampling_denominator
+    rows: List[list] = []
+    for router in sc.flow_routers:
+        for src, count, proto, sport, dport, flags in talkers:
             if count == 0:
                 continue
             sampled = int(rng.binomial(count, 1.0 / denom))
             if sampled == 0:
                 continue
-            ts = day_start_us_v + int(rng.integers(0, duration_us))
+            ts = start_us + int(rng.integers(0, duration_us))
             dst = (172 << 24) | (16 << 16) | int(rng.integers(1, 65000))
-            rows.append(
-                [router, str(ts), "I", int_to_ip(src), int_to_ip(dst), "tcp",
-                 str(40000 + (src & 0xFF)), "23", str(sampled), str(denom), "S"]
-            )
-        for src, count in zip(benign_sources, benign_counts):
-            if count == 0:
-                continue
-            sampled = int(rng.binomial(count, 1.0 / denom))
-            if sampled == 0:
-                continue
-            ts = day_start_us_v + int(rng.integers(0, duration_us))
-            dst = (172 << 24) | (16 << 16) | int(rng.integers(1, 65000))
-            even = src % 2 == 0
-            if even:
-                rows.append(
-                    [router, str(ts), "I", int_to_ip(src), int_to_ip(dst), "udp",
-                     "53", "53", str(sampled), str(denom), ""]
-                )
-            else:
-                rows.append(
-                    [router, str(ts), "I", int_to_ip(src), int_to_ip(dst), "tcp",
-                     "443", str(30000 + (src & 0xFF)), str(sampled), str(denom), "SA"]
-                )
+            rows.append([router, ts, "I", src, int_to_ip(dst), proto, sport, dport, sampled, denom,
+                         flags])
 
     write_csv(out_dir / "flows.csv", FLOW_CSV_FIELDS, rows)
 
     return {
-        "routers": list(scenario.flow_routers),
+        "routers": list(sc.flow_routers),
         "sampling_denominator": denom,
-        "ah_share": (ah_total / total) if total else 0.0,
+        "ah_share": ah_total / total,
         "ah_presampled_pkts": ah_total,
         "total_presampled_pkts": total,
-        "per_router": per_router,
-        "ah_sources": [int_to_ip(ip) for ip in ah_sources],
+        "per_router": {
+            router: {"ah_presampled": ah_total, "total_presampled": total}
+            for router in sc.flow_routers
+        },
+        "ah_sources": ah_ips,
         "rows": len(rows),
     }

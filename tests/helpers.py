@@ -41,6 +41,7 @@ from darklens.model import (
     int_to_ip,
     ip_to_int,
     letters_to_flags,
+    _decode_events,
     utc_day,
     write_csv,
 )
@@ -254,6 +255,12 @@ def oracle_event_json_line(ev: DarknetEvent) -> str:
         },
         separators=(",", ":"),
     )
+
+
+def decode_event(line: str, ips: Optional[Dict[str, int]] = None) -> DarknetEvent:
+    """One event-log line through the pipeline's decoder; ValueError also on a blank line."""
+    (ev,) = _decode_events((line,), {} if ips is None else ips)
+    return ev
 
 
 def oracle_event_from_json_line(line: str) -> DarknetEvent:

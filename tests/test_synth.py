@@ -1,9 +1,13 @@
 import json
+from collections import Counter
+from datetime import datetime, timezone
 
 import pytest
 
 from darklens.cli import main
 from darklens.events import EventBuilder
+from darklens.fingerprint import fingerprint_packet
+from darklens.flows import FlowReader
 from darklens.model import ConfigError, PacketMeta, TrafficType, ip_to_int, load_config
 from darklens.pcap import PcapReader, classify_traffic_type
 from darklens.synth import SynthScenario, generate
@@ -20,6 +24,12 @@ def _small_scenario(**kw):
     )
     base.update(kw)
     return SynthScenario(**base)
+
+
+# Two UTC days; the timeout lets every source's probes span both, so the
+# sweepers' day_ports differ from their ports.
+_TWO_DAYS = dict(duration_s=2 * 86_400, event_timeout_s=86_400.0,
+                 port_sweep_scanners=3, sweep_ports=40)
 
 
 class TestDeterminism:
@@ -54,19 +64,37 @@ class TestGroundTruth:
         assert manifest["non_scanning_pkts"] == sc.backscatter_pkts
 
     def test_per_source_truth_matches_stream(self, tmp_path):
-        sc = _small_scenario()
-        manifest = generate(sc, 42, tmp_path)
-        by_src = {}
-        for p in map(PacketMeta._make, PcapReader(tmp_path / "synth.pcap")):
-            if classify_traffic_type(p) is None:
-                continue
-            cell = by_src.setdefault(p.src_ip, {"pkts": 0, "dsts": set()})
-            cell["pkts"] += 1
-            cell["dsts"].add(p.dst_ip)
-        for entry in manifest["sources"]:
-            src = ip_to_int(entry["ip"])
-            assert by_src[src]["pkts"] == entry["pkts"]
-            assert len(by_src[src]["dsts"]) == entry["unique_dsts"]
+        for name, extra in (("one_day", {}), ("two_days", _TWO_DAYS)):
+            manifest = generate(_small_scenario(**extra), 42, tmp_path / name)
+            by_src = {}
+            for p in map(PacketMeta._make, PcapReader(tmp_path / name / "synth.pcap")):
+                ttype = classify_traffic_type(p)
+                if ttype is None:
+                    continue
+                cell = by_src.setdefault(p.src_ip, {"pkts": 0, "dsts": set(), "day_ports": {},
+                                                    "tools": Counter()})
+                cell["pkts"] += 1
+                cell["dsts"].add(p.dst_ip)
+                cell["tools"][fingerprint_packet(p).value] += 1
+                if ttype is not TrafficType.ICMP_ECHO_REQUEST:
+                    day = datetime.fromtimestamp(p.ts_us // 1_000_000, timezone.utc).date()
+                    cell["day_ports"].setdefault(day.isoformat(), set()).add(p.dst_port)
+            assert len(by_src) == len(manifest["sources"])
+            for entry in manifest["sources"]:
+                cell = by_src[ip_to_int(entry["ip"])]
+                assert cell["pkts"] == entry["pkts"]
+                assert len(cell["dsts"]) == entry["unique_dsts"]
+                assert sorted(set().union(*cell["day_ports"].values())) == entry["ports"]
+                per_day = {day: len(ports) for day, ports in cell["day_ports"].items()}
+                assert per_day == entry["day_ports"]
+                assert list(entry["day_ports"]) == sorted(entry["day_ports"])
+                # zmap and masscan probes carry their tool's mark; no other probe does.
+                assert cell["tools"] == {entry["tool"]: entry["pkts"]}
+        # manifest is the two-day one now
+        sweeps = [e for e in manifest["sources"] if e["kind"] == "sweep"]
+        assert {e["tool"] for e in sweeps} == {"zmap", "masscan", "other"}
+        assert all(len(e["day_ports"]) == 2 and len(e["ports"]) == 40 for e in sweeps)
+        assert any(n < 40 for e in sweeps for n in e["day_ports"].values())
 
     def test_full_coverage_scanners_cover_whole_darknet(self, tmp_path):
         sc = _small_scenario()
@@ -172,6 +200,46 @@ class TestScenarioChecks:
 
         generate(_small_scenario(**{"flow_total_pkts": 100_000, **bad, **absent}), 7, tmp_path / "ok")
 
+    # Each scenario on its own sent the wrong traffic, dropped a population, or
+    # failed with a traceback; each is now a ValueError naming its key.
+    @pytest.mark.parametrize("bad, key", [
+        ({"full_scanner_types": ["tcp"]}, "full_scanner_types"),
+        ({"partial_scanner_types": []}, "partial_scanner_types"),
+        ({"tools_cycle": ["nmap"]}, "tools_cycle"),
+        ({"tools_cycle": []}, "tools_cycle"),
+        ({"noise_sources": -3}, "noise_sources"),
+        ({"partial_scanners": -1}, "partial_scanners"),
+        ({"noise_sources": 2.5}, "noise_sources"),
+        ({"noise_sources": "5"}, "noise_sources"),
+        ({"backscatter_pkts": True}, "backscatter_pkts"),
+        ({"full_scanner_repeats": 0}, "full_scanner_repeats"),
+        ({"port_sweep_scanners": 1, "sweep_ports": 0}, "sweep_ports"),
+        ({"port_sweep_scanners": 1, "sweep_pkts_per_port": 0}, "sweep_pkts_per_port"),
+        ({"flow_total_pkts": 1000, "flow_sampling_denominator": 0}, "flow_sampling_denominator"),
+        ({"flow_total_pkts": 1000, "full_coverage_scanners": 0, "partial_scanners": 0},
+         "flow_total_pkts"),
+        ({"partial_coverage_fraction": None}, "partial_coverage_fraction"),
+        ({"partial_coverage_fraction": 1.5}, "partial_coverage_fraction"),
+        ({"flow_total_pkts": 1000, "flow_ah_share": -0.1}, "flow_ah_share"),
+        ({"dispersion_fraction": 0}, "dispersion_fraction"),
+        ({"event_timeout_s": None}, "event_timeout_s"),
+        ({"start_ts_s": -86400}, "start_ts_s"),
+        ({"start_ts_s": 2 ** 32 - 599}, "start_ts_s"),
+        ([1, 2], "JSON object"),
+    ])
+    def test_bad_scenario_exits_2_naming_its_key(self, tmp_path, capsys, bad, key):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(bad))
+        assert main(["--out-dir", str(tmp_path / "cli"), "synth", str(scenario)]) == 2
+        assert key in capsys.readouterr().err
+        assert list((tmp_path / "cli").iterdir()) == []
+
+    def test_last_second_of_classic_pcap_fits(self, tmp_path):
+        sc = _small_scenario(start_ts_s=2 ** 32 - 600, duration_s=600)
+        generate(sc, 7, tmp_path)
+        ts = [p.ts_us for p in map(PacketMeta._make, PcapReader(tmp_path / "synth.pcap"))]
+        assert max(ts) // 1_000_000 <= 2 ** 32 - 1
+
 
 class TestFlows:
     def test_flow_ground_truth_share(self, tmp_path):
@@ -185,6 +253,14 @@ class TestFlows:
         assert text[0].startswith("router_id,")
         assert len(text) - 1 == truth["rows"]
         assert all(line.split(",")[9] == "1000" for line in text[1:])
+
+    def test_fractional_start_writes_rows_the_reader_takes(self, tmp_path):
+        manifest = generate(_small_scenario(flow_total_pkts=200_000, start_ts_s=1654041600.5),
+                            5, tmp_path)
+        reader = FlowReader(tmp_path / "flows.csv")
+        rows = list(reader)
+        assert len(rows) == manifest["flows"]["rows"] > 0
+        assert reader.invalid_rows == 0
 
     def test_no_flows_when_disabled(self, tmp_path):
         manifest = generate(_small_scenario(), 5, tmp_path)
