@@ -145,8 +145,6 @@ def cmd_events(args, staging: Path) -> int:
 
     cfg = _require_config(args)
     builder = EventBuilder(cfg, reorder_slack_s=args.reorder_slack)
-    # Running sums of the finished readers' counters: each reader, and the
-    # capture it holds in memory, is dropped before the next file is opened.
     totals = dict.fromkeys(
         ("packets_read", "skipped_non_ipv4", "skipped_truncated", "skipped_transport"), 0
     )
@@ -157,7 +155,6 @@ def cmd_events(args, staging: Path) -> int:
             yield from builder.fold(reader)
             for name in totals:
                 totals[name] += getattr(reader, name)
-            del reader
         yield from builder.flush()
 
     events_written = write_event_log(staging / "events.jsonl", closed_events())

@@ -44,7 +44,7 @@ class _OpenEvent:
         "dsts", "zmap_pkts", "masscan_pkts", "other_pkts",
     )
 
-    def __init__(self, key: EventKey, ts: int):
+    def __init__(self, key: tuple[int, int, TrafficType], ts: int):
         self.key = key
         self.start_ts = ts
         self.last_ts = ts
@@ -90,7 +90,7 @@ class EventBuilder:
         self.promote_above = (
             cfg.darknet_size if cfg.darknet_size <= EXACT_DST_THRESHOLD else SPARSE_MAX_DSTS
         )
-        self.open_events: dict[EventKey, _OpenEvent] = {}
+        self.open_events: dict[tuple[int, int, TrafficType], _OpenEvent] = {}
         self.watermark: Optional[int] = None
         self._next_sweep: Optional[int] = None
         self.packets_in = 0
@@ -119,12 +119,13 @@ class EventBuilder:
         return n
 
     def _close(self, state: _OpenEvent) -> DarknetEvent:
-        ev = DarknetEvent(state.key, state.start_ts, state.last_ts, state.pkt_count,
-                          self._unique_dsts(state), state.zmap_pkts, state.masscan_pkts,
-                          state.other_pkts)
+        new = tuple.__new__
         self.events_emitted += 1
-        self.pkts_emitted += ev.pkt_count
-        return ev
+        self.pkts_emitted += state.pkt_count
+        return new(DarknetEvent, (
+            new(EventKey, state.key), state.start_ts, state.last_ts, state.pkt_count,
+            self._unique_dsts(state), state.zmap_pkts, state.masscan_pkts, state.other_pkts,
+        ))
 
     def _sweep(self, now_us: int) -> List[DarknetEvent]:
         deadline = now_us - self.timeout_us
@@ -143,8 +144,9 @@ class EventBuilder:
         it, or a PacketMeta. Three rules run inline, with no call per packet:
         the scanning classes of classify_traffic_type, a bisect over the
         config's darknet intervals, and the tool marks of fingerprint_packet.
-        The watermark and the drop counters are written back when the
-        iteration ends.
+        No object is built per packet: open events are keyed by a plain
+        tuple, which becomes an EventKey when the event closes. The watermark
+        and the drop counters are written back when the iteration ends.
         """
         starts = self.cfg.range_starts
         ends = self.cfg.range_ends
@@ -201,7 +203,7 @@ class EventBuilder:
                     yield from self._sweep(ts)
                     next_sweep = ts + sweep_interval_us
 
-                key = EventKey(src, dport, ttype)
+                key = (src, dport, ttype)
                 state = open_events.get(key)
                 if state is not None and state.last_ts < ts - timeout_us:
                     # quiet period exceeded strictly: this arrival starts a new event

@@ -14,14 +14,6 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 _POW2NEG = [2.0 ** -r for r in range(65)]
 
 
-def _mix64(x: int) -> int:
-    """splitmix64 finalizer; cheap and well distributed for sequential ints."""
-    x = (x + 0x9E3779B97F4A7C15) & _MASK64
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return x ^ (x >> 31)
-
-
 # The low PRECISION hash bits pick one of REGISTERS registers; the other
 # 64 - PRECISION bits give the item's rank.
 PRECISION = 14
@@ -35,7 +27,12 @@ class Hll:
         self.registers = bytearray(REGISTERS)
 
     def add_int(self, value: int) -> None:
-        h = _mix64(value)
+        # splitmix64 finalizer, inline: cheap and well distributed for
+        # sequential ints.
+        h = (value + 0x9E3779B97F4A7C15) & _MASK64
+        h = ((h ^ (h >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        h = ((h ^ (h >> 27)) * 0x94D049BB133111EB) & _MASK64
+        h ^= h >> 31
         j = h & (REGISTERS - 1)
         # rank = position of the leftmost 1 bit in the remaining 64 - PRECISION bits
         rank = (64 - PRECISION) - (h >> PRECISION).bit_length() + 1

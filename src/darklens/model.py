@@ -138,6 +138,8 @@ class TrafficType(str, enum.Enum):
 
 
 _TRAFFIC_TYPES = {t.value: t for t in TrafficType}
+# The other way round, so an encoder reads no enum property.
+_TRAFFIC_TEXT = {t: t.value for t in TrafficType}
 
 
 class Protocol(str, enum.Enum):
@@ -222,7 +224,7 @@ class DarknetEvent(NamedTuple):
         (src_ip, port, ttype), start, end, pkts, dsts, zmap, masscan, other = self
         return (
             f'{{"key":{{"src_ip":"{int_to_ip(src_ip)}","dst_port":{port},'
-            f'"traffic_type":"{ttype.value}"}},"start_ts":{start},"end_ts":{end},'
+            f'"traffic_type":"{_TRAFFIC_TEXT[ttype]}"}},"start_ts":{start},"end_ts":{end},'
             f'"pkt_count":{pkts},"unique_dst_count":{dsts},"zmap_pkts":{zmap},'
             f'"masscan_pkts":{masscan},"other_pkts":{other}}}'
         )

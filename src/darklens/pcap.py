@@ -7,12 +7,13 @@ counted (per-packet oddities) or fatal (a file we cannot interpret at all).
 The pcapng container is out of scope.
 
 The reader is a single-pass iterator; skip counters are valid once iteration
-finishes. The whole capture is held in memory, which is fine for the multi
-hundred MB files a telescope rotates through and keeps the hot loop free of
-syscalls.
+finishes. It reads the capture in blocks of BLOCK bytes and carries a record
+cut by a block edge into the next block, so memory is one block plus the
+largest record, whatever the size of the file.
 """
 from __future__ import annotations
 
+import os
 import struct
 from typing import Iterator, Optional, Tuple
 
@@ -27,6 +28,9 @@ LINKTYPE_ETHERNET = 1
 LINKTYPE_RAW_IP = 101
 
 ICMP_ECHO_REQUEST_TYPE = 8
+
+# Bytes read from the capture at a time.
+BLOCK = 1 << 20
 
 # One unpack per header. IPv4: version/IHL, ID, flags + fragment offset,
 # protocol, source, destination. TCP: ports, sequence number, flags byte.
@@ -58,10 +62,10 @@ class PcapReader:
     def __init__(self, path):
         self.path = path
         with open(path, "rb") as fh:
-            self._buf = fh.read()
-        if len(self._buf) < 24:
+            header = fh.read(24)
+        if len(header) < 24:
             raise BadMagicError(f"{path}: file shorter than a pcap global header")
-        magic = struct.unpack(">I", self._buf[:4])[0]
+        magic = struct.unpack(">I", header[:4])[0]
         if magic in (MAGIC_US_BE, MAGIC_NS_BE):
             self._endian = ">"
         elif magic in (MAGIC_US_LE, MAGIC_NS_LE):
@@ -70,7 +74,7 @@ class PcapReader:
             raise BadMagicError(f"{path}: bad pcap magic 0x{magic:08x}")
         self._nanos = magic in (MAGIC_NS_BE, MAGIC_NS_LE)
         _vmaj, _vmin, _tz, _sig, _snap, network = struct.unpack(
-            self._endian + "HHiIII", self._buf[4:24]
+            self._endian + "HHiIII", header[4:24]
         )
         if network not in (LINKTYPE_ETHERNET, LINKTYPE_RAW_IP):
             raise UnsupportedLinkTypeError(f"{path}: unsupported link type {network}")
@@ -88,10 +92,11 @@ class PcapReader:
     def __iter__(self) -> Iterator[tuple]:
         """Yield each decoded packet as a plain tuple in PacketMeta field order.
 
+        The file is read BLOCK bytes at a time, or the rest of a record longer
+        than that. A record is counted once its bytes are all in hand, or as
+        truncated once its header says it ends past the end of the file.
         The counters are kept in locals and written back when iteration ends.
         """
-        buf = self._buf
-        n = len(buf)
         rec_unpack = struct.Struct(self._endian + "IIII").unpack_from
         ipv4_unpack = _IPV4_HDR.unpack_from
         tcp_unpack = _TCP_HDR.unpack_from
@@ -108,77 +113,98 @@ class PcapReader:
         truncated = self.skipped_truncated
         transport = self.skipped_transport
 
-        off = 24
+        fh = open(self.path, "rb")
         try:
-            while off + 16 <= n:
-                ts_sec, ts_frac, caplen, origlen = rec_unpack(buf, off)
-                off += 16
-                records += 1
-                end = off + caplen
-                if end > n:
-                    # record header promises more bytes than the file holds
-                    truncated += 1
+            # A record said to end past the file's size is not read on, so a
+            # garbled caplen costs no memory.
+            size = os.fstat(fh.fileno()).st_size
+            fh.seek(24)
+            buf = b""
+            n = off = end = 0
+            while True:
+                # Keep the record cut at buf[off:] and read a block, or the
+                # rest of that record if it is longer. missing is the bytes
+                # that record lacks, or at most 0 when its header is cut.
+                buf = buf[off:]
+                missing = end - n
+                chunk = fh.read(max(BLOCK, missing)) if missing <= size - fh.tell() else b""
+                if not chunk:
+                    if len(buf) >= 16:
+                        # record header promises more bytes than the file holds
+                        records += 1
+                        truncated += 1
                     break
-                data_off = off
-                off = end
+                buf += chunk
+                del chunk  # hold one copy of the block while decoding it
+                n = len(buf)
+                off = end = 0
+                while off + 16 <= n:
+                    ts_sec, ts_frac, caplen, origlen = rec_unpack(buf, off)
+                    data_off = off + 16
+                    end = data_off + caplen
+                    if end > n:
+                        break
+                    records += 1
+                    off = end
 
-                if nanos:
-                    ts_us = ts_sec * 1_000_000 + ts_frac // 1000
-                else:
-                    ts_us = ts_sec * 1_000_000 + ts_frac
+                    if nanos:
+                        ts_us = ts_sec * 1_000_000 + ts_frac // 1000
+                    else:
+                        ts_us = ts_sec * 1_000_000 + ts_frac
 
-                ip_off = data_off + l2_off
-                if is_ethernet:
-                    if caplen < 14:
+                    ip_off = data_off + l2_off
+                    if is_ethernet:
+                        if caplen < 14:
+                            truncated += 1
+                            continue
+                        if buf[data_off + 12] != 0x08 or buf[data_off + 13] != 0x00:
+                            non_ipv4 += 1
+                            continue
+
+                    if end - ip_off < 20:
                         truncated += 1
                         continue
-                    if buf[data_off + 12] != 0x08 or buf[data_off + 13] != 0x00:
+                    vihl, ip_id, frag, proto, src_ip, dst_ip = ipv4_unpack(buf, ip_off)
+                    if vihl >> 4 != 4:
                         non_ipv4 += 1
                         continue
+                    ihl = (vihl & 0x0F) * 4
+                    if ihl < 20 or ip_off + ihl > end:
+                        truncated += 1
+                        continue
+                    if frag & 0x1FFF:
+                        # non-first fragment, transport header lives in another packet
+                        transport += 1
+                        continue
+                    l4 = ip_off + ihl
 
-                if end - ip_off < 20:
-                    truncated += 1
-                    continue
-                vihl, ip_id, frag, proto, src_ip, dst_ip = ipv4_unpack(buf, ip_off)
-                if vihl >> 4 != 4:
-                    non_ipv4 += 1
-                    continue
-                ihl = (vihl & 0x0F) * 4
-                if ihl < 20 or ip_off + ihl > end:
-                    truncated += 1
-                    continue
-                if frag & 0x1FFF:
-                    # non-first fragment, transport header lives in another packet
-                    transport += 1
-                    continue
-                l4 = ip_off + ihl
-
-                if proto == 6:
-                    if end - l4 < 20:
-                        truncated += 1
-                        continue
-                    src_port, dst_port, tcp_seq, tcp_flags = tcp_unpack(buf, l4)
-                    read += 1
-                    yield (ts_us, src_ip, dst_ip, tcp, src_port, dst_port,
-                           tcp_flags & 0x3F, ip_id, tcp_seq, None, origlen)
-                elif proto == 17:
-                    if end - l4 < 8:
-                        truncated += 1
-                        continue
-                    src_port, dst_port = ports_unpack(buf, l4)
-                    read += 1
-                    yield (ts_us, src_ip, dst_ip, udp, src_port, dst_port,
-                           None, ip_id, None, None, origlen)
-                elif proto == 1:
-                    if end - l4 < 4:
-                        truncated += 1
-                        continue
-                    read += 1
-                    yield (ts_us, src_ip, dst_ip, icmp, None, None,
-                           None, ip_id, None, buf[l4], origlen)
-                else:
-                    transport += 1
+                    if proto == 6:
+                        if end - l4 < 20:
+                            truncated += 1
+                            continue
+                        src_port, dst_port, tcp_seq, tcp_flags = tcp_unpack(buf, l4)
+                        read += 1
+                        yield (ts_us, src_ip, dst_ip, tcp, src_port, dst_port,
+                               tcp_flags & 0x3F, ip_id, tcp_seq, None, origlen)
+                    elif proto == 17:
+                        if end - l4 < 8:
+                            truncated += 1
+                            continue
+                        src_port, dst_port = ports_unpack(buf, l4)
+                        read += 1
+                        yield (ts_us, src_ip, dst_ip, udp, src_port, dst_port,
+                               None, ip_id, None, None, origlen)
+                    elif proto == 1:
+                        if end - l4 < 4:
+                            truncated += 1
+                            continue
+                        read += 1
+                        yield (ts_us, src_ip, dst_ip, icmp, None, None,
+                               None, ip_id, None, buf[l4], origlen)
+                    else:
+                        transport += 1
         finally:
+            fh.close()
             self.records_total = records
             self.packets_read = read
             self.skipped_non_ipv4 = non_ipv4

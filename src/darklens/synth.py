@@ -189,6 +189,12 @@ def generate(scenario: SynthScenario, seed: int, out_dir) -> dict:
     if sc.flow_total_pkts > 0 and not (
             sc.full_coverage_scanners or sc.partial_scanners or sc.port_sweep_scanners):
         raise ValueError(f"flow_total_pkts {sc.flow_total_pkts} needs at least one scanner source")
+    routers = sc.flow_routers
+    if sc.flow_total_pkts > 0 and not (
+            isinstance(routers, (list, tuple)) and routers
+            and all(type(r) is str and r for r in routers) and len(set(routers)) == len(routers)):
+        raise ValueError(
+            f"flow_routers must be a non-empty list of distinct non-empty strings, not {routers!r}")
     # The telescope is checked the way a config file is: overlapping or too
     # small prefixes, a timeout under 1 us and a dispersion fraction outside
     # (0, 1] raise ConfigError.

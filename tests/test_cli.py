@@ -1,13 +1,11 @@
 import argparse
 import csv
-import gc
 import json
 import os
 import re
 import subprocess
 import sys
 import tempfile
-import weakref
 from datetime import date
 from pathlib import Path
 
@@ -542,21 +540,26 @@ def test_events_drops_each_capture_and_sums_its_counters(tmp_path, monkeypatch, 
            (13 * US, arp)]
     ))
 
-    refs = []
-    dead_at_open = []
+    files = []
+    closed_at_open = []
+
+    def tracked_open(*args, **kwargs):
+        files.append(open(*args, **kwargs))
+        return files[-1]
 
     class TrackedReader(PcapReader):
         def __init__(self, path):
-            gc.collect()
-            dead_at_open.append([ref() is None for ref in refs])
+            closed_at_open.append([fh.closed for fh in files])
             super().__init__(path)
-            refs.append(weakref.ref(self))
 
-    # cmd_events imports PcapReader from darklens.pcap when it runs.
+    # cmd_events imports PcapReader from darklens.pcap when it runs; the
+    # reader opens each capture twice, for its header and for its records.
     monkeypatch.setattr(pcap_mod, "PcapReader", TrackedReader)
+    monkeypatch.setattr(pcap_mod, "open", tracked_open, raising=False)
     rc = main(["--config", str(conf), "--out-dir", str(tmp_path), "events", str(first), str(second)])
     assert rc == 0
-    assert dead_at_open == [[], [True]]
+    assert closed_at_open == [[], [True, True]]
+    assert len(files) == 4 and all(fh.closed for fh in files)
     out = capsys.readouterr().out
     assert "pcap files: 2\n" in out
     assert "packets read: 5 (skipped: non-ipv4 2, truncated 1, other transport 2)" in out

@@ -1,6 +1,8 @@
 import ipaddress
 import random
+import sys
 import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -338,6 +340,45 @@ def test_one_packet_event_costs_the_same_on_a_slash8_as_on_a_slash22():
     # under 1 KB on either telescope.
     assert small < 1024
     assert large == small
+
+
+def _fold_calls(cfg, n):
+    """Python-level calls, by function name, to fold n packets of 4 keys and flush.
+
+    Each key sees a new darknet address per packet (cycling on a /22), and the
+    packets span 4n us, well inside one sweep interval, so no event closes
+    before the flush.
+    """
+    base = ip_to_int("10.0.0.0")
+    pkts = [tuple(mk_pkt(i * 4 + k, SRC, base + i % cfg.darknet_size, dport=k + 1))
+            for i in range(n // 4) for k in range(4)]
+    b = EventBuilder(cfg)
+    calls = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls[frame.f_code.co_name] += 1
+
+    sys.setprofile(profile)
+    try:
+        evs = [*b.fold(pkts), *b.flush()]
+    finally:
+        sys.setprofile(None)
+    assert [ev.pkt_count for ev in evs] == [n // 4] * 4
+    return calls
+
+
+@pytest.mark.parametrize("cfg_name, per_packet", [
+    ("cfg_slash22", Counter()),
+    ("cfg_sketch", Counter(add_int=1)),
+], ids=["exact", "sketch"])
+def test_fold_makes_no_call_per_packet(request, cfg_name, per_packet):
+    # Every key is promoted to a sketch within the first 10^4 packets on the
+    # /11, so each further packet costs one add_int there and nothing on a /22.
+    cfg = request.getfixturevalue(cfg_name)
+    more = _fold_calls(cfg, 20_000)
+    more.subtract(_fold_calls(cfg, 10_000))
+    assert +more == Counter({name: k * 10_000 for name, k in per_packet.items()})
 
 
 class TestFingerprintCounters:

@@ -1,10 +1,13 @@
+import itertools
 import random
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import darklens.pcap as pcap_mod
 from darklens.model import PacketMeta, Protocol, TrafficType, ip_to_int
 from darklens.pcap import (
     BadMagicError,
@@ -25,6 +28,7 @@ from helpers import (
     oracle_ipv4,
     oracle_tcp,
     oracle_udp,
+    traced_peak,
 )
 
 
@@ -271,14 +275,28 @@ def _raw_pcap(records, endian="<", nanos=False, linktype=1, tail=b""):
     return bytes(out + tail)
 
 
-def _decode_both(data):
+# Read sizes around one record header (16 bytes) and a short frame, so every
+# record of a test capture straddles a block edge at some size, plus the default.
+BLOCKS = (1, 15, 16, 17, 64, pcap_mod.BLOCK)
+
+
+def _check_against_oracle(data):
+    """Assert PcapReader decodes data like the oracle at every size in BLOCKS.
+
+    Returns the oracle's counters.
+    """
+    expected, counts = oracle_decode_pcap(data)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "t.pcap"
         path.write_bytes(data)
-        reader = PcapReader(path)
-        got = list(reader)
-    expected, counts = oracle_decode_pcap(data)
-    return got, {name: getattr(reader, name) for name in PCAP_COUNTERS}, expected, counts
+        for block in BLOCKS:
+            reader = PcapReader(path)
+            with mock.patch.object(pcap_mod, "BLOCK", block):
+                got = list(reader)
+            assert got == expected, f"BLOCK {block}"
+            assert {name: getattr(reader, name) for name in PCAP_COUNTERS} == counts, \
+                f"BLOCK {block}"
+    return counts
 
 
 @st.composite
@@ -343,9 +361,7 @@ class TestAgainstOracle:
     @settings(max_examples=200, deadline=None)
     @given(_capture())
     def test_property_same_packets_and_counters(self, data):
-        got, got_counts, expected, expected_counts = _decode_both(data)
-        assert got == expected
-        assert got_counts == expected_counts
+        _check_against_oracle(data)
 
     @pytest.mark.parametrize("linktype", [1, 101], ids=["ethernet", "raw-ip"])
     @pytest.mark.parametrize("proto,l4,needed", [
@@ -361,8 +377,30 @@ class TestAgainstOracle:
         ip[0] = 0x40 | (5 + len(options) // 4)
         frame = eth_frame(bytes(ip)) if linktype == 1 else bytes(ip)
         records = [(7, 42, cut, len(frame), frame[:cut]) for cut in range(len(frame) + 1)]
-        got, got_counts, expected, expected_counts = _decode_both(_raw_pcap(records, linktype=linktype))
-        assert got == expected
-        assert got_counts == expected_counts
-        assert got_counts["records_total"] == len(frame) + 1
-        assert got_counts["packets_read"] == len(l4) - needed + 1
+        counts = _check_against_oracle(_raw_pcap(records, linktype=linktype))
+        assert counts["records_total"] == len(frame) + 1
+        assert counts["packets_read"] == len(l4) - needed + 1
+
+
+def _drain(path):
+    reader = PcapReader(path)
+    for _ in reader:
+        pass
+    return reader
+
+
+@pytest.mark.parametrize("garbled", [False, True], ids=["clean", "garbled-caplen"])
+def test_memory_is_one_block_whatever_the_capture_size(tmp_path, garbled):
+    path = tmp_path / "big.pcap"
+    n = (16 << 20) // (16 + len(_syn_frame())) + 1
+    data = bytearray(build_pcap(itertools.repeat((1654041600 * US, _syn_frame()), n)))
+    if garbled:
+        # The first record claims 4 GiB, more than the file holds.
+        data[32:36] = (2**32 - 1).to_bytes(4, "little")
+    path.write_bytes(data)
+    del data
+    assert path.stat().st_size > 16 << 20
+    reader, peak = traced_peak(_drain, path)
+    counts = (1, 0, 1) if garbled else (n, n, 0)
+    assert (reader.records_total, reader.packets_read, reader.skipped_truncated) == counts
+    assert peak < 3 << 20

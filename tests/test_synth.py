@@ -226,6 +226,11 @@ class TestScenarioChecks:
         ({"start_ts_s": -86400}, "start_ts_s"),
         ({"start_ts_s": 2 ** 32 - 599}, "start_ts_s"),
         ([1, 2], "JSON object"),
+        ({"flow_total_pkts": 1000, "flow_routers": []}, "flow_routers"),
+        ({"flow_total_pkts": 1000, "flow_routers": "r1"}, "flow_routers"),
+        ({"flow_total_pkts": 1000, "flow_routers": [""]}, "flow_routers"),
+        ({"flow_total_pkts": 1000, "flow_routers": [1]}, "flow_routers"),
+        ({"flow_total_pkts": 1000, "flow_routers": ["r1", "r1"]}, "flow_routers"),
     ])
     def test_bad_scenario_exits_2_naming_its_key(self, tmp_path, capsys, bad, key):
         scenario = tmp_path / "scenario.json"
