@@ -68,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_detect.add_argument("event_log", type=Path)
     p_detect.add_argument(
         "--fixed-thresholds", nargs=2, type=int, metavar=("VOLUME_PKTS", "PORTS"),
-        help="skip the first pass and use these D2/D3 thresholds (streaming mode)",
+        help="use these D2/D3 thresholds instead of computing them from the log",
     )
     p_detect.add_argument("--dataset-label", default="", help="label stored with the thresholds")
     p_detect.set_defaults(func=cmd_detect, outputs=(*DETECT_LISTS, "detect_meta.json"))
@@ -244,6 +244,7 @@ def cmd_impact(args, staging: Path) -> int:
 
     if not args.flows and args.pcap is None:
         raise ConfigError("impact needs --flows and/or --pcap")
+    impact.series_width_us(args.bin_width, args.num_slash24)
     acked, rdns = _load_acked_args(args)
     ah = read_blocklist(args.blocklist)
     if not ah:
@@ -310,7 +311,7 @@ def cmd_impact(args, staging: Path) -> int:
         if total:
             hot = impact.flag_high_load_bins(series)
             print(
-                f"series: {len(series.bins)} bins, "
+                f"series: {len(series.span())} bins, "
                 f"cumulative fraction {ah_total / total:.6f}, "
                 f"{len(hot)} bins hot on both load and share"
             )

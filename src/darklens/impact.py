@@ -123,15 +123,33 @@ class ImpactBin(NamedTuple):
     total_pkts: int = 0
 
 
+def series_width_us(bin_width_s: float, num_slash24: int = 1) -> int:
+    """The bin width in whole microseconds; ValueError unless it rounds to at least
+    1 us (no zero-wide bins) and the /24 count the rate divides by is positive."""
+    width_us = round(bin_width_s * US_PER_S) if 0 < bin_width_s < math.inf else 0
+    if width_us < 1:
+        raise ValueError(f"bin width {bin_width_s} s must be finite and round to at least 1 us")
+    if num_slash24 <= 0:
+        raise ValueError("num_slash24 must be positive")
+    return width_us
+
+
 class ImpactSeries(NamedTuple):
     """Binned view of one vantage's packet stream against an AH set.
 
-    Bins are contiguous, non-overlapping and ascending; interior windows with
-    no traffic are materialized as zero bins so gaps stay visible.
+    Bins are ascending and on one grid; a window with no traffic may be left
+    out. The series covers every window of its span, so gaps stay visible.
     """
 
     bin_width_s: float
     bins: Sequence[ImpactBin] = ()
+
+    def span(self) -> range:
+        """The start (us) of every bin from the first listed bin to the last."""
+        if not self.bins:
+            return range(0)
+        return range(self.bins[0].bin_start_us, self.bins[-1].bin_start_us + 1,
+                     series_width_us(self.bin_width_s))
 
     def totals(self) -> Tuple[int, int]:
         return sum(b.ah_pkts for b in self.bins), sum(b.total_pkts for b in self.bins)
@@ -144,14 +162,10 @@ def stream_impact(
 ) -> ImpactSeries:
     """Per-bin aggressive and total packet counts of a packet stream.
 
-    pkts are tuples in PacketMeta field order, as PcapReader yields them. The
-    series carries the width rounded to whole microseconds, the one its bins have.
+    pkts are tuples in PacketMeta field order, as PcapReader yields them. It lists
+    only bins with packets and carries the width rounded to whole microseconds.
     """
-    # Checked after rounding: a positive width under half a microsecond
-    # would otherwise make zero-width bins.
-    width_us = round(bin_width_s * US_PER_S) if 0 < bin_width_s < math.inf else 0
-    if width_us < 1:
-        raise ValueError(f"bin width {bin_width_s} s must be finite and round to at least 1 us")
+    width_us = series_width_us(bin_width_s)
     counts: Dict[int, List[int]] = {}
     for ts, src, _dst, _proto, _sp, _dp, _flags, _id, _seq, _icmp, _len in pkts:
         idx = ts // width_us
@@ -161,24 +175,28 @@ def stream_impact(
         cell[1] += 1
         if src in ah:
             cell[0] += 1
-    span = range(min(counts), max(counts) + 1) if counts else ()
     return ImpactSeries(
-        width_us / US_PER_S, [ImpactBin(idx * width_us, *counts.get(idx, (0, 0))) for idx in span]
+        width_us / US_PER_S, [ImpactBin(idx * width_us, *counts[idx]) for idx in sorted(counts)]
     )
 
 
 def series_rows(series: ImpactSeries, num_slash24: int) -> Iterable[tuple]:
-    """Each series.csv row, in one walk over the bins.
+    """Each series.csv row, in one walk over the span.
 
     A row is the bin start (us), ah_pkts, total_pkts, the bin's aggressive
     fraction (0 when empty), the cumulative fraction and the aggressive
-    packets per second per /24. The cumulative fraction divides integer
-    prefix sums, so the last row's is exactly total_ah / total_pkts.
+    packets per second per /24, an unlisted bin being empty. The cumulative fraction
+    divides integer prefix sums, so the last row's is exactly total_ah / total_pkts.
     """
-    if num_slash24 <= 0:
-        raise ValueError("num_slash24 must be positive")
+    series_width_us(series.bin_width_s, num_slash24)
     ah_sum = total_sum = 0
-    for start, ah, total in series.bins:
+    listed = iter(series.bins)
+    nxt = next(listed, None)
+    for start in series.span():
+        ah = total = 0
+        if start == nxt[0]:
+            _start, ah, total = nxt
+            nxt = next(listed, None)
         ah_sum += ah
         total_sum += total
         yield (
@@ -188,15 +206,16 @@ def series_rows(series: ImpactSeries, num_slash24: int) -> Iterable[tuple]:
 
 
 def flag_high_load_bins(series: ImpactSeries) -> List[int]:
-    """Indexes of the bins with packets in the top decile of both load and share.
+    """Span positions of the bins with packets in the top decile of both load and share.
 
     Top decile means value >= the 90th-percentile order statistic (1-based
-    index ceil(0.9 * n) over all n bins), so ties at the cut are included.
+    index ceil(0.9 * n) over the n bins of the span), so ties at the cut are included.
     Empty bins sort first in both orders, so only the bins with packets are
     held, and an index that falls among the empty bins makes the cut 0.
     """
-    n = len(series.bins)
-    busy = [(i, total, ah / total) for i, (_start, ah, total) in enumerate(series.bins) if total]
+    span = series.span()
+    n = len(span)
+    busy = [(span.index(start), total, ah / total) for start, ah, total in series.bins if total]
     # ceil(0.9n) in exact integer arithmetic, less the empty bins that sort below.
     k = -(-9 * n // 10) - (n - len(busy))
     if k < 1:

@@ -7,9 +7,9 @@ counted (per-packet oddities) or fatal (a file we cannot interpret at all).
 The pcapng container is out of scope.
 
 The reader is a single-pass iterator; skip counters are valid once iteration
-finishes. It reads the capture in blocks of BLOCK bytes and carries a record
-cut by a block edge into the next block, so memory is one block plus the
-largest record, whatever the size of the file.
+finishes. It reads each record's header and then its bytes through one
+buffer of BLOCK bytes, so memory is one buffer plus the largest record,
+whatever the size of the file.
 """
 from __future__ import annotations
 
@@ -29,7 +29,7 @@ LINKTYPE_RAW_IP = 101
 
 ICMP_ECHO_REQUEST_TYPE = 8
 
-# Bytes read from the capture at a time.
+# Size of the read buffer over the capture.
 BLOCK = 1 << 20
 
 # One unpack per header. IPv4: version/IHL, ID, flags + fragment offset,
@@ -39,15 +39,11 @@ _TCP_HDR = struct.Struct("!HHI5xB")
 _PORTS_HDR = struct.Struct("!HH")
 
 
-class PcapReadError(ValueError):
+class BadMagicError(ValueError):
     pass
 
 
-class BadMagicError(PcapReadError):
-    pass
-
-
-class UnsupportedLinkTypeError(PcapReadError):
+class UnsupportedLinkTypeError(ValueError):
     pass
 
 
@@ -73,9 +69,7 @@ class PcapReader:
         else:
             raise BadMagicError(f"{path}: bad pcap magic 0x{magic:08x}")
         self._nanos = magic in (MAGIC_NS_BE, MAGIC_NS_LE)
-        _vmaj, _vmin, _tz, _sig, _snap, network = struct.unpack(
-            self._endian + "HHiIII", header[4:24]
-        )
+        network = struct.unpack_from(self._endian + "I", header, 20)[0]
         if network not in (LINKTYPE_ETHERNET, LINKTYPE_RAW_IP):
             raise UnsupportedLinkTypeError(f"{path}: unsupported link type {network}")
         self.linktype = network
@@ -92,17 +86,17 @@ class PcapReader:
     def __iter__(self) -> Iterator[tuple]:
         """Yield each decoded packet as a plain tuple in PacketMeta field order.
 
-        The file is read BLOCK bytes at a time, or the rest of a record longer
-        than that. A record is counted once its bytes are all in hand, or as
-        truncated once its header says it ends past the end of the file.
+        A record is counted once its bytes are in hand, or as truncated once
+        its header says it ends past the end of the file, and is then not read.
+        A read that comes back short (the file shrank) ends the iteration.
         The counters are kept in locals and written back when iteration ends.
         """
-        rec_unpack = struct.Struct(self._endian + "IIII").unpack_from
+        rec_unpack = struct.Struct(self._endian + "IIII").unpack
         ipv4_unpack = _IPV4_HDR.unpack_from
         tcp_unpack = _TCP_HDR.unpack_from
         ports_unpack = _PORTS_HDR.unpack_from
         nanos = self._nanos
-        l2_off = 14 if self.linktype == LINKTYPE_ETHERNET else 0
+        ip_off = 14 if self.linktype == LINKTYPE_ETHERNET else 0
         is_ethernet = self.linktype == LINKTYPE_ETHERNET
         tcp = Protocol.TCP
         udp = Protocol.UDP
@@ -113,96 +107,80 @@ class PcapReader:
         truncated = self.skipped_truncated
         transport = self.skipped_transport
 
-        fh = open(self.path, "rb")
+        fh = open(self.path, "rb", buffering=BLOCK)
         try:
-            # A record said to end past the file's size is not read on, so a
-            # garbled caplen costs no memory.
-            size = os.fstat(fh.fileno()).st_size
             fh.seek(24)
-            buf = b""
-            n = off = end = 0
-            while True:
-                # Keep the record cut at buf[off:] and read a block, or the
-                # rest of that record if it is longer. missing is the bytes
-                # that record lacks, or at most 0 when its header is cut.
-                buf = buf[off:]
-                missing = end - n
-                chunk = fh.read(max(BLOCK, missing)) if missing <= size - fh.tell() else b""
-                if not chunk:
-                    if len(buf) >= 16:
-                        # record header promises more bytes than the file holds
-                        records += 1
-                        truncated += 1
+            read_bytes = fh.read
+            # A record said to end past the file is not read, so a garbled
+            # caplen costs no memory.
+            left = os.fstat(fh.fileno()).st_size - 24
+            while left >= 16:
+                hdr = read_bytes(16)
+                if len(hdr) < 16:
                     break
-                buf += chunk
-                del chunk  # hold one copy of the block while decoding it
-                n = len(buf)
-                off = end = 0
-                while off + 16 <= n:
-                    ts_sec, ts_frac, caplen, origlen = rec_unpack(buf, off)
-                    data_off = off + 16
-                    end = data_off + caplen
-                    if end > n:
-                        break
-                    records += 1
-                    off = end
+                ts_sec, ts_frac, caplen, origlen = rec_unpack(hdr)
+                records += 1
+                left -= 16 + caplen
+                buf = read_bytes(caplen) if left >= 0 else b""
+                if len(buf) < caplen:
+                    truncated += 1
+                    break
 
-                    if nanos:
-                        ts_us = ts_sec * 1_000_000 + ts_frac // 1000
-                    else:
-                        ts_us = ts_sec * 1_000_000 + ts_frac
+                if nanos:
+                    ts_us = ts_sec * 1_000_000 + ts_frac // 1000
+                else:
+                    ts_us = ts_sec * 1_000_000 + ts_frac
 
-                    ip_off = data_off + l2_off
-                    if is_ethernet:
-                        if caplen < 14:
-                            truncated += 1
-                            continue
-                        if buf[data_off + 12] != 0x08 or buf[data_off + 13] != 0x00:
-                            non_ipv4 += 1
-                            continue
-
-                    if end - ip_off < 20:
+                if is_ethernet:
+                    if caplen < 14:
                         truncated += 1
                         continue
-                    vihl, ip_id, frag, proto, src_ip, dst_ip = ipv4_unpack(buf, ip_off)
-                    if vihl >> 4 != 4:
+                    if buf[12] != 0x08 or buf[13] != 0x00:
                         non_ipv4 += 1
                         continue
-                    ihl = (vihl & 0x0F) * 4
-                    if ihl < 20 or ip_off + ihl > end:
+
+                if caplen - ip_off < 20:
+                    truncated += 1
+                    continue
+                vihl, ip_id, frag, proto, src_ip, dst_ip = ipv4_unpack(buf, ip_off)
+                if vihl >> 4 != 4:
+                    non_ipv4 += 1
+                    continue
+                ihl = (vihl & 0x0F) * 4
+                if ihl < 20 or ip_off + ihl > caplen:
+                    truncated += 1
+                    continue
+                if frag & 0x1FFF:
+                    # non-first fragment, transport header lives in another packet
+                    transport += 1
+                    continue
+                l4 = ip_off + ihl
+
+                if proto == 6:
+                    if caplen - l4 < 20:
                         truncated += 1
                         continue
-                    if frag & 0x1FFF:
-                        # non-first fragment, transport header lives in another packet
-                        transport += 1
+                    src_port, dst_port, tcp_seq, tcp_flags = tcp_unpack(buf, l4)
+                    read += 1
+                    yield (ts_us, src_ip, dst_ip, tcp, src_port, dst_port,
+                           tcp_flags & 0x3F, ip_id, tcp_seq, None, origlen)
+                elif proto == 17:
+                    if caplen - l4 < 8:
+                        truncated += 1
                         continue
-                    l4 = ip_off + ihl
-
-                    if proto == 6:
-                        if end - l4 < 20:
-                            truncated += 1
-                            continue
-                        src_port, dst_port, tcp_seq, tcp_flags = tcp_unpack(buf, l4)
-                        read += 1
-                        yield (ts_us, src_ip, dst_ip, tcp, src_port, dst_port,
-                               tcp_flags & 0x3F, ip_id, tcp_seq, None, origlen)
-                    elif proto == 17:
-                        if end - l4 < 8:
-                            truncated += 1
-                            continue
-                        src_port, dst_port = ports_unpack(buf, l4)
-                        read += 1
-                        yield (ts_us, src_ip, dst_ip, udp, src_port, dst_port,
-                               None, ip_id, None, None, origlen)
-                    elif proto == 1:
-                        if end - l4 < 4:
-                            truncated += 1
-                            continue
-                        read += 1
-                        yield (ts_us, src_ip, dst_ip, icmp, None, None,
-                               None, ip_id, None, buf[l4], origlen)
-                    else:
-                        transport += 1
+                    src_port, dst_port = ports_unpack(buf, l4)
+                    read += 1
+                    yield (ts_us, src_ip, dst_ip, udp, src_port, dst_port,
+                           None, ip_id, None, None, origlen)
+                elif proto == 1:
+                    if caplen - l4 < 4:
+                        truncated += 1
+                        continue
+                    read += 1
+                    yield (ts_us, src_ip, dst_ip, icmp, None, None,
+                           None, ip_id, None, buf[l4], origlen)
+                else:
+                    transport += 1
         finally:
             fh.close()
             self.records_total = records

@@ -20,7 +20,7 @@ from typing import Collection, Dict, Iterable, Iterator, List, Optional, Set, Tu
 from darklens.events import EventBuilder, _OpenEvent, _promote
 from darklens.fingerprint import PortFingerprintRow, ProbeTool, fingerprint_packet
 from darklens.flows import FLOW_CSV_FIELDS, FlowFormat
-from darklens.impact import ProtocolMix
+from darklens.impact import ImpactBin, ImpactSeries, ProtocolMix
 from darklens.model import (
     AhVerdict,
     DarknetConfig,
@@ -741,6 +741,17 @@ def oracle_series_rows(series, num_slash24: int) -> List[tuple]:
         (b.bin_start_us, b.ah_pkts, b.total_pkts, inst, cum, rate)
         for b, inst, cum, rate in zip(series.bins, fractions, cumulative, rates)
     ]
+
+
+def dense_series(series, width_us: int) -> ImpactSeries:
+    """series with a zero bin for every unlisted window between its first and
+    last listed bin: the dense form that series_rows and flag_high_load_bins
+    must read a sparse series as.
+    """
+    listed = {b.bin_start_us: b for b in series.bins}
+    starts = sorted(listed)
+    full = range(starts[0], starts[-1] + 1, width_us) if starts else ()
+    return ImpactSeries(series.bin_width_s, [listed.get(s, ImpactBin(s)) for s in full])
 
 
 def offline_intervals(ts_sorted: List[int], timeout_us: int) -> List[Tuple[int, int]]:

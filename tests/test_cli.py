@@ -348,7 +348,7 @@ class TestReportCommand:
         assert (out / "tag_classes.csv").read_text().splitlines()[1:] == [
             "benign,0", "malicious,1", "unknown,0", "not_present,0",
         ]
-        origins = list(csv.DictReader((out / "origins.csv").open()))
+        origins = list(csv.DictReader((out / "origins.csv").read_text().splitlines()))
         assert [(r["unique_32s"], r["acked_32s"]) for r in origins] == [("3", "2")]
 
     def test_exclude_acked_without_lists_is_fatal(self, pipeline, feeds, tmp_path, capsys):

@@ -1,5 +1,6 @@
 import random
 from datetime import date
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -36,8 +37,8 @@ from darklens.model import (
     write_csv,
 )
 from helpers import (
-    US, build_pcap, eth_frame, mk_pkt, oracle_flow_measures, oracle_ipv4, oracle_series_rows,
-    oracle_udp, port_tally, traced_peak, write_flows_csv,
+    US, build_pcap, dense_series, eth_frame, mk_pkt, oracle_flow_measures, oracle_ipv4,
+    oracle_series_rows, oracle_udp, port_tally, traced_peak, write_flows_csv,
 )
 
 JUNE1 = date(2022, 6, 1)
@@ -145,10 +146,18 @@ class TestStreamImpact:
             mk_pkt(2 * US + 1, "198.18.0.1", "10.0.0.3"),  # bin 2; bin 1 is silent
         ]
         series = stream_impact(pkts, {AH_IP}, bin_width_s=1.0)
-        assert [b.bin_start_us for b in series.bins] == [0, US, 2 * US]
-        assert [(b.ah_pkts, b.total_pkts) for b in series.bins] == [(1, 2), (0, 0), (1, 1)]
-        assert series.bins[1].total_pkts == 0
-        assert [row[3] for row in series_rows(series, 1)] == [0.5, 0.0, 1.0]
+        assert series.bins == [ImpactBin(0, 1, 2), ImpactBin(2 * US, 1, 1)]
+        assert series.span() == range(0, 2 * US + 1, US)
+        assert [row[:4] for row in series_rows(series, 1)] == [
+            (0, 1, 2, 0.5), (US, 0, 0, 0.0), (2 * US, 1, 1, 1.0),
+        ]
+
+    def test_hot_bin_is_named_by_its_place_in_the_span(self):
+        pkts = [mk_pkt(0, "100.64.0.1", "10.0.0.1")]
+        pkts += [mk_pkt(2 * US + i, "198.18.0.1", "10.0.0.1") for i in range(5)]
+        series = stream_impact(pkts, {AH_IP}, bin_width_s=1.0)
+        assert len(series.bins) == 2
+        assert flag_high_load_bins(series) == [2]
 
     def test_cumulative_final_equals_total_ratio(self):
         rng = random.Random(31337)
@@ -199,8 +208,12 @@ class TestStreamImpact:
         pkts.sort(key=lambda p: p.ts_us)
         series = stream_impact(pkts, {AH_IP}, bin_width_s=3.0)
         width = round(3.0 * US)
-        for a, b in zip(series.bins, series.bins[1:]):
-            assert b.bin_start_us - a.bin_start_us == width
+        assert all(b.total_pkts for b in series.bins)
+        first, last = pkts[0].ts_us // width * width, pkts[-1].ts_us // width * width
+        assert series.span() == range(first, last + 1, width)
+        rows = list(series_rows(series, 1))
+        assert [row[0] for row in rows] == list(range(first, last + 1, width))
+        assert sum(row[2] for row in rows) == 200
 
 
 class TestNormalization:
@@ -238,6 +251,28 @@ class TestSeriesRows:
         ah_total, total = series.totals()
         if total:
             assert rows[-1][4] == ah_total / total
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        cells=st.lists(st.tuples(st.one_of(st.just((0, 0)), _BIN_CELLS), st.booleans()),
+                       max_size=40),
+        first=st.integers(0, 10**6),
+        width_us=st.integers(1, 10**9),
+        num_slash24=st.integers(1, 2**16),
+    )
+    def test_property_sparse_series_reads_like_its_dense_form(
+        self, cells, first, width_us, num_slash24
+    ):
+        # Each empty bin is listed or left out as drawn.
+        sparse = ImpactSeries(width_us / US, [
+            ImpactBin((first + i) * width_us, a, t)
+            for i, ((a, t), listed) in enumerate(cells) if t or listed
+        ])
+        dense = dense_series(sparse, width_us)
+        assert len(sparse.span()) == len(dense.bins)
+        assert list(series_rows(sparse, num_slash24)) == oracle_series_rows(dense, num_slash24)
+        hot = flag_high_load_bins(sparse)
+        assert hot == (TestHighLoadBins._oracle(dense) if dense.bins else [])
 
     def test_writing_the_csv_holds_one_row_at_a_time(self, tmp_path):
         header = ["bin_start_ts", "ah_pkts", "total_pkts", "inst_fraction", "cum_fraction",
@@ -522,6 +557,54 @@ class TestCsvWriters:
             "0,1,1,1.0,1.0,1000000.0", "1,0,0,0.0,1.0,0.0", "2,0,0,0.0,1.0,0.0",
             "3,1,1,1.0,1.0,1000000.0",
         ]
+
+    @pytest.mark.parametrize("option,value,message", [
+        ("--bin-width", "0", "bin width 0.0 s"),
+        ("--bin-width", "1e-7", "bin width 1e-07 s"),
+        ("--bin-width", "nan", "bin width nan s"),
+        ("--num-slash24", "0", "num_slash24 must be positive"),
+        ("--num-slash24", "-3", "num_slash24 must be positive"),
+    ])
+    def test_bad_series_option_is_fatal_before_any_input_is_read(
+        self, tmp_path, capsys, option, value, message
+    ):
+        flows = tmp_path / "flows.csv"
+        write_flows_csv(flows, [_flow()])
+        out = tmp_path / "out"
+        with mock.patch("darklens.flows.FlowReader") as flow_reader, \
+                mock.patch("darklens.pcap.PcapReader") as pcap_reader:
+            rc = main([
+                "--out-dir", str(out), "impact", "--blocklist", str(self._blocklist(tmp_path)),
+                "--flows", str(flows), "--pcap", str(self._pcap(tmp_path, [(0, "198.18.0.1")])),
+                option, value,
+            ])
+        assert rc == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        flow_reader.assert_not_called()
+        pcap_reader.assert_not_called()
+        assert list(out.iterdir()) == []
+
+    def test_far_apart_clusters_cost_no_more_than_one(self, tmp_path):
+        # Two dense one-minute clusters 5x10^5 s apart at 1 s bins: the series
+        # spans 500,060 bins, but only the 120 busy ones are held.
+        cluster = [(DAY0_US + i * (US // 20), src) for i in range(60 * 20)
+                   for src in ("198.18.0.1", "100.64.0.1")]
+        far = [(ts + 500_000 * US, src) for ts, src in cluster]
+
+        def peak(packets, name):
+            out = tmp_path / name
+            pcap = self._pcap(tmp_path, packets)
+            argv = ["--out-dir", str(out), "impact", "--blocklist",
+                    str(self._blocklist(tmp_path)), "--pcap", str(pcap)]
+            rc, traced = traced_peak(main, argv)
+            assert rc == 0
+            return out, traced
+
+        _, one = peak(cluster, "one")
+        out, two = peak(cluster + far, "two")
+        with open(out / "series.csv") as fh:
+            assert sum(1 for _ in fh) == 500_060 + 1
+        assert two - one < 1 << 20
 
     def test_empty_bins_are_never_hot(self, tmp_path, capsys):
         # 19 of 21 bins are empty, so both 90th-percentile cuts are 0.

@@ -275,9 +275,11 @@ def _raw_pcap(records, endian="<", nanos=False, linktype=1, tail=b""):
     return bytes(out + tail)
 
 
-# Read sizes around one record header (16 bytes) and a short frame, so every
-# record of a test capture straddles a block edge at some size, plus the default.
-BLOCKS = (1, 15, 16, 17, 64, pcap_mod.BLOCK)
+# Buffer sizes around one record header (16 bytes) and a short frame, so every
+# record of a test capture straddles a buffer edge at some size, plus the
+# default. Not 1: open() takes buffering=1 as line buffering, which binary
+# files do not have.
+BLOCKS = (2, 15, 16, 17, 64, pcap_mod.BLOCK)
 
 
 def _check_against_oracle(data):
@@ -404,3 +406,24 @@ def test_memory_is_one_block_whatever_the_capture_size(tmp_path, garbled):
     counts = (1, 0, 1) if garbled else (n, n, 0)
     assert (reader.records_total, reader.packets_read, reader.skipped_truncated) == counts
     assert peak < 3 << 20
+
+
+@pytest.mark.parametrize("cut", [5, 16 + 20], ids=["in-record-header", "in-record-data"])
+def test_capture_cut_short_while_read_ends_quietly(tmp_path, cut):
+    # The file shrinks under the reader after its size was taken: the reads
+    # past the first buffer come back short.
+    path = tmp_path / "shrinking.pcap"
+    rec = 16 + len(_syn_frame())
+    n = 2 * pcap_mod.BLOCK // rec
+    path.write_bytes(build_pcap(itertools.repeat((1654041600 * US, _syn_frame()), n)))
+    assert path.stat().st_size > pcap_mod.BLOCK
+    reader = PcapReader(path)
+    packets = iter(reader)
+    next(packets)
+    with open(path, "r+b") as fh:
+        fh.truncate(24 + (pcap_mod.BLOCK // rec + 10) * rec + cut)
+    rest = list(packets)
+    # Every record before the cut decodes; one cut inside its data is truncated.
+    assert 1 + len(rest) == reader.packets_read == pcap_mod.BLOCK // rec + 10
+    assert reader.skipped_truncated == (cut > 16)
+    assert reader.records_total == reader.packets_read + reader.total_skipped
