@@ -7,9 +7,10 @@ into an event log, `detect` turns an event log into blocklists and verdicts,
 test inputs with ground truth.
 
 Exit codes: 0 success, 1 completed but the primary result is empty, 2 fatal
-input problem. A command writes its files into `<out-dir>/.<command>.partial/`
-and `main` renames them into `--out-dir` once it returns 0 or 1, so a failed or
-killed run never leaves a partial file under an output name. Publishing also
+input problem, 3 internal error (a bug; the traceback goes to stderr). A
+command writes its files into `<out-dir>/.<command>.partial/` and `main`
+renames them into `--out-dir` once it returns 0 or 1, so a failed or killed
+run never leaves a partial file under an output name. Publishing also
 deletes each file of the command's output set that this run did not write, so
 no earlier run's file stands beside this run's.
 
@@ -70,7 +71,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--fixed-thresholds", nargs=2, type=int, metavar=("VOLUME_PKTS", "PORTS"),
         help="use these D2/D3 thresholds instead of computing them from the log",
     )
-    p_detect.add_argument("--dataset-label", default="", help="label stored with the thresholds")
     p_detect.set_defaults(func=cmd_detect, outputs=(*DETECT_LISTS, "detect_meta.json"))
 
     p_impact = sub.add_parser(
@@ -78,8 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_impact.add_argument("--blocklist", type=Path, required=True)
     p_impact.add_argument("--flows", nargs="*", type=Path, default=[], help="sampled flow files")
-    # The values of flows.FlowFormat, spelled out so --help need not import flows.
-    p_impact.add_argument("--flow-format", choices=["csv", "jsonl"], default="csv")
     p_impact.add_argument("--date", type=date.fromisoformat,
                           help="UTC day (YYYY-MM-DD); default: earliest day in the flows")
     p_impact.add_argument("--pcap", type=Path, help="packet stream for the binned series")
@@ -98,8 +96,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_report.add_argument("--tags", type=Path, help="tag database (ip,classification,tag1|tag2)")
     p_report.add_argument("--exclude-acked", action="store_true",
                           help="drop ACKed scanners before the tag join")
-    p_report.add_argument("--top-ports", type=int, default=0, help="truncate the port table (0 = all)")
-    p_report.add_argument("--top-tags", type=int, default=20)
     p_report.set_defaults(func=cmd_report, outputs=(
         "origins.csv", "ports.csv", "zipf.csv", "intersections.csv", "timeseries.csv",
         "protocols_darknet.csv", "tag_classes.csv", "tags_top.csv", "report_meta.json",
@@ -183,11 +179,10 @@ def cmd_detect(args, staging: Path) -> int:
     thresholds = None
     if args.fixed_thresholds:
         volume, ports = args.fixed_thresholds
-        thresholds = Thresholds(volume, ports, args.dataset_label or "fixed")
+        thresholds = Thresholds(volume, ports, "fixed")
     try:
         result = detect_mod.run_detection(
-            read_event_log(args.event_log), cfg, thresholds=thresholds, acked=acked, rdns=rdns,
-            dataset_label=args.dataset_label,
+            read_event_log(args.event_log), cfg, thresholds=thresholds, acked=acked, rdns=rdns
         )
     except detect_mod.EmptyInputError:
         for name in DETECT_LISTS:
@@ -255,10 +250,10 @@ def cmd_impact(args, staging: Path) -> int:
 
     if args.flows:
         from . import enrich
-        from .flows import FlowFormat, FlowReader
+        from .flows import FlowReader
 
         acked_ips = enrich.acked_sources(ah, acked, rdns)
-        readers = [FlowReader(path, FlowFormat(args.flow_format)) for path in args.flows]
+        readers = [FlowReader(path) for path in args.flows]
         tally = impact.tally_flows(itertools.chain.from_iterable(readers), ah, acked_ips)
         day = args.date
         if day is None and tally.cells:
@@ -390,7 +385,7 @@ def cmd_report(args, staging: Path) -> int:
     rows = enrich.origin_table(ah, pkts_by_ip, asn_map, acked_ips)
     write_csv(staging / "origins.csv", enrich.OriginRow._fields, rows)
 
-    ports = port_fingerprint_table(tally, top_n=args.top_ports)
+    ports = port_fingerprint_table(tally)
     write_csv(staging / "ports.csv", PortFingerprintRow._fields, ports)
 
     top_share = None
@@ -418,7 +413,7 @@ def cmd_report(args, staging: Path) -> int:
     if tags is not None:
         join_set = ah - acked_ips.keys() if args.exclude_acked else ah
         if join_set:
-            result = enrich.tag_join(join_set, tags, top_n=args.top_tags)
+            result = enrich.tag_join(join_set, tags)
             write_csv(
                 staging / "tag_classes.csv", ["classification", "ip_count"],
                 result.histogram.items(),
@@ -501,6 +496,12 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception:  # exit 1 would read as a quiet night
+        import traceback
+
+        print("internal error:", file=sys.stderr)
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

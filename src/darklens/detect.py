@@ -156,7 +156,6 @@ def compute_thresholds(
     pkt_counts: Collection[int],
     cfg: DarknetConfig,
     port_profiles: Dict[Tuple[int, int], int],
-    dataset_label: str = "",
 ) -> Thresholds:
     """D2/D3 thresholds from the ECDFs of the dataset's own event sizes and daily profiles."""
     if not pkt_counts:
@@ -166,7 +165,7 @@ def compute_thresholds(
         ports = ecdf_threshold(port_profiles.values(), cfg.alpha)
     else:
         ports = UNREACHABLE_PORTS
-    return Thresholds(volume, ports, dataset_label)
+    return Thresholds(volume, ports)
 
 
 def tag_events(
@@ -249,7 +248,6 @@ def run_detection(
     thresholds: Optional[Thresholds] = None,
     acked: Optional[AckedList] = None,
     rdns: Optional[Dict[int, str]] = None,
-    dataset_label: str = "",
 ) -> DetectionResult:
     """Full detection over one read of an event stream, which may be one-shot.
 
@@ -264,7 +262,7 @@ def run_detection(
     if not columns.pkt_count:
         raise EmptyInputError("no events to detect over")
     if thresholds is None:
-        thresholds = compute_thresholds(columns.pkt_count, cfg, port_profiles, dataset_label)
+        thresholds = compute_thresholds(columns.pkt_count, cfg, port_profiles)
     tagged = tag_events(columns, cfg, thresholds, port_profiles)
 
     # bucket: [definitions mask, max dispersion, max event packets] of one source-day,

@@ -79,7 +79,7 @@ class EventBuilder:
     """
 
     def __init__(self, cfg: DarknetConfig, reorder_slack_s: float = 0.0):
-        if not 0 <= reorder_slack_s < float("inf"):
+        if not 0 <= reorder_slack_s * US_PER_S < float("inf"):
             raise ValueError(f"reorder slack {reorder_slack_s} s must be finite and >= 0")
         self.cfg = cfg
         self.timeout_us = round(cfg.event_timeout_s * US_PER_S)

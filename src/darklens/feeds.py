@@ -88,9 +88,6 @@ class AsnMap:
                 return entry
         return None
 
-    def __len__(self) -> int:
-        return sum(len(b) for b in self._by_prefixlen.values())
-
 
 def _load(path, parse_row, feed):
     """Pass each data line of a CSV feed through parse_row into feed.add.

@@ -59,21 +59,19 @@ class PortFingerprintRow(NamedTuple):
 
 
 def port_fingerprint_table(
-    tally: Mapping[Tuple[int, TrafficType], Sequence[int]], top_n: int = 0
+    tally: Mapping[Tuple[int, TrafficType], Sequence[int]]
 ) -> list[PortFingerprintRow]:
     """One row per (port, protocol) of a tool tally, busiest first.
 
     tally maps (dst_port, traffic type) to the [zmap, masscan, other] packet
     counts of the events on it. Ties on total packets break toward the lower
-    port number, then protocol name, so the ranking is deterministic. top_n
-    of 0 means no truncation. ICMP rows appear under port 0.
+    port number, then protocol name, so the ranking is deterministic. ICMP
+    rows appear under port 0.
     """
     rows = [
         PortFingerprintRow(port, _TYPE_TO_PROTOCOL[ttype], z, m, o, z + m + o)
         for (port, ttype), (z, m, o) in tally.items()
     ]
     rows.sort(key=lambda r: (-r.total_pkts, r.port, r.protocol))
-    if top_n > 0:
-        rows = rows[:top_n]
     return rows
 

@@ -3,22 +3,24 @@
 Two wire formats carry the same logical record: a CSV with a fixed header,
 whose integers must be canonical decimal (parse_uint), and a JSON-lines file
 with identical field names, where each field must carry its exact JSON type.
-Both go through one row validator. A row that cannot be parsed or that
-violates a field constraint is skipped and counted; a CSV whose header does
-not match the schema is fatal because every following row would be garbage.
-Each line is decoded from UTF-8 on its own, so a byte that is not UTF-8 is
-fatal too, and the error names the file and the line.
+Both go through one row validator. A file is JSON lines when its first line
+that is not only JSON whitespace starts with "{", and CSV otherwise. A row
+that cannot be parsed or that violates a field constraint is skipped and
+counted; a CSV whose header does not match the schema (an empty file has
+none) is fatal because every following row would be garbage. Each line is
+decoded from UTF-8 on its own, so a byte that is not UTF-8 is fatal too, and
+the error names the file and the line.
 """
 from __future__ import annotations
 
 import csv
-import enum
 import itertools
 import json
 from typing import Iterator
 
 from .model import (
-    _MAX_TS_US, Direction, Protocol, ip_to_int, letters_to_flags, parse_uint, read_lines,
+    _MAX_TS_US, Direction, Protocol, ip_to_int, letters_to_flags, parse_lines, parse_uint,
+    read_lines,
 )
 
 FLOW_CSV_FIELDS = [
@@ -34,11 +36,6 @@ FLOW_CSV_FIELDS = [
     "sampling_denominator",
     "tcp_flags",
 ]
-
-class FlowFormat(str, enum.Enum):
-    CSV_V1 = "csv"
-    JSONL_V1 = "jsonl"
-
 
 class SchemaMismatchError(ValueError):
     pass
@@ -120,15 +117,14 @@ class FlowReader:
     no object per row; FlowRecord._make names the fields.
     """
 
-    def __init__(self, path, fmt: FlowFormat = FlowFormat.CSV_V1):
+    def __init__(self, path):
         self.path = path
-        self.fmt = FlowFormat(fmt)
         self.invalid_rows = 0
 
     def __iter__(self) -> Iterator[tuple]:
-        if self.fmt is FlowFormat.CSV_V1:
-            return self._iter_csv()
-        return read_lines(self.path, self._iter_jsonl)
+        if next(parse_lines(self.path, str), "").startswith("{"):
+            return read_lines(self.path, self._iter_jsonl)
+        return self._iter_csv()
 
     def _iter_csv(self) -> Iterator[tuple]:
         rows = read_lines(self.path, csv.reader)
@@ -169,7 +165,7 @@ class FlowReader:
                     continue
                 try:
                     yield _json_row(json.loads(line))
-                except (ValueError, KeyError):
+                except (ValueError, KeyError, RecursionError):  # RecursionError: nested too deeply
                     invalid += 1
         finally:
             self.invalid_rows = invalid

@@ -126,7 +126,7 @@ class ImpactBin(NamedTuple):
 def series_width_us(bin_width_s: float, num_slash24: int = 1) -> int:
     """The bin width in whole microseconds; ValueError unless it rounds to at least
     1 us (no zero-wide bins) and the /24 count the rate divides by is positive."""
-    width_us = round(bin_width_s * US_PER_S) if 0 < bin_width_s < math.inf else 0
+    width_us = round(bin_width_s * US_PER_S) if 0 < bin_width_s * US_PER_S < math.inf else 0
     if width_us < 1:
         raise ValueError(f"bin width {bin_width_s} s must be finite and round to at least 1 us")
     if num_slash24 <= 0:

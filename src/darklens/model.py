@@ -370,7 +370,7 @@ def read_lines(path, decode: Callable[[Iterator[str]], Iterator[_T]]) -> Iterato
             yield from decode(map(operator.itemgetter(1), zip(taken, map(bytes.decode, fh))))
         except csv.Error as exc:  # such as a field over csv.field_size_limit()
             raise ValueError(f"{path}:{next(taken)}: {exc}") from None
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, RecursionError) as exc:
             reason = f"{type(exc).__name__}: {exc}"
             raise ValueError(f"{path}:{next(taken)}: malformed line ({reason})") from exc
 
@@ -512,7 +512,7 @@ class DarknetConfig(_ConfigFields):
             raise ConfigError(f"dispersion_fraction {dispersion_fraction} not in (0, 1]")
         if not 0.0 < alpha < 1.0:
             raise ConfigError(f"alpha {alpha} not in (0, 1)")
-        if not 0 < event_timeout_s < math.inf:
+        if not 0 < event_timeout_s * US_PER_S < math.inf:
             raise ConfigError("event_timeout_s must be positive and finite")
         if round(event_timeout_s * US_PER_S) < 1:
             # EventBuilder holds the timeout in whole microseconds; one that

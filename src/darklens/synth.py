@@ -88,7 +88,10 @@ class SynthScenario:
     @classmethod
     def from_json_file(cls, path) -> "SynthScenario":
         with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
+            try:
+                obj = json.load(fh)
+            except RecursionError:
+                raise ValueError(f"{path}: scenario JSON nested too deeply") from None
         if not isinstance(obj, dict):
             raise ValueError(f"{path}: a scenario is a JSON object, not {type(obj).__name__}")
         known = {f.name for f in fields(cls)}

@@ -19,7 +19,7 @@ from typing import Collection, Dict, Iterable, Iterator, List, Optional, Set, Tu
 
 from darklens.events import EventBuilder, _OpenEvent, _promote
 from darklens.fingerprint import PortFingerprintRow, ProbeTool, fingerprint_packet
-from darklens.flows import FLOW_CSV_FIELDS, FlowFormat
+from darklens.flows import FLOW_CSV_FIELDS
 from darklens.impact import ImpactBin, ImpactSeries, ProtocolMix
 from darklens.model import (
     AhVerdict,
@@ -427,6 +427,17 @@ def flow_csv_row(rec: FlowRecord) -> List[str]:
     ]
 
 
+def flow_json_line(rec: FlowRecord) -> str:
+    """One JSONL flow line, each field of its JSON type, as an exporter writes it."""
+    return json.dumps({
+        "router_id": rec.router_id, "ts_us": rec.ts_us, "direction": rec.direction.value,
+        "src_ip": int_to_ip(rec.src_ip), "dst_ip": int_to_ip(rec.dst_ip),
+        "protocol": rec.protocol.value, "src_port": rec.src_port, "dst_port": rec.dst_port,
+        "sampled_pkts": rec.sampled_pkts, "sampling_denominator": rec.sampling_denominator,
+        "tcp_flags": None if rec.tcp_flags is None else flags_to_letters(rec.tcp_flags),
+    }) + "\n"
+
+
 def write_flows_csv(path, records: Iterable[FlowRecord], extra_rows=()) -> None:
     """A flow CSV holding records, then extra_rows as given."""
     write_csv(path, FLOW_CSV_FIELDS, [*map(flow_csv_row, records), *extra_rows])
@@ -514,15 +525,18 @@ def _json_str(value, optional: bool = False) -> Optional[str]:
     return value
 
 
-def oracle_flow_rows(path, fmt: FlowFormat) -> Tuple[List[FlowRecord], int]:
+def oracle_flow_rows(path) -> Tuple[List[FlowRecord], int]:
     """The keyword-built, record-per-row flow reader FlowReader replaced.
 
-    Returns (records, invalid_rows). A CSV with a bad header raises
-    ValueError. JSONL rows must carry exact JSON types.
+    Returns (records, invalid_rows). The file is JSONL when its first line
+    that is not blank starts with "{", and CSV otherwise. A CSV with a bad
+    header raises ValueError. JSONL rows must carry exact JSON types.
     """
     records: List[FlowRecord] = []
     invalid = 0
-    if FlowFormat(fmt) is FlowFormat.CSV_V1:
+    with open(path, "rb") as fh:
+        first = next(filter(None, (line.strip(b" \t\r\n") for line in fh)), b"")
+    if not first.startswith(b"{"):
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
             if next(reader, None) != FLOW_CSV_FIELDS:
@@ -685,7 +699,7 @@ _PROTOCOL_NAME = {"tcp_syn": "tcp", "udp": "udp", "icmp_echo_request": "icmp"}
 
 
 def oracle_port_table(
-    events: Iterable[DarknetEvent], ah: Collection[int], top_n: int = 0
+    events: Iterable[DarknetEvent], ah: Collection[int]
 ) -> List[PortFingerprintRow]:
     """ports.csv rows, summed event by event over the AH sources' events."""
     counts: Dict[Tuple[int, str], List[int]] = {}
@@ -698,12 +712,11 @@ def oracle_port_table(
         cell[0] += ev.zmap_pkts
         cell[1] += ev.masscan_pkts
         cell[2] += ev.other_pkts
-    rows = sorted(
+    return sorted(
         (PortFingerprintRow(port, proto, z, m, o, z + m + o)
          for (port, proto), (z, m, o) in counts.items()),
         key=lambda r: (-r.total_pkts, r.port, r.protocol),
     )
-    return rows[:top_n] if top_n > 0 else rows
 
 
 def oracle_protocol_mix(events: Iterable[DarknetEvent], ah: Collection[int]) -> ProtocolMix:

@@ -1,5 +1,7 @@
 import argparse
+import contextlib
 import csv
+import io
 import json
 import os
 import re
@@ -18,15 +20,15 @@ from darklens import pcap as pcap_mod
 from darklens.cli import _write_protocol_csv, build_parser, main
 from darklens.events import EventBuilder
 from darklens.fingerprint import PortFingerprintRow
-from darklens.flows import FlowFormat
 from darklens.model import (
     AhVerdict, DarknetEvent, Direction, EventKey, FlowRecord, Protocol, TrafficType, ip_to_int,
     read_blocklist, write_csv, write_lines,
 )
 from darklens.pcap import PcapReader
 from helpers import (
-    NONCANONICAL_PREFIXES, US, build_pcap, eth_frame, oracle_ipv4, oracle_port_table,
-    oracle_protocol_mix, oracle_udp, synthetic_events, traced_peak, write_flows_csv,
+    NONCANONICAL_PREFIXES, US, build_pcap, eth_frame, flow_json_line, oracle_ipv4,
+    oracle_port_table, oracle_protocol_mix, oracle_udp, synthetic_events, traced_peak,
+    write_flows_csv,
 )
 
 CONF = """\
@@ -267,6 +269,58 @@ class TestImpactCommand:
         assert "error:" in capsys.readouterr().err
 
 
+_FLOW_SOURCES = [ip_to_int(f"198.18.0.{i}") for i in range(1, 5)]
+
+
+@st.composite
+def _flow_record(draw):
+    """A flow row on one of two days; sampled_pkts 0 makes it invalid in either format."""
+    proto = draw(st.sampled_from(Protocol))
+    ports = (None, None) if proto is Protocol.ICMP else (
+        draw(st.integers(0, 65535)), draw(st.sampled_from((22, 23, 53))))
+    return FlowRecord(
+        draw(st.sampled_from(("r1", "r2", "edge,3"))),
+        draw(st.integers(1654041600 * US, 1654214399 * US)), draw(st.sampled_from(Direction)),
+        draw(st.sampled_from(_FLOW_SOURCES)), ip_to_int("192.0.2.1"), proto, *ports,
+        draw(st.integers(0, 3)), draw(st.sampled_from((1, 100, 1000))),
+        0x02 if proto is Protocol.TCP else None,
+    )
+
+
+class TestFlowFormats:
+    """impact reads each --flows file's format off the file, so one list can mix them."""
+
+    @staticmethod
+    def _impact(root: Path, name: str, flows) -> tuple:
+        """impact over flows: its exit code, stdout and the bytes of each file it wrote."""
+        (root / "blocklist.txt").write_text("198.18.0.1\n198.18.0.3\n")
+        out, stdout = root / name, io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+            rc = main(["--out-dir", str(out), "impact", "--blocklist", str(root / "blocklist.txt"),
+                       "--flows", *map(str, flows)])
+        return rc, stdout.getvalue(), {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.lists(st.tuples(_flow_record(), st.booleans()), max_size=20),
+           blank=st.sampled_from(("", "\n", " \t\r\n\n")))
+    def test_csv_and_jsonl_split_reads_as_one_csv(self, rows, blank):
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            write_flows_csv(root / "all.csv", [rec for rec, _ in rows])
+            write_flows_csv(root / "part.csv", [rec for rec, in_jsonl in rows if not in_jsonl])
+            # Blank lines ahead of the first row do not make a JSONL file a CSV.
+            (root / "part.jsonl").write_text(
+                blank + "".join(flow_json_line(rec) for rec, in_jsonl in rows if in_jsonl))
+            split = self._impact(root, "split", [root / "part.csv", root / "part.jsonl"])
+            if not any(in_jsonl for _, in_jsonl in rows):
+                assert split == (2, "", {})  # an empty or blank-only file names no format
+                return
+            rc, stdout, files = self._impact(root, "one", [root / "all.csv"])
+            assert split == (rc, stdout, files)
+            assert set(files) == (
+                {"impact.csv", "presence.csv", "protocols_flows.csv"} if rc == 0 else set())
+
+
 class TestReportCommand:
     def test_report_outputs(self, pipeline, feeds, tmp_path, capsys):
         out = tmp_path / "report"
@@ -433,16 +487,12 @@ class TestReportFold:
     """report folds each AH event into per-source and per-(port, type) sums."""
 
     @settings(max_examples=60, deadline=None)
-    @given(events=st.lists(_EVENT, max_size=30), ah=st.sets(st.sampled_from(_SOURCES), min_size=1),
-           top_n=st.integers(0, 5))
-    def test_tally_matches_the_per_event_oracles(self, events, ah, top_n):
+    @given(events=st.lists(_EVENT, max_size=30), ah=st.sets(st.sampled_from(_SOURCES), min_size=1))
+    def test_tally_matches_the_per_event_oracles(self, events, ah):
         with tempfile.TemporaryDirectory() as tmp:
             root = Path(tmp)
-            argv = _write_report_inputs(root, events, ah) + ["--top-ports", str(top_n)]
-            assert main(argv) == 0
-            write_csv(root / "ports.csv", PortFingerprintRow._fields,
-                      oracle_port_table(events, ah, top_n))
-            # Truncating the port table leaves the protocol split whole.
+            assert main(_write_report_inputs(root, events, ah)) == 0
+            write_csv(root / "ports.csv", PortFingerprintRow._fields, oracle_port_table(events, ah))
             _write_protocol_csv(root / "protocols.csv", oracle_protocol_mix(events, ah))
             out = root / "out"
             assert (out / "ports.csv").read_bytes() == (root / "ports.csv").read_bytes()
@@ -687,14 +737,17 @@ class TestFailureModes:
         assert (tmp_path / "blocklist_union.txt").read_text() == ""
 
     def test_negative_reorder_slack_is_fatal(self, pipeline, tmp_path, capsys):
-        out = tmp_path / "out"
-        rc = main([
-            "--config", str(pipeline["conf"]), "--out-dir", str(out),
-            "events", str(pipeline["synth"] / "synth.pcap"), "--reorder-slack", "-5",
-        ])
-        assert rc == 2
-        assert "error: reorder slack -5.0 s must be finite and >= 0" in capsys.readouterr().err
-        assert list(out.iterdir()) == []
+        # 1e308 s passes a plain range check, but in microseconds it overflows.
+        for slack, shown in (("-5", "-5.0"), ("1e308", "1e+308")):
+            out = tmp_path / "out"
+            rc = main([
+                "--config", str(pipeline["conf"]), "--out-dir", str(out),
+                "events", str(pipeline["synth"] / "synth.pcap"), "--reorder-slack", slack,
+            ])
+            assert rc == 2
+            assert (f"error: reorder slack {shown} s must be finite and >= 0"
+                    in capsys.readouterr().err)
+            assert list(out.iterdir()) == []
 
     def test_timeout_rounding_to_zero_is_fatal(self, pipeline, tmp_path, capsys):
         conf = tmp_path / "tiny_timeout.conf"
@@ -782,6 +835,25 @@ class TestPublish:
             ])
         assert len(yielded) == 3
         assert os.listdir(out) == []
+
+    def test_unexpected_exception_exits_3_and_publishes_nothing(
+            self, pipeline, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "ports.csv").write_text("earlier run\n")
+
+        def crash(args, staging):
+            (staging / "ports.csv").write_text("half written\n")
+            raise RuntimeError("a bug")
+
+        monkeypatch.setattr("darklens.cli.cmd_report", crash)
+        rc = main(["--out-dir", str(out), "report", str(pipeline["run"] / "events.jsonl"),
+                   str(pipeline["run"] / "verdicts.jsonl")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("internal error:\nTraceback") and "RuntimeError: a bug" in err
+        assert os.listdir(out) == ["ports.csv"]
+        assert (out / "ports.csv").read_text() == "earlier run\n"
 
     def test_leftover_staging_is_discarded(self, pipeline, tmp_path):
         # A killed run with ACKed feeds left this; the next run has none.
@@ -880,6 +952,8 @@ class TestPublish:
 
 ROTTEN_EVENT = '{"key":{"src_ip":"1.2.3.4"}}'
 ROTTEN_VERDICT = '{"src_ip":"1.2.3.4","day":"2022-06-01"}'
+# Too deeply nested for the JSON decoder, which raises RecursionError on it.
+DEEP_LINE = "[" * 100_000
 
 
 class TestRottenInputs:
@@ -892,28 +966,28 @@ class TestRottenInputs:
         return path
 
     def test_detect_rotten_event_line_exits_2(self, pipeline, tmp_path, capsys):
-        log = self._rotten_log(pipeline, tmp_path, "events.jsonl", ROTTEN_EVENT)
-        out = tmp_path / "out"
-        rc = main(["--config", str(pipeline["conf"]), "--out-dir", str(out), "detect", str(log)])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert f"error: {log}:3:" in err
-        assert "dst_port" in err
-        assert list(out.iterdir()) == []
+        for bad_line, reason in ((ROTTEN_EVENT, "dst_port"), (DEEP_LINE, "RecursionError")):
+            log = self._rotten_log(pipeline, tmp_path, "events.jsonl", bad_line)
+            out = tmp_path / "out"
+            rc = main(["--config", str(pipeline["conf"]), "--out-dir", str(out), "detect", str(log)])
+            assert rc == 2
+            err = capsys.readouterr().err
+            assert f"error: {log}:3:" in err
+            assert reason in err
+            assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("which", ["events", "verdicts"])
     def test_report_rotten_line_exits_2(self, pipeline, tmp_path, capsys, which):
-        events = pipeline["run"] / "events.jsonl"
-        verdicts = pipeline["run"] / "verdicts.jsonl"
-        if which == "events":
-            events = bad = self._rotten_log(pipeline, tmp_path, "events.jsonl", ROTTEN_EVENT)
-        else:
-            verdicts = bad = self._rotten_log(pipeline, tmp_path, "verdicts.jsonl", ROTTEN_VERDICT)
-        out = tmp_path / "out"
-        rc = main(["--out-dir", str(out), "report", str(events), str(verdicts)])
-        assert rc == 2
-        assert f"error: {bad}:3:" in capsys.readouterr().err
-        assert list(out.iterdir()) == []
+        rotten = {"events": ROTTEN_EVENT, "verdicts": ROTTEN_VERDICT}[which]
+        for bad_line in (rotten, DEEP_LINE):
+            inputs = {name: pipeline["run"] / f"{name}.jsonl" for name in ("events", "verdicts")}
+            inputs[which] = bad = self._rotten_log(pipeline, tmp_path, f"{which}.jsonl", bad_line)
+            out = tmp_path / "out"
+            rc = main(["--out-dir", str(out), "report", str(inputs["events"]),
+                       str(inputs["verdicts"])])
+            assert rc == 2
+            assert f"error: {bad}:3:" in capsys.readouterr().err
+            assert list(out.iterdir()) == []
 
     @staticmethod
     def _flows_jsonl_lines(csv_path):
@@ -952,8 +1026,7 @@ class TestRottenInputs:
         elif command == "impact":
             flows = inputs.get("flows.jsonl", inputs["flows.csv"])
             argv = ["--out-dir", str(out), "impact",
-                    "--blocklist", str(inputs["blocklist_union.txt"]), "--flows", str(flows),
-                    "--flow-format", "jsonl" if name == "flows.jsonl" else "csv"]
+                    "--blocklist", str(inputs["blocklist_union.txt"]), "--flows", str(flows)]
         else:
             argv = ["--out-dir", str(out), "report", str(inputs["events.jsonl"]),
                     str(inputs["verdicts.jsonl"])]
@@ -1229,11 +1302,26 @@ def test_feed_options_have_one_help_text(monkeypatch, capsys):
     assert [help_text.split()[0] for help_text in blocks["detect"]] == ["ACKed", "ACKed", "reverse"]
 
 
-def test_flow_format_choices_are_the_flow_formats():
+def test_option_strings_are_pinned():
+    """Every option an operator can set, by subcommand; adding one changes this table."""
     parser = build_parser()
     commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    (flow_format,) = [a for a in commands.choices["impact"]._actions if a.dest == "flow_format"]
-    assert flow_format.choices == [f.value for f in FlowFormat]
+
+    def options(p):
+        return {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+
+    got = {"": options(parser), **{name: options(p) for name, p in commands.choices.items()}}
+    assert got == {
+        "": {"--config", "--out-dir", "--seed"},
+        "events": {"--reorder-slack"},
+        "detect": {"--acked-ips", "--acked-keywords", "--rdns", "--fixed-thresholds"},
+        "impact": {"--acked-ips", "--acked-keywords", "--rdns", "--blocklist", "--flows", "--date",
+                   "--pcap", "--bin-width", "--num-slash24"},
+        "report": {"--acked-ips", "--acked-keywords", "--rdns", "--asn-map", "--tags",
+                   "--exclude-acked"},
+        "synth": set(),
+    }
+    assert len(set().union(*got.values())) == 17
 
 
 class TestConsoleScript:

@@ -117,11 +117,6 @@ class TestPortTable:
         rows = port_fingerprint_table(port_tally(evs))
         assert [(r.port, r.protocol) for r in rows] == [(22, "tcp"), (22, "udp"), (80, "tcp")]
 
-    def test_top_n(self):
-        evs = [_ev(p, TrafficType.TCP_SYN, zmap=p) for p in (1, 2, 3, 4)]
-        rows = port_fingerprint_table(port_tally(evs), top_n=2)
-        assert [r.port for r in rows] == [4, 3]
-
     def test_csv_writer(self, tmp_path):
         p = tmp_path / "ports.csv"
         rows = port_fingerprint_table(port_tally([_ev(23, TrafficType.TCP_SYN, zmap=5)]))

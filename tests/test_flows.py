@@ -9,13 +9,12 @@ from hypothesis import given, settings, strategies as st
 
 from darklens.flows import (
     FLOW_CSV_FIELDS,
-    FlowFormat,
     FlowReader,
     SchemaMismatchError,
 )
 from darklens.impact import tally_flows
-from darklens.model import Direction, FlowRecord, Protocol, int_to_ip, ip_to_int
-from helpers import flags_to_letters, flow_csv_row, oracle_flow_rows
+from darklens.model import Direction, FlowRecord, Protocol, ip_to_int
+from helpers import flow_csv_row, flow_json_line, oracle_flow_rows
 
 HEADER = ",".join(FLOW_CSV_FIELDS)
 
@@ -31,7 +30,7 @@ def _csv(rows, header=HEADER):
 def _read_csv(tmp_path, text, name="f.csv"):
     p = tmp_path / name
     p.write_text(text)
-    reader = FlowReader(p, FlowFormat.CSV_V1)
+    reader = FlowReader(p)
     return reader, [FlowRecord._make(row) for row in reader]
 
 
@@ -70,7 +69,7 @@ class TestCsv:
     def test_rows_are_plain_tuples_in_field_order(self, tmp_path):
         p = tmp_path / "f.csv"
         p.write_text(_csv([GOOD_ROW]))
-        (row,) = FlowReader(p, FlowFormat.CSV_V1)
+        (row,) = FlowReader(p)
         assert type(row) is tuple
         assert row == FlowRecord(
             "router-1", 1654041600000000, Direction.INGRESS, ip_to_int("198.51.100.9"),
@@ -81,20 +80,20 @@ class TestCsv:
         p = tmp_path / "bad.csv"
         p.write_text("router,when,oops\n1,2,3\n")
         with pytest.raises(SchemaMismatchError):
-            list(FlowReader(p, FlowFormat.CSV_V1))
+            list(FlowReader(p))
 
     def test_empty_file_is_fatal(self, tmp_path):
         p = tmp_path / "empty.csv"
         p.write_text("")
         with pytest.raises(SchemaMismatchError):
-            list(FlowReader(p, FlowFormat.CSV_V1))
+            list(FlowReader(p))
 
     def test_oversized_field_is_fatal(self, tmp_path):
         p = tmp_path / "big.csv"
         huge = "r" * (csv.field_size_limit() + 1)
         p.write_text(_csv([GOOD_ROW, GOOD_ROW.replace("router-1", huge)]))
         with pytest.raises(ValueError, match=rf"^{re.escape(str(p))}:3: field larger than"):
-            list(FlowReader(p, FlowFormat.CSV_V1))
+            list(FlowReader(p))
 
     def test_header_only_yields_nothing(self, tmp_path):
         reader, rows = _read_csv(tmp_path, HEADER + "\n")
@@ -174,21 +173,22 @@ class TestJsonl:
         pc.write_text(_csv([GOOD_ROW]))
         pj = tmp_path / "f.jsonl"
         pj.write_text(self._jsonl_line() + "\n")
-        assert list(FlowReader(pc, FlowFormat.CSV_V1)) == list(FlowReader(pj, FlowFormat.JSONL_V1))
+        assert list(FlowReader(pc)) == list(FlowReader(pj))
 
     def test_invalid_json_counted(self, tmp_path):
         pj = tmp_path / "f.jsonl"
-        pj.write_text(self._jsonl_line() + "\n{not json}\n" + self._jsonl_line(sampled_pkts=0) + "\n")
-        reader = FlowReader(pj, FlowFormat.JSONL_V1)
+        pj.write_text(self._jsonl_line() + "\n{not json}\n" + self._jsonl_line(sampled_pkts=0)
+                      + "\n" + "[" * 100_000 + "\n")
+        reader = FlowReader(pj)
         rows = list(reader)
         assert len(rows) == 1
-        assert reader.invalid_rows == 2
+        assert reader.invalid_rows == 3  # the last line is too deeply nested to decode
 
     def test_non_json_whitespace_makes_a_row_invalid(self, tmp_path):
         # str.strip() would drop U+001C and U+3000; json.loads rejects them.
         pj = tmp_path / "f.jsonl"
         pj.write_text(f"{self._jsonl_line()}\n \t\n\x1c {self._jsonl_line()}\u3000\n", encoding="utf-8")
-        reader = FlowReader(pj, FlowFormat.JSONL_V1)
+        reader = FlowReader(pj)
         assert len(list(reader)) == 1
         assert reader.invalid_rows == 1
 
@@ -197,7 +197,7 @@ class TestJsonl:
         pj.write_text(
             self._jsonl_line(protocol="icmp", src_port=None, dst_port=None, tcp_flags=None) + "\n"
         )
-        (r,) = map(FlowRecord._make, FlowReader(pj, FlowFormat.JSONL_V1))
+        (r,) = map(FlowRecord._make, FlowReader(pj))
         assert r.protocol is Protocol.ICMP
         assert r.src_port is None and r.dst_port is None
 
@@ -220,11 +220,11 @@ class TestJsonl:
         # str(None) would make a router called "None".
         pj = tmp_path / "f.jsonl"
         pj.write_text(self._jsonl_line() + "\n" + self._jsonl_line(**{field: value}) + "\n")
-        reader = FlowReader(pj, FlowFormat.JSONL_V1)
+        reader = FlowReader(pj)
         rows = list(reader)
         assert len(rows) == 1
         assert reader.invalid_rows == 1
-        assert (rows, reader.invalid_rows) == oracle_flow_rows(pj, FlowFormat.JSONL_V1)
+        assert (rows, reader.invalid_rows) == oracle_flow_rows(pj)
 
 
 @given(
@@ -306,16 +306,6 @@ _SPOILERS = [
 ]
 
 
-def _json_line(rec: FlowRecord) -> str:
-    return json.dumps({
-        "router_id": rec.router_id, "ts_us": rec.ts_us, "direction": rec.direction.value,
-        "src_ip": int_to_ip(rec.src_ip), "dst_ip": int_to_ip(rec.dst_ip),
-        "protocol": rec.protocol.value, "src_port": rec.src_port, "dst_port": rec.dst_port,
-        "sampled_pkts": rec.sampled_pkts, "sampling_denominator": rec.sampling_denominator,
-        "tcp_flags": None if rec.tcp_flags is None else flags_to_letters(rec.tcp_flags),
-    }) + "\n"
-
-
 @settings(max_examples=200, deadline=None)
 @given(
     rows=st.lists(
@@ -334,14 +324,19 @@ def test_property_reader_matches_record_oracle(tmp_path_factory, rows):
         else:
             text += _SPOILERS[spoil % len(_SPOILERS)](fields, spoil // len(_SPOILERS))
     path.write_text(text, newline="")
-    reader = FlowReader(path, FlowFormat.CSV_V1)
+    reader = FlowReader(path)
     got = list(reader)
-    assert (got, reader.invalid_rows) == oracle_flow_rows(path, FlowFormat.CSV_V1)
+    assert (got, reader.invalid_rows) == oracle_flow_rows(path)
     assert got == valid
     assert reader.invalid_rows == len(rows) - len(valid)
 
     jsonl = path.with_suffix(".jsonl")
-    jsonl.write_text("".join(map(_json_line, valid)))
-    reader = FlowReader(jsonl, FlowFormat.JSONL_V1)
+    jsonl.write_text("".join(map(flow_json_line, valid)))
+    reader = FlowReader(jsonl)
+    if not valid:
+        # An empty file names no format, and read as CSV it has no header.
+        with pytest.raises(SchemaMismatchError):
+            list(reader)
+        return
     assert list(reader) == got
     assert reader.invalid_rows == 0

@@ -9,7 +9,7 @@ from darklens import enrich, impact
 from darklens.cli import main
 from darklens.enrich import acked_sources
 from darklens.feeds import AckedList
-from darklens.flows import FLOW_CSV_FIELDS, FlowFormat, FlowReader
+from darklens.flows import FLOW_CSV_FIELDS, FlowReader
 from darklens.impact import (
     EmptyAhSetError,
     ImpactBin,
@@ -181,7 +181,7 @@ class TestStreamImpact:
         with pytest.raises(ValueError):
             stream_impact([], {AH_IP}, bin_width_s=0.0)
 
-    @pytest.mark.parametrize("width", [1e-7, 4e-7, -1.0, float("inf"), float("nan")])
+    @pytest.mark.parametrize("width", [1e-7, 4e-7, -1.0, float("inf"), float("nan"), 1e308])
     def test_width_under_one_microsecond_rejected(self, width):
         # 1e-7 s rounds to a zero-microsecond bin; it must fail up front,
         # not divide by zero on the first packet.
@@ -478,7 +478,7 @@ def _reader_tally_peak_bytes(tmp_path, rows: int) -> int:
                 f"tcp,51000,23,1,1000,S\n"
             )
     ah = {base + i for i in range(20)}
-    return traced_peak(tally_flows, FlowReader(path, FlowFormat.CSV_V1), ah)[1]
+    return traced_peak(tally_flows, FlowReader(path), ah)[1]
 
 
 def test_reader_tally_memory_does_not_grow_with_distinct_sources(tmp_path):
@@ -562,6 +562,7 @@ class TestCsvWriters:
         ("--bin-width", "0", "bin width 0.0 s"),
         ("--bin-width", "1e-7", "bin width 1e-07 s"),
         ("--bin-width", "nan", "bin width nan s"),
+        ("--bin-width", "1e308", "bin width 1e+308 s"),
         ("--num-slash24", "0", "num_slash24 must be positive"),
         ("--num-slash24", "-3", "num_slash24 must be positive"),
     ])

@@ -92,10 +92,10 @@ class TestValidateConfig:
             with pytest.raises(ConfigError, match="must round to at least 1 us"):
                 _cfg(["10.0.0.0/22"], event_timeout_s=timeout_s)
 
-    @pytest.mark.parametrize("text", ["inf", "nan", "-inf"])
+    @pytest.mark.parametrize("text", ["inf", "nan", "-inf", "1e308"])
     def test_non_finite_timeout_rejected(self, text):
-        # An infinite timeout passed a plain > 0 check, then the event
-        # builder died rounding it to microseconds.
+        # An infinite timeout, or one whose microseconds are, passed a plain
+        # > 0 check, then the event builder died rounding it to microseconds.
         with pytest.raises(ConfigError, match="event_timeout_s must be positive and finite"):
             parse_config_text(f"darknet_prefixes = 10.0.0.0/22\nevent_timeout_s = {text}\n")
 

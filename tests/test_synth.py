@@ -231,10 +231,12 @@ class TestScenarioChecks:
         ({"flow_total_pkts": 1000, "flow_routers": [""]}, "flow_routers"),
         ({"flow_total_pkts": 1000, "flow_routers": [1]}, "flow_routers"),
         ({"flow_total_pkts": 1000, "flow_routers": ["r1", "r1"]}, "flow_routers"),
+        ({"event_timeout_s": 1e308}, "event_timeout_s"),
+        pytest.param("[" * 100_000, "scenario JSON nested too deeply", id="deep-nesting"),
     ])
     def test_bad_scenario_exits_2_naming_its_key(self, tmp_path, capsys, bad, key):
         scenario = tmp_path / "scenario.json"
-        scenario.write_text(json.dumps(bad))
+        scenario.write_text(bad if isinstance(bad, str) else json.dumps(bad))
         assert main(["--out-dir", str(tmp_path / "cli"), "synth", str(scenario)]) == 2
         assert key in capsys.readouterr().err
         assert list((tmp_path / "cli").iterdir()) == []
