@@ -209,20 +209,3 @@ def classify_traffic_type(p: PacketMeta) -> Optional[TrafficType]:
         return TrafficType.ICMP_ECHO_REQUEST
     return None
 
-
-def write_pcap(path, packets, linktype: int = LINKTYPE_ETHERNET, snaplen: int = 65535) -> int:
-    """Write (ts_us, frame_bytes) pairs as a little-endian classic pcap.
-
-    Returns the number of records written. Frames longer than snaplen are
-    stored truncated with orig_len preserved, mirroring capture behavior.
-    """
-    rec_hdr = struct.Struct("<IIII")
-    count = 0
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<IHHiIII", MAGIC_US_BE, 2, 4, 0, 0, snaplen, linktype))
-        for ts_us, frame in packets:
-            caplen = min(len(frame), snaplen)
-            fh.write(rec_hdr.pack(ts_us // 1_000_000, ts_us % 1_000_000, caplen, len(frame)))
-            fh.write(frame[:caplen])
-            count += 1
-    return count

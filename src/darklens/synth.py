@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass, field, fields
 from datetime import date, timedelta
 from pathlib import Path
-from typing import List, Tuple
+from typing import List
 
 import numpy as np
 
@@ -24,37 +24,63 @@ from .flows import FLOW_CSV_FIELDS
 from .model import (
     US_PER_DAY, US_PER_S, DarknetConfig, TrafficType, int_to_ip, ip_to_int, write_csv, write_json,
 )
+from .pcap import LINKTYPE_ETHERNET, MAGIC_US_BE
 
 _EPOCH = date(1970, 1, 1)
 
 _ETH_HDR = b"\x02\x00\x00\x00\x00\x01" + b"\x02\x00\x00\x00\x00\x02" + b"\x08\x00"
 
-_IP_HDR = struct.Struct("!BBHHHBBHII")
-_TCP_HDR = struct.Struct("!HHIIBBHHH")
-_UDP_HDR = struct.Struct("!HHHH")
-_ICMP_HDR = struct.Struct("!BBHHH")
-
 TCP_PORT_POOL = [23, 80, 443, 22, 3389, 8080, 445, 5555, 2323, 8443]
 UDP_PORT_POOL = [53, 123, 161, 1900, 5060, 389, 11211, 500, 69, 5683]
 
+# One pcap record per probe: the little-endian record header, then Ethernet,
+# IPv4 and the transport header in network order. Fields named like a probe
+# column are filled from it; every other field is fixed per kind of probe.
+_RECORD_HDR = [("ts_sec", "<u4"), ("ts_usec", "<u4"), ("caplen", "<u4"), ("origlen", "<u4"),
+               ("eth", "V14"), ("vihl", "u1"), ("tos", "u1"), ("ip_len", ">u2"),
+               ("ip_id", ">u2"), ("frag", ">u2"), ("ttl", "u1"), ("proto", "u1"),
+               ("ip_sum", ">u2"), ("src", ">u4"), ("dst", ">u4")]
+_TCP = np.dtype(_RECORD_HDR + [("sport", ">u2"), ("dport", ">u2"), ("seq", ">u4"), ("ack", ">u4"),
+                               ("offset", "u1"), ("flags", "u1"), ("window", ">u2"),
+                               ("l4_sum", ">u2"), ("urgent", ">u2")])
+_UDP = np.dtype(_RECORD_HDR + [("sport", ">u2"), ("dport", ">u2"), ("udp_len", ">u2"),
+                               ("l4_sum", ">u2")])
+# An echo request has no ports; its identifier is the source's low 16 bits.
+_ICMP = np.dtype(_RECORD_HDR + [("type", "u1"), ("code", "u1"), ("l4_sum", ">u2"),
+                                ("ident", ">u2"), ("icmp_seq", ">u2")])
 
-def _tcp_frame(src: int, dst: int, sport: int, dport: int, seq: int, flags: int, ip_id: int) -> bytes:
-    ip = _IP_HDR.pack(0x45, 0, 40, ip_id, 0, 64, 6, 0, src, dst)
-    tcp = _TCP_HDR.pack(sport, dport, seq, 0, 5 << 4, flags, 8192, 0, 0)
-    return _ETH_HDR + ip + tcp
+# Every probe's columns, in emission order. template indexes _TEMPLATES, ts is
+# split into the record's two stamp fields, and each other column fills the
+# field of its name.
+_COLUMNS = (("ts", np.int64), ("template", np.uint8), ("src", np.uint32), ("dst", np.uint32),
+            ("sport", np.uint16), ("dport", np.uint16), ("seq", np.uint32), ("ip_id", np.uint16))
 
 
-def _udp_frame(src: int, dst: int, sport: int, dport: int, ip_id: int) -> bytes:
-    ip = _IP_HDR.pack(0x45, 0, 28, ip_id, 0, 64, 17, 0, src, dst)
-    udp = _UDP_HDR.pack(sport, dport, 8, 0)
-    return _ETH_HDR + ip + udp
+def _template(dtype: np.dtype, **fixed: int) -> np.ndarray:
+    """One record of dtype holding every field that is the same on each probe of its kind."""
+    rec = np.zeros((), dtype)
+    rec["caplen"] = rec["origlen"] = dtype.itemsize - 16
+    rec["eth"] = np.void(_ETH_HDR)
+    rec["vihl"], rec["ip_len"], rec["ttl"] = 0x45, dtype.itemsize - 30, 64
+    for name, value in fixed.items():
+        rec[name] = value
+    return rec
 
 
-def _icmp_frame(src: int, dst: int, sport: int, dport: int, ip_id: int) -> bytes:
-    """An echo request; it has no ports, and its identifier is the source's low 16 bits."""
-    ip = _IP_HDR.pack(0x45, 0, 28, ip_id, 0, 64, 1, 0, src, dst)
-    icmp = _ICMP_HDR.pack(8, 0, 0, src & 0xFFFF, 1)
-    return _ETH_HDR + ip + icmp
+# Indexed by the template column: a SYN probe, a SYN-ACK (backscatter), a UDP
+# probe, an ICMP echo request.
+_TEMPLATES = (
+    _template(_TCP, proto=6, offset=5 << 4, flags=0x02, window=8192),
+    _template(_TCP, proto=6, offset=5 << 4, flags=0x12, window=8192),
+    _template(_UDP, proto=17, udp_len=8),
+    _template(_ICMP, proto=1, type=8, icmp_seq=1),
+)
+_TEMPLATE_OF = {"tcp_syn": 0, "udp": 2, "icmp_echo_request": 3}
+_SYN_ACK = 1
+# Row k holds which of a slot's bytes a record from template k fills.
+_FILLED = np.arange(_TCP.itemsize) < np.array([t.itemsize for t in _TEMPLATES])[:, None]
+# Records built and written at a time; bounds the writer's scratch memory.
+_WRITE_ROWS = 1 << 14
 
 
 @dataclass
@@ -92,6 +118,8 @@ class SynthScenario:
                 obj = json.load(fh)
             except RecursionError:
                 raise ValueError(f"{path}: scenario JSON nested too deeply") from None
+            except ValueError as exc:  # not JSON, or not UTF-8
+                raise ValueError(f"{path}: {exc}") from None
         if not isinstance(obj, dict):
             raise ValueError(f"{path}: a scenario is a JSON object, not {type(obj).__name__}")
         known = {f.name for f in fields(cls)}
@@ -132,12 +160,69 @@ def _spread_times(
     window = min(duration_us, (n - 1) * timeout_us // 4)
     window = max(window, n - 1)  # at least 1us spacing
     offset = int(rng.integers(0, duration_us - window + 1))
-    base = np.linspace(0, window, n)
     gap = window / (n - 1)
-    jitter = rng.uniform(-gap / 4, gap / 4, n)
-    times = np.sort(base + jitter).astype(np.int64) + start_us + offset
-    # A fractional start_ts_s makes the sum float: truncate to whole microseconds.
-    return np.clip(times, start_us, start_us + duration_us - 1).astype(np.int64, copy=False)
+    base = np.arange(n) * gap  # np.linspace(0, window, n), without its call overhead
+    base[-1] = window
+    base += rng.uniform(-gap / 4, gap / 4, n)
+    base.sort()
+    times = base.astype(np.int64) + start_us + offset
+    # Clamped into the capture; a fractional start_ts_s makes the sum float,
+    # and the cast truncates it to whole microseconds.
+    times = np.minimum(np.maximum(times, start_us), start_us + duration_us - 1)
+    return times.astype(np.int64, copy=False)
+
+
+def _other_ip_ids(rng: np.random.Generator, n: int, marks=None) -> np.ndarray:
+    """n IP IDs, none zmap's constant or its own probe's mark in marks (if given).
+
+    The draws and the generator's end state are those of drawing each probe's
+    ID in turn until one passes: a rejected draw is skipped, and the draws
+    after it move down one probe, to be checked against their new probe's mark.
+    """
+    ids = rng.integers(0, 65536, n)
+    done = 0
+    while True:
+        rest = ids[done:]
+        bad = rest == ZMAP_IP_ID
+        if marks is not None:
+            bad |= rest == marks[done:]
+        hit = int(bad.argmax())
+        if not bad[hit]:
+            return ids
+        done += hit
+        ids[done:-1] = ids[done + 1:]
+        ids[-1] = rng.integers(0, 65536)
+
+
+def _write_capture(path, cols: dict) -> None:
+    """Write every probe's record to a little-endian classic pcap, in stamp order.
+
+    The stable sort keeps emission order among equal stamps. Records are built
+    _WRITE_ROWS at a time, from each template through its own dtype, into slots
+    as wide as the widest record; the bytes each record fills are written back
+    to back.
+    """
+    order = np.argsort(cols["ts"], kind="stable")
+    with open(path, "wb") as fh:
+        fh.write(struct.pack("<IHHiIII", MAGIC_US_BE, 2, 4, 0, 0, 65535, LINKTYPE_ETHERNET))
+        for start in range(0, len(order), _WRITE_ROWS):
+            idx = order[start:start + _WRITE_ROWS]
+            templates = cols["template"][idx]
+            slots = np.empty((len(idx), _TCP.itemsize), np.uint8)
+            for code, template in enumerate(_TEMPLATES):
+                rows = templates == code
+                at = idx[rows]
+                if not len(at):
+                    continue
+                rec = np.tile(template, len(at))
+                rec["ts_sec"], rec["ts_usec"] = np.divmod(cols["ts"][at], US_PER_S)
+                for name in rec.dtype.names:
+                    if name in cols:
+                        rec[name] = cols[name][at]
+                if "ident" in rec.dtype.names:
+                    rec["ident"] = rec["src"] & 0xFFFF
+                slots[rows, :rec.itemsize] = rec.view(np.uint8).reshape(len(at), -1)
+            fh.write(slots[_FILLED[templates]])
 
 
 def _split_evenly(total: int, parts: int) -> List[int]:
@@ -161,8 +246,6 @@ def generate(scenario: SynthScenario, seed: int, out_dir) -> dict:
     traffic than it names, or none, raises ValueError naming its key before
     the first draw.
     """
-    from .pcap import write_pcap
-
     sc = scenario
     for name in _COUNTS:
         value = getattr(sc, name)
@@ -219,8 +302,14 @@ def generate(scenario: SynthScenario, seed: int, out_dir) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)
 
-    # (stamp, frame) in emission order, which the stable sort keeps among equal stamps.
-    records: List[Tuple[int, bytes]] = []
+    # Every probe's columns, filled source by source in emission order.
+    backscatter = sc.backscatter_pkts
+    total = (sc.full_coverage_scanners * sc.full_scanner_repeats * size
+             + sc.partial_scanners * subset_size
+             + sc.port_sweep_scanners * sc.sweep_ports * sc.sweep_pkts_per_port
+             + sc.noise_sources * sc.noise_pkts_per_source + backscatter)
+    cols = {name: np.zeros(total, dtype) for name, dtype in _COLUMNS}
+    filled = 0
     sources: List[dict] = []
 
     # Source address plan: scanners 198.18.0.0/15, noise 203.0.113.0/24,
@@ -229,47 +318,41 @@ def generate(scenario: SynthScenario, seed: int, out_dir) -> dict:
     noise_base = (203 << 24) | (0 << 16) | (113 << 8)
     victim_base = (192 << 24) | (0 << 16) | (2 << 8)
 
-    def other_ip_id(*marks: int) -> int:
-        """A random IP ID that is neither zmap's mark nor one of marks."""
-        while True:
-            candidate = int(rng.integers(0, 65536))
-            if candidate != ZMAP_IP_ID and candidate not in marks:
-                return candidate
+    def emit(n: int, **values) -> None:
+        """Fill the next n rows of the columns named, each from a scalar or an array."""
+        nonlocal filled
+        for name, value in values.items():
+            cols[name][filled:filled + n] = value
+        filled += n
 
     def scan(ip: int, kind: str, ttype: str, tool: str, dsts: np.ndarray, times: np.ndarray,
              ports) -> None:
-        """Write one source's probes, then its manifest entry from the same arrays.
+        """Emit one source's probes, then its manifest entry from the same arrays.
 
         ports is one port, or an array with one port per probe.
         """
         if tool == "masscan" and ttype != "tcp_syn":
             tool = "other"  # the XOR fingerprint only exists on TCP probes
         n = len(dsts)
-        dst_list, time_list = dsts.tolist(), times.tolist()
-        port_list = np.broadcast_to(ports, n).tolist()
-        sport = 40000 + (ip & 0x3FF)
+        seqs, marks = 0, None
         if ttype == "tcp_syn":
-            seqs = rng.integers(0, 2 ** 32, n, dtype=np.uint32).tolist()
-            for ts, dst, port, seq in zip(time_list, dst_list, port_list, seqs):
-                ip_id = (ZMAP_IP_ID if tool == "zmap"
-                         else masscan_ip_id(dst, port, seq) if tool == "masscan"
-                         else other_ip_id(masscan_ip_id(dst, port, seq)))
-                records.append((ts, _tcp_frame(ip, dst, sport, port, seq, 0x02, ip_id)))
-        else:
-            frame = _udp_frame if ttype == "udp" else _icmp_frame
-            for ts, dst, port in zip(time_list, dst_list, port_list):
-                ip_id = ZMAP_IP_ID if tool == "zmap" else other_ip_id()
-                records.append((ts, frame(ip, dst, sport, port, ip_id)))
+            seqs = rng.integers(0, 2 ** 32, n, dtype=np.uint32)
+            marks = masscan_ip_id(dsts, ports, seqs)
+        ip_ids = (ZMAP_IP_ID if tool == "zmap" else marks if tool == "masscan"
+                  else _other_ip_ids(rng, n, marks))
+        emit(n, ts=times, template=_TEMPLATE_OF[ttype], src=ip, dst=dsts,
+             sport=40000 + (ip & 0x3FF), dport=ports, seq=seqs, ip_id=ip_ids)
 
+        # Distinct (UTC day, port) pairs, packed as day << 16 | port.
         day_ports = set() if ttype == "icmp_echo_request" else set(
-            zip((times // US_PER_DAY).tolist(), port_list))
-        per_day = Counter(day for day, _port in day_ports)
-        unique_dsts = len(set(dst_list))
+            (times // US_PER_DAY << 16 | ports).tolist())
+        per_day = Counter(pair >> 16 for pair in day_ports)
+        unique_dsts = len(set(dsts.tolist()))
         sources.append({
             "ip": int_to_ip(ip),
             "kind": kind,
             "traffic_type": ttype,
-            "ports": sorted({port for _day, port in day_ports}),
+            "ports": sorted({pair & 0xFFFF for pair in day_ports}),
             "tool": tool,
             "pkts": n,
             "unique_dsts": unique_dsts,
@@ -297,11 +380,12 @@ def generate(scenario: SynthScenario, seed: int, out_dir) -> dict:
         tool = tools[(i + sc.full_coverage_scanners) % len(tools)]
         scan(next(scanner_ips), "partial", ttype, tool, dsts, times, _pool_port(ttype, i + 3))
 
-    # Port sweepers: many TCP ports, few addresses each.
+    # Port sweepers: many TCP ports, few addresses each. Destinations drawn
+    # with replacement index dark directly: rng.choice's draws, without its overhead.
     for i in range(sc.port_sweep_scanners):
         n = sc.sweep_ports * sc.sweep_pkts_per_port
         times = _spread_times(rng, start_us, duration_us, n, timeout_us)
-        dsts = rng.choice(dark, size=n, replace=True)
+        dsts = dark[rng.integers(0, len(dark), n)]
         scan(next(scanner_ips), "sweep", "tcp_syn", tools[(i + 1) % len(tools)], dsts, times,
              1000 + np.arange(n) % sc.sweep_ports)
 
@@ -310,23 +394,26 @@ def generate(scenario: SynthScenario, seed: int, out_dir) -> dict:
         ttype = ("udp", "tcp_syn", "icmp_echo_request")[i % 3]
         n = sc.noise_pkts_per_source
         times = _spread_times(rng, start_us, duration_us, n, timeout_us)
-        dsts = rng.choice(dark, size=n, replace=True)
+        dsts = dark[rng.integers(0, len(dark), n)]
         port = 0 if ttype == "icmp_echo_request" else int(rng.integers(1, 65536))
         scan(noise_base + 1 + i, "noise", ttype, "other", dsts, times, port)
 
     # Backscatter: SYN-ACKs from victims of spoofed floods; never an event.
-    backscatter = sc.backscatter_pkts
     if backscatter:
         times = _spread_times(rng, start_us, duration_us, backscatter, timeout_us)
-        dsts = rng.choice(dark, size=backscatter, replace=True)
-        for j, (ts, dst) in enumerate(zip(times.tolist(), dsts.tolist())):
-            victim = victim_base + 1 + (j % 250)
-            seq = int(rng.integers(0, 2 ** 32))
-            ip_id = other_ip_id()
-            records.append((ts, _tcp_frame(victim, dst, 80, 40000 + (j % 1000), seq, 0x12, ip_id)))
+        dsts = dark[rng.integers(0, len(dark), backscatter)]
+        seqs, ip_ids = np.zeros(backscatter, np.uint32), np.zeros(backscatter, np.uint16)
+        for j in range(backscatter):  # each packet draws its seq, then its IP ID
+            seqs[j] = rng.integers(0, 2 ** 32)
+            ip_ids[j] = rng.integers(0, 65536)
+            while ip_ids[j] == ZMAP_IP_ID:
+                ip_ids[j] = rng.integers(0, 65536)
+        j = np.arange(backscatter)
+        emit(backscatter, ts=times, template=_SYN_ACK, src=victim_base + 1 + j % 250, dst=dsts,
+             sport=80, dport=40000 + j % 1000, seq=seqs, ip_id=ip_ids)
 
-    records.sort(key=lambda r: r[0])
-    write_pcap(out_dir / "synth.pcap", records)
+    assert filled == total  # every population's probes were counted in total
+    _write_capture(out_dir / "synth.pcap", cols)
 
     # Ground-truth D1 set: same ratio comparison the detector applies.
     d1_expected = sorted(
@@ -339,8 +426,8 @@ def generate(scenario: SynthScenario, seed: int, out_dir) -> dict:
         "seed": seed,
         "scenario": sc.to_dict(),
         "darknet_size": size,
-        "pcap_packets": len(records),
-        "scanning_pkts": len(records) - backscatter,
+        "pcap_packets": total,
+        "scanning_pkts": total - backscatter,
         "non_scanning_pkts": backscatter,
         "sources": sources,
         "d1_expected": d1_expected,

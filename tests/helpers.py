@@ -2,23 +2,32 @@
 
 The frame and pcap builders here are written independently from the package's
 own writers (int.to_bytes assembly instead of struct templates) so they can
-serve as a second opinion on the binary formats.
+serve as a second opinion on the binary formats. write_pcap and the per-probe
+synth emitter at the end are the struct-packed writers synth used before it
+built its records as numpy arrays; they are the reference it must match.
 """
 from __future__ import annotations
 
 from bisect import bisect_right
 import csv
 import ipaddress
+import itertools
 import json
 import random
 import re
 import struct
 import tracemalloc
+from collections import Counter
 from datetime import date, timedelta
+from pathlib import Path
 from typing import Collection, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
+import numpy as np
+
 from darklens.events import EventBuilder, _OpenEvent, _promote
-from darklens.fingerprint import PortFingerprintRow, ProbeTool, fingerprint_packet
+from darklens.fingerprint import (
+    PortFingerprintRow, ProbeTool, ZMAP_IP_ID, fingerprint_packet, masscan_ip_id,
+)
 from darklens.flows import FLOW_CSV_FIELDS
 from darklens.impact import ImpactBin, ImpactSeries, ProtocolMix
 from darklens.model import (
@@ -38,14 +47,18 @@ from darklens.model import (
     TCP_URG,
     Thresholds,
     TrafficType,
+    US_PER_DAY,
+    US_PER_S,
     int_to_ip,
     ip_to_int,
     letters_to_flags,
     _decode_events,
     utc_day,
     write_csv,
+    write_json,
 )
 from darklens.pcap import classify_traffic_type
+from darklens.synth import _generate_flows, _pool_port
 
 US = 1_000_000
 
@@ -395,6 +408,24 @@ def build_pcap(
         out += frame
     return bytes(out)
 
+
+
+def write_pcap(path, packets, linktype: int = 1, snaplen: int = 65535) -> int:
+    """Write (ts_us, frame_bytes) pairs as a little-endian classic pcap.
+
+    Returns the number of records written. Frames longer than snaplen are
+    stored truncated with orig_len preserved, mirroring capture behavior.
+    """
+    rec_hdr = struct.Struct("<IIII")
+    count = 0
+    with open(path, "wb") as fh:
+        fh.write(struct.pack("<IHHiIII", 0xA1B2C3D4, 2, 4, 0, 0, snaplen, linktype))
+        for ts_us, frame in packets:
+            caplen = min(len(frame), snaplen)
+            fh.write(rec_hdr.pack(ts_us // 1_000_000, ts_us % 1_000_000, caplen, len(frame)))
+            fh.write(frame[:caplen])
+            count += 1
+    return count
 
 # ---------------------------------------------------------------------------
 # Independent oracles.
@@ -988,3 +1019,158 @@ def oracle_acked_sources(
         if hits:
             matches[ip] = hits[0]
     return matches
+
+
+
+# ---------------------------------------------------------------------------
+# The per-probe synth emitter, kept as the reference for synth.generate.
+
+_SYNTH_ETH = b"\x02\x00\x00\x00\x00\x01" + b"\x02\x00\x00\x00\x00\x02" + b"\x08\x00"
+_SYNTH_IP = struct.Struct("!BBHHHBBHII")
+_SYNTH_TCP = struct.Struct("!HHIIBBHHH")
+_SYNTH_UDP = struct.Struct("!HHHH")
+_SYNTH_ICMP = struct.Struct("!BBHHH")
+
+
+def _synth_tcp_frame(src, dst, sport, dport, seq, flags, ip_id) -> bytes:
+    ip = _SYNTH_IP.pack(0x45, 0, 40, ip_id, 0, 64, 6, 0, src, dst)
+    return _SYNTH_ETH + ip + _SYNTH_TCP.pack(sport, dport, seq, 0, 5 << 4, flags, 8192, 0, 0)
+
+
+def _synth_udp_frame(src, dst, sport, dport, ip_id) -> bytes:
+    ip = _SYNTH_IP.pack(0x45, 0, 28, ip_id, 0, 64, 17, 0, src, dst)
+    return _SYNTH_ETH + ip + _SYNTH_UDP.pack(sport, dport, 8, 0)
+
+
+def _synth_icmp_frame(src, dst, sport, dport, ip_id) -> bytes:
+    ip = _SYNTH_IP.pack(0x45, 0, 28, ip_id, 0, 64, 1, 0, src, dst)
+    return _SYNTH_ETH + ip + _SYNTH_ICMP.pack(8, 0, 0, src & 0xFFFF, 1)
+
+
+def _oracle_spread_times(rng, start_us, duration_us, n, timeout_us):
+    if n == 1:
+        return np.array([start_us + int(rng.integers(0, duration_us))], dtype=np.int64)
+    window = min(duration_us, (n - 1) * timeout_us // 4)
+    window = max(window, n - 1)
+    offset = int(rng.integers(0, duration_us - window + 1))
+    base = np.linspace(0, window, n)
+    gap = window / (n - 1)
+    jitter = rng.uniform(-gap / 4, gap / 4, n)
+    times = np.sort(base + jitter).astype(np.int64) + start_us + offset
+    return np.clip(times, start_us, start_us + duration_us - 1).astype(np.int64, copy=False)
+
+
+def oracle_other_ip_id(rng, *marks: int) -> int:
+    """One scalar IP ID draw after another until one is neither zmap's mark nor in marks."""
+    while True:
+        candidate = int(rng.integers(0, 65536))
+        if candidate != ZMAP_IP_ID and candidate not in marks:
+            return candidate
+
+
+def oracle_synth(sc, seed: int, out_dir) -> None:
+    """synth.generate's outputs for a valid scenario, one probe at a time.
+
+    Each probe draws its IP ID with scalar draws, is packed into its own frame
+    and kept as a (stamp, frame) pair; the pairs are sorted by stamp (stably)
+    and written with write_pcap. The flow file comes from synth's own
+    _generate_flows, so it matches only if the generator's state after the
+    capture does.
+    """
+    cfg = DarknetConfig(darknet_prefixes=sc.darknet_prefixes, event_timeout_s=sc.event_timeout_s,
+                        dispersion_fraction=sc.dispersion_fraction)
+    size = cfg.darknet_size
+    subset_size = round(sc.partial_coverage_fraction * size)
+    dark = np.concatenate([np.arange(first, last + 1, dtype=np.int64)
+                           for first, last in zip(cfg.range_starts, cfg.range_ends)])
+    start_us = sc.start_ts_s * US_PER_S
+    duration_us = sc.duration_s * US_PER_S
+    timeout_us = round(cfg.event_timeout_s * US_PER_S)
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    rng = np.random.default_rng(seed)
+    records: List[Tuple[int, bytes]] = []
+    sources: List[dict] = []
+    scanner_ips = itertools.count((198 << 24) | (18 << 16) | 1)
+
+    def spread(n):
+        return _oracle_spread_times(rng, start_us, duration_us, n, timeout_us)
+
+    def scan(ip, kind, ttype, tool, dsts, times, ports):
+        if tool == "masscan" and ttype != "tcp_syn":
+            tool = "other"
+        n = len(dsts)
+        dst_list, time_list = dsts.tolist(), times.tolist()
+        port_list = np.broadcast_to(ports, n).tolist()
+        sport = 40000 + (ip & 0x3FF)
+        if ttype == "tcp_syn":
+            seqs = rng.integers(0, 2 ** 32, n, dtype=np.uint32).tolist()
+            for ts, dst, port, seq in zip(time_list, dst_list, port_list, seqs):
+                ip_id = (ZMAP_IP_ID if tool == "zmap"
+                         else masscan_ip_id(dst, port, seq) if tool == "masscan"
+                         else oracle_other_ip_id(rng, masscan_ip_id(dst, port, seq)))
+                records.append((ts, _synth_tcp_frame(ip, dst, sport, port, seq, 0x02, ip_id)))
+        else:
+            frame = _synth_udp_frame if ttype == "udp" else _synth_icmp_frame
+            for ts, dst, port in zip(time_list, dst_list, port_list):
+                ip_id = ZMAP_IP_ID if tool == "zmap" else oracle_other_ip_id(rng)
+                records.append((ts, frame(ip, dst, sport, port, ip_id)))
+        day_ports = set() if ttype == "icmp_echo_request" else set(
+            zip((times // US_PER_DAY).tolist(), port_list))
+        per_day = Counter(day for day, _port in day_ports)
+        unique_dsts = len(set(dst_list))
+        sources.append({
+            "ip": int_to_ip(ip), "kind": kind, "traffic_type": ttype,
+            "ports": sorted({port for _day, port in day_ports}), "tool": tool, "pkts": n,
+            "unique_dsts": unique_dsts, "coverage": unique_dsts / size,
+            "day_ports": {(date(1970, 1, 1) + timedelta(days=day)).isoformat(): count
+                          for day, count in sorted(per_day.items())},
+        })
+
+    tools = sc.tools_cycle
+    for i in range(sc.full_coverage_scanners):
+        ttype = sc.full_scanner_types[i % len(sc.full_scanner_types)]
+        dsts = np.concatenate([rng.permutation(dark) for _ in range(sc.full_scanner_repeats)])
+        scan(next(scanner_ips), "full", ttype, tools[i % len(tools)], dsts, spread(len(dsts)),
+             _pool_port(ttype, i))
+    for i in range(sc.partial_scanners):
+        ttype = sc.partial_scanner_types[i % len(sc.partial_scanner_types)]
+        dsts = rng.choice(dark, size=subset_size, replace=False)
+        tool = tools[(i + sc.full_coverage_scanners) % len(tools)]
+        scan(next(scanner_ips), "partial", ttype, tool, dsts, spread(len(dsts)),
+             _pool_port(ttype, i + 3))
+    for i in range(sc.port_sweep_scanners):
+        n = sc.sweep_ports * sc.sweep_pkts_per_port
+        times = spread(n)
+        dsts = rng.choice(dark, size=n, replace=True)
+        scan(next(scanner_ips), "sweep", "tcp_syn", tools[(i + 1) % len(tools)], dsts, times,
+             1000 + np.arange(n) % sc.sweep_ports)
+    for i in range(sc.noise_sources):
+        ttype = ("udp", "tcp_syn", "icmp_echo_request")[i % 3]
+        times = spread(sc.noise_pkts_per_source)
+        dsts = rng.choice(dark, size=sc.noise_pkts_per_source, replace=True)
+        port = 0 if ttype == "icmp_echo_request" else int(rng.integers(1, 65536))
+        scan(ip_to_int("203.0.113.1") + i, "noise", ttype, "other", dsts, times, port)
+    backscatter = sc.backscatter_pkts
+    if backscatter:
+        times = spread(backscatter)
+        dsts = rng.choice(dark, size=backscatter, replace=True)
+        for j, (ts, dst) in enumerate(zip(times.tolist(), dsts.tolist())):
+            victim = ip_to_int("192.0.2.1") + j % 250
+            seq = int(rng.integers(0, 2 ** 32))
+            ip_id = oracle_other_ip_id(rng)
+            records.append((ts, _synth_tcp_frame(victim, dst, 80, 40000 + j % 1000, seq, 0x12,
+                                                 ip_id)))
+
+    records.sort(key=lambda r: r[0])
+    write_pcap(out_dir / "synth.pcap", records)
+    manifest = {
+        "seed": seed, "scenario": sc.to_dict(), "darknet_size": size,
+        "pcap_packets": len(records), "scanning_pkts": len(records) - backscatter,
+        "non_scanning_pkts": backscatter, "sources": sources,
+        "d1_expected": sorted((e["ip"] for e in sources if e["kind"] != "noise"
+                               and e["coverage"] >= sc.dispersion_fraction), key=ip_to_int),
+    }
+    if sc.flow_total_pkts > 0:
+        manifest["flows"] = _generate_flows(sc, rng, sources, out_dir)
+    write_json(out_dir / "manifest.json", manifest)

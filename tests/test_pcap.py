@@ -15,7 +15,6 @@ from darklens.pcap import (
     PcapReader,
     UnsupportedLinkTypeError,
     classify_traffic_type,
-    write_pcap,
 )
 from helpers import (
     PCAP_COUNTERS,
@@ -29,6 +28,7 @@ from helpers import (
     oracle_tcp,
     oracle_udp,
     traced_peak,
+    write_pcap,
 )
 
 

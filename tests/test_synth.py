@@ -1,17 +1,22 @@
 import json
+import re
+import tempfile
 from collections import Counter
 from datetime import datetime, timezone
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from darklens.cli import main
 from darklens.events import EventBuilder
-from darklens.fingerprint import fingerprint_packet
+from darklens.fingerprint import ZMAP_IP_ID, fingerprint_packet
 from darklens.flows import FlowReader
 from darklens.model import ConfigError, PacketMeta, TrafficType, ip_to_int, load_config
 from darklens.pcap import PcapReader, classify_traffic_type
-from darklens.synth import SynthScenario, generate
-from helpers import make_cfg, run_builder
+from darklens.synth import SynthScenario, _other_ip_ids, generate
+from helpers import make_cfg, oracle_other_ip_id, oracle_synth, run_builder, traced_peak
 
 
 def _small_scenario(**kw):
@@ -287,3 +292,137 @@ class TestScenarioIo:
         p.write_text('{"full_coverage_scanners": 1, "bogus": 2}')
         with pytest.raises(ValueError):
             SynthScenario.from_json_file(p)
+
+    @pytest.mark.parametrize("content, reason", [
+        (b"{bad", "Expecting property name enclosed in double quotes"),
+        (b"\xff{}", "'utf-8' codec can't decode byte 0xff"),
+    ], ids=["not-json", "not-utf8"])
+    def test_unreadable_scenario_exits_2_naming_the_file(self, tmp_path, capsys, content, reason):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_bytes(content)
+        with pytest.raises(ValueError, match="^" + re.escape(f"{scenario}: ")):
+            SynthScenario.from_json_file(scenario)
+        assert main(["--out-dir", str(tmp_path / "cli"), "synth", str(scenario)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {scenario}: ") and reason in err
+        assert list((tmp_path / "cli").iterdir()) == []
+
+
+class TestVectorIpIds:
+    """_other_ip_ids draws what one scalar draw loop per probe would."""
+
+    # Seed 501's 16th draw is zmap's constant, so its stream rejects one draw
+    # whatever the marks.
+    @pytest.mark.parametrize("seed", [501, 7])
+    def test_forced_rejections_match_scalar_draws(self, seed):
+        n = 40
+        twin = np.random.default_rng(seed)
+        upcoming = twin.integers(0, 65536, 2 * n).tolist()  # the draws ahead, from a copy
+        forced = {0, n // 2, n // 2 + 7, n // 2 + 8, n - 1}
+        # Walk the stream as the scalar loop will: a forced probe's mark is the
+        # first draw it would take, any other probe's mark misses its draw.
+        marks, at = [], 0
+        for probe in range(n):
+            while upcoming[at] == ZMAP_IP_ID:
+                at += 1
+            if probe in forced:
+                marks.append(upcoming[at])
+                at += 1
+                while upcoming[at] in (ZMAP_IP_ID, marks[-1]):
+                    at += 1
+            else:
+                marks.append((upcoming[at] + 1) % 65536)
+            at += 1
+        assert at >= n + len(forced)
+        assert (ZMAP_IP_ID in upcoming[:at]) == (seed == 501)
+
+        vector, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = _other_ip_ids(vector, n, np.array(marks))
+        assert got.tolist() == [oracle_other_ip_id(scalar, mark) for mark in marks]
+        assert vector.bit_generator.state == scalar.bit_generator.state
+        consumed = np.random.default_rng(seed)
+        consumed.integers(0, 65536, at)
+        assert vector.bit_generator.state == consumed.bit_generator.state
+
+    def test_without_marks_only_zmap_is_rejected(self):
+        vector, scalar = np.random.default_rng(501), np.random.default_rng(501)
+        got = _other_ip_ids(vector, 40)
+        assert got.tolist() == [oracle_other_ip_id(scalar) for _ in range(40)]
+        assert vector.bit_generator.state == scalar.bit_generator.state
+
+
+_TYPE_NAMES = [t.value for t in TrafficType]
+
+
+@st.composite
+def _scenarios(draw):
+    types = st.lists(st.sampled_from(_TYPE_NAMES), min_size=1, max_size=3)
+    sc = SynthScenario(
+        darknet_prefixes=draw(st.sampled_from(
+            [["10.0.0.0/24"], ["10.0.0.0/25", "10.0.2.0/25"], ["10.0.0.0/23"]])),
+        start_ts_s=draw(st.sampled_from([1654041600, 1654041600.5, 1654127999.25])),
+        duration_s=draw(st.sampled_from([1, 600, 2 * 86_400])),
+        event_timeout_s=draw(st.sampled_from([600.0, 0.00005, 86_400.0])),
+        full_coverage_scanners=draw(st.integers(0, 3)),
+        full_scanner_repeats=draw(st.integers(1, 2)),
+        full_scanner_types=draw(types),
+        partial_scanners=draw(st.integers(0, 5)),
+        partial_coverage_fraction=draw(st.sampled_from([0.05, 0.5, 1.0])),
+        partial_scanner_types=draw(types),
+        port_sweep_scanners=draw(st.integers(0, 3)),
+        sweep_ports=draw(st.integers(1, 30)),
+        sweep_pkts_per_port=draw(st.integers(1, 2)),
+        noise_sources=draw(st.integers(0, 8)),
+        noise_pkts_per_source=draw(st.integers(1, 5)),
+        backscatter_pkts=draw(st.integers(0, 40)),
+        tools_cycle=draw(st.lists(st.sampled_from(["zmap", "masscan", "other"]),
+                                  min_size=1, max_size=4)),
+        flow_routers=["r1", "r2"],
+        flow_benign_sources=draw(st.integers(1, 5)),
+    )
+    if sc.full_coverage_scanners or sc.partial_scanners or sc.port_sweep_scanners:
+        sc.flow_total_pkts = draw(st.sampled_from([0, 2_000_000]))
+    return sc
+
+
+# Every type under every tool, in one second from a fractional start: stamps
+# clipped to the window's ends tie across sources and types.
+_EVERY_KIND = SynthScenario(
+    start_ts_s=1654041600.5, duration_s=1, full_coverage_scanners=10,
+    full_scanner_types=_TYPE_NAMES, tools_cycle=["zmap", "masscan", "other", "other"],
+    partial_scanners=6, port_sweep_scanners=3, sweep_ports=20, noise_sources=6,
+    backscatter_pkts=40, flow_total_pkts=2_000_000, flow_routers=["r1", "r2"])
+
+
+class TestPerProbeOracle:
+    @settings(max_examples=25, deadline=None)
+    @example(sc=_EVERY_KIND, seed=7)
+    @given(sc=_scenarios(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_outputs_match_the_per_probe_emitter(self, sc, seed):
+        with tempfile.TemporaryDirectory() as tmp:
+            got, want = Path(tmp, "got"), Path(tmp, "want")
+            generate(sc, seed, got)
+            oracle_synth(sc, seed, want)
+            assert sorted(p.name for p in got.iterdir()) == sorted(p.name for p in want.iterdir())
+            for name in ("synth.pcap", "manifest.json", "flows.csv"):
+                if (want / name).exists():
+                    assert (got / name).read_bytes() == (want / name).read_bytes(), name
+
+    def test_every_kind_ties_stamps_across_types(self, tmp_path):
+        generate(_EVERY_KIND, 7, tmp_path)
+        by_stamp = {}
+        for p in map(PacketMeta._make, PcapReader(tmp_path / "synth.pcap")):
+            by_stamp.setdefault(p.ts_us, set()).add((p.protocol, p.tcp_flags))
+        assert max(len(kinds) for kinds in by_stamp.values()) >= 3
+
+
+class TestMemory:
+    def test_generate_holds_no_object_per_probe(self, tmp_path):
+        # Every type under every tool, 204,800 probes; a (stamp, frame) pair
+        # per probe peaked at about 200 B per probe.
+        sc = SynthScenario(full_coverage_scanners=10, full_scanner_repeats=20, partial_scanners=0,
+                           noise_sources=0, backscatter_pkts=0, full_scanner_types=_TYPE_NAMES,
+                           tools_cycle=["zmap", "masscan", "other", "other"])
+        manifest, peak = traced_peak(generate, sc, 7, tmp_path)
+        assert manifest["pcap_packets"] == 204_800
+        assert peak / manifest["pcap_packets"] < 160
