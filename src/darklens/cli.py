@@ -61,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--reorder-slack", type=float, default=0.0, metavar="SECONDS",
         help="tolerate arrivals up to this far behind the watermark",
     )
-    p_events.set_defaults(func=cmd_events, outputs=("events.jsonl",))
+    p_events.set_defaults(func=cmd_events, outputs=("events.jsonl", "events.jsonl.bin"))
 
     p_detect = sub.add_parser(
         "detect", parents=[feeds], help="classify aggressive scanners from an event log"

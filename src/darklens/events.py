@@ -24,8 +24,10 @@ from .fingerprint import ZMAP_IP_ID, fingerprint_packet  # noqa: F401
 from .hll import Hll
 from .model import (
     TCP_ACK, TCP_SYN, DarknetConfig, DarknetEvent, EventKey, PacketMeta, Protocol, TrafficType,
-    US_PER_S, write_lines,
+    US_PER_S,
 )
+# The log writer lives beside its reader and the binary format they share.
+from .model import write_event_log  # noqa: F401
 from .pcap import ICMP_ECHO_REQUEST_TYPE, classify_traffic_type  # noqa: F401
 
 # Darknets up to this many addresses count destinations exactly for every
@@ -250,7 +252,3 @@ class EventBuilder:
         end_ts is always the last packet folded in, never the end of capture.
         """
         return self._sweep(float("inf"))
-
-
-def write_event_log(path, events: Iterable[DarknetEvent]) -> int:
-    return write_lines(path, (ev.to_json_line() for ev in events))

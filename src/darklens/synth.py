@@ -125,7 +125,7 @@ class SynthScenario:
         known = {f.name for f in fields(cls)}
         unknown = set(obj) - known
         if unknown:
-            raise ValueError(f"unknown scenario keys: {sorted(unknown)}")
+            raise ValueError(f"{path}: unknown scenario keys: {sorted(unknown)}")
         return cls(**obj)
 
     def to_dict(self) -> dict:
@@ -292,8 +292,17 @@ def generate(scenario: SynthScenario, seed: int, out_dir) -> dict:
         raise ValueError(f"partial_coverage_fraction {sc.partial_coverage_fraction} "
                          f"covers no address of the {size}-address darknet")
 
-    dark = np.concatenate([np.arange(first, last + 1, dtype=np.int64)
-                           for first, last in zip(cfg.range_starts, cfg.range_ends)])
+    # Destinations are drawn as indexes into the sorted darknet, the draws an
+    # array of all its addresses would take, so no such array is built.
+    range_starts = np.array(cfg.range_starts, dtype=np.int64)
+    range_offsets = np.cumsum([0] + [last + 1 - first for first, last
+                                     in zip(cfg.range_starts, cfg.range_ends)])[:-1]
+
+    def dark(indexes: np.ndarray) -> np.ndarray:
+        """The darknet addresses at these indexes into the sorted darknet."""
+        ranges = np.searchsorted(range_offsets, indexes, side="right") - 1
+        return indexes + (range_starts - range_offsets)[ranges]
+
     start_us = sc.start_ts_s * US_PER_S
     duration_us = sc.duration_s * US_PER_S
     timeout_us = round(cfg.event_timeout_s * US_PER_S)
@@ -367,7 +376,7 @@ def generate(scenario: SynthScenario, seed: int, out_dir) -> dict:
     # Full-coverage scanners: every darknet address, `repeats` passes.
     for i in range(sc.full_coverage_scanners):
         ttype = sc.full_scanner_types[i % len(sc.full_scanner_types)]
-        dsts = np.concatenate([rng.permutation(dark) for _ in range(sc.full_scanner_repeats)])
+        dsts = dark(np.concatenate([rng.permutation(size) for _ in range(sc.full_scanner_repeats)]))
         times = _spread_times(rng, start_us, duration_us, len(dsts), timeout_us)
         scan(next(scanner_ips), "full", ttype, tools[i % len(tools)], dsts, times,
              _pool_port(ttype, i))
@@ -375,17 +384,17 @@ def generate(scenario: SynthScenario, seed: int, out_dir) -> dict:
     # Partial scanners: a fixed random slice of the space.
     for i in range(sc.partial_scanners):
         ttype = sc.partial_scanner_types[i % len(sc.partial_scanner_types)]
-        dsts = rng.choice(dark, size=subset_size, replace=False)
+        dsts = dark(rng.choice(size, size=subset_size, replace=False))
         times = _spread_times(rng, start_us, duration_us, len(dsts), timeout_us)
         tool = tools[(i + sc.full_coverage_scanners) % len(tools)]
         scan(next(scanner_ips), "partial", ttype, tool, dsts, times, _pool_port(ttype, i + 3))
 
     # Port sweepers: many TCP ports, few addresses each. Destinations drawn
-    # with replacement index dark directly: rng.choice's draws, without its overhead.
+    # with replacement are rng.choice's draws, without its overhead.
     for i in range(sc.port_sweep_scanners):
         n = sc.sweep_ports * sc.sweep_pkts_per_port
         times = _spread_times(rng, start_us, duration_us, n, timeout_us)
-        dsts = dark[rng.integers(0, len(dark), n)]
+        dsts = dark(rng.integers(0, size, n))
         scan(next(scanner_ips), "sweep", "tcp_syn", tools[(i + 1) % len(tools)], dsts, times,
              1000 + np.arange(n) % sc.sweep_ports)
 
@@ -394,14 +403,14 @@ def generate(scenario: SynthScenario, seed: int, out_dir) -> dict:
         ttype = ("udp", "tcp_syn", "icmp_echo_request")[i % 3]
         n = sc.noise_pkts_per_source
         times = _spread_times(rng, start_us, duration_us, n, timeout_us)
-        dsts = dark[rng.integers(0, len(dark), n)]
+        dsts = dark(rng.integers(0, size, n))
         port = 0 if ttype == "icmp_echo_request" else int(rng.integers(1, 65536))
         scan(noise_base + 1 + i, "noise", ttype, "other", dsts, times, port)
 
     # Backscatter: SYN-ACKs from victims of spoofed floods; never an event.
     if backscatter:
         times = _spread_times(rng, start_us, duration_us, backscatter, timeout_us)
-        dsts = dark[rng.integers(0, len(dark), backscatter)]
+        dsts = dark(rng.integers(0, size, backscatter))
         seqs, ip_ids = np.zeros(backscatter, np.uint32), np.zeros(backscatter, np.uint16)
         for j in range(backscatter):  # each packet draws its seq, then its IP ID
             seqs[j] = rng.integers(0, 2 ** 32)

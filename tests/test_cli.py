@@ -18,7 +18,7 @@ import darklens
 from darklens import enrich
 from darklens import pcap as pcap_mod
 from darklens.cli import _write_protocol_csv, build_parser, main
-from darklens.events import EventBuilder
+from darklens.events import EventBuilder, write_event_log
 from darklens.fingerprint import PortFingerprintRow
 from darklens.model import (
     AhVerdict, DarknetEvent, Direction, EventKey, FlowRecord, Protocol, TrafficType, ip_to_int,
@@ -651,6 +651,25 @@ class TestFailureModes:
         )
         assert list(out.iterdir()) == []
 
+    def test_wide_event_names_its_line_through_the_binary_copy(self, pipeline, tmp_path, capsys):
+        def event(n):
+            return DarknetEvent(EventKey(ip_to_int("203.0.113.5"), 23, TrafficType.TCP_SYN),
+                                1654041600000000, 1654041660000000, n, n, n, 0, 0)
+
+        log = tmp_path / "events.jsonl"
+        write_event_log(log, [event(5), event(1025), event(5)])
+        out = tmp_path / "out"
+        rc = main(["--config", str(pipeline["conf"]), "--out-dir", str(out), "detect", str(log)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # no note: the binary copy was read
+        assert captured.err == (
+            f"error: {log}:2: malformed line (ValueError: event from 203.0.113.5 port 23 at "
+            "start_ts 1654041600000000 has 1025 distinct destinations, more than the 1024 "
+            "addresses of the darknet)\n"
+        )
+        assert list(out.iterdir()) == []
+
     def test_detect_accepts_event_covering_the_whole_darknet(self, pipeline, tmp_path):
         log = tmp_path / "events.jsonl"
         log.write_text(
@@ -932,7 +951,7 @@ class TestPublish:
                 lambda m: " ".join(m[1] + part + m[3] for part in m[2].split(",")),
                 line,
             )
-            documented.update(re.findall(r"[\w.]+\.(?:pcap|jsonl|json|csv|txt)\b", line))
+            documented.update(re.findall(r"[\w.]+\.(?:pcap|jsonl|json|csv|txt|bin)\b", line))
 
         out = tmp_path / "demo"
         conf = ["--config", str(pipeline["conf"]), "--out-dir", str(out)]
@@ -948,6 +967,35 @@ class TestPublish:
         ):
             assert main(argv) == 0, argv
         assert sorted(os.listdir(out)) == sorted(documented)
+
+
+class TestEventLogCopy:
+    """detect and report write the same files whether they read the binary copy or the JSON."""
+
+    def test_outputs_do_not_depend_on_the_path_read(self, pipeline, feeds, tmp_path, capsys):
+        run = pipeline["run"]
+        logs = {"binary": run / "events.jsonl"}
+        for name in ("json", "tampered"):
+            (tmp_path / name).mkdir()
+            logs[name] = tmp_path / name / "events.jsonl"
+            logs[name].write_bytes((run / "events.jsonl").read_bytes())
+        copy = (run / "events.jsonl.bin").read_bytes()
+        Path(f"{logs['tampered']}.bin").write_bytes(copy[:-1] + bytes([copy[-1] ^ 1]))
+        outputs, printed = {}, {}
+        for name, log in logs.items():
+            out = tmp_path / f"out-{name}"
+            assert main(["--config", str(pipeline["conf"]), "--out-dir", str(out),
+                         "detect", str(log)]) == 0
+            assert main(["--out-dir", str(out), "report", str(log), str(out / "verdicts.jsonl"),
+                         "--asn-map", str(feeds / "asn.csv"), "--tags", str(feeds / "tags.csv")]) == 0
+            outputs[name] = {path.name: path.read_bytes() for path in out.iterdir()}
+            printed[name] = capsys.readouterr().out
+        assert outputs["binary"] == outputs["json"] == outputs["tampered"]
+        assert len(outputs["binary"]) == 16  # 7 detect files, 9 report files with --tags
+        assert "note:" not in printed["binary"] + printed["json"]
+        note = (f"note: {logs['tampered']}: binary copy not used (record digest mismatch); "
+                "decoding the JSON\n")
+        assert printed["tampered"].count("note:") == printed["tampered"].count(note) == 2
 
 
 ROTTEN_EVENT = '{"key":{"src_ip":"1.2.3.4"}}'
@@ -1189,7 +1237,8 @@ class TestRottenInputs:
 
 
 def test_no_output_holds_a_carriage_return(pipeline, feeds, tmp_path):
-    """Every file events, detect, impact and report write ends lines with LF."""
+    """Every text file events, detect, impact and report write ends lines with LF;
+    the binary copy of the event log holds exactly one record per logged event."""
     run, synth = pipeline["run"], pipeline["synth"]
     acked = ["--acked-ips", str(feeds / "acked_ips.csv"),
              "--acked-keywords", str(feeds / "acked_kw.csv"), "--rdns", str(feeds / "rdns.csv")]
@@ -1204,11 +1253,15 @@ def test_no_output_holds_a_carriage_return(pipeline, feeds, tmp_path):
     ]) == 0
     written = sorted(run.iterdir()) + sorted(out.iterdir())
     names = {path.name for path in written}
-    assert {"events.jsonl", "verdicts.jsonl", "detect_meta.json", "impact.csv",
-            "acked_impact.csv", "series.csv", "origins.csv", "ports.csv", "tag_classes.csv",
-            "tags_top.csv", "report_meta.json"} <= names
+    assert {"events.jsonl", "events.jsonl.bin", "verdicts.jsonl", "detect_meta.json",
+            "impact.csv", "acked_impact.csv", "series.csv", "origins.csv", "ports.csv",
+            "tag_classes.csv", "tags_top.csv", "report_meta.json"} <= names
     for path in written:
         data = path.read_bytes()
+        if path.name == "events.jsonl.bin":  # binary: an 80-byte header, 63 bytes an event
+            events = (run / "events.jsonl").read_bytes().count(b"\n")
+            assert len(data) == 80 + 63 * events
+            continue
         assert b"\r" not in data, path.name
         assert data == b"" or data.endswith(b"\n"), path.name
 
@@ -1225,7 +1278,8 @@ except SystemExit as exc:  # --help
 print(json.dumps({
     "rc": rc,
     "darklens": sorted(name for name in sys.modules if name.partition(".")[0] == "darklens"),
-    "heavy": [name for name in ("numpy", "dataclasses", "inspect", "fractions", "socket")
+    "heavy": [name for name in ("numpy", "dataclasses", "inspect", "fractions", "socket",
+                                "hashlib")
               if name in sys.modules],
 }))
 """
@@ -1254,7 +1308,7 @@ def _darklens(*names):
 
 class TestStartupImports:
     """Each cron stage imports only the darklens modules it runs, and neither
-    numpy nor dataclasses, inspect, fractions or socket."""
+    numpy nor dataclasses, inspect, fractions, socket or hashlib (OpenSSL)."""
 
     @pytest.mark.parametrize("stage", ["events", "detect", "impact-flows", "impact-pcap", "report"])
     def test_pipeline_stage_does_not_import_numpy(self, pipeline, tmp_path, stage):

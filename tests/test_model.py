@@ -1,8 +1,13 @@
+import contextlib
+import io
 import ipaddress
 import json
 import re
+import struct
+from _blake2 import blake2b
 from collections import deque
 from datetime import date, timedelta
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -23,6 +28,7 @@ from darklens.model import (
     read_event_log,
     slash24_of,
     utc_day,
+    write_event_log,
 )
 from helpers import (
     NONCANONICAL_PREFIXES, check_packet_meta, darknet_contains, decode_event, flags_to_letters,
@@ -622,6 +628,153 @@ class TestEventLogReader:
     def test_a_blank_line_is_not_an_event(self):
         with pytest.raises(ValueError):
             decode_event(" \t")
+
+
+# Any event the binary record can hold, valid or not.
+_I64 = st.integers(min_value=-(2 ** 63), max_value=2 ** 63 - 1)
+_packable_events = st.builds(
+    lambda ip, port, ttype, rest: DarknetEvent(EventKey(ip, port, ttype), *rest),
+    _ADDRS,
+    st.integers(min_value=0, max_value=0xFFFF),
+    st.sampled_from(TrafficType),
+    st.tuples(*[st.one_of(st.integers(-2, 3), _I64)] * 7),
+)
+_MULTI_DAY = DarknetEvent(EventKey(0x0A000001, 443, TrafficType.TCP_SYN),
+                          US_PER_DAY - 1, 3 * US_PER_DAY + 5, 9, 4, 2, 3, 4)
+_BOUNDS = [
+    DarknetEvent(EventKey(0, 0, TrafficType.ICMP_ECHO_REQUEST), MIN_TS, MAX_TS,
+                 2 ** 63 - 1, 2 ** 63 - 1, 2 ** 63 - 1, 0, 0),
+    DarknetEvent(EventKey(2 ** 32 - 1, 0xFFFF, TrafficType.UDP), MAX_TS, MAX_TS, 1, 1, 0, 0, 1),
+    _MULTI_DAY,
+]
+
+
+def _outcome(path):
+    """read_event_log(path) as ("events", list) or ("error", text), with what it printed."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        try:
+            got = ("events", list(read_event_log(path)))
+        except ValueError as exc:
+            got = ("error", str(exc))
+    return got, out.getvalue()
+
+
+def _json_outcome(path):
+    """The outcome of the JSON path alone: the binary copy moved aside while it reads."""
+    copy = Path(f"{path}.bin")
+    aside = copy.with_name(copy.name + ".aside")
+    copy.rename(aside)
+    try:
+        return _outcome(path)
+    finally:
+        aside.rename(copy)
+
+
+class TestBinaryCopy:
+    """write_event_log's binary copy: read in place of the JSON only when it provably matches."""
+
+    @given(st.lists(st.one_of(_valid_events(), _packable_events, st.sampled_from(_BOUNDS)),
+                    max_size=30))
+    @example(_BOUNDS)
+    @example([])
+    @settings(max_examples=200)
+    def test_copy_reads_like_the_json(self, log_path, events):
+        assert write_event_log(log_path, events) == len(events)
+        got, printed = _outcome(log_path)
+        assert printed == ""  # the copy was used
+        assert _json_outcome(log_path) == (got, "")
+        if got[0] == "events":
+            assert got[1] == events
+        else:
+            assert re.match(rf"^{re.escape(str(log_path))}:\d+: malformed line \(", got[1])
+
+    def test_first_bad_record_names_its_line(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        write_event_log(path, [_event(), _event(unique_dst_count=11), _event(pkt_count=0)])
+        got, printed = _outcome(path)
+        assert got == ("error",
+                       f"{path}:2: malformed line (ValueError: unique_dst_count out of range)")
+        assert printed == ""
+
+    def test_header_and_records_are_fixed_width(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        write_event_log(path, [_BOUNDS[0], _MULTI_DAY])
+        data = Path(f"{path}.bin").read_bytes()
+        assert len(data) == 80 + 2 * 63
+        assert data[:16] == b"DLEVBIN\x01" + (2).to_bytes(8, "little")
+        assert data[16:48] == blake2b(path.read_bytes(), digest_size=32).digest()
+        assert data[48:80] == blake2b(data[80:], digest_size=32).digest()
+        assert data[80:] == (struct.pack("<IHB7q", 0, 0, 2, *_BOUNDS[0][1:])
+                             + struct.pack("<IHB7q", 0x0A000001, 443, 0, *_MULTI_DAY[1:]))
+
+    @pytest.mark.parametrize("field, value", [
+        ("dst_port", 0x10000), ("src_ip", -1), ("src_ip", 2 ** 32), ("pkt_count", 2 ** 63),
+        ("start_ts", -(2 ** 63) - 1), ("traffic_type", "tcp_fin"),
+    ])
+    def test_event_no_record_holds_is_a_value_error(self, tmp_path, field, value):
+        key = _event().key
+        if field in key._fields:
+            ev = _event(key=key._replace(**{field: value}))
+        else:
+            ev = _event(**{field: value})
+        with pytest.raises(ValueError, match="^an event in lines 1-2 cannot be written"):
+            write_event_log(tmp_path / "events.jsonl", [_event(), ev])
+
+    @pytest.mark.parametrize("tamper, check", [
+        ("log byte", "log digest mismatch"),
+        ("truncated copy", "size 205 bytes, not 80 + 63 x 2"),
+        ("record byte", "record digest mismatch"),
+        ("another run's copy", "log digest mismatch"),
+        ("magic", "wrong magic"),
+        ("empty copy", "wrong magic"),
+        ("header only", "size 80 bytes, not 80 + 63 x 2"),
+        ("directory", "cannot open it: Is a directory"),
+    ])
+    def test_tampered_copy_falls_back_to_the_json(self, tmp_path, capsys, tamper, check):
+        path = tmp_path / "events.jsonl"
+        events = [_event(), _MULTI_DAY]
+        write_event_log(path, events)
+        copy = Path(f"{path}.bin")
+        data = bytearray(copy.read_bytes())
+        if tamper == "log byte":  # still a valid log, with another source
+            path.write_text(path.read_text().replace("198.51.100.9", "198.51.100.8", 1))
+            events[0] = _event(key=events[0].key._replace(src_ip=ip_to_int("198.51.100.8")))
+        elif tamper == "truncated copy":
+            copy.write_bytes(data[:-1])
+        elif tamper == "record byte":
+            data[80 + 63 + 20] ^= 0x01
+            copy.write_bytes(data)
+        elif tamper == "another run's copy":
+            other = tmp_path / "other.jsonl"
+            write_event_log(other, [_event(pkt_count=11, zmap_pkts=11), _MULTI_DAY])
+            Path(f"{other}.bin").replace(copy)
+        elif tamper == "magic":
+            data[0] ^= 0xFF
+            copy.write_bytes(data)
+        elif tamper == "empty copy":
+            copy.write_bytes(b"")
+        elif tamper == "directory":
+            copy.unlink()
+            copy.mkdir()
+        else:
+            copy.write_bytes(data[:80])
+        assert list(read_event_log(path)) == events
+        assert capsys.readouterr().out == (
+            f"note: {path}: binary copy not used ({check}); decoding the JSON\n")
+        if tamper != "directory":
+            assert _json_outcome(path) == (("events", events), "")
+
+    def test_writer_memory_does_not_grow_with_the_event_count(self, tmp_path):
+        def peak(n):
+            events = (DarknetEvent(EventKey(i, 80, TrafficType.TCP_SYN), i, i, 1, 1, 0, 0, 1)
+                      for i in range(n))
+            return traced_peak(write_event_log, tmp_path / "events.jsonl", events)
+        (count, small), (count_2, large) = peak(10 ** 5), peak(2 * 10 ** 5)
+        assert (count, count_2) == (10 ** 5, 2 * 10 ** 5)
+        assert Path(f"{tmp_path / 'events.jsonl'}.bin").stat().st_size == 80 + 63 * 2 * 10 ** 5
+        assert large < small * 1.1
+        assert small < 10 ** 6
 
 
 class TestPacketMeta:

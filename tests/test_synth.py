@@ -1,5 +1,6 @@
 import json
 import re
+import sys
 import tempfile
 from collections import Counter
 from datetime import datetime, timezone
@@ -17,6 +18,9 @@ from darklens.model import ConfigError, PacketMeta, TrafficType, ip_to_int, load
 from darklens.pcap import PcapReader, classify_traffic_type
 from darklens.synth import SynthScenario, _other_ip_ids, generate
 from helpers import make_cfg, oracle_other_ip_id, oracle_synth, run_builder, traced_peak
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+from workloads import WORKLOADS  # noqa: E402
 
 
 def _small_scenario(**kw):
@@ -293,6 +297,13 @@ class TestScenarioIo:
         with pytest.raises(ValueError):
             SynthScenario.from_json_file(p)
 
+    def test_unknown_keys_exit_2_naming_the_file(self, tmp_path, capsys):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text('{"bogus": 1}')
+        assert main(["--out-dir", str(tmp_path / "cli"), "synth", str(scenario)]) == 2
+        assert capsys.readouterr().err == f"error: {scenario}: unknown scenario keys: ['bogus']\n"
+        assert list((tmp_path / "cli").iterdir()) == []
+
     @pytest.mark.parametrize("content, reason", [
         (b"{bad", "Expecting property name enclosed in double quotes"),
         (b"\xff{}", "'utf-8' codec can't decode byte 0xff"),
@@ -426,3 +437,12 @@ class TestMemory:
         manifest, peak = traced_peak(generate, sc, 7, tmp_path)
         assert manifest["pcap_packets"] == 204_800
         assert peak / manifest["pcap_packets"] < 160
+
+    def test_wide_darknet_is_never_listed_whole(self, tmp_path):
+        # The bench's wide-11 scenario: a /11 telescope, 2^21 addresses. Its
+        # destinations are drawn as indexes; listing every address as int64
+        # took 16 MiB, built twice over, and peaked at 32.0 MiB.
+        sc = SynthScenario(**WORKLOADS["wide-11"].scenario)
+        manifest, peak = traced_peak(generate, sc, 7, tmp_path)
+        assert manifest["pcap_packets"] == 56_828
+        assert peak < 12 * 2 ** 20
