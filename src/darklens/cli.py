@@ -30,8 +30,8 @@ from typing import Optional, Tuple
 from .feeds import AckedList, AsnMap, Feed, load_acked, load_asn_map, load_rdns, load_tags
 from .fingerprint import PortFingerprintRow, port_fingerprint_table
 from .model import (
-    D1, D2, D3, ConfigError, Thresholds, load_config, read_blocklist, read_event_log,
-    read_verdicts, write_csv, write_json, write_lines,
+    D1, D2, D3, TRAFFIC_TYPES, ConfigError, Thresholds, load_config, read_blocklist,
+    read_event_log, read_verdicts, write_csv, write_json, write_lines,
 )
 
 
@@ -357,14 +357,15 @@ def cmd_report(args, staging: Path) -> int:
         cell = per_day.setdefault(v.day, [0, 0])
         cell[0] += v.is_daily
         cell[1] += 1
-    # One pass over the log folds each AH event into its source's packets and
-    # the (dst_port, traffic type) -> [zmap, masscan, other] tool tally. It
-    # runs to the end even with no verdicts, so a rotten line is still fatal.
+    # One pass over the log's rows folds each AH event into its source's
+    # packets and the (dst_port, traffic-type index) -> [zmap, masscan, other]
+    # tool tally. It runs to the end even with no verdicts, so a rotten line
+    # is still fatal.
     pkts_by_ip: dict = {}
     tally: dict = {}
     events_read = 0
     events = read_event_log(args.event_log)
-    for (ip, port, ttype), _start, _end, pkts, _dsts, zmap, masscan, other in events:
+    for ip, port, ttype, _start, _end, pkts, _dsts, zmap, masscan, other in events:
         events_read += 1
         if ip in ah:
             pkts_by_ip[ip] = pkts_by_ip.get(ip, 0) + pkts
@@ -377,6 +378,7 @@ def cmd_report(args, staging: Path) -> int:
     if not ah:
         print("warning: no verdicts, nothing to report")
         return 1
+    tally = {(port, TRAFFIC_TYPES[ttype]): tools for (port, ttype), tools in tally.items()}
 
     asn_map = load_asn_map(args.asn_map) if args.asn_map else AsnMap()
     acked, rdns = _load_acked_args(args)

@@ -9,9 +9,12 @@ Three independent definitions flag a source as aggressive:
 * D3, port breadth: one source contacts enough distinct (port, protocol)
   entries in one UTC day, threshold again from the dataset ECDF.
 
-The event stream is read once into six compact columns, the only fields the
-definitions read; thresholds are derived from them, or supplied up front, and
-applied in a second pass over the columns. A tagged event is a plain tuple
+The event stream is one plain EventRow per event, as read_event_log yields it,
+with the traffic type as its index; no event object is built. It is read once
+into six compact columns, the only fields the definitions read; thresholds
+are derived from them, or supplied up front, and applied in a second pass
+over the columns as integer comparisons (D1 against the least destination
+count that classify_dispersion holds for). A tagged event is a plain tuple
 whose last field is the bit mask of its definitions (D1 1, D2 2, D3 4); masks
 become names only in the outputs. All boundary comparisons are inclusive
 (>=). The results are written as blocklists, a per-source sidecar and
@@ -21,6 +24,7 @@ from __future__ import annotations
 
 import json
 from array import array
+from bisect import bisect_left
 from collections import defaultdict
 from typing import Collection, Dict, Iterable, List, NamedTuple, Optional, Set, Tuple
 
@@ -30,11 +34,12 @@ from .model import (
     D1,
     D2,
     D3,
+    TRAFFIC_TYPES,
     US_PER_DAY,
     AhVerdict,
     DarknetConfig,
-    DarknetEvent,
     EmptyInputError,
+    EventRow,
     Thresholds,
     TrafficType,
     int_to_ip,
@@ -51,7 +56,8 @@ _DEFS = [frozenset(name for bit, name in enumerate((D1, D2, D3)) if mask >> bit 
 # match D3, but D1/D2 detection must still run.
 UNREACHABLE_PORTS = 2 ** 63
 
-_ICMP, _UDP = TrafficType.ICMP_ECHO_REQUEST, TrafficType.UDP
+# Traffic-type indexes, as an EventRow holds them.
+_UDP, _ICMP = map(TRAFFIC_TYPES.index, (TrafficType.UDP, TrafficType.ICMP_ECHO_REQUEST))
 
 # A tagged event: (src_ip, start_ts, end_ts, pkt_count, unique_dst_count, mask).
 Tagged = Tuple[int, int, int, int, int, int]
@@ -90,6 +96,16 @@ def classify_dispersion(unique_dsts: int, cfg: DarknetConfig) -> bool:
     return unique_dsts / cfg.darknet_size >= cfg.dispersion_fraction
 
 
+def dispersion_cut(cfg: DarknetConfig) -> int:
+    """The least destination count for which classify_dispersion holds.
+
+    The test is monotone in the count, so dsts >= the cut exactly when it
+    holds. The cut is at most darknet_size, which always covers the fraction.
+    """
+    return bisect_left(range(cfg.darknet_size + 1), True,
+                       key=lambda dsts: classify_dispersion(dsts, cfg))
+
+
 def classify_volume(pkts: int, thresholds: Thresholds) -> bool:
     return pkts >= thresholds.volume_threshold_pkts
 
@@ -116,7 +132,7 @@ class EventColumns(NamedTuple):
 
 
 def build_daily_port_profiles(
-    events: Iterable[DarknetEvent], cfg: DarknetConfig,
+    events: Iterable[EventRow], cfg: DarknetConfig,
 ) -> Tuple[EventColumns, Dict[Tuple[int, int], int]]:
     """The one pass over an event stream: its columns and daily port profiles.
 
@@ -131,7 +147,7 @@ def build_daily_port_profiles(
     seen: Dict[Tuple[int, int], Set[int]] = defaultdict(set)
     size = cfg.darknet_size
     stream = iter(events)
-    for (ip, port, ttype), start, end, pkts, dsts, _zmap, _masscan, _other in stream:
+    for ip, port, ttype, start, end, pkts, dsts, _zmap, _masscan, _other in stream:
         if dsts > size:
             wide = ValueError(
                 f"event from {int_to_ip(ip)} port {port} at start_ts {start} has {dsts} "
@@ -140,7 +156,7 @@ def build_daily_port_profiles(
             if hasattr(stream, "throw"):
                 stream.throw(wide)
             raise wide
-        icmp = ttype is _ICMP
+        icmp = ttype == _ICMP
         add_ip(ip)
         add_icmp(icmp)
         add_start(start)
@@ -148,7 +164,7 @@ def build_daily_port_profiles(
         add_pkts(pkts)
         add_dsts(dsts)
         if not icmp:
-            seen[(ip, start // US_PER_DAY)].add(port << 1 | (ttype is _UDP))
+            seen[(ip, start // US_PER_DAY)].add(port << 1 | (ttype == _UDP))
     return columns, {key: len(ports) for key, ports in seen.items()}
 
 
@@ -176,15 +192,19 @@ def tag_events(
 ) -> List[Tagged]:
     """Second pass: keep events matching at least one definition, with its mask.
 
-    A TCP/UDP event is D3-tagged when its source crossed the ports threshold
-    on the event's start day, i.e. the event contributed to an aggressive
-    daily port profile.
+    Each definition is one integer comparison: D1 against dispersion_cut,
+    D2 and D3 the >= of classify_volume and classify_ports. A TCP/UDP event
+    is D3-tagged when its source crossed the ports threshold on the event's
+    start day, i.e. the event contributed to an aggressive daily port
+    profile.
     """
+    cut = dispersion_cut(cfg)
+    volume, ports = thresholds.volume_threshold_pkts, thresholds.ports_threshold
     tagged: List[Tagged] = []
     for ip, icmp, start, end, pkts, dsts in zip(*columns):
-        mask = classify_dispersion(dsts, cfg) | classify_volume(pkts, thresholds) << 1
+        mask = (dsts >= cut) | (pkts >= volume) << 1
         if not icmp:
-            mask |= classify_ports(port_profiles.get((ip, start // US_PER_DAY), 0), thresholds) << 2
+            mask |= (port_profiles.get((ip, start // US_PER_DAY), 0) >= ports) << 2
         if mask:
             tagged.append((ip, start, end, pkts, dsts, mask))
     return tagged
@@ -243,7 +263,7 @@ class DetectionResult(NamedTuple):
 
 
 def run_detection(
-    events: Iterable[DarknetEvent],
+    events: Iterable[EventRow],
     cfg: DarknetConfig,
     thresholds: Optional[Thresholds] = None,
     acked: Optional[AckedList] = None,

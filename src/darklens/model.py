@@ -143,8 +143,11 @@ class TrafficType(str, enum.Enum):
     ICMP_ECHO_REQUEST = "icmp_echo_request"
 
 
-_TRAFFIC_TYPES = {t.value: t for t in TrafficType}
-# The other way round, so an encoder reads no enum property.
+# A row's traffic type is its index here, the byte the binary copy stores.
+TRAFFIC_TYPES = tuple(TrafficType)
+_TRAFFIC_INDEX = {t: i for i, t in enumerate(TRAFFIC_TYPES)}
+_INDEX_OF_TEXT = {t.value: i for i, t in enumerate(TRAFFIC_TYPES)}
+# Each type's text, so an encoder reads no enum property.
 _TRAFFIC_TEXT = {t: t.value for t in TrafficType}
 
 
@@ -236,6 +239,11 @@ class DarknetEvent(NamedTuple):
         )
 
 
+# One event as read_event_log yields it: (src_ip, dst_port, ttype, start_ts,
+# end_ts, pkt_count, unique_dst_count, zmap_pkts, masscan_pkts, other_pkts),
+# with ttype its TrafficType's index in TRAFFIC_TYPES.
+EventRow = Tuple[int, int, int, int, int, int, int, int, int, int]
+
 _scan_json = json.JSONDecoder().scan_once
 _event_counts = operator.itemgetter(*DarknetEvent._fields[1:])
 # Only JSON whitespace: str.strip() would also drop characters such as U+3000
@@ -243,44 +251,48 @@ _event_counts = operator.itemgetter(*DarknetEvent._fields[1:])
 _strip_json_ws = operator.methodcaller("strip", " \t\r\n")
 
 
-def _check_events(rows: Iterable[tuple], types: Dict[object, TrafficType],
-                  ) -> Iterator[DarknetEvent]:
-    """Build and validate one event per row of raw fields; raises ValueError.
+def _check_events(rows: Iterable[tuple]) -> Iterator[EventRow]:
+    """Yield each event row unchanged once it holds every DarknetEvent.validate() rule.
 
-    A row is (src_ip, dst_port, traffic type, start_ts, end_ts, pkt_count,
-    unique_dst_count, zmap_pkts, masscan_pkts, other_pkts), the address an
-    int and the traffic type a key of types. Both event-log decoders feed
-    this one step. Each row costs one boolean gate that holds every
-    validate() rule; only a row that fails it is checked field by field, to
-    name its first bad field.
+    Both event-log decoders feed this one step, and no object is built for
+    a row that passes: each costs one boolean gate that holds every rule.
+    Only a row that fails it is checked field by field, to raise the
+    ValueError that names its first bad field; a traffic-type index with no
+    TrafficType, such as a record's byte 3, is "3 is not a valid TrafficType".
     """
-    new, icmp = tuple.__new__, TrafficType.ICMP_ECHO_REQUEST
-    for src_ip, port, raw_type, start, end, pkts, dsts, zmap, masscan, other in rows:
-        ttype = types.get(raw_type)
-        if ttype is None:
-            raise ValueError(f"{raw_type!r} is not a valid TrafficType")
-        ev = new(DarknetEvent, (new(EventKey, (src_ip, port, ttype)),
-                                start, end, pkts, dsts, zmap, masscan, other))
+    lo, hi, kinds = _MIN_TS_US, _MAX_TS_US, len(TRAFFIC_TYPES)
+    icmp = _TRAFFIC_INDEX[TrafficType.ICMP_ECHO_REQUEST]
+    for row in rows:
+        _src_ip, port, ttype, start, end, pkts, dsts, zmap, masscan, other = row
         # bool is a subclass of int, so compare the exact type first; the
         # comparisons after it would raise TypeError on a string. An OR of
         # ints is negative exactly when one of them is.
         if not (type(port) is type(start) is type(end) is type(pkts) is type(dsts)
                 is type(zmap) is type(masscan) is type(other) is int
-                and _MIN_TS_US <= start <= end <= _MAX_TS_US and 1 <= dsts <= pkts <= MAX_COUNT
+                and lo <= start <= end <= hi and 1 <= dsts <= pkts <= MAX_COUNT
                 and zmap | masscan | other >= 0 and zmap + masscan + other == pkts
                 and 0 <= port <= 0xFFFF
-                and (port == 0 or ttype is not icmp)):
-            for name, value in zip(("dst_port",) + DarknetEvent._fields[1:], (port, *ev[1:])):
-                if type(value) is not int:
-                    raise ValueError(f"{name} must be a JSON integer, not {value!r}")
-            ev.validate()
-        yield ev
+                and ttype < kinds and (port == 0 or ttype != icmp)):
+            _reject(row)
+        yield row
 
 
-def _json_rows(lines: Iterable[str], ips: Dict[str, int]) -> Iterator[tuple]:
-    """The raw fields of each non-blank event-log line, one C scan a line.
+def _reject(row: tuple) -> None:
+    """Raise the ValueError that names the first rule an event row breaks."""
+    src_ip, port, ttype, *counts = row
+    if not 0 <= ttype < len(TRAFFIC_TYPES):
+        raise ValueError(f"{ttype!r} is not a valid TrafficType")
+    for name, value in zip(("dst_port",) + DarknetEvent._fields[1:], (port, *counts)):
+        if type(value) is not int:
+            raise ValueError(f"{name} must be a JSON integer, not {value!r}")
+    DarknetEvent(EventKey(src_ip, port, TRAFFIC_TYPES[ttype]), *counts).validate()
 
-    ips memoises ip_to_int per address string.
+
+def _json_rows(lines: Iterable[str], ips: Dict[str, int]) -> Iterator[EventRow]:
+    """The event row of each non-blank event-log line, one C scan a line.
+
+    The traffic type's text becomes its index; ips memoises ip_to_int per
+    address string.
     """
     for line in filter(None, map(_strip_json_ws, lines)):
         try:
@@ -294,12 +306,11 @@ def _json_rows(lines: Iterable[str], ips: Dict[str, int]) -> Iterator[tuple]:
         src_ip = ips.get(text)
         if src_ip is None:
             src_ip = ips[text] = ip_to_int(text)
-        yield (src_ip, key["dst_port"], key["traffic_type"], *_event_counts(obj))
-
-
-def _decode_events(lines: Iterable[str], ips: Dict[str, int]) -> Iterator[DarknetEvent]:
-    """Decode and validate each non-blank event-log line; raises ValueError."""
-    return _check_events(_json_rows(lines, ips), _TRAFFIC_TYPES)
+        port, type_text, counts = key["dst_port"], key["traffic_type"], _event_counts(obj)
+        ttype = _INDEX_OF_TEXT.get(type_text)
+        if ttype is None:
+            raise ValueError(f"{type_text!r} is not a valid TrafficType")
+        yield (src_ip, port, ttype, *counts)
 
 
 # The three aggressive-scanner definitions, as verdicts and reports name them.
@@ -425,8 +436,6 @@ def read_blocklist(path) -> Set[int]:
 _COPY_MAGIC = b"DLEVBIN\x01"
 _COPY_HEADER = struct.Struct("<8sQ32s32s")
 _RECORD = struct.Struct("<IHB7q")
-_TRAFFIC_INDEX = {t: i for i, t in enumerate(TrafficType)}
-_TRAFFIC_BY_INDEX = dict(enumerate(TrafficType))
 # Events per write. A batch keeps its events (two tracked tuples each) alive
 # until it is written, and the cyclic collector runs once 700 more tracked
 # objects are alive than at its last run. On multiday-events, batches of
@@ -507,16 +516,19 @@ def _unmatched(path, copy) -> Optional[str]:
     return None
 
 
-def read_event_log(path) -> Iterator[DarknetEvent]:
-    """Stream an event log's events, through its binary copy when that matches it.
+def read_event_log(path) -> Iterator[EventRow]:
+    """Stream an event log's EventRows, through its binary copy when that matches it.
 
-    The copy <path>.bin is read when its magic, its size, its record digest
-    and its digest of the log's bytes all check out, and then no JSON is
-    decoded. Otherwise the JSONL is decoded, with one ip_to_int memo for the
-    file, after a note that names the failed check when a copy exists. Both
-    paths validate through _check_events, so the events, or the error, are
-    the same either way. An error names the log and the line; a record's
-    line is its index + 1, since write_event_log writes no blank lines.
+    No DarknetEvent is built for an event. The copy <path>.bin is read when
+    its magic, its size, its record digest and its digest of the log's bytes
+    all check out, and then no JSON is decoded: a row is the record's own
+    unpacked tuple. Otherwise the JSONL is decoded, with one ip_to_int memo
+    for the file, after a note that names the failed check when a copy
+    exists. Both paths validate through _check_events, so the rows, or the
+    error, are the same either way. An error, also one thrown into the
+    generator, names the log and the line. A record's line is its index + 1,
+    counted in C as the records are drawn, since write_event_log writes no
+    blank lines; in the JSONL, blank lines count.
     """
     try:
         copy = open(f"{path}.bin", "rb")
@@ -530,12 +542,11 @@ def read_event_log(path) -> Iterator[DarknetEvent]:
             if failed is None:
                 records = itertools.chain.from_iterable(
                     map(_RECORD.iter_unpack, iter(partial(copy.read, _READ_BLOCK), b"")))
-                yield from _numbered(
-                    path, records, lambda rows: _check_events(rows, _TRAFFIC_BY_INDEX))
+                yield from _numbered(path, records, _check_events)
                 return
     if failed is not None:
         print(f"note: {path}: binary copy not used ({failed}); decoding the JSON")
-    yield from read_lines(path, lambda lines: _decode_events(lines, {}))
+    yield from read_lines(path, lambda lines: _check_events(_json_rows(lines, {})))
 
 
 def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:

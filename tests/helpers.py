@@ -52,7 +52,8 @@ from darklens.model import (
     int_to_ip,
     ip_to_int,
     letters_to_flags,
-    _decode_events,
+    _check_events,
+    _json_rows,
     utc_day,
     write_csv,
     write_json,
@@ -270,10 +271,30 @@ def oracle_event_json_line(ev: DarknetEvent) -> str:
     )
 
 
+# The traffic types in the order of their index in an event row, read here
+# off the enum itself.
+_TYPES = list(TrafficType)
+_TYPE_INDEX = {ttype: i for i, ttype in enumerate(_TYPES)}
+
+
+def event_rows(events: Iterable[DarknetEvent]) -> Iterator[tuple]:
+    """Each event as the flat row read_event_log yields, lazily: the key's
+    fields spread in front of the counts, the traffic type as its index."""
+    for (src_ip, port, ttype), *counts in events:
+        yield (src_ip, port, _TYPE_INDEX[ttype], *counts)
+
+
+def event_of_row(row: tuple) -> DarknetEvent:
+    """The DarknetEvent an event row stands for; the inverse of event_rows."""
+    src_ip, port, index, *counts = row
+    return DarknetEvent(EventKey(src_ip, port, _TYPES[index]), *counts)
+
+
 def decode_event(line: str, ips: Optional[Dict[str, int]] = None) -> DarknetEvent:
-    """One event-log line through the pipeline's decoder; ValueError also on a blank line."""
-    (ev,) = _decode_events((line,), {} if ips is None else ips)
-    return ev
+    """One event-log line through the pipeline's decoder, as an event; ValueError also
+    on a blank line."""
+    (row,) = _check_events(_json_rows((line,), {} if ips is None else ips))
+    return event_of_row(row)
 
 
 def oracle_event_from_json_line(line: str) -> DarknetEvent:

@@ -14,6 +14,7 @@ from darklens.detect import (
     classify_ports,
     classify_volume,
     compute_thresholds,
+    dispersion_cut,
     ecdf_threshold,
     jaccard,
     run_detection,
@@ -31,6 +32,7 @@ from darklens.model import (
     D2,
     D3,
     AhVerdict,
+    DarknetConfig,
     DarknetEvent,
     EventKey,
     Thresholds,
@@ -41,7 +43,8 @@ from darklens.model import (
     utc_day,
 )
 from helpers import (
-    US, cfg_sized, make_cfg, oracle_detection, oracle_ecdf, synthetic_events, traced_peak,
+    US, cfg_sized, event_rows, make_cfg, oracle_detection, oracle_ecdf, synthetic_events,
+    traced_peak,
 )
 
 DAY0_S = 1654041600  # 2022-06-01 UTC
@@ -155,6 +158,34 @@ class TestBoundaries:
         assert classify_dispersion(4096, cfg) is True
         assert classify_dispersion(4095, cfg) is False
 
+    @pytest.mark.parametrize("cfg, cut", [
+        (cfg_sized(475_000), 47_500),
+        (cfg_sized(4096, fraction=1.0), 4096),
+        (make_cfg(), 103),
+    ], ids=["10%_of_475000", "all_of_4096", "10%_of_a_slash22"])
+    def test_dispersion_cut_is_the_pinned_boundary(self, cfg, cut):
+        assert dispersion_cut(cfg) == cut
+        assert classify_dispersion(cut, cfg) and not classify_dispersion(cut - 1, cfg)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        plens=st.lists(st.integers(8, 24), min_size=1, max_size=4),
+        fraction=st.floats(0.0, 1.0, exclude_min=True),
+    )
+    @example(plens=[8], fraction=0.1)
+    @example(plens=[24], fraction=1.0)
+    @example(plens=[24], fraction=5e-324)
+    @example(plens=[8, 24], fraction=0.3)
+    @example(plens=[9, 10, 11, 12], fraction=1 - 2.0 ** -53)
+    def test_dispersion_cut_agrees_with_classify_around_it(self, plens, fraction):
+        # One prefix per /8, so any lengths from /8 to /24 never overlap.
+        cfg = DarknetConfig([f"{10 + i}.0.0.0/{plen}" for i, plen in enumerate(plens)],
+                            dispersion_fraction=fraction)
+        cut = dispersion_cut(cfg)
+        assert 1 <= cut <= cfg.darknet_size
+        for dsts in (cut - 1, cut, cut + 1):
+            assert (dsts >= cut) == classify_dispersion(dsts, cfg)
+
     def test_volume_threshold_is_inclusive(self):
         assert classify_volume(23491, T_2022) is True
         assert classify_volume(23490, T_2022) is False
@@ -169,7 +200,7 @@ class TestBoundaries:
 
 
 def _profiles(evs, cfg):
-    return build_daily_port_profiles(evs, cfg)[1]
+    return build_daily_port_profiles(event_rows(evs), cfg)[1]
 
 
 class TestPortProfiles:
@@ -206,7 +237,7 @@ class TestPortProfiles:
             _ev(src="203.0.113.5", port=0, tt=TrafficType.ICMP_ECHO_REQUEST, pkts=1, uniq=1),
             _ev(port=53, tt=TrafficType.UDP, start_s=DAY0_S + 86_400),
         ]
-        columns, _ = build_daily_port_profiles(iter(evs), cfg_slash22)
+        columns, _ = build_daily_port_profiles(event_rows(evs), cfg_slash22)
         assert list(zip(*columns)) == [
             (ev.key.src_ip, ev.key.traffic_type is TrafficType.ICMP_ECHO_REQUEST, ev.start_ts,
              ev.end_ts, ev.pkt_count, ev.unique_dst_count)
@@ -214,7 +245,7 @@ class TestPortProfiles:
         ]
 
     def test_columns_take_37_bytes_an_event(self, cfg_slash22):
-        columns, _ = build_daily_port_profiles([_ev()], cfg_slash22)
+        columns, _ = build_daily_port_profiles(event_rows([_ev()]), cfg_slash22)
         assert len(columns) == 6
         assert sum(column.itemsize for column in columns) == 37
 
@@ -222,14 +253,14 @@ class TestPortProfiles:
 class TestComputeThresholds:
     def test_uses_alpha_order_statistic(self, cfg_slash22):
         evs = [_ev(port=1000 + i, pkts=i + 1, start_s=DAY0_S + i) for i in range(100)]
-        columns, profiles = build_daily_port_profiles(evs, cfg_slash22)
+        columns, profiles = build_daily_port_profiles(event_rows(evs), cfg_slash22)
         t = compute_thresholds(columns.pkt_count, cfg_slash22, profiles)
         assert t.volume_threshold_pkts == oracle_ecdf([e.pkt_count for e in evs], cfg_slash22.alpha)
         assert t.ports_threshold == oracle_ecdf(profiles.values(), cfg_slash22.alpha)
 
     def test_icmp_only_dataset_gets_unreachable_ports_threshold(self, cfg_slash22):
         evs = [_ev(port=0, tt=TrafficType.ICMP_ECHO_REQUEST, pkts=5)]
-        columns, profiles = build_daily_port_profiles(evs, cfg_slash22)
+        columns, profiles = build_daily_port_profiles(event_rows(evs), cfg_slash22)
         t = compute_thresholds(columns.pkt_count, cfg_slash22, profiles)
         assert t.ports_threshold == UNREACHABLE_PORTS
         assert not classify_ports(10**9, t)
@@ -240,7 +271,7 @@ class TestComputeThresholds:
 
 
 def _tag(evs, cfg, thresholds):
-    columns, profiles = build_daily_port_profiles(evs, cfg)
+    columns, profiles = build_daily_port_profiles(event_rows(evs), cfg)
     return tag_events(columns, cfg, thresholds, profiles)
 
 
@@ -278,7 +309,7 @@ class TestDailyActive:
     def test_spanning_event(self, cfg_slash22):
         ev = _ev(start_s=DAY0_S + 86_000, dur_s=90_000)  # crosses into June 2 and 3
         t = Thresholds(volume_threshold_pkts=1, ports_threshold=10**9)
-        res = run_detection([ev], cfg_slash22, t)
+        res = run_detection(event_rows([ev]), cfg_slash22, t)
         ip = ip_to_int("198.51.100.9")
         june3 = date(2022, 6, 3)
         assert [(v.src_ip, v.day, v.is_daily) for v in res.verdicts] == [
@@ -288,7 +319,7 @@ class TestDailyActive:
     def test_daily_only_on_first_aggressive_day(self, cfg_slash22):
         evs = [_ev(), _ev(start_s=DAY0_S + 86_400 * 4)]
         t = Thresholds(volume_threshold_pkts=1, ports_threshold=10**9)
-        res = run_detection(evs, cfg_slash22, t)
+        res = run_detection(event_rows(evs), cfg_slash22, t)
         day5 = date(2022, 6, 5)
         assert [(v.day, v.is_daily) for v in res.verdicts] == [(JUNE1, True), (day5, False)]
 
@@ -305,7 +336,7 @@ class TestDailyActive:
             for _ in range(300)
         ]
         t = Thresholds(volume_threshold_pkts=1, ports_threshold=10**9)
-        res = run_detection(evs, cfg_slash22, t)
+        res = run_detection(event_rows(evs), cfg_slash22, t)
         first_day = {}
         for ev in evs:
             ip, day = ev.key.src_ip, utc_day(ev.start_ts)
@@ -417,7 +448,7 @@ class TestRunDetection:
         return Thresholds(volume_threshold_pkts=500, ports_threshold=2)
 
     def test_sets_and_verdicts(self, cfg_slash22):
-        res = run_detection(self._events(), cfg_slash22, self._thresholds())
+        res = run_detection(event_rows(self._events()), cfg_slash22, self._thresholds())
         ip9 = ip_to_int("198.51.100.9")
         ip10 = ip_to_int("198.51.100.10")
         assert res.d1_ips == {ip9}
@@ -439,7 +470,7 @@ class TestRunDetection:
 
     def test_spanning_source_gets_two_verdict_rows_when_aggressive(self, cfg_slash22):
         t = Thresholds(volume_threshold_pkts=3, ports_threshold=10**9)
-        res = run_detection(self._events(), cfg_slash22, t)
+        res = run_detection(event_rows(self._events()), cfg_slash22, t)
         ip11 = ip_to_int("198.51.100.11")
         rows = [v for v in res.verdicts if v.src_ip == ip11]
         assert [v.day for v in rows] == [JUNE1, JUNE2]
@@ -457,7 +488,7 @@ class TestRunDetection:
         ip11 = ip_to_int("198.51.100.11")
         acked = AckedList({ip11: "GoodScan"}, {})
         t = Thresholds(volume_threshold_pkts=3, ports_threshold=10**9)
-        res = run_detection(self._events(), cfg_slash22, t, acked=acked)
+        res = run_detection(event_rows(self._events()), cfg_slash22, t, acked=acked)
         (sources,) = calls
         assert sorted(sources) == sorted(res.union_ips)
         rows = [(v.day, v.acked, v.acked_org) for v in res.verdicts if v.src_ip == ip11]
@@ -465,23 +496,23 @@ class TestRunDetection:
         assert not any(v.acked or v.acked_org for v in res.verdicts if v.src_ip != ip11)
 
     def test_two_pass_derives_thresholds(self, cfg_slash22):
-        res = run_detection(self._events(), cfg_slash22)
+        res = run_detection(event_rows(self._events()), cfg_slash22)
         assert res.thresholds.volume_threshold_pkts == oracle_ecdf(
             [e.pkt_count for e in self._events()], cfg_slash22.alpha
         )
 
     def test_empty_raises(self, cfg_slash22):
         with pytest.raises(EmptyInputError):
-            run_detection([], cfg_slash22)
+            run_detection(event_rows([]), cfg_slash22)
 
     def test_jaccard_pairs_handles_empty(self, cfg_slash22):
-        res = run_detection(self._events(), cfg_slash22, self._thresholds())
+        res = run_detection(event_rows(self._events()), cfg_slash22, self._thresholds())
         pairs = res.jaccard_pairs()
         assert pairs["D1|D2"] == 1.0
         assert pairs["D1|D3"] == 0.0
 
     def test_verdict_json_round_trip(self, cfg_slash22, tmp_path):
-        res = run_detection(self._events(), cfg_slash22, self._thresholds())
+        res = run_detection(event_rows(self._events()), cfg_slash22, self._thresholds())
         p = tmp_path / "verdicts.jsonl"
         write_verdicts(p, res.verdicts)
         assert read_verdicts(p) == res.verdicts
@@ -513,7 +544,7 @@ class TestBlocklistIo:
         import json
 
         evs = [_ev(uniq=103), _ev(src="198.51.100.10", pkts=999, uniq=1)]
-        res = run_detection(evs, cfg_slash22, Thresholds(999, 10**9))
+        res = run_detection(event_rows(evs), cfg_slash22, Thresholds(999, 10**9))
         p = tmp_path / "stats.jsonl"
         write_blocklist_sidecar(p, res)
         rows = [json.loads(line) for line in p.read_text().splitlines()]
@@ -582,7 +613,7 @@ class TestDetectionOracle:
         events = _drawn_events(drawn)
         thresholds = None if fixed is None else Thresholds(*fixed)
         want_t, want_verdicts, want_sidecar = oracle_detection(events, cfg, thresholds)
-        res = run_detection((ev for ev in events), cfg, thresholds)
+        res = run_detection(event_rows(events), cfg, thresholds)
         assert res.events == len(events)
         assert res.thresholds == want_t
         assert res.verdicts == want_verdicts
@@ -602,7 +633,7 @@ class TestDetectionMemory:
         # small however many events it sends.
         n = 10 ** 5
         events = synthetic_events(n, sources=200, ports=50, days=2, seed=7)
-        res, peak = traced_peak(run_detection, events, cfg_slash22)
+        res, peak = traced_peak(run_detection, event_rows(events), cfg_slash22)
         assert res.events == n
         assert len(res.tagged) < n // 50
         assert peak < 100 * n
@@ -612,6 +643,6 @@ class TestDetectionMemory:
         # columns; rebuilding it as an event object cost over 400 B.
         n = 10 ** 5
         events = synthetic_events(n, sources=200, ports=50, days=2, seed=7)
-        res, peak = traced_peak(run_detection, events, cfg_slash22, Thresholds(1, 1))
+        res, peak = traced_peak(run_detection, event_rows(events), cfg_slash22, Thresholds(1, 1))
         assert len(res.tagged) == n
         assert peak < 300 * n

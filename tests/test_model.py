@@ -4,8 +4,9 @@ import ipaddress
 import json
 import re
 import struct
+import sys
 from _blake2 import blake2b
-from collections import deque
+from collections import Counter, deque
 from datetime import date, timedelta
 from pathlib import Path
 
@@ -31,8 +32,8 @@ from darklens.model import (
     write_event_log,
 )
 from helpers import (
-    NONCANONICAL_PREFIXES, check_packet_meta, darknet_contains, decode_event, flags_to_letters,
-    oracle_event_from_json_line, oracle_event_json_line, traced_peak,
+    NONCANONICAL_PREFIXES, check_packet_meta, darknet_contains, decode_event, event_rows,
+    flags_to_letters, oracle_event_from_json_line, oracle_event_json_line, traced_peak,
 )
 
 US = 1_000_000
@@ -599,7 +600,7 @@ class TestEventLogReader:
                 lines.insert(pos, json.dumps(dict(obj, **spoil)))
         log_path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
         if first is None:
-            assert list(read_event_log(log_path)) == expected
+            assert list(read_event_log(log_path)) == list(event_rows(expected))
         else:
             with pytest.raises(ValueError, match=rf"^{re.escape(str(log_path))}:{first + 1}: "
                                                  r"malformed line \(ValueError: "):
@@ -645,16 +646,24 @@ _BOUNDS = [
     DarknetEvent(EventKey(0, 0, TrafficType.ICMP_ECHO_REQUEST), MIN_TS, MAX_TS,
                  2 ** 63 - 1, 2 ** 63 - 1, 2 ** 63 - 1, 0, 0),
     DarknetEvent(EventKey(2 ** 32 - 1, 0xFFFF, TrafficType.UDP), MAX_TS, MAX_TS, 1, 1, 0, 0, 1),
+    DarknetEvent(EventKey(7, 0, TrafficType.TCP_SYN), MIN_TS, MIN_TS, 1, 1, 1, 0, 0),
     _MULTI_DAY,
+]
+# The rows of _BOUNDS, spelled out: traffic types 0 tcp_syn, 1 udp, 2 icmp_echo_request.
+_BOUND_ROWS = [
+    (0, 0, 2, MIN_TS, MAX_TS, 2 ** 63 - 1, 2 ** 63 - 1, 2 ** 63 - 1, 0, 0),
+    (2 ** 32 - 1, 0xFFFF, 1, MAX_TS, MAX_TS, 1, 1, 0, 0, 1),
+    (7, 0, 0, MIN_TS, MIN_TS, 1, 1, 1, 0, 0),
+    (0x0A000001, 443, 0, US_PER_DAY - 1, 3 * US_PER_DAY + 5, 9, 4, 2, 3, 4),
 ]
 
 
 def _outcome(path):
-    """read_event_log(path) as ("events", list) or ("error", text), with what it printed."""
+    """read_event_log(path) as ("rows", list) or ("error", text), with what it printed."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         try:
-            got = ("events", list(read_event_log(path)))
+            got = ("rows", list(read_event_log(path)))
         except ValueError as exc:
             got = ("error", str(exc))
     return got, out.getvalue()
@@ -671,6 +680,30 @@ def _json_outcome(path):
         aside.rename(copy)
 
 
+def _drain_calls(path):
+    """Calls made while read_event_log(path) is drained, by name.
+
+    A Python function counts once per frame it runs in, so resuming a
+    generator is not a new call; a C function called from Python code counts
+    each call, as "c:" and its qualified name.
+    """
+    frames, calls = set(), Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame not in frames:
+            frames.add(frame)
+            calls[frame.f_code.co_name] += 1
+        elif event == "c_call":
+            calls["c:" + arg.__qualname__] += 1
+
+    sys.setprofile(profile)
+    try:
+        deque(read_event_log(path), 0)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
 class TestBinaryCopy:
     """write_event_log's binary copy: read in place of the JSON only when it provably matches."""
 
@@ -684,10 +717,19 @@ class TestBinaryCopy:
         got, printed = _outcome(log_path)
         assert printed == ""  # the copy was used
         assert _json_outcome(log_path) == (got, "")
-        if got[0] == "events":
-            assert got[1] == events
+        if got[0] == "rows":
+            assert got[1] == list(event_rows(events))
+            assert all(type(row) is tuple for row in got[1])
+            assert all(type(field) is int for row in got[1] for field in row)
         else:
             assert re.match(rf"^{re.escape(str(log_path))}:\d+: malformed line \(", got[1])
+
+    def test_bounds_read_as_flat_rows(self, tmp_path):
+        # ICMP, both timestamp bounds, MAX_COUNT in every count and a
+        # multi-day event, as literal rows through the copy and the JSON.
+        path = tmp_path / "events.jsonl"
+        write_event_log(path, _BOUNDS)
+        assert _outcome(path) == _json_outcome(path) == (("rows", _BOUND_ROWS), "")
 
     def test_first_bad_record_names_its_line(self, tmp_path):
         path = tmp_path / "events.jsonl"
@@ -696,6 +738,23 @@ class TestBinaryCopy:
         assert got == ("error",
                        f"{path}:2: malformed line (ValueError: unique_dst_count out of range)")
         assert printed == ""
+
+    @pytest.mark.parametrize("index", [3, 255])
+    def test_record_with_no_traffic_type_names_its_line(self, tmp_path, index):
+        # Byte 6 of a record is its traffic-type index; write_event_log never
+        # writes one past the enum, so the second record and the record
+        # digest are rewritten by hand.
+        path = tmp_path / "events.jsonl"
+        write_event_log(path, [_event(), _event(), _event()])
+        copy = Path(f"{path}.bin")
+        data = bytearray(copy.read_bytes())
+        data[80 + 63 + 6] = index
+        data[48:80] = blake2b(data[80:], digest_size=32).digest()
+        copy.write_bytes(data)
+        got, printed = _outcome(path)
+        assert printed == ""  # the copy matches its header, so it is read
+        assert got == ("error",
+                       f"{path}:2: malformed line (ValueError: {index} is not a valid TrafficType)")
 
     def test_header_and_records_are_fixed_width(self, tmp_path):
         path = tmp_path / "events.jsonl"
@@ -759,11 +818,39 @@ class TestBinaryCopy:
             copy.mkdir()
         else:
             copy.write_bytes(data[:80])
-        assert list(read_event_log(path)) == events
+        rows = list(event_rows(events))
+        assert list(read_event_log(path)) == rows
         assert capsys.readouterr().out == (
             f"note: {path}: binary copy not used ({check}); decoding the JSON\n")
         if tamper != "directory":
-            assert _json_outcome(path) == (("events", events), "")
+            assert _json_outcome(path) == (("rows", rows), "")
+
+    def test_copy_decoder_streams(self, tmp_path, capsys):
+        def peak(n):
+            path = tmp_path / f"{n}.jsonl"
+            write_event_log(path, [_event()] * n)
+            _, peak = traced_peak(deque, read_event_log(path), 0)  # maxlen 0: drain, keep nothing
+            assert capsys.readouterr().out == ""  # the copy was read
+            return peak
+        small, large = peak(10_000), peak(50_000)
+        assert Path(f"{tmp_path / '50000.jsonl'}.bin").stat().st_size == 80 + 63 * 50_000
+        assert large < small * 1.1
+        assert large < 3 * 10 ** 6  # under the 3.15 MB copy, let alone its rows
+
+    def test_copy_drain_makes_no_call_per_record(self, tmp_path):
+        # Late materialisation: a record's row is the tuple iter_unpack makes,
+        # checked in the one generator frame of the gate, with no Python or C
+        # function call of its own. Only the digests' 1 MiB blocks differ.
+        def calls(n):
+            path = tmp_path / f"{n}.jsonl"
+            write_event_log(path, (DarknetEvent(EventKey(i, 80, TrafficType.TCP_SYN),
+                                                i, i, 1, 1, 0, 0, 1) for i in range(n)))
+            return _drain_calls(path)
+        small, more = calls(10 ** 4), calls(2 * 10 ** 4)
+        more.subtract(small)
+        assert small["_check_events"] == 1
+        assert {name for name, k in more.items() if k and not name.startswith("c:")} == set()
+        assert sum(more.values()) < 10
 
     def test_writer_memory_does_not_grow_with_the_event_count(self, tmp_path):
         def peak(n):
