@@ -165,7 +165,6 @@ def cmd_events(args, staging: Path) -> int:
         f"outside darknet: {builder.outside_darknet}, "
         f"out of order: {builder.out_of_order}"
     )
-    print(f"sketch_clamped: {builder.sketch_clamped}")
     print(f"events: {events_written} -> {args.out_dir / 'events.jsonl'}")
     return 0 if events_written else 1
 

@@ -10,6 +10,12 @@ timestamp of its last packet; a gap of exactly the timeout does NOT split.
 Packets must arrive roughly in time order. Arrivals older than the watermark
 minus the reorder slack are dropped and counted, never folded into state, so
 a garbled capture cannot corrupt event boundaries.
+
+Destinations are counted exactly on every telescope. An open event keeps the
+darknet offsets of its destinations (an address's index in the sorted
+darknet) in a set, and once that set holds more than darknet_size >>
+SET_SHIFT offsets it becomes a bitmap of darknet_size bits, so one event never
+holds much more than darknet_size / 8 bytes: 256 KiB on a /11, 2 MiB on a /8.
 """
 from __future__ import annotations
 
@@ -21,7 +27,6 @@ from typing import Iterable, Iterator, List, Optional
 # here because the traced benchmark run (bench/layers.py) wraps them in this
 # namespace.
 from .fingerprint import ZMAP_IP_ID, fingerprint_packet  # noqa: F401
-from .hll import Hll
 from .model import (
     TCP_ACK, TCP_SYN, DarknetConfig, DarknetEvent, EventKey, PacketMeta, Protocol, TrafficType,
     US_PER_S,
@@ -30,44 +35,37 @@ from .model import (
 from .model import write_event_log  # noqa: F401
 from .pcap import ICMP_ECHO_REQUEST_TYPE, classify_traffic_type  # noqa: F401
 
-# Darknets up to this many addresses count destinations exactly for every
-# event; above it an event's exact set is promoted to a sketch once it grows
-# past SPARSE_MAX_DSTS, since a 1% estimate is fine for large events.
+# Nothing in darklens reads this; it stays only because bench/run.py picks
+# its oracle's tolerance with it.
 EXACT_DST_THRESHOLD = 2 ** 20
 
-# 256 Python ints in a set take about 16.6 KB, the size of one Hll, so an
-# exact set of up to this many addresses never costs more than the sketch.
-SPARSE_MAX_DSTS = 256
+# An event's offset set becomes a bitmap once it holds more than
+# darknet_size >> SET_SHIFT offsets. A set costs about 70 bytes an offset and
+# the bitmap darknet_size / 8 bytes, so past this point the set would be
+# larger; at it, it is about half the bitmap.
+SET_SHIFT = 10
 
 
 class _OpenEvent:
-    __slots__ = (
-        "key", "start_ts", "last_ts", "pkt_count",
-        "dsts", "zmap_pkts", "masscan_pkts", "other_pkts",
-    )
+    __slots__ = ("key", "start_ts", "last_ts", "dsts", "zmap_pkts", "masscan_pkts", "other_pkts")
 
     def __init__(self, key: tuple[int, int, TrafficType], ts: int):
         self.key = key
         self.start_ts = ts
         self.last_ts = ts
-        self.pkt_count = 0
-        # exact set of destinations until promoted, then an Hll
-        self.dsts: set | Hll = set()
+        # darknet offsets of the destinations: a set, later a bytearray bitmap
+        self.dsts: set | bytearray = set()
         self.zmap_pkts = 0
         self.masscan_pkts = 0
         self.other_pkts = 0
 
 
-def _promote(dsts: set) -> Hll:
-    """Fold an exact destination set into a sketch.
-
-    Registers keep a running max, so the result equals a sketch that saw the
-    same destinations in any order, one packet at a time.
-    """
-    sketch = Hll()
-    for ip in dsts:
-        sketch.add_int(ip)
-    return sketch
+def _bitmap(offsets: set, nbytes: int) -> bytearray:
+    """The bitmap of a set of darknet offsets: offset k is bit k & 7 of byte k >> 3."""
+    bits = bytearray(nbytes)
+    for k in offsets:
+        bits[k >> 3] |= 1 << (k & 7)
+    return bits
 
 
 class EventBuilder:
@@ -87,11 +85,14 @@ class EventBuilder:
         self.timeout_us = round(cfg.event_timeout_s * US_PER_S)
         self.slack_us = round(reorder_slack_s * US_PER_S)
         self.sweep_interval_us = max(1, self.timeout_us // 2)
-        # An exact set holding more than this many destinations is promoted;
-        # on telescopes up to EXACT_DST_THRESHOLD it can never happen.
-        self.promote_above = (
-            cfg.darknet_size if cfg.darknet_size <= EXACT_DST_THRESHOLD else SPARSE_MAX_DSTS
-        )
+        # An address in range i of the darknet has offset address + bases[i].
+        bases = []
+        before = 0
+        for start, end in zip(cfg.range_starts, cfg.range_ends):
+            bases.append(before - start)
+            before += end - start + 1
+        self.bases = tuple(bases)
+        self.set_max = cfg.darknet_size >> SET_SHIFT
         self.open_events: dict[tuple[int, int, TrafficType], _OpenEvent] = {}
         self.watermark: Optional[int] = None
         self._next_sweep: Optional[int] = None
@@ -101,32 +102,18 @@ class EventBuilder:
         self.out_of_order = 0
         self.events_emitted = 0
         self.pkts_emitted = 0
-        self.sketch_clamped = 0
-
-    def _unique_dsts(self, state: _OpenEvent) -> int:
-        """Distinct destinations of an open event.
-
-        An exact set holds only darknet addresses, so its size is the answer.
-        A sketch estimate may drift a little, so it is clamped into
-        [1, min(pkt_count, darknet_size)], which always holds for the true
-        value; each clamp is counted in sketch_clamped.
-        """
-        dsts = state.dsts
-        if type(dsts) is set:
-            return len(dsts)
-        est = dsts.estimate()
-        n = max(1, min(est, state.pkt_count, self.cfg.darknet_size))
-        if n != est:
-            self.sketch_clamped += 1
-        return n
 
     def _close(self, state: _OpenEvent) -> DarknetEvent:
+        # Every packet folded in is counted by exactly one of the tool marks.
+        pkts = state.zmap_pkts + state.masscan_pkts + state.other_pkts
+        dsts = state.dsts
         new = tuple.__new__
         self.events_emitted += 1
-        self.pkts_emitted += state.pkt_count
+        self.pkts_emitted += pkts
         return new(DarknetEvent, (
-            new(EventKey, state.key), state.start_ts, state.last_ts, state.pkt_count,
-            self._unique_dsts(state), state.zmap_pkts, state.masscan_pkts, state.other_pkts,
+            new(EventKey, state.key), state.start_ts, state.last_ts, pkts,
+            len(dsts) if type(dsts) is set else int.from_bytes(dsts, "little").bit_count(),
+            state.zmap_pkts, state.masscan_pkts, state.other_pkts,
         ))
 
     def _sweep(self, now_us: int) -> List[DarknetEvent]:
@@ -145,7 +132,8 @@ class EventBuilder:
         A packet is a tuple in PacketMeta field order, as PcapReader yields
         it, or a PacketMeta. Three rules run inline, with no call per packet:
         the scanning classes of classify_traffic_type, a bisect over the
-        config's darknet intervals, and the tool marks of fingerprint_packet.
+        config's darknet intervals, which also gives the destination's
+        darknet offset, and the tool marks of fingerprint_packet.
         No object is built per packet: open events are keyed by a plain
         tuple, which becomes an EventKey when the event closes. The watermark
         and the drop counters are written back when the iteration ends.
@@ -156,7 +144,9 @@ class EventBuilder:
         timeout_us = self.timeout_us
         slack_us = self.slack_us
         sweep_interval_us = self.sweep_interval_us
-        promote_above = self.promote_above
+        bases = self.bases
+        set_max = self.set_max
+        nbytes = (self.cfg.darknet_size + 7) >> 3
         tcp = Protocol.TCP
         udp = Protocol.UDP
         syn = TCP_SYN
@@ -214,19 +204,19 @@ class EventBuilder:
                     state = None
                 if state is None:
                     state = open_events[key] = _OpenEvent(key, ts)
-                state.pkt_count += 1
                 if ts > state.last_ts:
                     state.last_ts = ts
                 elif ts < state.start_ts:
                     # slack-admitted stragglers may predate the first packet seen
                     state.start_ts = ts
+                off = dst + bases[i]
                 dsts = state.dsts
                 if type(dsts) is set:
-                    dsts.add(dst)
-                    if len(dsts) > promote_above:
-                        state.dsts = _promote(dsts)
+                    dsts.add(off)
+                    if len(dsts) > set_max:
+                        state.dsts = dsts = _bitmap(dsts, nbytes)
                 else:
-                    dsts.add_int(dst)
+                    dsts[off >> 3] |= 1 << (off & 7)
                 # The fixed-ID mark wins over the XOR mark of a TCP probe.
                 if ip_id == ZMAP_IP_ID:
                     state.zmap_pkts += 1

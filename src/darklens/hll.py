@@ -1,8 +1,7 @@
-"""Distinct-count sketch for destination sets too large to hold exactly.
+"""HyperLogLog distinct-count sketch with 2^14 registers (standard error 0.81%).
 
-HyperLogLog with 2^14 registers, standard error 1.04 / sqrt(2^14) = 0.81%,
-inside the engine's 1% budget. Only integer items are supported since the
-event builder counts 32-bit destination addresses.
+Nothing in darklens uses it: the event builder counts destinations exactly.
+It stays only because bench/layers.py patches Hll.estimate.
 """
 from __future__ import annotations
 

@@ -7,8 +7,8 @@ counted (per-packet oddities) or fatal (a file we cannot interpret at all).
 The pcapng container is out of scope.
 
 The reader is a single-pass iterator; skip counters are valid once iteration
-finishes. It reads each record's header and then its bytes through one
-buffer of BLOCK bytes, so memory is one buffer plus the largest record,
+finishes. It reads the capture BLOCK bytes at a time and decodes each record
+where it lies in the block, so memory is one block plus the largest record,
 whatever the size of the file.
 """
 from __future__ import annotations
@@ -29,12 +29,16 @@ LINKTYPE_RAW_IP = 101
 
 ICMP_ECHO_REQUEST_TYPE = 8
 
-# Size of the read buffer over the capture.
-BLOCK = 1 << 20
+# Bytes read from the capture at a time.
+BLOCK = 1 << 16
 
-# One unpack per header. IPv4: version/IHL, ID, flags + fragment offset,
-# protocol, source, destination. TCP: ports, sequence number, flags byte.
-_IPV4_HDR = struct.Struct("!BxxxHHxBxxII")
+# One unpack per header. From the record header on, past its 16 bytes: the
+# link layer and the IPv4 fixed header in one, the Ethernet type (an empty
+# field on raw IP), then version/IHL, ID, flags + fragment offset, protocol,
+# source, destination. TCP: ports, sequence number, flags byte.
+_IPV4_HDR = "BxxxHHxBxxII"
+_ETH_IPV4_HDR = struct.Struct("!16x12x2s" + _IPV4_HDR)
+_RAW_IPV4_HDR = struct.Struct("!16x0s" + _IPV4_HDR)
 _TCP_HDR = struct.Struct("!HHI5xB")
 _PORTS_HDR = struct.Struct("!HH")
 
@@ -86,18 +90,29 @@ class PcapReader:
     def __iter__(self) -> Iterator[tuple]:
         """Yield each decoded packet as a plain tuple in PacketMeta field order.
 
-        A record is counted once its bytes are in hand, or as truncated once
-        its header says it ends past the end of the file, and is then not read.
-        A read that comes back short (the file shrank) ends the iteration.
-        The counters are kept in locals and written back when iteration ends.
+        The capture is read BLOCK bytes at a time and each record is decoded
+        at its offset in the block; a record that runs past the block's end
+        is carried over into the next read. A record is counted once its
+        header is in hand, and as truncated if that header says it ends past
+        the end of the file, whose bytes are then not read. A read that comes
+        back short of a record (the file shrank) ends the iteration. The
+        counters are kept in locals and written back when iteration ends.
         """
-        rec_unpack = struct.Struct(self._endian + "IIII").unpack
-        ipv4_unpack = _IPV4_HDR.unpack_from
+        rec_unpack = struct.Struct(self._endian + "IIII").unpack_from
         tcp_unpack = _TCP_HDR.unpack_from
         ports_unpack = _PORTS_HDR.unpack_from
         nanos = self._nanos
-        ip_off = 14 if self.linktype == LINKTYPE_ETHERNET else 0
         is_ethernet = self.linktype == LINKTYPE_ETHERNET
+        if is_ethernet:
+            ip_off = 14
+            l2_unpack = _ETH_IPV4_HDR.unpack_from
+            ipv4_type = b"\x08\x00"
+        else:
+            ip_off = 0
+            l2_unpack = _RAW_IPV4_HDR.unpack_from
+            ipv4_type = b""
+        ip_end = ip_off + 20
+        ip_start = 16 + ip_off  # from the record header to the IPv4 header
         tcp = Protocol.TCP
         udp = Protocol.UDP
         icmp = Protocol.ICMP
@@ -107,43 +122,51 @@ class PcapReader:
         truncated = self.skipped_truncated
         transport = self.skipped_transport
 
-        fh = open(self.path, "rb", buffering=BLOCK)
+        fh = open(self.path, "rb")
         try:
             fh.seek(24)
             read_bytes = fh.read
             # A record said to end past the file is not read, so a garbled
             # caplen costs no memory.
             left = os.fstat(fh.fileno()).st_size - 24
+            buf = b""
+            have = 0  # len(buf)
+            pos = 0  # offset in buf of the next record header
             while left >= 16:
-                hdr = read_bytes(16)
-                if len(hdr) < 16:
-                    break
-                ts_sec, ts_frac, caplen, origlen = rec_unpack(hdr)
+                if have - pos < 16:
+                    buf = buf[pos:] + read_bytes(max(BLOCK, 16))
+                    have = len(buf)
+                    pos = 0
+                    if have < 16:
+                        break
+                ts_sec, ts_frac, caplen, origlen = rec_unpack(buf, pos)
                 records += 1
                 left -= 16 + caplen
-                buf = read_bytes(caplen) if left >= 0 else b""
-                if len(buf) < caplen:
+                if left < 0:
                     truncated += 1
                     break
-
-                if nanos:
-                    ts_us = ts_sec * 1_000_000 + ts_frac // 1000
-                else:
-                    ts_us = ts_sec * 1_000_000 + ts_frac
-
-                if is_ethernet:
-                    if caplen < 14:
+                rec = pos
+                pos += 16 + caplen
+                if pos > have:
+                    buf = buf[rec:] + read_bytes(max(BLOCK, pos - have))
+                    have = len(buf)
+                    pos -= rec
+                    rec = 0
+                    if pos > have:
                         truncated += 1
-                        continue
-                    if buf[12] != 0x08 or buf[13] != 0x00:
-                        non_ipv4 += 1
-                        continue
+                        break
 
-                if caplen - ip_off < 20:
-                    truncated += 1
+                # Offsets below are from rec, the record's header. A frame too
+                # short for the IPv4 header is not IPv4 if its Ethernet type
+                # says so, and truncated otherwise.
+                if caplen < ip_end:
+                    if is_ethernet and caplen >= 14 and buf[rec + 28:rec + 30] != ipv4_type:
+                        non_ipv4 += 1
+                    else:
+                        truncated += 1
                     continue
-                vihl, ip_id, frag, proto, src_ip, dst_ip = ipv4_unpack(buf, ip_off)
-                if vihl >> 4 != 4:
+                l2_type, vihl, ip_id, frag, proto, src_ip, dst_ip = l2_unpack(buf, rec)
+                if l2_type != ipv4_type or vihl >> 4 != 4:
                     non_ipv4 += 1
                     continue
                 ihl = (vihl & 0x0F) * 4
@@ -154,10 +177,16 @@ class PcapReader:
                     # non-first fragment, transport header lives in another packet
                     transport += 1
                     continue
-                l4 = ip_off + ihl
+                rest = caplen - ip_off - ihl
+                l4 = rec + (ip_start + ihl)
+
+                if nanos:
+                    ts_us = ts_sec * 1_000_000 + ts_frac // 1000
+                else:
+                    ts_us = ts_sec * 1_000_000 + ts_frac
 
                 if proto == 6:
-                    if caplen - l4 < 20:
+                    if rest < 20:
                         truncated += 1
                         continue
                     src_port, dst_port, tcp_seq, tcp_flags = tcp_unpack(buf, l4)
@@ -165,7 +194,7 @@ class PcapReader:
                     yield (ts_us, src_ip, dst_ip, tcp, src_port, dst_port,
                            tcp_flags & 0x3F, ip_id, tcp_seq, None, origlen)
                 elif proto == 17:
-                    if caplen - l4 < 8:
+                    if rest < 8:
                         truncated += 1
                         continue
                     src_port, dst_port = ports_unpack(buf, l4)
@@ -173,7 +202,7 @@ class PcapReader:
                     yield (ts_us, src_ip, dst_ip, udp, src_port, dst_port,
                            None, ip_id, None, None, origlen)
                 elif proto == 1:
-                    if caplen - l4 < 4:
+                    if rest < 4:
                         truncated += 1
                         continue
                     read += 1

@@ -9,7 +9,6 @@ def cfg_slash22():
 
 
 @pytest.fixture
-def cfg_sketch():
-    # Above the exact-set cutoff (2^20 addresses) so destination counting
-    # switches to the sketch path.
+def cfg_wide():
+    # 2^21 addresses: an event's offset set becomes a 256 KiB bitmap past 2,048.
     return make_cfg(("10.0.0.0/11",))

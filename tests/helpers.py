@@ -24,7 +24,7 @@ from typing import Collection, Dict, Iterable, Iterator, List, Optional, Set, Tu
 
 import numpy as np
 
-from darklens.events import EventBuilder, _OpenEvent, _promote
+from darklens.events import EventBuilder, _OpenEvent
 from darklens.fingerprint import (
     PortFingerprintRow, ProbeTool, ZMAP_IP_ID, fingerprint_packet, masscan_ip_id,
 )
@@ -165,7 +165,8 @@ class OracleEventBuilder(EventBuilder):
 
     Each packet goes through classify_traffic_type, darknet_contains and
     fingerprint_packet, one call each, and the counters and watermark are
-    updated in place. Closing, sweeping and flushing are EventBuilder's own.
+    updated in place. An open event keeps its destination addresses in a plain
+    set, never a bitmap. Closing, sweeping and flushing are EventBuilder's own.
     """
 
     def ingest_packet(self, p: PacketMeta) -> List[DarknetEvent]:
@@ -202,18 +203,11 @@ class OracleEventBuilder(EventBuilder):
         if state is None:
             state = _OpenEvent(key, ts)
             self.open_events[key] = state
-        state.pkt_count += 1
         if ts > state.last_ts:
             state.last_ts = ts
         elif ts < state.start_ts:
             state.start_ts = ts
-        dsts = state.dsts
-        if type(dsts) is set:
-            dsts.add(p.dst_ip)
-            if len(dsts) > self.promote_above:
-                state.dsts = _promote(dsts)
-        else:
-            dsts.add_int(p.dst_ip)
+        state.dsts.add(p.dst_ip)
         tool = fingerprint_packet(p)
         if tool is ProbeTool.ZMAP:
             state.zmap_pkts += 1

@@ -550,7 +550,7 @@ def test_rdns_without_the_acked_lists_is_fatal(pipeline, feeds, tmp_path, capsys
     assert list(out.iterdir()) == []
 
 
-def test_events_reports_outside_darknet_and_clamps(tmp_path, capsys):
+def test_events_reports_outside_darknet(tmp_path, capsys):
     conf = tmp_path / "telescope.conf"
     conf.write_text(CONF)
 
@@ -565,7 +565,7 @@ def test_events_reports_outside_darknet_and_clamps(tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "dropped non-scanning: 0, outside darknet: 3, out of order: 0" in out
-    assert "sketch_clamped: 0" in out
+    assert "sketch" not in out
     (line,) = (tmp_path / "events.jsonl").read_text().splitlines()
     assert json.loads(line)["unique_dst_count"] == 5
 
@@ -1323,7 +1323,7 @@ class TestStartupImports:
             "report": conf + ["report", run / "events.jsonl", run / "verdicts.jsonl"],
         }[stage]
         modules = {
-            "events": {"events", "hll", "pcap"},
+            "events": {"events", "pcap"},
             "detect": {"detect", "enrich"},
             "impact-flows": {"enrich", "impact", "flows"},
             "impact-pcap": {"impact", "pcap"},

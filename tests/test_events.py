@@ -2,17 +2,17 @@ import ipaddress
 import random
 import sys
 import tracemalloc
-from collections import Counter
+from collections import Counter, deque
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from darklens.detect import classify_dispersion
-from darklens.events import EXACT_DST_THRESHOLD, EventBuilder, write_event_log
-from darklens.hll import Hll
-from darklens.model import EventKey, TrafficType, ip_to_int, read_event_log
+from darklens.events import EventBuilder, write_event_log
+from darklens.model import EventKey, Protocol, TrafficType, ip_to_int, read_event_log
 from helpers import (
     US, OracleEventBuilder, event_rows, make_cfg, mk_pkt, offline_intervals, run_builder,
+    traced_peak,
 )
 
 SRC = "198.51.100.9"
@@ -147,21 +147,20 @@ class TestDstCounting:
         assert evs[0].unique_dst_count == 2
         assert evs[0].pkt_count == 3
 
-    def test_sketch_mode_accuracy(self, cfg_sketch):
-        assert cfg_sketch.darknet_size > EXACT_DST_THRESHOLD
+    def test_wide_telescope_counts_exactly(self, cfg_wide):
+        # 50,000 destinations on a /11, far past the set-to-bitmap switch at
+        # 2,048, 10,000 of them twice.
         rng = random.Random(5)
         base = ip_to_int("10.0.0.0")
         n = 50_000
-        dsts = rng.sample(range(base, base + cfg_sketch.darknet_size), n)
-        pkts = [mk_pkt(i * 10, SRC, d) for i, d in enumerate(dsts)]
-        _, evs = run_stream(cfg_sketch, pkts)
+        dsts = rng.sample(range(base, base + cfg_wide.darknet_size), n)
+        pkts = [mk_pkt(i * 10, SRC, d) for i, d in enumerate(dsts + dsts[:10_000])]
+        _, evs = run_stream(cfg_wide, pkts)
         (ev,) = evs
-        assert ev.pkt_count == n
-        assert abs(ev.unique_dst_count - n) / n < 0.03
+        assert (ev.pkt_count, ev.unique_dst_count) == (n + 10_000, n)
 
-    def test_sketch_clamped_to_pkt_count(self, cfg_sketch):
-        pkts = [mk_pkt(0, SRC, "10.0.0.1")]
-        _, evs = run_stream(cfg_sketch, pkts)
+    def test_one_packet_on_a_wide_telescope_counts_one(self, cfg_wide):
+        _, evs = run_stream(cfg_wide, [mk_pkt(0, SRC, "10.0.0.1")])
         assert evs[0].unique_dst_count == 1
 
     def test_events_validate_against_size(self, cfg_slash22):
@@ -248,76 +247,186 @@ def test_property_d1_iff_true_in_darknet_count_reaches_fraction(dsts, fraction):
     assert fires == (len(inside) * 10_000 >= round(fraction * 10_000) * 512)
 
 
-class TestSparseToSketch:
-    def test_small_events_exact_on_sketch_telescope(self, cfg_sketch):
-        assert cfg_sketch.darknet_size > EXACT_DST_THRESHOLD
+def _darknet_offset(nets, ip: int) -> int:
+    """ip's index in the sorted darknet nets, found by walking them."""
+    before = 0
+    for net in nets:
+        if ipaddress.IPv4Address(ip) in net:
+            return before + ip - int(net.network_address)
+        before += net.num_addresses
+    raise ValueError(f"{ip} outside the darknet")
+
+
+def _darknet_address(nets, index: int) -> int:
+    """The index-th address of the sorted darknet nets, found by walking them."""
+    for net in nets:
+        if index < net.num_addresses:
+            return int(net.network_address) + index
+        index -= net.num_addresses
+    raise IndexError(index)
+
+
+class TestSetToBitmap:
+    def test_small_events_stay_sets_on_a_wide_telescope(self, cfg_wide):
         rng = random.Random(3)
         base = ip_to_int("10.0.0.0")
-        for n in (1, 2, 17, 200, 255, 256):
-            dsts = rng.sample(range(base, base + cfg_sketch.darknet_size), n)
+        for n in (1, 2, 17, 2047, 2048):
+            dsts = rng.sample(range(base, base + cfg_wide.darknet_size), n)
+            b = EventBuilder(cfg_wide)
             # every destination twice, so pkt_count cannot bound the count
-            pkts = [mk_pkt(i * 10, SRC, d) for i, d in enumerate(dsts + dsts)]
-            b, evs = run_stream(cfg_sketch, pkts)
-            (ev,) = evs
+            assert list(b.fold(mk_pkt(i * 10, SRC, d) for i, d in enumerate(dsts + dsts))) == []
+            (state,) = b.open_events.values()
+            assert type(state.dsts) is set
+            (ev,) = b.flush()
             assert (ev.pkt_count, ev.unique_dst_count) == (2 * n, n)
-            assert b.sketch_clamped == 0
 
-    def test_promoted_sketch_equals_sketch_fed_every_packet(self, cfg_sketch):
-        rng = random.Random(9)
+    def test_switch_happens_past_darknet_size_over_1024(self, cfg_wide):
+        b = EventBuilder(cfg_wide)
         base = ip_to_int("10.0.0.0")
-        dsts = [base + rng.randrange(cfg_sketch.darknet_size) for _ in range(3000)]
-        dsts += dsts[:500]
-        b = EventBuilder(cfg_sketch)
-        reference = Hll()
-        for i, d in enumerate(dsts):
-            b.ingest_packet(mk_pkt(i * 10, SRC, d))
-            reference.add_int(d)
+        list(b.fold(mk_pkt(i, SRC, base + i) for i in range(2048)))
         (state,) = b.open_events.values()
-        assert isinstance(state.dsts, Hll)
-        assert state.dsts.registers == reference.registers
-
-    def test_promotion_happens_past_256_destinations(self, cfg_sketch):
-        b = EventBuilder(cfg_sketch)
-        base = ip_to_int("10.0.0.0")
-        for i in range(256):
-            b.ingest_packet(mk_pkt(i, SRC, base + i))
-        (state,) = b.open_events.values()
-        assert len(state.dsts) == 256
-        b.ingest_packet(mk_pkt(256, SRC, base + 256))
-        assert isinstance(state.dsts, Hll)
-
-    def test_exact_telescope_never_promotes(self, cfg_slash22):
-        b = EventBuilder(cfg_slash22)
-        for i in range(1024):
-            b.ingest_packet(mk_pkt(i * 10, SRC, DARK[i]))
-        (state,) = b.open_events.values()
-        assert type(state.dsts) is set
+        assert state.dsts == set(range(2048))
+        list(b.fold([mk_pkt(2048, SRC, base + 2048)]))
+        assert type(state.dsts) is bytearray
+        assert len(state.dsts) == cfg_wide.darknet_size // 8 == 256 << 10
         (ev,) = b.flush()
-        assert ev.unique_dst_count == 1024
-        assert b.sketch_clamped == 0
+        assert ev.unique_dst_count == 2049
 
-    def test_sketch_clamped_counts_clamped_estimates(self, cfg_sketch):
-        # Events of 257-400 distinct destinations, one packet each: a sketch
-        # estimate above pkt_count is clamped, and the count must match an
-        # independent recount with fresh sketches.
-        rng = random.Random(21)
-        base = ip_to_int("10.0.0.0")
-        pkts = []
-        want_clamped = 0
-        for k in range(40):
-            n = rng.randrange(257, 401)
-            dsts = rng.sample(range(base, base + cfg_sketch.darknet_size), n)
-            sketch = Hll()
-            for d in dsts:
-                sketch.add_int(d)
-            want_clamped += sketch.estimate() > n
-            pkts += [mk_pkt(i, SRC, d, dport=k) for i, d in enumerate(dsts)]
-        pkts.sort(key=lambda p: p.ts_us)
-        b, evs = run_stream(cfg_sketch, pkts)
-        assert len(evs) == 40
-        assert all(e.unique_dst_count <= e.pkt_count for e in evs)
-        assert want_clamped > 0
-        assert b.sketch_clamped == want_clamped
+    def test_bitmap_indexes_a_gapped_darknet_densely(self):
+        # A /16 and a /22 with 10.0.4.0-10.1.255.255 between them: 66,560
+        # addresses, 8,320 bitmap bytes, the switch past 65 destinations.
+        cfg = make_cfg(("10.2.0.0/16", "10.0.0.0/22"))
+        nets = sorted(ipaddress.IPv4Network(p) for p in cfg.darknet_prefixes)
+        rng = random.Random(9)
+        dsts = [ip_to_int("10.0.0.0") + rng.randrange(1024) for _ in range(40)]
+        dsts += [ip_to_int("10.2.0.0") + rng.randrange(1 << 16) for _ in range(300)]
+        dsts += [ip_to_int(a) for a in ("10.0.0.0", "10.0.3.255", "10.2.0.0", "10.2.255.255")]
+        rng.shuffle(dsts)
+        b = EventBuilder(cfg)
+        list(b.fold(mk_pkt(i * 10, SRC, d) for i, d in enumerate(dsts + dsts[:50])))
+        want = bytearray(66_560 // 8)
+        for d in dsts:
+            k = _darknet_offset(nets, d)
+            want[k // 8] |= 1 << (k % 8)
+        (state,) = b.open_events.values()
+        assert state.dsts == want
+        (ev,) = b.flush()
+        assert (ev.pkt_count, ev.unique_dst_count) == (len(dsts) + 50, len(set(dsts)))
+
+    def test_slash22_counts_exactly_across_the_switch(self, cfg_slash22):
+        # On a /22 the set holds one offset; a second one makes a 128-byte bitmap.
+        b = EventBuilder(cfg_slash22)
+        list(b.fold([mk_pkt(0, SRC, DARK[5]), mk_pkt(1, SRC, DARK[5])]))
+        (state,) = b.open_events.values()
+        assert state.dsts == {5}
+        list(b.fold(mk_pkt(10 + i, SRC, DARK[1023 - i]) for i in range(1024)))
+        assert state.dsts == bytearray(b"\xff" * 128)
+        (ev,) = b.flush()
+        assert (ev.pkt_count, ev.unique_dst_count) == (1026, 1024)
+
+
+# Telescopes of the exact-count tests: a /8, a /11, a /22, and a /22 plus a
+# /16 with a gap between them.
+_COUNT_PREFIXES = [
+    ("10.0.0.0/8",), ("10.0.0.0/11",), ("10.0.0.0/22",), ("10.0.0.0/22", "10.2.0.0/16"),
+]
+
+
+def _burst_packets(cfg, burst, t0):
+    """One key's packets: `distinct` darknet addresses by index from `first`
+    in steps of 7919 (coprime to every telescope size here), cycled over
+    `n` packets 1 us apart from t0."""
+    src, dport, distinct, first, n = burst
+    nets = sorted(ipaddress.IPv4Network(p) for p in cfg.darknet_prefixes)
+    size = cfg.darknet_size
+    udp = Protocol.UDP
+    return [(t0 + j, src, _darknet_address(nets, (first + (j % distinct) * 7919) % size),
+             udp, 40000, dport, None, 7, None, None, 60) for j in range(n)]
+
+
+def _assert_counts_exact(pkts, evs):
+    """Each event's counts against the packets of its key inside [start_ts, end_ts].
+
+    pkts is an in-order stream of scanning UDP probes into the darknet, so a
+    key's events partition its packets by time.
+    """
+    by_key = {}
+    for p in pkts:
+        by_key.setdefault((p[1], p[5]), []).append(p)
+    for ev in evs:
+        mine = [p for p in by_key[(ev.key.src_ip, ev.key.dst_port)]
+                if ev.start_ts <= p[0] <= ev.end_ts]
+        assert (ev.pkt_count, ev.unique_dst_count) == (len(mine), len({p[2] for p in mine}))
+    assert sum(ev.pkt_count for ev in evs) == len(pkts)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    prefixes=st.sampled_from(_COUNT_PREFIXES),
+    bursts=st.lists(st.tuples(
+        st.sampled_from([ip_to_int("198.51.100.1"), ip_to_int("198.51.100.2")]),
+        st.sampled_from([22, 53]),
+        st.one_of(st.integers(1, 64), st.sampled_from([-1, 0, 1, 2])),
+        st.floats(0, 1, exclude_max=True),
+        st.integers(0, 20),
+        st.sampled_from([0, US, 5 * US, 5 * US + 1, 40 * US]),
+    ), min_size=1, max_size=4),
+)
+def test_property_unique_dst_count_equals_distinct_destinations(prefixes, bursts):
+    # Bursts of one key each to a drawn number of distinct addresses, either
+    # well under the set-to-bitmap switch or 1 below to 2 above it, with
+    # repeats. A gap either side of the 5 s timeout before each burst closes
+    # events by a later packet of their key, in a sweep, or at flush; bursts
+    # with no gap interleave.
+    cfg = make_cfg(prefixes, event_timeout_s=5.0)
+    switch = cfg.darknet_size >> 10
+    pkts = []
+    t = 0
+    for src, dport, distinct, first, repeats, gap in bursts:
+        if distinct <= 2:
+            distinct = switch + distinct if switch + distinct > 0 else 1
+        t += gap
+        first = int(first * cfg.darknet_size)
+        pkts += _burst_packets(cfg, (src, dport, distinct, first, distinct + repeats), t)
+    pkts.sort(key=lambda p: p[0])
+    b = EventBuilder(cfg)
+    evs = [*b.fold(pkts), *b.flush()]
+    _assert_counts_exact(pkts, evs)
+
+
+@pytest.mark.parametrize("prefixes", _COUNT_PREFIXES, ids=["slash8", "slash11", "slash22", "gapped"])
+def test_count_is_exact_whichever_way_an_event_closes(prefixes):
+    # Timeout 5 s, so a sweep at most every 2.5 s of stream time. Event A1
+    # crosses the switch by one. B's packet at 4.9 s runs a sweep that finds
+    # A1 still live, so A's packet at 6 s closes A1 itself. A's packet at
+    # 11 s runs the sweep that closes B1; C crosses by two from 6 s and is
+    # closed by the sweep B's packet runs at 14 s. A2 and B2 last to the
+    # flush.
+    cfg = make_cfg(prefixes, event_timeout_s=5.0)
+    switch = cfg.darknet_size >> 10
+    a, b_src, c = (ip_to_int(f"198.51.100.{i}") for i in (1, 2, 3))
+    size = cfg.darknet_size
+    pkts = _burst_packets(cfg, (a, 53, switch + 1, 0, switch + 9), 0)
+    pkts += _burst_packets(cfg, (b_src, 53, 1, 5, 1), 4_900_000)
+    pkts += _burst_packets(cfg, (a, 53, 3, size // 2, 3), 6 * US)
+    pkts += _burst_packets(cfg, (c, 53, switch + 2, size // 3, switch + 2), 6 * US + 5)
+    pkts += _burst_packets(cfg, (a, 53, 1, size - 1, 1), 11 * US)
+    pkts += _burst_packets(cfg, (b_src, 53, 2, 1, 2), 14 * US)
+    pkts.sort(key=lambda p: p[0])
+    builder = EventBuilder(cfg)
+    how = {}
+    evs = []
+    for p in pkts:
+        for ev in builder.ingest_packet(p):
+            how[ev.key.src_ip, ev.start_ts] = "timeout" if ev.key.src_ip == p[1] else "sweep"
+            evs.append(ev)
+    for ev in builder.flush():
+        how[ev.key.src_ip, ev.start_ts] = "flush"
+        evs.append(ev)
+    assert how == {(a, 0): "timeout", (b_src, 4_900_000): "sweep", (c, 6 * US + 5): "sweep",
+                   (a, 6 * US): "flush", (b_src, 14 * US): "flush"}
+    _assert_counts_exact(pkts, evs)
+    assert [ev.unique_dst_count for ev in evs] == [switch + 1, 1, switch + 2, 4, 2]
 
 
 def _one_packet_event_bytes(cfg) -> int:
@@ -338,8 +447,8 @@ def _one_packet_event_bytes(cfg) -> int:
 def test_one_packet_event_costs_the_same_on_a_slash8_as_on_a_slash22():
     small = _one_packet_event_bytes(make_cfg(("10.0.0.0/22",)))
     large = _one_packet_event_bytes(make_cfg(("10.0.0.0/8",)))
-    # An Hll alone holds 16 KiB of registers; an open event here is well
-    # under 1 KB on either telescope.
+    # A one-packet event holds a one-offset set, well under 1 KB on either
+    # telescope.
     assert small < 1024
     assert large == small
 
@@ -370,17 +479,47 @@ def _fold_calls(cfg, n):
     return calls
 
 
-@pytest.mark.parametrize("cfg_name, per_packet", [
-    ("cfg_slash22", Counter()),
-    ("cfg_sketch", Counter(add_int=1)),
-], ids=["exact", "sketch"])
-def test_fold_makes_no_call_per_packet(request, cfg_name, per_packet):
-    # Every key is promoted to a sketch within the first 10^4 packets on the
-    # /11, so each further packet costs one add_int there and nothing on a /22.
+@pytest.mark.parametrize("cfg_name", ["cfg_slash22", "cfg_wide"], ids=["exact", "wide"])
+def test_fold_makes_no_call_per_packet(request, cfg_name):
+    # Every key switches to a bitmap within the first 10^4 packets on both
+    # telescopes (past 1 destination on the /22, 2,048 on the /11), so the
+    # further packets cost no call on either.
     cfg = request.getfixturevalue(cfg_name)
     more = _fold_calls(cfg, 20_000)
     more.subtract(_fold_calls(cfg, 10_000))
-    assert +more == Counter({name: k * 10_000 for name, k in per_packet.items()})
+    assert +more == Counter()
+
+
+def _sweep_fold(cfg, keys: int, n: int) -> EventBuilder:
+    """Fold `keys` sources' sweeps of the first n darknet addresses, one source
+    after the other, and leave their events open."""
+    base = cfg.range_starts[0]
+    udp = Protocol.UDP
+    b = EventBuilder(cfg)
+    deque(b.fold((k * n + i, 1000 + k, base + i, udp, 40000, 53, None, 7, None, None, 60)
+                 for k in range(keys) for i in range(n)), 0)
+    assert (len(b.open_events), b.packets_in) == (keys, keys * n)
+    return b
+
+
+def test_full_slash16_sweep_is_held_in_an_8_kib_bitmap():
+    # Held as 65,536 addresses in a set, the same sweep peaked at 4.2 MB
+    # under tracemalloc. The bitmap is 8 KiB; the set it replaced held 65
+    # offsets.
+    cfg = make_cfg(("10.0.0.0/16",))
+    b, peak = traced_peak(_sweep_fold, cfg, 1, 1 << 16)
+    assert peak < 32 << 10
+    (ev,) = b.flush()
+    assert ev.unique_dst_count == 1 << 16
+
+
+def test_twenty_events_past_the_switch_hold_twenty_bitmaps():
+    # On a /11 each event past 2,048 destinations holds a 256 KiB bitmap,
+    # and only the one switching also holds its set of 2,049 offsets.
+    cfg = make_cfg(("10.0.0.0/11",))
+    b, peak = traced_peak(_sweep_fold, cfg, 20, 2049)
+    assert 20 * (256 << 10) < peak < 20 * (256 << 10) + (512 << 10)
+    assert [ev.unique_dst_count for ev in b.flush()] == [2049] * 20
 
 
 class TestFingerprintCounters:
@@ -462,7 +601,7 @@ def test_property_split_matches_oracle(gaps):
 _FOLD_SRCS = [ip_to_int(f"198.51.100.{i}") for i in (1, 2, 3)]
 _FOLD_COUNTERS = (
     "packets_in", "dropped_non_scanning", "outside_darknet", "out_of_order",
-    "sketch_clamped", "events_emitted", "pkts_emitted",
+    "events_emitted", "pkts_emitted",
 )
 
 
@@ -490,7 +629,9 @@ def _fold_case(draw):
 
     Mixes every packet kind, destinations inside, between and outside the
     telescope's prefixes, gaps around the 5 s timeout and stragglers. On the
-    /11 a full sweep of more than 256 addresses is promoted to a sketch.
+    /11 a sweep of 2,040-2,060 addresses may cross the set-to-bitmap switch
+    past 2,048; on the two /24s every event holds a bitmap from its first
+    packet.
     """
     wide = draw(st.booleans())
     prefixes = ("10.0.0.0/11",) if wide else ("10.0.0.0/24", "10.0.2.0/24")
@@ -508,7 +649,7 @@ def _fold_case(draw):
         arrivals.append((t, _fold_packet(draw, max(0, t + straggle), dst_pool)))
     if wide and draw(st.booleans()):
         src = draw(st.sampled_from(_FOLD_SRCS))
-        n = draw(st.integers(250, 320))
+        n = draw(st.integers(2040, 2060))
         start = draw(st.integers(0, max(0, t)))
         for i in range(n):
             dst = base + (i * 7919) % cfg.darknet_size

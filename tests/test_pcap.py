@@ -275,15 +275,14 @@ def _raw_pcap(records, endian="<", nanos=False, linktype=1, tail=b""):
     return bytes(out + tail)
 
 
-# Buffer sizes around one record header (16 bytes) and a short frame, so every
-# record of a test capture straddles a buffer edge at some size, plus the
-# default. Not 1: open() takes buffering=1 as line buffering, which binary
-# files do not have.
-BLOCKS = (2, 15, 16, 17, 64, pcap_mod.BLOCK)
+# Read sizes around one record header (16 bytes) and a short frame, so every
+# record of a test capture straddles a block edge at some size, plus the
+# default.
+BLOCKS = (1, 2, 15, 16, 17, 64, pcap_mod.BLOCK)
 
 
-def _check_against_oracle(data):
-    """Assert PcapReader decodes data like the oracle at every size in BLOCKS.
+def _check_against_oracle(data, blocks=BLOCKS):
+    """Assert PcapReader decodes data like the oracle at every read size in blocks.
 
     Returns the oracle's counters.
     """
@@ -291,7 +290,7 @@ def _check_against_oracle(data):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "t.pcap"
         path.write_bytes(data)
-        for block in BLOCKS:
+        for block in blocks:
             reader = PcapReader(path)
             with mock.patch.object(pcap_mod, "BLOCK", block):
                 got = list(reader)
@@ -361,9 +360,38 @@ def _capture(draw):
 
 class TestAgainstOracle:
     @settings(max_examples=200, deadline=None)
-    @given(_capture())
-    def test_property_same_packets_and_counters(self, data):
-        _check_against_oracle(data)
+    @given(_capture(), st.integers(1, 64))
+    def test_property_same_packets_and_counters(self, data, block):
+        # Besides BLOCKS, one drawn read size below a record or two, so records
+        # and their headers straddle block edges anywhere.
+        _check_against_oracle(data, (*BLOCKS, block))
+
+    @pytest.mark.parametrize("ending", ["clean", "short-record-header", "caplen-overrun"])
+    @pytest.mark.parametrize("linktype", [1, 101], ids=["ethernet", "raw-ip"])
+    @pytest.mark.parametrize("nanos", [False, True], ids=["us", "ns"])
+    @pytest.mark.parametrize("endian", ["<", ">"], ids=["le", "be"])
+    def test_every_block_size_from_1_to_64(self, endian, nanos, linktype, ending):
+        ips = [
+            oracle_ipv4("198.51.100.9", "10.0.0.5", 6, oracle_tcp(51000, 23, 7, 0x02), ip_id=54321),
+            oracle_ipv4("198.51.100.9", "10.0.0.6", 17, oracle_udp(40000, 53)),
+            oracle_ipv4("198.51.100.9", "10.0.0.7", 1, oracle_icmp(8)),
+            oracle_ipv4("198.51.100.9", "10.0.0.8", 47, bytes(8)),
+            b"\x60" + bytes(39),
+        ]
+        frames = [eth_frame(ip) if linktype == 1 else ip for ip in ips]
+        frames.append(frames[0][:30])
+        records = [(1654041600 + i, 999_999_999 if nanos else 999_999, len(f), len(f), f)
+                   for i, f in enumerate(frames * 3 + frames[:1])]
+        tail = b""
+        if ending == "short-record-header":
+            tail = bytes(11)
+        elif ending == "caplen-overrun":
+            *_, data = records[-1]
+            records[-1] = (1, 2, len(data) + 5, len(data), data)
+        data = _raw_pcap(records, endian=endian, nanos=nanos, linktype=linktype, tail=tail)
+        counts = _check_against_oracle(data, range(1, 65))
+        overrun = ending == "caplen-overrun"
+        assert (counts["packets_read"], counts["skipped_truncated"]) == (10 - overrun, 3 + overrun)
 
     @pytest.mark.parametrize("linktype", [1, 101], ids=["ethernet", "raw-ip"])
     @pytest.mark.parametrize("proto,l4,needed", [
