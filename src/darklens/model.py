@@ -569,9 +569,16 @@ def write_lines(path, lines: Iterable[str]) -> int:
 
 
 def write_json(path, obj) -> None:
-    """An indented JSON document with a trailing newline."""
+    """An indented JSON document with a trailing newline.
+
+    The encoder's tokens are written 2^14 at a time: json.dump writes each
+    on its own (about 150,000 writes for a bench manifest), and one
+    json.dumps string of a manifest of 10^5 sources peaks 200 MB higher.
+    """
+    tokens = json.JSONEncoder(indent=2).iterencode(obj)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(obj, fh, indent=2)
+        while batch := "".join(itertools.islice(tokens, 1 << 14)):
+            fh.write(batch)
         fh.write("\n")
 
 

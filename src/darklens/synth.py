@@ -151,21 +151,20 @@ _CHOICES = (("full_scanner_types", _TYPES), ("partial_scanner_types", _TYPES),
             ("tools_cycle", ["zmap", "masscan", "other"]))
 
 
-def _spread_times(
-    rng: np.random.Generator, start_us: int, duration_us: int, n: int, timeout_us: int
-) -> np.ndarray:
-    """n ascending integer timestamps whose gaps stay well under the event timeout."""
+def _spread_times(rng: np.random.Generator, start_us: int, duration_us: int, rows: int, n: int,
+                  timeout_us: int) -> np.ndarray:
+    """rows x n integer timestamps, each row ascending, whose gaps stay well under the timeout."""
     if n == 1:
-        return np.array([start_us + int(rng.integers(0, duration_us))], dtype=np.int64)
+        return (start_us + rng.integers(0, duration_us, (rows, 1))).astype(np.int64)
     window = min(duration_us, (n - 1) * timeout_us // 4)
     window = max(window, n - 1)  # at least 1us spacing
-    offset = int(rng.integers(0, duration_us - window + 1))
+    offsets = rng.integers(0, duration_us - window + 1, (rows, 1))
     gap = window / (n - 1)
     base = np.arange(n) * gap  # np.linspace(0, window, n), without its call overhead
     base[-1] = window
-    base += rng.uniform(-gap / 4, gap / 4, n)
-    base.sort()
-    times = base.astype(np.int64) + start_us + offset
+    base = base + rng.uniform(-gap / 4, gap / 4, (rows, n))
+    base.sort(axis=1)
+    times = base.astype(np.int64) + start_us + offsets
     # Clamped into the capture; a fractional start_ts_s makes the sum float,
     # and the cast truncates it to whole microseconds.
     times = np.minimum(np.maximum(times, start_us), start_us + duration_us - 1)
@@ -175,11 +174,14 @@ def _spread_times(
 def _other_ip_ids(rng: np.random.Generator, n: int, marks=None) -> np.ndarray:
     """n IP IDs, none zmap's constant or its own probe's mark in marks (if given).
 
-    The draws and the generator's end state are those of drawing each probe's
-    ID in turn until one passes: a rejected draw is skipped, and the draws
-    after it move down one probe, to be checked against their new probe's mark.
+    marks holds n marks in any shape, read in C order. The draws and the
+    generator's end state are those of drawing each probe's ID in turn until
+    one passes: a rejected draw is skipped, and the draws after it move down
+    one probe, to be checked against their new probe's mark.
     """
     ids = rng.integers(0, 65536, n)
+    if marks is not None:
+        marks = marks.reshape(-1)
     done = 0
     while True:
         rest = ids[done:]
@@ -223,6 +225,34 @@ def _write_capture(path, cols: dict) -> None:
                     rec["ident"] = rec["src"] & 0xFFFF
                 slots[rows, :rec.itemsize] = rec.view(np.uint8).reshape(len(at), -1)
             fh.write(slots[_FILLED[templates]])
+
+
+def _subset(rng: np.random.Generator, size: int, k: int) -> np.ndarray:
+    """k distinct indexes below size, in random order, in O(k) memory.
+
+    Past half of size a permutation is at most 2k. Below it, each round draws
+    the shortfall with replacement and keeps every value's first draw, so no
+    array of all size indexes is built.
+    """
+    if 2 * k > size:
+        return rng.permutation(size)[:k]
+    picked = np.empty(0, np.int64)
+    while len(picked) < k:
+        drawn = np.concatenate([picked, rng.integers(0, size, k - len(picked))])
+        # (index, draw number) pairs, sorted: each index's first draw leads its run.
+        keyed = np.sort(drawn.astype(np.uint64) << 32 | np.arange(len(drawn), dtype=np.uint64))
+        leads = np.ones(len(keyed), bool)
+        np.not_equal(keyed[1:] >> 32, keyed[:-1] >> 32, out=leads[1:])
+        picked = drawn[np.sort((keyed[leads] & 0xFFFFFFFF).astype(np.int64))]
+    return picked
+
+
+def _firsts(a: np.ndarray) -> tuple:
+    """a sorted along its rows, and a mask of each value's first place in its row."""
+    a = np.sort(a, axis=1)
+    first = np.ones(a.shape, bool)
+    np.not_equal(a[:, 1:], a[:, :-1], out=first[:, 1:])
+    return a, first
 
 
 def _split_evenly(total: int, parts: int) -> List[int]:
@@ -327,99 +357,106 @@ def generate(scenario: SynthScenario, seed: int, out_dir) -> dict:
     noise_base = (203 << 24) | (0 << 16) | (113 << 8)
     victim_base = (192 << 24) | (0 << 16) | (2 << 8)
 
-    def emit(n: int, **values) -> None:
-        """Fill the next n rows of the columns named, each from a scalar or an array."""
+    def emit(rows: int, n: int, **values) -> None:
+        """Fill the next rows x n probes, row after row; each value broadcasts to rows x n."""
         nonlocal filled
         for name, value in values.items():
-            cols[name][filled:filled + n] = value
-        filled += n
+            cols[name][filled:filled + rows * n].reshape(rows, n)[...] = value
+        filled += rows * n
 
-    def scan(ip: int, kind: str, ttype: str, tool: str, dsts: np.ndarray, times: np.ndarray,
+    def scan(ips, kind: str, ttype: str, tool: str, dsts: np.ndarray, times: np.ndarray,
              ports) -> None:
-        """Emit one source's probes, then its manifest entry from the same arrays.
+        """Emit a block of sources' probes, then each source's manifest entry from its row.
 
-        ports is one port, or an array with one port per probe.
+        The sources share kind, type and tool; row r of dsts and times (rows x
+        n) holds the probes of ips[r]. ports broadcasts to rows x n: one port,
+        a column of one per row, or one per probe.
         """
         if tool == "masscan" and ttype != "tcp_syn":
             tool = "other"  # the XOR fingerprint only exists on TCP probes
-        n = len(dsts)
+        rows, n = dsts.shape
+        src = np.asarray(ips, np.int64)[:, None]
         seqs, marks = 0, None
         if ttype == "tcp_syn":
-            seqs = rng.integers(0, 2 ** 32, n, dtype=np.uint32)
+            seqs = rng.integers(0, 2 ** 32, (rows, n), dtype=np.uint32)
             marks = masscan_ip_id(dsts, ports, seqs)
         ip_ids = (ZMAP_IP_ID if tool == "zmap" else marks if tool == "masscan"
-                  else _other_ip_ids(rng, n, marks))
-        emit(n, ts=times, template=_TEMPLATE_OF[ttype], src=ip, dst=dsts,
-             sport=40000 + (ip & 0x3FF), dport=ports, seq=seqs, ip_id=ip_ids)
+                  else _other_ip_ids(rng, rows * n, marks).reshape(rows, n))
+        emit(rows, n, ts=times, template=_TEMPLATE_OF[ttype], src=src, dst=dsts,
+             sport=40000 + (src & 0x3FF), dport=ports, seq=seqs, ip_id=ip_ids)
 
-        # Distinct (UTC day, port) pairs, packed as day << 16 | port.
-        day_ports = set() if ttype == "icmp_echo_request" else set(
-            (times // US_PER_DAY << 16 | ports).tolist())
-        per_day = Counter(pair >> 16 for pair in day_ports)
-        unique_dsts = len(set(dsts.tolist()))
-        sources.append({
-            "ip": int_to_ip(ip),
-            "kind": kind,
-            "traffic_type": ttype,
-            "ports": sorted({pair & 0xFFFF for pair in day_ports}),
-            "tool": tool,
-            "pkts": n,
-            "unique_dsts": unique_dsts,
-            "coverage": unique_dsts / size,
-            "day_ports": {
-                (_EPOCH + timedelta(days=day)).isoformat(): count
-                for day, count in sorted(per_day.items())
-            },
-        })
+        unique_dsts = _firsts(dsts)[1].sum(axis=1).tolist()
+        # Each row's distinct (UTC day, port) pairs, packed as day << 16 | port.
+        day_ports = [[]] * rows
+        if ttype != "icmp_echo_request":
+            pairs, first = _firsts(times // US_PER_DAY << 16 | ports)
+            flat, ends = pairs[first].tolist(), np.cumsum(first.sum(axis=1)).tolist()
+            day_ports = [flat[start:end] for start, end in zip([0] + ends, ends)]
+        for ip, unique, row in zip(src[:, 0].tolist(), unique_dsts, day_ports):
+            per_day = Counter(pair >> 16 for pair in row)
+            sources.append({
+                "ip": int_to_ip(ip),
+                "kind": kind,
+                "traffic_type": ttype,
+                "ports": sorted({pair & 0xFFFF for pair in row}),
+                "tool": tool,
+                "pkts": n,
+                "unique_dsts": unique,
+                "coverage": unique / size,
+                "day_ports": {
+                    (_EPOCH + timedelta(days=day)).isoformat(): count
+                    for day, count in sorted(per_day.items())
+                },
+            })
+
+    def spread(rows: int, n: int) -> np.ndarray:
+        return _spread_times(rng, start_us, duration_us, rows, n, timeout_us)
 
     tools = sc.tools_cycle
     # Full-coverage scanners: every darknet address, `repeats` passes.
     for i in range(sc.full_coverage_scanners):
         ttype = sc.full_scanner_types[i % len(sc.full_scanner_types)]
         dsts = dark(np.concatenate([rng.permutation(size) for _ in range(sc.full_scanner_repeats)]))
-        times = _spread_times(rng, start_us, duration_us, len(dsts), timeout_us)
-        scan(next(scanner_ips), "full", ttype, tools[i % len(tools)], dsts, times,
-             _pool_port(ttype, i))
+        scan([next(scanner_ips)], "full", ttype, tools[i % len(tools)], dsts[None],
+             spread(1, len(dsts)), _pool_port(ttype, i))
 
     # Partial scanners: a fixed random slice of the space.
     for i in range(sc.partial_scanners):
         ttype = sc.partial_scanner_types[i % len(sc.partial_scanner_types)]
-        dsts = dark(rng.choice(size, size=subset_size, replace=False))
-        times = _spread_times(rng, start_us, duration_us, len(dsts), timeout_us)
+        dsts = dark(_subset(rng, size, subset_size))
         tool = tools[(i + sc.full_coverage_scanners) % len(tools)]
-        scan(next(scanner_ips), "partial", ttype, tool, dsts, times, _pool_port(ttype, i + 3))
+        scan([next(scanner_ips)], "partial", ttype, tool, dsts[None], spread(1, subset_size),
+             _pool_port(ttype, i + 3))
 
-    # Port sweepers: many TCP ports, few addresses each. Destinations drawn
-    # with replacement are rng.choice's draws, without its overhead.
+    # Port sweepers: many TCP ports, few addresses each, drawn with replacement.
     for i in range(sc.port_sweep_scanners):
         n = sc.sweep_ports * sc.sweep_pkts_per_port
-        times = _spread_times(rng, start_us, duration_us, n, timeout_us)
-        dsts = dark(rng.integers(0, size, n))
-        scan(next(scanner_ips), "sweep", "tcp_syn", tools[(i + 1) % len(tools)], dsts, times,
+        times = spread(1, n)
+        dsts = dark(rng.integers(0, size, (1, n)))
+        scan([next(scanner_ips)], "sweep", "tcp_syn", tools[(i + 1) % len(tools)], dsts, times,
              1000 + np.arange(n) % sc.sweep_ports)
 
-    # Low-rate noise: scanning traffic too small to matter.
-    for i in range(sc.noise_sources):
-        ttype = ("udp", "tcp_syn", "icmp_echo_request")[i % 3]
-        n = sc.noise_pkts_per_source
-        times = _spread_times(rng, start_us, duration_us, n, timeout_us)
-        dsts = dark(rng.integers(0, size, n))
-        port = 0 if ttype == "icmp_echo_request" else int(rng.integers(1, 65536))
-        scan(noise_base + 1 + i, "noise", ttype, "other", dsts, times, port)
+    # Low-rate noise: scanning traffic too small to matter. Source i sends
+    # the i % 3-th type, and each type's sources are one block. Every source
+    # draws a port; an echo request sends none.
+    if sc.noise_sources:
+        times = spread(sc.noise_sources, sc.noise_pkts_per_source)
+        dsts = dark(rng.integers(0, size, times.shape))
+        ports = rng.integers(1, 65536, (sc.noise_sources, 1))
+        ips = noise_base + 1 + np.arange(sc.noise_sources)
+        for k, ttype in enumerate(("udp", "tcp_syn", "icmp_echo_request")[:sc.noise_sources]):
+            scan(ips[k::3], "noise", ttype, "other", dsts[k::3], times[k::3],
+                 0 if ttype == "icmp_echo_request" else ports[k::3])
 
     # Backscatter: SYN-ACKs from victims of spoofed floods; never an event.
     if backscatter:
-        times = _spread_times(rng, start_us, duration_us, backscatter, timeout_us)
+        times = spread(1, backscatter)
         dsts = dark(rng.integers(0, size, backscatter))
-        seqs, ip_ids = np.zeros(backscatter, np.uint32), np.zeros(backscatter, np.uint16)
-        for j in range(backscatter):  # each packet draws its seq, then its IP ID
-            seqs[j] = rng.integers(0, 2 ** 32)
-            ip_ids[j] = rng.integers(0, 65536)
-            while ip_ids[j] == ZMAP_IP_ID:
-                ip_ids[j] = rng.integers(0, 65536)
+        seqs = rng.integers(0, 2 ** 32, backscatter, dtype=np.uint32)
+        ip_ids = _other_ip_ids(rng, backscatter)
         j = np.arange(backscatter)
-        emit(backscatter, ts=times, template=_SYN_ACK, src=victim_base + 1 + j % 250, dst=dsts,
-             sport=80, dport=40000 + j % 1000, seq=seqs, ip_id=ip_ids)
+        emit(1, backscatter, ts=times, template=_SYN_ACK, src=victim_base + 1 + j % 250,
+             dst=dsts, sport=80, dport=40000 + j % 1000, seq=seqs, ip_id=ip_ids)
 
     assert filled == total  # every population's probes were counted in total
     _write_capture(out_dir / "synth.pcap", cols)
@@ -469,17 +506,19 @@ def _generate_flows(sc: SynthScenario, rng: np.random.Generator, sources: List[d
     start_us = int(sc.start_ts_s * US_PER_S)  # whole microseconds, as in the pcap
     duration_us = sc.duration_s * US_PER_S
     denom = sc.flow_sampling_denominator
+    counts = np.array([talker[1] for talker in talkers], np.int64)
     rows: List[list] = []
+    # Each router thins every talker's packets at once; a talker with no
+    # sampled packet gives no row.
     for router in sc.flow_routers:
-        for src, count, proto, sport, dport, flags in talkers:
-            if count == 0:
-                continue
-            sampled = int(rng.binomial(count, 1.0 / denom))
-            if sampled == 0:
-                continue
-            ts = start_us + int(rng.integers(0, duration_us))
-            dst = (172 << 24) | (16 << 16) | int(rng.integers(1, 65000))
-            rows.append([router, ts, "I", src, int_to_ip(dst), proto, sport, dport, sampled, denom,
+        sampled = rng.binomial(counts, 1.0 / denom)
+        kept = np.flatnonzero(sampled)
+        stamps = start_us + rng.integers(0, duration_us, len(kept))
+        dsts = (172 << 24) | (16 << 16) | rng.integers(1, 65000, len(kept))
+        for t, pkts, ts, dst in zip(kept.tolist(), sampled[kept].tolist(), stamps.tolist(),
+                                    dsts.tolist()):
+            src, _count, proto, sport, dport, flags = talkers[t]
+            rows.append([router, ts, "I", src, int_to_ip(dst), proto, sport, dport, pkts, denom,
                          flags])
 
     write_csv(out_dir / "flows.csv", FLOW_CSV_FIELDS, rows)

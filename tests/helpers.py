@@ -59,7 +59,7 @@ from darklens.model import (
     write_json,
 )
 from darklens.pcap import classify_traffic_type
-from darklens.synth import _generate_flows, _pool_port
+from darklens.synth import _pool_port
 
 US = 1_000_000
 
@@ -1062,17 +1062,34 @@ def _synth_icmp_frame(src, dst, sport, dport, ip_id) -> bytes:
     return _SYNTH_ETH + ip + _SYNTH_ICMP.pack(8, 0, 0, src & 0xFFFF, 1)
 
 
-def _oracle_spread_times(rng, start_us, duration_us, n, timeout_us):
+def _oracle_spread_times(rng, start_us, duration_us, rows, n, timeout_us) -> List[List[int]]:
+    """rows lists of n stamps: every row's offset is drawn, then every row's jitter."""
     if n == 1:
-        return np.array([start_us + int(rng.integers(0, duration_us))], dtype=np.int64)
+        return [[int(start_us + offset)] for offset in rng.integers(0, duration_us, rows).tolist()]
     window = min(duration_us, (n - 1) * timeout_us // 4)
     window = max(window, n - 1)
-    offset = int(rng.integers(0, duration_us - window + 1))
-    base = np.linspace(0, window, n)
+    offsets = rng.integers(0, duration_us - window + 1, rows).tolist()
     gap = window / (n - 1)
-    jitter = rng.uniform(-gap / 4, gap / 4, n)
-    times = np.sort(base + jitter).astype(np.int64) + start_us + offset
-    return np.clip(times, start_us, start_us + duration_us - 1).astype(np.int64, copy=False)
+    jitter = rng.uniform(-gap / 4, gap / 4, (rows, n))
+    out = []
+    for offset, row in zip(offsets, jitter):
+        times = np.sort(np.linspace(0, window, n) + row).astype(np.int64) + start_us + offset
+        out.append(np.clip(times, start_us, start_us + duration_us - 1).astype(np.int64).tolist())
+    return out
+
+
+def _oracle_subset(rng, size: int, k: int) -> List[int]:
+    """k distinct indexes: a permutation's head past half of size, else first draws kept."""
+    if 2 * k > size:
+        return rng.permutation(size)[:k].tolist()
+    picked: List[int] = []
+    seen: Set[int] = set()
+    while len(picked) < k:
+        for index in rng.integers(0, size, k - len(picked)).tolist():
+            if index not in seen:
+                seen.add(index)
+                picked.append(index)
+    return picked
 
 
 def oracle_other_ip_id(rng, *marks: int) -> int:
@@ -1083,21 +1100,60 @@ def oracle_other_ip_id(rng, *marks: int) -> int:
             return candidate
 
 
-def oracle_synth(sc, seed: int, out_dir) -> None:
-    """synth.generate's outputs for a valid scenario, one probe at a time.
+def _oracle_flows(sc, rng, sources: List[dict], out_dir: Path) -> dict:
+    """The flow file, one row at a time, from the draws synth makes per router."""
+    total = sc.flow_total_pkts
+    ah_total = round(total * sc.flow_ah_share)
+    ah_ips = [e["ip"] for e in sources if e["kind"] != "noise"]
+    talkers = []
+    for i, ip in enumerate(ah_ips):
+        count = ah_total // len(ah_ips) + (i < ah_total % len(ah_ips))
+        talkers.append((ip, count, "tcp", 40000 + (ip_to_int(ip) & 0xFF), 23, "S"))
+    benign = total - ah_total
+    for i in range(sc.flow_benign_sources):
+        count = benign // sc.flow_benign_sources + (i < benign % sc.flow_benign_sources)
+        src = ip_to_int("100.64.0.1") + i
+        talkers.append((int_to_ip(src), count, "udp", 53, 53, "") if src % 2 == 0
+                       else (int_to_ip(src), count, "tcp", 443, 30000 + (src & 0xFF), "SA"))
+    start_us = int(sc.start_ts_s * US_PER_S)
+    denom = sc.flow_sampling_denominator
+    rows = []
+    for router in sc.flow_routers:
+        sampled = rng.binomial([count for _ip, count, *_rest in talkers], 1.0 / denom).tolist()
+        kept = [t for t, pkts in enumerate(sampled) if pkts]
+        stamps = rng.integers(0, sc.duration_s * US_PER_S, len(kept)).tolist()
+        dsts = rng.integers(1, 65000, len(kept)).tolist()
+        for t, stamp, dst in zip(kept, stamps, dsts):
+            src, _count, proto, sport, dport, flags = talkers[t]
+            rows.append([router, start_us + stamp, "I", src, f"172.16.{dst >> 8}.{dst & 0xFF}",
+                         proto, sport, dport, sampled[t], denom, flags])
+    write_csv(out_dir / "flows.csv", FLOW_CSV_FIELDS, rows)
+    return {
+        "routers": list(sc.flow_routers), "sampling_denominator": denom,
+        "ah_share": ah_total / total, "ah_presampled_pkts": ah_total,
+        "total_presampled_pkts": total,
+        "per_router": {r: {"ah_presampled": ah_total, "total_presampled": total}
+                       for r in sc.flow_routers},
+        "ah_sources": ah_ips, "rows": len(rows),
+    }
 
-    Each probe draws its IP ID with scalar draws, is packed into its own frame
-    and kept as a (stamp, frame) pair; the pairs are sorted by stamp (stably)
-    and written with write_pcap. The flow file comes from synth's own
-    _generate_flows, so it matches only if the generator's state after the
-    capture does.
+
+def oracle_synth(sc, seed: int, out_dir) -> None:
+    """synth.generate's outputs for a valid scenario, one probe and one row at a time.
+
+    It makes synth's draws in synth's order: a source block's stamps, then its
+    destinations (and, for noise, its ports), then per block the TCP sequence
+    numbers; each IP ID comes from scalar draws. Each probe is packed into its
+    own frame and kept as a (stamp, frame) pair; the pairs are sorted by stamp
+    (stably) and written with write_pcap. Each manifest entry is counted from
+    Python sets over its source's probes, and each flow row is built on its own.
     """
     cfg = DarknetConfig(darknet_prefixes=sc.darknet_prefixes, event_timeout_s=sc.event_timeout_s,
                         dispersion_fraction=sc.dispersion_fraction)
     size = cfg.darknet_size
     subset_size = round(sc.partial_coverage_fraction * size)
     dark = np.concatenate([np.arange(first, last + 1, dtype=np.int64)
-                           for first, last in zip(cfg.range_starts, cfg.range_ends)])
+                           for first, last in zip(cfg.range_starts, cfg.range_ends)]).tolist()
     start_us = sc.start_ts_s * US_PER_S
     duration_us = sc.duration_s * US_PER_S
     timeout_us = round(cfg.event_timeout_s * US_PER_S)
@@ -1108,75 +1164,87 @@ def oracle_synth(sc, seed: int, out_dir) -> None:
     sources: List[dict] = []
     scanner_ips = itertools.count((198 << 24) | (18 << 16) | 1)
 
-    def spread(n):
-        return _oracle_spread_times(rng, start_us, duration_us, n, timeout_us)
+    def spread(rows, n):
+        return _oracle_spread_times(rng, start_us, duration_us, rows, n, timeout_us)
 
-    def scan(ip, kind, ttype, tool, dsts, times, ports):
+    def scan(ips, kind, ttype, tool, dsts, times, ports):
+        """ips[r] sends dsts[r] at times[r], on ports[r][j] (lists of lists)."""
         if tool == "masscan" and ttype != "tcp_syn":
             tool = "other"
-        n = len(dsts)
-        dst_list, time_list = dsts.tolist(), times.tolist()
-        port_list = np.broadcast_to(ports, n).tolist()
-        sport = 40000 + (ip & 0x3FF)
+        n = len(dsts[0])
+        seqs = [[0] * n] * len(ips)
         if ttype == "tcp_syn":
-            seqs = rng.integers(0, 2 ** 32, n, dtype=np.uint32).tolist()
-            for ts, dst, port, seq in zip(time_list, dst_list, port_list, seqs):
-                ip_id = (ZMAP_IP_ID if tool == "zmap"
-                         else masscan_ip_id(dst, port, seq) if tool == "masscan"
-                         else oracle_other_ip_id(rng, masscan_ip_id(dst, port, seq)))
-                records.append((ts, _synth_tcp_frame(ip, dst, sport, port, seq, 0x02, ip_id)))
-        else:
-            frame = _synth_udp_frame if ttype == "udp" else _synth_icmp_frame
-            for ts, dst, port in zip(time_list, dst_list, port_list):
-                ip_id = ZMAP_IP_ID if tool == "zmap" else oracle_other_ip_id(rng)
-                records.append((ts, frame(ip, dst, sport, port, ip_id)))
-        day_ports = set() if ttype == "icmp_echo_request" else set(
-            zip((times // US_PER_DAY).tolist(), port_list))
-        per_day = Counter(day for day, _port in day_ports)
-        unique_dsts = len(set(dst_list))
-        sources.append({
-            "ip": int_to_ip(ip), "kind": kind, "traffic_type": ttype,
-            "ports": sorted({port for _day, port in day_ports}), "tool": tool, "pkts": n,
-            "unique_dsts": unique_dsts, "coverage": unique_dsts / size,
-            "day_ports": {(date(1970, 1, 1) + timedelta(days=day)).isoformat(): count
-                          for day, count in sorted(per_day.items())},
-        })
+            flat = rng.integers(0, 2 ** 32, len(ips) * n, dtype=np.uint32).tolist()
+            seqs = [flat[r * n:(r + 1) * n] for r in range(len(ips))]
+        for ip, dst_row, time_row, port_row, seq_row in zip(ips, dsts, times, ports, seqs):
+            sport = 40000 + (ip & 0x3FF)
+            for ts, dst, port, seq in zip(time_row, dst_row, port_row, seq_row):
+                mark = masscan_ip_id(dst, port, seq)
+                if ttype == "tcp_syn":
+                    ip_id = (ZMAP_IP_ID if tool == "zmap" else mark if tool == "masscan"
+                             else oracle_other_ip_id(rng, mark))
+                    frame = _synth_tcp_frame(ip, dst, sport, port, seq, 0x02, ip_id)
+                else:
+                    ip_id = ZMAP_IP_ID if tool == "zmap" else oracle_other_ip_id(rng)
+                    pack = _synth_udp_frame if ttype == "udp" else _synth_icmp_frame
+                    frame = pack(ip, dst, sport, port, ip_id)
+                records.append((ts, frame))
+        for ip, dst_row, time_row, port_row in zip(ips, dsts, times, ports):
+            day_ports = set() if ttype == "icmp_echo_request" else {
+                (ts // US_PER_DAY, port) for ts, port in zip(time_row, port_row)}
+            per_day = Counter(day for day, _port in day_ports)
+            unique_dsts = len(set(dst_row))
+            sources.append({
+                "ip": int_to_ip(ip), "kind": kind, "traffic_type": ttype,
+                "ports": sorted({port for _day, port in day_ports}), "tool": tool, "pkts": n,
+                "unique_dsts": unique_dsts, "coverage": unique_dsts / size,
+                "day_ports": {(date(1970, 1, 1) + timedelta(days=day)).isoformat(): count
+                              for day, count in sorted(per_day.items())},
+            })
+
+    def dark_rows(indexes, rows, n):
+        return [[dark[i] for i in indexes[r * n:(r + 1) * n]] for r in range(rows)]
 
     tools = sc.tools_cycle
     for i in range(sc.full_coverage_scanners):
         ttype = sc.full_scanner_types[i % len(sc.full_scanner_types)]
-        dsts = np.concatenate([rng.permutation(dark) for _ in range(sc.full_scanner_repeats)])
-        scan(next(scanner_ips), "full", ttype, tools[i % len(tools)], dsts, spread(len(dsts)),
-             _pool_port(ttype, i))
+        dsts = [d for _ in range(sc.full_scanner_repeats) for d in rng.permutation(dark).tolist()]
+        scan([next(scanner_ips)], "full", ttype, tools[i % len(tools)], [dsts],
+             spread(1, len(dsts)), [[_pool_port(ttype, i)] * len(dsts)])
     for i in range(sc.partial_scanners):
         ttype = sc.partial_scanner_types[i % len(sc.partial_scanner_types)]
-        dsts = rng.choice(dark, size=subset_size, replace=False)
+        dsts = [dark[index] for index in _oracle_subset(rng, size, subset_size)]
         tool = tools[(i + sc.full_coverage_scanners) % len(tools)]
-        scan(next(scanner_ips), "partial", ttype, tool, dsts, spread(len(dsts)),
-             _pool_port(ttype, i + 3))
+        scan([next(scanner_ips)], "partial", ttype, tool, [dsts], spread(1, subset_size),
+             [[_pool_port(ttype, i + 3)] * subset_size])
     for i in range(sc.port_sweep_scanners):
         n = sc.sweep_ports * sc.sweep_pkts_per_port
-        times = spread(n)
-        dsts = rng.choice(dark, size=n, replace=True)
-        scan(next(scanner_ips), "sweep", "tcp_syn", tools[(i + 1) % len(tools)], dsts, times,
-             1000 + np.arange(n) % sc.sweep_ports)
-    for i in range(sc.noise_sources):
-        ttype = ("udp", "tcp_syn", "icmp_echo_request")[i % 3]
-        times = spread(sc.noise_pkts_per_source)
-        dsts = rng.choice(dark, size=sc.noise_pkts_per_source, replace=True)
-        port = 0 if ttype == "icmp_echo_request" else int(rng.integers(1, 65536))
-        scan(ip_to_int("203.0.113.1") + i, "noise", ttype, "other", dsts, times, port)
+        times = spread(1, n)
+        dsts = dark_rows(rng.integers(0, size, n).tolist(), 1, n)
+        scan([next(scanner_ips)], "sweep", "tcp_syn", tools[(i + 1) % len(tools)], dsts, times,
+             [[1000 + j % sc.sweep_ports for j in range(n)]])
+    count, n = sc.noise_sources, sc.noise_pkts_per_source
+    if count:
+        times = spread(count, n)
+        dsts = dark_rows(rng.integers(0, size, count * n).tolist(), count, n)
+        ports = rng.integers(1, 65536, count).tolist()
+        for k, ttype in enumerate(("udp", "tcp_syn", "icmp_echo_request")):
+            block = range(k, count, 3)
+            if not block:
+                continue
+            scan([ip_to_int("203.0.113.1") + i for i in block], "noise", ttype, "other",
+                 [dsts[i] for i in block], [times[i] for i in block],
+                 [[0 if ttype == "icmp_echo_request" else ports[i]] * n for i in block])
     backscatter = sc.backscatter_pkts
     if backscatter:
-        times = spread(backscatter)
-        dsts = rng.choice(dark, size=backscatter, replace=True)
-        for j, (ts, dst) in enumerate(zip(times.tolist(), dsts.tolist())):
+        [times] = spread(1, backscatter)
+        [dsts] = dark_rows(rng.integers(0, size, backscatter).tolist(), 1, backscatter)
+        seqs = rng.integers(0, 2 ** 32, backscatter, dtype=np.uint32).tolist()
+        for j, (ts, dst, seq) in enumerate(zip(times, dsts, seqs)):
             victim = ip_to_int("192.0.2.1") + j % 250
-            seq = int(rng.integers(0, 2 ** 32))
             ip_id = oracle_other_ip_id(rng)
             records.append((ts, _synth_tcp_frame(victim, dst, 80, 40000 + j % 1000, seq, 0x12,
                                                  ip_id)))
-
     records.sort(key=lambda r: r[0])
     write_pcap(out_dir / "synth.pcap", records)
     manifest = {
@@ -1187,5 +1255,5 @@ def oracle_synth(sc, seed: int, out_dir) -> None:
                                and e["coverage"] >= sc.dispersion_fraction), key=ip_to_int),
     }
     if sc.flow_total_pkts > 0:
-        manifest["flows"] = _generate_flows(sc, rng, sources, out_dir)
+        manifest["flows"] = _oracle_flows(sc, rng, sources, out_dir)
     write_json(out_dir / "manifest.json", manifest)

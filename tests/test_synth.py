@@ -12,12 +12,16 @@ from hypothesis import example, given, settings, strategies as st
 
 from darklens.cli import main
 from darklens.events import EventBuilder
-from darklens.fingerprint import ZMAP_IP_ID, fingerprint_packet
+from darklens.fingerprint import ZMAP_IP_ID, fingerprint_packet, masscan_ip_id
 from darklens.flows import FlowReader
-from darklens.model import ConfigError, PacketMeta, TrafficType, ip_to_int, load_config
+from darklens.model import (
+    ConfigError, PacketMeta, Protocol, TrafficType, ip_to_int, load_config,
+)
 from darklens.pcap import PcapReader, classify_traffic_type
 from darklens.synth import SynthScenario, _other_ip_ids, generate
-from helpers import make_cfg, oracle_other_ip_id, oracle_synth, run_builder, traced_peak
+from helpers import (
+    darknet_contains, make_cfg, oracle_other_ip_id, oracle_synth, run_builder, traced_peak,
+)
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 from workloads import WORKLOADS  # noqa: E402
@@ -392,7 +396,8 @@ def _scenarios(draw):
         flow_benign_sources=draw(st.integers(1, 5)),
     )
     if sc.full_coverage_scanners or sc.partial_scanners or sc.port_sweep_scanners:
-        sc.flow_total_pkts = draw(st.sampled_from([0, 2_000_000]))
+        # 5,000 packets leave some talkers no sampled packet and some one.
+        sc.flow_total_pkts = draw(st.sampled_from([0, 5_000, 2_000_000]))
     return sc
 
 
@@ -419,12 +424,69 @@ class TestPerProbeOracle:
                 if (want / name).exists():
                     assert (got / name).read_bytes() == (want / name).read_bytes(), name
 
+    @settings(max_examples=25, deadline=None)
+    @example(sc=_EVERY_KIND, seed=7)
+    # Seed 68 draws zmap's constant among the backscatter's first IP ID draws.
+    @example(sc=SynthScenario(full_coverage_scanners=0, partial_scanners=0, noise_sources=30,
+                              backscatter_pkts=2000), seed=68)
+    @given(sc=_scenarios(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_noise_and_backscatter_keep_their_rules(self, sc, seed):
+        with tempfile.TemporaryDirectory() as tmp:
+            manifest = generate(sc, seed, tmp)
+            pkts = [PacketMeta._make(t) for t in PcapReader(Path(tmp, "synth.pcap"))]
+        noise = {ip_to_int(e["ip"]) for e in manifest["sources"] if e["kind"] == "noise"}
+        assert len(noise) == sc.noise_sources
+        lo = int(sc.start_ts_s * 1_000_000)
+        sent = Counter()
+        for p in pkts:
+            backscatter = p.tcp_flags == 0x12
+            if p.src_ip in noise or backscatter:
+                assert p.ip_id != ZMAP_IP_ID
+            if p.src_ip in noise:
+                sent[p.src_ip] += 1
+                assert lo <= p.ts_us < lo + sc.duration_s * 1_000_000
+                if p.protocol is Protocol.TCP:
+                    assert p.ip_id != masscan_ip_id(p.dst_ip, p.dst_port, p.tcp_seq)
+        assert sent == {ip: sc.noise_pkts_per_source for ip in noise}
+        cfg = make_cfg(tuple(sc.darknet_prefixes), event_timeout_s=sc.event_timeout_s)
+        events = Counter(ev.key.src_ip for ev in run_builder(EventBuilder(cfg), pkts))
+        assert all(events[ip] == 1 for ip in noise)
+
     def test_every_kind_ties_stamps_across_types(self, tmp_path):
         generate(_EVERY_KIND, 7, tmp_path)
         by_stamp = {}
         for p in map(PacketMeta._make, PcapReader(tmp_path / "synth.pcap")):
             by_stamp.setdefault(p.ts_us, set()).add((p.protocol, p.tcp_flags))
         assert max(len(kinds) for kinds in by_stamp.values()) >= 3
+
+
+class TestPartialSubsets:
+    # Coverage on both sides of 2% (where numpy's choice stopped permuting a
+    # darknet over 10,000 addresses) and of 50% (where _subset permutes).
+    @settings(max_examples=20, deadline=None)
+    @example(prefixes=["10.0.0.0/18"], fraction=1.0, seed=7)
+    @example(prefixes=["10.0.0.0/18"], fraction=0.5, seed=7)
+    @given(prefixes=st.sampled_from([["10.0.0.0/24"], ["10.0.0.0/25", "10.0.2.0/25"],
+                                     ["10.0.0.0/22"], ["10.0.0.0/18"]]),
+           fraction=st.sampled_from([0.005, 0.019, 0.021, 0.3, 0.49, 0.5, 0.51, 0.9, 1.0]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_destinations_are_distinct_in_the_darknet_and_exactly_the_subset(
+            self, prefixes, fraction, seed):
+        sc = SynthScenario(darknet_prefixes=prefixes, full_coverage_scanners=0, partial_scanners=2,
+                           partial_coverage_fraction=fraction, noise_sources=0,
+                           backscatter_pkts=0)
+        cfg = make_cfg(tuple(prefixes))
+        subset_size = round(fraction * cfg.darknet_size)
+        with tempfile.TemporaryDirectory() as tmp:
+            manifest = generate(sc, seed, tmp)
+            dsts = {}
+            for p in map(PacketMeta._make, PcapReader(Path(tmp, "synth.pcap"))):
+                dsts.setdefault(p.src_ip, []).append(p.dst_ip)
+        assert len(dsts) == 2
+        for sent in dsts.values():
+            assert len(sent) == len(set(sent)) == subset_size
+            assert all(darknet_contains(cfg, dst) for dst in sent)
+        assert [e["unique_dsts"] for e in manifest["sources"]] == [subset_size] * 2
 
 
 class TestMemory:
@@ -445,4 +507,14 @@ class TestMemory:
         sc = SynthScenario(**WORKLOADS["wide-11"].scenario)
         manifest, peak = traced_peak(generate, sc, 7, tmp_path)
         assert manifest["pcap_packets"] == 56_828
+        assert peak < 12 * 2 ** 20
+
+    def test_partial_subset_memory_follows_the_source(self, tmp_path):
+        # One partial scanner on a /11 at coverage 0.05: numpy's choice
+        # permuted all 2^21 indexes (16 MiB) and peaked at 19.5 MiB.
+        sc = SynthScenario(darknet_prefixes=["10.0.0.0/11"], full_coverage_scanners=0,
+                           partial_scanners=1, partial_coverage_fraction=0.05, noise_sources=0,
+                           backscatter_pkts=0)
+        manifest, peak = traced_peak(generate, sc, 7, tmp_path)
+        assert manifest["pcap_packets"] == 104_858
         assert peak < 12 * 2 ** 20
