@@ -30,7 +30,7 @@ from typing import Optional, Tuple
 from .feeds import AckedList, AsnMap, Feed, load_acked, load_asn_map, load_rdns, load_tags
 from .fingerprint import PortFingerprintRow, port_fingerprint_table
 from .model import (
-    D1, D2, D3, TRAFFIC_TYPES, ConfigError, Thresholds, load_config, read_blocklist,
+    D1, D2, D3, ConfigError, Thresholds, load_config, read_blocklist,
     read_event_log, read_verdicts, write_csv, write_json, write_lines,
 )
 
@@ -377,7 +377,6 @@ def cmd_report(args, staging: Path) -> int:
     if not ah:
         print("warning: no verdicts, nothing to report")
         return 1
-    tally = {(port, TRAFFIC_TYPES[ttype]): tools for (port, ttype), tools in tally.items()}
 
     asn_map = load_asn_map(args.asn_map) if args.asn_map else AsnMap()
     acked, rdns = _load_acked_args(args)

@@ -9,15 +9,16 @@ Three independent definitions flag a source as aggressive:
 * D3, port breadth: one source contacts enough distinct (port, protocol)
   entries in one UTC day, threshold again from the dataset ECDF.
 
-The event stream is one plain EventRow per event, as read_event_log yields it,
-with the traffic type as its index; no event object is built. It is read once
-into six compact columns, the only fields the definitions read; thresholds
-are derived from them, or supplied up front, and applied in a second pass
-over the columns as integer comparisons (D1 against the least destination
-count that classify_dispersion holds for). A tagged event is a plain tuple
-whose last field is the bit mask of its definitions (D1 1, D2 2, D3 4); masks
-become names only in the outputs. All boundary comparisons are inclusive
-(>=). The results are written as blocklists, a per-source sidecar and
+The event stream is one plain tuple per event in DarknetEvent's field order,
+as read_event_log yields it, with the traffic type as its index; no event
+object is built. It is read once into six compact columns, the only fields
+the definitions read; thresholds are derived from them, or supplied up
+front, and applied in a second pass over the columns as integer
+comparisons (D1 against the least destination count that
+classify_dispersion holds for). A tagged event is a plain tuple whose last
+field is the bit mask of its definitions (D1 1, D2 2, D3 4); masks become
+names only in the outputs. All boundary comparisons are inclusive (>=). The
+results are written as blocklists, a per-source sidecar and
 per-source-per-day verdicts.
 """
 from __future__ import annotations
@@ -34,12 +35,11 @@ from .model import (
     D1,
     D2,
     D3,
-    TRAFFIC_TYPES,
+    TRAFFIC_INDEX,
     US_PER_DAY,
     AhVerdict,
     DarknetConfig,
     EmptyInputError,
-    EventRow,
     Thresholds,
     TrafficType,
     int_to_ip,
@@ -56,8 +56,8 @@ _DEFS = [frozenset(name for bit, name in enumerate((D1, D2, D3)) if mask >> bit 
 # match D3, but D1/D2 detection must still run.
 UNREACHABLE_PORTS = 2 ** 63
 
-# Traffic-type indexes, as an EventRow holds them.
-_UDP, _ICMP = map(TRAFFIC_TYPES.index, (TrafficType.UDP, TrafficType.ICMP_ECHO_REQUEST))
+# Traffic-type indexes, as an event holds them.
+_UDP, _ICMP = TRAFFIC_INDEX[TrafficType.UDP], TRAFFIC_INDEX[TrafficType.ICMP_ECHO_REQUEST]
 
 # A tagged event: (src_ip, start_ts, end_ts, pkt_count, unique_dst_count, mask).
 Tagged = Tuple[int, int, int, int, int, int]
@@ -106,21 +106,14 @@ def dispersion_cut(cfg: DarknetConfig) -> int:
                        key=lambda dsts: classify_dispersion(dsts, cfg))
 
 
-def classify_volume(pkts: int, thresholds: Thresholds) -> bool:
-    return pkts >= thresholds.volume_threshold_pkts
-
-
-def classify_ports(distinct_ports: int, thresholds: Thresholds) -> bool:
-    return distinct_ports >= thresholds.ports_threshold
-
-
 class EventColumns(NamedTuple):
     """The events of a stream, one field a typed array, one slot an event.
 
     An event takes 37 bytes here: the address as 'I', whether it is ICMP
-    echo as 'B', and the timestamps and counts as 'q' (DarknetEvent.validate
-    bounds them to fit). Port and type feed only the daily port profiles,
-    which the same pass builds, and no definition reads the tool counts.
+    echo as 'B', and the timestamps and counts as 'q' (read_event_log's
+    rules bound them to fit). Port and type feed only the daily port
+    profiles, which the same pass builds, and no definition reads the tool
+    counts.
     """
 
     src_ip: array
@@ -132,7 +125,7 @@ class EventColumns(NamedTuple):
 
 
 def build_daily_port_profiles(
-    events: Iterable[EventRow], cfg: DarknetConfig,
+    events: Iterable[tuple], cfg: DarknetConfig,
 ) -> Tuple[EventColumns, Dict[Tuple[int, int], int]]:
     """The one pass over an event stream: its columns and daily port profiles.
 
@@ -192,11 +185,12 @@ def tag_events(
 ) -> List[Tagged]:
     """Second pass: keep events matching at least one definition, with its mask.
 
-    Each definition is one integer comparison: D1 against dispersion_cut,
-    D2 and D3 the >= of classify_volume and classify_ports. A TCP/UDP event
-    is D3-tagged when its source crossed the ports threshold on the event's
-    start day, i.e. the event contributed to an aggressive daily port
-    profile.
+    Each definition is one inclusive integer comparison, >=: D1 of the
+    destinations against dispersion_cut, D2 of the packets against the
+    volume threshold, D3 of the source's daily ports against the ports
+    threshold. A TCP/UDP event is D3-tagged when its source crossed the
+    ports threshold on the event's start day, i.e. the event contributed to
+    an aggressive daily port profile.
     """
     cut = dispersion_cut(cfg)
     volume, ports = thresholds.volume_threshold_pkts, thresholds.ports_threshold
@@ -263,7 +257,7 @@ class DetectionResult(NamedTuple):
 
 
 def run_detection(
-    events: Iterable[EventRow],
+    events: Iterable[tuple],
     cfg: DarknetConfig,
     thresholds: Optional[Thresholds] = None,
     acked: Optional[AckedList] = None,

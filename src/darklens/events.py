@@ -28,8 +28,8 @@ from typing import Iterable, Iterator, List, Optional
 # namespace.
 from .fingerprint import ZMAP_IP_ID, fingerprint_packet  # noqa: F401
 from .model import (
-    TCP_ACK, TCP_SYN, DarknetConfig, DarknetEvent, EventKey, PacketMeta, Protocol, TrafficType,
-    US_PER_S,
+    TCP_ACK, TCP_SYN, TRAFFIC_INDEX, DarknetConfig, DarknetEvent, PacketMeta, Protocol,
+    TrafficType, US_PER_S,
 )
 # The log writer lives beside its reader and the binary format they share.
 from .model import write_event_log  # noqa: F401
@@ -107,16 +107,18 @@ class EventBuilder:
         # Every packet folded in is counted by exactly one of the tool marks.
         pkts = state.zmap_pkts + state.masscan_pkts + state.other_pkts
         dsts = state.dsts
-        new = tuple.__new__
+        src, port, ttype = state.key
         self.events_emitted += 1
         self.pkts_emitted += pkts
-        return new(DarknetEvent, (
-            new(EventKey, state.key), state.start_ts, state.last_ts, pkts,
+        return tuple.__new__(DarknetEvent, (
+            src, port, TRAFFIC_INDEX[ttype], state.start_ts, state.last_ts, pkts,
             len(dsts) if type(dsts) is set else int.from_bytes(dsts, "little").bit_count(),
             state.zmap_pkts, state.masscan_pkts, state.other_pkts,
         ))
 
     def _sweep(self, now_us: int) -> List[DarknetEvent]:
+        # Expired events close in key order, so a traffic type sorts by its
+        # text, not by the index the closed event holds.
         deadline = now_us - self.timeout_us
         expired = [st for st in self.open_events.values() if st.last_ts < deadline]
         if not expired:
@@ -135,8 +137,9 @@ class EventBuilder:
         config's darknet intervals, which also gives the destination's
         darknet offset, and the tool marks of fingerprint_packet.
         No object is built per packet: open events are keyed by a plain
-        tuple, which becomes an EventKey when the event closes. The watermark
-        and the drop counters are written back when the iteration ends.
+        (src_ip, dst_port, TrafficType) tuple, and the type becomes its index
+        when the event closes. The watermark and the drop counters are
+        written back when the iteration ends.
         """
         starts = self.cfg.range_starts
         ends = self.cfg.range_ends
@@ -237,7 +240,7 @@ class EventBuilder:
         return list(self.fold((p,)))
 
     def flush(self) -> List[DarknetEvent]:
-        """Close every open event, ordered by ascending key.
+        """Close every open event, ordered by ascending (src_ip, dst_port, TrafficType) key.
 
         end_ts is always the last packet folded in, never the end of capture.
         """

@@ -10,7 +10,7 @@ from __future__ import annotations
 import enum
 from typing import Mapping, NamedTuple, Sequence, Tuple
 
-from .model import PacketMeta, Protocol, TrafficType
+from .model import TRAFFIC_TYPES, PacketMeta, Protocol, TrafficType
 
 
 class ProbeTool(str, enum.Enum):
@@ -59,17 +59,17 @@ class PortFingerprintRow(NamedTuple):
 
 
 def port_fingerprint_table(
-    tally: Mapping[Tuple[int, TrafficType], Sequence[int]]
+    tally: Mapping[Tuple[int, int], Sequence[int]]
 ) -> list[PortFingerprintRow]:
     """One row per (port, protocol) of a tool tally, busiest first.
 
-    tally maps (dst_port, traffic type) to the [zmap, masscan, other] packet
-    counts of the events on it. Ties on total packets break toward the lower
-    port number, then protocol name, so the ranking is deterministic. ICMP
-    rows appear under port 0.
+    tally maps (dst_port, traffic-type index) to the [zmap, masscan, other]
+    packet counts of the events on it. Ties on total packets break toward
+    the lower port number, then protocol name, so the ranking is
+    deterministic. ICMP rows appear under port 0.
     """
     rows = [
-        PortFingerprintRow(port, _TYPE_TO_PROTOCOL[ttype], z, m, o, z + m + o)
+        PortFingerprintRow(port, _TYPE_TO_PROTOCOL[TRAFFIC_TYPES[ttype]], z, m, o, z + m + o)
         for (port, ttype), (z, m, o) in tally.items()
     ]
     rows.sort(key=lambda r: (-r.total_pkts, r.port, r.protocol))

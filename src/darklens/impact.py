@@ -18,6 +18,7 @@ from .model import (
     Protocol,
     TCP_ACK,
     TCP_SYN,
+    TRAFFIC_TYPES,
     TrafficType,
     US_PER_S,
     order_statistic,
@@ -255,16 +256,17 @@ def _mix(tcp_syn: int, udp: int, icmp: int, unclassifiable: int) -> ProtocolMix:
 
 
 def protocol_breakdown_darknet(
-    tally: Mapping[Tuple[int, TrafficType], Sequence[int]]
+    tally: Mapping[Tuple[int, int], Sequence[int]]
 ) -> ProtocolMix:
     """Packet split over the three scanning classes for AH darknet events.
 
-    tally is the tool tally that fingerprint.port_fingerprint_table reads; an
-    event's tool counts sum to its packets.
+    tally is the tool tally that fingerprint.port_fingerprint_table reads,
+    keyed by (dst_port, traffic-type index); an event's tool counts sum to
+    its packets.
     """
     counts = {TrafficType.TCP_SYN: 0, TrafficType.UDP: 0, TrafficType.ICMP_ECHO_REQUEST: 0}
     for (_port, ttype), tools in tally.items():
-        counts[ttype] += sum(tools)
+        counts[TRAFFIC_TYPES[ttype]] += sum(tools)
     return _mix(
         counts[TrafficType.TCP_SYN],
         counts[TrafficType.UDP],

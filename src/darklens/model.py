@@ -143,12 +143,13 @@ class TrafficType(str, enum.Enum):
     ICMP_ECHO_REQUEST = "icmp_echo_request"
 
 
-# A row's traffic type is its index here, the byte the binary copy stores.
+# An event's traffic type is its index here, the byte the binary copy stores.
 TRAFFIC_TYPES = tuple(TrafficType)
-_TRAFFIC_INDEX = {t: i for i, t in enumerate(TRAFFIC_TYPES)}
+TRAFFIC_INDEX = {t: i for i, t in enumerate(TRAFFIC_TYPES)}
 _INDEX_OF_TEXT = {t.value: i for i, t in enumerate(TRAFFIC_TYPES)}
-# Each type's text, so an encoder reads no enum property.
-_TRAFFIC_TEXT = {t: t.value for t in TrafficType}
+# Each index's text, so an encoder reads no enum property; a dict, so an
+# index past the enum (or a negative one) is a KeyError.
+_TEXT_OF_INDEX = {i: t.value for i, t in enumerate(TRAFFIC_TYPES)}
 
 
 class Protocol(str, enum.Enum):
@@ -184,25 +185,21 @@ class PacketMeta(NamedTuple):
     pkt_len: int
 
 
-class EventKey(NamedTuple):
-    """Identity of a logical scan: one source hitting one service.
+class DarknetEvent(NamedTuple):
+    """A closed logical scan: one source hitting one service.
 
-    ICMP echo events carry dst_port 0 as a sentinel since ICMP has no ports.
+    traffic_type is the type's index in TRAFFIC_TYPES, the byte the binary
+    copy stores, and ICMP echo events carry dst_port 0 as a sentinel since
+    ICMP has no ports. start_ts and end_ts are integer microseconds; end_ts
+    is the timestamp of the last packet folded in, so start_ts == end_ts for
+    single-packet events. read_event_log yields plain tuples in this field
+    order, which DarknetEvent._make names; the two compare equal field by
+    field.
     """
 
     src_ip: int
     dst_port: int
-    traffic_type: TrafficType
-
-
-class DarknetEvent(NamedTuple):
-    """A closed logical scan event.
-
-    start_ts and end_ts are integer microseconds; end_ts is the timestamp of
-    the last packet folded in, so start_ts == end_ts for single-packet events.
-    """
-
-    key: EventKey
+    traffic_type: int
     start_ts: int
     end_ts: int
     pkt_count: int
@@ -211,57 +208,35 @@ class DarknetEvent(NamedTuple):
     masscan_pkts: int
     other_pkts: int
 
-    def validate(self) -> None:
-        if not _MIN_TS_US <= self.start_ts <= self.end_ts <= _MAX_TS_US:
-            raise ValueError(f"need {_MIN_TS_US} <= start_ts <= end_ts <= {_MAX_TS_US}")
-        if not 1 <= self.pkt_count <= MAX_COUNT:
-            raise ValueError(f"pkt_count must be in [1, {MAX_COUNT}]")
-        if not 1 <= self.unique_dst_count <= self.pkt_count:
-            raise ValueError("unique_dst_count out of range")
-        if min(self.zmap_pkts, self.masscan_pkts, self.other_pkts) < 0:
-            raise ValueError("fingerprint counters must be >= 0")
-        if self.zmap_pkts + self.masscan_pkts + self.other_pkts != self.pkt_count:
-            raise ValueError("fingerprint counters must partition pkt_count")
-        if not 0 <= self.key.dst_port <= 0xFFFF:
-            raise ValueError("dst_port out of range")
-        if self.key.traffic_type is TrafficType.ICMP_ECHO_REQUEST and self.key.dst_port != 0:
-            raise ValueError("ICMP echo events carry dst_port 0")
-
     def to_json_line(self) -> str:
         # A template is exact compact JSON: every field is an int, the address
         # comes from inet_ntoa and the traffic type is a fixed identifier.
-        (src_ip, port, ttype), start, end, pkts, dsts, zmap, masscan, other = self
+        src_ip, port, ttype, start, end, pkts, dsts, zmap, masscan, other = self
         return (
             f'{{"key":{{"src_ip":"{_ip_text(src_ip)}","dst_port":{port},'
-            f'"traffic_type":"{_TRAFFIC_TEXT[ttype]}"}},"start_ts":{start},"end_ts":{end},'
+            f'"traffic_type":"{_TEXT_OF_INDEX[ttype]}"}},"start_ts":{start},"end_ts":{end},'
             f'"pkt_count":{pkts},"unique_dst_count":{dsts},"zmap_pkts":{zmap},'
             f'"masscan_pkts":{masscan},"other_pkts":{other}}}'
         )
 
 
-# One event as read_event_log yields it: (src_ip, dst_port, ttype, start_ts,
-# end_ts, pkt_count, unique_dst_count, zmap_pkts, masscan_pkts, other_pkts),
-# with ttype its TrafficType's index in TRAFFIC_TYPES.
-EventRow = Tuple[int, int, int, int, int, int, int, int, int, int]
-
 _scan_json = json.JSONDecoder().scan_once
-_event_counts = operator.itemgetter(*DarknetEvent._fields[1:])
+_event_counts = operator.itemgetter(*DarknetEvent._fields[3:])
 # Only JSON whitespace: str.strip() would also drop characters such as U+3000
 # that json.loads rejects.
 _strip_json_ws = operator.methodcaller("strip", " \t\r\n")
 
 
-def _check_events(rows: Iterable[tuple]) -> Iterator[EventRow]:
-    """Yield each event row unchanged once it holds every DarknetEvent.validate() rule.
+def _check_events(rows: Iterable[tuple]) -> Iterator[tuple]:
+    """Yield each event row, a plain tuple in DarknetEvent's field order, if it holds every rule.
 
     Both event-log decoders feed this one step, and no object is built for
     a row that passes: each costs one boolean gate that holds every rule.
-    Only a row that fails it is checked field by field, to raise the
-    ValueError that names its first bad field; a traffic-type index with no
-    TrafficType, such as a record's byte 3, is "3 is not a valid TrafficType".
+    Only a row that fails it goes to _reject, to raise the ValueError that
+    names its first bad field.
     """
     lo, hi, kinds = _MIN_TS_US, _MAX_TS_US, len(TRAFFIC_TYPES)
-    icmp = _TRAFFIC_INDEX[TrafficType.ICMP_ECHO_REQUEST]
+    icmp = TRAFFIC_INDEX[TrafficType.ICMP_ECHO_REQUEST]
     for row in rows:
         _src_ip, port, ttype, start, end, pkts, dsts, zmap, masscan, other = row
         # bool is a subclass of int, so compare the exact type first; the
@@ -278,17 +253,35 @@ def _check_events(rows: Iterable[tuple]) -> Iterator[EventRow]:
 
 
 def _reject(row: tuple) -> None:
-    """Raise the ValueError that names the first rule an event row breaks."""
-    src_ip, port, ttype, *counts = row
+    """Raise the ValueError that names the first rule an event row breaks.
+
+    A traffic-type index with no TrafficType, such as a record's byte 3, is
+    "3 is not a valid TrafficType". Both decoders give the index as an int;
+    every other field but the address must be one too.
+    """
+    _src_ip, port, ttype, start, end, pkts, dsts, zmap, masscan, other = row
     if not 0 <= ttype < len(TRAFFIC_TYPES):
         raise ValueError(f"{ttype!r} is not a valid TrafficType")
-    for name, value in zip(("dst_port",) + DarknetEvent._fields[1:], (port, *counts)):
+    for name, value in zip(DarknetEvent._fields[1:], row[1:]):
         if type(value) is not int:
             raise ValueError(f"{name} must be a JSON integer, not {value!r}")
-    DarknetEvent(EventKey(src_ip, port, TRAFFIC_TYPES[ttype]), *counts).validate()
+    if not _MIN_TS_US <= start <= end <= _MAX_TS_US:
+        raise ValueError(f"need {_MIN_TS_US} <= start_ts <= end_ts <= {_MAX_TS_US}")
+    if not 1 <= pkts <= MAX_COUNT:
+        raise ValueError(f"pkt_count must be in [1, {MAX_COUNT}]")
+    if not 1 <= dsts <= pkts:
+        raise ValueError("unique_dst_count out of range")
+    if min(zmap, masscan, other) < 0:
+        raise ValueError("fingerprint counters must be >= 0")
+    if zmap + masscan + other != pkts:
+        raise ValueError("fingerprint counters must partition pkt_count")
+    if not 0 <= port <= 0xFFFF:
+        raise ValueError("dst_port out of range")
+    if TRAFFIC_TYPES[ttype] is TrafficType.ICMP_ECHO_REQUEST and port != 0:
+        raise ValueError("ICMP echo events carry dst_port 0")
 
 
-def _json_rows(lines: Iterable[str], ips: Dict[str, int]) -> Iterator[EventRow]:
+def _json_rows(lines: Iterable[str], ips: Dict[str, int]) -> Iterator[tuple]:
     """The event row of each non-blank event-log line, one C scan a line.
 
     The traffic type's text becomes its index; ips memoises ip_to_int per
@@ -458,11 +451,11 @@ def write_event_log(path, events: Iterable[DarknetEvent]) -> int:
 
     Both files are written and hashed a batch of events at a time, so memory
     does not grow with the event count; the copy's header goes in last.
-    Every field must be an int and the traffic type a TrafficType. An event
-    that no record can hold, such as one with a port over 65535, is a
-    ValueError.
+    Every field must be an int. An event that no line or record can hold,
+    such as one with a port over 65535 or a traffic-type index past
+    TRAFFIC_TYPES, is a ValueError.
     """
-    pack, index = _RECORD.pack, _TRAFFIC_INDEX
+    pack = _RECORD.pack
     log_digest, record_digest = blake2b(digest_size=32), blake2b(digest_size=32)
     count = 0
     with open(path, "wb") as log, open(f"{path}.bin", "wb") as copy:
@@ -471,10 +464,7 @@ def write_event_log(path, events: Iterable[DarknetEvent]) -> int:
         while batch := list(itertools.islice(stream, _WRITE_BATCH)):
             try:
                 lines = list(map(DarknetEvent.to_json_line, batch))
-                records = b"".join([
-                    pack(ip, port, index[ttype], start, end, pkts, dsts, zmap, masscan, other)
-                    for (ip, port, ttype), start, end, pkts, dsts, zmap, masscan, other in batch
-                ])
+                records = b"".join(itertools.starmap(pack, batch))
             except (KeyError, struct.error) as exc:
                 raise ValueError(f"an event in lines {count + 1}-{count + len(batch)} cannot be "
                                  f"written ({type(exc).__name__}: {exc})") from None
@@ -516,16 +506,17 @@ def _unmatched(path, copy) -> Optional[str]:
     return None
 
 
-def read_event_log(path) -> Iterator[EventRow]:
-    """Stream an event log's EventRows, through its binary copy when that matches it.
+def read_event_log(path) -> Iterator[tuple]:
+    """Stream an event log's events, through its binary copy when that matches it.
 
-    No DarknetEvent is built for an event. The copy <path>.bin is read when
-    its magic, its size, its record digest and its digest of the log's bytes
-    all check out, and then no JSON is decoded: a row is the record's own
-    unpacked tuple. Otherwise the JSONL is decoded, with one ip_to_int memo
-    for the file, after a note that names the failed check when a copy
-    exists. Both paths validate through _check_events, so the rows, or the
-    error, are the same either way. An error, also one thrown into the
+    Each event is a plain tuple in DarknetEvent's field order, equal to the
+    event write_event_log took; no DarknetEvent is built for it. The copy
+    <path>.bin is read when its magic, its size, its record digest and its
+    digest of the log's bytes all check out, and then no JSON is decoded: a
+    row is the record's own unpacked tuple. Otherwise the JSONL is decoded,
+    with one ip_to_int memo for the file, after a note that names the failed
+    check when a copy exists. Both paths validate through _check_events, so
+    the rows, or the error, are the same either way. An error, also one thrown into the
     generator, names the log and the line. A record's line is its index + 1,
     counted in C as the records are drawn, since write_event_log writes no
     blank lines; in the JSONL, blank lines count.

@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass, field, fields
 from datetime import date, timedelta
 from pathlib import Path
-from typing import List
+from typing import Iterator, List
 
 import numpy as np
 
@@ -488,7 +488,11 @@ def generate(scenario: SynthScenario, seed: int, out_dir) -> dict:
 
 def _generate_flows(sc: SynthScenario, rng: np.random.Generator, sources: List[dict],
                     out_dir: Path) -> dict:
-    """1:k-thinned flow CSV where scanner sources hold an exact traffic share."""
+    """1:k-thinned flow CSV where scanner sources hold an exact traffic share.
+
+    Rows stream to the file a router at a time, so memory follows one
+    router's rows, not all of them.
+    """
     total = sc.flow_total_pkts
     ah_total = round(total * sc.flow_ah_share)
     ah_ips = [e["ip"] for e in sources if e["kind"] != "noise"]
@@ -507,21 +511,25 @@ def _generate_flows(sc: SynthScenario, rng: np.random.Generator, sources: List[d
     duration_us = sc.duration_s * US_PER_S
     denom = sc.flow_sampling_denominator
     counts = np.array([talker[1] for talker in talkers], np.int64)
-    rows: List[list] = []
-    # Each router thins every talker's packets at once; a talker with no
-    # sampled packet gives no row.
-    for router in sc.flow_routers:
-        sampled = rng.binomial(counts, 1.0 / denom)
-        kept = np.flatnonzero(sampled)
-        stamps = start_us + rng.integers(0, duration_us, len(kept))
-        dsts = (172 << 24) | (16 << 16) | rng.integers(1, 65000, len(kept))
-        for t, pkts, ts, dst in zip(kept.tolist(), sampled[kept].tolist(), stamps.tolist(),
-                                    dsts.tolist()):
-            src, _count, proto, sport, dport, flags = talkers[t]
-            rows.append([router, ts, "I", src, int_to_ip(dst), proto, sport, dport, pkts, denom,
-                         flags])
+    kept_rows: List[int] = []
 
-    write_csv(out_dir / "flows.csv", FLOW_CSV_FIELDS, rows)
+    def rows() -> Iterator[list]:
+        # Each router thins every talker's packets at once, and its rows are
+        # written before the next router draws; a talker with no sampled
+        # packet gives no row.
+        for router in sc.flow_routers:
+            sampled = rng.binomial(counts, 1.0 / denom)
+            kept = np.flatnonzero(sampled)
+            stamps = start_us + rng.integers(0, duration_us, len(kept))
+            dsts = (172 << 24) | (16 << 16) | rng.integers(1, 65000, len(kept))
+            kept_rows.append(len(kept))
+            for t, pkts, ts, dst in zip(kept.tolist(), sampled[kept].tolist(), stamps.tolist(),
+                                        dsts.tolist()):
+                src, _count, proto, sport, dport, flags = talkers[t]
+                yield [router, ts, "I", src, int_to_ip(dst), proto, sport, dport, pkts, denom,
+                       flags]
+
+    write_csv(out_dir / "flows.csv", FLOW_CSV_FIELDS, rows())
 
     return {
         "routers": list(sc.flow_routers),
@@ -534,5 +542,5 @@ def _generate_flows(sc: SynthScenario, rng: np.random.Generator, sources: List[d
             for router in sc.flow_routers
         },
         "ah_sources": ah_ips,
-        "rows": len(rows),
+        "rows": sum(kept_rows),
     }

@@ -24,6 +24,7 @@ from typing import Collection, Dict, Iterable, Iterator, List, Optional, Set, Tu
 
 import numpy as np
 
+from darklens.detect import run_detection
 from darklens.events import EventBuilder, _OpenEvent
 from darklens.fingerprint import (
     PortFingerprintRow, ProbeTool, ZMAP_IP_ID, fingerprint_packet, masscan_ip_id,
@@ -35,7 +36,6 @@ from darklens.model import (
     DarknetConfig,
     DarknetEvent,
     Direction,
-    EventKey,
     FlowRecord,
     PacketMeta,
     Protocol,
@@ -166,7 +166,9 @@ class OracleEventBuilder(EventBuilder):
     Each packet goes through classify_traffic_type, darknet_contains and
     fingerprint_packet, one call each, and the counters and watermark are
     updated in place. An open event keeps its destination addresses in a plain
-    set, never a bitmap. Closing, sweeping and flushing are EventBuilder's own.
+    set, never a bitmap. Closing and sweeping are its own too: expired events
+    close in the order of (source, port, traffic type's text), and each event
+    holds its type's index in TrafficType's order. flush is EventBuilder's.
     """
 
     def ingest_packet(self, p: PacketMeta) -> List[DarknetEvent]:
@@ -194,7 +196,7 @@ class OracleEventBuilder(EventBuilder):
             closed = self._sweep(ts)
             self._next_sweep = ts + self.sweep_interval_us
 
-        key = EventKey(p.src_ip, p.dst_port if p.dst_port is not None else 0, ttype)
+        key = (p.src_ip, p.dst_port if p.dst_port is not None else 0, ttype)
         state = self.open_events.get(key)
         if state is not None and state.last_ts < ts - self.timeout_us:
             del self.open_events[key]
@@ -216,6 +218,21 @@ class OracleEventBuilder(EventBuilder):
         else:
             state.other_pkts += 1
         return closed
+
+    def _sweep(self, now_us) -> List[DarknetEvent]:
+        expired = [st for st in self.open_events.values() if st.last_ts < now_us - self.timeout_us]
+        expired.sort(key=lambda st: (st.key[0], st.key[1], st.key[2].value))
+        for st in expired:
+            del self.open_events[st.key]
+        return [self._close(st) for st in expired]
+
+    def _close(self, st: _OpenEvent) -> DarknetEvent:
+        src, port, ttype = st.key
+        pkts = st.zmap_pkts + st.masscan_pkts + st.other_pkts
+        self.events_emitted += 1
+        self.pkts_emitted += pkts
+        return DarknetEvent(src, port, TYPE_INDEX[ttype], st.start_ts, st.last_ts, pkts,
+                            len(st.dsts), st.zmap_pkts, st.masscan_pkts, st.other_pkts)
 
 
 # ---------------------------------------------------------------------------
@@ -245,13 +262,12 @@ def check_packet_meta(p: PacketMeta) -> None:
 
 
 def oracle_event_json_line(ev: DarknetEvent) -> str:
-    key = ev.key
     return json.dumps(
         {
             "key": {
-                "src_ip": int_to_ip(key.src_ip),
-                "dst_port": key.dst_port,
-                "traffic_type": key.traffic_type.value,
+                "src_ip": int_to_ip(ev.src_ip),
+                "dst_port": ev.dst_port,
+                "traffic_type": _TYPES[ev.traffic_type].value,
             },
             "start_ts": ev.start_ts,
             "end_ts": ev.end_ts,
@@ -265,56 +281,48 @@ def oracle_event_json_line(ev: DarknetEvent) -> str:
     )
 
 
-# The traffic types in the order of their index in an event row, read here
-# off the enum itself.
+# The traffic types in the order of their index in an event, read here off
+# the enum itself.
 _TYPES = list(TrafficType)
-_TYPE_INDEX = {ttype: i for i, ttype in enumerate(_TYPES)}
+TYPE_INDEX = {ttype: i for i, ttype in enumerate(_TYPES)}
+# The timestamps whose UTC day a datetime.date can hold.
+_FIRST_TS = (date.min - date(1970, 1, 1)).days * US_PER_DAY
+_LAST_TS = ((date.max - date(1970, 1, 1)).days + 1) * US_PER_DAY - 1
 
 
-def event_rows(events: Iterable[DarknetEvent]) -> Iterator[tuple]:
-    """Each event as the flat row read_event_log yields, lazily: the key's
-    fields spread in front of the counts, the traffic type as its index."""
-    for (src_ip, port, ttype), *counts in events:
-        yield (src_ip, port, _TYPE_INDEX[ttype], *counts)
-
-
-def event_of_row(row: tuple) -> DarknetEvent:
-    """The DarknetEvent an event row stands for; the inverse of event_rows."""
-    src_ip, port, index, *counts = row
-    return DarknetEvent(EventKey(src_ip, port, _TYPES[index]), *counts)
-
-
-def decode_event(line: str, ips: Optional[Dict[str, int]] = None) -> DarknetEvent:
-    """One event-log line through the pipeline's decoder, as an event; ValueError also
-    on a blank line."""
+def decode_event(line: str, ips: Optional[Dict[str, int]] = None) -> tuple:
+    """One event-log line through the pipeline's decoder, as the row read_event_log
+    yields; ValueError also on a blank line."""
     (row,) = _check_events(_json_rows((line,), {} if ips is None else ips))
-    return event_of_row(row)
+    return row
 
 
 def oracle_event_from_json_line(line: str) -> DarknetEvent:
+    """One event-log line decoded with json.loads and every rule checked here,
+    one at a time, on the decoded values; ValueError on any broken rule."""
     obj = json.loads(line)
     key = obj["key"]
-    ev = DarknetEvent(
-        key=EventKey(
-            src_ip=ip_to_int(key["src_ip"]),
-            dst_port=int(key["dst_port"]),
-            traffic_type=TrafficType(key["traffic_type"]),
-        ),
-        start_ts=int(obj["start_ts"]),
-        end_ts=int(obj["end_ts"]),
-        pkt_count=int(obj["pkt_count"]),
-        unique_dst_count=int(obj["unique_dst_count"]),
-        zmap_pkts=int(obj["zmap_pkts"]),
-        masscan_pkts=int(obj["masscan_pkts"]),
-        other_pkts=int(obj["other_pkts"]),
-    )
-    counters = (ev.zmap_pkts, ev.masscan_pkts, ev.other_pkts)
-    if any(count < 0 for count in counters):
+    port = key["dst_port"]
+    ttype = TrafficType(key["traffic_type"])
+    counts = [obj[name] for name in ("start_ts", "end_ts", "pkt_count", "unique_dst_count",
+                                      "zmap_pkts", "masscan_pkts", "other_pkts")]
+    for value in (port, *counts):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"{value!r} is not a JSON integer")
+    start, end, pkts, dsts, zmap, masscan, other = counts
+    if not (_FIRST_TS <= start and start <= end and end <= _LAST_TS):
+        raise ValueError("a timestamp out of order or with no UTC day")
+    if any(count < 0 for count in (zmap, masscan, other)):
         raise ValueError("a negative tool counter")
-    if any(count >= 2 ** 63 for count in (ev.pkt_count, ev.unique_dst_count, *counters)):
+    if any(count >= 2 ** 63 for count in (pkts, dsts, zmap, masscan, other)):
         raise ValueError("a count that a signed 64-bit integer cannot hold")
-    ev.validate()
-    return ev
+    if pkts < 1 or dsts < 1 or dsts > pkts:
+        raise ValueError("pkt_count or unique_dst_count out of range")
+    if zmap + masscan + other != pkts:
+        raise ValueError("the tool counters do not sum to pkt_count")
+    if port < 0 or port > 65535 or (ttype is TrafficType.ICMP_ECHO_REQUEST and port != 0):
+        raise ValueError("dst_port out of range for its traffic type")
+    return DarknetEvent(ip_to_int(key["src_ip"]), port, TYPE_INDEX[ttype], *counts)
 
 
 def synthetic_events(
@@ -344,8 +352,9 @@ def synthetic_events(
         pkts = 1 + int(rand() * 99)
         zmap = int(rand() * (pkts + 1))
         masscan = int(rand() * (pkts - zmap + 1))
-        yield DarknetEvent(EventKey(base + src, port, ttype), start, start + int(rand() * 600 * US),
-                           pkts, 1 + int(rand() * pkts), zmap, masscan, pkts - zmap - masscan)
+        yield DarknetEvent(base + src, port, TYPE_INDEX[ttype], start,
+                           start + int(rand() * 600 * US), pkts, 1 + int(rand() * pkts),
+                           zmap, masscan, pkts - zmap - masscan)
 
 
 # ---------------------------------------------------------------------------
@@ -659,15 +668,15 @@ def oracle_detection(
     """
 
     def is_icmp(ev: DarknetEvent) -> bool:
-        return ev.key.traffic_type is TrafficType.ICMP_ECHO_REQUEST
+        return _TYPES[ev.traffic_type] is TrafficType.ICMP_ECHO_REQUEST
 
     def ports_on(ip: int, day: date) -> int:
         return len({
-            (ev.key.dst_port, ev.key.traffic_type) for ev in events
-            if ev.key.src_ip == ip and utc_day(ev.start_ts) == day and not is_icmp(ev)
+            (ev.dst_port, ev.traffic_type) for ev in events
+            if ev.src_ip == ip and utc_day(ev.start_ts) == day and not is_icmp(ev)
         })
 
-    profile_keys = {(ev.key.src_ip, utc_day(ev.start_ts)) for ev in events if not is_icmp(ev)}
+    profile_keys = {(ev.src_ip, utc_day(ev.start_ts)) for ev in events if not is_icmp(ev)}
     if thresholds is None:
         profiles = [ports_on(ip, day) for ip, day in profile_keys]
         thresholds = Thresholds(
@@ -681,7 +690,7 @@ def oracle_detection(
             defs.add("D1")
         if ev.pkt_count >= thresholds.volume_threshold_pkts:
             defs.add("D2")
-        if not is_icmp(ev) and ports_on(ev.key.src_ip, utc_day(ev.start_ts)) >= thresholds.ports_threshold:
+        if not is_icmp(ev) and ports_on(ev.src_ip, utc_day(ev.start_ts)) >= thresholds.ports_threshold:
             defs.add("D3")
         return defs
 
@@ -689,8 +698,8 @@ def oracle_detection(
     tagged = [(ev, defs) for ev, defs in tagged if defs]
     verdicts = []
     sidecar = []
-    for ip in sorted({ev.key.src_ip for ev, _ in tagged}):
-        mine = [(ev, defs) for ev, defs in tagged if ev.key.src_ip == ip]
+    for ip in sorted({ev.src_ip for ev, _ in tagged}):
+        mine = [(ev, defs) for ev, defs in tagged if ev.src_ip == ip]
         first_day = utc_day(min(ev.start_ts for ev, _ in mine))
         days = set()
         for ev, _ in mine:
@@ -727,15 +736,34 @@ def oracle_detection(
     return thresholds, verdicts, sidecar
 
 
+def boundary_detection(cfg: DarknetConfig, thresholds: Thresholds):
+    """run_detection at fixed thresholds over four sources on their boundaries.
+
+    Sources .1 and .2 send one TCP event each of T and T - 1 packets, T the
+    volume threshold; sources .3 and .4 send one-packet TCP events to T and
+    T - 1 distinct ports on one day, T the ports threshold. Every event
+    reaches one destination. Returns the four addresses and the result.
+    """
+    srcs = [ip_to_int(f"198.51.100.{i}") for i in (1, 2, 3, 4)]
+    start = 1654041600 * US
+    tcp = TYPE_INDEX[TrafficType.TCP_SYN]
+    events = [DarknetEvent(src, 80, tcp, start, start, pkts, 1, 0, 0, pkts) for src, pkts in
+              zip(srcs, (thresholds.volume_threshold_pkts, thresholds.volume_threshold_pkts - 1))]
+    for src, ports in zip(srcs[2:], (thresholds.ports_threshold, thresholds.ports_threshold - 1)):
+        events += [DarknetEvent(src, port, tcp, start, start, 1, 1, 0, 0, 1)
+                   for port in range(ports)]
+    return srcs, run_detection(events, cfg, thresholds)
+
+
 def port_tally(
     events: Iterable[DarknetEvent], ah: Optional[Collection[int]] = None
-) -> Dict[Tuple[int, TrafficType], List[int]]:
-    """The (dst_port, traffic type) -> [zmap, masscan, other] tool tally that
-    `report` folds, over the events of the sources in ah (all when None)."""
-    tally: Dict[Tuple[int, TrafficType], List[int]] = {}
+) -> Dict[Tuple[int, int], List[int]]:
+    """The (dst_port, traffic-type index) -> [zmap, masscan, other] tool tally
+    that `report` folds, over the events of the sources in ah (all when None)."""
+    tally: Dict[Tuple[int, int], List[int]] = {}
     for ev in events:
-        if ah is None or ev.key.src_ip in ah:
-            tools = tally.setdefault((ev.key.dst_port, ev.key.traffic_type), [0, 0, 0])
+        if ah is None or ev.src_ip in ah:
+            tools = tally.setdefault((ev.dst_port, ev.traffic_type), [0, 0, 0])
             for i, count in enumerate((ev.zmap_pkts, ev.masscan_pkts, ev.other_pkts)):
                 tools[i] += count
     return tally
@@ -750,10 +778,10 @@ def oracle_port_table(
     """ports.csv rows, summed event by event over the AH sources' events."""
     counts: Dict[Tuple[int, str], List[int]] = {}
     for ev in events:
-        if ev.key.src_ip not in ah:
+        if ev.src_ip not in ah:
             continue
         cell = counts.setdefault(
-            (ev.key.dst_port, _PROTOCOL_NAME[ev.key.traffic_type.value]), [0, 0, 0]
+            (ev.dst_port, _PROTOCOL_NAME[_TYPES[ev.traffic_type].value]), [0, 0, 0]
         )
         cell[0] += ev.zmap_pkts
         cell[1] += ev.masscan_pkts
@@ -769,8 +797,8 @@ def oracle_protocol_mix(events: Iterable[DarknetEvent], ah: Collection[int]) -> 
     """protocols_darknet.csv's split, from each AH event's packet count."""
     pkts = {ttype: 0 for ttype in TrafficType}
     for ev in events:
-        if ev.key.src_ip in ah:
-            pkts[ev.key.traffic_type] += ev.pkt_count
+        if ev.src_ip in ah:
+            pkts[_TYPES[ev.traffic_type]] += ev.pkt_count
     syn, udp, icmp = (pkts[t] for t in (
         TrafficType.TCP_SYN, TrafficType.UDP, TrafficType.ICMP_ECHO_REQUEST))
     total = syn + udp + icmp

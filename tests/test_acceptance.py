@@ -19,8 +19,6 @@ import pytest
 from darklens.cli import main
 from darklens.detect import (
     classify_dispersion,
-    classify_ports,
-    classify_volume,
     ecdf_threshold,
     jaccard,
     BothEmptyError,
@@ -59,6 +57,7 @@ from darklens.synth import SynthScenario, generate
 
 from helpers import (
     US,
+    boundary_detection,
     build_pcap,
     cfg_sized,
     eth_frame,
@@ -223,13 +222,14 @@ def test_criterion_03_threshold_boundary_constants():
     assert classify_dispersion(103, small) is True
     assert classify_dispersion(102, small) is False
 
-    # Volume: count equal to the 2022 threshold is aggressive.
-    assert classify_volume(23_491, T_2022) is True
-    assert classify_volume(23_490, T_2022) is False
-
-    # Ports per day: count equal to the 2021 threshold is aggressive.
-    assert classify_ports(6_542, T_2021) is True
-    assert classify_ports(6_541, T_2021) is False
+    # Volume: an event of the 2022 threshold's count is aggressive (D2), one
+    # packet fewer is not. Ports per day: a source-day at the 2021 threshold
+    # is aggressive (D3), one port fewer is not. Each through run_detection.
+    t = T_2022._replace(ports_threshold=T_2021.ports_threshold)
+    assert t == (23_491, 6_542, "2022")
+    (vol_at, vol_below, ports_at, ports_below), res = boundary_detection(small, t)
+    assert (res.d1_ips, res.d2_ips, res.d3_ips) == (set(), {vol_at}, {ports_at})
+    assert vol_below not in res.sources and ports_below not in res.sources
     _ok(3, "dispersion 47500/475000, volume 23491, ports 6542 all inclusive")
 
 

@@ -21,12 +21,12 @@ from darklens.cli import _write_protocol_csv, build_parser, main
 from darklens.events import EventBuilder, write_event_log
 from darklens.fingerprint import PortFingerprintRow
 from darklens.model import (
-    AhVerdict, DarknetEvent, Direction, EventKey, FlowRecord, Protocol, TrafficType, ip_to_int,
+    AhVerdict, DarknetEvent, Direction, FlowRecord, Protocol, TrafficType, ip_to_int,
     read_blocklist, write_csv, write_lines,
 )
 from darklens.pcap import PcapReader
 from helpers import (
-    NONCANONICAL_PREFIXES, US, build_pcap, eth_frame, flow_json_line, oracle_ipv4,
+    NONCANONICAL_PREFIXES, TYPE_INDEX, US, build_pcap, eth_frame, flow_json_line, oracle_ipv4,
     oracle_port_table, oracle_protocol_mix, oracle_udp, synthetic_events, traced_peak,
     write_flows_csv,
 )
@@ -377,7 +377,7 @@ class TestReportCommand:
         # A matches nothing, B is ACKed by its rDNS name, C by its address.
         ips = ["198.18.0.1", "198.18.0.2", "198.18.0.3"]
         (tmp_path / "events.jsonl").write_text("".join(
-            DarknetEvent(EventKey(ip_to_int(ip), 23, TrafficType.TCP_SYN), 0, 0, 1, 1, 1, 0, 0)
+            DarknetEvent(ip_to_int(ip), 23, TYPE_INDEX[TrafficType.TCP_SYN], 0, 0, 1, 1, 1, 0, 0)
             .to_json_line() + "\n" for ip in ips
         ))
         (tmp_path / "verdicts.jsonl").write_text("".join(
@@ -475,7 +475,7 @@ def _write_report_inputs(root: Path, events, ah) -> list:
 _SOURCES = [ip_to_int(f"198.51.100.{i}") for i in range(1, 7)]
 _EVENT = st.builds(
     lambda src, ttype, port, tools: DarknetEvent(
-        EventKey(src, 0 if ttype is TrafficType.ICMP_ECHO_REQUEST else port, ttype),
+        src, 0 if ttype is TrafficType.ICMP_ECHO_REQUEST else port, TYPE_INDEX[ttype],
         1654041600 * US, 1654041600 * US, sum(tools), 1, *tools,
     ),
     st.sampled_from(_SOURCES), st.sampled_from(TrafficType), st.sampled_from((22, 23, 53, 80)),
@@ -653,7 +653,7 @@ class TestFailureModes:
 
     def test_wide_event_names_its_line_through_the_binary_copy(self, pipeline, tmp_path, capsys):
         def event(n):
-            return DarknetEvent(EventKey(ip_to_int("203.0.113.5"), 23, TrafficType.TCP_SYN),
+            return DarknetEvent(ip_to_int("203.0.113.5"), 23, TYPE_INDEX[TrafficType.TCP_SYN],
                                 1654041600000000, 1654041660000000, n, n, n, 0, 0)
 
         log = tmp_path / "events.jsonl"

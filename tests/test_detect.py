@@ -11,8 +11,6 @@ from darklens.detect import (
     UNREACHABLE_PORTS,
     build_daily_port_profiles,
     classify_dispersion,
-    classify_ports,
-    classify_volume,
     compute_thresholds,
     dispersion_cut,
     ecdf_threshold,
@@ -34,7 +32,6 @@ from darklens.model import (
     AhVerdict,
     DarknetConfig,
     DarknetEvent,
-    EventKey,
     Thresholds,
     TrafficType,
     ip_to_int,
@@ -43,8 +40,8 @@ from darklens.model import (
     utc_day,
 )
 from helpers import (
-    US, cfg_sized, event_rows, make_cfg, oracle_detection, oracle_ecdf, synthetic_events,
-    traced_peak,
+    TYPE_INDEX, US, boundary_detection, cfg_sized, make_cfg, oracle_detection, oracle_ecdf,
+    synthetic_events, traced_peak,
 )
 
 DAY0_S = 1654041600  # 2022-06-01 UTC
@@ -69,7 +66,9 @@ def _ev(
 ):
     src_i = ip_to_int(src) if isinstance(src, str) else src
     return DarknetEvent(
-        key=EventKey(src_i, port, tt),
+        src_ip=src_i,
+        dst_port=port,
+        traffic_type=TYPE_INDEX[tt],
         start_ts=start_s * US,
         end_ts=(start_s + dur_s) * US,
         pkt_count=pkts,
@@ -186,21 +185,25 @@ class TestBoundaries:
         for dsts in (cut - 1, cut, cut + 1):
             assert (dsts >= cut) == classify_dispersion(dsts, cfg)
 
-    def test_volume_threshold_is_inclusive(self):
-        assert classify_volume(23491, T_2022) is True
-        assert classify_volume(23490, T_2022) is False
-        assert classify_volume(64810, T_2021) is True
-        assert classify_volume(64809, T_2021) is False
+    def test_volume_threshold_is_inclusive(self, cfg_slash22):
+        # An event of T packets is D2, one of T - 1 is not.
+        for t in (T_2022, T_2021):
+            (at, below, _, _), res = boundary_detection(cfg_slash22, t)
+            assert res.d2_ips == {at}
+            assert res.sources[at].max_event_pkts == t.volume_threshold_pkts
+            assert below not in res.sources
 
-    def test_ports_threshold_is_inclusive(self):
-        assert classify_ports(6542, T_2021) is True
-        assert classify_ports(6541, T_2021) is False
-        assert classify_ports(57410, T_2022) is True
-        assert classify_ports(57409, T_2022) is False
+    def test_ports_threshold_is_inclusive(self, cfg_slash22):
+        # A source-day of T distinct ports is D3, one of T - 1 is not.
+        for t in (T_2021, T_2022):
+            (_, _, at, below), res = boundary_detection(cfg_slash22, t)
+            assert res.d3_ips == {at}
+            assert res.sources[at].max_daily_ports == t.ports_threshold
+            assert below not in res.sources
 
 
 def _profiles(evs, cfg):
-    return build_daily_port_profiles(event_rows(evs), cfg)[1]
+    return build_daily_port_profiles(evs, cfg)[1]
 
 
 class TestPortProfiles:
@@ -237,15 +240,15 @@ class TestPortProfiles:
             _ev(src="203.0.113.5", port=0, tt=TrafficType.ICMP_ECHO_REQUEST, pkts=1, uniq=1),
             _ev(port=53, tt=TrafficType.UDP, start_s=DAY0_S + 86_400),
         ]
-        columns, _ = build_daily_port_profiles(event_rows(evs), cfg_slash22)
+        columns, _ = build_daily_port_profiles(evs, cfg_slash22)
         assert list(zip(*columns)) == [
-            (ev.key.src_ip, ev.key.traffic_type is TrafficType.ICMP_ECHO_REQUEST, ev.start_ts,
+            (ev.src_ip, ev.traffic_type == TYPE_INDEX[TrafficType.ICMP_ECHO_REQUEST], ev.start_ts,
              ev.end_ts, ev.pkt_count, ev.unique_dst_count)
             for ev in evs
         ]
 
     def test_columns_take_37_bytes_an_event(self, cfg_slash22):
-        columns, _ = build_daily_port_profiles(event_rows([_ev()]), cfg_slash22)
+        columns, _ = build_daily_port_profiles([_ev()], cfg_slash22)
         assert len(columns) == 6
         assert sum(column.itemsize for column in columns) == 37
 
@@ -253,17 +256,22 @@ class TestPortProfiles:
 class TestComputeThresholds:
     def test_uses_alpha_order_statistic(self, cfg_slash22):
         evs = [_ev(port=1000 + i, pkts=i + 1, start_s=DAY0_S + i) for i in range(100)]
-        columns, profiles = build_daily_port_profiles(event_rows(evs), cfg_slash22)
+        columns, profiles = build_daily_port_profiles(evs, cfg_slash22)
         t = compute_thresholds(columns.pkt_count, cfg_slash22, profiles)
         assert t.volume_threshold_pkts == oracle_ecdf([e.pkt_count for e in evs], cfg_slash22.alpha)
         assert t.ports_threshold == oracle_ecdf(profiles.values(), cfg_slash22.alpha)
 
     def test_icmp_only_dataset_gets_unreachable_ports_threshold(self, cfg_slash22):
         evs = [_ev(port=0, tt=TrafficType.ICMP_ECHO_REQUEST, pkts=5)]
-        columns, profiles = build_daily_port_profiles(event_rows(evs), cfg_slash22)
+        columns, profiles = build_daily_port_profiles(evs, cfg_slash22)
         t = compute_thresholds(columns.pkt_count, cfg_slash22, profiles)
         assert t.ports_threshold == UNREACHABLE_PORTS
-        assert not classify_ports(10**9, t)
+        # No source-day can reach it: it holds at most 2 x 65,536 (port,
+        # protocol) entries. Detection runs D1 and D2 and tags no D3.
+        assert UNREACHABLE_PORTS > 2 * 65_536
+        res = run_detection(evs, cfg_slash22)
+        assert res.thresholds == t
+        assert (res.d2_ips, res.d3_ips) == ({ip_to_int("198.51.100.9")}, set())
 
     def test_empty_raises(self, cfg_slash22):
         with pytest.raises(EmptyInputError):
@@ -271,7 +279,7 @@ class TestComputeThresholds:
 
 
 def _tag(evs, cfg, thresholds):
-    columns, profiles = build_daily_port_profiles(event_rows(evs), cfg)
+    columns, profiles = build_daily_port_profiles(evs, cfg)
     return tag_events(columns, cfg, thresholds, profiles)
 
 
@@ -285,7 +293,7 @@ class TestTagging:
         t = Thresholds(volume_threshold_pkts=10**9, ports_threshold=2)
         tagged = _tag(evs, cfg_slash22, t)
         # All three share source and start; only the ICMP event holds 1 packet.
-        ip, start = evs[0].key.src_ip, evs[0].start_ts
+        ip, start = evs[0].src_ip, evs[0].start_ts
         assert [(row[0], row[1], row[3], row[5]) for row in tagged] == [
             (ip, start, 10, 4), (ip, start, 10, 4),
         ]
@@ -300,7 +308,7 @@ class TestTagging:
         evs = [_ev(uniq=103, pkts=10)]
         (row,) = _tag(evs, cfg_slash22, t)
         ev = evs[0]
-        assert row == (ev.key.src_ip, ev.start_ts, ev.end_ts, ev.pkt_count, ev.unique_dst_count, 7)
+        assert row == (ev.src_ip, ev.start_ts, ev.end_ts, ev.pkt_count, ev.unique_dst_count, 7)
 
 
 class TestDailyActive:
@@ -309,7 +317,7 @@ class TestDailyActive:
     def test_spanning_event(self, cfg_slash22):
         ev = _ev(start_s=DAY0_S + 86_000, dur_s=90_000)  # crosses into June 2 and 3
         t = Thresholds(volume_threshold_pkts=1, ports_threshold=10**9)
-        res = run_detection(event_rows([ev]), cfg_slash22, t)
+        res = run_detection([ev], cfg_slash22, t)
         ip = ip_to_int("198.51.100.9")
         june3 = date(2022, 6, 3)
         assert [(v.src_ip, v.day, v.is_daily) for v in res.verdicts] == [
@@ -319,7 +327,7 @@ class TestDailyActive:
     def test_daily_only_on_first_aggressive_day(self, cfg_slash22):
         evs = [_ev(), _ev(start_s=DAY0_S + 86_400 * 4)]
         t = Thresholds(volume_threshold_pkts=1, ports_threshold=10**9)
-        res = run_detection(event_rows(evs), cfg_slash22, t)
+        res = run_detection(evs, cfg_slash22, t)
         day5 = date(2022, 6, 5)
         assert [(v.day, v.is_daily) for v in res.verdicts] == [(JUNE1, True), (day5, False)]
 
@@ -336,10 +344,10 @@ class TestDailyActive:
             for _ in range(300)
         ]
         t = Thresholds(volume_threshold_pkts=1, ports_threshold=10**9)
-        res = run_detection(event_rows(evs), cfg_slash22, t)
+        res = run_detection(evs, cfg_slash22, t)
         first_day = {}
         for ev in evs:
-            ip, day = ev.key.src_ip, utc_day(ev.start_ts)
+            ip, day = ev.src_ip, utc_day(ev.start_ts)
             first_day[ip] = min(day, first_day.get(ip, day))
         daily = [(v.src_ip, v.day) for v in res.verdicts if v.is_daily]
         assert sorted(daily) == sorted(first_day.items())
@@ -448,7 +456,7 @@ class TestRunDetection:
         return Thresholds(volume_threshold_pkts=500, ports_threshold=2)
 
     def test_sets_and_verdicts(self, cfg_slash22):
-        res = run_detection(event_rows(self._events()), cfg_slash22, self._thresholds())
+        res = run_detection(self._events(), cfg_slash22, self._thresholds())
         ip9 = ip_to_int("198.51.100.9")
         ip10 = ip_to_int("198.51.100.10")
         assert res.d1_ips == {ip9}
@@ -470,7 +478,7 @@ class TestRunDetection:
 
     def test_spanning_source_gets_two_verdict_rows_when_aggressive(self, cfg_slash22):
         t = Thresholds(volume_threshold_pkts=3, ports_threshold=10**9)
-        res = run_detection(event_rows(self._events()), cfg_slash22, t)
+        res = run_detection(self._events(), cfg_slash22, t)
         ip11 = ip_to_int("198.51.100.11")
         rows = [v for v in res.verdicts if v.src_ip == ip11]
         assert [v.day for v in rows] == [JUNE1, JUNE2]
@@ -488,7 +496,7 @@ class TestRunDetection:
         ip11 = ip_to_int("198.51.100.11")
         acked = AckedList({ip11: "GoodScan"}, {})
         t = Thresholds(volume_threshold_pkts=3, ports_threshold=10**9)
-        res = run_detection(event_rows(self._events()), cfg_slash22, t, acked=acked)
+        res = run_detection(self._events(), cfg_slash22, t, acked=acked)
         (sources,) = calls
         assert sorted(sources) == sorted(res.union_ips)
         rows = [(v.day, v.acked, v.acked_org) for v in res.verdicts if v.src_ip == ip11]
@@ -496,23 +504,23 @@ class TestRunDetection:
         assert not any(v.acked or v.acked_org for v in res.verdicts if v.src_ip != ip11)
 
     def test_two_pass_derives_thresholds(self, cfg_slash22):
-        res = run_detection(event_rows(self._events()), cfg_slash22)
+        res = run_detection(self._events(), cfg_slash22)
         assert res.thresholds.volume_threshold_pkts == oracle_ecdf(
             [e.pkt_count for e in self._events()], cfg_slash22.alpha
         )
 
     def test_empty_raises(self, cfg_slash22):
         with pytest.raises(EmptyInputError):
-            run_detection(event_rows([]), cfg_slash22)
+            run_detection([], cfg_slash22)
 
     def test_jaccard_pairs_handles_empty(self, cfg_slash22):
-        res = run_detection(event_rows(self._events()), cfg_slash22, self._thresholds())
+        res = run_detection(self._events(), cfg_slash22, self._thresholds())
         pairs = res.jaccard_pairs()
         assert pairs["D1|D2"] == 1.0
         assert pairs["D1|D3"] == 0.0
 
     def test_verdict_json_round_trip(self, cfg_slash22, tmp_path):
-        res = run_detection(event_rows(self._events()), cfg_slash22, self._thresholds())
+        res = run_detection(self._events(), cfg_slash22, self._thresholds())
         p = tmp_path / "verdicts.jsonl"
         write_verdicts(p, res.verdicts)
         assert read_verdicts(p) == res.verdicts
@@ -544,7 +552,7 @@ class TestBlocklistIo:
         import json
 
         evs = [_ev(uniq=103), _ev(src="198.51.100.10", pkts=999, uniq=1)]
-        res = run_detection(event_rows(evs), cfg_slash22, Thresholds(999, 10**9))
+        res = run_detection(evs, cfg_slash22, Thresholds(999, 10**9))
         p = tmp_path / "stats.jsonl"
         write_blocklist_sidecar(p, res)
         rows = [json.loads(line) for line in p.read_text().splitlines()]
@@ -613,7 +621,7 @@ class TestDetectionOracle:
         events = _drawn_events(drawn)
         thresholds = None if fixed is None else Thresholds(*fixed)
         want_t, want_verdicts, want_sidecar = oracle_detection(events, cfg, thresholds)
-        res = run_detection(event_rows(events), cfg, thresholds)
+        res = run_detection(events, cfg, thresholds)
         assert res.events == len(events)
         assert res.thresholds == want_t
         assert res.verdicts == want_verdicts
@@ -633,7 +641,7 @@ class TestDetectionMemory:
         # small however many events it sends.
         n = 10 ** 5
         events = synthetic_events(n, sources=200, ports=50, days=2, seed=7)
-        res, peak = traced_peak(run_detection, event_rows(events), cfg_slash22)
+        res, peak = traced_peak(run_detection, events, cfg_slash22)
         assert res.events == n
         assert len(res.tagged) < n // 50
         assert peak < 100 * n
@@ -643,6 +651,6 @@ class TestDetectionMemory:
         # columns; rebuilding it as an event object cost over 400 B.
         n = 10 ** 5
         events = synthetic_events(n, sources=200, ports=50, days=2, seed=7)
-        res, peak = traced_peak(run_detection, event_rows(events), cfg_slash22, Thresholds(1, 1))
+        res, peak = traced_peak(run_detection, events, cfg_slash22, Thresholds(1, 1))
         assert len(res.tagged) == n
         assert peak < 300 * n

@@ -26,10 +26,10 @@ from darklens.feeds import (
 )
 from darklens.events import write_event_log
 from darklens.model import (
-    AhVerdict, DarknetEvent, EventKey, TrafficType, int_to_ip, ip_to_int, parse_cidr, slash24_of,
+    AhVerdict, DarknetEvent, TrafficType, int_to_ip, ip_to_int, parse_cidr, slash24_of,
     write_csv,
 )
-from helpers import oracle_acked_sources
+from helpers import TYPE_INDEX, oracle_acked_sources
 
 IP_A = ip_to_int("162.142.125.1")
 IP_B = ip_to_int("198.51.100.9")
@@ -235,7 +235,7 @@ class TestTagJoin:
         ips = [ip_to_int("198.51.100.1"), ip_to_int("198.51.100.2")]
         events = tmp_path / "events.jsonl"
         write_event_log(events, [
-            DarknetEvent(EventKey(ip, 23, TrafficType.TCP_SYN), 0, 0, 1, 1, 0, 0, 1) for ip in ips
+            DarknetEvent(ip, 23, TYPE_INDEX[TrafficType.TCP_SYN], 0, 0, 1, 1, 0, 0, 1) for ip in ips
         ])
         verdicts = tmp_path / "verdicts.jsonl"
         write_verdicts(verdicts, [

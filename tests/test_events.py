@@ -9,9 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from darklens.detect import classify_dispersion
 from darklens.events import EventBuilder, write_event_log
-from darklens.model import EventKey, Protocol, TrafficType, ip_to_int, read_event_log
+from darklens.model import TRAFFIC_TYPES, Protocol, TrafficType, ip_to_int, read_event_log
 from helpers import (
-    US, OracleEventBuilder, event_rows, make_cfg, mk_pkt, offline_intervals, run_builder,
+    US, OracleEventBuilder, decode_event, make_cfg, mk_pkt, offline_intervals, run_builder,
     traced_peak,
 )
 
@@ -46,7 +46,7 @@ class TestSplitting:
         ]
         _, evs = run_stream(cfg_slash22, pkts)
         assert len(evs) == 4
-        assert len({e.key for e in evs}) == 4
+        assert len({e[:3] for e in evs}) == 4
 
     def test_flush_orders_by_key(self, cfg_slash22):
         pkts = [
@@ -55,7 +55,7 @@ class TestSplitting:
             mk_pkt(2 * US, "198.51.100.3", DARK[0], dport=21),
         ]
         _, evs = run_stream(cfg_slash22, pkts)
-        keys = [e.key for e in evs]
+        keys = [(e.src_ip, e.dst_port, TRAFFIC_TYPES[e.traffic_type].value) for e in evs]
         assert keys == sorted(keys)
 
     def test_sweep_closes_idle_keys_midstream(self, cfg_slash22):
@@ -68,7 +68,7 @@ class TestSplitting:
             emitted += b.ingest_packet(
                 mk_pkt(k * 400 * US, "198.51.100.77", DARK[k], dport=9)
             )
-        assert any(e.key.dst_port == 7 for e in emitted)
+        assert any(e.dst_port == 7 for e in emitted)
 
     def test_matches_offline_oracle_on_random_gaps(self, cfg_slash22):
         rng = random.Random(0xDA12)
@@ -172,7 +172,7 @@ class TestDstCounting:
         )
         _, evs = run_stream(cfg_slash22, pkts)
         for e in evs:
-            e.validate()
+            assert decode_event(e.to_json_line()) == e
             assert e.unique_dst_count <= cfg_slash22.darknet_size
 
 
@@ -354,7 +354,7 @@ def _assert_counts_exact(pkts, evs):
     for p in pkts:
         by_key.setdefault((p[1], p[5]), []).append(p)
     for ev in evs:
-        mine = [p for p in by_key[(ev.key.src_ip, ev.key.dst_port)]
+        mine = [p for p in by_key[(ev.src_ip, ev.dst_port)]
                 if ev.start_ts <= p[0] <= ev.end_ts]
         assert (ev.pkt_count, ev.unique_dst_count) == (len(mine), len({p[2] for p in mine}))
     assert sum(ev.pkt_count for ev in evs) == len(pkts)
@@ -418,10 +418,10 @@ def test_count_is_exact_whichever_way_an_event_closes(prefixes):
     evs = []
     for p in pkts:
         for ev in builder.ingest_packet(p):
-            how[ev.key.src_ip, ev.start_ts] = "timeout" if ev.key.src_ip == p[1] else "sweep"
+            how[ev.src_ip, ev.start_ts] = "timeout" if ev.src_ip == p[1] else "sweep"
             evs.append(ev)
     for ev in builder.flush():
-        how[ev.key.src_ip, ev.start_ts] = "flush"
+        how[ev.src_ip, ev.start_ts] = "flush"
         evs.append(ev)
     assert how == {(a, 0): "timeout", (b_src, 4_900_000): "sweep", (c, 6 * US + 5): "sweep",
                    (a, 6 * US): "flush", (b_src, 14 * US): "flush"}
@@ -542,18 +542,19 @@ class TestEventLogIo:
         _, evs = run_stream(cfg_slash22, pkts)
         path = tmp_path / "events.jsonl"
         write_event_log(path, evs)
-        assert list(read_event_log(path)) == list(event_rows(evs))
+        assert list(read_event_log(path)) == evs
 
     def test_port_zero_tcp_and_udp_events_read_back(self, cfg_slash22, tmp_path):
         # Port 0 marks ICMP keys, but TCP and UDP probes to port 0 are real
         # traffic; their events must pass the validation on read.
         pkts = [mk_pkt(0, SRC, DARK[0], proto="tcp", dport=0), mk_pkt(1, SRC, DARK[1], dport=0)]
         _, evs = run_stream(cfg_slash22, pkts)
-        assert sorted(ev.key.traffic_type.value for ev in evs) == ["tcp_syn", "udp"]
-        assert {ev.key.dst_port for ev in evs} == {0}
+        assert sorted(TRAFFIC_TYPES[ev.traffic_type] for ev in evs) == [
+            TrafficType.TCP_SYN, TrafficType.UDP]
+        assert {ev.dst_port for ev in evs} == {0}
         path = tmp_path / "events.jsonl"
         write_event_log(path, evs)
-        assert list(read_event_log(path)) == list(event_rows(evs))
+        assert list(read_event_log(path)) == evs
 
     def test_log_is_jsonl_with_pinned_fields(self, cfg_slash22, tmp_path):
         import json

@@ -8,9 +8,9 @@ from darklens.fingerprint import (
     port_fingerprint_table,
 )
 from darklens.model import (
-    DarknetEvent, EventKey, PacketMeta, Protocol, TrafficType, ip_to_int, write_csv,
+    DarknetEvent, PacketMeta, Protocol, TrafficType, ip_to_int, write_csv,
 )
-from helpers import port_tally
+from helpers import TYPE_INDEX, port_tally
 
 
 def _tcp(dst="10.0.0.1", dport=80, seq=0, ip_id=0):
@@ -78,7 +78,9 @@ class TestFingerprint:
 def _ev(port, tt, zmap=0, masscan=0, other=0, src="198.51.100.9"):
     pkts = zmap + masscan + other
     return DarknetEvent(
-        key=EventKey(ip_to_int(src), port, tt),
+        src_ip=ip_to_int(src),
+        dst_port=port,
+        traffic_type=TYPE_INDEX[tt],
         start_ts=0,
         end_ts=1,
         pkt_count=pkts,

@@ -28,7 +28,6 @@ from darklens.impact import (
 from darklens.model import (
     DarknetEvent,
     Direction,
-    EventKey,
     FlowRecord,
     Protocol,
     TrafficType,
@@ -38,7 +37,7 @@ from darklens.model import (
 )
 from helpers import (
     US, build_pcap, dense_series, eth_frame, mk_pkt, oracle_flow_measures, oracle_ipv4,
-    oracle_series_rows, oracle_udp, port_tally, traced_peak, write_flows_csv,
+    TYPE_INDEX, oracle_series_rows, oracle_udp, port_tally, traced_peak, write_flows_csv,
 )
 
 JUNE1 = date(2022, 6, 1)
@@ -345,7 +344,7 @@ class TestHighLoadBins:
 def _ev(src, tt, pkts):
     port = 0 if tt is TrafficType.ICMP_ECHO_REQUEST else 23
     return DarknetEvent(
-        key=EventKey(src, port, tt), start_ts=0, end_ts=1, pkt_count=pkts,
+        src_ip=src, dst_port=port, traffic_type=TYPE_INDEX[tt], start_ts=0, end_ts=1, pkt_count=pkts,
         unique_dst_count=1, zmap_pkts=pkts, masscan_pkts=0, other_pkts=0,
     )
 

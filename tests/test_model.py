@@ -17,7 +17,6 @@ from darklens.model import (
     ConfigError,
     DarknetConfig,
     DarknetEvent,
-    EventKey,
     PacketMeta,
     Protocol,
     TrafficType,
@@ -32,7 +31,7 @@ from darklens.model import (
     write_event_log,
 )
 from helpers import (
-    NONCANONICAL_PREFIXES, check_packet_meta, darknet_contains, decode_event, event_rows,
+    NONCANONICAL_PREFIXES, check_packet_meta, darknet_contains, decode_event,
     flags_to_letters, oracle_event_from_json_line, oracle_event_json_line, traced_peak,
 )
 
@@ -334,9 +333,15 @@ class TestIpHelpers:
         assert slash24_of(ip_to_int("10.1.3.1")) == ip_to_int("10.1.3.0")
 
 
+# Traffic-type indexes, as an event holds them.
+TCP, UDP, ICMP = 0, 1, 2
+
+
 def _event(**kw):
     base = dict(
-        key=EventKey(ip_to_int("198.51.100.9"), 23, TrafficType.TCP_SYN),
+        src_ip=ip_to_int("198.51.100.9"),
+        dst_port=23,
+        traffic_type=TCP,
         start_ts=1000 * US,
         end_ts=1600 * US,
         pkt_count=10,
@@ -356,16 +361,16 @@ class TestDarknetEvent:
         assert decode_event(line) == ev
 
     def test_validate_rejects_reversed_times(self):
-        with pytest.raises(ValueError):
-            _event(start_ts=2000 * US, end_ts=1000 * US).validate()
+        with pytest.raises(ValueError, match="<= start_ts <= end_ts <="):
+            decode_event(_event(start_ts=2000 * US, end_ts=1000 * US).to_json_line())
 
     def test_validate_rejects_dst_count_above_size(self):
-        with pytest.raises(ValueError):
-            _event(unique_dst_count=2000).validate()
+        with pytest.raises(ValueError, match="unique_dst_count out of range"):
+            decode_event(_event(unique_dst_count=2000).to_json_line())
 
     def test_validate_rejects_bad_fingerprint_partition(self):
-        with pytest.raises(ValueError):
-            _event(zmap_pkts=3, masscan_pkts=3, other_pkts=3).validate()
+        with pytest.raises(ValueError, match="fingerprint counters must partition pkt_count"):
+            decode_event(_event(zmap_pkts=3, masscan_pkts=3, other_pkts=3).to_json_line())
 
     @pytest.mark.parametrize("fields, reason", [
         ({"pkt_count": 2, "unique_dst_count": 1, "zmap_pkts": -5, "masscan_pkts": 7},
@@ -376,8 +381,6 @@ class TestDarknetEvent:
     ], ids=["negative_zmap", "negative_other", "2^70_pkts", "2^63_pkts"])
     def test_counts_must_be_non_negative_and_fit_64_bits(self, fields, reason):
         line = _event(**fields).to_json_line()
-        with pytest.raises(ValueError, match=reason):
-            _event(**fields).validate()
         with pytest.raises(ValueError, match=reason):
             decode_event(line)
         with pytest.raises(ValueError):
@@ -390,14 +393,10 @@ class TestDarknetEvent:
         assert decode_event(line) == oracle_event_from_json_line(line) == ev
 
     def test_icmp_key_uses_port_zero(self):
-        ev = _event(
-            key=EventKey(ip_to_int("198.51.100.9"), 0, TrafficType.ICMP_ECHO_REQUEST)
-        )
-        ev.validate()
-        with pytest.raises(ValueError):
-            _event(
-                key=EventKey(ip_to_int("198.51.100.9"), 23, TrafficType.ICMP_ECHO_REQUEST)
-            ).validate()
+        ev = _event(dst_port=0, traffic_type=ICMP)
+        assert decode_event(ev.to_json_line()) == ev
+        with pytest.raises(ValueError, match="ICMP echo events carry dst_port 0"):
+            decode_event(_event(dst_port=23, traffic_type=ICMP).to_json_line())
 
     @given(
         start=st.integers(min_value=0, max_value=10**12),
@@ -406,9 +405,10 @@ class TestDarknetEvent:
         port=st.integers(min_value=0, max_value=65535),
     )
     def test_round_trip_random(self, start, dur, pkts, port):
-        tt = TrafficType.ICMP_ECHO_REQUEST if port == 0 else TrafficType.UDP
         ev = _event(
-            key=EventKey(1, port, tt),
+            src_ip=1,
+            dst_port=port,
+            traffic_type=ICMP if port == 0 else UDP,
             start_ts=start,
             end_ts=start + dur,
             pkt_count=pkts,
@@ -427,7 +427,6 @@ class TestDarknetEvent:
     def test_timestamps_must_have_a_utc_day(self, start, end, ok):
         ev = _event(start_ts=start, end_ts=end)
         if ok:
-            ev.validate()
             assert decode_event(ev.to_json_line()) == ev
         else:
             with pytest.raises(ValueError, match="<= start_ts <= end_ts <="):
@@ -462,9 +461,10 @@ class TestDarknetEvent:
             ev.pkt_count = 3
         assert hash(ev) == hash(_event())
         assert DarknetEvent._fields == (
-            "key", "start_ts", "end_ts", "pkt_count", "unique_dst_count",
-            "zmap_pkts", "masscan_pkts", "other_pkts",
+            "src_ip", "dst_port", "traffic_type", "start_ts", "end_ts", "pkt_count",
+            "unique_dst_count", "zmap_pkts", "masscan_pkts", "other_pkts",
         )
+        assert ev == tuple(ev) and not hasattr(DarknetEvent, "validate")
 
 
 _U63 = st.integers(min_value=0, max_value=2 ** 63)
@@ -472,10 +472,10 @@ _ADDRS = st.one_of(st.sampled_from([0, 2 ** 32 - 1]), st.integers(min_value=0, m
 
 # Any field values at all: the encoder formats, it does not validate.
 _raw_events = st.builds(
-    lambda ip, port, ttype, rest: DarknetEvent(EventKey(ip, port, ttype), *rest),
+    lambda ip, port, ttype, rest: DarknetEvent(ip, port, ttype, *rest),
     _ADDRS,
     st.integers(min_value=0, max_value=0xFFFF),
-    st.sampled_from(TrafficType),
+    st.sampled_from([TCP, UDP, ICMP]),
     st.tuples(st.integers(min_value=MIN_TS, max_value=MAX_TS),
               st.integers(min_value=MIN_TS, max_value=MAX_TS), *[_U63] * 5),
 )
@@ -483,15 +483,15 @@ _raw_events = st.builds(
 
 @st.composite
 def _valid_events(draw, addrs=_ADDRS):
-    ttype = draw(st.sampled_from(TrafficType))
-    port = 0 if ttype is TrafficType.ICMP_ECHO_REQUEST else draw(st.integers(0, 0xFFFF))
+    ttype = draw(st.sampled_from([TCP, UDP, ICMP]))
+    port = 0 if ttype == ICMP else draw(st.integers(0, 0xFFFF))
     start = draw(st.integers(min_value=MIN_TS, max_value=MAX_TS))
     end = draw(st.integers(min_value=start, max_value=MAX_TS))
     pkts = draw(st.integers(min_value=1, max_value=2 ** 63 - 1))
     zmap = draw(st.integers(min_value=0, max_value=pkts))
     masscan = draw(st.integers(min_value=0, max_value=pkts - zmap))
     dsts = draw(st.integers(min_value=1, max_value=pkts))
-    return DarknetEvent(EventKey(draw(addrs), port, ttype), start, end, pkts, dsts,
+    return DarknetEvent(draw(addrs), port, ttype, start, end, pkts, dsts,
                         zmap, masscan, pkts - zmap - masscan)
 
 
@@ -516,8 +516,8 @@ class TestEventCodec:
     """The template encoder and lean decoder against the json.dumps/dict oracles."""
 
     @given(_raw_events)
-    @example(DarknetEvent(EventKey(0, 0, TrafficType.TCP_SYN), MIN_TS, MIN_TS, 0, 0, 0, 0, 0))
-    @example(DarknetEvent(EventKey(2 ** 32 - 1, 0xFFFF, TrafficType.UDP), MAX_TS, MAX_TS,
+    @example(DarknetEvent(0, 0, TCP, MIN_TS, MIN_TS, 0, 0, 0, 0, 0))
+    @example(DarknetEvent(2 ** 32 - 1, 0xFFFF, UDP, MAX_TS, MAX_TS,
                           2 ** 63, 2 ** 63, 2 ** 63, 2 ** 63, 2 ** 63))
     def test_encode_matches_oracle_bytes(self, ev):
         assert ev.to_json_line().encode() == oracle_event_json_line(ev).encode()
@@ -539,7 +539,7 @@ class TestEventCodec:
         for ev in events:
             line = ev.to_json_line()
             assert decode_event(line, ips) == oracle_event_from_json_line(line) == ev
-        assert ips == {int_to_ip(ev.key.src_ip): ev.key.src_ip for ev in events}
+        assert ips == {int_to_ip(ev.src_ip): ev.src_ip for ev in events}
 
     def test_memo_is_keyed_by_the_decoded_address(self):
         ips = {}
@@ -600,7 +600,7 @@ class TestEventLogReader:
                 lines.insert(pos, json.dumps(dict(obj, **spoil)))
         log_path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
         if first is None:
-            assert list(read_event_log(log_path)) == list(event_rows(expected))
+            assert list(read_event_log(log_path)) == expected
         else:
             with pytest.raises(ValueError, match=rf"^{re.escape(str(log_path))}:{first + 1}: "
                                                  r"malformed line \(ValueError: "):
@@ -634,19 +634,18 @@ class TestEventLogReader:
 # Any event the binary record can hold, valid or not.
 _I64 = st.integers(min_value=-(2 ** 63), max_value=2 ** 63 - 1)
 _packable_events = st.builds(
-    lambda ip, port, ttype, rest: DarknetEvent(EventKey(ip, port, ttype), *rest),
+    lambda ip, port, ttype, rest: DarknetEvent(ip, port, ttype, *rest),
     _ADDRS,
     st.integers(min_value=0, max_value=0xFFFF),
-    st.sampled_from(TrafficType),
+    st.sampled_from([TCP, UDP, ICMP]),
     st.tuples(*[st.one_of(st.integers(-2, 3), _I64)] * 7),
 )
-_MULTI_DAY = DarknetEvent(EventKey(0x0A000001, 443, TrafficType.TCP_SYN),
+_MULTI_DAY = DarknetEvent(0x0A000001, 443, TCP,
                           US_PER_DAY - 1, 3 * US_PER_DAY + 5, 9, 4, 2, 3, 4)
 _BOUNDS = [
-    DarknetEvent(EventKey(0, 0, TrafficType.ICMP_ECHO_REQUEST), MIN_TS, MAX_TS,
-                 2 ** 63 - 1, 2 ** 63 - 1, 2 ** 63 - 1, 0, 0),
-    DarknetEvent(EventKey(2 ** 32 - 1, 0xFFFF, TrafficType.UDP), MAX_TS, MAX_TS, 1, 1, 0, 0, 1),
-    DarknetEvent(EventKey(7, 0, TrafficType.TCP_SYN), MIN_TS, MIN_TS, 1, 1, 1, 0, 0),
+    DarknetEvent(0, 0, ICMP, MIN_TS, MAX_TS, 2 ** 63 - 1, 2 ** 63 - 1, 2 ** 63 - 1, 0, 0),
+    DarknetEvent(2 ** 32 - 1, 0xFFFF, UDP, MAX_TS, MAX_TS, 1, 1, 0, 0, 1),
+    DarknetEvent(7, 0, TCP, MIN_TS, MIN_TS, 1, 1, 1, 0, 0),
     _MULTI_DAY,
 ]
 # The rows of _BOUNDS, spelled out: traffic types 0 tcp_syn, 1 udp, 2 icmp_echo_request.
@@ -718,11 +717,26 @@ class TestBinaryCopy:
         assert printed == ""  # the copy was used
         assert _json_outcome(log_path) == (got, "")
         if got[0] == "rows":
-            assert got[1] == list(event_rows(events))
+            assert got[1] == events
             assert all(type(row) is tuple for row in got[1])
             assert all(type(field) is int for row in got[1] for field in row)
         else:
             assert re.match(rf"^{re.escape(str(log_path))}:\d+: malformed line \(", got[1])
+
+    @given(st.lists(_valid_events(), max_size=30))
+    @example(_BOUNDS)
+    @settings(max_examples=150)
+    def test_what_events_writes_is_what_detect_reads(self, log_path, events):
+        # Rows equal the events written, field by field, through the copy and
+        # through the JSON alone, and each line is the oracle's event.
+        assert write_event_log(log_path, events) == len(events)
+        lines = log_path.read_text(encoding="utf-8").splitlines()
+        assert [oracle_event_from_json_line(line) for line in lines] == events
+        assert _outcome(log_path) == (("rows", events), "")
+        Path(f"{log_path}.bin").unlink()
+        got = _outcome(log_path)
+        assert got == (("rows", events), "")
+        assert all(type(row) is tuple for row in got[0][1])
 
     def test_bounds_read_as_flat_rows(self, tmp_path):
         # ICMP, both timestamp bounds, MAX_COUNT in every count and a
@@ -764,19 +778,17 @@ class TestBinaryCopy:
         assert data[:16] == b"DLEVBIN\x01" + (2).to_bytes(8, "little")
         assert data[16:48] == blake2b(path.read_bytes(), digest_size=32).digest()
         assert data[48:80] == blake2b(data[80:], digest_size=32).digest()
-        assert data[80:] == (struct.pack("<IHB7q", 0, 0, 2, *_BOUNDS[0][1:])
-                             + struct.pack("<IHB7q", 0x0A000001, 443, 0, *_MULTI_DAY[1:]))
+        assert data[80:] == (struct.pack("<IHB7q", 0, 0, 2, *_BOUNDS[0][3:])
+                             + struct.pack("<IHB7q", 0x0A000001, 443, 0, *_MULTI_DAY[3:]))
 
     @pytest.mark.parametrize("field, value", [
         ("dst_port", 0x10000), ("src_ip", -1), ("src_ip", 2 ** 32), ("pkt_count", 2 ** 63),
         ("start_ts", -(2 ** 63) - 1), ("traffic_type", "tcp_fin"),
+        ("traffic_type", 3), ("traffic_type", -1),
+        ("traffic_type", TrafficType.TCP_SYN),
     ])
     def test_event_no_record_holds_is_a_value_error(self, tmp_path, field, value):
-        key = _event().key
-        if field in key._fields:
-            ev = _event(key=key._replace(**{field: value}))
-        else:
-            ev = _event(**{field: value})
+        ev = _event(**{field: value})
         with pytest.raises(ValueError, match="^an event in lines 1-2 cannot be written"):
             write_event_log(tmp_path / "events.jsonl", [_event(), ev])
 
@@ -798,7 +810,7 @@ class TestBinaryCopy:
         data = bytearray(copy.read_bytes())
         if tamper == "log byte":  # still a valid log, with another source
             path.write_text(path.read_text().replace("198.51.100.9", "198.51.100.8", 1))
-            events[0] = _event(key=events[0].key._replace(src_ip=ip_to_int("198.51.100.8")))
+            events[0] = _event(src_ip=ip_to_int("198.51.100.8"))
         elif tamper == "truncated copy":
             copy.write_bytes(data[:-1])
         elif tamper == "record byte":
@@ -818,12 +830,11 @@ class TestBinaryCopy:
             copy.mkdir()
         else:
             copy.write_bytes(data[:80])
-        rows = list(event_rows(events))
-        assert list(read_event_log(path)) == rows
+        assert list(read_event_log(path)) == events
         assert capsys.readouterr().out == (
             f"note: {path}: binary copy not used ({check}); decoding the JSON\n")
         if tamper != "directory":
-            assert _json_outcome(path) == (("rows", rows), "")
+            assert _json_outcome(path) == (("rows", events), "")
 
     def test_copy_decoder_streams(self, tmp_path, capsys):
         def peak(n):
@@ -843,8 +854,8 @@ class TestBinaryCopy:
         # function call of its own. Only the digests' 1 MiB blocks differ.
         def calls(n):
             path = tmp_path / f"{n}.jsonl"
-            write_event_log(path, (DarknetEvent(EventKey(i, 80, TrafficType.TCP_SYN),
-                                                i, i, 1, 1, 0, 0, 1) for i in range(n)))
+            write_event_log(path, (DarknetEvent(i, 80, TCP, i, i, 1, 1, 0, 0, 1)
+                                   for i in range(n)))
             return _drain_calls(path)
         small, more = calls(10 ** 4), calls(2 * 10 ** 4)
         more.subtract(small)
@@ -854,8 +865,7 @@ class TestBinaryCopy:
 
     def test_writer_memory_does_not_grow_with_the_event_count(self, tmp_path):
         def peak(n):
-            events = (DarknetEvent(EventKey(i, 80, TrafficType.TCP_SYN), i, i, 1, 1, 0, 0, 1)
-                      for i in range(n))
+            events = (DarknetEvent(i, 80, TCP, i, i, 1, 1, 0, 0, 1) for i in range(n))
             return traced_peak(write_event_log, tmp_path / "events.jsonl", events)
         (count, small), (count_2, large) = peak(10 ** 5), peak(2 * 10 ** 5)
         assert (count, count_2) == (10 ** 5, 2 * 10 ** 5)

@@ -140,12 +140,12 @@ class TestGroundTruth:
         events = run_builder(builder, PcapReader(tmp_path / "synth.pcap"))
         per_key = {}
         for ev in events:
-            per_key[ev.key] = per_key.get(ev.key, 0) + 1
+            per_key[ev[:3]] = per_key.get(ev[:3], 0) + 1
         assert all(v == 1 for v in per_key.values())
         scanner_ips = {
             ip_to_int(e["ip"]) for e in manifest["sources"] if e["kind"] != "noise"
         }
-        event_srcs = {ev.key.src_ip for ev in events}
+        event_srcs = {ev.src_ip for ev in events}
         assert scanner_ips <= event_srcs
 
     def test_timestamps_stay_in_window(self, tmp_path):
@@ -449,7 +449,7 @@ class TestPerProbeOracle:
                     assert p.ip_id != masscan_ip_id(p.dst_ip, p.dst_port, p.tcp_seq)
         assert sent == {ip: sc.noise_pkts_per_source for ip in noise}
         cfg = make_cfg(tuple(sc.darknet_prefixes), event_timeout_s=sc.event_timeout_s)
-        events = Counter(ev.key.src_ip for ev in run_builder(EventBuilder(cfg), pkts))
+        events = Counter(ev.src_ip for ev in run_builder(EventBuilder(cfg), pkts))
         assert all(events[ip] == 1 for ip in noise)
 
     def test_every_kind_ties_stamps_across_types(self, tmp_path):
@@ -508,6 +508,23 @@ class TestMemory:
         manifest, peak = traced_peak(generate, sc, 7, tmp_path)
         assert manifest["pcap_packets"] == 56_828
         assert peak < 12 * 2 ** 20
+
+    def test_flow_rows_memory_follows_one_router(self, tmp_path):
+        # 20,000 benign talkers, each sampled on every router: 20,001 rows a
+        # router. Built as one list before the write, 4 routers' rows peaked
+        # near 4 times 1 router's.
+        def peak(routers):
+            sc = SynthScenario(darknet_prefixes=["10.0.0.0/24"], full_coverage_scanners=1,
+                               partial_scanners=0, noise_sources=0, backscatter_pkts=0,
+                               flow_total_pkts=10 ** 9, flow_sampling_denominator=100,
+                               flow_benign_sources=20_000, flow_routers=routers)
+            out = tmp_path / str(len(routers))
+            out.mkdir()
+            manifest, peak = traced_peak(generate, sc, 7, out)
+            assert manifest["flows"]["rows"] == 20_001 * len(routers)
+            return peak
+        one, four = peak(["router-1"]), peak([f"router-{i}" for i in range(1, 5)])
+        assert four < one * 1.1 + 2 ** 18, (one, four)
 
     def test_partial_subset_memory_follows_the_source(self, tmp_path):
         # One partial scanner on a /11 at coverage 0.05: numpy's choice
