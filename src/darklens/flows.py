@@ -3,11 +3,17 @@
 Two wire formats carry the same logical record: a CSV with a fixed header,
 whose integers must be canonical decimal (parse_uint), and a JSON-lines file
 with identical field names, where each field must carry its exact JSON type.
-Both go through one row validator. A file is JSON lines when its first line
-that is not only JSON whitespace starts with "{", and CSV otherwise. A row
-that cannot be parsed or that violates a field constraint is skipped and
-counted; a CSV whose header does not match the schema (an empty file has
-none) is fatal because every following row would be garbage. Each line is
+Both go through one row validator. A CSV line in the canonical spelling that
+exporters write is split by one compiled regex instead (_CSV_ROW: unquoted
+fields, an LF ending, bounded canonical decimals and dotted quads, ports on
+tcp and udp only, flag letters in SAFRPU order), which only ever accepts;
+every other line, such as one with quoted fields or CRLF, goes through
+csv.reader and the validator, so the rules read as they always have. A file
+is JSON lines when its first line that is not only JSON whitespace starts
+with "{", and CSV otherwise. A row that cannot be parsed or that violates a
+field constraint is skipped and counted; a CSV whose header does not match
+the schema (an empty file has none) is fatal because every following row
+would be garbage, and so is a field over csv.field_size_limit(). Each line is
 decoded from UTF-8 on its own, so a byte that is not UTF-8 is fatal too, and
 the error names the file and the line.
 """
@@ -16,6 +22,9 @@ from __future__ import annotations
 import csv
 import itertools
 import json
+import re
+import struct
+from _socket import inet_aton
 from typing import Iterator
 
 from .model import (
@@ -110,6 +119,30 @@ def _json_row(obj) -> tuple:
     return _flow_row(*fields)
 
 
+# The canonical CSV row (see the module docstring). Digit runs and the router
+# id are bounded, so int() never refuses a run and csv.field_size_limit() is
+# never reached. Runs are possessive: nothing after one could extend it. A
+# match still needs ts_us <= _MAX_TS_US, ports <= 65535 and octets <= 255
+# (inet_aton); a line that misses the grammar or a compare goes to csv.reader
+# and _flow_row.
+_OCTET = r"(?:0|[1-9][0-9]{0,2}+)"
+_QUAD = rf"({_OCTET}\.{_OCTET}\.{_OCTET}\.{_OCTET})"
+_PORT = r"(0|[1-9][0-9]{0,4}+)"
+_COUNT = r"([1-9][0-9]{0,17}+)"
+_CSV_ROW = re.compile(
+    rf'([^,"\r\n\x00]{{1,128}}+),(0|[1-9][0-9]{{0,17}}+),(I|E),{_QUAD},{_QUAD},'
+    rf"((?P<tcp>tcp)|udp|(?P<icmp>icmp)),(?(icmp),|{_PORT},{_PORT}),{_COUNT},{_COUNT},"
+    r"(?(tcp)(S?+A?+F?+R?+P?+U?+))\n?"
+).fullmatch
+_QUADS = struct.Struct("!II").unpack
+# The grammar's flag field: each of the 64 letter sets, or None off tcp.
+_FLAG_SETS = {
+    letters: letters_to_flags(letters) or None
+    for letters in map("".join, itertools.product(*(("", letter) for letter in "SAFRPU")))
+}
+_FLAG_SETS[None] = None
+
+
 class FlowReader:
     """Single-pass iterator over one flow file; invalid_rows valid afterwards.
 
@@ -124,21 +157,51 @@ class FlowReader:
     def __iter__(self) -> Iterator[tuple]:
         if next(parse_lines(self.path, str), "").startswith("{"):
             return read_lines(self.path, self._iter_jsonl)
-        return self._iter_csv()
-
-    def _iter_csv(self) -> Iterator[tuple]:
-        rows = read_lines(self.path, csv.reader)
-        invalid = self.invalid_rows
-        try:
-            header = next(rows, None)
+        # The header is checked here, outside the decode, so that a mismatch
+        # stays a SchemaMismatchError rather than a line-numbered ValueError.
+        rows = read_lines(self.path, self._csv_rows)
+        header = next(rows, None)
+        if header != FLOW_CSV_FIELDS:
+            rows.close()
             if header is None:
                 raise SchemaMismatchError(f"{self.path}: empty flow CSV")
-            if header != FLOW_CSV_FIELDS:
-                raise SchemaMismatchError(
-                    f"{self.path}: header {','.join(header)!r} does not match CsvV1"
-                )
-            width = len(FLOW_CSV_FIELDS)
-            for row in rows:
+            raise SchemaMismatchError(
+                f"{self.path}: header {','.join(header)!r} does not match CsvV1"
+            )
+        return rows
+
+    def _csv_rows(self, lines: Iterator[str]) -> Iterator:
+        """The header row, then each valid row as its tuple: by the grammar when
+        the line matches, else by csv.reader and _flow_row."""
+        held = []
+        # csv.reader reads each line the grammar passed over, then the lines
+        # after it while a quoted field runs on.
+        reader = csv.reader(iter(lambda: held.pop() if held else next(lines, None), None))
+        yield from itertools.islice(reader, 1)
+        invalid = self.invalid_rows
+        width = len(FLOW_CSV_FIELDS)
+        try:
+            for line in lines:
+                m = _CSV_ROW(line)
+                if m is not None:
+                    (router, ts, dirn, src, dst, proto, _tcp, _icmp, sport, dport, sampled,
+                     denom, flags) = m.groups()
+                    ts = int(ts)
+                    if sport is not None:
+                        sport, dport = int(sport), int(dport)
+                    if ts <= _MAX_TS_US and (sport is None or sport <= 65535 and dport <= 65535):
+                        try:
+                            src, dst = _QUADS(inet_aton(src) + inet_aton(dst))
+                        except OSError:  # an octet above 255
+                            pass
+                        else:
+                            yield (
+                                router, ts, _DIRECTIONS[dirn], src, dst, _PROTOCOLS[proto],
+                                sport, dport, int(sampled), int(denom), _FLAG_SETS[flags],
+                            )
+                            continue
+                held.append(line)
+                row = next(reader)
                 if len(row) != width:
                     invalid += 1
                     continue
@@ -153,7 +216,6 @@ class FlowReader:
                 except ValueError:
                     invalid += 1
         finally:
-            rows.close()
             self.invalid_rows = invalid
 
     def _iter_jsonl(self, lines: Iterator[str]) -> Iterator[tuple]:

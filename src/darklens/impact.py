@@ -20,6 +20,7 @@ from .model import (
     TCP_SYN,
     TRAFFIC_TYPES,
     TrafficType,
+    US_PER_DAY,
     US_PER_S,
     order_statistic,
     utc_day,
@@ -64,13 +65,14 @@ def tally_flows(
     """
     if not ah:
         raise EmptyAhSetError("tally_flows needs a nonempty AH set")
-    cells: Dict[Tuple[date, str], List[int]] = {}
+    # Keyed by the day's number; each cell's date is made once, at the end.
+    cells: Dict[Tuple[int, str], List[int]] = {}
     seen: Dict[str, Set[int]] = {}
     mix = [0, 0, 0, 0]
     udp, icmp = Protocol.UDP, Protocol.ICMP
     for router, ts, _dir, src, _dst, proto, _sp, _dp, sampled, denom, flags in flows:
         est = sampled * denom
-        key = (utc_day(ts), router)
+        key = (ts // US_PER_DAY, router)
         cell = cells.get(key)
         if cell is None:
             cell = cells[key] = [0, 0, 0]
@@ -89,7 +91,8 @@ def tally_flows(
             mix[0] += est
         else:
             mix[3] += est
-    return FlowTally(len(ah), cells, seen, mix)
+    days = {(utc_day(day * US_PER_DAY), router): cell for (day, router), cell in cells.items()}
+    return FlowTally(len(ah), days, seen, mix)
 
 
 def _day_impact(tally: FlowTally, day: date, column: int) -> Dict[str, RouterImpact]:

@@ -23,6 +23,12 @@ LAST_TS_US = 253402300799999999  # the last microsecond of 9999-12-31
 GOOD_ROW = "router-1,1654041600000000,I,198.51.100.9,192.0.2.10,tcp,51000,23,3,1000,S"
 
 
+def _edge(router="router-1", ts="1654041600000000", src="198.51.100.9", proto="tcp",
+          sport="51000", dport="23", sampled="3", flags="S", end="\n"):
+    """One flow CSV line, GOOD_ROW with the given fields spelled as given."""
+    return f"{router},{ts},I,{src},192.0.2.10,{proto},{sport},{dport},{sampled},1000,{flags}{end}"
+
+
 def _csv(rows, header=HEADER):
     return header + "\n" + "\n".join(rows) + "\n"
 
@@ -149,6 +155,58 @@ class TestCsv:
         assert [r.ts_us for r in rows] == [LAST_TS_US]
         assert reader.invalid_rows == 1
         assert list(tally_flows(rows, {1}).cells) == [(date(9999, 12, 31), "router-1")]
+
+    @pytest.mark.parametrize(
+        "line, valid",
+        [
+            (_edge(ts="12345678901234567"), True),
+            (_edge(ts="123456789012345678"), True),
+            (_edge(ts="1234567890123456789"), False),
+            (_edge(ts=str(LAST_TS_US)), True),
+            (_edge(ts=str(LAST_TS_US + 1)), False),
+            (_edge(ts="0"), True),
+            (_edge(src="255.255.255.255"), True),
+            (_edge(src="255.255.255.256"), False),
+            (_edge(src="0.0.0.0"), True),
+            (_edge(src="198.051.100.9"), False),
+            (_edge(sport="65535", dport="65535"), True),
+            (_edge(sport="65536"), False),
+            (_edge(dport="65536"), False),
+            (_edge(dport="023"), False),
+            (_edge(end="\r\n"), True),
+            (_edge(proto="udp", flags="", end="\r\n"), True),
+            (_edge(ts='"1654041600000000"', dport='"23"', sampled='"3"'), True),
+            (_edge(router='"edge,1"'), True),
+            (_edge(router='say "hi"'), True),
+            (_edge(router='"edge\n1"'), True),
+            (_edge(flags=""), True),
+            (_edge(flags="UPRFAS"), True),
+            (_edge(flags="SS"), True),
+            (_edge(flags="SX"), False),
+            (_edge(proto="udp", flags=""), True),
+            (_edge(proto="udp", flags="S"), False),
+            (_edge(proto="icmp", sport="", dport="", flags=""), True),
+            (_edge(proto="icmp", sport="0", dport="", flags=""), False),
+            (_edge(proto="icmp", sport="", dport="", flags="S"), False),
+            (_edge(sampled="9" * 18), True),
+            (_edge(sampled="9" * 19), True),
+            (_edge(sampled="1" * 4300), True),
+            (_edge(sampled="1" * 4301), False),
+            (_edge(router="r" * 128), True),
+            (_edge(router="r" * 129), True),
+            (_edge(router="r" * csv.field_size_limit()), True),
+            (_edge(router="a\x00b"), True),
+        ],
+    )
+    def test_grammar_edges_read_as_the_record_oracle(self, tmp_path, line, valid):
+        # Lines just inside and just outside the reader's row grammar: each
+        # reads as the record oracle reads it, whichever way the reader took.
+        p = tmp_path / "f.csv"
+        p.write_text(f"{HEADER}\n{GOOD_ROW}\n{line}{GOOD_ROW}\n", newline="")
+        reader = FlowReader(p)
+        rows = list(reader)
+        assert (rows, reader.invalid_rows) == oracle_flow_rows(p)
+        assert (len(rows), reader.invalid_rows) == ((3, 0) if valid else (2, 1))
 
     def test_row_writer_round_trips(self, tmp_path):
         _, rows = _read_csv(tmp_path, _csv([GOOD_ROW]))

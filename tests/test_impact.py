@@ -465,7 +465,7 @@ def test_tally_memory_does_not_grow_with_rows():
     assert large <= small + 4096
 
 
-def _reader_tally_peak_bytes(tmp_path, rows: int) -> int:
+def _reader_tally_peak_bytes(tmp_path, rows: int, router: str) -> int:
     """Peak traced memory while tallying a flow CSV of `rows` distinct sources."""
     path = tmp_path / f"flows_{rows}.csv"
     base = ip_to_int("100.0.0.0")
@@ -473,18 +473,21 @@ def _reader_tally_peak_bytes(tmp_path, rows: int) -> int:
         fh.write(",".join(FLOW_CSV_FIELDS) + "\n")
         for i in range(rows):
             fh.write(
-                f"router-{i % 2},{DAY0_US + i},I,{int_to_ip(base + i)},192.0.2.10,"
+                f"{router.format(i % 2)},{DAY0_US + i},I,{int_to_ip(base + i)},192.0.2.10,"
                 f"tcp,51000,23,1,1000,S\n"
             )
     ah = {base + i for i in range(20)}
     return traced_peak(tally_flows, FlowReader(path), ah)[1]
 
 
-def test_reader_tally_memory_does_not_grow_with_distinct_sources(tmp_path):
+# A plain router id keeps each line in the reader's row grammar; a quoted one
+# sends every line through csv.reader.
+@pytest.mark.parametrize("router", ["router-{}", '"router-{}"'], ids=["grammar", "csv-reader"])
+def test_reader_tally_memory_does_not_grow_with_distinct_sources(tmp_path, router):
     # Every source is new, so a per-reader memo of parsed addresses would
     # grow with the row count; the read and the tally keep one row live.
-    small = _reader_tally_peak_bytes(tmp_path, 10_000)
-    large = _reader_tally_peak_bytes(tmp_path, 100_000)
+    small = _reader_tally_peak_bytes(tmp_path, 10_000, router)
+    large = _reader_tally_peak_bytes(tmp_path, 100_000, router)
     assert large <= small + 4096
 
 
