@@ -5,17 +5,17 @@ whose integers must be canonical decimal (parse_uint), and a JSON-lines file
 with identical field names, where each field must carry its exact JSON type.
 Both go through one row validator. A CSV line in the canonical spelling that
 exporters write is split by one compiled regex instead (_CSV_ROW: unquoted
-fields, an LF ending, bounded canonical decimals and dotted quads, ports on
-tcp and udp only, flag letters in SAFRPU order), which only ever accepts;
-every other line, such as one with quoted fields or CRLF, goes through
-csv.reader and the validator, so the rules read as they always have. A file
-is JSON lines when its first line that is not only JSON whitespace starts
-with "{", and CSV otherwise. A row that cannot be parsed or that violates a
-field constraint is skipped and counted; a CSV whose header does not match
-the schema (an empty file has none) is fatal because every following row
-would be garbage, and so is a field over csv.field_size_limit(). Each line is
-decoded from UTF-8 on its own, so a byte that is not UTF-8 is fatal too, and
-the error names the file and the line.
+fields, an LF or CRLF ending, bounded canonical decimals, dotted quads that
+inet_pton takes, ports on tcp and udp only, flag letters in SAFRPU order),
+which only ever accepts; every other line, such as one with quoted fields,
+goes through csv.reader and the validator, so the rules read as they always
+have. A file is JSON lines when its first line that is not only JSON
+whitespace starts with "{", and CSV otherwise. A row that cannot be parsed
+or that violates a field constraint is skipped and counted; a CSV whose
+header does not match the schema (an empty file has none) is fatal because
+every following row would be garbage, and so is a field over
+csv.field_size_limit(). Each line is decoded from UTF-8 on its own, so a byte
+that is not UTF-8 is fatal too, and the error names the file and the line.
 """
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ import itertools
 import json
 import re
 import struct
-from _socket import inet_aton
+from _socket import AF_INET, inet_pton
 from typing import Iterator
 
 from .model import (
@@ -121,18 +121,17 @@ def _json_row(obj) -> tuple:
 
 # The canonical CSV row (see the module docstring). Digit runs and the router
 # id are bounded, so int() never refuses a run and csv.field_size_limit() is
-# never reached. Runs are possessive: nothing after one could extend it. A
-# match still needs ts_us <= _MAX_TS_US, ports <= 65535 and octets <= 255
-# (inet_aton); a line that misses the grammar or a compare goes to csv.reader
-# and _flow_row.
-_OCTET = r"(?:0|[1-9][0-9]{0,2}+)"
-_QUAD = rf"({_OCTET}\.{_OCTET}\.{_OCTET}\.{_OCTET})"
-_PORT = r"(0|[1-9][0-9]{0,4}+)"
-_COUNT = r"([1-9][0-9]{0,17}+)"
+# never reached; csv.reader reads a CRLF line as it reads an LF one. A quad is
+# any 7 to 15 digits and dots, and inet_pton takes only the canonical ones (it
+# refuses a leading zero on glibc, musl and the BSDs). A match still needs
+# ts_us <= _MAX_TS_US and ports <= 65535, or it goes to csv.reader too.
+_QUAD = r"([0-9.]{7,15})"
+_PORT = r"(0|[1-9][0-9]{0,4})"
+_COUNT = r"([1-9][0-9]{0,17})"
 _CSV_ROW = re.compile(
-    rf'([^,"\r\n\x00]{{1,128}}+),(0|[1-9][0-9]{{0,17}}+),(I|E),{_QUAD},{_QUAD},'
+    rf'([^,"\r\n\x00]{{1,128}}),(0|[1-9][0-9]{{0,17}}),(I|E),{_QUAD},{_QUAD},'
     rf"((?P<tcp>tcp)|udp|(?P<icmp>icmp)),(?(icmp),|{_PORT},{_PORT}),{_COUNT},{_COUNT},"
-    r"(?(tcp)(S?+A?+F?+R?+P?+U?+))\n?"
+    r"(?(tcp)(S?A?F?R?P?U?))\r?\n?"
 ).fullmatch
 _QUADS = struct.Struct("!II").unpack
 # The grammar's flag field: each of the 64 letter sets, or None off tcp.
@@ -191,8 +190,8 @@ class FlowReader:
                         sport, dport = int(sport), int(dport)
                     if ts <= _MAX_TS_US and (sport is None or sport <= 65535 and dport <= 65535):
                         try:
-                            src, dst = _QUADS(inet_aton(src) + inet_aton(dst))
-                        except OSError:  # an octet above 255
+                            src, dst = _QUADS(inet_pton(AF_INET, src) + inet_pton(AF_INET, dst))
+                        except OSError:  # not a canonical dotted quad
                             pass
                         else:
                             yield (

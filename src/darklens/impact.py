@@ -22,8 +22,8 @@ from .model import (
     TrafficType,
     US_PER_DAY,
     US_PER_S,
+    _day_date,
     order_statistic,
-    utc_day,
 )
 
 
@@ -91,7 +91,7 @@ def tally_flows(
             mix[0] += est
         else:
             mix[3] += est
-    days = {(utc_day(day * US_PER_DAY), router): cell for (day, router), cell in cells.items()}
+    days = {(_day_date(day), router): cell for (day, router), cell in cells.items()}
     return FlowTally(len(ah), days, seen, mix)
 
 

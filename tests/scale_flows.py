@@ -1,13 +1,15 @@
 """Time reading and tallying flow rows at ISP scale, one child process a run.
 
-    python tests/scale_flows.py [--rounds 5] [--src DIR ...]
+    python tests/scale_flows.py [--rounds 5] [--quoted] [--src DIR ...]
 
 It generates `tests/scale_synth.py`'s flows-1e5 scenario once (seed 7, with
 this checkout's synth): 400,004 rows of 10^5 benign talkers and one sweep of a
 /22 on 4 routers, 1:100 sampled. Each run then drains `FlowReader` over that
 flow file into `tally_flows`, against the scenario's scanners as the AH set,
 and prints one line with the time per row in microseconds, the child's
-VmHWM, the rows read and the rows found invalid.
+VmHWM, the rows read and the rows found invalid. `--quoted` writes every
+router id in quotes, which the reader's row grammar does not take, so every
+row is read by csv.reader and the row validator instead.
 
 Each run is a fresh interpreter, so its VmHWM is its own peak. Every `--src`
 names a darklens source tree (default: this checkout's src/) whose reader the
@@ -46,6 +48,17 @@ def run_read(directory: Path) -> None:
     print(f"{wall / rows * 1e6:.2f} {_vmhwm_mb():.1f} {rows} {reader.invalid_rows}")
 
 
+def _quote_routers(path: Path) -> None:
+    """Rewrite a flow CSV with every router id quoted; the fields read the same."""
+    quoted = path.with_suffix(".quoted")
+    with open(path) as src, open(quoted, "w") as out:
+        out.write(next(src))
+        for line in src:
+            router, rest = line.split(",", 1)
+            out.write(f'"{router}",{rest}')
+    quoted.replace(path)
+
+
 def _child(src: Path, *args: str) -> str:
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
     done = subprocess.run([sys.executable, __file__, *args], env=env, check=True,
@@ -56,6 +69,8 @@ def _child(src: Path, *args: str) -> str:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--rounds", type=int, default=5)
+    parser.add_argument("--quoted", action="store_true",
+                        help="quote every router id, so each row takes the csv.reader path")
     parser.add_argument("--src", type=Path, action="append",
                         help="darklens source tree to time (repeatable; default this checkout's)")
     parser.add_argument("--generate", type=Path, help=argparse.SUPPRESS)
@@ -73,6 +88,8 @@ def main() -> int:
     sources = [src.resolve() for src in args.src or [SRC]]
     with tempfile.TemporaryDirectory(prefix="scale_flows.") as tmp:
         _child(SRC, "--generate", tmp)
+        if args.quoted:
+            _quote_routers(Path(tmp) / "flows.csv")
         print("us_per_row vmhwm_mb rows invalid src")
         for round_ in range(args.rounds):
             # Alternate which tree goes first, so drift on a shared host

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from darklens.flows import (
+    _CSV_ROW,
     FLOW_CSV_FIELDS,
     FlowReader,
     SchemaMismatchError,
@@ -169,6 +170,11 @@ class TestCsv:
             (_edge(src="255.255.255.256"), False),
             (_edge(src="0.0.0.0"), True),
             (_edge(src="198.051.100.9"), False),
+            (_edge(src="00.1.2.3"), False),
+            (_edge(src="10.20.30"), False),
+            (_edge(src="1..2.3.4"), False),
+            (_edge(src="1.2.3.4."), False),
+            (_edge(src="1.2.3.4.5"), False),
             (_edge(sport="65535", dport="65535"), True),
             (_edge(sport="65536"), False),
             (_edge(dport="65536"), False),
@@ -207,6 +213,15 @@ class TestCsv:
         rows = list(reader)
         assert (rows, reader.invalid_rows) == oracle_flow_rows(p)
         assert (len(rows), reader.invalid_rows) == ((3, 0) if valid else (2, 1))
+
+    def test_grammar_takes_lf_crlf_and_last_lines_only_unquoted(self):
+        # csv.reader reads the same fields for LF, CRLF and a last line with
+        # no ending, so all three take the grammar; a quoted field does not.
+        for end in ("\n", "\r\n", ""):
+            assert _CSV_ROW(GOOD_ROW + end) is not None
+        assert _CSV_ROW('"router-1"' + GOOD_ROW[len("router-1"):] + "\n") is None
+        # Python 3.10's re has no possessive quantifiers (x*+, x?+, x{m,n}+).
+        assert re.search(r"[*+?}]\+", _CSV_ROW.__self__.pattern) is None
 
     def test_row_writer_round_trips(self, tmp_path):
         _, rows = _read_csv(tmp_path, _csv([GOOD_ROW]))
