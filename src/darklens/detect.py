@@ -42,9 +42,9 @@ from .model import (
     EmptyInputError,
     Thresholds,
     TrafficType,
+    _day_date,
     int_to_ip,
     order_statistic,
-    utc_day,
     write_lines,
 )
 
@@ -311,7 +311,7 @@ def run_detection(
     matches = acked_sources(sources, acked, rdns)
     verdicts = [
         AhVerdict(
-            src_ip=ip, day=utc_day(day * US_PER_DAY), matched_defs=_DEFS[mask],
+            src_ip=ip, day=_day_date(day), matched_defs=_DEFS[mask],
             max_dispersion=max_disp, max_event_pkts=max_pkts,
             distinct_ports=port_profiles.get((ip, day), 0),
             is_daily=sources[ip].first_ts // US_PER_DAY == day,

@@ -28,8 +28,7 @@ from _socket import AF_INET, inet_pton
 from typing import Iterator
 
 from .model import (
-    _MAX_TS_US, Direction, Protocol, ip_to_int, letters_to_flags, parse_lines, parse_uint,
-    read_lines,
+    _MAX_TS_US, Direction, Protocol, letters_to_flags, parse_lines, parse_uint, read_lines,
 )
 
 FLOW_CSV_FIELDS = [
@@ -52,6 +51,7 @@ class SchemaMismatchError(ValueError):
 
 _PROTOCOLS = {member.value: member for member in Protocol}
 _DIRECTIONS = {member.value: member for member in Direction}
+_QUADS = struct.Struct("!II").unpack
 
 
 def _flow_row(
@@ -91,8 +91,13 @@ def _flow_row(
         if proto is not Protocol.TCP:
             raise ValueError("tcp_flags on a non-tcp row")
         flags = letters_to_flags(tcp_flags)
+    # inet_pton takes only canonical dotted quads, as the grammar's match does.
+    try:
+        src, dst = _QUADS(inet_pton(AF_INET, src_ip) + inet_pton(AF_INET, dst_ip))
+    except OSError:
+        raise ValueError("address is not a canonical dotted quad") from None
     return (
-        router_id, ts_us, dirn, ip_to_int(src_ip), ip_to_int(dst_ip), proto,
+        router_id, ts_us, dirn, src, dst, proto,
         src_port, dst_port, sampled_pkts, sampling_denominator, flags,
     )
 
@@ -133,7 +138,6 @@ _CSV_ROW = re.compile(
     rf"((?P<tcp>tcp)|udp|(?P<icmp>icmp)),(?(icmp),|{_PORT},{_PORT}),{_COUNT},{_COUNT},"
     r"(?(tcp)(S?A?F?R?P?U?))\r?\n?"
 ).fullmatch
-_QUADS = struct.Struct("!II").unpack
 # The grammar's flag field: each of the 64 letter sets, or None off tcp.
 _FLAG_SETS = {
     letters: letters_to_flags(letters) or None
@@ -172,11 +176,7 @@ class FlowReader:
     def _csv_rows(self, lines: Iterator[str]) -> Iterator:
         """The header row, then each valid row as its tuple: by the grammar when
         the line matches, else by csv.reader and _flow_row."""
-        held = []
-        # csv.reader reads each line the grammar passed over, then the lines
-        # after it while a quoted field runs on.
-        reader = csv.reader(iter(lambda: held.pop() if held else next(lines, None), None))
-        yield from itertools.islice(reader, 1)
+        yield from itertools.islice(csv.reader(lines), 1)
         invalid = self.invalid_rows
         width = len(FLOW_CSV_FIELDS)
         try:
@@ -199,8 +199,9 @@ class FlowReader:
                                 sport, dport, int(sampled), int(denom), _FLAG_SETS[flags],
                             )
                             continue
-                held.append(line)
-                row = next(reader)
+                # csv.reader reads the line the grammar passed over, then the
+                # lines after it while a quoted field runs on.
+                row = next(csv.reader(itertools.chain((line,), lines)))
                 if len(row) != width:
                     invalid += 1
                     continue
