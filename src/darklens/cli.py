@@ -34,6 +34,12 @@ from .model import (
     read_event_log, read_verdicts, write_csv, write_json, write_lines,
 )
 
+# A capture's read and skip counts, as PcapReader names them.
+_PACKETS_READ = (
+    "packets read: {packets_read} (skipped: non-ipv4 {skipped_non_ipv4}, "
+    "truncated {skipped_truncated}, other transport {skipped_transport})"
+)
+
 
 DETECT_LISTS = (
     "blocklist_d1.txt", "blocklist_d2.txt", "blocklist_d3.txt", "blocklist_union.txt",
@@ -136,7 +142,8 @@ def _feed_counts(**feeds) -> dict:
 
 
 def cmd_events(args, staging: Path) -> int:
-    from .events import EventBuilder, write_event_log
+    from .events import EventBuilder
+    from .model import write_event_log
     from .pcap import PcapReader
 
     cfg = _require_config(args)
@@ -156,10 +163,7 @@ def cmd_events(args, staging: Path) -> int:
     events_written = write_event_log(staging / "events.jsonl", closed_events())
 
     print(f"pcap files: {len(args.pcaps)}")
-    print(
-        "packets read: {packets_read} (skipped: non-ipv4 {skipped_non_ipv4}, "
-        "truncated {skipped_truncated}, other transport {skipped_transport})".format(**totals)
-    )
+    print(_PACKETS_READ.format_map(totals))
     print(
         f"dropped non-scanning: {builder.dropped_non_scanning}, "
         f"outside darknet: {builder.outside_darknet}, "
@@ -178,7 +182,7 @@ def cmd_detect(args, staging: Path) -> int:
     thresholds = None
     if args.fixed_thresholds:
         volume, ports = args.fixed_thresholds
-        thresholds = Thresholds(volume, ports, "fixed")
+        thresholds = Thresholds(volume, ports)
     try:
         result = detect_mod.run_detection(
             read_event_log(args.event_log), cfg, thresholds=thresholds, acked=acked, rdns=rdns
@@ -199,7 +203,7 @@ def cmd_detect(args, staging: Path) -> int:
     detect_mod.write_verdicts(staging / "verdicts.jsonl", result.verdicts)
     write_json(staging / "detect_meta.json", {
         "events": result.events,
-        "dataset_label": result.thresholds.dataset_label,
+        "dataset_label": "fixed" if args.fixed_thresholds else "",
         "thresholds": {
             "volume_threshold_pkts": result.thresholds.volume_threshold_pkts,
             "ports_threshold": result.thresholds.ports_threshold,
@@ -301,6 +305,7 @@ def cmd_impact(args, staging: Path) -> int:
              "per_slash24_rate"],
             impact.series_rows(series, args.num_slash24),
         )
+        print(_PACKETS_READ.format_map(vars(reader)))
         ah_total, total = series.totals()
         if total:
             hot = impact.flag_high_load_bins(series)

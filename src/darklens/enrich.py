@@ -101,9 +101,11 @@ class TagJoinResult(NamedTuple):
 
 
 NOT_PRESENT = "not_present"
+# The most frequent tags a join keeps.
+TOP_TAGS = 20
 
 
-def tag_join(ah: Set[int], tags: Dict[int, TagEntry], top_n: int = 20) -> TagJoinResult:
+def tag_join(ah: Set[int], tags: Dict[int, TagEntry]) -> TagJoinResult:
     if not ah:
         raise EmptyAhSetError("tag_join needs a nonempty AH set")
     histogram = {"benign": 0, "malicious": 0, "unknown": 0, NOT_PRESENT: 0}
@@ -118,9 +120,7 @@ def tag_join(ah: Set[int], tags: Dict[int, TagEntry], top_n: int = 20) -> TagJoi
         histogram[entry.classification.value] += 1
         for tag in entry.tags:
             tag_counts[tag] = tag_counts.get(tag, 0) + 1
-    top = sorted(tag_counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    if top_n > 0:
-        top = top[:top_n]
+    top = sorted(tag_counts.items(), key=lambda kv: (-kv[1], kv[0]))[:TOP_TAGS]
     return TagJoinResult(histogram=histogram, top_tags=top, overlap_fraction=present / len(ah))
 
 

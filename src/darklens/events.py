@@ -31,8 +31,6 @@ from .model import (
     TCP_ACK, TCP_SYN, TRAFFIC_INDEX, DarknetConfig, DarknetEvent, PacketMeta, Protocol,
     TrafficType, US_PER_S,
 )
-# The log writer lives beside its reader and the binary format they share.
-from .model import write_event_log  # noqa: F401
 from .pcap import ICMP_ECHO_REQUEST_TYPE, classify_traffic_type  # noqa: F401
 
 # Nothing in darklens reads this; it stays only because bench/run.py picks

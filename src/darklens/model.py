@@ -23,7 +23,7 @@ import struct
 from _blake2 import blake2b
 # socket re-exports these from its C module; importing socket itself would
 # also build its IntEnums and load selectors, which nothing here needs.
-from _socket import inet_aton, inet_ntoa
+from _socket import AF_INET, inet_ntoa, inet_pton
 from datetime import date, timedelta
 from functools import lru_cache, partial
 from typing import (
@@ -64,20 +64,21 @@ def letters_to_flags(letters: str) -> int:
     return flags
 
 
+_unpack_quad = struct.Struct("!I").unpack
+
+
 def ip_to_int(text: str) -> int:
     """Dotted-quad string to unsigned 32-bit integer. Raises ValueError.
 
-    Only the canonical form that int_to_ip writes is accepted. inet_aton alone
-    also takes "10.1", octal "010.0.0.1", hex octets and trailing junk, which
-    would attribute a rotten row to the wrong address.
+    Only the canonical form that int_to_ip writes is accepted: inet_pton takes
+    four decimal octets <= 255 with no leading zero and nothing around them,
+    where inet_aton would also take "10.1", octal "010.0.0.1", hex octets and
+    trailing junk and so attribute a rotten row to the wrong address.
     """
     try:
-        packed = inet_aton(text)
+        return _unpack_quad(inet_pton(AF_INET, text))[0]
     except OSError as exc:
         raise ValueError(f"invalid IPv4 address {text!r}") from exc
-    if inet_ntoa(packed) != text:
-        raise ValueError(f"invalid IPv4 address {text!r}")
-    return struct.unpack("!I", packed)[0]
 
 
 def int_to_ip(value: int) -> str:
@@ -228,64 +229,43 @@ _strip_json_ws = operator.methodcaller("strip", " \t\r\n")
 
 
 def _check_events(rows: Iterable[tuple]) -> Iterator[tuple]:
-    """Yield each event row, a plain tuple in DarknetEvent's field order, if it holds every rule.
+    """Yield each event row, a tuple of ints in DarknetEvent's field order, if it holds every rule.
 
     Both event-log decoders feed this one step, and no object is built for
-    a row that passes: each costs one boolean gate that holds every rule.
-    Only a row that fails it goes to _reject, to raise the ValueError that
-    names its first bad field.
+    a row that passes. The rules run in this order, so an error names the
+    first one a row breaks. A traffic-type index with no TrafficType, such as
+    a record's byte 3, is "3 is not a valid TrafficType".
     """
     lo, hi, kinds = _MIN_TS_US, _MAX_TS_US, len(TRAFFIC_TYPES)
     icmp = TRAFFIC_INDEX[TrafficType.ICMP_ECHO_REQUEST]
     for row in rows:
         _src_ip, port, ttype, start, end, pkts, dsts, zmap, masscan, other = row
-        # bool is a subclass of int, so compare the exact type first; the
-        # comparisons after it would raise TypeError on a string. An OR of
-        # ints is negative exactly when one of them is.
-        if not (type(port) is type(start) is type(end) is type(pkts) is type(dsts)
-                is type(zmap) is type(masscan) is type(other) is int
-                and lo <= start <= end <= hi and 1 <= dsts <= pkts <= MAX_COUNT
-                and zmap | masscan | other >= 0 and zmap + masscan + other == pkts
-                and 0 <= port <= 0xFFFF
-                and ttype < kinds and (port == 0 or ttype != icmp)):
-            _reject(row)
+        if not 0 <= ttype < kinds:
+            raise ValueError(f"{ttype!r} is not a valid TrafficType")
+        if not lo <= start <= end <= hi:
+            raise ValueError(f"need {lo} <= start_ts <= end_ts <= {hi}")
+        if not 1 <= pkts <= MAX_COUNT:
+            raise ValueError(f"pkt_count must be in [1, {MAX_COUNT}]")
+        if not 1 <= dsts <= pkts:
+            raise ValueError("unique_dst_count out of range")
+        # An OR of ints is negative exactly when one of them is.
+        if zmap | masscan | other < 0:
+            raise ValueError("fingerprint counters must be >= 0")
+        if zmap + masscan + other != pkts:
+            raise ValueError("fingerprint counters must partition pkt_count")
+        if not 0 <= port <= 0xFFFF:
+            raise ValueError("dst_port out of range")
+        if ttype == icmp and port != 0:
+            raise ValueError("ICMP echo events carry dst_port 0")
         yield row
-
-
-def _reject(row: tuple) -> None:
-    """Raise the ValueError that names the first rule an event row breaks.
-
-    A traffic-type index with no TrafficType, such as a record's byte 3, is
-    "3 is not a valid TrafficType". Both decoders give the index as an int;
-    every other field but the address must be one too.
-    """
-    _src_ip, port, ttype, start, end, pkts, dsts, zmap, masscan, other = row
-    if not 0 <= ttype < len(TRAFFIC_TYPES):
-        raise ValueError(f"{ttype!r} is not a valid TrafficType")
-    for name, value in zip(DarknetEvent._fields[1:], row[1:]):
-        if type(value) is not int:
-            raise ValueError(f"{name} must be a JSON integer, not {value!r}")
-    if not _MIN_TS_US <= start <= end <= _MAX_TS_US:
-        raise ValueError(f"need {_MIN_TS_US} <= start_ts <= end_ts <= {_MAX_TS_US}")
-    if not 1 <= pkts <= MAX_COUNT:
-        raise ValueError(f"pkt_count must be in [1, {MAX_COUNT}]")
-    if not 1 <= dsts <= pkts:
-        raise ValueError("unique_dst_count out of range")
-    if min(zmap, masscan, other) < 0:
-        raise ValueError("fingerprint counters must be >= 0")
-    if zmap + masscan + other != pkts:
-        raise ValueError("fingerprint counters must partition pkt_count")
-    if not 0 <= port <= 0xFFFF:
-        raise ValueError("dst_port out of range")
-    if TRAFFIC_TYPES[ttype] is TrafficType.ICMP_ECHO_REQUEST and port != 0:
-        raise ValueError("ICMP echo events carry dst_port 0")
 
 
 def _json_rows(lines: Iterable[str], ips: Dict[str, int]) -> Iterator[tuple]:
     """The event row of each non-blank event-log line, one C scan a line.
 
     The traffic type's text becomes its index; ips memoises ip_to_int per
-    address string.
+    address string. dst_port and every count must be a JSON integer, the one
+    rule a binary record, whose fields unpack to ints, cannot break.
     """
     for line in filter(None, map(_strip_json_ws, lines)):
         try:
@@ -299,11 +279,20 @@ def _json_rows(lines: Iterable[str], ips: Dict[str, int]) -> Iterator[tuple]:
         src_ip = ips.get(text)
         if src_ip is None:
             src_ip = ips[text] = ip_to_int(text)
-        port, type_text, counts = key["dst_port"], key["traffic_type"], _event_counts(obj)
+        port, type_text = key["dst_port"], key["traffic_type"]
+        start, end, pkts, dsts, zmap, masscan, other = _event_counts(obj)
         ttype = _INDEX_OF_TEXT.get(type_text)
         if ttype is None:
             raise ValueError(f"{type_text!r} is not a valid TrafficType")
-        yield (src_ip, port, ttype, *counts)
+        row = (src_ip, port, ttype, start, end, pkts, dsts, zmap, masscan, other)
+        # bool is a subclass of int, so the exact type is compared; the field
+        # is looked for only once the row has failed.
+        if not (type(port) is type(start) is type(end) is type(pkts) is type(dsts)
+                is type(zmap) is type(masscan) is type(other) is int):
+            name, value = next((name, value) for name, value in zip(DarknetEvent._fields, row)
+                               if type(value) is not int)
+            raise ValueError(f"{name} must be a JSON integer, not {value!r}")
+        yield row
 
 
 # The three aggressive-scanner definitions, as verdicts and reports name them.
@@ -598,7 +587,6 @@ class Thresholds(NamedTuple):
 
     volume_threshold_pkts: int
     ports_threshold: int
-    dataset_label: str = ""
 
     def validate(self) -> None:
         if self.volume_threshold_pkts < 1 or self.ports_threshold < 1:
@@ -709,8 +697,13 @@ def parse_config_text(text: str) -> DarknetConfig:
 
 
 def load_config(path) -> DarknetConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read())
+    """The config at path; a ConfigError, also for a byte that is not UTF-8, names the file."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return parse_config_text(data.decode())
+    except (UnicodeDecodeError, ConfigError) as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def slash24_of(ip: int) -> int:

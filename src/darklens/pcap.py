@@ -77,7 +77,6 @@ class PcapReader:
         if network not in (LINKTYPE_ETHERNET, LINKTYPE_RAW_IP):
             raise UnsupportedLinkTypeError(f"{path}: unsupported link type {network}")
         self.linktype = network
-        self.records_total = 0
         self.packets_read = 0
         self.skipped_non_ipv4 = 0
         self.skipped_truncated = 0
@@ -86,6 +85,11 @@ class PcapReader:
     @property
     def total_skipped(self) -> int:
         return self.skipped_non_ipv4 + self.skipped_truncated + self.skipped_transport
+
+    @property
+    def records_total(self) -> int:
+        """Every record header read: each one is a packet read or a skip."""
+        return self.packets_read + self.total_skipped
 
     def __iter__(self) -> Iterator[tuple]:
         """Yield each decoded packet as a plain tuple in PacketMeta field order.
@@ -116,7 +120,6 @@ class PcapReader:
         tcp = Protocol.TCP
         udp = Protocol.UDP
         icmp = Protocol.ICMP
-        records = self.records_total
         read = self.packets_read
         non_ipv4 = self.skipped_non_ipv4
         truncated = self.skipped_truncated
@@ -140,7 +143,6 @@ class PcapReader:
                     if have < 16:
                         break
                 ts_sec, ts_frac, caplen, origlen = rec_unpack(buf, pos)
-                records += 1
                 left -= 16 + caplen
                 if left < 0:
                     truncated += 1
@@ -212,7 +214,6 @@ class PcapReader:
                     transport += 1
         finally:
             fh.close()
-            self.records_total = records
             self.packets_read = read
             self.skipped_non_ipv4 = non_ipv4
             self.skipped_truncated = truncated

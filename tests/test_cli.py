@@ -18,11 +18,11 @@ import darklens
 from darklens import enrich
 from darklens import pcap as pcap_mod
 from darklens.cli import _write_protocol_csv, build_parser, main
-from darklens.events import EventBuilder, write_event_log
+from darklens.events import EventBuilder
 from darklens.fingerprint import PortFingerprintRow
 from darklens.model import (
     AhVerdict, DarknetEvent, Direction, FlowRecord, Protocol, TrafficType, ip_to_int,
-    read_blocklist, write_csv, write_lines,
+    read_blocklist, write_csv, write_event_log, write_lines,
 )
 from darklens.pcap import PcapReader
 from helpers import (
@@ -777,7 +777,8 @@ class TestFailureModes:
             "events", str(pipeline["synth"] / "synth.pcap"),
         ])
         assert rc == 2
-        assert "error: event_timeout_s 1e-07 must round to at least 1 us" in capsys.readouterr().err
+        assert (f"error: {conf}: event_timeout_s 1e-07 must round to at least 1 us"
+                in capsys.readouterr().err)
         assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("line", [f"darknet_prefixes = {p}" for p in NONCANONICAL_PREFIXES]
@@ -793,7 +794,19 @@ class TestFailureModes:
         assert rc == 2
         key, _, value = line.partition(" = ")
         reason = f"unknown key '{key}'" if key == "darknet_size" else f"invalid IPv4 prefix '{value}'"
-        assert f"error: line 5: {reason}" in capsys.readouterr().err
+        assert f"error: {conf}: line 5: {reason}" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    def test_config_byte_not_utf8_names_the_file(self, pipeline, tmp_path, capsys):
+        conf = tmp_path / "latin1.conf"
+        conf.write_bytes(CONF.encode() + b"# caf\xe9\n")
+        out = tmp_path / "out"
+        rc = main([
+            "--config", str(conf), "--out-dir", str(out),
+            "events", str(pipeline["synth"] / "synth.pcap"),
+        ])
+        assert rc == 2
+        assert f"error: {conf}: 'utf-8' codec can't decode byte 0xe9" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
     def test_bin_width_rounding_to_zero_is_fatal(self, pipeline, tmp_path, capsys):

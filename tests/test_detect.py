@@ -51,8 +51,8 @@ JUNE1_N = (JUNE1 - date(1970, 1, 1)).days  # a profile's day: days since the epo
 
 # Reference thresholds from two year-long darknet observation windows; used
 # as fixed inputs to pin down the inclusive >= boundary behavior.
-T_2021 = Thresholds(volume_threshold_pkts=64810, ports_threshold=6542, dataset_label="2021")
-T_2022 = Thresholds(volume_threshold_pkts=23491, ports_threshold=57410, dataset_label="2022")
+T_2021 = Thresholds(volume_threshold_pkts=64810, ports_threshold=6542)
+T_2022 = Thresholds(volume_threshold_pkts=23491, ports_threshold=57410)
 
 
 def _ev(

@@ -9,6 +9,7 @@ from darklens.detect import write_verdicts
 from darklens.enrich import (
     EmptyAhSetError,
     NOT_PRESENT,
+    TOP_TAGS,
     OriginRow,
     acked_sources,
     origin_table,
@@ -24,10 +25,9 @@ from darklens.feeds import (
     load_rdns,
     origin_of,
 )
-from darklens.events import write_event_log
 from darklens.model import (
     AhVerdict, DarknetEvent, TrafficType, int_to_ip, ip_to_int, parse_cidr, slash24_of,
-    write_csv,
+    write_csv, write_event_log,
 )
 from helpers import TYPE_INDEX, oracle_acked_sources
 
@@ -212,15 +212,12 @@ class TestTagJoin:
         assert res.overlap_fraction == 0.75
         assert res.top_tags == [("ssh", 2), ("bruteforcer", 1), ("research", 1)]
 
-    def test_top_n_truncates(self):
-        db = _tags([(i, "unknown", [f"tag{i}"]) for i in range(30)])
-        res = tag_join(set(range(30)), db, top_n=5)
-        assert len(res.top_tags) == 5
-
-    def test_top_n_zero_keeps_all(self):
-        db = _tags([(i, "unknown", [f"tag{i}"]) for i in range(30)])
-        res = tag_join(set(range(30)), db, top_n=0)
-        assert len(res.top_tags) == 30
+    def test_top_tags_keeps_the_twenty_most_frequent(self):
+        # Tag i is on sources 0..i, so its count is i + 1 and the order is known.
+        db = _tags([(ip, "unknown", [f"tag{i}" for i in range(ip, 30)]) for ip in range(30)])
+        res = tag_join(set(range(30)), db)
+        assert TOP_TAGS == 20
+        assert res.top_tags == [(f"tag{i}", i + 1) for i in range(29, 9, -1)]
 
     def test_empty_ah_raises(self):
         with pytest.raises(EmptyAhSetError):

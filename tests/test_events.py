@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from darklens.detect import classify_dispersion
-from darklens.events import EventBuilder, write_event_log
-from darklens.model import TRAFFIC_TYPES, Protocol, TrafficType, ip_to_int, read_event_log
+from darklens.events import EventBuilder
+from darklens.model import (
+    TRAFFIC_TYPES, Protocol, TrafficType, ip_to_int, read_event_log, write_event_log,
+)
 from helpers import (
     US, OracleEventBuilder, decode_event, make_cfg, mk_pkt, offline_intervals, run_builder,
     traced_peak,

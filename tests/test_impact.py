@@ -614,5 +614,21 @@ class TestCsvWriters:
         rc, _ = self._series(tmp_path, [(0, "198.18.0.1"), (20 * US, "100.64.0.1")])
         assert rc == 0
         assert capsys.readouterr().out == (
+            "packets read: 2 (skipped: non-ipv4 0, truncated 0, other transport 0)\n"
             "series: 21 bins, cumulative fraction 0.500000, 2 bins hot on both load and share\n"
+        )
+
+    def test_garbled_capture_prints_its_skips(self, tmp_path, capsys):
+        # A capture with no packet to bin is told apart from a quiet one.
+        arp = bytes(12) + b"\x08\x06" + bytes(28)
+        pcap = tmp_path / "garbled.pcap"
+        pcap.write_bytes(build_pcap([(0, arp), (US, eth_frame(bytes(10)))]))
+        rc = main([
+            "--out-dir", str(tmp_path / "out"), "impact",
+            "--blocklist", str(self._blocklist(tmp_path)), "--pcap", str(pcap),
+        ])
+        assert rc == 1
+        assert capsys.readouterr().out == (
+            "packets read: 0 (skipped: non-ipv4 1, truncated 1, other transport 0)\n"
+            "warning: packet stream produced no bins\n"
         )

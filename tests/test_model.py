@@ -753,6 +753,67 @@ class TestBinaryCopy:
                        f"{path}:2: malformed line (ValueError: unique_dst_count out of range)")
         assert printed == ""
 
+    # Each range rule of the event row, in the order the rules are checked:
+    # where the break can be held, an event that breaks it and no rule before
+    # it, and the message. The writer refuses an event that breaks the first or
+    # the seventh (no TrafficType has index 3, and a record holds no port over
+    # 65535), so those two are written valid and spoiled in the one encoding
+    # that can hold the break.
+    @pytest.mark.parametrize("held_by, fields, message", [
+        ("copy", {"traffic_type": 3}, "3 is not a valid TrafficType"),
+        ("both", {"start_ts": MAX_TS, "end_ts": MAX_TS + 1},
+         f"need {MIN_TS} <= start_ts <= end_ts <= {MAX_TS}"),
+        ("both", {"pkt_count": 0, "unique_dst_count": 0},
+         "pkt_count must be in [1, 9223372036854775807]"),
+        ("both", {"unique_dst_count": 11}, "unique_dst_count out of range"),
+        ("both", {"zmap_pkts": -1, "masscan_pkts": 11}, "fingerprint counters must be >= 0"),
+        ("both", {"masscan_pkts": 1}, "fingerprint counters must partition pkt_count"),
+        ("json", {"dst_port": 0x10000}, "dst_port out of range"),
+        ("both", {"traffic_type": ICMP}, "ICMP echo events carry dst_port 0"),
+    ], ids=["traffic_type", "timestamps", "pkt_count", "unique_dst_count", "tools_negative",
+            "tools_partition", "dst_port", "icmp_port"])
+    def test_each_rule_reads_alike_through_the_copy_and_the_json(
+        self, tmp_path, held_by, fields, message
+    ):
+        path = tmp_path / "events.jsonl"
+        error = (("error", f"{path}:2: malformed line (ValueError: {message})"), "")
+        if held_by == "both":
+            write_event_log(path, [_event(), _event(**fields)])
+            assert _outcome(path) == _json_outcome(path) == error
+            return
+        write_event_log(path, [_event(), _event()])
+        copy = Path(f"{path}.bin")
+        if held_by == "copy":
+            data = bytearray(copy.read_bytes())
+            data[80 + 63 + 6] = fields["traffic_type"]
+            data[48:80] = blake2b(data[80:], digest_size=32).digest()
+            copy.write_bytes(data)
+        else:
+            copy.unlink()
+            first, second = path.read_text().splitlines()
+            second = second.replace('"dst_port":23,', '"dst_port":%d,' % fields["dst_port"])
+            path.write_text(f"{first}\n{second}\n")
+        assert _outcome(path) == error
+
+    @pytest.mark.parametrize("spoil, named", [
+        ({"start_ts": MAX_TS, "end_ts": MAX_TS + 1, "other_pkts": 0.0}, "other_pkts"),
+        ({"pkt_count": "10", "unique_dst_count": 11}, "pkt_count"),
+        ({"key": {"dst_port": 70000.5}, "zmap_pkts": -1, "masscan_pkts": 11}, "dst_port"),
+    ])
+    def test_json_integer_rule_comes_before_every_range_rule(self, tmp_path, spoil, named):
+        obj = json.loads(_event().to_json_line())
+        for name, value in spoil.items():
+            if name == "key":
+                obj["key"].update(value)
+            else:
+                obj[name] = value
+        path = tmp_path / "events.jsonl"
+        path.write_text(json.dumps(obj) + "\n")
+        (kind, text), printed = _outcome(path)
+        assert (kind, printed) == ("error", "")
+        assert text.startswith(f"{path}:1: malformed line (ValueError: {named} must be a JSON "
+                               f"integer, not ")
+
     @pytest.mark.parametrize("index", [3, 255])
     def test_record_with_no_traffic_type_names_its_line(self, tmp_path, index):
         # Byte 6 of a record is its traffic-type index; write_event_log never
