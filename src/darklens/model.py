@@ -65,6 +65,7 @@ def letters_to_flags(letters: str) -> int:
 
 
 _unpack_quad = struct.Struct("!I").unpack
+_pack_quad = struct.Struct("!I").pack
 
 
 def ip_to_int(text: str) -> int:
@@ -82,7 +83,8 @@ def ip_to_int(text: str) -> int:
 
 
 def int_to_ip(value: int) -> str:
-    return inet_ntoa(struct.pack("!I", value & 0xFFFFFFFF))
+    """Unsigned 32-bit integer to dotted quad; a value outside 0 to 2^32 - 1 is a struct.error."""
+    return inet_ntoa(_pack_quad(value))
 
 
 # The event-log encoder's int_to_ip: a source's events tend to close together.
@@ -548,18 +550,33 @@ def write_lines(path, lines: Iterable[str]) -> int:
     return count
 
 
-def write_json(path, obj) -> None:
-    """An indented JSON document with a trailing newline.
+_encode = json.JSONEncoder().encode
 
-    The encoder's tokens are written 2^14 at a time: json.dump writes each
-    on its own (about 150,000 writes for a bench manifest), and one
-    json.dumps string of a manifest of 10^5 sources peaks 200 MB higher.
+
+def write_json(path, doc: dict) -> None:
+    """A JSON object one top-level key a line, with a trailing newline.
+
+    Each value is one line from json's C encoder, except a non-empty
+    top-level list, which is written one item a line. Memory follows the
+    largest item, not the document, and no token goes through json's
+    indenting encoder, which runs in pure Python. Keys must be strings.
     """
-    tokens = json.JSONEncoder(indent=2).iterencode(obj)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        while batch := "".join(itertools.islice(tokens, 1 << 14)):
-            fh.write(batch)
-        fh.write("\n")
+        sep = "{\n  "
+        for key, value in doc.items():
+            if type(key) is not str:
+                raise TypeError(f"write_json keys must be strings, not {key!r}")
+            fh.write(f"{sep}{_encode(key)}: ")
+            if isinstance(value, (list, tuple)) and value:
+                item_sep = "[\n    "
+                for item in value:
+                    fh.write(item_sep + _encode(item))
+                    item_sep = ",\n    "
+                fh.write("\n  ]")
+            else:
+                fh.write(_encode(value))
+            sep = ",\n  "
+        fh.write("\n}\n" if doc else "{}\n")
 
 
 class FlowRecord(NamedTuple):

@@ -8,6 +8,8 @@ what makes the end-to-end acceptance checks meaningful.
 """
 from __future__ import annotations
 
+import csv
+import io
 import itertools
 import json
 import struct
@@ -15,14 +17,14 @@ from collections import Counter
 from dataclasses import dataclass, field, fields
 from datetime import date, timedelta
 from pathlib import Path
-from typing import Iterator, List
+from typing import List
 
 import numpy as np
 
 from .fingerprint import ZMAP_IP_ID, masscan_ip_id
 from .flows import FLOW_CSV_FIELDS
 from .model import (
-    US_PER_DAY, US_PER_S, DarknetConfig, TrafficType, int_to_ip, ip_to_int, write_csv, write_json,
+    US_PER_DAY, US_PER_S, DarknetConfig, TrafficType, int_to_ip, ip_to_int, write_json,
 )
 from .pcap import LINKTYPE_ETHERNET, MAGIC_US_BE
 
@@ -491,7 +493,9 @@ def _generate_flows(sc: SynthScenario, rng: np.random.Generator, sources: List[d
     """1:k-thinned flow CSV where scanner sources hold an exact traffic share.
 
     Rows stream to the file a router at a time, so memory follows one
-    router's rows, not all of them.
+    router's rows, not all of them. Each row is one f-string: only the
+    router id can need quoting, so it alone goes through csv.writer, once
+    per router, and the file is byte for byte what write_csv would write.
     """
     total = sc.flow_total_pkts
     ah_total = round(total * sc.flow_ah_share)
@@ -511,25 +515,28 @@ def _generate_flows(sc: SynthScenario, rng: np.random.Generator, sources: List[d
     duration_us = sc.duration_s * US_PER_S
     denom = sc.flow_sampling_denominator
     counts = np.array([talker[1] for talker in talkers], np.int64)
-    kept_rows: List[int] = []
-
-    def rows() -> Iterator[list]:
+    rows = 0
+    with open(out_dir / "flows.csv", "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(FLOW_CSV_FIELDS) + "\n")
+        write = fh.write
         # Each router thins every talker's packets at once, and its rows are
         # written before the next router draws; a talker with no sampled
         # packet gives no row.
         for router in sc.flow_routers:
+            # The same writer write_csv uses: its terminator decides which ids it quotes.
+            quoted = io.StringIO()
+            csv.writer(quoted, lineterminator="\n").writerow([router])
+            router_field = quoted.getvalue()[:-1]
             sampled = rng.binomial(counts, 1.0 / denom)
             kept = np.flatnonzero(sampled)
             stamps = start_us + rng.integers(0, duration_us, len(kept))
-            dsts = (172 << 24) | (16 << 16) | rng.integers(1, 65000, len(kept))
-            kept_rows.append(len(kept))
-            for t, pkts, ts, dst in zip(kept.tolist(), sampled[kept].tolist(), stamps.tolist(),
-                                        dsts.tolist()):
+            dsts = rng.integers(1, 65000, len(kept))  # 172.16.0.1 to 172.16.253.231
+            rows += len(kept)
+            for t, pkts, ts, d in zip(kept.tolist(), sampled[kept].tolist(), stamps.tolist(),
+                                      dsts.tolist()):
                 src, _count, proto, sport, dport, flags = talkers[t]
-                yield [router, ts, "I", src, int_to_ip(dst), proto, sport, dport, pkts, denom,
-                       flags]
-
-    write_csv(out_dir / "flows.csv", FLOW_CSV_FIELDS, rows())
+                write(f"{router_field},{ts},I,{src},172.16.{d >> 8}.{d & 255},{proto},{sport},"
+                      f"{dport},{pkts},{denom},{flags}\n")
 
     return {
         "routers": list(sc.flow_routers),
@@ -542,5 +549,5 @@ def _generate_flows(sc: SynthScenario, rng: np.random.Generator, sources: List[d
             for router in sc.flow_routers
         },
         "ah_sources": ah_ips,
-        "rows": sum(kept_rows),
+        "rows": rows,
     }

@@ -13,7 +13,9 @@ case). Each run prints one line, its step's wall time, its VmHWM and its counts:
 
     case src wall_s vmhwm_mb name=count ...
 
-Every scenario and log is drawn with seed 7.
+Every scenario and log is drawn with seed 7. A synth-* case also prints the
+sizes of the manifest and the flow file it wrote, in MiB (manifest_mb=,
+flows_mb=).
 
     synth-criterion-10   synth.generate of acceptance criterion 10's capture:
                          49 full sweeps of a /22, 20 passes each, 1,003,520
@@ -160,8 +162,12 @@ def _generate(scenario: str, work: Path):
 
     with tempfile.TemporaryDirectory(prefix="scale.") as tmp:
         manifest, wall = _timed(generate, SynthScenario(**SCENARIOS[scenario]), SEED, tmp)
+        # MiB on disk; a scenario without flows writes no flows.csv.
+        sizes = {f"{name}_mb": f"{path.stat().st_size / 2 ** 20:.2f}" if path.exists() else "0"
+                 for name, path in (("manifest", Path(tmp, "manifest.json")),
+                                    ("flows", Path(tmp, "flows.csv")))}
     rows = manifest["flows"]["rows"] if "flows" in manifest else 0
-    return wall, {"packets": manifest["pcap_packets"], "flow_rows": rows}
+    return wall, {"packets": manifest["pcap_packets"], "flow_rows": rows, **sizes}
 
 
 def _read_flows(work: Path):

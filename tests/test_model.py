@@ -29,6 +29,7 @@ from darklens.model import (
     slash24_of,
     utc_day,
     write_event_log,
+    write_json,
 )
 from helpers import (
     NONCANONICAL_PREFIXES, check_packet_meta, darknet_contains, decode_event,
@@ -291,10 +292,19 @@ class TestIpHelpers:
     def test_basic(self):
         assert ip_to_int("10.0.0.5") == (10 << 24) + 5
         assert int_to_ip((10 << 24) + 5) == "10.0.0.5"
+        assert int_to_ip(0) == "0.0.0.0"
+        assert int_to_ip(2**32 - 1) == "255.255.255.255"
 
     @given(st.integers(min_value=0, max_value=2**32 - 1))
+    @example(0)
+    @example(2**32 - 1)
     def test_round_trip(self, value):
         assert ip_to_int(int_to_ip(value)) == value
+
+    @pytest.mark.parametrize("value", [-1, 2**32])
+    def test_outside_32_bits_raises_not_wraps(self, value):
+        with pytest.raises(struct.error):
+            int_to_ip(value)
 
     @pytest.mark.parametrize(
         "text", ["10.1", "010.0.0.1", "0x0a.0.0.1", "1.2.3.4 junk", "1.2.3.4\n", " 1.2.3.4", "4294967295"]
@@ -331,6 +341,67 @@ class TestIpHelpers:
         assert slash24_of(ip_to_int("10.1.2.3")) == ip_to_int("10.1.2.0")
         assert slash24_of(ip_to_int("10.1.2.99")) == ip_to_int("10.1.2.0")
         assert slash24_of(ip_to_int("10.1.3.1")) == ip_to_int("10.1.3.0")
+
+
+# Any value json round-trips: a float that is not NaN, str keys.
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=12)
+
+
+class TestWriteJson:
+    def test_layout_bytes(self, tmp_path):
+        write_json(tmp_path / "d.json", {
+            "seed": 7,
+            "nested": {"a": [1, {"b": None}], "c": "d"},
+            "empty_list": [],
+            "empty_dict": {},
+            "name": "caf\u00e9 \u2603",
+            "items": [1, "x", {"y": [2.5, True]}, []],
+            "last": [],
+        })
+        assert (tmp_path / "d.json").read_bytes() == (
+            b'{\n'
+            b'  "seed": 7,\n'
+            b'  "nested": {"a": [1, {"b": null}], "c": "d"},\n'
+            b'  "empty_list": [],\n'
+            b'  "empty_dict": {},\n'
+            b'  "name": "caf\\u00e9 \\u2603",\n'
+            b'  "items": [\n'
+            b'    1,\n'
+            b'    "x",\n'
+            b'    {"y": [2.5, true]},\n'
+            b'    []\n'
+            b'  ],\n'
+            b'  "last": []\n'
+            b'}\n')
+
+    def test_empty_document(self, tmp_path):
+        write_json(tmp_path / "d.json", {})
+        assert (tmp_path / "d.json").read_bytes() == b"{}\n"
+
+    def test_key_not_a_string_raises(self, tmp_path):
+        with pytest.raises(TypeError, match="keys must be strings"):
+            write_json(tmp_path / "d.json", {1: "one"})
+
+    @settings(max_examples=200, deadline=None)
+    @given(doc=st.dictionaries(st.text(), _JSON_VALUES, max_size=6))
+    def test_round_trips_through_json_load(self, tmp_path_factory, doc):
+        path = tmp_path_factory.mktemp("json") / "d.json"
+        write_json(path, doc)
+        with open(path, encoding="utf-8") as fh:
+            assert json.load(fh) == doc
+        assert path.read_bytes().endswith(b"\n")
+
+    def test_memory_follows_the_largest_item(self, tmp_path):
+        items = [{"ip": int_to_ip(i), "kind": "noise", "ports": [i % 65536], "pkts": i}
+                 for i in range(20_000)]
+        path = tmp_path / "d.json"
+        _, peak = traced_peak(write_json, path, {"seed": 7, "sources": items})
+        size = path.stat().st_size
+        assert size > 1 << 20
+        assert peak < size // 16
 
 
 # Traffic-type indexes, as an event holds them.

@@ -413,6 +413,9 @@ _EVERY_KIND = SynthScenario(
 class TestPerProbeOracle:
     @settings(max_examples=25, deadline=None)
     @example(sc=_EVERY_KIND, seed=7)
+    # Router ids csv.writer quotes: a comma, a quote, a line feed.
+    @example(sc=SynthScenario(flow_total_pkts=200_000, flow_sampling_denominator=100,
+                              flow_routers=["edge,1", 'say "hi"', "line\nfeed"]), seed=7)
     @given(sc=_scenarios(), seed=st.integers(0, 2 ** 32 - 1))
     def test_outputs_match_the_per_probe_emitter(self, sc, seed):
         with tempfile.TemporaryDirectory() as tmp:
