@@ -120,16 +120,26 @@ def _require_config(args):
     return load_config(args.config)
 
 
-def _load_acked_args(args) -> Tuple[Optional[AckedList], Optional[Feed]]:
-    """The ACKed list and the rDNS map it is matched through, each None when not given."""
+def _check_acked_args(args) -> None:
+    """Refuse the ACKed-scanner feed arguments when they cannot be matched together."""
+    if getattr(args, "exclude_acked", False) and (args.acked_ips is None or args.acked_keywords is None):
+        raise ConfigError("--exclude-acked needs --acked-ips and --acked-keywords")
     if args.acked_ips is None and args.acked_keywords is None:
         if args.rdns is not None:
             raise ConfigError("--rdns needs --acked-ips and --acked-keywords")
-        return None, None
-    if args.acked_ips is None or args.acked_keywords is None:
+    elif args.acked_ips is None or args.acked_keywords is None:
         raise ConfigError("--acked-ips and --acked-keywords must be given together")
+
+
+def _load_acked_args(args, keep=None) -> Tuple[Optional[AckedList], Optional[Feed]]:
+    """The ACKed list and the rDNS map it is matched through, each None when not given.
+
+    With keep, the rDNS map holds only the names of addresses in keep.
+    """
+    if args.acked_ips is None:
+        return None, None
     acked = load_acked(args.acked_ips, args.acked_keywords)
-    return acked, load_rdns(args.rdns) if args.rdns is not None else None
+    return acked, load_rdns(args.rdns, keep) if args.rdns is not None else None
 
 
 def _feed_counts(**feeds) -> dict:
@@ -177,6 +187,7 @@ def cmd_detect(args, staging: Path) -> int:
     from . import detect as detect_mod
 
     cfg = _require_config(args)
+    _check_acked_args(args)
     acked, rdns = _load_acked_args(args)
     feeds = _feed_counts(acked=acked, rdns=rdns)
     thresholds = None
@@ -243,6 +254,7 @@ def cmd_impact(args, staging: Path) -> int:
     if not args.flows and args.pcap is None:
         raise ConfigError("impact needs --flows and/or --pcap")
     impact.series_width_us(args.bin_width, args.num_slash24)
+    _check_acked_args(args)
     acked, rdns = _load_acked_args(args)
     ah = read_blocklist(args.blocklist)
     if not ah:
@@ -349,8 +361,7 @@ def _write_protocol_csv(path, mix) -> None:
 def cmd_report(args, staging: Path) -> int:
     from . import enrich, impact
 
-    if args.exclude_acked and (args.acked_ips is None or args.acked_keywords is None):
-        raise ConfigError("--exclude-acked needs --acked-ips and --acked-keywords")
+    _check_acked_args(args)
     ah = set()
     d_sets = {D1: set(), D2: set(), D3: set()}
     per_day: dict = {}  # UTC day -> [daily AH, active AH]
@@ -383,8 +394,10 @@ def cmd_report(args, staging: Path) -> int:
         print("warning: no verdicts, nothing to report")
         return 1
 
-    asn_map = load_asn_map(args.asn_map) if args.asn_map else AsnMap()
-    acked, rdns = _load_acked_args(args)
+    # Every lookup below is of an address in ah, so each feed keeps only
+    # the entries those lookups can return.
+    asn_map = load_asn_map(args.asn_map, ah) if args.asn_map else AsnMap()
+    acked, rdns = _load_acked_args(args, ah)
     acked_ips = enrich.acked_sources(ah, acked, rdns)
 
     rows = enrich.origin_table(ah, pkts_by_ip, asn_map, acked_ips)
@@ -414,7 +427,7 @@ def cmd_report(args, staging: Path) -> int:
 
     _write_protocol_csv(staging / "protocols_darknet.csv", impact.protocol_breakdown_darknet(tally))
 
-    tags = load_tags(args.tags) if args.tags else None
+    tags = load_tags(args.tags, ah) if args.tags else None
     if tags is not None:
         join_set = ah - acked_ips.keys() if args.exclude_acked else ah
         if join_set:

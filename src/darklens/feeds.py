@@ -4,26 +4,47 @@ Four small CSV inputs enrich detection output: the operator-acknowledged
 scanner list (IPs plus rDNS keywords), a reverse-DNS snapshot, a third-party
 tag database, and an IP-to-ASN routing map. One loop reads them all. It skips
 blank lines and lines whose first field starts with `#`. A line is malformed
-when it has the wrong number of fields or a field fails its check (an address
-that is not a canonical dotted quad, an unknown tag class, an empty name);
-malformed lines are skipped and counted in `malformed_lines`, so a partially
-rotten feed still loads. In the ACKed, rDNS and tag feeds the first line for
-an address or keyword wins; in the ASN map the last line for a prefix does,
-and each line that repeats a prefix counts in `duplicate_lines`.
+when it holds a byte that is not UTF-8, has the wrong number of fields or a
+field fails its check (an address that is not a canonical dotted quad, an
+unknown tag class, an empty name); malformed lines are skipped and counted
+in `malformed_lines`, so a partially rotten feed still loads. In the ACKed,
+rDNS and tag feeds the first line for an address or keyword wins; in the ASN
+map the last line for a prefix does, and each line that repeats a prefix
+counts in `duplicate_lines`.
+
+The rDNS, tag and ASN feeds each have a row grammar, one compiled regex that
+takes the canonical spelling of a line: fields of printable ASCII, unquoted
+and with no space around them, an LF or CRLF ending, a lower-case tag class,
+bounded canonical decimals, and a dotted quad that inet_pton then confirms.
+A grammar only ever accepts; every other line goes through csv.reader and
+the row rules, so the rules and the counts read the same whichever way a
+line is read.
+
+A loader given keep, a set of addresses, checks and counts every line but
+keeps only the entries a caller joining against keep can look up: an rDNS or
+tag line for an address in keep, and an ASN line whose prefix covers one, so
+lookup() gives every address in keep its longest-prefix entry.
 """
 from __future__ import annotations
 
 import csv
 import enum
-from typing import NamedTuple, Optional
+import itertools
+import re
+from _socket import AF_INET, inet_pton
+from functools import partial
+from typing import Collection, NamedTuple, Optional
 
-from .model import ip_to_int, parse_cidr, parse_uint, read_lines
+from .model import _numbered, _unpack_quad, ip_to_int, parse_cidr, parse_uint
 
 
 class TagClass(str, enum.Enum):
     BENIGN = "benign"
     MALICIOUS = "malicious"
     UNKNOWN = "unknown"
+
+
+_TAG_CLASSES = {member.value: member for member in TagClass}
 
 
 class AsnEntry(NamedTuple):
@@ -38,10 +59,20 @@ class TagEntry(NamedTuple):
 
 
 class Feed(dict):
-    """A feed's entries by key, plus its malformed-line count."""
+    """A feed's entries by key, plus its malformed-line count.
+
+    With keep, a valid line becomes an entry only when its key is in keep.
+    """
 
     malformed_lines = 0
-    add = dict.setdefault  # the first line for a key wins
+
+    def __init__(self, keep: Optional[Collection[int]] = None):
+        super().__init__()
+        self.keep = keep
+
+    def add(self, key, value) -> None:
+        if self.keep is None or key in self.keep:
+            self.setdefault(key, value)  # the first line for a key wins
 
 
 class AckedList(NamedTuple):
@@ -57,47 +88,93 @@ class AckedList(NamedTuple):
     malformed_lines: int = 0
 
 
+# The netmask of each prefix length, 0 to 32.
+_MASKS = [0xFFFFFFFF << (32 - plen) & 0xFFFFFFFF for plen in range(33)]
+
+
 class AsnMap:
     """Longest-prefix IP-to-ASN map.
 
     Prefixes are bucketed by length; a lookup masks the address against each
     length from /32 down and returns the first hit, which is by construction
-    the longest matching prefix.
+    the longest matching prefix. With keep, only prefixes that cover an
+    address in keep hold an entry; duplicate_lines still counts over every
+    prefix added.
     """
 
-    __slots__ = ("_by_prefixlen", "malformed_lines", "duplicate_lines")
+    __slots__ = ("_by_prefixlen", "_covered", "_skipped", "malformed_lines", "duplicate_lines")
 
-    def __init__(self):
+    def __init__(self, keep: Optional[Collection[int]] = None):
         self._by_prefixlen: dict[int, dict[int, AsnEntry]] = {}
+        # With keep, each prefix length's networks that cover an address in keep.
+        self._covered = None if keep is None else [
+            {ip & mask for ip in keep} for mask in _MASKS
+        ]
+        # The prefixes added that cover no address in keep, as network << 6 | length.
+        self._skipped: set[int] = set()
         self.malformed_lines = 0
         self.duplicate_lines = 0  # lines for a prefix an earlier line already set
 
     def add(self, network: int, prefixlen: int, entry: AsnEntry) -> None:
-        bucket = self._by_prefixlen.setdefault(prefixlen, {})
-        self.duplicate_lines += network in bucket
-        bucket[network] = entry  # the last line for a prefix wins
+        bucket = self._bucket(network, prefixlen)
+        if bucket is not None:
+            bucket[network] = entry  # the last line for a prefix wins
+
+    def _bucket(self, network: int, prefixlen: int) -> Optional[dict]:
+        """The bucket for a prefix's entry, or None for a prefix that covers no
+        address in keep; a line that repeats a prefix counts either way."""
+        if self._covered is None or network in self._covered[prefixlen]:
+            bucket = self._by_prefixlen.setdefault(prefixlen, {})
+            self.duplicate_lines += network in bucket
+            return bucket
+        key = network << 6 | prefixlen
+        self.duplicate_lines += key in self._skipped
+        self._skipped.add(key)
+        return None
 
     def lookup(self, ip: int) -> Optional[AsnEntry]:
         for plen in range(32, -1, -1):
             bucket = self._by_prefixlen.get(plen)
             if bucket is None:
                 continue
-            masked = ip & (0xFFFFFFFF << (32 - plen)) & 0xFFFFFFFF if plen else 0
-            entry = bucket.get(masked)
+            entry = bucket.get(ip & _MASKS[plen])
             if entry is not None:
                 return entry
         return None
 
 
-def _load(path, parse_row, feed):
-    """Pass each data line of a CSV feed through parse_row into feed.add.
+def _load(path, feed, parse_row, grammar=None, take=None):
+    """Pass each data line of a CSV feed into feed, and return feed.
 
-    A line on which parse_row raises ValueError counts in feed.malformed_lines.
-    A line that is not UTF-8, or that the CSV tokeniser refuses (such as one
-    with a field over csv.field_size_limit()), is a ValueError that names
-    path:line.
+    The file is read as UTF-8 with surrogateescape, so each byte that is not
+    UTF-8 becomes a lone surrogate and the line holding it is malformed. A
+    line that grammar matches goes to take(*fields), which adds its entry
+    when the feed keeps it and returns whether it took the line; any other
+    line goes to csv.reader and parse_row, whose entry goes to feed.add. A
+    line on which parse_row raises ValueError counts in feed.malformed_lines.
+    A line that the CSV tokeniser refuses (such as one with a field over
+    csv.field_size_limit()) is a ValueError that names path:line.
     """
-    for row in read_lines(path, csv.reader):
+    with open(path, encoding="utf-8", errors="surrogateescape", newline="\n") as fh:
+        for entry in _numbered(path, fh, partial(_entries, feed, parse_row, grammar, take)):
+            feed.add(*entry)
+    return feed
+
+
+def _entries(feed, parse_row, grammar, take, lines):
+    """The entry of each line take does not take, by csv.reader and parse_row."""
+    rest = _decoded(lines, feed)
+    for line in lines:
+        if grammar is not None:
+            m = grammar(line)
+            if m is not None and take(*m.groups()):
+                continue
+        if not _is_utf8(line):
+            feed.malformed_lines += 1
+            continue
+        # csv.reader reads the line, then the lines after it while a quoted
+        # field runs on.
+        row = next(csv.reader(itertools.chain((line,), rest)))
         if not row or (len(row) == 1 and not row[0].strip()) or row[0].lstrip().startswith("#"):
             continue
         try:
@@ -105,8 +182,75 @@ def _load(path, parse_row, feed):
         except ValueError:
             feed.malformed_lines += 1
         else:
-            feed.add(*entry)
-    return feed
+            yield entry
+
+
+def _is_utf8(line: str) -> bool:
+    """Whether the line was UTF-8 in its file: a lone surrogate does not encode."""
+    try:
+        line.encode()
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
+def _decoded(lines, feed):
+    """The lines that were UTF-8; each other line counts in feed.malformed_lines."""
+    for line in lines:
+        if _is_utf8(line):
+            yield line
+        else:
+            feed.malformed_lines += 1
+
+
+# The row grammars (see the module docstring). Every field is bounded well
+# below csv.field_size_limit(), so a line a grammar takes is one csv.reader
+# would read to the same fields. A quad is 7 to 15 digits and dots, and
+# inet_pton takes only the canonical ones. _PLAIN is printable ASCII but for
+# the comma and the quote, so no whitespace, NUL or stray byte (a lone
+# surrogate); _TRIMMED is a field of _PLAIN and spaces that neither starts
+# nor ends with a space.
+_QUAD = r"([0-9.]{7,15})"
+_PLAIN = r'[!#-+\--~]'
+_TRIMMED = rf'((?:{_PLAIN}(?:[ !#-+\--~]{{0,254}}{_PLAIN})?)?)'
+_END = r"\r?\n?"
+_RDNS_ROW = rf"{_QUAD},({_PLAIN}{{1,255}}){_END}"
+_TAG_ROW = rf"{_QUAD},(benign|malicious|unknown),({_PLAIN}{{0,4096}}){_END}"
+_ASN_ROW = rf"{_QUAD}/(3[0-2]|[12]?[0-9]),(0|[1-9][0-9]{{0,17}}),{_TRIMMED},{_TRIMMED}{_END}"
+
+
+def _by_address(feed, value):
+    """The take of a feed keyed by address: value(*fields) is a kept line's entry."""
+    keep, setdefault = feed.keep, feed.setdefault
+
+    def take(ip, *fields):
+        try:
+            key = _unpack_quad(inet_pton(AF_INET, ip))[0]
+        except OSError:  # not a canonical dotted quad
+            return False
+        if keep is None or key in keep:
+            setdefault(key, value(*fields))  # the first line for a key wins
+        return True
+    return take
+
+
+def _by_prefix(amap):
+    """The take of an ASN map: it builds an entry only for a prefix amap keeps."""
+    bucket_for = amap._bucket
+
+    def take(quad, prefixlen, asn, org, country):
+        try:
+            network = _unpack_quad(inet_pton(AF_INET, quad))[0]
+        except OSError:  # not a canonical dotted quad
+            return False
+        prefixlen = int(prefixlen)
+        if network & (0xFFFFFFFF >> prefixlen):  # host bits set
+            return False
+        bucket = bucket_for(network, prefixlen)
+        if bucket is not None:
+            bucket[network] = AsnEntry(int(asn), org, country)  # the last line for a prefix wins
+        return True
+    return take
 
 
 def _acked_ip_row(row):
@@ -151,24 +295,33 @@ def load_acked(ips_path, keywords_path) -> AckedList:
     Keywords are lowercased on load; a keyword containing whitespace is
     malformed.
     """
-    ips = _load(ips_path, _acked_ip_row, Feed())
-    keywords = _load(keywords_path, _keyword_row, Feed())
+    ips = _load(ips_path, Feed(), _acked_ip_row)
+    keywords = _load(keywords_path, Feed(), _keyword_row)
     return AckedList(ips, keywords, ips.malformed_lines + keywords.malformed_lines)
 
 
-def load_rdns(path) -> Feed:
+def load_rdns(path, keep: Optional[Collection[int]] = None) -> Feed:
     """'ip,fqdn' per line; FQDNs lowercased for case-insensitive matching."""
-    return _load(path, _rdns_row, Feed())
+    feed = Feed(keep)
+    return _load(path, feed, _rdns_row, re.compile(_RDNS_ROW).fullmatch,
+                 _by_address(feed, str.lower))
 
 
-def load_tags(path) -> Feed:
+def _tag_entry(classification, tags):
+    return TagEntry(_TAG_CLASSES[classification], tuple(filter(None, tags.split("|"))))
+
+
+def load_tags(path, keep: Optional[Collection[int]] = None) -> Feed:
     """'ip,classification,tag1|tag2|...' per line, to TagEntry; tag list may be empty."""
-    return _load(path, _tag_row, Feed())
+    feed = Feed(keep)
+    return _load(path, feed, _tag_row, re.compile(_TAG_ROW).fullmatch,
+                 _by_address(feed, _tag_entry))
 
 
-def load_asn_map(path) -> AsnMap:
+def load_asn_map(path, keep: Optional[Collection[int]] = None) -> AsnMap:
     """'cidr,asn,org,country' per line; cidr as parse_cidr reads it, asn as parse_uint."""
-    return _load(path, _asn_row, AsnMap())
+    amap = AsnMap(keep)
+    return _load(path, amap, _asn_row, re.compile(_ASN_ROW).fullmatch, _by_prefix(amap))
 
 
 # Group used for addresses the routing map cannot place.

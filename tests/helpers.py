@@ -29,6 +29,7 @@ from darklens.events import EventBuilder, _OpenEvent
 from darklens.fingerprint import (
     PortFingerprintRow, ProbeTool, ZMAP_IP_ID, fingerprint_packet, masscan_ip_id,
 )
+from darklens.feeds import AsnEntry, TagClass, TagEntry
 from darklens.flows import FLOW_CSV_FIELDS
 from darklens.impact import ImpactBin, ImpactSeries, ProtocolMix
 from darklens.model import (
@@ -52,6 +53,9 @@ from darklens.model import (
     int_to_ip,
     ip_to_int,
     letters_to_flags,
+    parse_cidr,
+    parse_uint,
+    read_lines,
     _check_events,
     _json_rows,
     utc_day,
@@ -1063,6 +1067,72 @@ def oracle_acked_sources(
             matches[ip] = hits[0]
     return matches
 
+
+
+# ---------------------------------------------------------------------------
+# The feed loader darklens used before its row grammars, kept as the reference
+# for darklens.feeds: one csv.reader over the whole file and the row rules,
+# every entry kept. A byte that is not UTF-8 is fatal here, as it was then.
+
+def _oracle_rdns_row(row):
+    ip, fqdn = row
+    fqdn = fqdn.strip().lower()
+    if not fqdn:
+        raise ValueError("empty name")
+    return ip_to_int(ip.strip()), fqdn
+
+
+def _oracle_tag_row(row):
+    ip, classification, tags = row
+    return ip_to_int(ip.strip()), TagEntry(
+        TagClass(classification.strip().lower()),
+        tuple(t.strip() for t in tags.split("|") if t.strip()),
+    )
+
+
+def _oracle_asn_row(row):
+    cidr, asn, org, country = row
+    return parse_cidr(cidr.strip()), AsnEntry(parse_uint(asn), org.strip(), country.strip())
+
+
+ORACLE_FEED_ROWS = {"rdns": _oracle_rdns_row, "tags": _oracle_tag_row, "asn": _oracle_asn_row}
+
+
+def oracle_load_feed(path, kind: str) -> Tuple[dict, int, int]:
+    """(entries, malformed_lines, duplicate_lines) of an rDNS, tag or ASN feed.
+
+    Blank lines and lines whose first field starts with `#` are skipped; a
+    line on which the row rule raises ValueError is malformed. The rDNS and
+    tag entries are keyed by address, the first line winning; the ASN entries
+    by (network, prefix length), the last line winning, and each line that
+    repeats a prefix is a duplicate.
+    """
+    parse_row = ORACLE_FEED_ROWS[kind]
+    entries: dict = {}
+    malformed = duplicates = 0
+    for row in read_lines(path, csv.reader):
+        if not row or (len(row) == 1 and not row[0].strip()) or row[0].lstrip().startswith("#"):
+            continue
+        try:
+            key, value = parse_row(row)
+        except ValueError:
+            malformed += 1
+            continue
+        if kind == "asn":
+            duplicates += key in entries
+            entries[key] = value
+        else:
+            entries.setdefault(key, value)
+    return entries, malformed, duplicates
+
+
+def oracle_asn_lookup(entries: dict, ip: int) -> Optional[AsnEntry]:
+    """The entry of the longest prefix in oracle_load_feed's ASN entries that holds ip."""
+    for plen in range(32, -1, -1):
+        entry = entries.get((ip & ~((1 << (32 - plen)) - 1), plen))
+        if entry is not None:
+            return entry
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -49,21 +49,34 @@ flows_mb=).
                          capture
     impact-criterion-10  `impact --pcap` over that capture, against the union
                          blocklist of `events` and `detect` in the set-up
+    feeds-1e6            load_asn_map, load_tags and load_rdns over an ASN map
+                         of 10^6 prefixes and 10^6 tag and rDNS rows, each
+                         kept against an AH set of 5,000 addresses as
+                         `report` keeps them; 4,000 of the addresses have a
+                         row in each feed
+    feeds-1e6-full       the same three loads keeping every entry, as
+                         `detect` and `impact` load a feed
 
 A fold's packets are plain tuples drawn by a generator, so its wall time
 includes drawing them; gen_s is that share, timed on its own after the fold,
 and inexact counts the events that do not hold the true destination count.
-It is not a test; pytest does not collect it.
+A feeds case prints the entries each feed kept and the malformed lines of all
+three. Each child imports a fresh copy of its tree, compiled just before it
+starts, so a __pycache__ left in either tree cannot shift its VmHWM. It is
+not a test; pytest does not collect it.
 """
 from __future__ import annotations
 
 import argparse
+import compileall
 import contextlib
 import csv
 import io
 import json
 import os
 import py_compile
+import random
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -245,12 +258,48 @@ def _impact(work: Path):
                   "packets": sum(int(b["total_pkts"]) for b in bins)}
 
 
+def _feeds(work: Path) -> None:
+    from darklens.model import int_to_ip
+
+    rng = random.Random(SEED)
+    rows = 10 ** 6
+    addrs = [rng.getrandbits(32) for _ in range(rows)]
+    with open(work / "asn.csv", "w", encoding="utf-8") as fh:
+        for i, ip in enumerate(addrs):
+            prefixlen = rng.choice((8, 12, 16, 18, 20, 22, 23, 24, 24, 24, 24, 24))
+            network = ip >> (32 - prefixlen) << (32 - prefixlen)
+            fh.write(f"{int_to_ip(network)}/{prefixlen},{64512 + i % 1000},Org {i % 5000},US\n")
+    classes = ("benign", "malicious", "unknown")
+    with open(work / "tags.csv", "w", encoding="utf-8") as fh:
+        for i, ip in enumerate(addrs):
+            fh.write(f"{int_to_ip(ip)},{classes[i % 3]},tag{i % 97}|tag{i % 13}\n")
+    with open(work / "rdns.csv", "w", encoding="utf-8") as fh:
+        for i, ip in enumerate(addrs):
+            fh.write(f"{int_to_ip(ip)},host-{i}.example{i % 50}.net\n")
+    ah = rng.sample(addrs, 4_000) + [rng.getrandbits(32) for _ in range(1_000)]
+    (work / "ah.txt").write_text("".join(f"{int_to_ip(ip)}\n" for ip in ah), encoding="utf-8")
+
+
+def _load_feeds(keep: bool, work: Path):
+    from darklens.feeds import load_asn_map, load_rdns, load_tags
+    from darklens.model import read_blocklist
+
+    ah = (read_blocklist(work / "ah.txt"),) if keep else ()
+    (asn, tags, rdns), wall = _timed(lambda: [
+        load(work / name, *ah) for load, name in (
+            (load_asn_map, "asn.csv"), (load_tags, "tags.csv"), (load_rdns, "rdns.csv"))])
+    return wall, {"asn_kept": sum(map(len, asn._by_prefixlen.values())), "tags_kept": len(tags),
+                  "rdns_kept": len(rdns),
+                  "malformed": asn.malformed_lines + tags.malformed_lines + rdns.malformed_lines}
+
+
 SETUPS = {
     "flows-1e5": partial(_flow_file, False),
     "flows-1e5-quoted": partial(_flow_file, True),
     "log-1e5": partial(_event_log, 10 ** 5),
     "log-1e6": partial(_event_log, 10 ** 6),
     "criterion-10": _capture,
+    "feeds-1e6": _feeds,
 }
 # Each case: the name of its set-up (None: it has none) and its step. Cases
 # that name one set-up share its files.
@@ -265,6 +314,8 @@ CASES = {
     "switch-8": (None, partial(_fold, "10.0.0.0/8", 100, (1 << 24 >> 10) + 1)),
     "events-criterion-10": ("criterion-10", _events),
     "impact-criterion-10": ("criterion-10", _impact),
+    "feeds-1e6": ("feeds-1e6", partial(_load_feeds, True)),
+    "feeds-1e6-full": ("feeds-1e6", partial(_load_feeds, False)),
 }
 
 
@@ -275,12 +326,24 @@ def run_step(case: str, work: str) -> None:
 
 
 def _child(src: Path, case: str, work: Path) -> str:
-    """One run of a case's step in a fresh interpreter that imports src's darklens."""
-    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
-    # Run from this directory, so that "import scale" finds this file.
-    done = subprocess.run([sys.executable, "-c", "import sys, scale; scale.run_step(*sys.argv[1:])",
-                           case, str(work)], cwd=TESTS, env=env, check=True,
-                          stdout=subprocess.PIPE, text=True)
+    """One run of a case's step in a fresh interpreter that imports src's darklens.
+
+    The child imports a copy of src made without its __pycache__ directories
+    and compiled just before it starts, so bytecode left in either tree can
+    change neither what it loads nor its VmHWM. (PYTHONPYCACHEPREFIX would
+    move the cache of every module, so the child would compile the standard
+    library and numpy from source.)
+    """
+    with tempfile.TemporaryDirectory(prefix="scale.src.") as tmp:
+        copy = Path(tmp, "src")
+        shutil.copytree(src, copy, ignore=shutil.ignore_patterns("__pycache__"))
+        if not compileall.compile_dir(copy, quiet=1):
+            raise SystemExit(f"{src} does not compile")
+        env = dict(os.environ, PYTHONPATH=str(copy), PYTHONDONTWRITEBYTECODE="1")
+        # Run from this directory, so that "import scale" finds this file.
+        done = subprocess.run(
+            [sys.executable, "-c", "import sys, scale; scale.run_step(*sys.argv[1:])",
+             case, str(work)], cwd=TESTS, env=env, check=True, stdout=subprocess.PIPE, text=True)
     return done.stdout.strip()
 
 

@@ -518,6 +518,65 @@ class TestReportFold:
         assert peaks[1] < peaks[0] + 2 ** 18, peaks
 
 
+# Each report feed's lines around _SOURCES (198.51.100.1-6), by its option.
+_FEED_LINES = {
+    "--asn-map": ["198.51.100.0/24,64500,ScanCo,US", "198.51.100.0/29,64501,Sub,DE",
+                  '"198.51.100.4/30",64502,"Tiny, Inc.",FR', "0.0.0.0/0,1,Default,ZZ",
+                  "10.0.0.0/8,2,Far,NL", "198.51.100.0/24,64503,Again,US", "bad,row"],
+    "--tags": ["198.51.100.1,malicious,mirai|telnet", "198.51.100.2,benign,research",
+               "198.51.100.3,UNKNOWN,", "198.51.100.1,benign,second", "198.51.100.9,benign,x"],
+    "--acked-ips": ["198.51.100.4,GoodScan", "198.51.100.5", "10.0.0.1,Far"],
+    "--acked-keywords": ["goodscan,GoodScan", "probe,Prober", "# a comment"],
+    "--rdns": ["198.51.100.2,probe-2.goodscan.net", "198.51.100.6,Host.Example",
+               "198.51.100.3,x.probe.org", "198.51.100.2,second.net"],
+}
+# The report_meta.json feeds entry each option's malformed lines count in.
+_META_FEED = {"--asn-map": "asn_map", "--tags": "tags", "--acked-ips": "acked",
+              "--acked-keywords": "acked", "--rdns": "rdns"}
+_NOT_UTF8 = [b"\xff", b"\xc3", b"\x80", b"\xed\xa0\x80", b"\xf4\x90\x80\x80"]
+
+
+class TestFeedBytes:
+    """A feed line that is not UTF-8 is one malformed line, not a fatal input."""
+
+    @staticmethod
+    def _report(root: Path, name: str, feeds: dict, exclude: bool) -> tuple:
+        """report over root's log and verdicts with feeds: its exit code, meta and other files."""
+        out = root / name
+        argv = ["--out-dir", str(out), "report", str(root / "events.jsonl"),
+                str(root / "verdicts.jsonl")]
+        for option, lines in feeds.items():
+            path = root / f"{name}{option}.csv"
+            path.write_bytes(b"".join(lines))
+            argv += [option, str(path)]
+        with contextlib.redirect_stdout(io.StringIO()):
+            rc = main(argv + ["--exclude-acked"] * exclude)
+        files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        return rc, json.loads(files.pop("report_meta.json")), files
+
+    @settings(max_examples=30, deadline=None)
+    @given(events=st.lists(_EVENT, min_size=1, max_size=10),
+           option=st.sampled_from(sorted(_FEED_LINES)), exclude=st.booleans(), data=st.data())
+    def test_non_utf8_lines_read_as_deleted_lines(self, events, option, exclude, data):
+        feeds = {name: [line.encode() + data.draw(st.sampled_from([b"\n", b"\r\n"]))
+                        for line in lines] for name, lines in _FEED_LINES.items()}
+        lines = feeds[option]
+        bad = data.draw(st.sets(st.integers(0, len(lines) - 1), min_size=1))
+        spoiled = []
+        for i in sorted(bad):
+            at = data.draw(st.integers(0, len(lines[i]) - 1))
+            spoiled.append(lines[i][:at] + data.draw(st.sampled_from(_NOT_UTF8)) + lines[i][at:])
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            _write_report_inputs(root, events, set(_SOURCES))
+            rc, meta, files = self._report(root, "spoiled", dict(feeds, **{option: [
+                spoiled.pop(0) if i in bad else line for i, line in enumerate(lines)]}), exclude)
+            want_rc, want_meta, want_files = self._report(root, "deleted", dict(feeds, **{option: [
+                line for i, line in enumerate(lines) if i not in bad]}), exclude)
+        want_meta["feeds"][_META_FEED[option]]["malformed_lines"] += len(bad)
+        assert (rc, meta, files) == (want_rc, want_meta, want_files) and rc == 0
+
+
 def test_detect_meta_counts_feed_lines(pipeline, feeds, tmp_path):
     (tmp_path / "acked_kw.csv").write_text("goodscan,GoodScan\nno org\n")
     out = tmp_path / "run"
@@ -547,6 +606,34 @@ def test_rdns_without_the_acked_lists_is_fatal(pipeline, feeds, tmp_path, capsys
     rc = main(["--out-dir", str(out), *argv, "--rdns", str(feeds / "rdns.csv")])
     assert rc == 2
     assert "error: --rdns needs --acked-ips and --acked-keywords" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+_REPORT_FEED_FILES = {"--rdns": "rdns.csv", "--acked-ips": "acked_ips.csv",
+                      "--acked-keywords": "acked_kw.csv"}
+
+
+@pytest.mark.parametrize("options, error", [
+    (["--rdns"], "--rdns needs --acked-ips and --acked-keywords"),
+    (["--acked-ips"], "--acked-ips and --acked-keywords must be given together"),
+    (["--acked-keywords"], "--acked-ips and --acked-keywords must be given together"),
+    (["--acked-ips", "--rdns"], "--acked-ips and --acked-keywords must be given together"),
+    (["--exclude-acked"], "--exclude-acked needs --acked-ips and --acked-keywords"),
+    (["--exclude-acked", "--acked-ips"], "--exclude-acked needs --acked-ips and --acked-keywords"),
+    (["--exclude-acked", "--rdns"], "--exclude-acked needs --acked-ips and --acked-keywords"),
+])
+def test_report_refuses_its_feed_arguments_before_reading(pipeline, feeds, tmp_path, capsys,
+                                                          options, error):
+    # With no verdicts, report would warn and exit 1 had it read them first.
+    verdicts = tmp_path / "verdicts.jsonl"
+    verdicts.write_text("")
+    argv = ["report", str(pipeline["run"] / "events.jsonl"), str(verdicts)]
+    for option in options:
+        argv += [option, str(feeds / _REPORT_FEED_FILES[option])] if option in _REPORT_FEED_FILES \
+            else [option]
+    out = tmp_path / "out"
+    assert main(["--out-dir", str(out), *argv]) == 2
+    assert capsys.readouterr() == ("", f"error: {error}\n")
     assert list(out.iterdir()) == []
 
 
@@ -1065,16 +1152,14 @@ class TestRottenInputs:
     @pytest.mark.parametrize("command, name", [
         ("detect", "events.jsonl"), ("report", "events.jsonl"), ("report", "verdicts.jsonl"),
         ("impact", "blocklist_union.txt"), ("impact", "flows.csv"), ("impact", "flows.jsonl"),
-        ("report", "asn.csv"),
     ])
-    def test_non_utf8_byte_names_file_and_line(self, pipeline, feeds, tmp_path, capsys, command,
-                                               name, newline):
+    def test_non_utf8_byte_names_file_and_line(self, pipeline, tmp_path, capsys, command, name,
+                                               newline):
         run, synth = pipeline["run"], pipeline["synth"]
         if name == "flows.jsonl":
             good = self._flows_jsonl_lines(synth / "flows.csv")
         else:
-            where = {"flows.csv": synth, "asn.csv": feeds}.get(name, run)
-            good = (where / name).read_bytes().splitlines()
+            good = ((synth if name == "flows.csv" else run) / name).read_bytes().splitlines()
         bad = tmp_path / f"in_{name}"
         bad.write_bytes(newline.join(good[:2] + [b'{"src_ip":"\xff"}'] + good[2:]) + newline)
         inputs = {"events.jsonl": run / "events.jsonl", "verdicts.jsonl": run / "verdicts.jsonl",
@@ -1091,8 +1176,6 @@ class TestRottenInputs:
         else:
             argv = ["--out-dir", str(out), "report", str(inputs["events.jsonl"]),
                     str(inputs["verdicts.jsonl"])]
-            if name == "asn.csv":
-                argv += ["--asn-map", str(bad)]
         assert main(argv) == 2
         assert capsys.readouterr().err == (
             f"error: {bad}:3: malformed line (UnicodeDecodeError: 'utf-8' codec can't decode "

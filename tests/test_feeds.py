@@ -1,10 +1,15 @@
 import csv
 import ipaddress
 import re
+import tempfile
+from pathlib import Path
+from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from darklens import feeds
 from darklens.feeds import (
     AsnEntry,
     AsnMap,
@@ -16,8 +21,8 @@ from darklens.feeds import (
     load_tags,
     origin_of,
 )
-from darklens.model import ip_to_int, parse_cidr
-from helpers import NONCANONICAL_PREFIXES
+from darklens.model import int_to_ip, ip_to_int, parse_cidr
+from helpers import NONCANONICAL_PREFIXES, oracle_asn_lookup, oracle_load_feed
 
 
 def _entries(feed) -> int:
@@ -79,12 +84,26 @@ class TestLoadLoop:
         with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:2: field larger than"):
             load(path)
 
-    def test_bad_encoding_is_fatal(self, tmp_path):
-        path = tmp_path / "rdns.csv"
-        path.write_bytes(b"10.0.0.1,\xff.example.net\n")
-        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:1: malformed line "
-                                             r"\(UnicodeDecodeError: "):
-            load_rdns(path)
+    @pytest.mark.parametrize("load, good", [
+        (load_rdns, b"10.0.0.1,a.example.net"),
+        (load_tags, b"10.0.0.1,benign,x"),
+        (load_asn_map, b"10.0.0.0/8,1,Org,US"),
+        (lambda path: load_acked(path, path).ips, b"10.0.0.1,Org"),
+    ], ids=["rdns", "tags", "asn", "acked"])
+    def test_a_line_that_is_not_utf8_is_malformed(self, tmp_path, load, good):
+        path = tmp_path / "feed.csv"
+        path.write_bytes(b"10.0.0.2,\xff.example.net\n" + good + b"\r\n\xc3\n")
+        feed = load(path)
+        assert (_entries(feed), feed.malformed_lines) == (1, 2)
+
+    def test_a_line_that_is_not_utf8_inside_a_quoted_field_reads_as_deleted(self, tmp_path):
+        lines = [b'10.0.0.1,"a.\n', b"\xffb.\n", b'example.net"\n', b"10.0.0.2,c.net\n"]
+        spoiled, deleted = tmp_path / "spoiled.csv", tmp_path / "deleted.csv"
+        spoiled.write_bytes(b"".join(lines))
+        deleted.write_bytes(b"".join(lines[:1] + lines[2:]))
+        got, want = load_rdns(spoiled), load_rdns(deleted)
+        assert (got, got.malformed_lines) == (want, want.malformed_lines + 1) == (
+            {ip_to_int("10.0.0.1"): "a.\nexample.net", ip_to_int("10.0.0.2"): "c.net"}, 1)
 
 
 class TestAcked:
@@ -254,3 +273,222 @@ short,row
         amap = AsnMap()
         assert origin_of(ip_to_int("192.0.2.1"), amap) is UNKNOWN_ORIGIN
         assert UNKNOWN_ORIGIN.asn == 0
+
+
+class TestKeep:
+    """A loader given keep checks and counts every line but keeps only what a join can read."""
+
+    def test_rdns_and_tags_keep_only_addresses_in_keep(self, tmp_path):
+        keep = {ip_to_int("10.0.0.1"), ip_to_int("10.0.0.9")}
+        rdns = load_rdns(_write(tmp_path, "rdns.csv", (
+            "10.0.0.2,b.net\n10.0.0.1,A.net\n10.0.0.1,second.net\n010.0.0.1,octal.net\n"
+            '"10.0.0.9", quoted.net\n')), keep)
+        assert (rdns, rdns.malformed_lines) == (
+            {ip_to_int("10.0.0.1"): "a.net", ip_to_int("10.0.0.9"): "quoted.net"}, 1)
+        tags = load_tags(_write(tmp_path, "tags.csv", (
+            "10.0.0.2,benign,x\n10.0.0.9,MALICIOUS,y\n10.0.0.3,evil,z\n")), keep)
+        assert (tags, tags.malformed_lines) == (
+            {ip_to_int("10.0.0.9"): (TagClass.MALICIOUS, ("y",))}, 1)
+
+    def test_asn_map_keeps_the_prefixes_that_cover_keep(self, tmp_path):
+        text = (
+            "10.0.0.0/8,1,Big,US\n10.1.0.0/16,2,Sub,DE\n10.2.0.0/16,3,Other,FR\n"
+            "10.2.0.0/16,4,Again,FR\n11.0.0.0/8,5,Far,NL\n10.1.0.0/16,6,Last,DE\n"
+            "10.1.2.0/24,7,Host bits,XX\n10.1.2.1/24,8,Bad,XX\n0.0.0.0/0,9,Default,ZZ\n"
+        )
+        full = load_asn_map(_write(tmp_path, "asn.csv", text))
+        keep = {ip_to_int("10.1.9.9"), ip_to_int("12.0.0.1")}
+        kept = load_asn_map(tmp_path / "asn.csv", keep)
+        assert (kept.duplicate_lines, kept.malformed_lines) == (2, 1)
+        assert (full.duplicate_lines, full.malformed_lines) == (2, 1)
+        assert _entries(kept) == 3  # 10.0.0.0/8, 10.1.0.0/16 and the default route
+        for ip in keep:
+            assert kept.lookup(ip) == full.lookup(ip)
+        assert kept.lookup(ip_to_int("10.1.9.9")).org == "Last"
+        assert kept.lookup(ip_to_int("10.2.0.1")).org == "Big"  # not in keep: 10.2/16 dropped
+
+
+# Addresses the drawn feeds share, so that lines repeat a key and keep holds some.
+_POOL = [ip_to_int(quad) for quad in (
+    "0.0.0.0", "10.0.0.0", "10.0.0.1", "10.0.1.7", "10.1.0.0", "192.0.2.5", "255.255.255.255")]
+_QUADS = st.one_of(st.sampled_from(_POOL), st.integers(0, 2 ** 32 - 1))
+# Spellings of an address that are not the canonical dotted quad.
+_BAD_QUADS = ["010.0.0.1", "10.1", "1.2.3.256", "1.2.3.4.5", "0x0a.0.0.1", "1.2.3.٤",
+              "1" * 4301]
+_SPACES = [" ", "\t", "\x0b", "\x1c", "\x85", "　"]
+_LOADERS = {"rdns": load_rdns, "tags": load_tags, "asn": load_asn_map}
+
+
+@st.composite
+def _canonical_fields(draw, kind):
+    """The fields of a line in the spelling the row grammars take."""
+    ip = draw(_QUADS)
+    if kind == "rdns":
+        return [int_to_ip(ip), draw(st.sampled_from(
+            ["a.example.net", "Probe-1.GoodScan.NET", "x", "xn--ml-0ia.example", "a|b"]))]
+    if kind == "tags":
+        tags = draw(st.lists(st.sampled_from(["ssh", "Telnet", "", "mirai-like"]), max_size=3))
+        return [int_to_ip(ip), draw(st.sampled_from(list(TagClass))).value, "|".join(tags)]
+    prefixlen = draw(st.integers(0, 32))
+    network = ip & ~((1 << (32 - prefixlen)) - 1)
+    return [f"{int_to_ip(network)}/{prefixlen}", str(draw(st.integers(0, 2 ** 40))),
+            draw(st.sampled_from(
+                ["BigNet", "Org Inc.", "", "a  b", "~!#$%&'()*+-./;<=>?@[]^_`{|}"])),
+            draw(st.sampled_from(["US", "", "DE"]))]
+
+
+@st.composite
+def _feed_line(draw, kind):
+    """(line without its ending, whether it is canonical): a row, spoiled or not, or a comment."""
+    shape = draw(st.sampled_from(["canonical"] * 4 + ["spoiled"] * 4 + ["comment", "blank"]))
+    if shape == "comment":
+        return draw(st.sampled_from(["# a comment", "  #indented,comment", "#"])), False
+    if shape == "blank":
+        return draw(st.sampled_from(["", "   ", "\t", "　"])), False
+    fields = draw(_canonical_fields(kind))
+    if shape == "canonical":
+        return ",".join(fields), True
+    i = draw(st.integers(0, len(fields) - 1))
+    how = draw(st.sampled_from(["quote", "pad", "case", "quad", "host", "digits", "nul", "width",
+                                "empty", "byte"]))
+    if how == "quote":
+        fields[i] = '"' + fields[i].replace('"', '""') + (', Inc."' if i == 2 else '"')
+    elif how == "pad":
+        fields[i] = draw(st.sampled_from(_SPACES)) + fields[i] + draw(st.sampled_from(_SPACES))
+    elif how == "case":
+        fields[i] = fields[i].upper()
+        if kind == "tags":  # the Kelvin sign lower-cases to "k"
+            fields[1] = draw(st.sampled_from([fields[1].upper(), "unKnown", "Benign"]))
+    elif how == "quad":
+        fields[0] = draw(st.sampled_from(_BAD_QUADS)) + ("/8" if kind == "asn" else "")
+    elif how == "host" and kind == "asn":
+        fields[0] = f"{int_to_ip(draw(_QUADS))}/{draw(st.integers(0, 32))}"
+    elif how == "digits" and kind == "asn":
+        if draw(st.booleans()):
+            fields[1] = draw(st.sampled_from(["1" * 4301, "1" * 19, "01", "+5", "٥"]))
+        else:
+            fields[0] = fields[0].split("/")[0] + "/" + draw(st.sampled_from(
+                ["0" * 4301 + "8", "08", "33", "99", "", "8/8"]))
+    elif how == "digits":
+        fields[0] = draw(st.sampled_from(["1" * 4301, "0" * 4301, "1" * 16]))
+    elif how == "nul":
+        fields[i] += "\x00"
+    elif how == "byte":  # any character outside printable ASCII
+        fields[i] += draw(st.sampled_from(["ü", "Ü", "\t", "\x7f", "\u3000", "\U0001f600"]))
+    elif how == "width":
+        fields = fields[:-1] if draw(st.booleans()) else fields + ["extra"]
+    elif how == "empty":
+        fields[-1] = ""
+    return ",".join(fields), False
+
+
+@st.composite
+def _feed_file(draw, kind):
+    """The lines of a feed, each (line, ending, canonical); the last may have no ending."""
+    lines = draw(st.lists(st.tuples(_feed_line(kind), st.sampled_from(["\n", "\r\n"])),
+                          min_size=1, max_size=25))
+    lines = [(line, ending, canonical) for (line, canonical), ending in lines]
+    if draw(st.integers(0, 9)) == 0:  # a bare CR inside a line, which csv.reader refuses
+        lines.insert(draw(st.integers(0, len(lines))), ("10.0.0.1,a\rb", "\n", False))
+    if draw(st.booleans()):
+        lines[-1] = (lines[-1][0], "", lines[-1][2])
+    return lines
+
+
+def _grammar_load(kind, line, path):
+    """A load of the one line: (whether its row grammar took it, the feed)."""
+    path.write_text(line + "\n", encoding="utf-8")
+    calls = []
+
+    def reader(lines):
+        calls.append(1)
+        return csv.reader(lines)
+
+    with mock.patch.object(feeds, "csv", SimpleNamespace(reader=reader)):
+        feed = _LOADERS[kind](path)
+    return not calls, feed
+
+
+def _prefixes(amap) -> dict:
+    return {(network, prefixlen): entry for prefixlen, bucket in amap._by_prefixlen.items()
+            for network, entry in bucket.items()}
+
+
+def _check_against_the_reference(kind, lines, keep):
+    """Load the feed of lines in full and with keep, and hold both to oracle_load_feed.
+
+    lines are (line, ending, canonical) triples; each canonical line must be
+    one its row grammar takes.
+    """
+    load = _LOADERS[kind]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "feed.csv")
+        path.write_text("".join(line + ending for line, ending, _ in lines), encoding="utf-8")
+        try:
+            entries, malformed, duplicates = oracle_load_feed(path, kind)
+        except ValueError as exc:
+            for kept in (None, keep):
+                with pytest.raises(ValueError) as err:
+                    load(path, kept)
+                assert str(err.value) == str(exc)
+            return
+        full, kept = load(path), load(path, keep)
+        for feed in (full, kept):
+            assert feed.malformed_lines == malformed
+            assert getattr(feed, "duplicate_lines", 0) == duplicates
+        if kind == "asn":
+            assert _prefixes(full) == entries
+            for ip in keep:
+                assert kept.lookup(ip) == oracle_asn_lookup(entries, ip)
+            for network, prefixlen in _prefixes(kept):
+                mask = ~((1 << (32 - prefixlen)) - 1)
+                assert any(ip & mask == network for ip in keep)
+        else:
+            assert full == entries
+            assert kept == {ip: entry for ip, entry in entries.items() if ip in keep}
+
+        # Every line its row grammar takes reads as csv.reader and the row rules read it.
+        one = Path(tmp, "line.csv")
+        for line, _ending, canonical in lines:
+            taken, feed = _grammar_load(kind, line, one)
+            assert taken or not canonical, line
+            if taken:
+                ref, ref_malformed, _ = oracle_load_feed(one, kind)
+                got = _prefixes(feed) if kind == "asn" else feed
+                assert (got, feed.malformed_lines) == (ref, ref_malformed) and ref, line
+
+
+# Lines each row grammar must leave to csv.reader and the row rules, beside
+# canonical ones for the same keys.
+_HOSTILE = {
+    "rdns": ["10.0.0.1,a.net", '"10.0.0.1",quoted.net', "10.0.0.1, padded.net ",
+             "10.0.0.1,\x1cunit.net", "10.0.0.1,NUL\x00.net", "10.0.0.1,", "10.0.0.1, ",
+             "010.0.0.1,octal.net", "10.0.0.1,a b.net", "10.0.0.1,a,b", "1" * 4301 + ",x"],
+    "tags": ["10.0.0.1,benign,a", "10.0.0.1,BENIGN,x", "10.0.0.1,un\u212anown,k",
+             "10.0.0.1, benign ,x", '10.0.0.1,benign,"a|b"', "10.0.0.1,benign, a | b ",
+             "10.0.0.1,evil,x", "10.0.0.1,benign", "10.0.0.01,benign,x"],
+    "asn": ["10.0.0.0/8,1,Big,US", "10.0.0.0/08,1,Pad,US", "10.0.0.0/33,1,Long,US",
+            "10.0.0.1/8,1,Host bits,US", "10.0.0.0/8,01,Zero,US", "10.0.0.0/8,+5,Sign,US",
+            "10.0.0.0/8," + "1" * 19 + ",Nineteen,US", "10.0.0.0/8," + "1" * 4301 + ",Run,US",
+            '10.0.0.0/8,2,"Org, Inc.",US', "10.0.0.0/8,3, Padded ,US", "10.0.0.0/8,4,Tab\t,US",
+            "10.0.0.0/8,5,A\x00,US", " 10.0.0.0/8,6,Lead,US", "10.0.0.0/8, 7,Space,US",
+            "10.0.0.0/16,8,Sub,DE", "10.0.0.0/8,9,Last,FR"],
+}
+
+
+class TestAgainstTheReference:
+    """The loaders read every feed as the loop and row rules before the grammars did."""
+
+    @pytest.mark.parametrize("kind", ["rdns", "tags", "asn"])
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_drawn_feeds_read_as_the_reference_reads_them(self, kind, data):
+        lines = data.draw(_feed_file(kind))
+        _check_against_the_reference(kind, lines, data.draw(st.sets(_QUADS, max_size=6)))
+
+    @pytest.mark.parametrize("kind", sorted(_HOSTILE))
+    @pytest.mark.parametrize("ending", ["\n", "\r\n"], ids=["lf", "crlf"])
+    def test_hostile_lines_read_as_the_reference_reads_them(self, kind, ending):
+        lines = [(line, ending, i == 0) for i, line in enumerate(_HOSTILE[kind])]
+        for keep in (set(), {ip_to_int("10.0.0.1")}, {ip_to_int("11.0.0.1")}):
+            _check_against_the_reference(kind, lines, keep)
