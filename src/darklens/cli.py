@@ -255,8 +255,9 @@ def cmd_impact(args, staging: Path) -> int:
         raise ConfigError("impact needs --flows and/or --pcap")
     impact.series_width_us(args.bin_width, args.num_slash24)
     _check_acked_args(args)
-    acked, rdns = _load_acked_args(args)
     ah = read_blocklist(args.blocklist)
+    # acked_sources looks up only addresses in ah, so the rDNS map keeps only theirs.
+    acked, rdns = _load_acked_args(args, ah)
     if not ah:
         print("warning: blocklist is empty, nothing to measure")
         return 1

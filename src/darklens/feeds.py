@@ -2,23 +2,21 @@
 
 Four small CSV inputs enrich detection output: the operator-acknowledged
 scanner list (IPs plus rDNS keywords), a reverse-DNS snapshot, a third-party
-tag database, and an IP-to-ASN routing map. One loop reads them all. It skips
-blank lines and lines whose first field starts with `#`. A line is malformed
-when it holds a byte that is not UTF-8, has the wrong number of fields or a
-field fails its check (an address that is not a canonical dotted quad, an
-unknown tag class, an empty name); malformed lines are skipped and counted
-in `malformed_lines`, so a partially rotten feed still loads. In the ACKed,
-rDNS and tag feeds the first line for an address or keyword wins; in the ASN
-map the last line for a prefix does, and each line that repeats a prefix
-counts in `duplicate_lines`.
+tag database, and an IP-to-ASN routing map. Each is read by model.read_rows,
+the reader flow files share. A loader skips blank lines and lines whose first
+field starts with `#`. A line is malformed when it holds a byte that is not
+UTF-8, has the wrong number of fields or a field fails its check (an address
+that is not a canonical dotted quad, an unknown tag class, an empty name);
+malformed lines are skipped and counted in `malformed_lines`, so a partially
+rotten feed still loads. In the ACKed, rDNS and tag feeds the first line for
+an address or keyword wins; in the ASN map the last line for a prefix does,
+and each line that repeats a prefix counts in `duplicate_lines`.
 
-The rDNS, tag and ASN feeds each have a row grammar, one compiled regex that
-takes the canonical spelling of a line: fields of printable ASCII, unquoted
-and with no space around them, an LF or CRLF ending, a lower-case tag class,
-bounded canonical decimals, and a dotted quad that inet_pton then confirms.
-A grammar only ever accepts; every other line goes through csv.reader and
-the row rules, so the rules and the counts read the same whichever way a
-line is read.
+The rDNS, tag and ASN feeds each have a row grammar (see model.read_rows),
+one compiled regex that takes the canonical spelling of a line: fields of
+printable ASCII, unquoted and with no space around them, an LF or CRLF
+ending, a lower-case tag class, bounded canonical decimals, and a dotted quad
+that inet_pton then confirms.
 
 A loader given keep, a set of addresses, checks and counts every line but
 keeps only the entries a caller joining against keep can look up: an rDNS or
@@ -27,15 +25,13 @@ lookup() gives every address in keep its longest-prefix entry.
 """
 from __future__ import annotations
 
-import csv
 import enum
-import itertools
 import re
 from _socket import AF_INET, inet_pton
 from functools import partial
 from typing import Collection, NamedTuple, Optional
 
-from .model import _numbered, _unpack_quad, ip_to_int, parse_cidr, parse_uint
+from .model import _QUAD, _unpack_quad, ip_to_int, parse_cidr, parse_uint, read_rows
 
 
 class TagClass(str, enum.Enum):
@@ -143,74 +139,27 @@ class AsnMap:
         return None
 
 
-def _load(path, feed, parse_row, grammar=None, take=None):
-    """Pass each data line of a CSV feed into feed, and return feed.
+def _feed_row(parse, row):
+    """The row parser of a feed: None for a blank line or one whose first field starts with #."""
+    if not row or (len(row) == 1 and not row[0].strip()) or row[0].lstrip().startswith("#"):
+        return None
+    return parse(row)
 
-    The file is read as UTF-8 with surrogateescape, so each byte that is not
-    UTF-8 becomes a lone surrogate and the line holding it is malformed. A
-    line that grammar matches goes to take(*fields), which adds its entry
-    when the feed keeps it and returns whether it took the line; any other
-    line goes to csv.reader and parse_row, whose entry goes to feed.add. A
-    line on which parse_row raises ValueError counts in feed.malformed_lines.
-    A line that the CSV tokeniser refuses (such as one with a field over
-    csv.field_size_limit()) is a ValueError that names path:line.
-    """
-    with open(path, encoding="utf-8", errors="surrogateescape", newline="\n") as fh:
-        for entry in _numbered(path, fh, partial(_entries, feed, parse_row, grammar, take)):
-            feed.add(*entry)
+
+def _fill(feed, path, parse, grammar=None, take=None):
+    """feed, given each entry parse reads from path; take adds its own (see model.read_rows)."""
+    for entry in read_rows(path, feed, "malformed_lines", partial(_feed_row, parse), grammar,
+                           take):
+        feed.add(*entry)
     return feed
-
-
-def _entries(feed, parse_row, grammar, take, lines):
-    """The entry of each line take does not take, by csv.reader and parse_row."""
-    rest = _decoded(lines, feed)
-    for line in lines:
-        if grammar is not None:
-            m = grammar(line)
-            if m is not None and take(*m.groups()):
-                continue
-        if not _is_utf8(line):
-            feed.malformed_lines += 1
-            continue
-        # csv.reader reads the line, then the lines after it while a quoted
-        # field runs on.
-        row = next(csv.reader(itertools.chain((line,), rest)))
-        if not row or (len(row) == 1 and not row[0].strip()) or row[0].lstrip().startswith("#"):
-            continue
-        try:
-            entry = parse_row(row)
-        except ValueError:
-            feed.malformed_lines += 1
-        else:
-            yield entry
-
-
-def _is_utf8(line: str) -> bool:
-    """Whether the line was UTF-8 in its file: a lone surrogate does not encode."""
-    try:
-        line.encode()
-    except UnicodeEncodeError:
-        return False
-    return True
-
-
-def _decoded(lines, feed):
-    """The lines that were UTF-8; each other line counts in feed.malformed_lines."""
-    for line in lines:
-        if _is_utf8(line):
-            yield line
-        else:
-            feed.malformed_lines += 1
 
 
 # The row grammars (see the module docstring). Every field is bounded well
 # below csv.field_size_limit(), so a line a grammar takes is one csv.reader
-# would read to the same fields. A quad is 7 to 15 digits and dots, and
-# inet_pton takes only the canonical ones. _PLAIN is printable ASCII but for
-# the comma and the quote, so no whitespace, NUL or stray byte (a lone
-# surrogate); _TRIMMED is a field of _PLAIN and spaces that neither starts
-# nor ends with a space.
-_QUAD = r"([0-9.]{7,15})"
+# would read to the same fields. _PLAIN is printable ASCII but for the comma
+# and the quote, so no whitespace, NUL or stray byte (a lone surrogate);
+# _TRIMMED is a field of _PLAIN and spaces that neither starts nor ends with
+# a space.
 _PLAIN = r'[!#-+\--~]'
 _TRIMMED = rf'((?:{_PLAIN}(?:[ !#-+\--~]{{0,254}}{_PLAIN})?)?)'
 _END = r"\r?\n?"
@@ -220,17 +169,13 @@ _ASN_ROW = rf"{_QUAD}/(3[0-2]|[12]?[0-9]),(0|[1-9][0-9]{{0,17}}),{_TRIMMED},{_TR
 
 
 def _by_address(feed, value):
-    """The take of a feed keyed by address: value(*fields) is a kept line's entry."""
+    """The take of a feed keyed by address (its first group): value(m) is a kept line's entry."""
     keep, setdefault = feed.keep, feed.setdefault
 
-    def take(ip, *fields):
-        try:
-            key = _unpack_quad(inet_pton(AF_INET, ip))[0]
-        except OSError:  # not a canonical dotted quad
-            return False
+    def take(m):
+        key = _unpack_quad(inet_pton(AF_INET, m[1]))[0]
         if keep is None or key in keep:
-            setdefault(key, value(*fields))  # the first line for a key wins
-        return True
+            setdefault(key, value(m))  # the first line for a key wins
     return take
 
 
@@ -238,18 +183,14 @@ def _by_prefix(amap):
     """The take of an ASN map: it builds an entry only for a prefix amap keeps."""
     bucket_for = amap._bucket
 
-    def take(quad, prefixlen, asn, org, country):
-        try:
-            network = _unpack_quad(inet_pton(AF_INET, quad))[0]
-        except OSError:  # not a canonical dotted quad
-            return False
-        prefixlen = int(prefixlen)
-        if network & (0xFFFFFFFF >> prefixlen):  # host bits set
-            return False
+    def take(m):
+        network = _unpack_quad(inet_pton(AF_INET, m[1]))[0]
+        prefixlen = int(m[2])
+        if network & (0xFFFFFFFF >> prefixlen):
+            raise ValueError("host bits set")
         bucket = bucket_for(network, prefixlen)
         if bucket is not None:
-            bucket[network] = AsnEntry(int(asn), org, country)  # the last line for a prefix wins
-        return True
+            bucket[network] = AsnEntry(int(m[3]), m[4], m[5])  # the last line for a prefix wins
     return take
 
 
@@ -295,33 +236,33 @@ def load_acked(ips_path, keywords_path) -> AckedList:
     Keywords are lowercased on load; a keyword containing whitespace is
     malformed.
     """
-    ips = _load(ips_path, Feed(), _acked_ip_row)
-    keywords = _load(keywords_path, Feed(), _keyword_row)
+    ips = _fill(Feed(), ips_path, _acked_ip_row)
+    keywords = _fill(Feed(), keywords_path, _keyword_row)
     return AckedList(ips, keywords, ips.malformed_lines + keywords.malformed_lines)
 
 
 def load_rdns(path, keep: Optional[Collection[int]] = None) -> Feed:
     """'ip,fqdn' per line; FQDNs lowercased for case-insensitive matching."""
     feed = Feed(keep)
-    return _load(path, feed, _rdns_row, re.compile(_RDNS_ROW).fullmatch,
-                 _by_address(feed, str.lower))
+    return _fill(feed, path, _rdns_row, re.compile(_RDNS_ROW).fullmatch,
+                 _by_address(feed, lambda m: m[2].lower()))
 
 
-def _tag_entry(classification, tags):
-    return TagEntry(_TAG_CLASSES[classification], tuple(filter(None, tags.split("|"))))
+def _tag_entry(m):
+    return TagEntry(_TAG_CLASSES[m[2]], tuple(filter(None, m[3].split("|"))))
 
 
 def load_tags(path, keep: Optional[Collection[int]] = None) -> Feed:
     """'ip,classification,tag1|tag2|...' per line, to TagEntry; tag list may be empty."""
     feed = Feed(keep)
-    return _load(path, feed, _tag_row, re.compile(_TAG_ROW).fullmatch,
+    return _fill(feed, path, _tag_row, re.compile(_TAG_ROW).fullmatch,
                  _by_address(feed, _tag_entry))
 
 
 def load_asn_map(path, keep: Optional[Collection[int]] = None) -> AsnMap:
     """'cidr,asn,org,country' per line; cidr as parse_cidr reads it, asn as parse_uint."""
     amap = AsnMap(keep)
-    return _load(path, amap, _asn_row, re.compile(_ASN_ROW).fullmatch, _by_prefix(amap))
+    return _fill(amap, path, _asn_row, re.compile(_ASN_ROW).fullmatch, _by_prefix(amap))
 
 
 # Group used for addresses the routing map cannot place.

@@ -3,32 +3,29 @@
 Two wire formats carry the same logical record: a CSV with a fixed header,
 whose integers must be canonical decimal (parse_uint), and a JSON-lines file
 with identical field names, where each field must carry its exact JSON type.
-Both go through one row validator. A CSV line in the canonical spelling that
-exporters write is split by one compiled regex instead (_CSV_ROW: unquoted
-fields, an LF or CRLF ending, bounded canonical decimals, dotted quads that
-inet_pton takes, ports on tcp and udp only, flag letters in SAFRPU order),
-which only ever accepts; every other line, such as one with quoted fields,
-goes through csv.reader and the validator, so the rules read as they always
-have. A file is JSON lines when its first line that is not only JSON
-whitespace starts with "{", and CSV otherwise. A row that cannot be parsed
-or that violates a field constraint is skipped and counted; a CSV whose
-header does not match the schema (an empty file has none) is fatal because
-every following row would be garbage, and so is a field over
-csv.field_size_limit(). Each line is decoded from UTF-8 on its own, so a byte
-that is not UTF-8 is fatal too, and the error names the file and the line.
+Both go through one row validator. A CSV is read by model.read_rows, as the
+feeds are, with a row grammar for the canonical spelling that exporters write
+(_CSV_ROW: unquoted fields, an LF or CRLF ending, bounded canonical decimals,
+dotted quads that inet_pton takes, ports on tcp and udp only, flag letters in
+SAFRPU order). A file is JSON lines when its first line that is UTF-8 and not
+only JSON whitespace starts with "{", and CSV otherwise. A row that cannot be
+parsed, that violates a field constraint or that holds a byte that is not
+UTF-8 is skipped and counted; a CSV whose header does not match the schema
+(an empty file has none) is fatal because every following row would be
+garbage, and so is a line the CSV tokeniser refuses, such as one with a
+field over csv.field_size_limit(): the error names the file and the line.
 """
 from __future__ import annotations
 
-import csv
 import itertools
 import json
 import re
-import struct
 from _socket import AF_INET, inet_pton
 from typing import Iterator
 
 from .model import (
-    _MAX_TS_US, Direction, Protocol, letters_to_flags, parse_lines, parse_uint, read_lines,
+    _MAX_TS_US, _QUAD, Direction, Protocol, _strip_json_ws, _unpack_quad, is_utf8,
+    letters_to_flags, open_text, parse_uint, read_rows,
 )
 
 FLOW_CSV_FIELDS = [
@@ -51,7 +48,6 @@ class SchemaMismatchError(ValueError):
 
 _PROTOCOLS = {member.value: member for member in Protocol}
 _DIRECTIONS = {member.value: member for member in Direction}
-_QUADS = struct.Struct("!II").unpack
 
 
 def _flow_row(
@@ -91,9 +87,9 @@ def _flow_row(
         if proto is not Protocol.TCP:
             raise ValueError("tcp_flags on a non-tcp row")
         flags = letters_to_flags(tcp_flags)
-    # inet_pton takes only canonical dotted quads, as the grammar's match does.
     try:
-        src, dst = _QUADS(inet_pton(AF_INET, src_ip) + inet_pton(AF_INET, dst_ip))
+        src = _unpack_quad(inet_pton(AF_INET, src_ip))[0]
+        dst = _unpack_quad(inet_pton(AF_INET, dst_ip))[0]
     except OSError:
         raise ValueError("address is not a canonical dotted quad") from None
     return (
@@ -110,8 +106,12 @@ _JSON_TYPES = frozenset(itertools.product(
 ))
 
 
-def _json_row(obj) -> tuple:
-    """One JSONL object as _flow_row's tuple; a field of another type is a ValueError."""
+def _json_row(line: str) -> tuple:
+    """One JSONL line as _flow_row's tuple; a line that was not UTF-8 or a field of
+    another type is a ValueError."""
+    if not is_utf8(line):
+        raise ValueError("a byte that is not UTF-8")
+    obj = json.loads(line)
     if type(obj) is not dict:
         raise ValueError("row is not an object")
     fields = (
@@ -121,20 +121,32 @@ def _json_row(obj) -> tuple:
     )
     if tuple(map(type, fields)) not in _JSON_TYPES:
         raise ValueError("field of the wrong JSON type")
+    # A JSON escape such as "\ud800" spells a lone surrogate, which no output
+    # file could encode: a UnicodeEncodeError, and so a ValueError.
+    fields[0].encode()
     return _flow_row(*fields)
+
+
+def _csv_row(row) -> tuple:
+    """A CSV row the grammar passed over, by _flow_row; a row of another width is a ValueError."""
+    router, ts, dirn, src, dst, proto, sport, dport, sampled, denom, flags = row
+    return _flow_row(
+        router, parse_uint(ts), dirn, src, dst, proto,
+        parse_uint(sport) if sport else None, parse_uint(dport) if dport else None,
+        parse_uint(sampled), parse_uint(denom), flags or None,
+    )
 
 
 # The canonical CSV row (see the module docstring). Digit runs and the router
 # id are bounded, so int() never refuses a run and csv.field_size_limit() is
-# never reached; csv.reader reads a CRLF line as it reads an LF one. A quad is
-# any 7 to 15 digits and dots, and inet_pton takes only the canonical ones (it
-# refuses a leading zero on glibc, musl and the BSDs). A match still needs
-# ts_us <= _MAX_TS_US and ports <= 65535, or it goes to csv.reader too.
-_QUAD = r"([0-9.]{7,15})"
+# never reached; csv.reader reads a CRLF line as it reads an LF one. The router
+# id holds no lone surrogate, so a byte that is not UTF-8 never matches. A
+# match still needs ts_us <= _MAX_TS_US, ports <= 65535 and canonical quads,
+# or _take refuses it and it goes to csv.reader too.
 _PORT = r"(0|[1-9][0-9]{0,4})"
 _COUNT = r"([1-9][0-9]{0,17})"
 _CSV_ROW = re.compile(
-    rf'([^,"\r\n\x00]{{1,128}}),(0|[1-9][0-9]{{0,17}}),(I|E),{_QUAD},{_QUAD},'
+    rf'([^,"\r\n\x00\udc80-\udcff]{{1,128}}),(0|[1-9][0-9]{{0,17}}),(I|E),{_QUAD},{_QUAD},'
     rf"((?P<tcp>tcp)|udp|(?P<icmp>icmp)),(?(icmp),|{_PORT},{_PORT}),{_COUNT},{_COUNT},"
     r"(?(tcp)(S?A?F?R?P?U?))\r?\n?"
 ).fullmatch
@@ -144,6 +156,21 @@ _FLAG_SETS = {
     for letters in map("".join, itertools.product(*(("", letter) for letter in "SAFRPU")))
 }
 _FLAG_SETS[None] = None
+
+
+def _take(m) -> tuple:
+    """A line _CSV_ROW matched, as its tuple; a ValueError or OSError sends it to csv.reader."""
+    router, ts, dirn, src, dst, proto, _tcp, _icmp, sport, dport, sampled, denom, flags = m.groups()
+    ts = int(ts)
+    if sport is not None:
+        sport, dport = int(sport), int(dport)
+    if ts > _MAX_TS_US or sport is not None and (sport > 65535 or dport > 65535):
+        raise ValueError("ts_us or a port out of range")
+    return (
+        router, ts, _DIRECTIONS[dirn], _unpack_quad(inet_pton(AF_INET, src))[0],
+        _unpack_quad(inet_pton(AF_INET, dst))[0], _PROTOCOLS[proto],
+        sport, dport, int(sampled), int(denom), _FLAG_SETS[flags],
+    )
 
 
 class FlowReader:
@@ -158,12 +185,14 @@ class FlowReader:
         self.invalid_rows = 0
 
     def __iter__(self) -> Iterator[tuple]:
-        if next(parse_lines(self.path, str), "").startswith("{"):
-            return read_lines(self.path, self._iter_jsonl)
-        # The header is checked here, outside the decode, so that a mismatch
-        # stays a SchemaMismatchError rather than a line-numbered ValueError.
-        rows = read_lines(self.path, self._csv_rows)
-        header = next(rows, None)
+        with open_text(self.path) as lines:
+            first = next(filter(None, map(_strip_json_ws, filter(is_utf8, lines))), "")
+        if first.startswith("{"):
+            return self._iter_jsonl()
+        # The header is checked here, outside the line numbering, so that a
+        # mismatch stays a SchemaMismatchError rather than a line-numbered ValueError.
+        rows = read_rows(self.path, self, "invalid_rows", _csv_row, _CSV_ROW, _take, header=True)
+        header = next(rows)
         if header != FLOW_CSV_FIELDS:
             rows.close()
             if header is None:
@@ -173,61 +202,15 @@ class FlowReader:
             )
         return rows
 
-    def _csv_rows(self, lines: Iterator[str]) -> Iterator:
-        """The header row, then each valid row as its tuple: by the grammar when
-        the line matches, else by csv.reader and _flow_row."""
-        yield from itertools.islice(csv.reader(lines), 1)
-        invalid = self.invalid_rows
-        width = len(FLOW_CSV_FIELDS)
-        try:
-            for line in lines:
-                m = _CSV_ROW(line)
-                if m is not None:
-                    (router, ts, dirn, src, dst, proto, _tcp, _icmp, sport, dport, sampled,
-                     denom, flags) = m.groups()
-                    ts = int(ts)
-                    if sport is not None:
-                        sport, dport = int(sport), int(dport)
-                    if ts <= _MAX_TS_US and (sport is None or sport <= 65535 and dport <= 65535):
-                        try:
-                            src, dst = _QUADS(inet_pton(AF_INET, src) + inet_pton(AF_INET, dst))
-                        except OSError:  # not a canonical dotted quad
-                            pass
-                        else:
-                            yield (
-                                router, ts, _DIRECTIONS[dirn], src, dst, _PROTOCOLS[proto],
-                                sport, dport, int(sampled), int(denom), _FLAG_SETS[flags],
-                            )
-                            continue
-                # csv.reader reads the line the grammar passed over, then the
-                # lines after it while a quoted field runs on.
-                row = next(csv.reader(itertools.chain((line,), lines)))
-                if len(row) != width:
-                    invalid += 1
-                    continue
-                router, ts, dirn, src, dst, proto, sport, dport, sampled, denom, flags = row
-                try:
-                    yield _flow_row(
-                        router, parse_uint(ts), dirn, src, dst, proto,
-                        parse_uint(sport) if sport else None,
-                        parse_uint(dport) if dport else None,
-                        parse_uint(sampled), parse_uint(denom), flags or None,
-                    )
-                except ValueError:
-                    invalid += 1
-        finally:
-            self.invalid_rows = invalid
-
-    def _iter_jsonl(self, lines: Iterator[str]) -> Iterator[tuple]:
+    def _iter_jsonl(self) -> Iterator[tuple]:
         invalid = self.invalid_rows
         try:
-            for line in lines:
-                line = line.strip(" \t\r\n")  # JSON whitespace only; json.loads rejects the rest
-                if not line:
-                    continue
-                try:
-                    yield _json_row(json.loads(line))
-                except (ValueError, KeyError, RecursionError):  # RecursionError: nested too deeply
-                    invalid += 1
+            with open_text(self.path) as lines:
+                # Only JSON whitespace is stripped; json.loads rejects the rest.
+                for line in filter(None, map(_strip_json_ws, lines)):
+                    try:
+                        yield _json_row(line)
+                    except (ValueError, KeyError, RecursionError):  # RecursionError: nested too deeply
+                        invalid += 1
         finally:
             self.invalid_rows = invalid

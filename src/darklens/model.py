@@ -18,6 +18,7 @@ import itertools
 import json
 import math
 import operator
+import re
 import struct
 # hashlib would load OpenSSL for its other digests, some 3.7 MB of RSS.
 from _blake2 import blake2b
@@ -372,12 +373,12 @@ def order_statistic(values: Collection[_T], k: int, key: Optional[Callable] = No
 
 
 def read_lines(path, decode: Callable[[Iterator[str]], Iterator[_T]]) -> Iterator[_T]:
-    """Stream a text file's lines, each decoded from UTF-8 on its own, through decode.
+    """Stream a file darklens wrote, one line at a time decoded from UTF-8, through decode.
 
-    Lines end at LF, as JSON Lines defines them; a CSV file is read with
-    decode=csv.reader. A byte that is not UTF-8, an error from decode or one
-    thrown into the generator names the file and the line, so the CLI exits
-    2 on a rotten file instead of a traceback.
+    Lines end at LF, as JSON Lines defines them. A byte that is not UTF-8, an
+    error from decode or one thrown into the generator names the file and the
+    line, so the CLI exits 2 on a rotten file instead of a traceback. Flow
+    files and feeds, which third parties write, are read by read_rows instead.
     """
     with open(path, "rb") as fh:
         yield from _numbered(path, map(bytes.decode, fh), decode)
@@ -395,6 +396,79 @@ def _numbered(path, lines: Iterator, decode: Callable[[Iterator], Iterator[_T]])
     except (KeyError, TypeError, ValueError, RecursionError) as exc:
         reason = f"{type(exc).__name__}: {exc}"
         raise ValueError(f"{path}:{next(taken)}: malformed line ({reason})") from exc
+
+
+# A dotted quad in a row grammar: 7 to 15 digits and dots, of which inet_pton
+# takes only the canonical ones (it refuses a leading zero on glibc, musl and
+# the BSDs), as ip_to_int does.
+_QUAD = r"([0-9.]{7,15})"
+
+
+def open_text(path):
+    """A file a third party wrote, open with lines that end at LF and each byte
+    that is not UTF-8 read as a lone surrogate (U+DC80 to U+DCFF), for is_utf8."""
+    return open(path, encoding="utf-8", errors="surrogateescape", newline="\n")
+
+
+_ESCAPED_BYTE = re.compile("[\udc80-\udcff]").search
+
+
+def is_utf8(line: str) -> bool:
+    """Whether a line open_text read was UTF-8 in its file: it holds no lone surrogate."""
+    return line.isascii() or _ESCAPED_BYTE(line) is None
+
+
+def read_rows(path, tally, counter: str, parse_row: Callable[[List[str]], Optional[_T]],
+              grammar=None, take=None, header: bool = False) -> Iterator[_T]:
+    """The rows of a CSV file a third party wrote (a flow file or a feed), in one pass.
+
+    A line that grammar matches goes to take(match); a grammar only ever
+    accepts, and take may still refuse the line with ValueError (or inet_pton's
+    OSError). Every other line that was UTF-8 goes to csv.reader, with the
+    lines after it while a quoted field runs on, and its row to parse_row.
+    Each result that is not None comes out. A line that was not UTF-8, a
+    continuation line included, adds one to tally's attribute counter and
+    reads as if it were not there; so does a row parse_row refuses with
+    ValueError. With header, the first row (None for an empty file) comes out
+    first for the caller to check. A line the CSV tokeniser refuses (a field
+    over csv.field_size_limit(), a bare CR) is a ValueError naming path:line.
+    """
+    with open_text(path) as lines:
+        yield from _numbered(path, lines, partial(
+            _rows, tally, counter, parse_row, grammar or (lambda line: None), take, header))
+
+
+def _rows(tally, counter, parse_row, grammar, take, header, lines):
+    def bad() -> None:
+        setattr(tally, counter, getattr(tally, counter) + 1)
+
+    def utf8(line: str) -> bool:
+        """Whether line was UTF-8; a line that was not counts as bad."""
+        if is_utf8(line):
+            return True
+        bad()
+        return False
+
+    if header:
+        yield next(csv.reader(lines), None)
+    rest = filter(utf8, lines)
+    for line in lines:
+        m = grammar(line)
+        if m is not None:
+            try:
+                row = take(m)
+            except (ValueError, OSError):  # OSError: inet_pton refused a quad
+                m = None
+        if m is None:
+            if not (line.isascii() or utf8(line)):
+                continue
+            try:
+                row = parse_row(next(csv.reader(itertools.chain((line,), rest))))
+            except ValueError:
+                bad()
+                continue
+        if row is not None:
+            yield row
 
 
 def parse_lines(path, parse: Callable[[str], _T]) -> Iterator[_T]:

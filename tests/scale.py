@@ -29,6 +29,8 @@ flows_mb=).
                          into tally_flows, with its scanners as the AH set
     flows-1e5-quoted     the same with every router id quoted, which the row
                          grammar does not take: every row goes to csv.reader
+    flows-1e5-jsonl      the same rows as JSON lines, each field of its JSON
+                         type
     STEP-1e5, STEP-1e6   a step over an event log of 10^5 or 10^6
                          helpers.synthetic_events (5,000 sources, 50 ports,
                          2 days) on a /8, with its binary copy:
@@ -134,15 +136,22 @@ def _cli(*argv) -> float:
 
 # Set-ups: each writes its files into an empty directory, with this checkout's code.
 
-def _flow_file(quoted: bool, work: Path) -> None:
+def _flow_file(spelling: str, work: Path) -> None:
+    """synth-flows-1e5's flow file in work, as flows.csv or, with spelling "jsonl", flows.jsonl."""
+    from darklens.flows import FlowReader
+    from darklens.model import FlowRecord
     from darklens.synth import SynthScenario, generate
+    from helpers import flow_json_line
 
     generate(SynthScenario(**SCENARIOS["flows-1e5"]), SEED, work)
-    if quoted:  # the fields read the same
+    if spelling == "quoted":  # the fields read the same
         lines = (work / "flows.csv").read_text().splitlines(keepends=True)
         (work / "flows.csv").write_text(
             lines[0] + "".join(f'"{router}",{rest}' for router, rest in
                                (line.split(",", 1) for line in lines[1:])))
+    elif spelling == "jsonl":
+        with open(work / "flows.jsonl", "w", encoding="utf-8") as fh:
+            fh.writelines(map(flow_json_line, map(FlowRecord._make, FlowReader(work / "flows.csv"))))
 
 
 def _event_log(events: int, work: Path) -> None:
@@ -183,13 +192,13 @@ def _generate(scenario: str, work: Path):
     return wall, {"packets": manifest["pcap_packets"], "flow_rows": rows, **sizes}
 
 
-def _read_flows(work: Path):
+def _read_flows(name: str, work: Path):
     from darklens.flows import FlowReader
     from darklens.impact import tally_flows
     from darklens.model import ip_to_int
 
     flows = json.loads((work / "manifest.json").read_text())["flows"]
-    reader = FlowReader(work / "flows.csv")
+    reader = FlowReader(work / name)
     _, wall = _timed(tally_flows, reader, {ip_to_int(ip) for ip in flows["ah_sources"]})
     return wall, {"us_per_row": f"{wall / flows['rows'] * 1e6:.2f}", "rows": flows["rows"],
                   "invalid": reader.invalid_rows}
@@ -294,8 +303,9 @@ def _load_feeds(keep: bool, work: Path):
 
 
 SETUPS = {
-    "flows-1e5": partial(_flow_file, False),
-    "flows-1e5-quoted": partial(_flow_file, True),
+    "flows-1e5": partial(_flow_file, "canonical"),
+    "flows-1e5-quoted": partial(_flow_file, "quoted"),
+    "flows-1e5-jsonl": partial(_flow_file, "jsonl"),
     "log-1e5": partial(_event_log, 10 ** 5),
     "log-1e6": partial(_event_log, 10 ** 6),
     "criterion-10": _capture,
@@ -305,8 +315,9 @@ SETUPS = {
 # that name one set-up share its files.
 CASES = {
     **{f"synth-{name}": (None, partial(_generate, name)) for name in SCENARIOS},
-    "flows-1e5": ("flows-1e5", _read_flows),
-    "flows-1e5-quoted": ("flows-1e5-quoted", _read_flows),
+    "flows-1e5": ("flows-1e5", partial(_read_flows, "flows.csv")),
+    "flows-1e5-quoted": ("flows-1e5-quoted", partial(_read_flows, "flows.csv")),
+    "flows-1e5-jsonl": ("flows-1e5-jsonl", partial(_read_flows, "flows.jsonl")),
     **{f"{step}-{size}": (f"log-{size}", partial(_log_step, step))
        for size in ("1e5", "1e6") for step in LOG_STEPS},
     "sweep-12": (None, partial(_fold, "10.0.0.0/12", 1, 1 << 20)),

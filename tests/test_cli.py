@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -21,7 +22,7 @@ from darklens.cli import _write_protocol_csv, build_parser, main
 from darklens.events import EventBuilder
 from darklens.fingerprint import PortFingerprintRow
 from darklens.model import (
-    AhVerdict, DarknetEvent, Direction, FlowRecord, Protocol, TrafficType, ip_to_int,
+    AhVerdict, DarknetEvent, Direction, FlowRecord, Protocol, TrafficType, int_to_ip, ip_to_int,
     read_blocklist, write_csv, write_event_log, write_lines,
 )
 from darklens.pcap import PcapReader
@@ -534,47 +535,98 @@ _FEED_LINES = {
 _META_FEED = {"--asn-map": "asn_map", "--tags": "tags", "--acked-ips": "acked",
               "--acked-keywords": "acked", "--rdns": "rdns"}
 _NOT_UTF8 = [b"\xff", b"\xc3", b"\x80", b"\xed\xa0\x80", b"\xf4\x90\x80\x80"]
+# Flow rows of _SOURCES and one other source on one day, in each format: four
+# valid rows, then one whose sampled_pkts of 0 makes it invalid.
+_FLOW_FIELDS = [
+    ("router-1", "198.51.100.1", "tcp", 40000, 23, 3, "S"),
+    ("edge,1", "198.51.100.2", "udp", 53, 53, 2, None),
+    ("router-1", "203.0.113.9", "icmp", None, None, 5, None),
+    ("router-2", "198.51.100.3", "tcp", 1, 2, 1, "SA"),
+    ("router-1", "198.51.100.4", "tcp", 1, 2, 0, None),
+]
+_FLOW_RECORDS = [
+    dict(router_id=router, ts_us=1654041600 * US + i, direction="I", src_ip=src,
+         dst_ip="10.0.0.1", protocol=proto, src_port=sport, dst_port=dport,
+         sampled_pkts=sampled, sampling_denominator=100, tcp_flags=flags)
+    for i, (router, src, proto, sport, dport, sampled, flags) in enumerate(_FLOW_FIELDS)
+]
+_FLOW_LINES = {
+    "flows.csv": [",".join(_FLOW_RECORDS[0])] + [
+        ",".join('"edge,1"' if v == "edge,1" else "" if v is None else str(v) for v in r.values())
+        for r in _FLOW_RECORDS],
+    "flows.jsonl": [json.dumps(r) for r in _FLOW_RECORDS],
+}
 
 
 class TestFeedBytes:
-    """A feed line that is not UTF-8 is one malformed line, not a fatal input."""
+    """A line of a feed or a flow file that is not UTF-8 is one malformed line or
+    invalid row, not a fatal input."""
 
     @staticmethod
-    def _report(root: Path, name: str, feeds: dict, exclude: bool) -> tuple:
-        """report over root's log and verdicts with feeds: its exit code, meta and other files."""
+    def _report(root: Path, name: str, feeds: dict, option: str, exclude: bool) -> tuple:
+        """report over root's log and verdicts with feeds: its exit code, the
+        malformed lines of option's feed, and its other output."""
         out = root / name
         argv = ["--out-dir", str(out), "report", str(root / "events.jsonl"),
                 str(root / "verdicts.jsonl")]
-        for option, lines in feeds.items():
-            path = root / f"{name}{option}.csv"
+        for feed, lines in feeds.items():
+            path = root / f"{name}{feed}.csv"
             path.write_bytes(b"".join(lines))
-            argv += [option, str(path)]
+            argv += [feed, str(path)]
         with contextlib.redirect_stdout(io.StringIO()):
             rc = main(argv + ["--exclude-acked"] * exclude)
         files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
-        return rc, json.loads(files.pop("report_meta.json")), files
+        meta = json.loads(files.pop("report_meta.json"))
+        malformed = meta["feeds"][_META_FEED[option]].pop("malformed_lines")
+        return rc, malformed, (meta, files)
 
-    @settings(max_examples=30, deadline=None)
+    @staticmethod
+    def _impact(root: Path, name: str, option: str, lines: list) -> tuple:
+        """impact over the blocklist of _SOURCES with a flow file of lines: its
+        exit code, the invalid rows it printed, and its other output."""
+        out, flows = root / name, root / f"{name}.{option}"
+        flows.write_bytes(b"".join(lines))
+        (root / "blocklist.txt").write_text("".join(f"{int_to_ip(ip)}\n" for ip in _SOURCES))
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            rc = main(["--out-dir", str(out), "impact", "--blocklist", str(root / "blocklist.txt"),
+                       "--flows", str(flows)])
+        note = re.compile(r"^note: (\d+) invalid flow rows skipped\n", re.M)
+        invalid = sum(int(n) for n in note.findall(stdout.getvalue()))
+        files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        return rc, invalid, (note.sub("", stdout.getvalue()), files)
+
+    @settings(max_examples=40, deadline=None)
     @given(events=st.lists(_EVENT, min_size=1, max_size=10),
-           option=st.sampled_from(sorted(_FEED_LINES)), exclude=st.booleans(), data=st.data())
+           option=st.sampled_from(sorted(_FEED_LINES) + sorted(_FLOW_LINES)),
+           exclude=st.booleans(), data=st.data())
     def test_non_utf8_lines_read_as_deleted_lines(self, events, option, exclude, data):
-        feeds = {name: [line.encode() + data.draw(st.sampled_from([b"\n", b"\r\n"]))
-                        for line in lines] for name, lines in _FEED_LINES.items()}
-        lines = feeds[option]
-        bad = data.draw(st.sets(st.integers(0, len(lines) - 1), min_size=1))
+        files = {name: [line.encode() + data.draw(st.sampled_from([b"\n", b"\r\n"]))
+                        for line in lines] for name, lines in {**_FEED_LINES, **_FLOW_LINES}.items()}
+        lines = files[option]
+        # A flow CSV's header is not a row; at least one valid flow row is kept.
+        first = option == "flows.csv"
+        bad = data.draw(st.sets(st.integers(first, len(lines) - 1), min_size=1).filter(
+            lambda bad: option not in _FLOW_LINES or not set(range(first, first + 4)) <= bad))
         spoiled = []
         for i in sorted(bad):
             at = data.draw(st.integers(0, len(lines[i]) - 1))
             spoiled.append(lines[i][:at] + data.draw(st.sampled_from(_NOT_UTF8)) + lines[i][at:])
+        spoiled = [spoiled.pop(0) if i in bad else line for i, line in enumerate(lines)]
+        deleted = [line for i, line in enumerate(lines) if i not in bad]
         with tempfile.TemporaryDirectory() as tmp:
             root = Path(tmp)
-            _write_report_inputs(root, events, set(_SOURCES))
-            rc, meta, files = self._report(root, "spoiled", dict(feeds, **{option: [
-                spoiled.pop(0) if i in bad else line for i, line in enumerate(lines)]}), exclude)
-            want_rc, want_meta, want_files = self._report(root, "deleted", dict(feeds, **{option: [
-                line for i, line in enumerate(lines) if i not in bad]}), exclude)
-        want_meta["feeds"][_META_FEED[option]]["malformed_lines"] += len(bad)
-        assert (rc, meta, files) == (want_rc, want_meta, want_files) and rc == 0
+            if option in _FLOW_LINES:
+                rc, count, rest = self._impact(root, "spoiled", option, spoiled)
+                want_rc, want_count, want_rest = self._impact(root, "deleted", option, deleted)
+            else:
+                _write_report_inputs(root, events, set(_SOURCES))
+                feeds = {name: files[name] for name in _FEED_LINES}
+                rc, count, rest = self._report(
+                    root, "spoiled", dict(feeds, **{option: spoiled}), option, exclude)
+                want_rc, want_count, want_rest = self._report(
+                    root, "deleted", dict(feeds, **{option: deleted}), option, exclude)
+        assert (rc, count, rest) == (want_rc, want_count + len(bad), want_rest) and rc == 0
 
 
 def test_detect_meta_counts_feed_lines(pipeline, feeds, tmp_path):
@@ -591,6 +643,45 @@ def test_detect_meta_counts_feed_lines(pipeline, feeds, tmp_path):
         "acked": {"malformed_lines": 1},
     }
     assert json.loads((pipeline["run"] / "detect_meta.json").read_text())["feeds"] == {}
+
+
+def test_impact_keeps_the_rdns_names_of_its_blocklist_only(pipeline, feeds, tmp_path,
+                                                            monkeypatch):
+    """acked_sources looks up only blocklisted addresses, so impact keeps only
+    their names: its outputs are those of a feed without the other rows."""
+    from darklens import cli
+
+    run = pipeline["run"]
+    ah = sorted(read_blocklist(run / "blocklist_union.txt"))
+    # Every other blocklisted address has a keyword's name; the rows of other
+    # addresses, which would match a keyword too, fall between them.
+    rows = [[f"{int_to_ip(ip)},{('probe-%d.goodscan.net' if i % 2 else 'host-%d.example.org') % i}",
+             f"192.0.2.{i % 250 + 1},probe-{i}.goodscan.net"] for i, ip in enumerate(ah)]
+    loaded = []
+
+    def load_rdns(path, keep=None):
+        feed = rdns_loader(path, keep)
+        loaded.append(feed)
+        return feed
+
+    rdns_loader = cli.load_rdns
+    monkeypatch.setattr(cli, "load_rdns", load_rdns)
+    outputs = []
+    for name, lines in (("full", [line for pair in rows for line in pair]),
+                        ("kept", [pair[0] for pair in rows])):
+        (tmp_path / f"{name}.csv").write_text("".join(line + "\n" for line in lines))
+        out = tmp_path / name
+        assert main([
+            "--out-dir", str(out), "impact", "--blocklist", str(run / "blocklist_union.txt"),
+            "--flows", str(pipeline["synth"] / "flows.csv"),
+            "--acked-ips", str(feeds / "acked_ips.csv"),
+            "--acked-keywords", str(feeds / "acked_kw.csv"), "--rdns", str(tmp_path / f"{name}.csv"),
+        ]) == 0
+        outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert outputs[0] == outputs[1]
+    assert [sorted(feed) for feed in loaded] == [ah, ah]
+    with open(tmp_path / "full" / "acked_impact.csv", newline="") as fh:
+        assert any(int(row["ah_pkts_est"]) for row in csv.DictReader(fh))
 
 
 @pytest.mark.parametrize("command", ["detect", "impact", "report"])
@@ -1176,6 +1267,19 @@ class TestRottenInputs:
         else:
             argv = ["--out-dir", str(out), "report", str(inputs["events.jsonl"]),
                     str(inputs["verdicts.jsonl"])]
+        if name.startswith("flows"):
+            # A flow file is a third party's: the line is one invalid row, and
+            # the outputs are those of the file without it.
+            clean = tmp_path / f"clean_{name}"
+            clean.write_bytes(newline.join(good) + newline)
+            assert main(argv[:-1] + [str(clean)]) == 0
+            want = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+            assert "invalid flow rows" not in capsys.readouterr().out
+            assert main(argv) == 0
+            captured = capsys.readouterr()
+            assert "note: 1 invalid flow rows skipped\n" in captured.out and not captured.err
+            assert {p.name: p.read_bytes() for p in sorted(out.iterdir())} == want
+            return
         assert main(argv) == 2
         assert capsys.readouterr().err == (
             f"error: {bad}:3: malformed line (UnicodeDecodeError: 'utf-8' codec can't decode "
@@ -1198,6 +1302,48 @@ class TestRottenInputs:
             f"error: {bad}:3: malformed line (ValueError: invalid IPv4 address '10.1')\n"
         )
         assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("name", ["flows.csv", "flows.jsonl", *_FEED_LINES])
+    def test_single_byte_mutations_cost_rows_not_the_run(self, pipeline, tmp_path, capsys, name):
+        # Seeded bit flips, byte insertions and deletions, one at a time, in a
+        # flow file past its first line (a CSV's header, or the line whose
+        # first byte makes a file JSONL) or anywhere in a feed. None is a
+        # traceback and none ends the run but one: a CR before anything but
+        # LF, which csv.reader refuses in an unquoted field (a file with bare
+        # CR endings does not read), names the file and the line.
+        run, synth = pipeline["run"], pipeline["synth"]
+        if name == "flows.jsonl":
+            clean = b"".join(line + b"\n" for line in self._flows_jsonl_lines(synth / "flows.csv"))
+        elif name == "flows.csv":
+            clean = (synth / name).read_bytes()
+        else:
+            clean = "".join(line + "\n" for line in _FEED_LINES[name]).encode()
+        start = clean.index(b"\n") + 1 if name.startswith("flows") else 0
+        path = tmp_path / "mutated"
+        argv = ["--out-dir", str(tmp_path / "out")]
+        if name.startswith("flows"):
+            argv += ["impact", "--blocklist", str(run / "blocklist_union.txt"), "--flows", str(path)]
+        else:
+            argv += ["report", str(run / "events.jsonl"), str(run / "verdicts.jsonl")]
+            for option, lines in _FEED_LINES.items():
+                feed = path if option == name else tmp_path / f"clean{option}.csv"
+                feed.write_text("".join(line + "\n" for line in lines))
+                argv += [option, str(feed)]
+        rng = random.Random(f"mutate {name}")
+        for _ in range(60):
+            at = rng.randrange(start, len(clean))
+            op = rng.choice(["flip", "insert", "delete"])
+            byte = {"flip": clean[at] ^ 1 << rng.randrange(8), "insert": rng.randrange(256),
+                    "delete": None}[op]
+            data = clean[:at] + (bytes([byte]) if byte is not None else b"") + clean[
+                at + (op != "insert"):]
+            path.write_bytes(data)
+            rc = main(argv)
+            err = capsys.readouterr().err
+            if rc == 2 and re.search(rb"\r(?!\n)", data):
+                assert err.startswith(f"error: {path}:") and "new-line character seen" in err
+            else:
+                assert rc in (0, 1) and not err, (op, at, byte, err)
 
     @pytest.mark.parametrize("command", ["impact", "report"])
     def test_oversized_csv_field_names_file_and_line(self, pipeline, feeds, tmp_path, capsys,

@@ -9,7 +9,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from darklens import feeds
+from darklens import model
 from darklens.feeds import (
     AsnEntry,
     AsnMap,
@@ -21,6 +21,7 @@ from darklens.feeds import (
     load_tags,
     origin_of,
 )
+from darklens.flows import FLOW_CSV_FIELDS, FlowReader
 from darklens.model import int_to_ip, ip_to_int, parse_cidr
 from helpers import NONCANONICAL_PREFIXES, oracle_asn_lookup, oracle_load_feed
 
@@ -97,13 +98,27 @@ class TestLoadLoop:
         assert (_entries(feed), feed.malformed_lines) == (1, 2)
 
     def test_a_line_that_is_not_utf8_inside_a_quoted_field_reads_as_deleted(self, tmp_path):
+        def spoiled_and_deleted(name, lines, bad):
+            """Two files of lines: one whole, one without lines[bad]."""
+            spoiled, deleted = tmp_path / f"spoiled.{name}", tmp_path / f"deleted.{name}"
+            spoiled.write_bytes(b"".join(lines))
+            deleted.write_bytes(b"".join(lines[:bad] + lines[bad + 1:]))
+            return spoiled, deleted
+
         lines = [b'10.0.0.1,"a.\n', b"\xffb.\n", b'example.net"\n', b"10.0.0.2,c.net\n"]
-        spoiled, deleted = tmp_path / "spoiled.csv", tmp_path / "deleted.csv"
-        spoiled.write_bytes(b"".join(lines))
-        deleted.write_bytes(b"".join(lines[:1] + lines[2:]))
-        got, want = load_rdns(spoiled), load_rdns(deleted)
+        got, want = map(load_rdns, spoiled_and_deleted("csv", lines, 1))
         assert (got, got.malformed_lines) == (want, want.malformed_lines + 1) == (
             {ip_to_int("10.0.0.1"): "a.\nexample.net", ip_to_int("10.0.0.2"): "c.net"}, 1)
+
+        # A flow CSV is read by the same loop, and counts the line as an invalid row.
+        row = b",1654041600000000,I,198.51.100.9,192.0.2.10,udp,1,2,3,1000,\n"
+        lines = [",".join(FLOW_CSV_FIELDS).encode() + b"\n", b'"edge\n', b"\xc3x\n", b'1"' + row,
+                 b"router-2" + row]
+        got, want = map(FlowReader, spoiled_and_deleted("flows", lines, 2))
+        rows = list(got)
+        assert (rows, got.invalid_rows) == (list(want), want.invalid_rows + 1)
+        assert [(r[0], r[9]) for r in rows] == [("edge\n1", 1000), ("router-2", 1000)]
+        assert got.invalid_rows == 1
 
 
 class TestAcked:
@@ -404,7 +419,7 @@ def _grammar_load(kind, line, path):
         calls.append(1)
         return csv.reader(lines)
 
-    with mock.patch.object(feeds, "csv", SimpleNamespace(reader=reader)):
+    with mock.patch.object(model, "csv", SimpleNamespace(reader=reader, Error=csv.Error)):
         feed = _LOADERS[kind](path)
     return not calls, feed
 

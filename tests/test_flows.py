@@ -265,6 +265,26 @@ class TestJsonl:
         assert len(list(reader)) == 1
         assert reader.invalid_rows == 1
 
+    def test_router_id_that_is_a_lone_surrogate_is_invalid(self, tmp_path):
+        # json.loads reads the escape "\ud800" as a lone surrogate, which no
+        # output CSV could encode; such a row is invalid, not a fatal write.
+        pj = tmp_path / "f.jsonl"
+        pj.write_text(self._jsonl_line() + "\n" + self._jsonl_line(router_id="\ud800") + "\n")
+        assert '"\\ud800"' in pj.read_text()
+        reader = FlowReader(pj)
+        assert len(list(reader)) == 1
+        assert reader.invalid_rows == 1
+
+    def test_a_line_that_is_not_utf8_is_one_invalid_row(self, tmp_path):
+        # The first line too: the format sniff reads past it. A bad byte in a
+        # key no row rule reads makes its line invalid all the same.
+        good = self._jsonl_line().encode()
+        pj = tmp_path / "f.jsonl"
+        pj.write_bytes(b"\xff" + good + b"\n" + good[:-1] + b', "exporter": "\xc3"}\n' + good + b"\n")
+        reader = FlowReader(pj)
+        assert len(list(reader)) == 1
+        assert reader.invalid_rows == 2
+
     def test_null_ports_for_icmp(self, tmp_path):
         pj = tmp_path / "f.jsonl"
         pj.write_text(
