@@ -5,7 +5,9 @@ scanner list (IPs plus rDNS keywords), a reverse-DNS snapshot, a third-party
 tag database, and an IP-to-ASN routing map. Each is read by model.read_rows,
 the reader flow files share. A loader skips blank lines and lines whose first
 field starts with `#`. A line is malformed when it holds a byte that is not
-UTF-8, has the wrong number of fields or a field fails its check (an address
+UTF-8, the CSV tokeniser refuses it (a field over csv.field_size_limit(), a
+CR before anything but LF in an unquoted field), it has the wrong number of
+fields or a field fails its check (an address
 that is not a canonical dotted quad, an unknown tag class, an empty name);
 malformed lines are skipped and counted in `malformed_lines`, so a partially
 rotten feed still loads. In the ACKed, rDNS and tag feeds the first line for

@@ -9,11 +9,12 @@ feeds are, with a row grammar for the canonical spelling that exporters write
 dotted quads that inet_pton takes, ports on tcp and udp only, flag letters in
 SAFRPU order). A file is JSON lines when its first line that is UTF-8 and not
 only JSON whitespace starts with "{", and CSV otherwise. A row that cannot be
-parsed, that violates a field constraint or that holds a byte that is not
-UTF-8 is skipped and counted; a CSV whose header does not match the schema
-(an empty file has none) is fatal because every following row would be
-garbage, and so is a line the CSV tokeniser refuses, such as one with a
-field over csv.field_size_limit(): the error names the file and the line.
+parsed (the CSV tokeniser refuses a field over csv.field_size_limit() and a
+CR before anything but LF in an unquoted field), that violates a field
+constraint or that holds a byte that is not UTF-8 is skipped and counted; a
+CSV whose header does not match the schema (an empty file has none) or does
+not tokenise is fatal because every following row would be garbage: the
+error names the file and the line.
 """
 from __future__ import annotations
 

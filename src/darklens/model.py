@@ -391,7 +391,7 @@ def _numbered(path, lines: Iterator, decode: Callable[[Iterator], Iterator[_T]])
     taken = itertools.count()
     try:
         yield from decode(map(operator.itemgetter(1), zip(taken, lines)))
-    except csv.Error as exc:  # such as a field over csv.field_size_limit()
+    except csv.Error as exc:  # a header row that read_rows' tokeniser refuses
         raise ValueError(f"{path}:{next(taken)}: {exc}") from None
     except (KeyError, TypeError, ValueError, RecursionError) as exc:
         reason = f"{type(exc).__name__}: {exc}"
@@ -429,9 +429,11 @@ def read_rows(path, tally, counter: str, parse_row: Callable[[List[str]], Option
     Each result that is not None comes out. A line that was not UTF-8, a
     continuation line included, adds one to tally's attribute counter and
     reads as if it were not there; so does a row parse_row refuses with
-    ValueError. With header, the first row (None for an empty file) comes out
-    first for the caller to check. A line the CSV tokeniser refuses (a field
-    over csv.field_size_limit(), a bare CR) is a ValueError naming path:line.
+    ValueError, and a row the CSV tokeniser refuses (a field over
+    csv.field_size_limit(), a CR before anything but LF in an unquoted field).
+    With header, the first row (None for an empty file) comes out first for
+    the caller to check; a header the tokeniser refuses is a ValueError naming
+    path:line.
     """
     with open_text(path) as lines:
         yield from _numbered(path, lines, partial(
@@ -464,7 +466,7 @@ def _rows(tally, counter, parse_row, grammar, take, header, lines):
                 continue
             try:
                 row = parse_row(next(csv.reader(itertools.chain((line,), rest))))
-            except ValueError:
+            except (ValueError, csv.Error):
                 bad()
                 continue
         if row is not None:

@@ -1098,11 +1098,28 @@ def _oracle_asn_row(row):
 ORACLE_FEED_ROWS = {"rdns": _oracle_rdns_row, "tags": _oracle_tag_row, "asn": _oracle_asn_row}
 
 
+def _oracle_csv_rows(lines):
+    """csv.reader's rows of lines, with None for each row it refuses.
+
+    The reader starts a new row on the next line after an error.
+    """
+    reader = csv.reader(lines)
+    while True:
+        try:
+            yield next(reader)
+        except StopIteration:
+            return
+        except csv.Error:
+            yield None
+
+
 def oracle_load_feed(path, kind: str) -> Tuple[dict, int, int]:
     """(entries, malformed_lines, duplicate_lines) of an rDNS, tag or ASN feed.
 
     Blank lines and lines whose first field starts with `#` are skipped; a
-    line on which the row rule raises ValueError is malformed. The rDNS and
+    line on which the row rule raises ValueError is malformed, and so is a
+    row csv.reader refuses (a field over csv.field_size_limit(), a CR before
+    anything but LF in an unquoted field). The rDNS and
     tag entries are keyed by address, the first line winning; the ASN entries
     by (network, prefix length), the last line winning, and each line that
     repeats a prefix is a duplicate.
@@ -1110,7 +1127,10 @@ def oracle_load_feed(path, kind: str) -> Tuple[dict, int, int]:
     parse_row = ORACLE_FEED_ROWS[kind]
     entries: dict = {}
     malformed = duplicates = 0
-    for row in read_lines(path, csv.reader):
+    for row in read_lines(path, _oracle_csv_rows):
+        if row is None:
+            malformed += 1
+            continue
         if not row or (len(row) == 1 and not row[0].strip()) or row[0].lstrip().startswith("#"):
             continue
         try:

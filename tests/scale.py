@@ -20,6 +20,11 @@ flows_mb=).
     synth-criterion-10   synth.generate of acceptance criterion 10's capture:
                          49 full sweeps of a /22, 20 passes each, 1,003,520
                          packets
+    synth-criterion-10-mixed
+                         the same with the scanners' traffic types cycling
+                         through TCP SYN, UDP and ICMP echo, so the capture's
+                         record lengths alternate (54 and 42 bytes) as the
+                         bench captures' do
     synth-noise-1e5      10^5 noise sources of 5 probes on a /22
     synth-flows-1e5      10^5 benign flow talkers on 4 routers, 1:100 sampled,
                          beside one full sweep of a /22: 400,004 flow rows
@@ -51,6 +56,8 @@ flows_mb=).
                          capture
     impact-criterion-10  `impact --pcap` over that capture, against the union
                          blocklist of `events` and `detect` in the set-up
+    events-criterion-10-mixed, impact-criterion-10-mixed
+                         the same two over synth-criterion-10-mixed's capture
     feeds-1e6            load_asn_map, load_tags and load_rdns over an ASN map
                          of 10^6 prefixes and 10^6 tag and rDNS rows, each
                          kept against an AH set of 5,000 addresses as
@@ -94,6 +101,9 @@ _NONE = dict(full_coverage_scanners=0, partial_scanners=0, noise_sources=0, back
 SCENARIOS = {
     "criterion-10": dict(_NONE, full_coverage_scanners=49, full_scanner_repeats=20,
                          tools_cycle=["zmap"], duration_s=600),
+    "criterion-10-mixed": dict(_NONE, full_coverage_scanners=49, full_scanner_repeats=20,
+                               tools_cycle=["zmap"], duration_s=600,
+                               full_scanner_types=["tcp_syn", "udp", "icmp_echo_request"]),
     "noise-1e5": dict(_NONE, noise_sources=100_000),
     "flows-1e5": dict(_NONE, full_coverage_scanners=1, flow_total_pkts=10 ** 10,
                       flow_sampling_denominator=100, flow_benign_sources=100_000,
@@ -167,10 +177,10 @@ def _event_log(events: int, work: Path) -> None:
          "detect", work / "events.jsonl")
 
 
-def _capture(work: Path) -> None:
+def _capture(scenario: str, work: Path) -> None:
     from darklens.synth import SynthScenario, generate
 
-    generate(SynthScenario(**SCENARIOS["criterion-10"]), SEED, work)
+    generate(SynthScenario(**SCENARIOS[scenario]), SEED, work)
     (work / "telescope.conf").write_text(CAPTURE_CONF, encoding="utf-8")
     _cli("--config", work / "telescope.conf", "--out-dir", work, "events", work / "synth.pcap")
     _cli("--config", work / "telescope.conf", "--out-dir", work, "detect", work / "events.jsonl")
@@ -308,7 +318,7 @@ SETUPS = {
     "flows-1e5-jsonl": partial(_flow_file, "jsonl"),
     "log-1e5": partial(_event_log, 10 ** 5),
     "log-1e6": partial(_event_log, 10 ** 6),
-    "criterion-10": _capture,
+    **{name: partial(_capture, name) for name in ("criterion-10", "criterion-10-mixed")},
     "feeds-1e6": _feeds,
 }
 # Each case: the name of its set-up (None: it has none) and its step. Cases
@@ -323,8 +333,8 @@ CASES = {
     "sweep-12": (None, partial(_fold, "10.0.0.0/12", 1, 1 << 20)),
     "sweep-12x4": (None, partial(_fold, "10.0.0.0/12", 4, 1 << 20)),
     "switch-8": (None, partial(_fold, "10.0.0.0/8", 100, (1 << 24 >> 10) + 1)),
-    "events-criterion-10": ("criterion-10", _events),
-    "impact-criterion-10": ("criterion-10", _impact),
+    **{f"{step}-{name}": (name, fn) for name in ("criterion-10", "criterion-10-mixed")
+       for step, fn in (("events", _events), ("impact", _impact))},
     "feeds-1e6": ("feeds-1e6", partial(_load_feeds, True)),
     "feeds-1e6-full": ("feeds-1e6", partial(_load_feeds, False)),
 }

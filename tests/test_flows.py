@@ -95,11 +95,17 @@ class TestCsv:
         with pytest.raises(SchemaMismatchError):
             list(FlowReader(p))
 
-    def test_oversized_field_is_fatal(self, tmp_path):
-        p = tmp_path / "big.csv"
-        huge = "r" * (csv.field_size_limit() + 1)
-        p.write_text(_csv([GOOD_ROW, GOOD_ROW.replace("router-1", huge)]))
-        with pytest.raises(ValueError, match=rf"^{re.escape(str(p))}:3: field larger than"):
+    @pytest.mark.parametrize("router", ["r" * (csv.field_size_limit() + 1), "router\r1"],
+                             ids=["oversized-field", "bare-cr"])
+    def test_a_row_the_csv_tokeniser_refuses_is_invalid(self, tmp_path, router):
+        reader, rows = _read_csv(tmp_path, _csv([GOOD_ROW, GOOD_ROW.replace("router-1", router),
+                                                 GOOD_ROW]))
+        assert (len(rows), reader.invalid_rows) == (2, 1)
+
+    def test_a_header_the_csv_tokeniser_refuses_is_fatal(self, tmp_path):
+        p = tmp_path / "cr.csv"
+        p.write_text(_csv([GOOD_ROW], header=HEADER.replace("_", "\r", 1)))
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(p))}:1: new-line character"):
             list(FlowReader(p))
 
     def test_header_only_yields_nothing(self, tmp_path):

@@ -366,20 +366,27 @@ class TestAgainstOracle:
         # and their headers straddle block edges anywhere.
         _check_against_oracle(data, (*BLOCKS, block))
 
+    @pytest.mark.parametrize("shapes", ["mixed", "alternating"])
     @pytest.mark.parametrize("ending", ["clean", "short-record-header", "caplen-overrun"])
     @pytest.mark.parametrize("linktype", [1, 101], ids=["ethernet", "raw-ip"])
     @pytest.mark.parametrize("nanos", [False, True], ids=["us", "ns"])
     @pytest.mark.parametrize("endian", ["<", ">"], ids=["le", "be"])
-    def test_every_block_size_from_1_to_64(self, endian, nanos, linktype, ending):
+    def test_every_block_size_from_1_to_64(self, endian, nanos, linktype, ending, shapes):
+        # mixed: every skip next to each transport. alternating: the record
+        # lengths of a scanner capture (TCP 54 bytes on Ethernet, UDP and ICMP
+        # 42) and a TCP frame with IP options, one after the other.
         ips = [
             oracle_ipv4("198.51.100.9", "10.0.0.5", 6, oracle_tcp(51000, 23, 7, 0x02), ip_id=54321),
             oracle_ipv4("198.51.100.9", "10.0.0.6", 17, oracle_udp(40000, 53)),
             oracle_ipv4("198.51.100.9", "10.0.0.7", 1, oracle_icmp(8)),
-            oracle_ipv4("198.51.100.9", "10.0.0.8", 47, bytes(8)),
-            b"\x60" + bytes(39),
         ]
+        if shapes == "mixed":
+            ips += [oracle_ipv4("198.51.100.9", "10.0.0.8", 47, bytes(8)), b"\x60" + bytes(39)]
+        else:
+            ips.append(_with_options(6, oracle_tcp(51001, 80, 9, 0x02), bytes(range(1, 9))))
         frames = [eth_frame(ip) if linktype == 1 else ip for ip in ips]
-        frames.append(frames[0][:30])
+        if shapes == "mixed":
+            frames.append(frames[0][:30])
         records = [(1654041600 + i, 999_999_999 if nanos else 999_999, len(f), len(f), f)
                    for i, f in enumerate(frames * 3 + frames[:1])]
         tail = b""
@@ -391,7 +398,9 @@ class TestAgainstOracle:
         data = _raw_pcap(records, endian=endian, nanos=nanos, linktype=linktype, tail=tail)
         counts = _check_against_oracle(data, range(1, 65))
         overrun = ending == "caplen-overrun"
-        assert (counts["packets_read"], counts["skipped_truncated"]) == (10 - overrun, 3 + overrun)
+        read, cut = (10, 3) if shapes == "mixed" else (13, 0)
+        assert (counts["packets_read"], counts["skipped_truncated"]) == (read - overrun,
+                                                                         cut + overrun)
 
     @pytest.mark.parametrize("linktype", [1, 101], ids=["ethernet", "raw-ip"])
     @pytest.mark.parametrize("proto,l4,needed", [
@@ -400,16 +409,27 @@ class TestAgainstOracle:
         (1, oracle_icmp(8), 4),
     ], ids=["tcp", "udp", "icmp"])
     @pytest.mark.parametrize("options", [b"", bytes(range(1, 9))], ids=["ihl5", "ihl7"])
-    def test_every_cut_point(self, linktype, proto, l4, needed, options):
-        # The options are the IP payload's first bytes; raising IHL over them
-        # makes them header options.
-        ip = bytearray(oracle_ipv4("198.51.100.9", "10.0.0.5", proto, options + l4, ip_id=54321))
-        ip[0] = 0x40 | (5 + len(options) // 4)
-        frame = eth_frame(bytes(ip)) if linktype == 1 else bytes(ip)
+    @pytest.mark.parametrize("nanos", [False, True], ids=["us", "ns"])
+    @pytest.mark.parametrize("endian", ["<", ">"], ids=["le", "be"])
+    def test_every_cut_point(self, endian, nanos, linktype, proto, l4, needed, options):
+        ip = _with_options(proto, l4, options)
+        frame = eth_frame(ip) if linktype == 1 else ip
         records = [(7, 42, cut, len(frame), frame[:cut]) for cut in range(len(frame) + 1)]
-        counts = _check_against_oracle(_raw_pcap(records, linktype=linktype))
+        counts = _check_against_oracle(_raw_pcap(records, endian=endian, nanos=nanos,
+                                                 linktype=linktype))
         assert counts["records_total"] == len(frame) + 1
         assert counts["packets_read"] == len(l4) - needed + 1
+
+
+def _with_options(proto, l4, options):
+    """An IPv4 packet carrying l4 whose header holds options (a multiple of 4 bytes).
+
+    The options are the IP payload's first bytes; raising IHL over them makes
+    them header options.
+    """
+    ip = bytearray(oracle_ipv4("198.51.100.9", "10.0.0.5", proto, options + l4, ip_id=54321))
+    ip[0] = 0x40 | (5 + len(options) // 4)
+    return bytes(ip)
 
 
 def _drain(path):
@@ -455,3 +475,22 @@ def test_capture_cut_short_while_read_ends_quietly(tmp_path, cut):
     assert 1 + len(rest) == reader.packets_read == pcap_mod.BLOCK // rec + 10
     assert reader.skipped_truncated == (cut > 16)
     assert reader.records_total == reader.packets_read + reader.total_skipped
+
+
+def test_capture_grown_while_read_stops_at_its_size_at_open(tmp_path):
+    # The capture grows under the reader (a capture still being written): the
+    # records appended after it took the file's size are not read, at every
+    # read size up to a few records, so a block ends in each part of the
+    # last record, its header included.
+    path = tmp_path / "growing.pcap"
+    records = build_pcap(itertools.repeat((1654041600 * US, _syn_frame()), 40))
+    for block in [*range(1, 300), pcap_mod.BLOCK]:
+        path.write_bytes(records)
+        reader = PcapReader(path)
+        with mock.patch.object(pcap_mod, "BLOCK", block):
+            packets = iter(reader)
+            next(packets)
+            with open(path, "ab") as fh:
+                fh.write(records[24:])
+            rest = list(packets)
+        assert 1 + len(rest) == reader.records_total == reader.packets_read == 40, block
